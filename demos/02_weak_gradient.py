@@ -2,18 +2,21 @@
 
 A weak function pairs an interior polynomial with independent edge traces;
 its weak gradient is the degree k-1 vector polynomial defined by testing
-the integration-by-parts identity.  Three checks below: a pure trace
-function, consistency for a genuine H1 function, and the commutation of
-the weak gradient with L2 projection.
+the integration-by-parts identity.  For k=1 it is the constant
+(1/|T|) sum_e <v_b, n>_e, which the element tables hold for every element
+at once.  Four checks below: a pure trace function, consistency for a
+genuine H1 function, a constant weak function on every element of a
+refined mesh, and the commutation of the weak gradient with L2 projection.
 
 Run:  PYTHONPATH=src python3 demos/02_weak_gradient.py
 """
 
 import numpy as np
 
+from pdwg.assembly import ElementTables
 from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.poly import project_element
-from pdwg.weakspace import commutativity_check, weak_gradient_local
+from pdwg.weakspace import commutativity_check
 
 mesh = build_coarse_mesh("unit_square")
 t = next(
@@ -25,7 +28,8 @@ print("element:", coords.tolist())
 
 # v0 = 0 with unit trace on the hypotenuse only: the weak gradient is
 # |e| <n> / |T| = (2, 2) on this right triangle.
-G = weak_gradient_local(mesh, t, k=1, j=1)
+tables = ElementTables(mesh, j=1, interior_degree=6, edge_quad_points=5)
+G = tables.G[t][:, None, :]  # (2 components, 1 constant, 9 local coefficients)
 local = np.zeros(9)
 for i in range(3):
     a, b = coords[i], coords[(i + 1) % 3]
@@ -49,10 +53,19 @@ for i in range(3):
     local[3 + 2 * i : 5 + 2 * i] = (mid[0], half[0])
 print("grad_w of v = x with matching trace:   ", (G @ local)[:, 0])
 
-# Projecting into the weak space commutes with the weak gradient.
+# The constant weak function {1, 1} has zero weak gradient on every
+# element; one einsum applies all the element operators at once.
 mesh3 = build_coarse_mesh("unit_square")
 for _ in range(3):
     mesh3 = refine_uniform(mesh3)
+tables3 = ElementTables(mesh3, j=1, interior_degree=6, edge_quad_points=5)
+ones = np.zeros(9)
+ones[0] = 1.0
+ones[3::2] = 1.0
+grads = np.einsum("tcn,n->tc", tables3.G, ones)
+print(f"max |grad_w 1| over {len(grads)} elements: {np.abs(grads).max():.1e}")
+
+# Projecting into the weak space commutes with the weak gradient.
 res = commutativity_check(
     lambda x, y: np.sin(x) * np.cos(y),
     lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),

@@ -27,18 +27,18 @@ for _ in range(3):
     mesh = refine_uniform(mesh)
 classification = classify_boundary(mesh, spec.beta)
 dofmap = DofMap(mesh, spec.k, spec.j, classification)
-contexts = build_contexts(mesh, spec)
-system = assemble(mesh, dofmap, spec, contexts)
+tables = build_contexts(mesh, spec)  # element tables shared by every stage
+system = assemble(mesh, dofmap, spec, tables)
 solution = solve(system)
 
-report = conservation_report(solution, spec, mesh, contexts)
+report = conservation_report(solution, spec, mesh, tables)
 print(f"elements: {mesh.num_elements}, interior edges: {len(report.interior_edges)}")
 print(f"max |element balance residual| = {report.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {report.max_flux_jump:.3e}")
 
 broken = copy.deepcopy(solution)
 broken.u.coeffs[7, 0] += 1e-3
-bad = conservation_report(broken, spec, mesh, contexts)
+bad = conservation_report(broken, spec, mesh, tables)
 print("\nafter perturbing one element value by 1e-3:")
 print(f"max |element balance residual| = {bad.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {bad.max_flux_jump:.3e}")

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ProblemSpec
-from .fields import bind_scalar, bind_vector
-from .mesh import BoundaryClassification, Mesh, all_element_geometry, element_geometry
-from .poly import EdgeBasis, TriBasis, map_to_edge, quad_edge
+from .assembly import ElementTables, ProblemSpec, build_contexts
+from .fields import evaluate_branches
+from .mesh import BoundaryClassification, Mesh, owner_local_edges
 from .solver import Solution
 from .weakspace import PrimalFunction, WeakFunction
 
@@ -76,64 +75,49 @@ def error_norms(
     solution: Solution,
     spec: ProblemSpec,
     mesh: Mesh,
-    contexts=None,
+    tables: ElementTables | None = None,
 ) -> ErrorReport:
     """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
     ||lam_b||.  Each edge is counted once, weighted by the diameter of its
     owner element (the lower incident element index)."""
     if spec.exact_u is None:
         raise ValueError("error norms require an exact solution")
+    tables = tables if tables is not None else build_contexts(mesh, spec)
     interp = nodal_interpolant(spec.exact_u, mesh, spec.k)
-
-    err_u_sq = 0.0
-    lam0_sq = 0.0
-    basis = TriBasis(spec.j)
-    for t in range(mesh.num_elements):
-        if contexts is not None:
-            ctx = contexts[t]
-            geom, pts, w = ctx.geom, ctx.qpts, ctx.qw
-            vals = ctx.lam0_vals
-        else:
-            geom = element_geometry(mesh, t)
-            pts, w = _element_rule(mesh, t, spec)
-            vals = basis.eval(pts, geom.centroid, geom.diameter)
-        diff = solution.u.coeffs[t, 0] - interp.coeffs[t, 0]
-        err_u_sq += geom.area * diff * diff
-        lam0_t = vals @ solution.lam.lam0[t]
-        lam0_sq += float(w @ (lam0_t * lam0_t))
-
-    lamb_sq = 0.0
-    erule = quad_edge(2 * spec.edge_quad_points - 1)
-    ebasis = EdgeBasis(spec.j)
-    owner_h = _edge_owner_diameters(mesh)
-    for e in range(mesh.num_edges):
-        a, b = mesh.edges[e]
-        _, w, t_param = map_to_edge(erule, mesh.vertices[a], mesh.vertices[b])
-        vals = ebasis.eval(t_param) @ solution.lam.lamb[e]
-        lamb_sq += owner_h[e] * float(w @ (vals * vals))
-
+    diff = solution.u.coeffs[:, 0] - interp.coeffs[:, 0]
+    lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.lam.lam0)
+    lamb = np.einsum("eqm,em->eq", _edge_rows(tables, tables.edge_trace), solution.lam.lamb)
+    lamb_sq = np.sum(_edge_rows(tables, tables.ew) * lamb * lamb, axis=1)
     return ErrorReport(
-        err_u=math.sqrt(err_u_sq),
-        err_lam0=math.sqrt(lam0_sq),
-        err_lamb=math.sqrt(lamb_sq),
+        err_u=math.sqrt(float(tables.area @ (diff * diff))),
+        err_lam0=math.sqrt(float(np.sum(tables.qw * lam0 * lam0))),
+        err_lamb=math.sqrt(float(_edge_owner_diameters(tables) @ lamb_sq)),
     )
 
 
-def _element_rule(mesh: Mesh, t: int, spec: ProblemSpec):
-    from .poly import map_to_triangle, quad_triangle
+def _edge_rows(tables: ElementTables, values: np.ndarray) -> np.ndarray:
+    """Per mesh edge, the rows of an element-edge table (T, 3, ...) seen
+    from the edge's first incident element."""
+    owner, local = owner_local_edges(tables.mesh, np.arange(tables.mesh.num_edges))
+    return values[owner, local]
 
-    rule = quad_triangle(spec.interior_degree)
-    return map_to_triangle(rule, mesh.element_coords(t))
+
+def _edge_owner_diameters(tables: ElementTables) -> np.ndarray:
+    """Diameter of each edge's owner: its lower incident element index."""
+    sides = tables.mesh.edge_elems
+    owner = np.where(sides[:, 1] < 0, sides[:, 0], sides.min(axis=1))
+    return tables.diameter[owner]
 
 
-def _edge_owner_diameters(mesh: Mesh) -> np.ndarray:
-    owner = np.where(
-        mesh.edge_elems[:, 1] < 0,
-        mesh.edge_elems[:, 0],
-        mesh.edge_elems.min(axis=1),
-    )
-    diameters = np.array([g.diameter for g in all_element_geometry(mesh)])
-    return diameters[owner]
+def _to_edges(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Sum per-element-edge values (T, 3, ne) at the edge quadrature points
+    into per-edge values (E, ne) in each edge's own orientation.  The
+    Gauss points are symmetric, so an element traversing an edge backwards
+    sees them in reverse order."""
+    aligned = np.where(mesh.element_edge_signs[..., None] > 0, values, values[..., ::-1])
+    out = np.zeros((mesh.num_edges, values.shape[-1]))
+    np.add.at(out, mesh.element_edges, aligned)
+    return out
 
 
 def triple_norm_Wh(lam: WeakFunction, spec: ProblemSpec, mesh: Mesh) -> float:
@@ -143,36 +127,9 @@ def triple_norm_Wh(lam: WeakFunction, spec: ProblemSpec, mesh: Mesh) -> float:
               + tau ||beta.grad(lam_0) - c lam_0||_T^2 )^(1/2),
 
     which squares to the stabilizer quadratic form s(lam, lam)."""
-    total = 0.0
-    basis = TriBasis(spec.j)
-    ebasis = EdgeBasis(spec.j)
-    erule = quad_edge(2 * spec.edge_quad_points - 1)
-    for t in range(mesh.num_elements):
-        geom = element_geometry(mesh, t)
-        cx, cy = geom.centroid
-        beta = bind_vector(spec.beta, cx, cy)
-        c = bind_scalar(spec.c, cx, cy)
-        for i in range(3):
-            a_id = mesh.elements[t][i]
-            b_id = mesh.elements[t][(i + 1) % 3]
-            pts, w, tloc = map_to_edge(erule, mesh.vertices[a_id], mesh.vertices[b_id])
-            tglob = tloc if a_id < b_id else -tloc
-            lam0_on_e = basis.eval(pts, geom.centroid, geom.diameter) @ lam.lam0[t]
-            lamb_on_e = ebasis.eval(tglob) @ lam.lamb[mesh.element_edges[t, i]]
-            diff = lam0_on_e - lamb_on_e
-            total += float(w @ (diff * diff)) / geom.diameter
-        if spec.tau > 0:
-            pts, w = _element_rule(mesh, t, spec)
-            grads = basis.eval_grad(pts, geom.centroid, geom.diameter)
-            vals = basis.eval(pts, geom.centroid, geom.diameter)
-            bx, by = beta(pts[:, 0], pts[:, 1])
-            resid = (
-                np.asarray(bx) * (grads[:, :, 0] @ lam.lam0[t])
-                + np.asarray(by) * (grads[:, :, 1] @ lam.lam0[t])
-                - np.asarray(c(pts[:, 0], pts[:, 1])) * (vals @ lam.lam0[t])
-            )
-            total += spec.tau * float(w @ (resid * resid))
-    return math.sqrt(total)
+    tables = build_contexts(mesh, spec)
+    x = tables.local_coefficients(lam)
+    return math.sqrt(float(np.einsum("ta,tab,tb->", x, tables.stabilizer(spec.tau), x)))
 
 
 def triple_norm_Mh(
@@ -187,64 +144,30 @@ def triple_norm_Mh(
           + sum_{e not in outflow} h_T ||[beta v . n]||_e^2 )^(1/2)
 
     with the jump equal to the one-sided value on inflow boundary edges.
-    Requires the analytic divergence of beta (carried by the field)."""
-    if not hasattr(spec.beta, "div") and not hasattr(spec.beta, "branch_at"):
+    Requires the analytic divergence of beta (carried by the field);
+    v is elementwise constant (k=1)."""
+    if not all(hasattr(branch, "div") for branch in spec.beta.branches):
         raise ValueError("beta must provide an analytic divergence")
+    tables = build_contexts(mesh, spec)
+    vt = v.coeffs[:, 0]
+    x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+    div = evaluate_branches(spec.beta.branches, tables.beta_branch[:, None], x, y, "div")
+    resid = (div + tables.c_q) * vt[:, None]
+    total = float(tables.diameter**2 @ np.sum(tables.qw * resid * resid, axis=1))
 
-    basis = TriBasis(spec.k - 1)
-    total = 0.0
-    for t in range(mesh.num_elements):
-        geom = element_geometry(mesh, t)
-        cx, cy = geom.centroid
-        beta = bind_vector(spec.beta, cx, cy)
-        c = bind_scalar(spec.c, cx, cy)
-        if not hasattr(beta, "div"):
-            raise ValueError("beta must provide an analytic divergence")
-        pts, w = _element_rule(mesh, t, spec)
-        vals = basis.eval(pts, geom.centroid, geom.diameter)
-        grads = basis.eval_grad(pts, geom.centroid, geom.diameter)
-        vq = vals @ v.coeffs[t]
-        bx, by = beta(pts[:, 0], pts[:, 1])
-        dvx = grads[:, :, 0] @ v.coeffs[t]
-        dvy = grads[:, :, 1] @ v.coeffs[t]
-        resid = (
-            np.asarray(beta.div(pts[:, 0], pts[:, 1])) * vq
-            + np.asarray(bx) * dvx
-            + np.asarray(by) * dvy
-            + np.asarray(c(pts[:, 0], pts[:, 1])) * vq
-        )
-        total += geom.diameter**2 * float(w @ (resid * resid))
-
-    owner_h = _edge_owner_diameters(mesh)
-    erule = quad_edge(2 * spec.edge_quad_points - 1)
-    for e in range(mesh.num_edges):
-        boundary = mesh.edge_elems[e, 1] < 0
-        if boundary and not classification.is_inflow[e]:
-            continue
-        a, b = mesh.edges[e]
-        pts, w, _ = map_to_edge(erule, mesh.vertices[a], mesh.vertices[b])
-        jump = np.zeros(len(w))
-        for t in mesh.edge_elems[e]:
-            if t < 0:
-                continue
-            t = int(t)
-            geom = element_geometry(mesh, t)
-            beta = bind_vector(spec.beta, geom.centroid[0], geom.centroid[1])
-            local = int(np.flatnonzero(mesh.element_edges[t] == e)[0])
-            n = geom.edge_normals[local]
-            vals = basis.eval(pts, geom.centroid, geom.diameter)
-            vq = vals @ v.coeffs[t]
-            bx, by = beta(pts[:, 0], pts[:, 1])
-            jump += (np.asarray(bx) * n[0] + np.asarray(by) * n[1]) * vq
-        total += owner_h[e] * float(w @ (jump * jump))
-    return math.sqrt(total)
+    bn = np.einsum("tiqc,tic->tiq", tables.beta_e, tables.normals)
+    jump = _to_edges(mesh, bn * vt[:, None, None])
+    weights = _edge_rows(tables, tables.ew)
+    keep = (mesh.edge_elems[:, 1] >= 0) | classification.is_inflow
+    per_edge = _edge_owner_diameters(tables) * np.sum(weights * jump * jump, axis=1)
+    return math.sqrt(total + float(per_edge[keep].sum()))
 
 
 def conservation_report(
     solution: Solution,
     spec: ProblemSpec,
     mesh: Mesh,
-    contexts=None,
+    tables: ElementTables | None = None,
 ) -> ConservationReport:
     """Elementwise balance residuals of the conservation identity and the
     interior-edge normal-flux jumps tested against the edge trace basis.
@@ -255,76 +178,37 @@ def conservation_report(
     assembly quadrature, so a converged solve drives them to solver
     tolerance.
     """
-    from .assembly import build_contexts
+    tables = tables if tables is not None else build_contexts(mesh, spec)
+    u = solution.u.coeffs[:, 0]
+    lam0 = solution.lam.lam0
+    qw, ew = tables.qw, tables.ew
 
-    if contexts is None:
-        contexts = build_contexts(mesh, spec)
-    u = solution.u
-    lam = solution.lam
-    T = mesh.num_elements
-    residuals = np.zeros(T)
-    scale_f = 1.0
+    # u_tilde = u_h + tau (beta.grad(lam_0) - c lam_0)
+    utilde = np.broadcast_to(u[:, None], qw.shape)
+    if spec.tau > 0:
+        utilde = utilde + spec.tau * np.einsum("tqm,tm->tq", tables.adjoint(), lam0)
+    residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
 
-    interior_mask = mesh.edge_elems[:, 1] >= 0
-    dim_e = spec.j + 1
-    jump_moments = np.zeros((mesh.num_edges, dim_e))
+    lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
+    lamb_on_e = np.einsum("tiqm,tim->tiq", tables.edge_trace, solution.lam.lamb[mesh.element_edges])
+    stab = (lam0_on_e - lamb_on_e) / tables.diameter[:, None, None]
+    bn = np.einsum("tiqc,tic->tiq", tables.beta_e, tables.normals)
+    residuals += np.sum(ew * (bn * u[:, None, None] - stab), axis=(1, 2))
 
-    for t in range(T):
-        ctx = contexts[t]
-        fv = np.asarray(ctx.f(ctx.qpts[:, 0], ctx.qpts[:, 1]), dtype=float)
-        scale_f = max(scale_f, float(np.abs(fv).max()))
+    # This side's contribution to <[F_h . n], trace basis>_e, with beta u_h
+    # replaced by its L2 projection onto the constants.
+    flux = u[:, None] * np.einsum("tq,tqc->tc", qw, tables.beta_q) / qw.sum(axis=1)[:, None]
+    flux_n = np.einsum("tc,tic->ti", flux, tables.normals)
+    moments = np.einsum("tiq,tiqm->tim", ew * (flux_n[..., None] - stab), tables.edge_trace)
+    jump_moments = np.zeros((mesh.num_edges, moments.shape[-1]))
+    np.add.at(jump_moments, mesh.element_edges, moments)
 
-        uq = ctx.u_vals @ u.coeffs[t]
-        bx, by = ctx.beta_q
-        # L2 projection of beta u_h onto degree k-1 vectors.
-        M = ctx.u_vals.T @ (ctx.qw[:, None] * ctx.u_vals)
-        flux_coeff = np.stack(
-            [
-                np.linalg.solve(M, ctx.u_vals.T @ (ctx.qw * (np.asarray(bx) * uq))),
-                np.linalg.solve(M, ctx.u_vals.T @ (ctx.qw * (np.asarray(by) * uq))),
-            ]
-        )
-
-        # u_tilde = u_h + tau (beta.grad(lam_0) - c lam_0)
-        utilde = uq.copy()
-        if spec.tau > 0:
-            grads = ctx.lam0_grads
-            utilde = utilde + spec.tau * (
-                np.asarray(bx) * (grads[:, :, 0] @ lam.lam0[t])
-                + np.asarray(by) * (grads[:, :, 1] @ lam.lam0[t])
-                - ctx.c_q * (ctx.lam0_vals @ lam.lam0[t])
-            )
-        r = float(ctx.qw @ (ctx.c_q * utilde)) - float(ctx.qw @ fv)
-
-        hinv = 1.0 / ctx.geom.diameter
-        for i in range(3):
-            e = mesh.element_edges[t, i]
-            n = ctx.geom.edge_normals[i]
-            u_on_e = ctx.edge_u[i] @ u.coeffs[t]
-            lam0_on_e = ctx.edge_lam0[i] @ lam.lam0[t]
-            lamb_on_e = ctx.edge_trace[i] @ lam.lamb[e]
-            stab_part = hinv * (lam0_on_e - lamb_on_e)
-
-            ebx, eby = ctx.beta(ctx.edge_pts[i][:, 0], ctx.edge_pts[i][:, 1])
-            bn = np.asarray(ebx) * n[0] + np.asarray(eby) * n[1]
-            r += float(ctx.edge_w[i] @ (bn * u_on_e - stab_part))
-
-            if interior_mask[e]:
-                # this side's contribution to <[F_h . n], trace basis>_e,
-                # with beta u_h replaced by its elementwise projection
-                proj_flux_n = (ctx.edge_u[i] @ flux_coeff.T) @ n
-                jump_moments[e] += ctx.edge_trace[i].T @ (
-                    ctx.edge_w[i] * (proj_flux_n - stab_part)
-                )
-        residuals[t] = r
-
-    interior = np.flatnonzero(interior_mask)
-    jumps = np.abs(jump_moments[interior]).max(axis=1)
+    interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
     return ConservationReport(
         element_residuals=residuals,
-        flux_jumps=jumps,
+        flux_jumps=np.abs(jump_moments[interior]).max(axis=1),
         interior_edges=interior,
-        scale_f=scale_f,
+        scale_f=max(1.0, float(np.abs(tables.f_q).max())),
     )
 
 
@@ -356,22 +240,16 @@ def postprocess_averages(u: PrimalFunction, mesh: Mesh) -> PostField:
     sharing the vertex; edge-midpoint values average the one or two
     incident elements.  Duplicated crack vertices average per side."""
     vals = u.coeffs[:, 0]
-    vsum = np.zeros(mesh.num_vertices)
-    vcnt = np.zeros(mesh.num_vertices)
-    for t, tri in enumerate(mesh.elements):
-        for v in tri:
-            vsum[v] += vals[t]
-            vcnt[v] += 1
+    nV = mesh.num_vertices
+    vsum = np.bincount(mesh.elements.ravel(), weights=np.repeat(vals, 3), minlength=nV)
+    vcnt = np.bincount(mesh.elements.ravel(), minlength=nV)
     vertex_vals = vsum / np.maximum(vcnt, 1)
 
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    esum = np.zeros(mesh.num_edges)
-    ecnt = np.zeros(mesh.num_edges)
-    for e in range(mesh.num_edges):
-        for t in mesh.edge_elems[e]:
-            if t >= 0:
-                esum[e] += vals[int(t)]
-                ecnt[e] += 1
+    sides = mesh.edge_elems.ravel()
+    edge_of = np.repeat(np.arange(mesh.num_edges), 2)[sides >= 0]
+    esum = np.bincount(edge_of, weights=vals[sides[sides >= 0]], minlength=mesh.num_edges)
+    ecnt = np.bincount(edge_of, minlength=mesh.num_edges)
     edge_vals = esum / np.maximum(ecnt, 1)
 
     x = np.concatenate([mesh.vertices[:, 0], mids[:, 0]])

@@ -31,8 +31,67 @@ class HalfPlane:
         return self.a * np.asarray(x) + self.b * np.asarray(y) < self.d
 
 
+class _Single:
+    """A field with one branch everywhere."""
+
+    @property
+    def branches(self) -> tuple:
+        return (self,)
+
+    def branch_index(self, x, y) -> np.ndarray:
+        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=np.intp)
+
+    def branch_at(self, x: float, y: float):
+        return self
+
+
+class _Piecewise:
+    """Branches over half planes: the first piece whose half plane holds
+    a point wins, and ``otherwise`` covers the rest."""
+
+    @property
+    def branches(self) -> tuple:
+        return tuple(branch for _, branch in self.pieces) + (self.otherwise,)
+
+    def branch_index(self, x, y) -> np.ndarray:
+        """Index into ``branches`` of the branch holding each point."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        idx = np.full(x.shape, len(self.pieces), dtype=np.intp)
+        for k in range(len(self.pieces) - 1, -1, -1):
+            idx[self.pieces[k][0].contains(x, y)] = k
+        return idx
+
+    def branch_at(self, x: float, y: float):
+        return self.branches[int(self.branch_index(x, y))]
+
+
+def evaluate_branches(branches, idx, x, y, method: str = "__call__") -> np.ndarray:
+    """Evaluate ``getattr(branches[idx[p]], method)`` at every point p.
+
+    ``idx`` broadcasts against the points.  Scalar results have the shape
+    of the points; vector results (a pair of components) gain a trailing
+    axis of length 2.
+    """
+    x, y, idx = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(idx)
+    )
+    out = None
+    for k, branch in enumerate(branches):
+        mask = idx == k
+        n = int(mask.sum())
+        vals = getattr(branch, method)(x[mask], y[mask])
+        if isinstance(vals, tuple):
+            vals = np.stack([np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in vals], axis=-1)
+        else:
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), (n,))
+        if out is None:
+            out = np.empty(x.shape + vals.shape[1:])
+        out[mask] = vals
+    return out
+
+
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Single):
     """A scalar field with an optional analytic gradient."""
 
     name: str
@@ -42,12 +101,9 @@ class ScalarField:
     def __call__(self, x, y):
         return self.fn(x, y)
 
-    def branch_at(self, x: float, y: float) -> "ScalarField":
-        return self
-
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Single):
     """A 2D vector field with its analytic divergence."""
 
     name: str
@@ -57,12 +113,9 @@ class VectorField:
     def __call__(self, x, y):
         return self.fn(x, y)
 
-    def branch_at(self, x: float, y: float) -> "VectorField":
-        return self
-
 
 @dataclass(frozen=True)
-class PiecewiseScalar:
+class PiecewiseScalar(_Piecewise):
     """Scalar field composed of branches over half planes; the first
     matching predicate wins and ``otherwise`` covers the rest."""
 
@@ -70,72 +123,32 @@ class PiecewiseScalar:
     pieces: tuple[tuple[HalfPlane, ScalarField], ...]
     otherwise: ScalarField
 
-    def branch_at(self, x: float, y: float) -> ScalarField:
-        for plane, branch in self.pieces:
-            if plane.contains(x, y):
-                return branch
-        return self.otherwise
-
     def __call__(self, x, y):
         """Pointwise evaluation (used for boundary data and exact fields)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.asarray(self.otherwise(x, y), dtype=float) * np.ones_like(x)
-        done = np.zeros(x.shape, dtype=bool)
-        for plane, branch in self.pieces:
-            mask = plane.contains(x, y) & ~done
-            if np.any(mask):
-                vals = np.asarray(branch(x, y), dtype=float) * np.ones_like(x)
-                out = np.where(mask, vals, out)
-            done |= plane.contains(x, y)
-        return out
+        return evaluate_branches(self.branches, self.branch_index(x, y), x, y)
 
     @property
     def grad(self):
         def _grad(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            gx, gy = self.otherwise.grad(x, y)
-            gx = np.asarray(gx, dtype=float) * np.ones_like(x)
-            gy = np.asarray(gy, dtype=float) * np.ones_like(x)
-            done = np.zeros(x.shape, dtype=bool)
-            for plane, branch in self.pieces:
-                mask = plane.contains(x, y) & ~done
-                if np.any(mask):
-                    bx, by = branch.grad(x, y)
-                    gx = np.where(mask, np.asarray(bx, dtype=float) * np.ones_like(x), gx)
-                    gy = np.where(mask, np.asarray(by, dtype=float) * np.ones_like(x), gy)
-                done |= plane.contains(x, y)
-            return gx, gy
+            g = evaluate_branches(self.branches, self.branch_index(x, y), x, y, "grad")
+            return g[..., 0], g[..., 1]
 
         return _grad
 
 
 @dataclass(frozen=True)
-class PiecewiseVector:
+class PiecewiseVector(_Piecewise):
     """Vector field composed of branches over half planes."""
 
     name: str
     pieces: tuple[tuple[HalfPlane, VectorField], ...]
     otherwise: VectorField
 
-    def branch_at(self, x: float, y: float) -> VectorField:
-        for plane, branch in self.pieces:
-            if plane.contains(x, y):
-                return branch
-        return self.otherwise
 
-
-def bind_scalar(field, cx: float, cy: float):
-    """Resolve a (possibly piecewise) scalar field to the branch holding
-    the point (cx, cy)."""
-    return field.branch_at(cx, cy) if hasattr(field, "branch_at") else field
-
-
-def bind_vector(field, cx: float, cy: float):
-    """Resolve a (possibly piecewise) vector field to the branch holding
-    the point (cx, cy)."""
-    return field.branch_at(cx, cy) if hasattr(field, "branch_at") else field
+def bind(field, cx: float, cy: float):
+    """Resolve a (possibly piecewise) field to the branch holding the
+    point (cx, cy)."""
+    return field.branch_at(cx, cy)
 
 
 @dataclass(frozen=True)

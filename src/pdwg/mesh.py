@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import evaluate_branches
+
 DOMAIN_TAGS = ("unit_square", "l_shape", "cracked_square")
 
 # Edges with |beta . n| at or below this are treated as outflow, so their
@@ -75,10 +77,12 @@ class Mesh:
 @dataclass(frozen=True)
 class ElementGeometry:
     """Per-element geometric data: area, diameter (longest edge), centroid,
-    edge lengths and outward unit normals in local edge order."""
+    edge lengths and outward unit normals in local edge order.  Holds one
+    element (:func:`element_geometry`) or, with a leading element axis on
+    every field, a batch (:func:`geometry_arrays`)."""
 
-    area: float
-    diameter: float
+    area: float | np.ndarray
+    diameter: float | np.ndarray
     centroid: np.ndarray
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
@@ -111,7 +115,10 @@ class MeshError(ValueError):
 
 
 def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
-    """Derive edge connectivity from an element list and validate it."""
+    """Derive edge connectivity from an element list and validate it.
+
+    Edges are numbered in order of first appearance along the element
+    list (element by element, local edges 0, 1, 2)."""
     vertices = np.asarray(vertices, dtype=float)
     elements = np.asarray(elements, dtype=np.int64)
 
@@ -124,46 +131,40 @@ def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
         bad = np.flatnonzero(signed <= 0)
         raise MeshError(f"elements {bad.tolist()} are not counterclockwise")
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_list: list[tuple[int, int]] = []
-    incidences: list[list[tuple[int, int]]] = []
-    element_edges = np.empty((len(elements), 3), dtype=np.int64)
-    element_edge_signs = np.empty((len(elements), 3), dtype=np.int8)
+    # Half edges (a, b) of every element in traversal order, element-major.
+    a = elements.ravel()
+    b = np.roll(elements, -1, axis=1).ravel()
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    _, first, inverse = np.unique(lo * len(vertices) + hi, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    edge_of = rank[inverse.ravel()]
+    sign = np.where(a < b, 1, -1).astype(np.int8)
 
-    for t, (v0, v1, v2) in enumerate(elements):
-        for i, (a, b) in enumerate(((v0, v1), (v1, v2), (v2, v0))):
-            key = (int(min(a, b)), int(max(a, b)))
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append(key)
-                incidences.append([])
-            sign = 1 if a < b else -1
-            incidences[e].append((t, sign))
-            element_edges[t, i] = e
-            element_edge_signs[t, i] = sign
+    edges = np.column_stack([lo, hi])[np.sort(first)]
+    count = np.bincount(edge_of, minlength=len(edges))
+    plus = np.bincount(edge_of, weights=sign == 1, minlength=len(edges))
+    bad_count = count > 2
+    bad_sign = (count == 2) & (plus != 1)
+    if np.any(bad_count | bad_sign):
+        e = int(np.flatnonzero(bad_count | bad_sign)[0])
+        if bad_count[e]:
+            raise MeshError(f"edge {e} has {count[e]} incident elements")
+        raise MeshError(f"edge {e} traversed twice in the same direction")
 
-    edges = np.array(edge_list, dtype=np.int64)
+    # The +1 traversal takes the first slot of a shared edge.
+    slot = np.where((sign == 1) | (count[edge_of] == 1), 0, 1)
     edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
-    for e, inc in enumerate(incidences):
-        if len(inc) not in (1, 2):
-            raise MeshError(f"edge {e} has {len(inc)} incident elements")
-        if len(inc) == 2:
-            if inc[0][1] == inc[1][1]:
-                raise MeshError(f"edge {e} traversed twice in the same direction")
-            inc = sorted(inc, key=lambda ts: -ts[1])  # +1 traversal first
-            edge_elems[e] = (inc[0][0], inc[1][0])
-        else:
-            edge_elems[e, 0] = inc[0][0]
+    edge_elems[edge_of, slot] = np.repeat(np.arange(len(elements)), 3)
 
     return Mesh(
         vertices=vertices,
         elements=elements,
         edges=edges,
         edge_elems=edge_elems,
-        element_edges=element_edges,
-        element_edge_signs=element_edge_signs,
+        element_edges=edge_of.reshape(-1, 3),
+        element_edge_signs=sign.reshape(-1, 3),
         level=level,
         domain_tag=domain_tag,
     )
@@ -247,76 +248,61 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     mid_coords = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mid_coords])
 
-    elements = np.empty((4 * mesh.num_elements, 3), dtype=np.int64)
-    for t in range(mesh.num_elements):
-        v0, v1, v2 = mesh.elements[t]
-        m01 = nV + mesh.element_edges[t, 0]
-        m12 = nV + mesh.element_edges[t, 1]
-        m20 = nV + mesh.element_edges[t, 2]
-        elements[4 * t + 0] = (v0, m01, m20)
-        elements[4 * t + 1] = (m01, v1, m12)
-        elements[4 * t + 2] = (m20, m12, v2)
-        elements[4 * t + 3] = (m01, m12, m20)
+    v0, v1, v2 = mesh.elements.T
+    m01, m12, m20 = (nV + mesh.element_edges).T
+    # Four children per element, in order: three corners, then the middle.
+    children = [v0, m01, m20, m01, v1, m12, m20, m12, v2, m01, m12, m20]
+    elements = np.stack(children, axis=1).reshape(-1, 3)
 
     return _build_topology(vertices, elements, mesh.level + 1, mesh.domain_tag)
 
 
-def element_geometry(mesh: Mesh, t: int) -> ElementGeometry:
-    """Geometry of one element: area, longest-edge diameter, centroid,
-    edge lengths, and outward unit normals (local edge order)."""
-    coords = mesh.element_coords(t)
-    area = 0.5 * (
-        (coords[1, 0] - coords[0, 0]) * (coords[2, 1] - coords[0, 1])
-        - (coords[2, 0] - coords[0, 0]) * (coords[1, 1] - coords[0, 1])
-    )
-    if area <= 0:
-        raise MeshError(f"element {t} has non-positive area {area}")
-    tangents = np.roll(coords, -1, axis=0) - coords
-    lengths = np.hypot(tangents[:, 0], tangents[:, 1])
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / lengths[:, None]
-    return ElementGeometry(
-        area=float(area),
-        diameter=float(lengths.max()),
-        centroid=coords.mean(axis=0),
-        edge_lengths=lengths,
-        edge_normals=normals,
-    )
-
-
-def all_element_geometry(mesh: Mesh) -> list[ElementGeometry]:
-    """Geometry of every element in one vectorized pass (same values as
-    :func:`element_geometry` per element)."""
-    coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
+def geometry_arrays(mesh: Mesh, elements=None) -> ElementGeometry:
+    """Geometry of the given elements (all by default) in one vectorized
+    pass, as an :class:`ElementGeometry` whose fields carry a leading
+    element axis: area and diameter (n,), centroid (n, 2), edge lengths
+    (n, 3) and outward unit normals (n, 3, 2) in local edge order."""
+    ids = np.arange(mesh.num_elements) if elements is None else np.asarray(elements)
+    coords = mesh.vertices[mesh.elements[ids]]  # (n, 3, 2)
     area = 0.5 * (
         (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
         - (coords[:, 2, 0] - coords[:, 0, 0]) * (coords[:, 1, 1] - coords[:, 0, 1])
     )
     if np.any(area <= 0):
         bad = int(np.flatnonzero(area <= 0)[0])
-        raise MeshError(f"element {bad} has non-positive area {area[bad]}")
-    tangents = np.roll(coords, -1, axis=1) - coords  # (T, 3, 2)
+        raise MeshError(f"element {ids[bad]} has non-positive area {area[bad]}")
+    tangents = np.roll(coords, -1, axis=1) - coords  # (n, 3, 2)
     lengths = np.hypot(tangents[:, :, 0], tangents[:, :, 1])
     normals = np.stack([tangents[:, :, 1], -tangents[:, :, 0]], axis=-1) / lengths[..., None]
-    diameters = lengths.max(axis=1)
-    centroids = coords.mean(axis=1)
-    return [
-        ElementGeometry(
-            area=float(area[t]),
-            diameter=float(diameters[t]),
-            centroid=centroids[t],
-            edge_lengths=lengths[t],
-            edge_normals=normals[t],
-        )
-        for t in range(len(coords))
-    ]
+    return ElementGeometry(
+        area=area,
+        diameter=lengths.max(axis=1),
+        centroid=coords.mean(axis=1),
+        edge_lengths=lengths,
+        edge_normals=normals,
+    )
 
 
-def _beta_at(beta, x: float, y: float, cx: float, cy: float):
-    """Evaluate a convection field at one point, resolving piecewise fields
-    by the branch containing (cx, cy)."""
-    branch = beta.branch_at(cx, cy) if hasattr(beta, "branch_at") else beta
-    bx, by = branch(np.array([x]), np.array([y]))
-    return float(np.asarray(bx).ravel()[0]), float(np.asarray(by).ravel()[0])
+def element_geometry(mesh: Mesh, t: int) -> ElementGeometry:
+    """Geometry of one element: area, longest-edge diameter, centroid,
+    edge lengths, and outward unit normals (local edge order)."""
+    g = geometry_arrays(mesh, [t])
+    return ElementGeometry(
+        area=float(g.area[0]),
+        diameter=float(g.diameter[0]),
+        centroid=g.centroid[0],
+        edge_lengths=g.edge_lengths[0],
+        edge_normals=g.edge_normals[0],
+    )
+
+
+def owner_local_edges(mesh: Mesh, edges: np.ndarray):
+    """For each edge, its first incident element t and the local index i
+    with ``element_edges[t, i] == edge``."""
+    edges = np.asarray(edges, dtype=np.int64)
+    owner = mesh.edge_elems[edges, 0]
+    local = np.argmax(mesh.element_edges[owner] == edges[:, None], axis=1)
+    return owner, local
 
 
 def classify_boundary(mesh: Mesh, beta) -> BoundaryClassification:
@@ -324,34 +310,27 @@ def classify_boundary(mesh: Mesh, beta) -> BoundaryClassification:
     and outflow.  Characteristic edges (|beta . n| <= eps) count as outflow
     so their trace unknowns are constrained.
 
-    ``beta`` is a callable (x, y) -> (bx, by); piecewise fields are
+    ``beta`` is a field from :mod:`pdwg.fields`; piecewise fields are
     resolved using the incident element's centroid.
     """
     E = mesh.num_edges
     outward = np.full((E, 2), np.nan)
     beta_n = np.full(E, np.nan)
-    inflow = []
-    outflow = []
 
-    for e in mesh.boundary_edges:
-        t = int(mesh.edge_elems[e, 0])
-        geom = element_geometry(mesh, t)
-        local = int(np.flatnonzero(mesh.element_edges[t] == e)[0])
-        n = geom.edge_normals[local]
-        a, b = mesh.edges[e]
-        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        bx, by = _beta_at(beta, mid[0], mid[1], geom.centroid[0], geom.centroid[1])
-        bn = bx * n[0] + by * n[1]
-        outward[e] = n
-        beta_n[e] = bn
-        if bn < -CLASSIFY_EPS:
-            inflow.append(int(e))
-        else:
-            outflow.append(int(e))
+    edges = mesh.boundary_edges
+    owner, local = owner_local_edges(mesh, edges)
+    geom = geometry_arrays(mesh, owner)
+    n = geom.edge_normals[np.arange(len(edges)), local]
+    mid = 0.5 * (mesh.vertices[mesh.edges[edges, 0]] + mesh.vertices[mesh.edges[edges, 1]])
+    idx = beta.branch_index(geom.centroid[:, 0], geom.centroid[:, 1])
+    b = evaluate_branches(beta.branches, idx, mid[:, 0], mid[:, 1])
+    outward[edges] = n
+    beta_n[edges] = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1]
+    inflow = beta_n[edges] < -CLASSIFY_EPS
 
     return BoundaryClassification(
-        inflow_edges=np.array(sorted(inflow), dtype=np.int64),
-        outflow_edges=np.array(sorted(outflow), dtype=np.int64),
+        inflow_edges=edges[inflow],
+        outflow_edges=edges[~inflow],
         outward_normal=outward,
         beta_dot_n=beta_n,
     )

@@ -106,43 +106,49 @@ class TriBasis:
         self.dim = dim_poly2d(degree)
         self.exponents = monomial_exponents(degree)
 
-    def eval(self, pts: np.ndarray, centroid: np.ndarray, h: float) -> np.ndarray:
-        """Basis values at physical points; returns (npts, dim)."""
-        n = len(pts)
+    def eval(self, pts: np.ndarray, centroid: np.ndarray, h) -> np.ndarray:
+        """Basis values at physical points ``pts`` (..., npts, 2) of
+        triangles with centroids (..., 2) and diameters (...); returns
+        (..., npts, dim)."""
+        pts = np.asarray(pts)
         if self.degree == 0:
-            return np.ones((n, 1))
-        X = (pts[:, 0] - centroid[0]) / h
-        Y = (pts[:, 1] - centroid[1]) / h
+            return np.ones(pts.shape[:-1] + (1,))
+        X, Y = self._scaled(pts, centroid, h)
+        vals = np.empty(pts.shape[:-1] + (self.dim,))
         if self.degree == 1:
-            vals = np.empty((n, 3))
-            vals[:, 0] = 1.0
-            vals[:, 1] = X
-            vals[:, 2] = Y
+            vals[..., 0] = 1.0
+            vals[..., 1] = X
+            vals[..., 2] = Y
             return vals
-        vals = np.empty((n, self.dim))
         for m, (a, b) in enumerate(self.exponents):
-            vals[:, m] = X**a * Y**b
+            vals[..., m] = X**a * Y**b
         return vals
 
-    def eval_grad(self, pts: np.ndarray, centroid: np.ndarray, h: float) -> np.ndarray:
-        """Basis first derivatives at physical points; returns (npts, dim, 2)."""
-        n = len(pts)
+    def eval_grad(self, pts: np.ndarray, centroid: np.ndarray, h) -> np.ndarray:
+        """Basis first derivatives at physical points, shaped as for
+        :meth:`eval`; returns (..., npts, dim, 2)."""
+        pts = np.asarray(pts)
+        grads = np.zeros(pts.shape[:-1] + (self.dim, 2))
         if self.degree == 0:
-            return np.zeros((n, 1, 2))
-        if self.degree == 1:
-            grads = np.zeros((n, 3, 2))
-            grads[:, 1, 0] = 1.0 / h
-            grads[:, 2, 1] = 1.0 / h
             return grads
-        X = (pts[:, 0] - centroid[0]) / h
-        Y = (pts[:, 1] - centroid[1]) / h
-        grads = np.zeros((n, self.dim, 2))
+        hinv = 1.0 / np.asarray(h, dtype=float)[..., None]
+        if self.degree == 1:
+            grads[..., 1, 0] = hinv
+            grads[..., 2, 1] = hinv
+            return grads
+        X, Y = self._scaled(pts, centroid, h)
         for m, (a, b) in enumerate(self.exponents):
             if a > 0:
-                grads[:, m, 0] = a * X ** (a - 1) * Y**b / h
+                grads[..., m, 0] = a * X ** (a - 1) * Y**b * hinv
             if b > 0:
-                grads[:, m, 1] = X**a * b * Y ** (b - 1) / h
+                grads[..., m, 1] = X**a * b * Y ** (b - 1) * hinv
         return grads
+
+    @staticmethod
+    def _scaled(pts, centroid, h):
+        centroid = np.asarray(centroid)
+        h = np.asarray(h, dtype=float)[..., None]
+        return (pts[..., 0] - centroid[..., None, 0]) / h, (pts[..., 1] - centroid[..., None, 1]) / h
 
 
 class EdgeBasis:
@@ -155,16 +161,9 @@ class EdgeBasis:
         self.dim = degree + 1
 
     def eval(self, t: np.ndarray) -> np.ndarray:
-        """Basis values at parameter points; returns (npts, dim)."""
+        """Basis values at parameter points t (...); returns (..., dim)."""
         t = np.asarray(t, dtype=float)
-        if self.degree == 0:
-            return np.ones((len(t), 1))
-        if self.degree == 1:
-            vals = np.empty((len(t), 2))
-            vals[:, 0] = 1.0
-            vals[:, 1] = t
-            return vals
-        return np.vander(t, self.dim, increasing=True)
+        return t[..., None] ** np.arange(self.dim)
 
 
 def map_to_triangle(rule: QuadRule, coords: np.ndarray):

@@ -121,8 +121,8 @@ def run_study(
         start = time.perf_counter()
         classification = classify_boundary(mesh, spec.beta)
         dofmap = DofMap(mesh, spec.k, spec.j, classification)
-        contexts = build_contexts(mesh, spec)
-        system = assemble(mesh, dofmap, spec, contexts)
+        tables = build_contexts(mesh, spec)
+        system = assemble(mesh, dofmap, spec, tables)
         try:
             solution = solve(system, tol=tol)
         except Exception as err:
@@ -130,11 +130,11 @@ def run_study(
             raise
 
         if spec.exact_u is not None:
-            errs = error_norms(solution, spec, mesh, contexts)
+            errs = error_norms(solution, spec, mesh, tables)
             err_u, err_l0, err_lb = errs.err_u, errs.err_lam0, errs.err_lamb
         else:
             err_u = err_l0 = err_lb = None
-        cons: ConservationReport = conservation_report(solution, spec, mesh, contexts)
+        cons: ConservationReport = conservation_report(solution, spec, mesh, tables)
 
         report.rows.append(
             LevelResult(

@@ -11,8 +11,9 @@ is the vector polynomial of degree r = k-1 defined by
 
     (grad_w v, psi)_T = -(v0, div psi)_T + <vb, psi . n>_{dT}
 
-for all vector polynomials psi of degree r; it is computed by inverting
-the local vector mass matrix.
+for all vector polynomials psi of degree r.  For k=1 the range is the
+constants, so grad_w v = (1/|T|) <vb, n>_{dT}; the element tables of
+:mod:`pdwg.assembly` hold this closed form for every element.
 """
 
 from __future__ import annotations
@@ -21,18 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoundaryClassification, Mesh, element_geometry
-from .poly import (
-    EdgeBasis,
-    TriBasis,
-    dim_poly2d,
-    map_to_edge,
-    map_to_triangle,
-    project_edge,
-    project_element,
-    quad_edge,
-    quad_triangle,
-)
+from .mesh import BoundaryClassification, Mesh
+from .poly import dim_poly2d, project_edge, project_element
 
 
 class DofMap:
@@ -72,6 +63,15 @@ class DofMap:
         self.n_u = T * self.dim_u
         self.u_start = self.n_lambda + np.arange(T, dtype=np.int64) * self.dim_u
 
+        # Local multiplier blocks [interior; trace edge 0; 1; 2] of every
+        # element, -1 marking constrained (outflow) trace entries.
+        starts = self.lamb_start[mesh.element_edges][..., None]
+        traces = np.where(starts < 0, -1, starts + np.arange(self.dim_lamb))
+        self.lambda_indices = np.concatenate(
+            [self.lam0_start[:, None] + np.arange(self.dim_lam0), traces.reshape(T, -1)], axis=1
+        )
+        self.lambda_indices.setflags(write=False)
+
     @property
     def n_total(self) -> int:
         return self.n_lambda + self.n_u
@@ -83,17 +83,13 @@ class DofMap:
         """Global indices of the local multiplier block of element t, laid
         out as [interior; trace edge 0; trace edge 1; trace edge 2], with
         -1 marking constrained (outflow) trace entries."""
-        idx = np.empty(self.dim_lam0 + 3 * self.dim_lamb, dtype=np.int64)
-        idx[: self.dim_lam0] = self.lam0_start[t] + np.arange(self.dim_lam0)
-        for i in range(3):
-            e = self.mesh.element_edges[t, i]
-            lo = self.dim_lam0 + i * self.dim_lamb
-            start = self.lamb_start[e]
-            if start < 0:
-                idx[lo : lo + self.dim_lamb] = -1
-            else:
-                idx[lo : lo + self.dim_lamb] = start + np.arange(self.dim_lamb)
-        return idx
+        return self.lambda_indices[t]
+
+    def free_trace_indices(self):
+        """The free (non-outflow) edges and the global indices of their
+        trace blocks, shape (n_free_edges, dim_lamb)."""
+        free = np.flatnonzero(self.lamb_start >= 0)
+        return free, self.lamb_start[free, None] + np.arange(self.dim_lamb)
 
     def u_indices(self, t: int) -> np.ndarray:
         return self.u_start[t] + np.arange(self.dim_u)
@@ -120,28 +116,17 @@ class WeakFunction:
         wf = cls.zeros(dofmap)
         T = dofmap.mesh.num_elements
         wf.lam0[:] = x[: T * dofmap.dim_lam0].reshape(T, dofmap.dim_lam0)
-        for e in range(dofmap.mesh.num_edges):
-            start = dofmap.lamb_start[e]
-            if start >= 0:
-                wf.lamb[e] = x[start : start + dofmap.dim_lamb]
+        free, cols = dofmap.free_trace_indices()
+        wf.lamb[free] = x[cols]
         return wf
 
     def free_vector(self, dofmap: DofMap) -> np.ndarray:
         x = np.zeros(dofmap.n_lambda)
         T = dofmap.mesh.num_elements
         x[: T * dofmap.dim_lam0] = self.lam0.ravel()
-        for e in range(dofmap.mesh.num_edges):
-            start = dofmap.lamb_start[e]
-            if start >= 0:
-                x[start : start + dofmap.dim_lamb] = self.lamb[e]
+        free, cols = dofmap.free_trace_indices()
+        x[cols] = self.lamb[free]
         return x
-
-    def element_coeffs(self, dofmap: DofMap, t: int) -> np.ndarray:
-        """Local coefficient vector [interior; traces of the 3 edges]."""
-        parts = [self.lam0[t]]
-        for i in range(3):
-            parts.append(self.lamb[dofmap.mesh.element_edges[t, i]])
-        return np.concatenate(parts)
 
 
 @dataclass
@@ -160,93 +145,25 @@ class PrimalFunction:
         return self.coeffs.ravel().copy()
 
 
-def weak_gradient_operator(
-    qw: np.ndarray,
-    vals_r: np.ndarray,
-    grads_r: np.ndarray,
-    vals_j: np.ndarray,
-    edge_tables,
-    dim_j: int,
-    dim_e: int,
-) -> np.ndarray:
-    """Core of the discrete weak gradient, working on precomputed tables.
-
-    ``edge_tables`` holds per local edge (weights, trace basis values,
-    degree-r basis values on the edge, outward normal).  Returns the
-    operator with shape (2, dim_r, dim_j + 3 dim_e).
-    """
-    dim_r = vals_r.shape[1]
-    n_loc = dim_j + 3 * dim_e
-    M = vals_r.T @ (qw[:, None] * vals_r)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError("singular local mass matrix") from err
-
-    rhs = np.zeros((2, dim_r, n_loc))
-    # Interior part: -(v0, div psi) with psi = (chi_p, 0) or (0, chi_p).
-    for comp in range(2):
-        rhs[comp, :, :dim_j] = -grads_r[:, :, comp].T @ (qw[:, None] * vals_j)
-
-    # Trace part: <vb, psi . n> over each edge.
-    for i, (ew, evals, r_on_e, n) in enumerate(edge_tables):
-        lo = dim_j + i * dim_e
-        for comp in range(2):
-            rhs[comp, :, lo : lo + dim_e] = r_on_e.T @ ((ew * n[comp])[:, None] * evals)
-
-    return np.einsum("pq,cqn->cpn", Minv, rhs)
-
-
 def weak_gradient_local(
     mesh: Mesh,
     t: int,
     k: int,
     j: int,
-    quad_degree: int | None = None,
     edge_quad_points: int = 5,
 ) -> np.ndarray:
     """Matrix of the discrete weak gradient on element t.
 
     Maps local weak-function coefficients [interior; 3 edge traces] to the
     coefficients of a degree k-1 vector polynomial; returned with shape
-    (2, dim P_{k-1}, n_local).  Raises if the local mass matrix is
-    singular, which signals a degenerate element.
+    (2, dim P_{k-1}, n_local).  Only k=1 is implemented: the range is the
+    constants and the operator is the closed form of the element tables.
     """
-    r = k - 1
-    geom = element_geometry(mesh, t)
-    coords = mesh.element_coords(t)
-    basis_r = TriBasis(r)
-    basis_j = TriBasis(j)
-    basis_e = EdgeBasis(j)
+    if k != 1:
+        raise ValueError(f"the weak gradient is implemented for k=1 only, got k={k}")
+    from .assembly import ElementTables
 
-    rule = quad_triangle(quad_degree if quad_degree is not None else max(2 * j + 2, 2))
-    pts, w = map_to_triangle(rule, coords)
-    vals_r = basis_r.eval(pts, geom.centroid, geom.diameter)
-    grads_r = basis_r.eval_grad(pts, geom.centroid, geom.diameter)
-    vals_j = basis_j.eval(pts, geom.centroid, geom.diameter)
-
-    erule = quad_edge(2 * edge_quad_points - 1)
-    edge_tables = []
-    for i in range(3):
-        a_id, b_id = mesh.elements[t][i], mesh.elements[t][(i + 1) % 3]
-        a, b = mesh.vertices[a_id], mesh.vertices[b_id]
-        epts, ew, tloc = map_to_edge(erule, a, b)
-        tglob = tloc if a_id < b_id else -tloc
-        edge_tables.append(
-            (
-                ew,
-                basis_e.eval(tglob),
-                basis_r.eval(epts, geom.centroid, geom.diameter),
-                geom.edge_normals[i],
-            )
-        )
-
-    try:
-        return weak_gradient_operator(
-            w, vals_r, grads_r, vals_j, edge_tables, basis_j.dim, basis_e.dim
-        )
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(f"singular mass matrix on element {t}") from err
+    return ElementTables(mesh, j, 1, edge_quad_points, [t]).G[0][:, None, :]
 
 
 def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> WeakFunction:
@@ -281,30 +198,16 @@ def commutativity_check(
     """
     if j < k - 1:
         raise ValueError("commutativity requires j >= k-1")
-    r = k - 1
+    if k != 1:
+        raise ValueError(f"the weak gradient is implemented for k=1 only, got k={k}")
+    from .assembly import ElementTables
+
     qd = quad_degree if quad_degree is not None else 2 * j + 6
-    proj = project_to_weak(w, mesh, j, qd)
-    basis_r = TriBasis(r)
-    worst = 0.0
-    for t in range(mesh.num_elements):
-        coords = mesh.element_coords(t)
-        geom = element_geometry(mesh, t)
-        G = weak_gradient_local(mesh, t, k, j, quad_degree=qd)
-        local = np.concatenate(
-            [proj.lam0[t]] + [proj.lamb[mesh.element_edges[t, i]] for i in range(3)]
-        )
-        lhs = G @ local  # (2, dim_r)
-        rhs = np.stack(
-            [
-                project_element(lambda x, y, c=comp: np.asarray(grad_w(x, y)[c]), r, coords, qd)
-                for comp in range(2)
-            ]
-        )
-        diff = lhs - rhs
-        rule = quad_triangle(max(2 * r + 2, 2))
-        pts, wq = map_to_triangle(rule, coords)
-        vals = basis_r.eval(pts, geom.centroid, geom.diameter)
-        M = vals.T @ (wq[:, None] * vals)
-        err2 = sum(diff[c] @ M @ diff[c] for c in range(2))
-        worst = max(worst, float(np.sqrt(max(err2, 0.0))))
-    return worst
+    tables = ElementTables(mesh, j, qd, 5)
+    lhs = np.einsum("tcn,tn->tc", tables.G, tables.local_coefficients(project_to_weak(w, mesh, j, qd)))
+    x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+    # L2 projection of grad w onto the constants.
+    grad = np.stack([np.broadcast_to(np.asarray(g, dtype=float), x.shape) for g in grad_w(x, y)], axis=-1)
+    rhs = np.einsum("tq,tqc->tc", tables.qw, grad) / tables.qw.sum(axis=1)[:, None]
+    err2 = tables.area * ((lhs - rhs) ** 2).sum(axis=1)
+    return float(np.sqrt(err2).max())

@@ -260,6 +260,20 @@ class TestPostprocess:
             else:
                 assert edge_vals[e] == pytest.approx(u.coeffs[int(t1), 0])
 
+    def test_matches_loop_reference(self):
+        mesh = refined("cracked_square", 2)
+        vals = np.sin(np.arange(mesh.num_elements, dtype=float))
+        field = postprocess_averages(PrimalFunction(coeffs=vals[:, None]), mesh)
+        vertex = np.zeros(mesh.num_vertices)
+        count = np.zeros(mesh.num_vertices)
+        for t, tri in enumerate(mesh.elements):
+            for v in tri:
+                vertex[v] += vals[t]
+                count[v] += 1
+        edge = [np.mean([vals[t] for t in pair if t >= 0]) for pair in mesh.edge_elems]
+        assert np.array_equal(field.value[: mesh.num_vertices], vertex / count)
+        assert np.allclose(field.value[mesh.num_vertices :], edge, rtol=0, atol=1e-15)
+
     def test_crack_sides_average_separately(self):
         mesh = refined("cracked_square", 1)
         centroids = mesh.vertices[mesh.elements].mean(axis=1)

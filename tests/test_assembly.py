@@ -297,9 +297,60 @@ class TestAssemble:
             warnings.simplefilter("error")
             assemble(mesh, dm, spec)
 
+    def test_beta_and_c_resolve_branches_independently(self):
+        # beta splits along x = 1/2 and c along y = 1/2 (both mesh lines),
+        # so elements take every (beta, c) branch pair; the manufactured
+        # load of each element uses its own pair
+        from pdwg.assembly import build_contexts
+        from pdwg.fields import PiecewiseScalar, bind
+
+        beta = PiecewiseVector(
+            "left_right",
+            pieces=((HalfPlane(1.0, 0.0, 0.5), constant_vector(1.0, 0.5)),),
+            otherwise=constant_vector(-0.5, 1.0),
+        )
+        c = PiecewiseScalar(
+            "low_high", pieces=((HalfPlane(0.0, 1.0, 0.5), constant(2.0)),), otherwise=constant(-3.0)
+        )
+        exact = SCALAR_FIELDS["sin_x_cos_y"]
+        spec = ProblemSpec(
+            beta=beta, c=c, f=DerivedLoad(exact), g=exact, tau=1.0, domain_tag="unit_square"
+        )
+        mesh = refined("unit_square", 2)
+        tables = build_contexts(mesh, spec)
+        pairs = set()
+        for t in range(mesh.num_elements):
+            cx, cy = mesh.element_coords(t).mean(axis=0)
+            b, ct = bind(beta, cx, cy), bind(c, cx, cy)
+            pairs.add((b.name, ct.name))
+            x, y = tables.qpts[t, :, 0], tables.qpts[t, :, 1]
+            assert np.array_equal(tables.beta_q[t], np.stack(b(x, y), axis=-1))
+            assert np.array_equal(tables.c_q[t], ct(x, y))
+            assert np.allclose(tables.f_q[t], spec.f.bind(b, ct)(x, y), rtol=0, atol=1e-14)
+        assert len(pairs) == 4
+
+    def test_non_finite_coefficient_names_field_and_element(self):
+        spec = make_spec(c=float("nan"))
+        with pytest.raises(ValueError, match="c has a non-finite value on element 0"):
+            self.build(spec)
+
+    def test_non_finite_inflow_data_names_edge(self):
+        spec = make_spec(g=float("inf"))
+        mesh = refined("unit_square", 1)
+        cls = classify_boundary(mesh, spec.beta)
+        dm = DofMap(mesh, 1, 1, cls)
+        first = int(cls.inflow_edges[0])
+        with pytest.raises(ValueError, match=f"g has a non-finite value on edge {first}"):
+            assemble(mesh, dm, spec)
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             make_spec(tau=-1.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be a finite"):
+            make_spec(tau=tau)
 
     def test_matrixmarket_dump_round_trip(self, tmp_path):
         from scipy.io import mmread

@@ -7,7 +7,7 @@ from pdwg.fields import (
     PiecewiseScalar,
     PiecewiseVector,
     SCALAR_FIELDS,
-    bind_vector,
+    bind,
     constant,
     constant_vector,
     rotation,
@@ -41,9 +41,9 @@ class TestPiecewise:
 
     def test_bind_resolves_branch(self):
         beta = self.pw()
-        bound = bind_vector(beta, 0.1, 0.1)
+        bound = bind(beta, 0.1, 0.1)
         assert bound.div(np.array([0.5]), np.array([0.5]))[0] == 0.0
-        plain = bind_vector(constant_vector(2.0, 0.0), 0.0, 0.0)
+        plain = bind(constant_vector(2.0, 0.0), 0.0, 0.0)
         assert plain(np.array([1.0]), np.array([1.0]))[0][0] == 2.0
 
     def test_pointwise_scalar_evaluation(self):

@@ -52,18 +52,18 @@ class TestCatalog:
             assert get_experiment(name).spec.exact_u is None
 
     def test_manufactured_load_matches_equation(self):
-        # f = beta . grad u + c u for table5 (divergence-free beta)
+        # f = beta . grad u + c u for table5 (divergence-free beta), as
+        # sampled by the element tables at every quadrature point
         from pdwg.assembly import build_contexts
-        from pdwg.mesh import build_coarse_mesh
+        from pdwg.mesh import build_coarse_mesh, refine_uniform
 
         exp = get_experiment("table5")
-        mesh = build_coarse_mesh("unit_square")
-        ctx = build_contexts(mesh, exp.spec)[0]
-        x = np.array([0.31, 0.62])
-        y = np.array([0.17, 0.48])
-        got = ctx.f(x, y)
+        mesh = refine_uniform(build_coarse_mesh("unit_square"))
+        tables = build_contexts(mesh, exp.spec)
+        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
         expected = np.cos(x) * np.cos(y) - (-np.sin(x) * np.sin(y)) + np.sin(x) * np.cos(y)
-        assert np.allclose(got, expected, atol=1e-14)
+        assert tables.f_q.shape == (mesh.num_elements, len(tables.qw[0]))
+        assert np.allclose(tables.f_q, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -221,6 +221,12 @@ class TestConfigFile:
         rc = main(["run", "--config", str(path), "--levels", "2", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "custom.csv").exists()
+
+    def test_non_finite_coefficient_exits_3(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, c=float("nan"))
+        rc = main(["run", "--config", str(path), "--levels", "2", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "c has a non-finite value on element 0" in capsys.readouterr().err
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -93,11 +93,11 @@ class TestRefinement:
 
     @pytest.mark.parametrize("tag", DOMAIN_TAGS)
     def test_area_preserved(self, tag):
-        from pdwg.mesh import all_element_geometry
+        from pdwg.mesh import geometry_arrays
 
         mesh = build_coarse_mesh(tag)
         for level in range(6):
-            total = sum(g.area for g in all_element_geometry(mesh))
+            total = geometry_arrays(mesh).area.sum()
             assert abs(total - domain_area(tag)) < 1e-13, f"level {level}"
             mesh = refine_uniform(mesh)
 
@@ -150,6 +150,65 @@ class TestRefinement:
                     seen.add(s)
                     stack.append(s)
         assert all(centroids[t, 1] < 0 for t in seen)
+
+
+def loop_topology(elements):
+    """Reference edge discovery: a dict over sorted vertex pairs, edges
+    numbered in order of first appearance."""
+    index, edges, incid = {}, [], []
+    for t, tri in enumerate(elements.tolist()):
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            e = index.setdefault((min(a, b), max(a, b)), len(edges))
+            if e == len(edges):
+                edges.append((min(a, b), max(a, b)))
+                incid.append([])
+            incid[e].append((t, i, 1 if a < b else -1))
+    return edges, incid
+
+
+class TestVectorizedTopology:
+    @pytest.mark.parametrize("tag", DOMAIN_TAGS)
+    def test_matches_loop_reference(self, tag):
+        mesh = build_coarse_mesh(tag)
+        for _ in range(4):
+            edges, incid = loop_topology(mesh.elements)
+            assert mesh.edges.tolist() == [list(e) for e in edges]
+            for e, inc in enumerate(incid):
+                for t, i, sign in inc:
+                    assert mesh.element_edges[t, i] == e
+                    assert mesh.element_edge_signs[t, i] == sign
+                plus_first = sorted(inc, key=lambda x: -x[2])
+                expected = [x[0] for x in plus_first] + [-1] * (2 - len(inc))
+                assert mesh.edge_elems[e].tolist() == expected
+            mesh = refine_uniform(mesh)
+
+    def test_refinement_children_match_loop_reference(self):
+        mesh = refine_uniform(build_coarse_mesh("l_shape"))
+        fine = refine_uniform(mesh)
+        nV = mesh.num_vertices
+        for t, (v0, v1, v2) in enumerate(mesh.elements.tolist()):
+            m01, m12, m20 = (nV + mesh.element_edges[t]).tolist()
+            assert fine.elements[4 * t : 4 * t + 4].tolist() == [
+                [v0, m01, m20], [m01, v1, m12], [m20, m12, v2], [m01, m12, m20]
+            ]
+
+    def test_edge_with_three_elements_rejected(self):
+        from pdwg.mesh import _build_topology
+
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+        # edge (0, 1) shared by three triangles
+        elements = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+        with pytest.raises(MeshError, match="edge 0"):
+            _build_topology(vertices, elements, 0, "unit_square")
+
+    def test_same_direction_traversal_rejected(self):
+        from pdwg.mesh import _build_topology
+
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
+        elements = [(0, 1, 2), (0, 1, 3)]
+        with pytest.raises(MeshError, match="same direction"):
+            _build_topology(vertices, elements, 0, "unit_square")
 
 
 class TestElementGeometry:
@@ -249,6 +308,30 @@ class TestClassifyBoundary:
                     assert e in cls.outflow_edges
                 else:
                     assert e in cls.inflow_edges
+
+
+def test_classification_matches_pointwise_reference():
+    from pdwg.fields import HalfPlane, PiecewiseVector, bind
+    from pdwg.mesh import element_geometry
+
+    beta = PiecewiseVector(
+        "pw",
+        pieces=((HalfPlane(1.0, 1.0, 1.0), rotation(0.0, 0.0)),),
+        otherwise=constant_vector(-1.0, 0.3),
+    )
+    mesh = refined("cracked_square", 2)
+    cls = classify_boundary(mesh, beta)
+    inflow = []
+    for e in mesh.boundary_edges:
+        t = int(mesh.edge_elems[e, 0])
+        geom = element_geometry(mesh, t)
+        n = geom.edge_normals[list(mesh.element_edges[t]).index(e)]
+        mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
+        bx, by = bind(beta, *geom.centroid)(np.array([mid[0]]), np.array([mid[1]]))
+        if bx[0] * n[0] + by[0] * n[1] < -1e-12:
+            inflow.append(int(e))
+    assert cls.inflow_edges.tolist() == inflow
+    assert sorted(cls.outflow_edges.tolist() + inflow) == mesh.boundary_edges.tolist()
 
 
 class TestDump:
