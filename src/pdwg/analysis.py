@@ -128,8 +128,7 @@ def triple_norm_Wh(lam: WeakFunction, spec: ProblemSpec, mesh: Mesh) -> float:
 
     which squares to the stabilizer quadratic form s(lam, lam)."""
     tables = build_contexts(mesh, spec)
-    x = tables.local_coefficients(lam)
-    return math.sqrt(float(np.einsum("ta,tab,tb->", x, tables.stabilizer(spec.tau), x)))
+    return math.sqrt(float(tables.stabilizer_energy(tables.local_coefficients(lam), spec.tau).sum()))
 
 
 def triple_norm_Mh(

@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .fields import DerivedLoad, evaluate_branches
-from .mesh import BoundaryClassification, Mesh, geometry_arrays, owner_local_edges
+from .mesh import DOMAIN_TAGS, BoundaryClassification, Mesh, geometry_arrays, owner_local_edges
 from .poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from .weakspace import DofMap, WeakFunction
 
@@ -58,6 +58,9 @@ class ProblemSpec:
     their branch per element; ``f`` may be a :class:`DerivedLoad` to
     manufacture the load from the exact solution.  ``exact_u`` is any
     vectorized callable, optional and only used by the analysis layer.
+    Construction raises ValueError naming the field for a non-finite or
+    negative ``tau``, an unknown ``domain_tag``, k != 1 or j not in
+    {k-1, k}, so a bad spec fails before any mesh is built.
     """
 
     beta: object
@@ -75,6 +78,12 @@ class ProblemSpec:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be a finite nonnegative number, got {self.tau}")
+        if self.domain_tag not in DOMAIN_TAGS:
+            raise ValueError(f"domain_tag must be one of {DOMAIN_TAGS}, got {self.domain_tag!r}")
+        if self.k != 1:
+            raise ValueError(f"k must be 1 (only the lowest order is supported), got k={self.k}")
+        if self.j not in (self.k - 1, self.k):
+            raise ValueError(f"j must be k-1 or k, got j={self.j} for k={self.k}")
 
     @property
     def interior_degree(self) -> int:
@@ -86,11 +95,16 @@ class ProblemSpec:
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse system [[S, B], [B^T, 0]] x = [rhs_lambda; 0]."""
+    """Assembled sparse system [[S, B], [B^T, 0]] x = [rhs_lambda; 0],
+    with the element blocks it was summed from: ``element_S`` (T, n_loc,
+    n_loc) and ``element_B`` (T, n_loc) over the local multiplier
+    coefficients laid out as ``dofmap.lambda_indices``."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
+    element_S: np.ndarray
+    element_B: np.ndarray
 
     @property
     def n_lambda(self) -> int:
@@ -223,24 +237,40 @@ class ElementTables:
         interior quadrature points, shape (T, nq, d0)."""
         return np.einsum("tqc,tqmc->tqm", self.beta_q, self.lam0_grad) - self.c_q[..., None] * self.lam0
 
-    def stabilizer(self, tau: float) -> np.ndarray:
-        """Symmetric positive semidefinite stabilizer matrices over the
-        local multiplier coefficients, shape (T, n_loc, n_loc)."""
+    def _jumps(self):
+        """Rows of lam_0 - lam_b at the edge quadrature points over the
+        local multiplier coefficients, (T, 3 ne, n_loc), with their weights
+        ew / h_T, (T, 3 ne)."""
         d0, n = self.dim_lam0, self.n_loc
         db = (n - d0) // 3
         T = len(self.elements)
-        # Rows of lam_0 - lam_b at the edge quadrature points.
         D = np.zeros(self.ew.shape + (n,))
         D[..., :d0] = self.edge_lam0
         for i in range(3):
             D[:, i, :, d0 + i * db : d0 + (i + 1) * db] = -self.edge_trace[:, i]
-        D = D.reshape(T, -1, n)
-        W = (self.ew / self.diameter[:, None, None]).reshape(T, -1, 1) * D
-        S = np.swapaxes(D, 1, 2) @ W
+        return D.reshape(T, -1, n), (self.ew / self.diameter[:, None, None]).reshape(T, -1)
+
+    def stabilizer(self, tau: float) -> np.ndarray:
+        """Symmetric positive semidefinite stabilizer matrices over the
+        local multiplier coefficients, shape (T, n_loc, n_loc)."""
+        D, w = self._jumps()
+        S = np.swapaxes(D, 1, 2) @ (w[..., None] * D)
         if tau > 0:
+            d0 = self.dim_lam0
             A = self.adjoint()
             S[:, :d0, :d0] += tau * (np.swapaxes(A, 1, 2) @ (self.qw[..., None] * A))
         return S
+
+    def stabilizer_energy(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """s_T(x, x) of local coefficient vectors x (T, n_loc), summed from
+        squares so it is nonnegative and vanishes exactly when lam_0 = lam_b
+        at the edge points (and the adjoint term is zero), shape (T,)."""
+        D, w = self._jumps()
+        energy = np.einsum("tq,tq->t", w, (D @ x[..., None])[..., 0] ** 2)
+        if tau > 0:
+            Ax = self.adjoint() @ x[:, : self.dim_lam0, None]
+            energy += tau * np.einsum("tq,tq->t", self.qw, Ax[..., 0] ** 2)
+        return energy
 
     def coupling(self) -> np.ndarray:
         """b_T(1, sigma) = (1, beta . grad_w(sigma) - c sigma_0)_T over the
@@ -277,8 +307,6 @@ def build_contexts(mesh: Mesh, spec: ProblemSpec, elements=None) -> ElementTable
     """Element tables with the problem's coefficients sampled, for all
     elements (or the given ones), built in one pass so assembly and the
     analysis layer share identical integration data."""
-    if spec.k != 1:
-        raise ValueError(f"only the lowest order k=1 is supported, got k={spec.k}")
     tables = ElementTables(mesh, spec.j, spec.interior_degree, spec.edge_quad_points, elements)
     return tables.sample(spec)
 
@@ -369,7 +397,7 @@ def assemble(
     edges, starts = edges[starts >= 0], starts[starts >= 0]
     owner, local = owner_local_edges(mesh, edges)
     rhs[starts[:, None] + np.arange(dofmap.dim_lamb)] += tables.inflow_load(spec.g, edges, owner, local)
-    return SaddleSystem(matrix=A, rhs=rhs, dofmap=dofmap)
+    return SaddleSystem(matrix=A, rhs=rhs, dofmap=dofmap, element_S=S, element_B=B)
 
 
 def dump_matrixmarket(system: SaddleSystem, path) -> None:

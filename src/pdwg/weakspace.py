@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import BoundaryClassification, Mesh
-from .poly import dim_poly2d, project_edge, project_element
+from .poly import EdgeBasis, dim_poly2d, quad_edge
 
 
 class DofMap:
@@ -169,14 +169,36 @@ def weak_gradient_local(
 def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> WeakFunction:
     """Componentwise L2 projection of a smooth function into the weak
     space: interior projections onto P_j(T) and trace projections onto
-    P_j(e) for every edge."""
-    lam0 = np.zeros((mesh.num_elements, dim_poly2d(j)))
-    for t in range(mesh.num_elements):
-        lam0[t] = project_element(w, j, mesh.element_coords(t), quad_degree)
-    lamb = np.zeros((mesh.num_edges, j + 1))
-    for e in range(mesh.num_edges):
-        a, b = mesh.edges[e]
-        lamb[e] = project_edge(w, j, mesh.vertices[a], mesh.vertices[b])
+    P_j(e) for every edge, all elements and edges in one batch.
+    ``quad_degree`` (default 2j+2) is the interior quadrature exactness."""
+    from .assembly import ElementTables
+
+    qd = quad_degree if quad_degree is not None else 2 * j + 2
+    return _project(w, ElementTables(mesh, j, qd, 5))
+
+
+def _sample(w, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(w(x, y), dtype=float), x.shape)
+
+
+def _project(w, tables) -> WeakFunction:
+    """:func:`project_to_weak` on the interior quadrature of ``tables``."""
+    # Mass matrix and moments in one product, so a w in the span of the
+    # basis yields moments that are exact multiples of mass columns.
+    V, qw = tables.lam0, tables.qw
+    wv = _sample(w, tables.qpts[..., 0], tables.qpts[..., 1])[..., None]
+    Mb = np.swapaxes(V, 1, 2) @ (qw[..., None] * np.concatenate([V, wv], axis=2))
+    lam0 = np.linalg.solve(Mb[..., :-1], Mb[..., -1:])[..., 0]
+
+    # Traces in each edge's own orientation; the edge length scales mass
+    # and moments alike, so one mass matrix serves every edge.
+    mesh, db = tables.mesh, tables.edge_trace.shape[-1]
+    rule = quad_edge(max(2 * db, 9))
+    a, b = mesh.vertices[mesh.edges[:, 0], None], mesh.vertices[mesh.edges[:, 1], None]
+    pts = a + 0.5 * (rule.points[:, None] + 1.0) * (b - a)
+    Ve = EdgeBasis(db - 1).eval(rule.points)
+    P = Ve.T @ (rule.weights[:, None] * np.concatenate([Ve, _sample(w, pts[..., 0], pts[..., 1]).T], axis=1))
+    lamb = np.linalg.solve(P[:, :db], P[:, db:]).T
     return WeakFunction(lam0=lam0, lamb=lamb)
 
 
@@ -204,7 +226,7 @@ def commutativity_check(
 
     qd = quad_degree if quad_degree is not None else 2 * j + 6
     tables = ElementTables(mesh, j, qd, 5)
-    lhs = np.einsum("tcn,tn->tc", tables.G, tables.local_coefficients(project_to_weak(w, mesh, j, qd)))
+    lhs = np.einsum("tcn,tn->tc", tables.G, tables.local_coefficients(_project(w, tables)))
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]
     # L2 projection of grad w onto the constants.
     grad = np.stack([np.broadcast_to(np.asarray(g, dtype=float), x.shape) for g in grad_w(x, y)], axis=-1)

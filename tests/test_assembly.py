@@ -352,6 +352,14 @@ class TestAssemble:
         with pytest.raises(ValueError, match="tau must be a finite"):
             make_spec(tau=tau)
 
+    @pytest.mark.parametrize(
+        "override,field",
+        [({"domain_tag": "disk"}, "domain_tag"), ({"k": 2}, "k"), ({"j": 2}, "j"), ({"j": -1}, "j")],
+    )
+    def test_bad_spec_rejected_naming_field(self, override, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            make_spec().with_overrides(**override)
+
     def test_matrixmarket_dump_round_trip(self, tmp_path):
         from scipy.io import mmread
 

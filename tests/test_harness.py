@@ -228,6 +228,19 @@ class TestConfigFile:
         assert rc == 3
         assert "c has a non-finite value on element 0" in capsys.readouterr().err
 
+    def test_unknown_domain_rejected(self, tmp_path):
+        path = self.write_config(tmp_path, domain="disk")
+        with pytest.raises(ValueError, match="domain_tag must be one of"):
+            load_experiment_config(path)
+
+    def test_unknown_domain_exits_3_before_writing(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, domain="disk")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert "domain_tag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "domain": "unit_square"}))

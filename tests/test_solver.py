@@ -1,57 +1,66 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from pdwg.assembly import ProblemSpec, assemble
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, classify_boundary, refine_uniform
-from pdwg.solver import _direct, _minres_fallback, solve
+from pdwg.solver import SolverError, schur_complement, solve
 from pdwg.weakspace import DofMap
 
 
-def unit_problem(tau=1.0, level=2, domain="unit_square"):
+def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, -1.0)):
     spec = ProblemSpec(
-        beta=constant_vector(1.0, -1.0),
-        c=constant(1.0),
+        beta=constant_vector(*beta),
+        c=constant(c),
         f=constant(1.0),
         g=constant(1.0),
         tau=tau,
         domain_tag=domain,
+        j=j,
     )
     mesh = build_coarse_mesh(domain)
     for _ in range(level):
         mesh = refine_uniform(mesh)
     cls = classify_boundary(mesh, spec.beta)
-    dm = DofMap(mesh, 1, 1, cls)
+    dm = DofMap(mesh, 1, j, cls)
     return mesh, dm, assemble(mesh, dm, spec)
 
 
 class TestKernels:
     def test_hand_inverted_2x2(self):
-        A = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        x = _direct(A, np.array([1.0, 1.0]), 1e-12)
-        assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+        # S_00 = [[2, 1], [1, 2]] has inverse [[2, -1], [-1, 2]] / 3; with
+        # C = [[1, 0], [0, 3]], C^T S_00^{-1} C = [[2/3, -1], [-1, 6]].
+        S = np.array([[[2.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 5.0]]])
+        B = np.array([[0.0, 3.0, 1.0]])
+        Z, K = schur_complement(S, B, 2)
+        S00_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+        assert np.allclose(Z[0], np.hstack([S00_inv @ [[1.0, 0.0], [0.0, 3.0]], S00_inv]), atol=1e-15)
+        assert np.allclose(K[0], [[13.0 / 3.0, 2.0], [2.0, -6.0]], atol=1e-14)
 
     def test_random_bordered_saddle_against_dense(self):
         rng = np.random.default_rng(3)
-        n, m = 35, 15
-        Q = rng.standard_normal((n, n))
-        S = Q @ Q.T + n * np.eye(n)
-        B = rng.standard_normal((n, m))
-        A = np.block([[S, B], [B.T, np.zeros((m, m))]])
-        b = rng.standard_normal(n + m)
-        x_ref = np.linalg.solve(A, b)
-        As = sparse.csr_matrix(A)
-        x = _direct(As, b, 1e-12)
-        assert np.linalg.norm(As @ x - b) / np.linalg.norm(b) <= 1e-12
-        assert np.allclose(x, x_ref, atol=1e-8)
-        x_it = _minres_fallback(As, b, 1e-9)
-        assert np.linalg.norm(As @ x_it - b) / np.linalg.norm(b) <= 1e-9
+        for d0, db in ((1, 1), (3, 2)):
+            T, n = 7, d0 + 3 * db
+            Q = rng.standard_normal((T, n, n))
+            S = Q @ np.swapaxes(Q, 1, 2) + n * np.eye(n)
+            B = rng.standard_normal((T, n))
+            Z, K = schur_complement(S, B, d0)
+            for t in range(T):
+                # Dense elimination of the first d0 unknowns of [[S, B], [B^T, 0]].
+                M = np.zeros((n + 1, n + 1))
+                M[:n, :n] = S[t]
+                M[:n, n] = M[n, :n] = B[t]
+                M00_inv = np.linalg.inv(M[:d0, :d0])
+                ref = M[d0:, d0:] - M[d0:, :d0] @ M00_inv @ M[:d0, d0:]
+                assert np.allclose(K[t], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+                ref_Z = np.hstack([M00_inv @ M[:d0, d0:], M00_inv])
+                assert np.allclose(Z[t], ref_Z, rtol=0, atol=1e-12 * np.abs(ref_Z).max())
 
     def test_singular_matrix_raises(self):
-        A = sparse.csr_matrix(np.zeros((3, 3)))
-        with pytest.raises(Exception):
-            _direct(A, np.ones(3), 1e-12)
+        # No convection and no reaction: u does not enter the equations.
+        _, _, system = unit_problem(level=1, c=0.0, beta=(0.0, 0.0))
+        with pytest.raises(SolverError, match="condensed order"):
+            solve(system)
 
 
 class TestSolve:
@@ -101,3 +110,23 @@ class TestSolve:
         assert sol.info["method"] == "splu"
         assert sol.info["order"] == system.matrix.shape[0]
         assert sol.info["nnz"] > 0
+
+    def test_condensed_diagnostics(self):
+        _, dm, system = unit_problem(level=2)
+        info = solve(system).info
+        T = dm.mesh.num_elements
+        assert info["condensed_order"] == dm.n_total - T * dm.dim_lam0
+        assert 0 < info["condensed_nnz"] <= info["fill"]
+        assert info["refine_steps"] in range(4)
+        assert np.isfinite(info["initial_residual"])
+
+    @pytest.mark.parametrize("domain", ["unit_square", "cracked_square"])
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_matches_dense_full_solve(self, j, tau, c, domain):
+        _, dm, system = unit_problem(tau=tau, level=2, domain=domain, j=j, c=c)
+        sol = solve(system)
+        x = np.concatenate([sol.lam.free_vector(dm), sol.u.vector()])
+        x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()

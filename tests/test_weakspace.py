@@ -7,6 +7,7 @@ from pdwg.poly import (
     EdgeBasis,
     TriBasis,
     map_to_edge,
+    project_edge,
     project_element,
     quad_edge,
     quad_triangle,
@@ -230,6 +231,20 @@ class TestWeakGradient:
             mesh, k=1, j=1, quad_degree=8,
         )
         assert res <= 1e-10
+
+    @pytest.mark.parametrize("tag", ["unit_square", "l_shape", "cracked_square"])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_project_to_weak_matches_loop(self, tag, j):
+        mesh = refined(tag, 3)
+
+        def w(x, y):
+            return np.sin(3.0 * x) * np.exp(y) + x * y
+
+        proj = project_to_weak(w, mesh, j, quad_degree=8)
+        lam0 = np.array([project_element(w, j, mesh.element_coords(t), 8) for t in range(mesh.num_elements)])
+        lamb = np.array([project_edge(w, j, *mesh.vertices[mesh.edges[e]]) for e in range(mesh.num_edges)])
+        assert np.allclose(proj.lam0, lam0, rtol=0, atol=1e-14 * np.abs(lam0).max())
+        assert np.allclose(proj.lamb, lamb, rtol=0, atol=1e-14 * np.abs(lamb).max())
 
     def test_commutativity_requires_j_at_least_k_minus_1(self):
         mesh = build_coarse_mesh("unit_square")
