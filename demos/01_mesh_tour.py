@@ -12,7 +12,7 @@ from pdwg.mesh import (
     classify_boundary,
     domain_area,
     dump_mesh,
-    element_geometry,
+    geometry_arrays,
     refine_uniform,
 )
 
@@ -23,7 +23,7 @@ for tag in ("unit_square", "l_shape", "cracked_square"):
         T = mesh.num_elements
         E = mesh.num_edges
         B = len(mesh.boundary_edges)
-        area = sum(element_geometry(mesh, t).area for t in range(T))
+        area = geometry_arrays(mesh).area.sum()
         print(
             f"  level {level}: T={T:5d} E={E:5d} B={B:4d}  "
             f"2E-3T-B={2 * E - 3 * T - B}  area={area:.13f} "

@@ -21,15 +21,15 @@ from pdwg.weakspace import commutativity_check
 mesh = build_coarse_mesh("unit_square")
 t = next(
     t for t in range(mesh.num_elements)
-    if any(np.allclose(v, (0.0, 0.0)) for v in mesh.element_coords(t))
+    if any(np.allclose(v, (0.0, 0.0)) for v in mesh.vertices[mesh.elements[t]])
 )
-coords = mesh.element_coords(t)
+coords = mesh.vertices[mesh.elements[t]]
 print("element:", coords.tolist())
 
 # v0 = 0 with unit trace on the hypotenuse only: the weak gradient is
 # |e| <n> / |T| = (2, 2) on this right triangle.
-tables = ElementTables(mesh, j=1, interior_degree=6, edge_quad_points=5)
-G = tables.G[t][:, None, :]  # (2 components, 1 constant, 9 local coefficients)
+tables = ElementTables(mesh, j=1, interior_degree=6)
+G = tables.G[t]  # (2 components, 9 local coefficients)
 local = np.zeros(9)
 for i in range(3):
     a, b = coords[i], coords[(i + 1) % 3]
@@ -38,7 +38,7 @@ for i in range(3):
     )
     if not on_axis:
         local[3 + 2 * i] = 1.0
-print("grad_w of the hypotenuse-trace function:", (G @ local)[:, 0])
+print("grad_w of the hypotenuse-trace function:", G @ local)
 
 # An H1 function represented weakly (trace matches interior) recovers its
 # classical gradient: v = x gives (1, 0).
@@ -51,14 +51,14 @@ for i in range(3):
     mid = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
     half = 0.5 * (mesh.vertices[hi] - mesh.vertices[lo])
     local[3 + 2 * i : 5 + 2 * i] = (mid[0], half[0])
-print("grad_w of v = x with matching trace:   ", (G @ local)[:, 0])
+print("grad_w of v = x with matching trace:   ", G @ local)
 
 # The constant weak function {1, 1} has zero weak gradient on every
 # element; one einsum applies all the element operators at once.
 mesh3 = build_coarse_mesh("unit_square")
 for _ in range(3):
     mesh3 = refine_uniform(mesh3)
-tables3 = ElementTables(mesh3, j=1, interior_degree=6, edge_quad_points=5)
+tables3 = ElementTables(mesh3, j=1, interior_degree=6)
 ones = np.zeros(9)
 ones[0] = 1.0
 ones[3::2] = 1.0
@@ -69,6 +69,6 @@ print(f"max |grad_w 1| over {len(grads)} elements: {np.abs(grads).max():.1e}")
 res = commutativity_check(
     lambda x, y: np.sin(x) * np.cos(y),
     lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
-    mesh3, k=1, j=1, quad_degree=8,
+    mesh3, j=1, quad_degree=8,
 )
 print(f"commutation residual for sin(x)cos(y) at level 3: {res:.2e}")

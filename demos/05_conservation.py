@@ -26,7 +26,7 @@ mesh = build_coarse_mesh(spec.domain_tag)
 for _ in range(3):
     mesh = refine_uniform(mesh)
 classification = classify_boundary(mesh, spec.beta)
-dofmap = DofMap(mesh, spec.k, spec.j, classification)
+dofmap = DofMap(mesh, spec.j, classification)
 tables = build_contexts(mesh, spec)  # element tables shared by every stage
 system = assemble(mesh, dofmap, spec, tables)
 solution = solve(system)

@@ -26,7 +26,6 @@ from .mesh import (
     Mesh,
     build_coarse_mesh,
     classify_boundary,
-    element_geometry,
     refine_uniform,
 )
 from .weakspace import DofMap, PrimalFunction, WeakFunction
@@ -51,7 +50,6 @@ __all__ = [
     "build_coarse_mesh",
     "catalog",
     "classify_boundary",
-    "element_geometry",
     "emit_csv",
     "emit_plot_data",
     "get_experiment",

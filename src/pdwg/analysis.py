@@ -61,10 +61,8 @@ class ConservationReport:
         return float(np.abs(self.flux_jumps).max()) if len(self.flux_jumps) else 0.0
 
 
-def nodal_interpolant(exact_u, mesh: Mesh, k: int = 1) -> PrimalFunction:
+def nodal_interpolant(exact_u, mesh: Mesh) -> PrimalFunction:
     """Exact solution sampled at element centers as a piecewise constant."""
-    if k != 1:
-        raise ValueError("nodal interpolation is defined for k=1")
     coords = mesh.vertices[mesh.elements]
     centers = coords.mean(axis=1)
     vals = np.asarray(exact_u(centers[:, 0], centers[:, 1]), dtype=float)
@@ -83,7 +81,7 @@ def error_norms(
     if spec.exact_u is None:
         raise ValueError("error norms require an exact solution")
     tables = tables if tables is not None else build_contexts(mesh, spec)
-    interp = nodal_interpolant(spec.exact_u, mesh, spec.k)
+    interp = nodal_interpolant(spec.exact_u, mesh)
     diff = solution.u.coeffs[:, 0] - interp.coeffs[:, 0]
     lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.lam.lam0)
     lamb = np.einsum("eqm,em->eq", _edge_rows(tables, tables.edge_trace), solution.lam.lamb)

@@ -29,25 +29,19 @@ configuration warning).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
 
 from .fields import DerivedLoad, evaluate_branches
-from .mesh import DOMAIN_TAGS, BoundaryClassification, Mesh, geometry_arrays, owner_local_edges
+from .mesh import DOMAIN_TAGS, Mesh, geometry_arrays, owner_local_edges
 from .poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from .weakspace import DofMap, WeakFunction
 
-DEFAULT_EDGE_QUAD_POINTS = 5
-
-
-def default_quad_degree(j: int) -> int:
-    """Interior quadrature exactness: 2j+2 makes every polynomial-data
-    integral exact; two extra degrees keep the error of smooth non
-    polynomial data (rotational convection, trigonometric loads) below
-    discretization error at the refinement levels used here."""
-    return 2 * j + 4
+# Five Gauss points per edge.
+EDGE_QUAD_DEGREE = 9
 
 
 @dataclass(frozen=True)
@@ -58,10 +52,14 @@ class ProblemSpec:
     their branch per element; ``f`` may be a :class:`DerivedLoad` to
     manufacture the load from the exact solution.  ``exact_u`` is any
     vectorized callable, optional and only used by the analysis layer.
-    Construction raises ValueError naming the field for a non-finite or
-    negative ``tau``, an unknown ``domain_tag``, k != 1 or j not in
-    {k-1, k}, so a bad spec fails before any mesh is built.
+    The primal degree ``k`` is fixed at 1 (u_h piecewise constant) and
+    the multiplier degree ``j`` is k-1 or k.  Construction raises
+    ValueError naming the field for a non-finite or negative ``tau``, an
+    unknown ``domain_tag`` or j not in {k-1, k}, so a bad spec fails
+    before any mesh is built.
     """
+
+    k: ClassVar[int] = 1
 
     beta: object
     c: object
@@ -70,27 +68,15 @@ class ProblemSpec:
     tau: float
     domain_tag: str
     exact_u: object = None
-    k: int = 1
     j: int = 1
-    quad_degree: int | None = None
-    edge_quad_points: int = DEFAULT_EDGE_QUAD_POINTS
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be a finite nonnegative number, got {self.tau}")
         if self.domain_tag not in DOMAIN_TAGS:
             raise ValueError(f"domain_tag must be one of {DOMAIN_TAGS}, got {self.domain_tag!r}")
-        if self.k != 1:
-            raise ValueError(f"k must be 1 (only the lowest order is supported), got k={self.k}")
         if self.j not in (self.k - 1, self.k):
             raise ValueError(f"j must be k-1 or k, got j={self.j} for k={self.k}")
-
-    @property
-    def interior_degree(self) -> int:
-        return self.quad_degree if self.quad_degree is not None else default_quad_degree(self.j)
-
-    def with_overrides(self, **kwargs) -> "ProblemSpec":
-        return replace(self, **kwargs)
 
 
 @dataclass
@@ -116,12 +102,11 @@ class SaddleSystem:
 
 
 class ElementTables:
-    """Quadrature, basis and coefficient tables of a batch of elements.
+    """Quadrature, basis and coefficient tables of all elements of a mesh.
 
-    Every array has a leading axis over ``elements`` (all elements of the
-    mesh by default), so each local form is one array expression over the
-    batch.  With nq interior and ne edge quadrature points, d0 = dim P_j(T)
-    and db = dim P_j(e):
+    Every array has a leading axis over the T elements, so each local form
+    is one array expression over the mesh.  With nq interior and ne edge
+    quadrature points, d0 = dim P_j(T) and db = dim P_j(e):
 
     - ``area``, ``diameter`` (T,), ``centroid`` (T, 2), ``normals`` (T, 3, 2)
     - ``qpts`` (T, nq, 2), ``qw`` (T, nq); ``epts`` (T, 3, ne, 2), ``ew`` (T, 3, ne)
@@ -136,28 +121,27 @@ class ElementTables:
     (T, nq), with ``beta_branch`` (T,) the branch of beta per element.
     """
 
-    def __init__(self, mesh: Mesh, j: int, interior_degree: int, edge_quad_points: int, elements=None):
+    def __init__(self, mesh: Mesh, j: int, interior_degree: int):
         self.mesh = mesh
-        self.elements = np.arange(mesh.num_elements) if elements is None else np.asarray(elements)
-        geom = geometry_arrays(mesh, self.elements)
+        geom = geometry_arrays(mesh)
         self.area = geom.area
         self.diameter = geom.diameter
         self.centroid = geom.centroid
         self.normals = geom.edge_normals
 
-        coords = mesh.vertices[mesh.elements[self.elements]]  # (T, 3, 2)
+        coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
         v0, v1, v2 = coords[:, 0, None], coords[:, 1, None], coords[:, 2, None]
         rule = quad_triangle(interior_degree)
         ref_x, ref_y = rule.points[:, 0, None], rule.points[:, 1, None]
         self.qpts = v0 + ref_x * (v1 - v0) + ref_y * (v2 - v0)
         self.qw = rule.weights * (2.0 * self.area[:, None])
 
-        erule = quad_edge(2 * edge_quad_points - 1)
+        erule = quad_edge(EDGE_QUAD_DEGREE)
         start = coords[:, :, None]
         step = np.roll(coords, -1, axis=1)[:, :, None] - start
         self.epts = start + 0.5 * (erule.points[:, None] + 1.0) * step
         self.ew = erule.weights * (0.5 * geom.edge_lengths[..., None])
-        signs = mesh.element_edge_signs[self.elements][..., None]
+        signs = mesh.element_edge_signs[..., None]
 
         basis = TriBasis(j)
         self.lam0 = basis.eval(self.qpts, self.centroid, self.diameter)
@@ -165,7 +149,7 @@ class ElementTables:
         self.edge_lam0 = basis.eval(self.epts, self.centroid[:, None], self.diameter[:, None])
         self.edge_trace = EdgeBasis(j).eval(signs * erule.points)
 
-        T, d0, db = len(self.elements), basis.dim, j + 1
+        T, d0, db = mesh.num_elements, basis.dim, j + 1
         moments = np.einsum("tiq,tiqm->tim", self.ew, self.edge_trace)
         self.G = np.zeros((T, 2, d0 + 3 * db))
         self.G[:, :, d0:] = (
@@ -205,7 +189,7 @@ class ElementTables:
             f_branch = spec.f.branch_index(cx, cy)
             self.f_q = evaluate_branches(spec.f.branches, f_branch[:, None], x, y)
         for name, values in (("beta", self.beta_q), ("beta", self.beta_e), ("c", self.c_q), ("f", self.f_q)):
-            _require_finite(name, values, self.elements, "element")
+            _require_finite(name, values, "element")
         self._warn_if_straddling(spec.beta)
         return self
 
@@ -214,10 +198,10 @@ class ElementTables:
             return
         # Probe just inside each corner so vertices sitting exactly on an
         # aligned branch interface do not trigger false positives.
-        coords = self.mesh.vertices[self.mesh.elements[self.elements]]
+        coords = self.mesh.vertices[self.mesh.elements]
         probes = coords + 1e-6 * (self.centroid[:, None] - coords)
         corner = beta.branch_index(probes[..., 0], probes[..., 1])
-        bad = self.elements[(corner != self.beta_branch[:, None]).any(axis=1)]
+        bad = np.flatnonzero((corner != self.beta_branch[:, None]).any(axis=1))
         if len(bad):
             warnings.warn(
                 f"element {bad[0]} straddles a piecewise convection-field branch "
@@ -229,8 +213,8 @@ class ElementTables:
     def local_coefficients(self, lam: WeakFunction) -> np.ndarray:
         """Local coefficient vectors [interior; traces of edges 0, 1, 2]
         of a weak function, shape (T, n_loc)."""
-        traces = lam.lamb[self.mesh.element_edges[self.elements]]
-        return np.concatenate([lam.lam0[self.elements], traces.reshape(len(self.elements), -1)], axis=1)
+        traces = lam.lamb[self.mesh.element_edges]
+        return np.concatenate([lam.lam0, traces.reshape(len(traces), -1)], axis=1)
 
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the
@@ -243,7 +227,7 @@ class ElementTables:
         ew / h_T, (T, 3 ne)."""
         d0, n = self.dim_lam0, self.n_loc
         db = (n - d0) // 3
-        T = len(self.elements)
+        T = self.mesh.num_elements
         D = np.zeros(self.ew.shape + (n,))
         D[..., :d0] = self.edge_lam0
         for i in range(3):
@@ -293,57 +277,28 @@ class ElementTables:
         bn = np.einsum("mqc,mc->mq", self.beta_e[rows, local], self.normals[rows, local])
         cx, cy = self.centroid[rows].T
         gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
-        _require_finite("g", gv, np.asarray(edges), "edge")
+        _require_finite("g", gv, "edge", np.asarray(edges))
         return np.einsum("mq,mqk->mk", self.ew[rows, local] * bn * gv, self.edge_trace[rows, local])
 
 
-def _require_finite(name: str, values: np.ndarray, ids: np.ndarray, what: str) -> None:
+def _require_finite(name: str, values: np.ndarray, what: str, ids=None) -> None:
+    """Raise naming the first row (element, or ``ids[row]``) of ``values``
+    that holds a non-finite entry."""
     bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if bad.any():
-        raise ValueError(f"{name} has a non-finite value on {what} {ids[np.argmax(bad)]}")
+        row = int(np.argmax(bad))
+        raise ValueError(f"{name} has a non-finite value on {what} {row if ids is None else ids[row]}")
 
 
-def build_contexts(mesh: Mesh, spec: ProblemSpec, elements=None) -> ElementTables:
-    """Element tables with the problem's coefficients sampled, for all
-    elements (or the given ones), built in one pass so assembly and the
-    analysis layer share identical integration data."""
-    tables = ElementTables(mesh, spec.j, spec.interior_degree, spec.edge_quad_points, elements)
-    return tables.sample(spec)
-
-
-def local_stabilizer(mesh: Mesh, t: int, spec: ProblemSpec) -> np.ndarray:
-    """Symmetric positive semidefinite stabilizer matrix over the local
-    multiplier coefficients [interior; trace edge 0; 1; 2]."""
-    return build_contexts(mesh, spec, [t]).stabilizer(spec.tau)[0]
-
-
-def local_b_form(mesh: Mesh, t: int, spec: ProblemSpec) -> np.ndarray:
-    """Local coupling block, shape (n_loc multiplier rows, dim_u columns):
-    entry (sigma, v) = (v, beta . grad_w(sigma) - c sigma_0)_T."""
-    return build_contexts(mesh, spec, [t]).coupling()[0][:, None]
-
-
-def local_load(mesh: Mesh, t: int, spec: ProblemSpec) -> np.ndarray:
-    """Element load -(f, sigma_0)_T over the local multiplier test block
-    (trace entries zero)."""
-    tables = build_contexts(mesh, spec, [t])
-    out = np.zeros(tables.n_loc)
-    out[: tables.dim_lam0] = tables.load()[0]
-    return out
-
-
-def inflow_edge_load(
-    mesh: Mesh,
-    e: int,
-    spec: ProblemSpec,
-    classification: BoundaryClassification,
-) -> np.ndarray:
-    """Inflow data term <sigma_b, beta.n g>_e over the trace test basis of
-    one inflow boundary edge."""
-    if not classification.is_inflow[e]:
-        raise ValueError(f"edge {e} is not an inflow boundary edge")
-    owner, local = owner_local_edges(mesh, [e])
-    return build_contexts(mesh, spec, owner).inflow_load(spec.g, [e], [0], local)[0]
+def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:
+    """Element tables with the problem's coefficients sampled, built in
+    one pass so assembly and the analysis layer share identical
+    integration data."""
+    # Interior exactness 2j+2 makes every polynomial-data integral exact;
+    # two extra degrees keep the error of smooth non polynomial data
+    # (rotational convection, trigonometric loads) below discretization
+    # error at the refinement levels used here.
+    return ElementTables(mesh, spec.j, 2 * spec.j + 4).sample(spec)
 
 
 def assemble(
@@ -361,15 +316,12 @@ def assemble(
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")
-    if (dofmap.k, dofmap.j) != (spec.k, spec.j):
-        raise ValueError(
-            f"dofmap degrees (k={dofmap.k}, j={dofmap.j}) do not match "
-            f"spec degrees (k={spec.k}, j={spec.j})"
-        )
+    if dofmap.j != spec.j:
+        raise ValueError(f"dofmap degree j={dofmap.j} does not match spec degree j={spec.j}")
     if tables is None:
         tables = build_contexts(mesh, spec)
     idx = dofmap.lambda_indices
-    if tables.mesh is not mesh or (len(tables.elements), tables.n_loc) != idx.shape:
+    if tables.mesh is not mesh or tables.n_loc != idx.shape[1]:
         raise ValueError("element tables do not match the mesh and dofmap")
 
     S = tables.stabilizer(spec.tau)

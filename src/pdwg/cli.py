@@ -43,14 +43,17 @@ def load_experiment_config(path) -> Experiment:
     """Build an experiment from a JSON file mirroring the problem fields.
 
     Required keys: name, domain, beta, tau.  Optional: c (default 0),
-    exact_u, f, g, k, j, levels.  When exact_u is given, f and g default
-    to the manufactured load and the exact inflow trace.
+    exact_u, f, g, k (must be 1), j (0 or 1, default 1), levels.  When
+    exact_u is given, f and g default to the manufactured load and the
+    exact inflow trace.
     """
     with open(path) as fh:
         cfg = json.load(fh)
     for key in ("name", "domain", "beta", "tau"):
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
+    if cfg.get("k", 1) != 1:
+        raise ValueError(f"k must be 1 (only the lowest order is supported), got k={cfg['k']!r}")
 
     beta = vector_from_config(cfg["beta"])
     c = scalar_from_config(cfg.get("c", 0.0))
@@ -76,7 +79,6 @@ def load_experiment_config(path) -> Experiment:
         tau=float(cfg["tau"]),
         domain_tag=cfg["domain"],
         exact_u=exact,
-        k=int(cfg.get("k", 1)),
         j=int(cfg.get("j", 1)),
     )
     levels = tuple(cfg.get("levels", (0, 5)))
@@ -90,14 +92,8 @@ def load_experiment_config(path) -> Experiment:
     )
 
 
-def _resolve_j(value: str | None, k: int) -> int | None:
-    if value is None:
-        return None
-    if value == "k-1":
-        return k - 1
-    if value == "k":
-        return k
-    raise ValueError(f"--j must be 'k-1' or 'k', got {value!r}")
+# The --j choices name the multiplier degree relative to k = 1.
+J_DEGREES = {"k-1": 0, "k": 1}
 
 
 def _cmd_list(_args) -> int:
@@ -123,7 +119,7 @@ def _cmd_run(args) -> int:
             exp,
             levels=levels,
             tau=args.tau,
-            j=_resolve_j(args.j, exp.spec.k),
+            j=None if args.j is None else J_DEGREES[args.j],
             tol=args.tol,
             collect_field="field" in exp.outputs,
         )
@@ -152,7 +148,7 @@ def _cmd_verify(args) -> int:
     for _ in range(levels[1]):
         mesh = refine_uniform(mesh)
     classification = classify_boundary(mesh, spec.beta)
-    dofmap = DofMap(mesh, spec.k, spec.j, classification)
+    dofmap = DofMap(mesh, spec.j, classification)
     system = assemble(mesh, dofmap, spec)
     asym = abs(system.matrix - system.matrix.T)
     asym_max = asym.max() if asym.nnz else 0.0
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON problem description")
     p_run.add_argument("--levels", type=int, help="number of levels (default: catalog range)")
     p_run.add_argument("--tau", type=float, help="override the stabilization parameter")
-    p_run.add_argument("--j", choices=("k-1", "k"), help="multiplier degree")
+    p_run.add_argument("--j", choices=tuple(J_DEGREES), help="multiplier degree")
     p_run.add_argument("--tol", type=float, default=1e-11, help="solver relative residual")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=_cmd_run)

@@ -41,9 +41,6 @@ class _Single:
     def branch_index(self, x, y) -> np.ndarray:
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=np.intp)
 
-    def branch_at(self, x: float, y: float):
-        return self
-
 
 class _Piecewise:
     """Branches over half planes: the first piece whose half plane holds
@@ -60,9 +57,6 @@ class _Piecewise:
         for k in range(len(self.pieces) - 1, -1, -1):
             idx[self.pieces[k][0].contains(x, y)] = k
         return idx
-
-    def branch_at(self, x: float, y: float):
-        return self.branches[int(self.branch_index(x, y))]
 
 
 def evaluate_branches(branches, idx, x, y, method: str = "__call__") -> np.ndarray:
@@ -143,12 +137,6 @@ class PiecewiseVector(_Piecewise):
     name: str
     pieces: tuple[tuple[HalfPlane, VectorField], ...]
     otherwise: VectorField
-
-
-def bind(field, cx: float, cy: float):
-    """Resolve a (possibly piecewise) field to the branch holding the
-    point (cx, cy)."""
-    return field.branch_at(cx, cy)
 
 
 @dataclass(frozen=True)

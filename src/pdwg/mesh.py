@@ -70,19 +70,16 @@ class Mesh:
         """Indices of edges with exactly one incident element."""
         return np.flatnonzero(self.edge_elems[:, 1] < 0)
 
-    def element_coords(self, t: int) -> np.ndarray:
-        return self.vertices[self.elements[t]]
-
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Per-element geometric data: area, diameter (longest edge), centroid,
-    edge lengths and outward unit normals in local edge order.  Holds one
-    element (:func:`element_geometry`) or, with a leading element axis on
-    every field, a batch (:func:`geometry_arrays`)."""
+    """Geometry of every element of a mesh (:func:`geometry_arrays`), each
+    field with a leading element axis: area and diameter (longest edge)
+    (T,), centroid (T, 2), edge lengths (T, 3) and outward unit normals
+    (T, 3, 2) in local edge order."""
 
-    area: float | np.ndarray
-    diameter: float | np.ndarray
+    area: np.ndarray
+    diameter: np.ndarray
     centroid: np.ndarray
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
@@ -257,21 +254,17 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return _build_topology(vertices, elements, mesh.level + 1, mesh.domain_tag)
 
 
-def geometry_arrays(mesh: Mesh, elements=None) -> ElementGeometry:
-    """Geometry of the given elements (all by default) in one vectorized
-    pass, as an :class:`ElementGeometry` whose fields carry a leading
-    element axis: area and diameter (n,), centroid (n, 2), edge lengths
-    (n, 3) and outward unit normals (n, 3, 2) in local edge order."""
-    ids = np.arange(mesh.num_elements) if elements is None else np.asarray(elements)
-    coords = mesh.vertices[mesh.elements[ids]]  # (n, 3, 2)
+def geometry_arrays(mesh: Mesh) -> ElementGeometry:
+    """Geometry of all elements in one vectorized pass."""
+    coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
     area = 0.5 * (
         (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
         - (coords[:, 2, 0] - coords[:, 0, 0]) * (coords[:, 1, 1] - coords[:, 0, 1])
     )
     if np.any(area <= 0):
         bad = int(np.flatnonzero(area <= 0)[0])
-        raise MeshError(f"element {ids[bad]} has non-positive area {area[bad]}")
-    tangents = np.roll(coords, -1, axis=1) - coords  # (n, 3, 2)
+        raise MeshError(f"element {bad} has non-positive area {area[bad]}")
+    tangents = np.roll(coords, -1, axis=1) - coords  # (T, 3, 2)
     lengths = np.hypot(tangents[:, :, 0], tangents[:, :, 1])
     normals = np.stack([tangents[:, :, 1], -tangents[:, :, 0]], axis=-1) / lengths[..., None]
     return ElementGeometry(
@@ -280,19 +273,6 @@ def geometry_arrays(mesh: Mesh, elements=None) -> ElementGeometry:
         centroid=coords.mean(axis=1),
         edge_lengths=lengths,
         edge_normals=normals,
-    )
-
-
-def element_geometry(mesh: Mesh, t: int) -> ElementGeometry:
-    """Geometry of one element: area, longest-edge diameter, centroid,
-    edge lengths, and outward unit normals (local edge order)."""
-    g = geometry_arrays(mesh, [t])
-    return ElementGeometry(
-        area=float(g.area[0]),
-        diameter=float(g.diameter[0]),
-        centroid=g.centroid[0],
-        edge_lengths=g.edge_lengths[0],
-        edge_normals=g.edge_normals[0],
     )
 
 
@@ -319,10 +299,11 @@ def classify_boundary(mesh: Mesh, beta) -> BoundaryClassification:
 
     edges = mesh.boundary_edges
     owner, local = owner_local_edges(mesh, edges)
-    geom = geometry_arrays(mesh, owner)
-    n = geom.edge_normals[np.arange(len(edges)), local]
+    geom = geometry_arrays(mesh)
+    n = geom.edge_normals[owner, local]
     mid = 0.5 * (mesh.vertices[mesh.edges[edges, 0]] + mesh.vertices[mesh.edges[edges, 1]])
-    idx = beta.branch_index(geom.centroid[:, 0], geom.centroid[:, 1])
+    cx, cy = geom.centroid[owner].T
+    idx = beta.branch_index(cx, cy)
     b = evaluate_branches(beta.branches, idx, mid[:, 0], mid[:, 1])
     outward[edges] = n
     beta_n[edges] = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1]

@@ -30,16 +30,6 @@ def dim_poly2d(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
-@lru_cache(maxsize=None)
-def monomial_exponents(degree: int) -> np.ndarray:
-    """Exponent pairs (a, b) of the 2D monomials up to total degree, ordered
-    by total degree and then by increasing y-power."""
-    exps = [(t - i, i) for t in range(degree + 1) for i in range(t + 1)]
-    out = np.array(exps, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class QuadRule:
     """Quadrature points and weights with a stated polynomial exactness."""
@@ -97,31 +87,27 @@ def quad_edge(exactness_degree: int) -> QuadRule:
 
 
 class TriBasis:
-    """Monomial basis of P_degree on a triangle, scaled about the centroid."""
+    """Monomial basis of P_degree on a triangle, scaled about the centroid:
+    {1} for degree 0 and {1, X, Y} for degree 1, the only degrees the
+    method uses (j and k-1 for k=1)."""
 
     def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        if degree not in (0, 1):
+            raise ValueError(f"TriBasis supports degree 0 or 1, got {degree}")
         self.degree = degree
         self.dim = dim_poly2d(degree)
-        self.exponents = monomial_exponents(degree)
 
     def eval(self, pts: np.ndarray, centroid: np.ndarray, h) -> np.ndarray:
         """Basis values at physical points ``pts`` (..., npts, 2) of
         triangles with centroids (..., 2) and diameters (...); returns
         (..., npts, dim)."""
         pts = np.asarray(pts)
-        if self.degree == 0:
-            return np.ones(pts.shape[:-1] + (1,))
-        X, Y = self._scaled(pts, centroid, h)
-        vals = np.empty(pts.shape[:-1] + (self.dim,))
+        vals = np.ones(pts.shape[:-1] + (self.dim,))
         if self.degree == 1:
-            vals[..., 0] = 1.0
-            vals[..., 1] = X
-            vals[..., 2] = Y
-            return vals
-        for m, (a, b) in enumerate(self.exponents):
-            vals[..., m] = X**a * Y**b
+            centroid = np.asarray(centroid)
+            h = np.asarray(h, dtype=float)[..., None]
+            vals[..., 1] = (pts[..., 0] - centroid[..., None, 0]) / h
+            vals[..., 2] = (pts[..., 1] - centroid[..., None, 1]) / h
         return vals
 
     def eval_grad(self, pts: np.ndarray, centroid: np.ndarray, h) -> np.ndarray:
@@ -129,26 +115,11 @@ class TriBasis:
         :meth:`eval`; returns (..., npts, dim, 2)."""
         pts = np.asarray(pts)
         grads = np.zeros(pts.shape[:-1] + (self.dim, 2))
-        if self.degree == 0:
-            return grads
-        hinv = 1.0 / np.asarray(h, dtype=float)[..., None]
         if self.degree == 1:
+            hinv = 1.0 / np.asarray(h, dtype=float)[..., None]
             grads[..., 1, 0] = hinv
             grads[..., 2, 1] = hinv
-            return grads
-        X, Y = self._scaled(pts, centroid, h)
-        for m, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                grads[..., m, 0] = a * X ** (a - 1) * Y**b * hinv
-            if b > 0:
-                grads[..., m, 1] = X**a * b * Y ** (b - 1) * hinv
         return grads
-
-    @staticmethod
-    def _scaled(pts, centroid, h):
-        centroid = np.asarray(centroid)
-        h = np.asarray(h, dtype=float)[..., None]
-        return (pts[..., 0] - centroid[..., None, 0]) / h, (pts[..., 1] - centroid[..., None, 1]) / h
 
 
 class EdgeBasis:
@@ -202,10 +173,8 @@ def project_element(f, degree: int, coords: np.ndarray, quad_degree: int | None 
     coords = np.asarray(coords, dtype=float)
     rule = quad_triangle(quad_degree if quad_degree is not None else 2 * degree + 2)
     pts, w = map_to_triangle(rule, coords)
-    centroid = coords.mean(axis=0)
-    h = tri_diameter(coords)
-    basis = TriBasis(degree)
-    V = basis.eval(pts, centroid, h)
+    h = max(np.hypot(*(coords[(i + 1) % 3] - coords[i])) for i in range(3))
+    V = TriBasis(degree).eval(pts, coords.mean(axis=0), h)
     M = V.T @ (w[:, None] * V)
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     b = V.T @ (w * fv)
@@ -225,19 +194,3 @@ def project_edge(f, degree: int, a: np.ndarray, b: np.ndarray, quad_degree: int 
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     rhs = V.T @ (w * fv)
     return np.linalg.solve(M, rhs)
-
-
-def tri_area(coords: np.ndarray) -> float:
-    """Signed area (positive for counterclockwise vertex order)."""
-    v0, v1, v2 = coords
-    return 0.5 * (
-        (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    )
-
-
-def tri_diameter(coords: np.ndarray) -> float:
-    """Longest edge length of the triangle."""
-    d01 = np.hypot(*(coords[1] - coords[0]))
-    d12 = np.hypot(*(coords[2] - coords[1]))
-    d20 = np.hypot(*(coords[0] - coords[2]))
-    return float(max(d01, d12, d20))

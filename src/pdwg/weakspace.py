@@ -4,7 +4,8 @@ weak gradient.
 The multiplier space pairs an interior polynomial of degree j per element
 with an independent trace polynomial of degree j per edge; traces on
 outflow edges are constrained to zero and never receive a global index.
-The primal space is fully discontinuous, degree k-1 per element.
+The primal space is fully discontinuous, degree k-1 = 0 per element: one
+constant per element.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -31,27 +32,21 @@ class DofMap:
 
     Multiplier indices come first: one block of dim P_j(T) per element,
     then one block of dim P_j(e) per free (non-outflow) edge.  Primal
-    indices follow, one block of dim P_{k-1}(T) per element.
+    indices follow, one constant per element.
     """
 
-    def __init__(self, mesh: Mesh, k: int, j: int, classification: BoundaryClassification):
-        if k != 1:
-            raise ValueError(f"only the lowest order k=1 is supported, got k={k}")
-        if j not in (k - 1, k):
-            raise ValueError(f"j must be k-1 or k, got j={j} for k={k}")
+    def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):
+        if j not in (0, 1):
+            raise ValueError(f"j must be k-1 or k, got j={j} for k=1")
         self.mesh = mesh
         self.classification = classification
-        self.k = k
         self.j = j
         self.dim_lam0 = dim_poly2d(j)
         self.dim_lamb = j + 1
-        self.dim_u = dim_poly2d(k - 1)
 
         T = mesh.num_elements
-        E = mesh.num_edges
-        constrained = np.zeros(E, dtype=bool)
+        constrained = np.zeros(mesh.num_edges, dtype=bool)
         constrained[classification.outflow_edges] = True
-        self.constrained_edge = constrained
 
         self.lam0_start = np.arange(T, dtype=np.int64) * self.dim_lam0
         rank = np.cumsum(~constrained) - 1
@@ -60,8 +55,8 @@ class DofMap:
         ).astype(np.int64)
         self.n_free_edges = int((~constrained).sum())
         self.n_lambda = T * self.dim_lam0 + self.n_free_edges * self.dim_lamb
-        self.n_u = T * self.dim_u
-        self.u_start = self.n_lambda + np.arange(T, dtype=np.int64) * self.dim_u
+        self.n_u = T
+        self.u_start = self.n_lambda + np.arange(T, dtype=np.int64)
 
         # Local multiplier blocks [interior; trace edge 0; 1; 2] of every
         # element, -1 marking constrained (outflow) trace entries.
@@ -76,23 +71,11 @@ class DofMap:
     def n_total(self) -> int:
         return self.n_lambda + self.n_u
 
-    def is_constrained_edge(self, e: int) -> bool:
-        return bool(self.constrained_edge[e])
-
-    def element_lambda_indices(self, t: int) -> np.ndarray:
-        """Global indices of the local multiplier block of element t, laid
-        out as [interior; trace edge 0; trace edge 1; trace edge 2], with
-        -1 marking constrained (outflow) trace entries."""
-        return self.lambda_indices[t]
-
     def free_trace_indices(self):
         """The free (non-outflow) edges and the global indices of their
         trace blocks, shape (n_free_edges, dim_lamb)."""
         free = np.flatnonzero(self.lamb_start >= 0)
         return free, self.lamb_start[free, None] + np.arange(self.dim_lamb)
-
-    def u_indices(self, t: int) -> np.ndarray:
-        return self.u_start[t] + np.arange(self.dim_u)
 
 
 @dataclass
@@ -131,39 +114,17 @@ class WeakFunction:
 
 @dataclass
 class PrimalFunction:
-    """Coefficients of a fully discontinuous piecewise polynomial, one row
-    of TriBasis(k-1) coefficients per element."""
+    """Coefficients of a fully discontinuous piecewise constant, one row
+    per element."""
 
     coeffs: np.ndarray
 
     @classmethod
     def from_vector(cls, dofmap: DofMap, x: np.ndarray) -> "PrimalFunction":
-        T = dofmap.mesh.num_elements
-        return cls(coeffs=x.reshape(T, dofmap.dim_u).copy())
+        return cls(coeffs=x.reshape(dofmap.mesh.num_elements, 1).copy())
 
     def vector(self) -> np.ndarray:
         return self.coeffs.ravel().copy()
-
-
-def weak_gradient_local(
-    mesh: Mesh,
-    t: int,
-    k: int,
-    j: int,
-    edge_quad_points: int = 5,
-) -> np.ndarray:
-    """Matrix of the discrete weak gradient on element t.
-
-    Maps local weak-function coefficients [interior; 3 edge traces] to the
-    coefficients of a degree k-1 vector polynomial; returned with shape
-    (2, dim P_{k-1}, n_local).  Only k=1 is implemented: the range is the
-    constants and the operator is the closed form of the element tables.
-    """
-    if k != 1:
-        raise ValueError(f"the weak gradient is implemented for k=1 only, got k={k}")
-    from .assembly import ElementTables
-
-    return ElementTables(mesh, j, 1, edge_quad_points, [t]).G[0][:, None, :]
 
 
 def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> WeakFunction:
@@ -174,7 +135,7 @@ def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> We
     from .assembly import ElementTables
 
     qd = quad_degree if quad_degree is not None else 2 * j + 2
-    return _project(w, ElementTables(mesh, j, qd, 5))
+    return _project(w, ElementTables(mesh, j, qd))
 
 
 def _sample(w, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -206,7 +167,6 @@ def commutativity_check(
     w,
     grad_w,
     mesh: Mesh,
-    k: int,
     j: int,
     quad_degree: int | None = None,
 ) -> float:
@@ -216,16 +176,13 @@ def commutativity_check(
 
     where the first term applies the discrete weak gradient to the
     projected weak function and the second projects the analytic gradient
-    onto degree k-1.  Vanishes to quadrature accuracy for j >= k-1.
+    onto the constants (degree k-1 = 0).  Vanishes to quadrature accuracy
+    for j in {k-1, k}; any other j raises ValueError.
     """
-    if j < k - 1:
-        raise ValueError("commutativity requires j >= k-1")
-    if k != 1:
-        raise ValueError(f"the weak gradient is implemented for k=1 only, got k={k}")
     from .assembly import ElementTables
 
     qd = quad_degree if quad_degree is not None else 2 * j + 6
-    tables = ElementTables(mesh, j, qd, 5)
+    tables = ElementTables(mesh, j, qd)
     lhs = np.einsum("tcn,tn->tc", tables.G, tables.local_coefficients(_project(w, tables)))
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]
     # L2 projection of grad w onto the constants.

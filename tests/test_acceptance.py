@@ -8,13 +8,13 @@ import time
 
 import numpy as np
 
-from pdwg.assembly import assemble
+from pdwg.assembly import ElementTables, assemble
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import main
-from pdwg.mesh import build_coarse_mesh, classify_boundary, element_geometry, refine_uniform
+from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, refine_uniform
 from pdwg.poly import EdgeBasis, map_to_edge, quad_edge
 from pdwg.study import run_study
-from pdwg.weakspace import DofMap, WeakFunction, commutativity_check, weak_gradient_local
+from pdwg.weakspace import DofMap, WeakFunction, commutativity_check
 from pdwg.analysis import triple_norm_Wh
 
 
@@ -128,10 +128,10 @@ def _identity_residual(mesh):
     basis_e = EdgeBasis(1)
     erule = quad_edge(9)
     worst = 0.0
+    geom = geometry_arrays(mesh)
+    G = ElementTables(mesh, 1, 1).G
     for t in range(mesh.num_elements):
-        geom = element_geometry(mesh, t)
-        G = weak_gradient_local(mesh, t, k=1, j=1)
-        lhs = geom.area * G[:, 0, :]
+        lhs = geom.area[t] * G[t]
         rhs = np.zeros_like(lhs)
         for i in range(3):
             a_id = mesh.elements[t][i]
@@ -139,7 +139,7 @@ def _identity_residual(mesh):
             _, w, tloc = map_to_edge(erule, mesh.vertices[a_id], mesh.vertices[b_id])
             tglob = tloc if a_id < b_id else -tloc
             evals = basis_e.eval(tglob)
-            n = geom.edge_normals[i]
+            n = geom.edge_normals[t, i]
             lo = 3 + i * 2
             for comp in range(2):
                 rhs[comp, lo : lo + 2] = n[comp] * (w @ evals)
@@ -162,9 +162,9 @@ def test_criterion_5_weak_gradient_properties():
     mesh = build_coarse_mesh("unit_square")
     t = next(
         t for t in range(2)
-        if any(np.allclose(v, (0, 0)) for v in mesh.element_coords(t))
+        if any(np.allclose(v, (0, 0)) for v in mesh.vertices[mesh.elements[t]])
     )
-    coords = mesh.element_coords(t)
+    coords = mesh.vertices[mesh.elements[t]]
     local = np.zeros(9)
     for i in range(3):
         a, b = coords[i], coords[(i + 1) % 3]
@@ -173,20 +173,20 @@ def test_criterion_5_weak_gradient_properties():
         )
         if not axis:
             local[3 + 2 * i] = 1.0
-    hyp = weak_gradient_local(mesh, t, 1, 1) @ local
-    hyp_err = float(np.max(np.abs(hyp[:, 0] - 2.0)))
+    hyp = ElementTables(mesh, 1, 1).G[t] @ local
+    hyp_err = float(np.max(np.abs(hyp - 2.0)))
 
     mesh1 = refined("unit_square", 1)
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     res_lin = commutativity_check(
         lambda x, y: 1.0 + 2.0 * x - 3.0 * y,
         lambda x, y: (2.0 * ones(x), -3.0 * ones(x)),
-        mesh1, k=1, j=1,
+        mesh1, j=1,
     )
     res_sq = commutativity_check(
         lambda x, y: x**2,
         lambda x, y: (2.0 * np.asarray(x, dtype=float), 0.0 * ones(x)),
-        mesh1, k=1, j=1,
+        mesh1, j=1,
     )
     ok = (
         worst_identity <= 1e-12
@@ -223,7 +223,7 @@ def test_criterion_6_system_structure():
         spec = get_experiment(name).spec
         mesh = refined(spec.domain_tag, level)
         cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, spec.k, spec.j, cls)
+        dm = DofMap(mesh, spec.j, cls)
         system = assemble(mesh, dm, spec)
         asym = abs(system.matrix - system.matrix.T)
         worst_asym = max(worst_asym, asym.max() if asym.nnz else 0.0)

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from pdwg.assembly import (
-    ProblemSpec,
-    assemble,
-    dump_matrixmarket,
-    inflow_edge_load,
-    local_b_form,
-    local_load,
-    local_stabilizer,
-)
+import dataclasses
+
+from pdwg.assembly import ProblemSpec, assemble, build_contexts, dump_matrixmarket
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -18,7 +12,7 @@ from pdwg.fields import (
     constant,
     constant_vector,
 )
-from pdwg.mesh import build_coarse_mesh, classify_boundary, element_geometry, refine_uniform
+from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, owner_local_edges, refine_uniform
 from pdwg.poly import project_element
 from pdwg.weakspace import DofMap
 
@@ -42,16 +36,20 @@ def make_spec(beta=(1.0, -1.0), c=1.0, f=0.0, g=0.0, tau=1.0, domain="unit_squar
     )
 
 
+def coords_of(mesh, t):
+    return mesh.vertices[mesh.elements[t]]
+
+
 def corner_element(mesh):
     for t in range(mesh.num_elements):
-        if any(np.allclose(v, (0.0, 0.0)) for v in mesh.element_coords(t)):
+        if any(np.allclose(v, (0.0, 0.0)) for v in coords_of(mesh, t)):
             return t
     raise AssertionError
 
 
 def local_coeffs_interior_x(mesh, t):
     """Local multiplier coefficients for lam0 = x, lam_b = 0."""
-    lam0 = project_element(lambda x, y: x, 1, mesh.element_coords(t))
+    lam0 = project_element(lambda x, y: x, 1, coords_of(mesh, t))
     return np.concatenate([lam0, np.zeros(6)])
 
 
@@ -62,7 +60,7 @@ class TestLocalStabilizer:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(tau=0.0)
-        S = local_stabilizer(mesh, t, spec)
+        S = build_contexts(mesh, spec).stabilizer(spec.tau)[t]
         rho = local_coeffs_interior_x(mesh, t)
         expected = (1.0 / 3.0 + np.sqrt(2.0) / 3.0) / np.sqrt(2.0)
         assert rho @ S @ rho == pytest.approx(expected, abs=1e-13)
@@ -72,7 +70,7 @@ class TestLocalStabilizer:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(1.0, 0.0), c=0.0, tau=1.0)
-        S = local_stabilizer(mesh, t, spec)
+        S = build_contexts(mesh, spec).stabilizer(spec.tau)[t]
         rho = local_coeffs_interior_x(mesh, t)
         expected = (1.0 / 3.0 + np.sqrt(2.0) / 3.0) / np.sqrt(2.0) + 0.5
         assert rho @ S @ rho == pytest.approx(expected, abs=1e-13)
@@ -83,7 +81,7 @@ class TestLocalStabilizer:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(1.0, -1.0), c=0.0, tau=1.0)
-        S = local_stabilizer(mesh, t, spec)
+        S = build_contexts(mesh, spec).stabilizer(spec.tau)[t]
         rho = np.zeros(9)
         rho[0] = 1.0
         rho[3::2] = 1.0
@@ -92,15 +90,16 @@ class TestLocalStabilizer:
     def test_symmetric_psd(self):
         mesh = refined("l_shape", 1)
         spec = make_spec(tau=2.5)
+        stabilizers = build_contexts(mesh, spec).stabilizer(spec.tau)
         for t in (0, 5, 11):
-            S = local_stabilizer(mesh, t, spec)
+            S = stabilizers[t]
             assert np.allclose(S, S.T)
             assert np.min(np.linalg.eigvalsh(S)) > -1e-13
 
 
 class TestLocalBForm:
     def hyp_trace_sigma(self, mesh, t):
-        coords = mesh.element_coords(t)
+        coords = coords_of(mesh, t)
         sigma = np.zeros(9)
         for i in range(3):
             a, b = coords[i], coords[(i + 1) % 3]
@@ -116,29 +115,29 @@ class TestLocalBForm:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(1.0, 1.0), c=3.0, tau=0.0)
-        B = local_b_form(mesh, t, spec)
+        B = build_contexts(mesh, spec).coupling()[t]
         sigma = self.hyp_trace_sigma(mesh, t)
-        assert sigma @ B[:, 0] == pytest.approx(2.0, abs=1e-13)
+        assert sigma @ B == pytest.approx(2.0, abs=1e-13)
 
     def test_hypotenuse_sigma_beta_1m1(self):
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(1.0, -1.0), c=0.0, tau=0.0)
-        B = local_b_form(mesh, t, spec)
+        B = build_contexts(mesh, spec).coupling()[t]
         sigma = self.hyp_trace_sigma(mesh, t)
-        assert sigma @ B[:, 0] == pytest.approx(0.0, abs=1e-13)
+        assert sigma @ B == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_weak_function(self):
         # sigma = {1, 1}: grad_w sigma = 0, so b_T = -(1, c)_T = -area
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(0.7, 0.3), c=1.0, tau=0.0)
-        B = local_b_form(mesh, t, spec)
+        B = build_contexts(mesh, spec).coupling()[t]
         sigma = np.zeros(9)
         sigma[0] = 1.0
         sigma[3::2] = 1.0
-        area = element_geometry(mesh, t).area
-        assert sigma @ B[:, 0] == pytest.approx(-area, abs=1e-13)
+        area = geometry_arrays(mesh).area[t]
+        assert sigma @ B == pytest.approx(-area, abs=1e-13)
 
 
 class TestLocalLoads:
@@ -146,15 +145,15 @@ class TestLocalLoads:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(f=1.0)
-        load = local_load(mesh, t, spec)
+        load = build_contexts(mesh, spec).load()[t]
         # first interior basis function is the constant 1
         assert load[0] == pytest.approx(-0.5, abs=1e-14)
-        assert np.all(load[3:] == 0.0)
+        assert load.shape == (3,)
 
     def test_zero_load(self):
         mesh = build_coarse_mesh("unit_square")
         spec = make_spec(f=0.0)
-        assert np.all(local_load(mesh, 0, spec) == 0.0)
+        assert np.all(build_contexts(mesh, spec).load()[0] == 0.0)
 
     def test_inflow_edge_unit_data(self):
         # level-0 left edge: length 1, beta.n = -1, g = 1, sigma_b = 1
@@ -167,23 +166,17 @@ class TestLocalLoads:
             if np.allclose(mesh.vertices[mesh.edges[e], 0], 0.0)
         ]
         assert len(left) == 1
-        vec = inflow_edge_load(mesh, left[0], spec, cls)
+        owner, local = owner_local_edges(mesh, left)
+        vec = build_contexts(mesh, spec).inflow_load(spec.g, left, owner, local)[0]
         assert vec[0] == pytest.approx(-1.0, abs=1e-14)
         assert vec[1] == pytest.approx(0.0, abs=1e-14)  # odd moment vanishes
-
-    def test_inflow_edge_rejects_outflow(self):
-        mesh = build_coarse_mesh("unit_square")
-        spec = make_spec()
-        cls = classify_boundary(mesh, spec.beta)
-        with pytest.raises(ValueError):
-            inflow_edge_load(mesh, int(cls.outflow_edges[0]), spec, cls)
 
 
 class TestAssemble:
     def build(self, spec, level=1):
         mesh = refined(spec.domain_tag, level)
         cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, spec.k, spec.j, cls)
+        dm = DofMap(mesh, spec.j, cls)
         return mesh, dm, assemble(mesh, dm, spec)
 
     def test_symmetry_and_zero_block(self):
@@ -229,7 +222,7 @@ class TestAssemble:
             outward_normal=np.full((mesh.num_edges, 2), np.nan),
             beta_dot_n=np.full(mesh.num_edges, np.nan),
         )
-        dm_all = DofMap(mesh, 1, 1, all_in)
+        dm_all = DofMap(mesh, 1, all_in)
         system_all = assemble(mesh, dm_all, spec)
         x_all = lam.free_vector(dm_all)
         S_all = system_all.matrix[: dm_all.n_lambda, : dm_all.n_lambda]
@@ -242,7 +235,7 @@ class TestAssemble:
         for t in range(mesh.num_elements):
             row = A[dm.n_lambda + t]
             cols = row.indices
-            allowed = set(int(i) for i in dm.element_lambda_indices(t) if i >= 0)
+            allowed = set(int(i) for i in dm.lambda_indices[t] if i >= 0)
             assert set(cols.tolist()) <= allowed
 
     def test_mismatched_dofmap_rejected(self):
@@ -250,7 +243,7 @@ class TestAssemble:
         mesh = refined("unit_square", 1)
         other = refined("unit_square", 1)
         cls = classify_boundary(other, spec.beta)
-        dm = DofMap(other, 1, 1, cls)
+        dm = DofMap(other, 1, cls)
         with pytest.raises(ValueError):
             assemble(mesh, dm, spec)
 
@@ -270,7 +263,7 @@ class TestAssemble:
         )
         mesh = refined("unit_square", 1)
         cls = classify_boundary(mesh, beta)
-        dm = DofMap(mesh, 1, 1, cls)
+        dm = DofMap(mesh, 1, cls)
         with pytest.warns(UserWarning, match="straddles"):
             assemble(mesh, dm, spec)
 
@@ -292,7 +285,7 @@ class TestAssemble:
         )
         mesh = refined("unit_square", 2)
         cls = classify_boundary(mesh, beta)
-        dm = DofMap(mesh, 1, 1, cls)
+        dm = DofMap(mesh, 1, cls)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assemble(mesh, dm, spec)
@@ -301,8 +294,7 @@ class TestAssemble:
         # beta splits along x = 1/2 and c along y = 1/2 (both mesh lines),
         # so elements take every (beta, c) branch pair; the manufactured
         # load of each element uses its own pair
-        from pdwg.assembly import build_contexts
-        from pdwg.fields import PiecewiseScalar, bind
+        from pdwg.fields import PiecewiseScalar
 
         beta = PiecewiseVector(
             "left_right",
@@ -320,8 +312,9 @@ class TestAssemble:
         tables = build_contexts(mesh, spec)
         pairs = set()
         for t in range(mesh.num_elements):
-            cx, cy = mesh.element_coords(t).mean(axis=0)
-            b, ct = bind(beta, cx, cy), bind(c, cx, cy)
+            cx, cy = coords_of(mesh, t).mean(axis=0)
+            b = beta.branches[int(beta.branch_index(cx, cy))]
+            ct = c.branches[int(c.branch_index(cx, cy))]
             pairs.add((b.name, ct.name))
             x, y = tables.qpts[t, :, 0], tables.qpts[t, :, 1]
             assert np.array_equal(tables.beta_q[t], np.stack(b(x, y), axis=-1))
@@ -338,7 +331,7 @@ class TestAssemble:
         spec = make_spec(g=float("inf"))
         mesh = refined("unit_square", 1)
         cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, 1, 1, cls)
+        dm = DofMap(mesh, 1, cls)
         first = int(cls.inflow_edges[0])
         with pytest.raises(ValueError, match=f"g has a non-finite value on edge {first}"):
             assemble(mesh, dm, spec)
@@ -354,11 +347,16 @@ class TestAssemble:
 
     @pytest.mark.parametrize(
         "override,field",
-        [({"domain_tag": "disk"}, "domain_tag"), ({"k": 2}, "k"), ({"j": 2}, "j"), ({"j": -1}, "j")],
+        [({"domain_tag": "disk"}, "domain_tag"), ({"j": 0.5}, "j"), ({"j": 2}, "j"), ({"j": -1}, "j")],
     )
     def test_bad_spec_rejected_naming_field(self, override, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
-            make_spec().with_overrides(**override)
+            dataclasses.replace(make_spec(), **override)
+
+    def test_k_is_fixed_at_one(self):
+        spec = make_spec()
+        assert spec.k == 1 and ProblemSpec.k == 1
+        assert "k" not in {f.name for f in dataclasses.fields(ProblemSpec)}
 
     def test_matrixmarket_dump_round_trip(self, tmp_path):
         from scipy.io import mmread

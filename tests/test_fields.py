@@ -7,7 +7,6 @@ from pdwg.fields import (
     PiecewiseScalar,
     PiecewiseVector,
     SCALAR_FIELDS,
-    bind,
     constant,
     constant_vector,
     rotation,
@@ -34,16 +33,17 @@ class TestPiecewise:
 
     def test_branch_selection(self):
         beta = self.pw()
-        lower = beta.branch_at(0.2, 0.2)
-        upper = beta.branch_at(0.8, 0.8)
+        lower = beta.branches[int(beta.branch_index(0.2, 0.2))]
+        upper = beta.branches[int(beta.branch_index(0.8, 0.8))]
         assert lower(np.array([0.0]), np.array([0.0]))[0][0] == 1.0
         assert upper(np.array([0.0]), np.array([0.0]))[0][0] == -1.0
 
     def test_bind_resolves_branch(self):
         beta = self.pw()
-        bound = bind(beta, 0.1, 0.1)
+        bound = beta.branches[int(beta.branch_index(0.1, 0.1))]
         assert bound.div(np.array([0.5]), np.array([0.5]))[0] == 0.0
-        plain = bind(constant_vector(2.0, 0.0), 0.0, 0.0)
+        single = constant_vector(2.0, 0.0)
+        plain = single.branches[int(single.branch_index(0.0, 0.0))]
         assert plain(np.array([1.0]), np.array([1.0]))[0][0] == 2.0
 
     def test_pointwise_scalar_evaluation(self):
@@ -118,7 +118,7 @@ class TestConfig:
                 "else": {"const": [-1, 1]},
             }
         )
-        assert v.branch_at(0.1, 0.1)(np.zeros(1), np.zeros(1))[0][0] == 1.0
+        assert v.branches[int(v.branch_index(0.1, 0.1))](np.zeros(1), np.zeros(1))[0][0] == 1.0
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):

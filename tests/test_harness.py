@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ class TestCli:
         )
         assert rc == 0
 
+    def test_roundoff_orders_blank(self, tmp_path):
+        # table1 (u = 1) has errors of 1e-17..1e-15 only: every order
+        # cell is blank; table5 has none and keeps its recorded bytes
+        assert main(["run", "--experiment", "table1", "--levels", "4", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "table1.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            cells = row.split(",")
+            assert cells[2] == cells[4] == cells[6] == ""
+            assert all(0.0 < float(cells[i]) <= 1e-12 for i in (1, 3, 5))
+        assert main(["run", "--experiment", "table5", "--levels", "6", "--out", str(tmp_path)]) == 0
+        recorded = Path(__file__).parent / "data" / "table5_levels_0_5.csv"
+        assert (tmp_path / "table5.csv").read_bytes() == recorded.read_bytes()
+
     def test_unknown_experiment_exits_3(self, tmp_path, capsys):
         rc = main(["run", "--experiment", "nope", "--out", str(tmp_path)])
         assert rc == 3
@@ -240,6 +255,19 @@ class TestConfigFile:
         assert rc == 3
         assert "domain_tag" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", [2, 0])
+    def test_k_other_than_1_exits_3_before_writing(self, tmp_path, capsys, k):
+        path = self.write_config(tmp_path, k=k)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert "k must be 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_equal_1_accepted(self, tmp_path):
+        exp = load_experiment_config(self.write_config(tmp_path, k=1, j=0))
+        assert exp.spec.k == 1 and exp.spec.j == 0
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

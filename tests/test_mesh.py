@@ -9,7 +9,7 @@ from pdwg.mesh import (
     classify_boundary,
     domain_area,
     dump_mesh,
-    element_geometry,
+    geometry_arrays,
     refine_uniform,
 )
 
@@ -93,8 +93,6 @@ class TestRefinement:
 
     @pytest.mark.parametrize("tag", DOMAIN_TAGS)
     def test_area_preserved(self, tag):
-        from pdwg.mesh import geometry_arrays
-
         mesh = build_coarse_mesh(tag)
         for level in range(6):
             total = geometry_arrays(mesh).area.sum()
@@ -104,8 +102,8 @@ class TestRefinement:
     def test_h_halves_exactly(self):
         coarse = build_coarse_mesh("unit_square")
         fine = refine_uniform(coarse)
-        h_coarse = max(element_geometry(coarse, t).diameter for t in range(2))
-        h_fine = max(element_geometry(fine, t).diameter for t in range(8))
+        h_coarse = geometry_arrays(coarse).diameter.max()
+        h_fine = geometry_arrays(fine).diameter.max()
         assert h_fine == pytest.approx(0.5 * h_coarse, abs=1e-15)
 
     def test_crack_midpoint_duplicated(self):
@@ -214,33 +212,34 @@ class TestVectorizedTopology:
 class TestElementGeometry:
     def test_reference_like_element(self):
         mesh = build_coarse_mesh("unit_square")
-        geom = element_geometry(mesh, 0)
-        assert geom.area == pytest.approx(0.5)
-        assert geom.diameter == pytest.approx(np.sqrt(2.0))
-        assert np.allclose(geom.centroid, mesh.element_coords(0).mean(axis=0))
+        geom = geometry_arrays(mesh)
+        assert geom.area[0] == pytest.approx(0.5)
+        assert geom.diameter[0] == pytest.approx(np.sqrt(2.0))
+        assert np.allclose(geom.centroid[0], mesh.vertices[mesh.elements[0]].mean(axis=0))
 
     @pytest.mark.parametrize("tag", DOMAIN_TAGS)
     def test_closed_polygon(self, tag):
         mesh = refined(tag, 2)
+        geom = geometry_arrays(mesh)
         for t in range(mesh.num_elements):
-            geom = element_geometry(mesh, t)
-            total = (geom.edge_lengths[:, None] * geom.edge_normals).sum(axis=0)
+            total = (geom.edge_lengths[t, :, None] * geom.edge_normals[t]).sum(axis=0)
             assert np.max(np.abs(total)) < 1e-14
-            assert np.allclose(np.hypot(*geom.edge_normals.T), 1.0)
+            assert np.allclose(np.hypot(*geom.edge_normals[t].T), 1.0)
 
     def test_level1_child_area(self):
         mesh = refined("unit_square", 1)
+        area = geometry_arrays(mesh).area
         for t in range(mesh.num_elements):
-            assert element_geometry(mesh, t).area == pytest.approx(0.125)
+            assert area[t] == pytest.approx(0.125)
 
     def test_normals_point_outward(self):
         mesh = build_coarse_mesh("l_shape")
+        geom = geometry_arrays(mesh)
         for t in range(mesh.num_elements):
-            geom = element_geometry(mesh, t)
-            coords = mesh.element_coords(t)
+            coords = mesh.vertices[mesh.elements[t]]
             for i in range(3):
                 mid = 0.5 * (coords[i] + coords[(i + 1) % 3])
-                assert np.dot(mid - geom.centroid, geom.edge_normals[i]) > 0
+                assert np.dot(mid - geom.centroid[t], geom.edge_normals[t, i]) > 0
 
 
 def edge_set_on(mesh, predicate):
@@ -311,8 +310,7 @@ class TestClassifyBoundary:
 
 
 def test_classification_matches_pointwise_reference():
-    from pdwg.fields import HalfPlane, PiecewiseVector, bind
-    from pdwg.mesh import element_geometry
+    from pdwg.fields import HalfPlane, PiecewiseVector
 
     beta = PiecewiseVector(
         "pw",
@@ -321,13 +319,14 @@ def test_classification_matches_pointwise_reference():
     )
     mesh = refined("cracked_square", 2)
     cls = classify_boundary(mesh, beta)
+    geom = geometry_arrays(mesh)
     inflow = []
     for e in mesh.boundary_edges:
         t = int(mesh.edge_elems[e, 0])
-        geom = element_geometry(mesh, t)
-        n = geom.edge_normals[list(mesh.element_edges[t]).index(e)]
+        n = geom.edge_normals[t, list(mesh.element_edges[t]).index(e)]
         mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
-        bx, by = bind(beta, *geom.centroid)(np.array([mid[0]]), np.array([mid[1]]))
+        branch = beta.branches[int(beta.branch_index(*geom.centroid[t]))]
+        bx, by = branch(np.array([mid[0]]), np.array([mid[1]]))
         if bx[0] * n[0] + by[0] * n[1] < -1e-12:
             inflow.append(int(e))
     assert cls.inflow_edges.tolist() == inflow

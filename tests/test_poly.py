@@ -7,16 +7,18 @@ from pdwg.poly import (
     dim_poly2d,
     map_to_edge,
     map_to_triangle,
-    monomial_exponents,
     project_edge,
     project_element,
     quad_edge,
     quad_triangle,
-    tri_area,
-    tri_diameter,
 )
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def longest_edge(coords):
+    """Diameter of a triangle, computed as project_element does."""
+    return max(np.hypot(*(coords[(i + 1) % 3] - coords[i])) for i in range(3))
 
 
 def ref_monomial_integral(a, b):
@@ -47,7 +49,7 @@ class TestQuadTriangle:
     @pytest.mark.parametrize("degree", range(1, 11))
     def test_monomial_exactness_sweep(self, degree):
         rule = quad_triangle(degree)
-        for a, b in monomial_exponents(degree):
+        for a, b in [(d - i, i) for d in range(degree + 1) for i in range(d + 1)]:
             val = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
             assert val == pytest.approx(ref_monomial_integral(a, b), abs=1e-13)
 
@@ -93,8 +95,13 @@ class TestTriBasis:
         vals = basis.eval(pts, np.array([0.5, 0.5]), 2.0)
         assert np.allclose(vals[:, 0], 1.0)
 
+    @pytest.mark.parametrize("degree", [-1, 2, 3])
+    def test_unsupported_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree 0 or 1"):
+            TriBasis(degree)
+
     def test_gradient_matches_finite_difference(self):
-        basis = TriBasis(2)
+        basis = TriBasis(1)
         c = np.array([0.4, 0.3])
         h = 1.7
         pts = np.array([[0.25, 0.6]])
@@ -114,7 +121,7 @@ class TestTriBasis:
         rule = quad_triangle(4)
         pts, w = map_to_triangle(rule, coords)
         basis = TriBasis(1)
-        vals = basis.eval(pts, coords.mean(axis=0), tri_diameter(coords))
+        vals = basis.eval(pts, coords.mean(axis=0), longest_edge(coords))
         M = vals.T @ (w[:, None] * vals)
         assert np.allclose(M, M.T)
         assert np.all(np.linalg.eigvalsh(M) > 0)
@@ -128,7 +135,7 @@ class TestProjection:
         # evaluating the projection at arbitrary points recovers f
         basis = TriBasis(1)
         pts = np.array([[0.2, 0.3], [0.1, 0.05], [0.4, 0.55]])
-        vals = basis.eval(pts, REF.mean(axis=0), tri_diameter(REF)) @ coeffs
+        vals = basis.eval(pts, REF.mean(axis=0), longest_edge(REF)) @ coeffs
         assert np.allclose(vals, f(pts[:, 0], pts[:, 1]), atol=1e-12)
 
     def test_mean_value_of_x_squared(self):
@@ -142,7 +149,7 @@ class TestProjection:
         rule = quad_triangle(8)
         pts, w = map_to_triangle(rule, REF)
         basis = TriBasis(1)
-        vals = basis.eval(pts, REF.mean(axis=0), tri_diameter(REF))
+        vals = basis.eval(pts, REF.mean(axis=0), longest_edge(REF))
         resid = f(pts[:, 0], pts[:, 1]) - vals @ coeffs
         for m in range(3):
             assert abs(np.sum(w * resid * vals[:, m])) < 1e-12
@@ -151,7 +158,7 @@ class TestProjection:
         f = lambda x, y: np.cos(x) * y
         c1 = project_element(f, 1, REF, quad_degree=8)
         basis = TriBasis(1)
-        center, h = REF.mean(axis=0), tri_diameter(REF)
+        center, h = REF.mean(axis=0), longest_edge(REF)
         c2 = project_element(
             lambda x, y: basis.eval(np.column_stack([x, y]), center, h) @ c1, 1, REF, quad_degree=8
         )
@@ -192,5 +199,12 @@ class TestEdgeProjection:
 
 
 def test_tri_area_and_diameter():
-    assert tri_area(REF) == pytest.approx(0.5)
-    assert tri_diameter(REF) == pytest.approx(np.sqrt(2.0))
+    # element 0 of the coarse unit square is the reference triangle
+    from pdwg.mesh import build_coarse_mesh, geometry_arrays
+
+    mesh = build_coarse_mesh("unit_square")
+    assert np.array_equal(mesh.vertices[mesh.elements[0]], REF)
+    geom = geometry_arrays(mesh)
+    assert geom.area[0] == pytest.approx(0.5)
+    assert geom.diameter[0] == pytest.approx(np.sqrt(2.0))
+    assert longest_edge(REF) == geom.diameter[0]

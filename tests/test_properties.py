@@ -1,0 +1,89 @@
+"""Property tests: random constant convection, reaction, stabilization and
+multiplier degree on the three built-in meshes at level 2.
+
+Each draw checks the structure of the assembled system, that the constant
+solution is reproduced, and elementwise conservation of a smooth
+manufactured solution.  Draws are derandomized so the suite is
+reproducible.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdwg.analysis import conservation_report, error_norms
+from pdwg.assembly import ProblemSpec, assemble, build_contexts
+from pdwg.fields import SCALAR_FIELDS, DerivedLoad, constant, constant_vector
+from pdwg.mesh import DOMAIN_TAGS, build_coarse_mesh, classify_boundary, refine_uniform
+from pdwg.solver import solve
+from pdwg.weakspace import DofMap
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def level2(tag):
+    return refine_uniform(refine_uniform(build_coarse_mesh(tag)))
+
+
+@st.composite
+def problems(draw):
+    """A mesh and a spec builder for constant beta = r (cos t, sin t)."""
+    tag = draw(st.sampled_from(DOMAIN_TAGS))
+    r = draw(st.floats(0.5, 2.0))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    c = draw(st.floats(0.0, 2.0))
+    tau = draw(st.floats(0.0, 10.0))
+    j = draw(st.sampled_from((0, 1)))
+    beta = constant_vector(r * math.cos(theta), r * math.sin(theta))
+
+    def spec(exact):
+        return ProblemSpec(
+            beta=beta, c=constant(c), f=DerivedLoad(exact), g=exact,
+            tau=tau, domain_tag=tag, exact_u=exact, j=j,
+        )
+
+    return level2(tag), spec
+
+
+def solve_problem(mesh, spec):
+    dm = DofMap(mesh, spec.j, classify_boundary(mesh, spec.beta))
+    tables = build_contexts(mesh, spec)
+    system = assemble(mesh, dm, spec, tables)
+    return dm, tables, system, solve(system)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_symmetric_with_zero_primal_block(problem):
+    mesh, spec = problem
+    s = spec(SCALAR_FIELDS["one"])
+    dm = DofMap(mesh, s.j, classify_boundary(mesh, s.beta))
+    A = assemble(mesh, dm, s).matrix
+    asym = abs(A - A.T)
+    assert (asym.max() if asym.nnz else 0.0) <= 1e-13
+    assert A[dm.n_lambda :, dm.n_lambda :].count_nonzero() == 0
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_constant_solution_reproduced(problem):
+    mesh, spec = problem
+    s = spec(SCALAR_FIELDS["one"])
+    _, tables, _, solution = solve_problem(mesh, s)
+    errs = error_norms(solution, s, mesh, tables)
+    assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
+    assert np.allclose(solution.u.coeffs, 1.0, rtol=0, atol=1e-8)
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_elementwise_conservation(problem):
+    mesh, spec = problem
+    s = spec(SCALAR_FIELDS["sin_x_cos_y"])
+    _, tables, _, solution = solve_problem(mesh, s)
+    cons = conservation_report(solution, s, mesh, tables)
+    assert cons.max_element_residual <= 1e-9 * cons.scale_f

@@ -22,7 +22,7 @@ def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, 
     for _ in range(level):
         mesh = refine_uniform(mesh)
     cls = classify_boundary(mesh, spec.beta)
-    dm = DofMap(mesh, 1, j, cls)
+    dm = DofMap(mesh, j, cls)
     return mesh, dm, assemble(mesh, dm, spec)
 
 

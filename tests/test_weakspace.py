@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pdwg.fields import constant_vector
-from pdwg.mesh import build_coarse_mesh, classify_boundary, element_geometry, refine_uniform
+from pdwg.assembly import ElementTables
+from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, refine_uniform
 from pdwg.poly import (
     EdgeBasis,
     TriBasis,
@@ -18,7 +19,6 @@ from pdwg.weakspace import (
     WeakFunction,
     commutativity_check,
     project_to_weak,
-    weak_gradient_local,
 )
 
 BETA = constant_vector(1.0, -1.0)
@@ -31,15 +31,19 @@ def refined(tag, level):
     return mesh
 
 
-def make_dofmap(mesh, k=1, j=1, beta=BETA):
-    return DofMap(mesh, k, j, classify_boundary(mesh, beta))
+def make_dofmap(mesh, j=1, beta=BETA):
+    return DofMap(mesh, j, classify_boundary(mesh, beta))
+
+
+def coords_of(mesh, t):
+    return mesh.vertices[mesh.elements[t]]
 
 
 def find_reference_like_element(mesh):
     """Element of the coarse unit square congruent to the triangle
     (0,0),(1,0),(0,1): the one containing the origin corner."""
     for t in range(mesh.num_elements):
-        coords = mesh.element_coords(t)
+        coords = coords_of(mesh, t)
         if any(np.allclose(c, (0.0, 0.0)) for c in coords):
             return t
     raise AssertionError("no corner element found")
@@ -73,10 +77,12 @@ class TestDofMap:
         mesh = refined("unit_square", 1)
         dm = make_dofmap(mesh)
         for e in dm.classification.outflow_edges:
-            assert dm.is_constrained_edge(e)
             assert dm.lamb_start[e] == -1
+        outflow = np.isin(mesh.element_edges, dm.classification.outflow_edges)
+        traces = dm.lambda_indices[:, 3:].reshape(mesh.num_elements, 3, 2)
+        assert np.all(traces[outflow] == -1) and np.all(traces[~outflow] >= 0)
         for t in range(mesh.num_elements):
-            idx = dm.element_lambda_indices(t)
+            idx = dm.lambda_indices[t]
             free = idx[idx >= 0]
             assert np.all(free < dm.n_lambda)
             assert len(np.unique(free)) == len(free)
@@ -86,17 +92,17 @@ class TestDofMap:
         dm = make_dofmap(mesh)
         seen = set()
         for t in range(mesh.num_elements):
-            seen.update(int(i) for i in dm.element_lambda_indices(t) if i >= 0)
-            seen.update(int(i) for i in dm.u_indices(t))
+            seen.update(int(i) for i in dm.lambda_indices[t] if i >= 0)
+            seen.add(int(dm.u_start[t]))
         assert seen == set(range(dm.n_total))
 
     def test_rejects_unsupported_degrees(self):
         mesh = build_coarse_mesh("unit_square")
         cls = classify_boundary(mesh, BETA)
         with pytest.raises(ValueError):
-            DofMap(mesh, 2, 2, cls)
+            DofMap(mesh, 2, cls)
         with pytest.raises(ValueError):
-            DofMap(mesh, 1, 2, cls)
+            DofMap(mesh, -1, cls)
 
 
 class TestWeakFunctionRoundTrip:
@@ -115,9 +121,10 @@ class TestWeakGradient:
     def test_gradient_of_h1_linear_is_classical(self):
         # v0 = x with matching trace: grad_w v = (1, 0) on any triangle
         mesh = refined("l_shape", 1)
+        tables = ElementTables(mesh, 1, 1)
         for t in [0, 3, mesh.num_elements - 1]:
-            G = weak_gradient_local(mesh, t, k=1, j=1)
-            lam0 = project_element(lambda x, y: x, 1, mesh.element_coords(t))
+            G = tables.G[t]
+            lam0 = project_element(lambda x, y: x, 1, coords_of(mesh, t))
             local = [lam0]
             for i in range(3):
                 a_id = mesh.elements[t][i]
@@ -129,15 +136,15 @@ class TestWeakGradient:
                 half = 0.5 * (hi - lo)
                 local.append(np.array([mid[0], half[0]]))
             val = G @ np.concatenate(local)
-            assert np.allclose(val[:, 0], [1.0, 0.0], atol=1e-12)
+            assert np.allclose(val, [1.0, 0.0], atol=1e-12)
 
     def test_hypotenuse_trace_oracle(self):
         # oracle: v0=0, vb=1 on the hypotenuse of the reference-like
         # triangle, r=0: grad_w v = <1, n>_e |e| / |T| = (2, 2)
         mesh = build_coarse_mesh("unit_square")
         t = find_reference_like_element(mesh)
-        coords = mesh.element_coords(t)
-        G = weak_gradient_local(mesh, t, k=1, j=1)
+        coords = coords_of(mesh, t)
+        G = ElementTables(mesh, 1, 1).G[t]
         local = np.zeros(3 + 3 * 2)
         for i in range(3):
             a = coords[i]
@@ -148,12 +155,13 @@ class TestWeakGradient:
             if not on_axis:  # the hypotenuse
                 local[3 + 2 * i] = 1.0
         val = G @ local
-        assert np.allclose(val[:, 0], [2.0, 2.0], atol=1e-12)
+        assert np.allclose(val, [2.0, 2.0], atol=1e-12)
 
     def test_constant_weak_function_has_zero_gradient(self):
         mesh = refined("unit_square", 1)
+        tables = ElementTables(mesh, 1, 1)
         for t in range(mesh.num_elements):
-            G = weak_gradient_local(mesh, t, k=1, j=1)
+            G = tables.G[t]
             local = np.zeros(9)
             local[0] = 1.0  # v0 = 1
             local[3::2] = 1.0  # vb = 1 on each edge
@@ -171,14 +179,13 @@ class TestWeakGradient:
         rule = quad_triangle(4)
         erule = quad_edge(9)
         worst = 0.0
+        geom = geometry_arrays(mesh)
+        tables = ElementTables(mesh, 1, 1)
         for t in range(mesh.num_elements):
-            geom = element_geometry(mesh, t)
-            coords = mesh.element_coords(t)
-            G = weak_gradient_local(mesh, t, k=1, j=1)
-            area = geom.area
+            G = tables.G[t]
             # r=0: psi in {(1,0),(0,1)}, div psi = 0
-            # lhs[comp, n] = area * G[comp, 0, n]
-            lhs = area * G[:, 0, :]
+            # lhs[comp, n] = area * G[comp, n]
+            lhs = geom.area[t] * G
             rhs = np.zeros_like(lhs)
             for i in range(3):
                 a_id = mesh.elements[t][i]
@@ -186,7 +193,7 @@ class TestWeakGradient:
                 pts, w, tloc = map_to_edge(erule, mesh.vertices[a_id], mesh.vertices[b_id])
                 tglob = tloc if a_id < b_id else -tloc
                 evals = basis_e.eval(tglob)
-                n = geom.edge_normals[i]
+                n = geom.edge_normals[t, i]
                 lo = basis_j.dim + i * basis_e.dim
                 for comp in range(2):
                     rhs[comp, lo : lo + basis_e.dim] = n[comp] * (w @ evals)
@@ -200,7 +207,7 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: 2.0 * x - y + 0.5,
             lambda x, y: (np.full_like(np.asarray(x, float), 2.0), np.full_like(np.asarray(x, float), -1.0)),
-            mesh, k=1, j=1,
+            mesh, j=1,
         )
         assert res <= 1e-11
 
@@ -210,25 +217,25 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: x**2,
             lambda x, y: (2.0 * np.asarray(x, float), np.zeros_like(np.asarray(x, float))),
-            mesh, k=1, j=1,
+            mesh, j=1,
         )
         assert res <= 1e-12
 
         proj = project_to_weak(lambda x, y: x**2, mesh, j=1)
         t = 0
-        G = weak_gradient_local(mesh, t, 1, 1)
+        G = ElementTables(mesh, 1, 1).G[t]
         local = np.concatenate(
             [proj.lam0[t]] + [proj.lamb[mesh.element_edges[t, i]] for i in range(3)]
         )
-        centroid = mesh.element_coords(t).mean(axis=0)
-        assert np.allclose((G @ local)[:, 0], [2.0 * centroid[0], 0.0], atol=1e-12)
+        centroid = coords_of(mesh, t).mean(axis=0)
+        assert np.allclose(G @ local, [2.0 * centroid[0], 0.0], atol=1e-12)
 
     def test_commutativity_smooth_with_enlarged_quadrature(self):
         mesh = refined("unit_square", 3)
         res = commutativity_check(
             lambda x, y: np.sin(x) * np.cos(y),
             lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
-            mesh, k=1, j=1, quad_degree=8,
+            mesh, j=1, quad_degree=8,
         )
         assert res <= 1e-10
 
@@ -241,7 +248,7 @@ class TestWeakGradient:
             return np.sin(3.0 * x) * np.exp(y) + x * y
 
         proj = project_to_weak(w, mesh, j, quad_degree=8)
-        lam0 = np.array([project_element(w, j, mesh.element_coords(t), 8) for t in range(mesh.num_elements)])
+        lam0 = np.array([project_element(w, j, coords_of(mesh, t), 8) for t in range(mesh.num_elements)])
         lamb = np.array([project_edge(w, j, *mesh.vertices[mesh.edges[e]]) for e in range(mesh.num_edges)])
         assert np.allclose(proj.lam0, lam0, rtol=0, atol=1e-14 * np.abs(lam0).max())
         assert np.allclose(proj.lamb, lamb, rtol=0, atol=1e-14 * np.abs(lamb).max())
@@ -249,7 +256,7 @@ class TestWeakGradient:
     def test_commutativity_requires_j_at_least_k_minus_1(self):
         mesh = build_coarse_mesh("unit_square")
         with pytest.raises(ValueError):
-            commutativity_check(lambda x, y: x, lambda x, y: (1.0, 0.0), mesh, k=2, j=0)
+            commutativity_check(lambda x, y: x, lambda x, y: (1.0, 0.0), mesh, j=-1)
 
 
 class TestPrimalFunction:
