@@ -13,7 +13,7 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 - ``weakspace``  degrees of freedom and the discrete weak gradient
 - ``assembly``   local forms and the global saddle-point system
 - ``solver``     sparse direct / iterative solution with residual checks
-- ``analysis``   error norms, conservation checks, convergence orders
+- ``analysis``   error norms, conservation checks, post-processing
 - ``fields``     closed-form coefficient fields and piecewise composition
 - ``catalog``    the benchmark experiment catalog
 - ``study``      refinement-study driver and CSV emission

@@ -1,5 +1,5 @@
-"""Error norms, discrete diagnostics, conservation verification, and
-convergence orders.
+"""Error norms, discrete diagnostics, conservation verification and
+post-processing.
 
 Error measurement follows the benchmark convention: the primal solution is
 compared with the exact solution sampled at element centers (nodal point
@@ -34,13 +34,11 @@ from .weakspace import PrimalFunction, WeakFunction
 
 @dataclass
 class ErrorReport:
-    """Discrete error norms of one solve (None when not computed)."""
+    """Discrete error norms of one solve."""
 
     err_u: float
     err_lam0: float
     err_lamb: float
-    norm_mh: float | None = None
-    norm_wh: float | None = None
 
 
 @dataclass
@@ -143,7 +141,7 @@ def triple_norm_Mh(
     with the jump equal to the one-sided value on inflow boundary edges.
     Requires the analytic divergence of beta (carried by the field);
     v is elementwise constant (k=1)."""
-    if not all(hasattr(branch, "div") for branch in spec.beta.branches):
+    if any(branch.div is None for branch in spec.beta.branches):
         raise ValueError("beta must provide an analytic divergence")
     tables = build_contexts(mesh, spec)
     vt = v.coeffs[:, 0]
@@ -207,20 +205,6 @@ def conservation_report(
         interior_edges=interior,
         scale_f=max(1.0, float(np.abs(tables.f_q).max())),
     )
-
-
-def convergence_orders(errors) -> list[float | None]:
-    """Orders log2(e_{n-1} / e_n) between consecutive halved-h levels; the
-    first entry is None."""
-    errors = list(errors)
-    if len(errors) < 2:
-        raise ValueError("need at least two levels to compute orders")
-    orders: list[float | None] = [None]
-    for prev, cur in zip(errors, errors[1:]):
-        if not (prev > 0 and cur > 0) or not (math.isfinite(prev) and math.isfinite(cur)):
-            raise ValueError(f"cannot compute order from errors {prev}, {cur}")
-        orders.append(math.log2(prev / cur))
-    return orders
 
 
 @dataclass

@@ -55,8 +55,8 @@ class ProblemSpec:
     The primal degree ``k`` is fixed at 1 (u_h piecewise constant) and
     the multiplier degree ``j`` is k-1 or k.  Construction raises
     ValueError naming the field for a non-finite or negative ``tau``, an
-    unknown ``domain_tag`` or j not in {k-1, k}, so a bad spec fails
-    before any mesh is built.
+    unknown ``domain_tag`` or a j other than the integer k-1 or k, so a
+    bad spec fails before any mesh is built.
     """
 
     k: ClassVar[int] = 1
@@ -75,8 +75,8 @@ class ProblemSpec:
             raise ValueError(f"tau must be a finite nonnegative number, got {self.tau}")
         if self.domain_tag not in DOMAIN_TAGS:
             raise ValueError(f"domain_tag must be one of {DOMAIN_TAGS}, got {self.domain_tag!r}")
-        if self.j not in (self.k - 1, self.k):
-            raise ValueError(f"j must be k-1 or k, got j={self.j} for k={self.k}")
+        if type(self.j) is not int or self.j not in (self.k - 1, self.k):
+            raise ValueError(f"j must be the integer k-1 or k, got j={self.j!r} for k={self.k}")
 
 
 @dataclass

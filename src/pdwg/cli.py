@@ -26,9 +26,9 @@ import json
 import sys
 from pathlib import Path
 
-from .assembly import ProblemSpec, assemble
-from .catalog import Experiment, catalog, get_experiment
-from .fields import DerivedLoad, scalar_from_config, vector_from_config
+from .assembly import assemble
+from .catalog import Experiment, catalog, get_experiment, make_experiment
+from .fields import field_from_config, number
 from .mesh import build_coarse_mesh, classify_boundary, refine_uniform
 from .solver import SolverError
 from .study import emit_csv, emit_plot_data, run_study
@@ -43,57 +43,48 @@ def load_experiment_config(path) -> Experiment:
     """Build an experiment from a JSON file mirroring the problem fields.
 
     Required keys: name, domain, beta, tau.  Optional: c (default 0),
-    exact_u, f, g, k (must be 1), j (0 or 1, default 1), levels.  When
-    exact_u is given, f and g default to the manufactured load and the
-    exact inflow trace.
+    exact_u, f, g, k (must be 1), j (0 or 1, default 1), levels ([lo, hi],
+    default [0, 5]).  When exact_u is given, f and g default to the
+    manufactured load and the exact inflow trace.
     """
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     for key in ("name", "domain", "beta", "tau"):
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
+    name = cfg["name"]
+    if not (isinstance(name, str) and name and Path(name).name == name):
+        raise ValueError(f"name must be a plain file name (it names the output files), got {name!r}")
     if cfg.get("k", 1) != 1:
         raise ValueError(f"k must be 1 (only the lowest order is supported), got k={cfg['k']!r}")
-
-    beta = vector_from_config(cfg["beta"])
-    c = scalar_from_config(cfg.get("c", 0.0))
-    exact = scalar_from_config(cfg["exact_u"]) if "exact_u" in cfg else None
-    if "f" in cfg:
-        f = scalar_from_config(cfg["f"])
-    elif exact is not None:
-        f = DerivedLoad(exact)
-    else:
-        raise ValueError("config needs either f or exact_u")
-    if "g" in cfg:
-        g = scalar_from_config(cfg["g"])
-    elif exact is not None:
-        g = exact
-    else:
-        raise ValueError("config needs either g or exact_u")
-
-    spec = ProblemSpec(
-        beta=beta,
-        c=c,
-        f=f,
-        g=g,
-        tau=float(cfg["tau"]),
-        domain_tag=cfg["domain"],
-        exact_u=exact,
-        j=int(cfg.get("j", 1)),
-    )
-    levels = tuple(cfg.get("levels", (0, 5)))
-    outputs = ("errors", "conservation") if exact is not None else ("conservation", "field")
-    return Experiment(
-        name=cfg["name"],
-        spec=spec,
-        description=cfg.get("description", f"config {path}"),
-        levels=levels,
-        outputs=outputs,
+    levels = cfg.get("levels", [0, 5])
+    return make_experiment(
+        name,
+        cfg.get("description", f"config {path}"),
+        cfg["domain"],
+        field_from_config(cfg["beta"], vector=True),
+        field_from_config(cfg.get("c", 0.0)),
+        number(cfg, "tau"),
+        **{key: field_from_config(cfg[key]) for key in ("exact_u", "f", "g") if key in cfg},
+        j=cfg.get("j", 1),
+        levels=tuple(levels) if isinstance(levels, list) else levels,
     )
 
 
 # The --j choices name the multiplier degree relative to k = 1.
 J_DEGREES = {"k-1": 0, "k": 1}
+
+
+def _level_range(count, start, default):
+    """Levels start .. start + count - 1 for ``--levels count``, or
+    ``default`` when the option is not given."""
+    if count is None:
+        return default
+    if count < 1:
+        raise ValueError(f"--levels must be at least 1, got {count}")
+    return (start, start + count - 1)
 
 
 def _cmd_list(_args) -> int:
@@ -111,7 +102,7 @@ def _cmd_run(args) -> int:
         if args.experiment is not None
         else load_experiment_config(args.config)
     )
-    levels = (exp.levels[0], exp.levels[0] + args.levels - 1) if args.levels else None
+    levels = _level_range(args.levels, exp.levels[0], None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -139,7 +130,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     exp = get_experiment(args.experiment)
-    levels = (0, args.levels - 1) if args.levels else (0, 3)
+    levels = _level_range(args.levels, 0, (0, 3))
     failures: list[str] = []
 
     # Symmetry / structure gate on the finest verification level.

@@ -1,9 +1,10 @@
 """Closed-form coefficient fields and piecewise composition.
 
 Problem data (convection field, reaction, load, inflow data, exact
-solution) is drawn from a small registry of named closed forms plus
-piecewise composition over half-plane predicates.  Piecewise coefficient
-fields are resolved per element (the branch containing the element
+solution) is a :class:`Field`, one closed form (scalar or vector) drawn
+from a small registry of named forms, or a :class:`Piecewise` composition
+of fields over half-plane predicates.  Piecewise coefficient fields are
+resolved per element (the branch containing the element
 centroid), while piecewise exact solutions and boundary data are evaluated
 pointwise.
 
@@ -31,8 +32,19 @@ class HalfPlane:
         return self.a * np.asarray(x) + self.b * np.asarray(y) < self.d
 
 
-class _Single:
-    """A field with one branch everywhere."""
+@dataclass(frozen=True)
+class Field:
+    """A closed-form field with one branch everywhere.  A scalar field
+    returns an array and may carry its analytic gradient; a vector field
+    returns a pair of components and carries its analytic divergence."""
+
+    name: str
+    fn: Callable
+    grad: Callable | None = None
+    div: Callable | None = None
+
+    def __call__(self, x, y):
+        return self.fn(x, y)
 
     @property
     def branches(self) -> tuple:
@@ -42,9 +54,17 @@ class _Single:
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=np.intp)
 
 
-class _Piecewise:
-    """Branches over half planes: the first piece whose half plane holds
-    a point wins, and ``otherwise`` covers the rest."""
+@dataclass(frozen=True)
+class Piecewise:
+    """Fields composed over half planes: the first piece whose half plane
+    holds a point wins, and ``otherwise`` covers the rest.  Coefficients
+    resolve their branch per element; calling the composition (or its
+    ``grad``) evaluates it pointwise, as for exact solutions and boundary
+    data."""
+
+    name: str
+    pieces: tuple[tuple[HalfPlane, Field], ...]
+    otherwise: Field
 
     @property
     def branches(self) -> tuple:
@@ -57,6 +77,18 @@ class _Piecewise:
         for k in range(len(self.pieces) - 1, -1, -1):
             idx[self.pieces[k][0].contains(x, y)] = k
         return idx
+
+    def _pointwise(self, method, x, y):
+        idx = self.branch_index(x, y)
+        out = evaluate_branches(self.branches, idx, x, y, method)
+        return out if out.shape == idx.shape else (out[..., 0], out[..., 1])
+
+    def __call__(self, x, y):
+        return self._pointwise("__call__", x, y)
+
+    @property
+    def grad(self):
+        return lambda x, y: self._pointwise("grad", x, y)
 
 
 def evaluate_branches(branches, idx, x, y, method: str = "__call__") -> np.ndarray:
@@ -85,61 +117,6 @@ def evaluate_branches(branches, idx, x, y, method: str = "__call__") -> np.ndarr
 
 
 @dataclass(frozen=True)
-class ScalarField(_Single):
-    """A scalar field with an optional analytic gradient."""
-
-    name: str
-    fn: Callable
-    grad: Callable | None = None
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
-
-
-@dataclass(frozen=True)
-class VectorField(_Single):
-    """A 2D vector field with its analytic divergence."""
-
-    name: str
-    fn: Callable
-    div: Callable
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
-
-
-@dataclass(frozen=True)
-class PiecewiseScalar(_Piecewise):
-    """Scalar field composed of branches over half planes; the first
-    matching predicate wins and ``otherwise`` covers the rest."""
-
-    name: str
-    pieces: tuple[tuple[HalfPlane, ScalarField], ...]
-    otherwise: ScalarField
-
-    def __call__(self, x, y):
-        """Pointwise evaluation (used for boundary data and exact fields)."""
-        return evaluate_branches(self.branches, self.branch_index(x, y), x, y)
-
-    @property
-    def grad(self):
-        def _grad(x, y):
-            g = evaluate_branches(self.branches, self.branch_index(x, y), x, y, "grad")
-            return g[..., 0], g[..., 1]
-
-        return _grad
-
-
-@dataclass(frozen=True)
-class PiecewiseVector(_Piecewise):
-    """Vector field composed of branches over half planes."""
-
-    name: str
-    pieces: tuple[tuple[HalfPlane, VectorField], ...]
-    otherwise: VectorField
-
-
-@dataclass(frozen=True)
 class DerivedLoad:
     """Load manufactured from an exact solution:
 
@@ -148,11 +125,13 @@ class DerivedLoad:
     evaluated with the convection branch of the element being assembled.
     """
 
-    exact: ScalarField
+    exact: Field | Piecewise
 
-    def bind(self, beta: VectorField, c) -> Callable:
+    def bind(self, beta: Field, c) -> Callable:
         if self.exact.grad is None:
             raise ValueError(f"exact field {self.exact.name!r} has no gradient")
+        if beta.div is None:
+            raise ValueError(f"convection field {beta.name!r} has no divergence")
 
         def _f(x, y):
             ux, uy = self.exact.grad(x, y)
@@ -163,18 +142,18 @@ class DerivedLoad:
         return _f
 
 
-def constant(value: float, name: str | None = None) -> ScalarField:
+def constant(value: float, name: str | None = None) -> Field:
     v = float(value)
-    return ScalarField(
+    return Field(
         name if name is not None else f"const({v:g})",
         lambda x, y: np.full_like(np.asarray(x, dtype=float), v),
         grad=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2,
     )
 
 
-def constant_vector(bx: float, by: float, name: str | None = None) -> VectorField:
+def constant_vector(bx: float, by: float, name: str | None = None) -> Field:
     bx, by = float(bx), float(by)
-    return VectorField(
+    return Field(
         name if name is not None else f"const({bx:g},{by:g})",
         lambda x, y: (
             np.full_like(np.asarray(x, dtype=float), bx),
@@ -184,33 +163,30 @@ def constant_vector(bx: float, by: float, name: str | None = None) -> VectorFiel
     )
 
 
-def rotation(cx: float, cy: float, name: str | None = None) -> VectorField:
+def rotation(cx: float, cy: float, name: str | None = None) -> Field:
     """Divergence-free rotational field (y - cy, -(x - cx))."""
     cx, cy = float(cx), float(cy)
-    return VectorField(
+    return Field(
         name if name is not None else f"rotation({cx:g},{cy:g})",
         lambda x, y: (np.asarray(y, dtype=float) - cy, cx - np.asarray(x, dtype=float)),
         div=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
 
-def _ridge_params():
-    b1 = math.cos(math.pi / 6.0)
-    b2 = math.sin(math.pi / 6.0)
-    return b1, b2, b2 / b1
+# Slope of the characteristic direction (cos 30deg, sin 30deg) that the
+# ridge follows.
+_RIDGE_SLOPE = math.sin(math.pi / 6.0) / math.cos(math.pi / 6.0)
 
 
 def _ridge_value(x, y):
-    _, _, rho = _ridge_params()
-    w = np.asarray(y, dtype=float) - rho * np.asarray(x, dtype=float) - 0.5
+    w = np.asarray(y, dtype=float) - _RIDGE_SLOPE * np.asarray(x, dtype=float) - 0.5
     return 1.0 / (w * w + 0.1)
 
 
 def _ridge_grad(x, y):
-    _, _, rho = _ridge_params()
-    w = np.asarray(y, dtype=float) - rho * np.asarray(x, dtype=float) - 0.5
+    w = np.asarray(y, dtype=float) - _RIDGE_SLOPE * np.asarray(x, dtype=float) - 0.5
     dw = -2.0 * w / (w * w + 0.1) ** 2
-    return -rho * dw, dw
+    return -_RIDGE_SLOPE * dw, dw
 
 
 def _step_pm1(x, y):
@@ -219,32 +195,32 @@ def _step_pm1(x, y):
     return np.where(x <= 1e-12, 1.0, -1.0)
 
 
-_RIDGE = ScalarField("ridge", _ridge_value, grad=_ridge_grad)
+_RIDGE = Field("ridge", _ridge_value, grad=_ridge_grad)
 
 # Sharp interior layer cut off below the characteristic ray through the
 # origin; continuous there (both branches equal 20/7) with a kink.
-_RIDGE_PLATEAU = PiecewiseScalar(
+_RIDGE_PLATEAU = Piecewise(
     "ridge_with_plateau",
     pieces=(
-        (HalfPlane(-_ridge_params()[2], 1.0, 0.0), constant(20.0 / 7.0, "plateau")),
+        (HalfPlane(-_RIDGE_SLOPE, 1.0, 0.0), constant(20.0 / 7.0, "plateau")),
     ),
     otherwise=_RIDGE,
 )
 
-SCALAR_FIELDS: dict[str, ScalarField | PiecewiseScalar] = {
+SCALAR_FIELDS: dict[str, Field | Piecewise] = {
     "zero": constant(0.0, "zero"),
     "one": constant(1.0, "one"),
-    "sin_x_cos_y": ScalarField(
+    "sin_x_cos_y": Field(
         "sin_x_cos_y",
         lambda x, y: np.sin(x) * np.cos(y),
         grad=lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
     ),
-    "sin_x_sin_y": ScalarField(
+    "sin_x_sin_y": Field(
         "sin_x_sin_y",
         lambda x, y: np.sin(x) * np.sin(y),
         grad=lambda x, y: (np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)),
     ),
-    "sin_pix_sin_piy": ScalarField(
+    "sin_pix_sin_piy": Field(
         "sin_pix_sin_piy",
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
         grad=lambda x, y: (
@@ -252,7 +228,7 @@ SCALAR_FIELDS: dict[str, ScalarField | PiecewiseScalar] = {
             np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
         ),
     ),
-    "sin_pix_cos_piy": ScalarField(
+    "sin_pix_cos_piy": Field(
         "sin_pix_cos_piy",
         lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y),
         grad=lambda x, y: (
@@ -260,71 +236,72 @@ SCALAR_FIELDS: dict[str, ScalarField | PiecewiseScalar] = {
             -np.pi * np.sin(np.pi * x) * np.sin(np.pi * y),
         ),
     ),
-    "cos_5y": ScalarField("cos_5y", lambda x, y: np.cos(5.0 * y) + 0.0 * x),
-    "cos_y": ScalarField("cos_y", lambda x, y: np.cos(y) + 0.0 * x),
-    "sin_x": ScalarField("sin_x", lambda x, y: np.sin(x) + 0.0 * y),
+    "cos_5y": Field("cos_5y", lambda x, y: np.cos(5.0 * y) + 0.0 * x),
+    "cos_y": Field("cos_y", lambda x, y: np.cos(y) + 0.0 * x),
+    "sin_x": Field("sin_x", lambda x, y: np.sin(x) + 0.0 * y),
     "ridge": _RIDGE,
     "ridge_with_plateau": _RIDGE_PLATEAU,
-    "step_pm1": ScalarField("step_pm1", _step_pm1),
+    "step_pm1": Field("step_pm1", _step_pm1),
 }
 
-VECTOR_FIELDS: dict[str, VectorField] = {
+VECTOR_FIELDS: dict[str, Field] = {
     "oblique_30deg": constant_vector(
         math.cos(math.pi / 6.0), math.sin(math.pi / 6.0), "oblique_30deg"
     ),
 }
 
 
-def scalar_from_config(obj) -> ScalarField | PiecewiseScalar:
-    """Build a scalar field from a JSON-style description: a number, a
-    {"name": ...} registry lookup, a {"const": value}, or a
-    {"piecewise": [{"where": [a, b, d], "field": ...}, ...], "else": ...}.
-    """
-    if isinstance(obj, (int, float)):
-        return constant(float(obj))
+def field_from_config(obj, vector: bool = False) -> Field | Piecewise:
+    """Build a field from a JSON-style description: a {"name": ...}
+    registry lookup, a constant, or a {"piecewise": [{"where": [a, b, d],
+    "field": ...}, ...], "else": ...} composition of fields of the same
+    kind.  A scalar constant is a number or {"const": value}; a vector is
+    {"const": [bx, by]} or {"rotation": [cx, cy]}.  Raises ValueError
+    naming the key of any malformed part."""
+    kind, registry = ("vector", VECTOR_FIELDS) if vector else ("scalar", SCALAR_FIELDS)
+    if not vector and _is_number(obj):
+        return constant(obj)
     if not isinstance(obj, dict):
-        raise ValueError(f"cannot interpret scalar field spec {obj!r}")
+        raise ValueError(f"cannot interpret {kind} field spec {obj!r}")
     if "name" in obj:
         try:
-            return SCALAR_FIELDS[obj["name"]]
-        except KeyError:
+            return registry[obj["name"]]
+        except (KeyError, TypeError):
             raise ValueError(
-                f"unknown scalar field {obj['name']!r}; "
-                f"available: {sorted(SCALAR_FIELDS)}"
+                f"unknown {kind} field {obj['name']!r}; available: {sorted(registry)}"
             ) from None
     if "const" in obj:
-        return constant(float(obj["const"]))
+        return constant_vector(*_numbers(obj, "const", 2)) if vector else constant(number(obj, "const"))
+    if vector and "rotation" in obj:
+        return rotation(*_numbers(obj, "rotation", 2))
     if "piecewise" in obj:
+        pieces = obj["piecewise"]
+        if not (isinstance(pieces, list) and all(isinstance(p, dict) for p in pieces)):
+            raise ValueError(f"'piecewise' must be a list of where/field objects, got {pieces!r}")
         pieces = tuple(
-            (HalfPlane(*piece["where"]), scalar_from_config(piece["field"]))
-            for piece in obj["piecewise"]
+            (HalfPlane(*_numbers(p, "where", 3)), field_from_config(p.get("field"), vector))
+            for p in pieces
         )
-        return PiecewiseScalar("piecewise", pieces, scalar_from_config(obj["else"]))
-    raise ValueError(f"cannot interpret scalar field spec {obj!r}")
+        return Piecewise("piecewise", pieces, field_from_config(obj.get("else"), vector))
+    raise ValueError(f"cannot interpret {kind} field spec {obj!r}")
 
 
-def vector_from_config(obj) -> VectorField | PiecewiseVector:
-    """Build a vector field from a JSON-style description: {"const":
-    [bx, by]}, {"rotation": [cx, cy]}, a {"name": ...} registry lookup, or
-    a piecewise composition as for scalars."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"cannot interpret vector field spec {obj!r}")
-    if "name" in obj:
-        try:
-            return VECTOR_FIELDS[obj["name"]]
-        except KeyError:
-            raise ValueError(
-                f"unknown vector field {obj['name']!r}; "
-                f"available: {sorted(VECTOR_FIELDS)}"
-            ) from None
-    if "const" in obj:
-        return constant_vector(*obj["const"])
-    if "rotation" in obj:
-        return rotation(*obj["rotation"])
-    if "piecewise" in obj:
-        pieces = tuple(
-            (HalfPlane(*piece["where"]), vector_from_config(piece["field"]))
-            for piece in obj["piecewise"]
-        )
-        return PiecewiseVector("piecewise", pieces, vector_from_config(obj["else"]))
-    raise ValueError(f"cannot interpret vector field spec {obj!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float; ValueError naming ``key`` unless it is a
+    JSON number."""
+    if not _is_number(obj.get(key)):
+        raise ValueError(f"{key!r} must be a number, got {obj.get(key)!r}")
+    return float(obj[key])
+
+
+def _numbers(obj: dict, key: str, count: int) -> list[float]:
+    """``obj[key]`` as a list of ``count`` floats; ValueError naming
+    ``key`` unless it is a list of exactly ``count`` JSON numbers."""
+    values = obj.get(key)
+    if not (isinstance(values, list) and len(values) == count and all(map(_is_number, values))):
+        raise ValueError(f"{key!r} must be a list of {count} numbers, got {values!r}")
+    return [float(v) for v in values]

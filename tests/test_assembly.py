@@ -7,7 +7,7 @@ from pdwg.assembly import ProblemSpec, assemble, build_contexts, dump_matrixmark
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
-    PiecewiseVector,
+    Piecewise,
     SCALAR_FIELDS,
     constant,
     constant_vector,
@@ -248,7 +248,7 @@ class TestAssemble:
             assemble(mesh, dm, spec)
 
     def test_straddling_piecewise_beta_warns(self):
-        beta = PiecewiseVector(
+        beta = Piecewise(
             "bad_split",
             pieces=((HalfPlane(1.0, 0.0, 0.4), constant_vector(1.0, 0.0)),),
             otherwise=constant_vector(-1.0, 0.0),
@@ -270,7 +270,7 @@ class TestAssemble:
     def test_aligned_piecewise_beta_does_not_warn(self):
         import warnings
 
-        beta = PiecewiseVector(
+        beta = Piecewise(
             "aligned_split",
             pieces=((HalfPlane(1.0, 1.0, 1.0), constant_vector(1.0, -1.0)),),
             otherwise=constant_vector(-1.0, 1.0),
@@ -294,14 +294,12 @@ class TestAssemble:
         # beta splits along x = 1/2 and c along y = 1/2 (both mesh lines),
         # so elements take every (beta, c) branch pair; the manufactured
         # load of each element uses its own pair
-        from pdwg.fields import PiecewiseScalar
-
-        beta = PiecewiseVector(
+        beta = Piecewise(
             "left_right",
             pieces=((HalfPlane(1.0, 0.0, 0.5), constant_vector(1.0, 0.5)),),
             otherwise=constant_vector(-0.5, 1.0),
         )
-        c = PiecewiseScalar(
+        c = Piecewise(
             "low_high", pieces=((HalfPlane(0.0, 1.0, 0.5), constant(2.0)),), otherwise=constant(-3.0)
         )
         exact = SCALAR_FIELDS["sin_x_cos_y"]

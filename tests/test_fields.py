@@ -3,15 +3,14 @@ import pytest
 
 from pdwg.fields import (
     DerivedLoad,
+    Field,
     HalfPlane,
-    PiecewiseScalar,
-    PiecewiseVector,
+    Piecewise,
     SCALAR_FIELDS,
     constant,
     constant_vector,
+    field_from_config,
     rotation,
-    scalar_from_config,
-    vector_from_config,
 )
 
 
@@ -25,7 +24,7 @@ class TestHalfPlane:
 
 class TestPiecewise:
     def pw(self):
-        return PiecewiseVector(
+        return Piecewise(
             "flip",
             pieces=((HalfPlane(1.0, 1.0, 1.0), constant_vector(1.0, -1.0)),),
             otherwise=constant_vector(-1.0, 1.0),
@@ -47,7 +46,7 @@ class TestPiecewise:
         assert plain(np.array([1.0]), np.array([1.0]))[0][0] == 2.0
 
     def test_pointwise_scalar_evaluation(self):
-        field = PiecewiseScalar(
+        field = Piecewise(
             "sign",
             pieces=((HalfPlane(1.0, 0.0, 0.0), constant(-1.0)),),
             otherwise=constant(1.0),
@@ -90,6 +89,12 @@ class TestDerivedLoad:
         with pytest.raises(ValueError, match="gradient"):
             load.bind(constant_vector(1.0, 0.0), constant(0.0))
 
+    def test_requires_divergence(self):
+        load = DerivedLoad(SCALAR_FIELDS["one"])
+        beta = Field("no_div", lambda x, y: (x, y))
+        with pytest.raises(ValueError, match="divergence"):
+            load.bind(beta, constant(0.0))
+
 
 class TestRotation:
     def test_field_and_divergence(self):
@@ -101,32 +106,41 @@ class TestRotation:
 
 class TestConfig:
     def test_scalar_forms(self):
-        assert scalar_from_config(2.5)(np.zeros(1), np.zeros(1))[0] == 2.5
-        assert scalar_from_config({"const": -3})(np.zeros(1), np.zeros(1))[0] == -3.0
-        named = scalar_from_config({"name": "sin_x"})
+        assert field_from_config(2.5)(np.zeros(1), np.zeros(1))[0] == 2.5
+        assert field_from_config({"const": -3})(np.zeros(1), np.zeros(1))[0] == -3.0
+        named = field_from_config({"name": "sin_x"})
         assert named(np.array([0.5]), np.array([0.0]))[0] == pytest.approx(np.sin(0.5))
 
     def test_vector_forms(self):
-        v = vector_from_config({"rotation": [0.0, 0.0]})
+        v = field_from_config({"rotation": [0.0, 0.0]}, vector=True)
         bx, by = v(np.array([2.0]), np.array([1.0]))
         assert (bx[0], by[0]) == (1.0, -2.0)
 
     def test_piecewise_config(self):
-        v = vector_from_config(
+        v = field_from_config(
             {
                 "piecewise": [{"where": [1, 1, 1], "field": {"const": [1, -1]}}],
                 "else": {"const": [-1, 1]},
-            }
+            },
+            vector=True,
         )
         assert v.branches[int(v.branch_index(0.1, 0.1))](np.zeros(1), np.zeros(1))[0][0] == 1.0
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
-            scalar_from_config({"mystery": 1})
+            field_from_config({"mystery": 1})
         with pytest.raises(ValueError):
-            vector_from_config({"name": "no_such"})
+            field_from_config({"name": "no_such"}, vector=True)
         with pytest.raises(ValueError):
-            vector_from_config([1, 2])
+            field_from_config([1, 2], vector=True)
+
+    def test_kinds_do_not_mix(self):
+        for spec in ({"rotation": [0, 0]}, {"name": "oblique_30deg"}, {"const": [1, 2]}):
+            with pytest.raises(ValueError):
+                field_from_config(spec)
+        for spec in (1.0, {"name": "sin_x"}, {"const": 1}):
+            with pytest.raises(ValueError):
+                field_from_config(spec, vector=True)
 
 
 def test_step_field_sides():

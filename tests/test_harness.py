@@ -195,6 +195,15 @@ class TestCli:
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_levels_below_1_exit_3_before_writing(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", "table1", "--levels", count, "--out", str(out)]) == 3
+        assert "--levels must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["verify", "--experiment", "table1", "--levels", count]) == 3
+        assert "--levels must be at least 1" in capsys.readouterr().err
+
     def test_verify_passes_table1(self, capsys):
         assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0
         assert "PASS table1" in capsys.readouterr().out
@@ -254,6 +263,40 @@ class TestConfigFile:
         rc = main(["run", "--config", str(path), "--out", str(out)])
         assert rc == 3
         assert "domain_tag" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"name": "../escaped"}, "name must be a plain file name"),
+            ({"name": 5}, "name must be a plain file name"),
+            ({"j": 0.7}, "j must be the integer"),
+            ({"j": True}, "j must be the integer"),
+            ({"j": "1"}, "j must be the integer"),
+            ({"levels": [2]}, "levels must be two integers"),
+            ({"levels": "01"}, "levels must be two integers"),
+            ({"levels": [2, 1]}, "levels must be two integers"),
+            ({"levels": [-1, 2]}, "levels must be two integers"),
+            ({"levels": [0, 2.0]}, "levels must be two integers"),
+            ({"tau": "1"}, "'tau' must be a number"),
+            ({"beta": {"const": [1]}}, "'const' must be a list of 2 numbers"),
+            ({"beta": {"rotation": [0, 0, 0]}}, "'rotation' must be a list of 2 numbers"),
+            ({"c": {"const": [1]}}, "'const' must be a number"),
+            (
+                {"beta": {"piecewise": [{"where": [1, 1], "field": {"const": [1, -1]}}],
+                          "else": {"const": [-1, 1]}}},
+                "'where' must be a list of 3 numbers",
+            ),
+        ],
+    )
+    def test_malformed_input_exits_3_before_writing(self, tmp_path, capsys, overrides, message):
+        path = self.write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=message):
+            load_experiment_config(path)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("k", [2, 0])

@@ -310,9 +310,9 @@ class TestClassifyBoundary:
 
 
 def test_classification_matches_pointwise_reference():
-    from pdwg.fields import HalfPlane, PiecewiseVector
+    from pdwg.fields import HalfPlane, Piecewise
 
-    beta = PiecewiseVector(
+    beta = Piecewise(
         "pw",
         pieces=((HalfPlane(1.0, 1.0, 1.0), rotation(0.0, 0.0)),),
         otherwise=constant_vector(-1.0, 0.3),

@@ -1,12 +1,15 @@
 """Property tests: random constant convection, reaction, stabilization and
-multiplier degree on the three built-in meshes at level 2.
+multiplier degree on the three built-in meshes at level 2 and on random
+affine images of them.
 
 Each draw checks the structure of the assembled system, that the constant
 solution is reproduced, and elementwise conservation of a smooth
-manufactured solution.  Draws are derandomized so the suite is
-reproducible.
+manufactured solution; on affine images, the weak-gradient defining
+identity and the constant solution.  Draws are derandomized so the suite
+is reproducible.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -20,6 +23,7 @@ from pdwg.fields import SCALAR_FIELDS, DerivedLoad, constant, constant_vector
 from pdwg.mesh import DOMAIN_TAGS, build_coarse_mesh, classify_boundary, refine_uniform
 from pdwg.solver import solve
 from pdwg.weakspace import DofMap
+from test_acceptance import _identity_residual
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -87,3 +91,42 @@ def test_elementwise_conservation(problem):
     _, tables, _, solution = solve_problem(mesh, s)
     cons = conservation_report(solution, s, mesh, tables)
     assert cons.max_element_residual <= 1e-9 * cons.scale_f
+
+
+def rotation_matrix(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+@st.composite
+def affine_maps(draw):
+    """x -> M x + b with M = R(a) diag(s, s q) R(a'), so det M = s^2 q >=
+    1/160 and the condition number max(q, 1/q) is at most 10."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    s = draw(st.floats(0.25, 4.0))
+    q = draw(st.floats(0.1, 10.0))
+    M = rotation_matrix(draw(angle)) @ np.diag([s, s * q]) @ rotation_matrix(draw(angle))
+    b = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))])
+    return M, b
+
+
+def mapped(mesh, affine):
+    M, b = affine
+    return dataclasses.replace(mesh, vertices=mesh.vertices @ M.T + b)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(DOMAIN_TAGS), affine_maps())
+def test_weak_gradient_identity_on_affine_images(tag, affine):
+    assert _identity_residual(mapped(level2(tag), affine)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(problems(), affine_maps())
+def test_constant_solution_on_affine_images(problem, affine):
+    mesh, spec = problem
+    mesh = mapped(mesh, affine)
+    s = spec(SCALAR_FIELDS["one"])
+    _, tables, _, solution = solve_problem(mesh, s)
+    errs = error_norms(solution, s, mesh, tables)
+    assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
+    assert np.allclose(solution.u.coeffs, 1.0, rtol=0, atol=1e-8)
