@@ -12,7 +12,7 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 - ``poly``       polynomial bases, quadrature, L2 projections
 - ``weakspace``  degrees of freedom and the discrete weak gradient
 - ``assembly``   local forms and the global saddle-point system
-- ``solver``     sparse direct / iterative solution with residual checks
+- ``solver``     static condensation, nested-dissection sparse LU, residual checks
 - ``analysis``   error norms, conservation checks, post-processing
 - ``fields``     closed-form coefficient fields and piecewise composition
 - ``catalog``    the benchmark experiment catalog

@@ -88,6 +88,14 @@ class Piecewise:
 
     @property
     def grad(self):
+        """Pointwise gradient of a scalar composition; ValueError naming
+        the field when a branch has none (every branch of a vector one)."""
+        for branch in self.branches:
+            if branch.grad is None:
+                what = "vector fields have no gradient" if branch.div is not None else (
+                    f"branch {branch.name!r} has no gradient"
+                )
+                raise ValueError(f"piecewise field {self.name!r}: {what}")
         return lambda x, y: self._pointwise("grad", x, y)
 
 
@@ -278,11 +286,14 @@ def field_from_config(obj, vector: bool = False) -> Field | Piecewise:
         pieces = obj["piecewise"]
         if not (isinstance(pieces, list) and all(isinstance(p, dict) for p in pieces)):
             raise ValueError(f"'piecewise' must be a list of where/field objects, got {pieces!r}")
+        for key, where in [("field", p) for p in pieces] + [("else", obj)]:
+            if key not in where:
+                raise ValueError(f"'piecewise' is missing the key {key!r} in {where!r}")
         pieces = tuple(
-            (HalfPlane(*_numbers(p, "where", 3)), field_from_config(p.get("field"), vector))
+            (HalfPlane(*_numbers(p, "where", 3)), field_from_config(p["field"], vector))
             for p in pieces
         )
-        return Piecewise("piecewise", pieces, field_from_config(obj.get("else"), vector))
+        return Piecewise("piecewise", pieces, field_from_config(obj["else"], vector))
     raise ValueError(f"cannot interpret {kind} field spec {obj!r}")
 
 

@@ -6,7 +6,12 @@ P_j polynomial that vanishes on all of dT is zero, so this holds for
 tau = 0 too), and its rows of b(.,.) touch only that element's u_T.
 ``solve`` therefore eliminates lam_0 element by element (static
 condensation), factors the Schur complement over [lam_b; u] with a sparse
-LU (SuperLU, partial pivoting), and recovers lam_0 locally.
+LU (SuperLU, threshold pivoting), and recovers lam_0 locally.
+
+The factor runs in one fill-reducing order, :func:`nested_dissection`,
+built from the mesh: a recursive coordinate bisection of the free edges
+whose separators are read off the element-edge incidence, with every u_T
+placed after the traces of its element.
 
 Iterative refinement runs on the full assembled system: each correction is
 a condensed solve of b - A x, and the residual contract is checked on the
@@ -18,6 +23,7 @@ bitwise-identical solutions.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +31,17 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import SaddleSystem
-from .weakspace import PrimalFunction, WeakFunction
+from .weakspace import DofMap, PrimalFunction, WeakFunction
 
 DEFAULT_TOL = 1e-11
 _REFINE_STEPS = 3
+# Parts of at most this many free edges are not bisected further.
+_LEAF_EDGES = 64
+# SuperLU keeps the diagonal pivot unless it is below this fraction of the
+# column maximum.  The default 1.0 gives 7.7 times the fill at table5 L6
+# (38.2M against 4.9M), and 0 leaves a first residual of 5.6e-2 on
+# fig4_tau0 L6 (c = 0, tau = 0); the tests sweep the catalog against it.
+_PIVOT_THRESHOLD = 0.01
 
 
 class SolverError(RuntimeError):
@@ -71,11 +84,89 @@ def schur_complement(S: np.ndarray, B: np.ndarray, d0: int):
     return Z, K
 
 
+def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
+    """Fill-reducing order of the condensed unknowns [lam_b; u_T].
+
+    The free edges are split by a batched recursive coordinate bisection
+    of their midpoints, one round of array operations per tree level: a
+    part with more than ``_LEAF_EDGES`` edges is cut at the median of the
+    longer side of its bounding box, the separator is every left edge that
+    shares an element with a right edge, and the part is laid out as left
+    (without the separator), right, separator, the first two recursing in
+    place.  The trace unknowns of an edge keep its place, and each u_T
+    goes right after the last free trace of its element: its condensed
+    diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to
+    come after the unknowns that fill it in.
+
+    Returns ``perm``, the condensed index placed at each position
+    (perm[new] = old), and ``nodes``, one row (start, left, right,
+    separator) per bisection: the first position of the node in the
+    edge order and the sizes of its three parts, in edges.
+    """
+    mesh, T, db = dofmap.mesh, dofmap.mesh.num_elements, dofmap.dim_lamb
+    F = dofmap.n_free_edges
+    lamb = dofmap.lamb_start[mesh.element_edges]
+    # Free-edge rank of each element edge, -1 on outflow edges.
+    elem_free = np.where(lamb >= 0, (lamb - T * dofmap.dim_lam0) // db, -1)
+    # Sort key of every free edge: twice its place in the edge order.
+    edge_key = np.arange(0, 2 * F, 2)
+    nodes = []
+    if F > _LEAF_EDGES:
+        free = dofmap.lamb_start >= 0
+        ends = mesh.edges[free]
+        x, y = (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]).T
+        # Elements of each free edge; -1 (boundary) hits the last slot.
+        elems = mesh.edge_elems[free]
+        # The free edges sorted along x and along y.  Every split reorders
+        # both stably, so each part stays sorted along both axes and no
+        # level sorts coordinates again.
+        by_x, by_y = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+        has_right = np.zeros(T + 1, dtype=bool)
+        key = np.empty(F, dtype=np.int64)
+        starts, sizes = np.zeros(1, dtype=np.int64), np.array([F])
+        while len(starts):
+            m, stops = len(starts), starts + sizes - 1
+            use_y = y[by_y[stops]] - y[by_y[starts]] > x[by_x[stops]] - x[by_x[starts]]
+            part = np.repeat(np.arange(m), sizes)
+            pos = np.arange(len(part)) + (starts - np.cumsum(sizes) + sizes)[part]
+            ex, ey = by_x[pos], by_y[pos]
+            e = np.where(use_y[part], ey, ex)
+            right = pos >= (starts + sizes // 2)[part]
+            # No element couples the two children of a node, so an element
+            # holds edges of at most one part, and a left edge is a
+            # separator edge iff one of its elements holds a right edge.
+            has_right[:] = False
+            has_right[elems[e[right]]] = True
+            has_right[-1] = False
+            sep = has_right[elems[e]]
+            group = 3 * part + np.where(right, 1, 2 * (sep[:, 0] | sep[:, 1]))
+            key[e] = group
+            by_x[pos] = ex[np.argsort(key[ex], kind="stable")]
+            by_y[pos] = ey[np.argsort(key[ey], kind="stable")]
+            counts = np.bincount(group, minlength=3 * m).reshape(m, 3)
+            nodes.append(np.column_stack([starts, counts]))
+            starts = np.concatenate([starts, starts + counts[:, 0]])
+            sizes = counts[:, :2].T.ravel()
+            starts, sizes = starts[sizes > _LEAF_EDGES], sizes[sizes > _LEAF_EDGES]
+        place = np.empty(F + 1, dtype=np.int64)
+        place[by_x] = edge_key
+        place[F] = -2
+        edge_key, elem_key = place[:F], place[elem_free]
+    else:
+        elem_key = 2 * elem_free
+    # u_T sorts right after the last free trace of its element, and before
+    # everything if its element has none.
+    key = np.concatenate([np.repeat(edge_key, db), elem_key.max(axis=1) + 1])
+    perm = np.argsort(key, kind="stable")
+    return perm, (np.concatenate(nodes) if nodes else np.zeros((0, 4), dtype=np.int64))
+
+
 class _CondensedLU:
     """LU factor of the condensed system over y = [lam_b; u], with the
     element data that maps a full right-hand side in and the full solution
     out.  The lam_0 unknowns come first in the full vector, d0 per element,
-    so y is the tail of x."""
+    so y is the tail of x.  The condensed matrix is built and factored in
+    the :func:`nested_dissection` order, position i holding y[perm[i]]."""
 
     def __init__(self, system: SaddleSystem):
         dm = system.dofmap
@@ -86,18 +177,30 @@ class _CondensedLU:
         self.X, self.S00_inv = Z[..., :m], Z[..., m:]
         traces = dm.lambda_indices[:, d0:]
         # Condensed indices of [lam_b; u_T] per element, -1 on outflow traces.
-        self.cidx = np.concatenate(
+        cidx = np.concatenate(
             [np.where(traces >= 0, traces - self.n0, -1), dm.u_start[:, None] - self.n0], axis=1
         )
-        self.free = self.cidx >= 0
+        self.free = cidx >= 0
         self.order = dm.n_total - self.n0
+        start = time.perf_counter()
+        self.perm = nested_dissection(dm)[0]
+        self.order_s = time.perf_counter() - start
+        self.inv = np.empty_like(self.perm)
+        self.inv[self.perm] = np.arange(self.order)
+        # The same indices in the factored (permuted) numbering.
+        self.cidx = np.where(self.free, self.inv[cidx], -1)
         mask = self.free[:, :, None] & self.free[:, None, :]
         rows = np.broadcast_to(self.cidx[:, :, None], K.shape)[mask]
         cols = np.broadcast_to(self.cidx[:, None, :], K.shape)[mask]
         Kc = sparse.csc_matrix((K[mask], (rows, cols)), shape=(self.order, self.order))
         self.nnz = Kc.nnz
         try:
-            self.lu = splu(Kc)
+            self.lu = splu(
+                Kc,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=_PIVOT_THRESHOLD,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as err:
             A = system.matrix
             raise SolverError(
@@ -108,11 +211,11 @@ class _CondensedLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         r0 = b[: self.n0].reshape(self.S00_inv.shape[:2])
         load = np.einsum("tim,ti->tm", self.X, r0)[self.free]
-        rc = b[self.n0 :] - np.bincount(self.cidx[self.free], weights=load, minlength=self.order)
+        rc = b[self.n0 :][self.perm] - np.bincount(self.cidx[self.free], load, self.order)
         y = self.lu.solve(rc)
         y_loc = np.where(self.free, y[self.cidx], 0.0)
         lam0 = np.einsum("tij,tj->ti", self.S00_inv, r0) - np.einsum("tim,tm->ti", self.X, y_loc)
-        return np.concatenate([lam0.ravel(), y])
+        return np.concatenate([lam0.ravel(), y[self.inv]])
 
 
 def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
@@ -158,7 +261,10 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "nnz": int(A.nnz),
         "condensed_order": factor.order,
         "condensed_nnz": factor.nnz,
+        "ordering": "nested_dissection",
+        "order_s": factor.order_s,
         "fill": int(factor.lu.nnz),
+        "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
         "refine_steps": len(residuals) - 1,
         "initial_residual": residuals[0],
         "tol": tol,

@@ -73,6 +73,15 @@ class TestPiecewise:
         gx, gy = field.grad(np.array([0.0]), np.array([0.5]))
         assert gy[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_vector_composition_has_no_gradient(self):
+        beta = Piecewise(
+            "flip", ((HalfPlane(1.0, 1.0, 1.0), constant_vector(1.0, -1.0)),), constant_vector(-1.0, 1.0)
+        )
+        with pytest.raises(ValueError, match="'flip': vector fields have no gradient"):
+            beta.grad(np.array([0.1, 0.9]), np.array([0.1, 0.9]))
+        with pytest.raises(ValueError, match="'flip': vector fields have no gradient"):
+            DerivedLoad(beta).bind(constant_vector(1.0, 0.0), constant(0.0))
+
 
 class TestDerivedLoad:
     def test_transport_identity(self):
@@ -133,6 +142,12 @@ class TestConfig:
             field_from_config({"name": "no_such"}, vector=True)
         with pytest.raises(ValueError):
             field_from_config([1, 2], vector=True)
+
+    def test_piecewise_missing_key_named(self):
+        with pytest.raises(ValueError, match="missing the key 'else'"):
+            field_from_config({"piecewise": [{"where": [1, 1, 1], "field": 1}]})
+        with pytest.raises(ValueError, match="missing the key 'field'"):
+            field_from_config({"piecewise": [{"where": [1, 1, 1]}], "else": 1})
 
     def test_kinds_do_not_mix(self):
         for spec in ({"rotation": [0, 0]}, {"name": "oblique_30deg"}, {"const": [1, 2]}):

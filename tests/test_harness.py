@@ -287,6 +287,14 @@ class TestConfigFile:
                           "else": {"const": [-1, 1]}}},
                 "'where' must be a list of 3 numbers",
             ),
+            (
+                {"beta": {"piecewise": [{"where": [1, 1, 1], "field": {"const": [1, -1]}}]}},
+                "missing the key 'else'",
+            ),
+            (
+                {"c": {"piecewise": [{"where": [1, 1, 1]}], "else": 1}},
+                "missing the key 'field'",
+            ),
         ],
     )
     def test_malformed_input_exits_3_before_writing(self, tmp_path, capsys, overrides, message):

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pdwg.assembly import ProblemSpec, assemble
+from pdwg.assembly import ProblemSpec, assemble, build_contexts
+from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, classify_boundary, refine_uniform
-from pdwg.solver import SolverError, schur_complement, solve
+from pdwg.solver import SolverError, nested_dissection, schur_complement, solve
 from pdwg.weakspace import DofMap
 
 
@@ -24,6 +27,20 @@ def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, 
     cls = classify_boundary(mesh, spec.beta)
     dm = DofMap(mesh, j, cls)
     return mesh, dm, assemble(mesh, dm, spec)
+
+
+def catalog_systems(levels):
+    """(name, j, level, system) for every catalog entry, j in {0, 1} and
+    each of ``levels``, as the catalog sweep builds them."""
+    for name, exp in catalog().items():
+        for j in (0, 1):
+            spec = dataclasses.replace(exp.spec, j=j)
+            mesh = build_coarse_mesh(spec.domain_tag)
+            for level in range(max(levels) + 1):
+                if level in levels:
+                    dm = DofMap(mesh, j, classify_boundary(mesh, spec.beta))
+                    yield name, j, level, assemble(mesh, dm, spec, build_contexts(mesh, spec))
+                mesh = refine_uniform(mesh)
 
 
 class TestKernels:
@@ -119,6 +136,10 @@ class TestSolve:
         assert 0 < info["condensed_nnz"] <= info["fill"]
         assert info["refine_steps"] in range(4)
         assert np.isfinite(info["initial_residual"])
+        n = info["condensed_order"]
+        assert info["ordering"] == "nested_dissection"
+        assert isinstance(info["order_s"], float) and info["order_s"] >= 0.0
+        assert info["fill_per_nlogn"] == pytest.approx(info["fill"] / (n * np.log2(n)), rel=1e-15)
 
     @pytest.mark.parametrize("domain", ["unit_square", "cracked_square"])
     @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -130,3 +151,95 @@ class TestSolve:
         x = np.concatenate([sol.lam.free_vector(dm), sol.u.vector()])
         x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+
+ORDERING_CASES = [
+    dict(domain="unit_square", level=4, j=1),
+    dict(domain="unit_square", level=3, j=0, beta=(1.0, 0.0)),
+    dict(domain="l_shape", level=3, j=1),
+    dict(domain="cracked_square", level=3, j=0),
+    dict(domain="unit_square", level=1, j=1),
+]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("case", ORDERING_CASES)
+    def test_is_a_permutation(self, case):
+        _, dm, _ = unit_problem(**case)
+        perm, _ = nested_dissection(dm)
+        order = dm.n_total - dm.mesh.num_elements * dm.dim_lam0
+        assert np.array_equal(np.sort(perm), np.arange(order))
+
+    @pytest.mark.parametrize("case", ORDERING_CASES)
+    def test_u_after_the_traces_of_its_element(self, case):
+        _, dm, _ = unit_problem(**case)
+        perm, _ = nested_dissection(dm)
+        place = np.argsort(perm)
+        n0 = dm.mesh.num_elements * dm.dim_lam0
+        traces = dm.lambda_indices[:, dm.dim_lam0 :]
+        trace_place = np.where(traces >= 0, place[traces - n0], -1)
+        u_place = place[dm.u_start - n0]
+        assert np.all(u_place > trace_place.max(axis=1))
+
+    @pytest.mark.parametrize("case", ORDERING_CASES)
+    def test_no_element_couples_the_two_children_of_a_node(self, case):
+        _, dm, _ = unit_problem(**case)
+        perm, nodes = nested_dissection(dm)
+        db, F = dm.dim_lamb, dm.n_free_edges
+        # Free-edge ranks in the order the traces are placed.
+        edge_order = perm[(perm < F * db) & (perm % db == 0)] // db
+        assert np.array_equal(np.sort(edge_order), np.arange(F))
+        n0 = dm.mesh.num_elements * dm.dim_lam0
+        traces = dm.lambda_indices[:, dm.dim_lam0 :: db]
+        elem_edges = np.where(traces >= 0, (traces - n0) // db, F)
+        assert (len(nodes) > 0) == (F > 64)
+        for start, left, right, sep in nodes:
+            assert min(left, right) > 0
+            side = np.zeros(F + 1, dtype=int)
+            side[edge_order[start : start + left]] = 1
+            side[edge_order[start + left : start + left + right]] = 2
+            sides = side[elem_edges]
+            assert not np.any((sides == 1).any(axis=1) & (sides == 2).any(axis=1))
+
+    def test_exactly_the_parts_above_64_edges_are_split(self):
+        _, dm, _ = unit_problem(level=5)
+        _, nodes = nested_dissection(dm)
+        parts = {(0, dm.n_free_edges)}
+        for start, left, right, sep in nodes:
+            assert (start, left + right + sep) in parts
+            parts |= {(start, left), (start + left, right)}
+        split = {(start, left + right + sep) for start, left, right, sep in nodes}
+        assert len(split) == len(nodes) > 1
+        assert split == {(start, size) for start, size in parts if size > 64}
+
+
+class TestOrderedFactor:
+    def test_catalog_matches_dense_full_solve(self):
+        for name, j, level, system in catalog_systems((0, 1, 2)):
+            dm = system.dofmap
+            sol = solve(system)
+            x = np.concatenate([sol.lam.free_vector(dm), sol.u.vector()])
+            x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+            # fig8_f0 at level 0 has a zero right-hand side: x must be 0.
+            assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max(), (name, j, level)
+
+    def test_catalog_sweep_needs_at_most_one_refinement(self):
+        # Guards the pivot threshold: a smaller one lets SuperLU keep tiny
+        # diagonal pivots of the c = 0 entries and refinement starts.
+        count = 0
+        for name, j, level, system in catalog_systems((0, 1, 2, 3)):
+            info = solve(system).info
+            assert info["refine_steps"] <= 1, (name, j, level, info)
+            assert info["initial_residual"] <= 1e-10, (name, j, level, info)
+            count += 1
+        assert count == 352
+
+    def test_fill_at_table5_level6(self):
+        spec = get_experiment("table5").spec
+        mesh = build_coarse_mesh(spec.domain_tag)
+        for _ in range(6):
+            mesh = refine_uniform(mesh)
+        dm = DofMap(mesh, spec.j, classify_boundary(mesh, spec.beta))
+        info = solve(assemble(mesh, dm, spec)).info
+        # COLAMD gives 11.8 here.
+        assert info["fill_per_nlogn"] <= 11.0
