@@ -243,6 +243,10 @@ class ElementTables:
             d0 = self.dim_lam0
             A = self.adjoint()
             S[:, :d0, :d0] += tau * (np.swapaxes(A, 1, 2) @ (self.qw[..., None] * A))
+        # The products are symmetric only to round-off; mirror the upper
+        # triangle so S (and the assembled matrix) is exactly symmetric.
+        lower = np.tril_indices(self.n_loc, -1)
+        S[:, lower[0], lower[1]] = S[:, lower[1], lower[0]]
         return S
 
     def stabilizer_energy(self, x: np.ndarray, tau: float) -> np.ndarray:

@@ -96,6 +96,13 @@ class TestLocalStabilizer:
             assert np.allclose(S, S.T)
             assert np.min(np.linalg.eigvalsh(S)) > -1e-13
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1e4])
+    def test_exactly_symmetric(self, tau):
+        mesh = refined("l_shape", 1)
+        for j in (0, 1):
+            S = build_contexts(mesh, make_spec(tau=tau, j=j)).stabilizer(tau)
+            assert np.array_equal(S, np.swapaxes(S, 1, 2))
+
 
 class TestLocalBForm:
     def hyp_trace_sigma(self, mesh, t):
