@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ElementTables, ProblemSpec, build_contexts
-from .fields import evaluate_branches
-from .mesh import BoundaryClassification, Mesh, owner_local_edges
+from .mesh import Mesh, owner_local_edges
 from .solver import Solution
 from .weakspace import PrimalFunction, WeakFunction
 
@@ -105,17 +104,6 @@ def _edge_owner_diameters(tables: ElementTables) -> np.ndarray:
     return tables.diameter[owner]
 
 
-def _to_edges(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Sum per-element-edge values (T, 3, ne) at the edge quadrature points
-    into per-edge values (E, ne) in each edge's own orientation.  The
-    Gauss points are symmetric, so an element traversing an edge backwards
-    sees them in reverse order."""
-    aligned = np.where(mesh.element_edge_signs[..., None] > 0, values, values[..., ::-1])
-    out = np.zeros((mesh.num_edges, values.shape[-1]))
-    np.add.at(out, mesh.element_edges, aligned)
-    return out
-
-
 def triple_norm_Wh(lam: WeakFunction, spec: ProblemSpec, mesh: Mesh) -> float:
     """Multiplier seminorm
 
@@ -125,37 +113,6 @@ def triple_norm_Wh(lam: WeakFunction, spec: ProblemSpec, mesh: Mesh) -> float:
     which squares to the stabilizer quadratic form s(lam, lam)."""
     tables = build_contexts(mesh, spec)
     return math.sqrt(float(tables.stabilizer_energy(tables.local_coefficients(lam), spec.tau).sum()))
-
-
-def triple_norm_Mh(
-    v: PrimalFunction,
-    spec: ProblemSpec,
-    mesh: Mesh,
-    classification: BoundaryClassification,
-) -> float:
-    """Primal-space norm
-
-        ( sum_T h_T^2 ||div(beta v) + c v||_T^2
-          + sum_{e not in outflow} h_T ||[beta v . n]||_e^2 )^(1/2)
-
-    with the jump equal to the one-sided value on inflow boundary edges.
-    Requires the analytic divergence of beta (carried by the field);
-    v is elementwise constant (k=1)."""
-    if any(branch.div is None for branch in spec.beta.branches):
-        raise ValueError("beta must provide an analytic divergence")
-    tables = build_contexts(mesh, spec)
-    vt = v.coeffs[:, 0]
-    x, y = tables.qpts[..., 0], tables.qpts[..., 1]
-    div = evaluate_branches(spec.beta.branches, tables.beta_branch[:, None], x, y, "div")
-    resid = (div + tables.c_q) * vt[:, None]
-    total = float(tables.diameter**2 @ np.sum(tables.qw * resid * resid, axis=1))
-
-    bn = np.einsum("tiqc,tic->tiq", tables.beta_e, tables.normals)
-    jump = _to_edges(mesh, bn * vt[:, None, None])
-    weights = _edge_rows(tables, tables.ew)
-    keep = (mesh.edge_elems[:, 1] >= 0) | classification.is_inflow
-    per_edge = _edge_owner_diameters(tables) * np.sum(weights * jump * jump, axis=1)
-    return math.sqrt(total + float(per_edge[keep].sum()))
 
 
 def conservation_report(

@@ -92,14 +92,6 @@ class SaddleSystem:
     element_S: np.ndarray
     element_B: np.ndarray
 
-    @property
-    def n_lambda(self) -> int:
-        return self.dofmap.n_lambda
-
-    @property
-    def n_u(self) -> int:
-        return self.dofmap.n_u
-
 
 class ElementTables:
     """Quadrature, basis and coefficient tables of all elements of a mesh.
@@ -355,11 +347,3 @@ def assemble(
     rhs[starts[:, None] + np.arange(dofmap.dim_lamb)] += tables.inflow_load(spec.g, edges, owner, local)
     return SaddleSystem(matrix=A, rhs=rhs, dofmap=dofmap, element_S=S, element_B=B)
 
-
-def dump_matrixmarket(system: SaddleSystem, path) -> None:
-    """Write the system matrix in MatrixMarket coordinate format with
-    symmetric storage (for external validation)."""
-    from scipy.io import mmwrite
-
-    A = sparse.tril(system.matrix).tocoo()
-    mmwrite(str(path), A, symmetry="symmetric")

@@ -18,7 +18,7 @@ by connecting edge midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,24 +87,10 @@ class ElementGeometry:
 
 @dataclass(frozen=True)
 class BoundaryClassification:
-    """Partition of the boundary edges into inflow and outflow sets.
-
-    ``outward_normal[e]`` and ``beta_dot_n[e]`` are filled for boundary
-    edges only (NaN elsewhere); ``beta_dot_n`` is sampled at the edge
-    midpoint using the incident element's branch of beta.
-    """
+    """Partition of the boundary edges into inflow and outflow sets."""
 
     inflow_edges: np.ndarray
     outflow_edges: np.ndarray
-    outward_normal: np.ndarray
-    beta_dot_n: np.ndarray
-    is_inflow: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.is_inflow is None:
-            mask = np.zeros(len(self.beta_dot_n), dtype=bool)
-            mask[self.inflow_edges] = True
-            object.__setattr__(self, "is_inflow", mask)
 
 
 class MeshError(ValueError):
@@ -291,12 +277,9 @@ def classify_boundary(mesh: Mesh, beta) -> BoundaryClassification:
     so their trace unknowns are constrained.
 
     ``beta`` is a field from :mod:`pdwg.fields`; piecewise fields are
-    resolved using the incident element's centroid.
+    resolved using the incident element's centroid; beta . n is sampled at
+    the edge midpoint.
     """
-    E = mesh.num_edges
-    outward = np.full((E, 2), np.nan)
-    beta_n = np.full(E, np.nan)
-
     edges = mesh.boundary_edges
     owner, local = owner_local_edges(mesh, edges)
     geom = geometry_arrays(mesh)
@@ -305,16 +288,8 @@ def classify_boundary(mesh: Mesh, beta) -> BoundaryClassification:
     cx, cy = geom.centroid[owner].T
     idx = beta.branch_index(cx, cy)
     b = evaluate_branches(beta.branches, idx, mid[:, 0], mid[:, 1])
-    outward[edges] = n
-    beta_n[edges] = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1]
-    inflow = beta_n[edges] < -CLASSIFY_EPS
-
-    return BoundaryClassification(
-        inflow_edges=edges[inflow],
-        outflow_edges=edges[~inflow],
-        outward_normal=outward,
-        beta_dot_n=beta_n,
-    )
+    inflow = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1] < -CLASSIFY_EPS
+    return BoundaryClassification(inflow_edges=edges[inflow], outflow_edges=edges[~inflow])
 
 
 def dump_mesh(mesh: Mesh, path, classification: BoundaryClassification | None = None) -> None:
@@ -324,6 +299,7 @@ def dump_mesh(mesh: Mesh, path, classification: BoundaryClassification | None = 
     marker is INFLOW/OUTFLOW when a classification is given and BOUNDARY
     otherwise.
     """
+    inflow = set() if classification is None else set(classification.inflow_edges.tolist())
     lines = ["# vertices: index x y"]
     for i, (x, y) in enumerate(mesh.vertices):
         lines.append(f"{i} {x!r} {y!r}")
@@ -338,7 +314,7 @@ def dump_mesh(mesh: Mesh, path, classification: BoundaryClassification | None = 
         elif classification is None:
             tail = "BOUNDARY"
         else:
-            tail = "INFLOW" if classification.is_inflow[e] else "OUTFLOW"
+            tail = "INFLOW" if e in inflow else "OUTFLOW"
         lines.append(f"{e} {a} {b} {left} {tail}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -32,11 +32,10 @@ def dim_poly2d(degree: int) -> int:
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Quadrature points and weights with a stated polynomial exactness."""
+    """Quadrature points and weights of a reference-cell rule."""
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def _frozen(rule: QuadRule) -> QuadRule:
@@ -72,7 +71,7 @@ def quad_triangle(exactness_degree: int) -> QuadRule:
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
     w = (np.outer(wu * (1.0 - u), wv)).ravel()
-    return _frozen(QuadRule(np.column_stack([x, y]), w, exactness_degree))
+    return _frozen(QuadRule(np.column_stack([x, y]), w))
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +82,7 @@ def quad_edge(exactness_degree: int) -> QuadRule:
         raise ValueError(f"unsupported edge quadrature degree {exactness_degree}")
     n = (exactness_degree + 2) // 2  # 2n - 1 >= degree
     t, w = np.polynomial.legendre.leggauss(n)
-    return _frozen(QuadRule(t, w, 2 * n - 1))
+    return _frozen(QuadRule(t, w))
 
 
 class TriBasis:
@@ -128,7 +127,6 @@ class EdgeBasis:
     def __init__(self, degree: int):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        self.degree = degree
         self.dim = degree + 1
 
     def eval(self, t: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ from .analysis import (
     error_norms,
     postprocess_averages,
 )
-from .assembly import assemble, build_contexts
+from .assembly import SaddleSystem, assemble, build_contexts
 from .catalog import Experiment
 from .mesh import build_coarse_mesh, classify_boundary, refine_uniform
-from .solver import solve
+from .solver import DEFAULT_TOL, solve
 from .weakspace import DofMap
 
 CSV_HEADER = "inv_h,err_u,order_u,err_l0,order_l0,err_lb,order_lb"
@@ -53,11 +53,13 @@ class LevelResult:
 
 @dataclass
 class StudyReport:
-    """Per-level results of one refinement study plus the post-processed
-    solution field of the finest level when requested."""
+    """Per-level results of one refinement study, the assembled system of
+    the finest level, and its post-processed solution field when
+    requested."""
 
     experiment: str
     rows: list[LevelResult] = field(default_factory=list)
+    system: SaddleSystem | None = None
     field_points: object = None
 
     def orders(self, key: str) -> list[float | None]:
@@ -99,14 +101,13 @@ def run_study(
     levels: tuple[int, int] | None = None,
     tau: float | None = None,
     j: int | None = None,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
     collect_field: bool = False,
 ) -> StudyReport:
     """Run one experiment over a range of refinement levels.
 
     ``tau`` and ``j`` override the catalog configuration without
-    duplicating the entry.  A solver failure aborts the remaining levels
-    and re-raises with the partial report attached to the exception.
+    duplicating the entry.
     """
     spec = experiment.spec
     if tau is not None:
@@ -129,11 +130,7 @@ def run_study(
         dofmap = DofMap(mesh, spec.j, classification)
         tables = build_contexts(mesh, spec)
         system = assemble(mesh, dofmap, spec, tables)
-        try:
-            solution = solve(system, tol=tol)
-        except Exception as err:
-            err.partial_report = report
-            raise
+        solution = solve(system, tol=tol)
 
         if spec.exact_u is not None:
             errs = error_norms(solution, spec, mesh, tables)
@@ -160,10 +157,11 @@ def run_study(
             )
         )
 
-        if collect_field and level == hi:
-            report.field_points = postprocess_averages(solution.u, mesh)
         if level < hi:
             mesh = refine_uniform(mesh)
+    report.system = system
+    if collect_field:
+        report.field_points = postprocess_averages(solution.u, mesh)
 
     return report
 

@@ -10,7 +10,6 @@ from pdwg.analysis import (
     error_norms,
     nodal_interpolant,
     postprocess_averages,
-    triple_norm_Mh,
     triple_norm_Wh,
 )
 from pdwg.assembly import ProblemSpec, assemble
@@ -136,35 +135,6 @@ class TestTripleNormWh:
             quad = float(x @ (S @ x))
             norm = triple_norm_Wh(lam, spec, mesh)
             assert norm**2 == pytest.approx(quad, rel=1e-12, abs=1e-13)
-
-
-class TestTripleNormMh:
-    def test_zero_function(self):
-        mesh = refined("unit_square", 1)
-        spec = make_spec(c=0.0)
-        cls = classify_boundary(mesh, spec.beta)
-        v = PrimalFunction(coeffs=np.zeros((mesh.num_elements, 1)))
-        assert triple_norm_Mh(v, spec, mesh, cls) == 0.0
-
-    def test_constant_one_reaction_free(self):
-        # c=0, beta=[1,-1], v=1 on the level-1 unit square: interior jumps
-        # vanish, inflow edges contribute h_T |beta.n|^2 |e| each:
-        # 4 * (sqrt(2)/2) * 1 * (1/2) = sqrt(2)
-        mesh = refined("unit_square", 1)
-        spec = make_spec(c=0.0)
-        cls = classify_boundary(mesh, spec.beta)
-        v = PrimalFunction(coeffs=np.ones((mesh.num_elements, 1)))
-        norm = triple_norm_Mh(v, spec, mesh, cls)
-        assert norm**2 == pytest.approx(math.sqrt(2.0), abs=1e-13)
-
-    def test_constant_one_with_reaction(self):
-        # adding c=1 contributes sum_T h_T^2 area = 8 * 1/2 * 1/8 = 1/2
-        mesh = refined("unit_square", 1)
-        spec = make_spec(c=1.0)
-        cls = classify_boundary(mesh, spec.beta)
-        v = PrimalFunction(coeffs=np.ones((mesh.num_elements, 1)))
-        norm = triple_norm_Mh(v, spec, mesh, cls)
-        assert norm**2 == pytest.approx(0.5 + math.sqrt(2.0), abs=1e-13)
 
 
 class TestConservation:

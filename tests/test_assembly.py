@@ -3,7 +3,7 @@ import pytest
 
 import dataclasses
 
-from pdwg.assembly import ProblemSpec, assemble, build_contexts, dump_matrixmarket
+from pdwg.assembly import ProblemSpec, assemble, build_contexts
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -226,8 +226,6 @@ class TestAssemble:
         all_in = mesh_mod.BoundaryClassification(
             inflow_edges=mesh.boundary_edges,
             outflow_edges=np.array([], dtype=np.int64),
-            outward_normal=np.full((mesh.num_edges, 2), np.nan),
-            beta_dot_n=np.full(mesh.num_edges, np.nan),
         )
         dm_all = DofMap(mesh, 1, all_in)
         system_all = assemble(mesh, dm_all, spec)
@@ -362,16 +360,3 @@ class TestAssemble:
         spec = make_spec()
         assert spec.k == 1 and ProblemSpec.k == 1
         assert "k" not in {f.name for f in dataclasses.fields(ProblemSpec)}
-
-    def test_matrixmarket_dump_round_trip(self, tmp_path):
-        from scipy.io import mmread
-
-        spec = make_spec(f=1.0, g=1.0)
-        _, _, system = self.build(spec, level=1)
-        path = tmp_path / "system.mtx"
-        dump_matrixmarket(system, path)
-        text = path.read_text()
-        assert "symmetric" in text.splitlines()[0]
-        A = mmread(str(path)).tocsr()
-        diff = abs(A - system.matrix)
-        assert (diff.max() if diff.nnz else 0.0) < 1e-12

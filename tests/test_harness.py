@@ -3,7 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import pdwg.study
+from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
 from pdwg.study import CSV_HEADER, emit_csv, emit_plot_data, run_study
@@ -204,9 +207,52 @@ class TestCli:
         assert main(["verify", "--experiment", "table1", "--levels", count]) == 3
         assert "--levels must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--tol", "1"], "tol must lie in"),
+            (["--tau", "-1"], "tau must be a finite nonnegative number"),
+            (["--tau", "nan"], "tau must be a finite nonnegative number"),
+        ],
+        ids=["tol-1", "tau-negative", "tau-nan"],
+    )
+    def test_bad_solver_option_exits_3_before_writing(self, tmp_path, capsys, option, message):
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", "table1", "--levels", "1", *option, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_passes_table1(self, capsys):
         assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0
         assert "PASS table1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, code", [("table5", 0), ("table21", 3)])
+    def test_verify_two_levels_compares_with_level_0(self, capsys, name, code):
+        # table21's error really rises from 0.1402 to 0.1441 between 1/h = 1 and 2
+        assert main(["verify", "--experiment", name, "--levels", "2"]) == code
+        assert ("errors do not decrease" in capsys.readouterr().err) == bool(code)
+
+    def test_verify_builds_each_level_once(self, monkeypatch):
+        calls = []
+        stabilizer = ElementTables.stabilizer
+        monkeypatch.setattr(
+            ElementTables, "stabilizer", lambda self, tau: calls.append(tau) or stabilizer(self, tau)
+        )
+        assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0
+        assert len(calls) == 3
+
+    def test_verify_gates_the_solved_system(self, monkeypatch, capsys):
+        assemble = pdwg.study.assemble
+
+        def with_primal_entry(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            n, size = system.dofmap.n_lambda, system.matrix.shape[0]
+            system.matrix = system.matrix + sparse.csr_matrix(([1e-300], ([n], [n])), shape=(size, size))
+            return system
+
+        monkeypatch.setattr(pdwg.study, "assemble", with_primal_entry)
+        assert main(["verify", "--experiment", "table1", "--levels", "2"]) == 3
+        assert "primal-primal block is not identically zero" in capsys.readouterr().err
 
     def test_verify_demo_runs(self, capsys):
         assert main(["verify", "--experiment", "fig6", "--levels", "2"]) == 0
