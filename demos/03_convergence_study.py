@@ -20,6 +20,5 @@ print(report.table())
 
 emit_csv(report, "table5.csv")
 print("\nwrote table5.csv")
-print(f"solver: {report.rows[-1].solver_method}, "
-      f"residual {report.rows[-1].solver_residual:.1e}, "
+print(f"solver residual {report.rows[-1].solver_residual:.1e}, "
       f"finest level took {report.rows[-1].seconds:.2f} s")

@@ -37,7 +37,7 @@ print(f"max |element balance residual| = {report.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {report.max_flux_jump:.3e}")
 
 broken = copy.deepcopy(solution)
-broken.u.coeffs[7, 0] += 1e-3
+broken.local[7, -1] += 1e-3  # u_h on element 7
 bad = conservation_report(broken, spec, mesh, tables)
 print("\nafter perturbing one element value by 1e-3:")
 print(f"max |element balance residual| = {bad.max_element_residual:.3e}")

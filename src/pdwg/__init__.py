@@ -28,7 +28,7 @@ from .mesh import (
     classify_boundary,
     refine_uniform,
 )
-from .weakspace import DofMap, PrimalFunction, WeakFunction
+from .weakspace import DofMap, WeakFunction
 from .assembly import ProblemSpec, SaddleSystem, assemble
 from .solver import Solution, SolverError, solve
 from .catalog import catalog, get_experiment
@@ -39,7 +39,6 @@ __all__ = [
     "DofMap",
     "ElementGeometry",
     "Mesh",
-    "PrimalFunction",
     "ProblemSpec",
     "SaddleSystem",
     "Solution",

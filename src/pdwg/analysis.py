@@ -28,7 +28,7 @@ import numpy as np
 from .assembly import ElementTables, ProblemSpec, build_contexts
 from .mesh import Mesh, owner_local_edges
 from .solver import Solution
-from .weakspace import PrimalFunction, WeakFunction
+from .weakspace import WeakFunction
 
 
 @dataclass
@@ -58,12 +58,11 @@ class ConservationReport:
         return float(np.abs(self.flux_jumps).max()) if len(self.flux_jumps) else 0.0
 
 
-def nodal_interpolant(exact_u, mesh: Mesh) -> PrimalFunction:
-    """Exact solution sampled at element centers as a piecewise constant."""
+def nodal_interpolant(exact_u, mesh: Mesh) -> np.ndarray:
+    """Exact solution sampled at element centers, one value per element."""
     coords = mesh.vertices[mesh.elements]
     centers = coords.mean(axis=1)
-    vals = np.asarray(exact_u(centers[:, 0], centers[:, 1]), dtype=float)
-    return PrimalFunction(coeffs=vals.reshape(-1, 1))
+    return np.asarray(exact_u(centers[:, 0], centers[:, 1]), dtype=float).reshape(-1)
 
 
 def error_norms(
@@ -78,10 +77,9 @@ def error_norms(
     if spec.exact_u is None:
         raise ValueError("error norms require an exact solution")
     tables = tables if tables is not None else build_contexts(mesh, spec)
-    interp = nodal_interpolant(spec.exact_u, mesh)
-    diff = solution.u.coeffs[:, 0] - interp.coeffs[:, 0]
-    lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.lam.lam0)
-    lamb = np.einsum("eqm,em->eq", _edge_rows(tables, tables.edge_trace), solution.lam.lamb)
+    diff = solution.local[:, -1] - nodal_interpolant(spec.exact_u, mesh)
+    lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.local[:, : tables.dim_lam0])
+    lamb = _edge_rows(tables, np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables)))
     lamb_sq = np.sum(_edge_rows(tables, tables.ew) * lamb * lamb, axis=1)
     return ErrorReport(
         err_u=math.sqrt(float(tables.area @ (diff * diff))),
@@ -95,6 +93,11 @@ def _edge_rows(tables: ElementTables, values: np.ndarray) -> np.ndarray:
     from the edge's first incident element."""
     owner, local = owner_local_edges(tables.mesh, np.arange(tables.mesh.num_edges))
     return values[owner, local]
+
+
+def _traces(solution: Solution, tables: ElementTables) -> np.ndarray:
+    """Trace coefficients of each element's edges, (T, 3, db)."""
+    return solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
 
 
 def _edge_owner_diameters(tables: ElementTables) -> np.ndarray:
@@ -131,8 +134,8 @@ def conservation_report(
     tolerance.
     """
     tables = tables if tables is not None else build_contexts(mesh, spec)
-    u = solution.u.coeffs[:, 0]
-    lam0 = solution.lam.lam0
+    u = solution.local[:, -1]
+    lam0 = solution.local[:, : tables.dim_lam0]
     qw, ew = tables.qw, tables.ew
 
     # u_tilde = u_h + tau (beta.grad(lam_0) - c lam_0)
@@ -142,7 +145,7 @@ def conservation_report(
     residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
 
     lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
-    lamb_on_e = np.einsum("tiqm,tim->tiq", tables.edge_trace, solution.lam.lamb[mesh.element_edges])
+    lamb_on_e = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))
     stab = (lam0_on_e - lamb_on_e) / tables.diameter[:, None, None]
     bn = np.einsum("tiqc,tic->tiq", tables.beta_e, tables.normals)
     residuals += np.sum(ew * (bn * u[:, None, None] - stab), axis=(1, 2))
@@ -173,11 +176,11 @@ class PostField:
     value: np.ndarray
 
 
-def postprocess_averages(u: PrimalFunction, mesh: Mesh) -> PostField:
-    """Vertex values are the unweighted mean of u_h over the elements
-    sharing the vertex; edge-midpoint values average the one or two
-    incident elements.  Duplicated crack vertices average per side."""
-    vals = u.coeffs[:, 0]
+def postprocess_averages(vals: np.ndarray, mesh: Mesh) -> PostField:
+    """Averages of the piecewise constant u_h, given by its value on each
+    element, (T,).  Vertex values are the unweighted mean of u_h over the
+    elements sharing the vertex; edge-midpoint values average the one or
+    two incident elements.  Duplicated crack vertices average per side."""
     nV = mesh.num_vertices
     vsum = np.bincount(mesh.elements.ravel(), weights=np.repeat(vals, 3), minlength=nV)
     vcnt = np.bincount(mesh.elements.ravel(), minlength=nV)

@@ -15,8 +15,10 @@ with the per-element stabilizer
 
 and coupling form b_T(v, sigma) = (v, beta . grad_w(sigma) - c sigma_0)_T.
 Written in block form over x = [lam; u] the system is [[S, B], [B^T, 0]]
-with symmetric positive semidefinite S, summed from the element blocks
-with constrained outflow traces eliminated.
+with symmetric positive semidefinite S.  It is summed by :func:`scatter`
+from one element matrix E_T = [[S_T, B_T], [B_T^T, 0]] per element, over
+the element's unknowns as laid out by ``DofMap.element_indices``, with
+constrained outflow traces eliminated.
 
 Every local form is evaluated for all elements at once from one set of
 element tables (:class:`ElementTables`).  Variable coefficients are
@@ -82,15 +84,14 @@ class ProblemSpec:
 @dataclass
 class SaddleSystem:
     """Assembled sparse system [[S, B], [B^T, 0]] x = [rhs_lambda; 0],
-    with the element blocks it was summed from: ``element_S`` (T, n_loc,
-    n_loc) and ``element_B`` (T, n_loc) over the local multiplier
-    coefficients laid out as ``dofmap.lambda_indices``."""
+    with the element matrices it was summed from: ``element_matrix``
+    (T, n_loc + 1, n_loc + 1), E_T = [[S_T, B_T], [B_T^T, 0]] over the
+    element's unknowns laid out as ``dofmap.element_indices``."""
 
     matrix: sparse.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
-    element_S: np.ndarray
-    element_B: np.ndarray
+    element_matrix: np.ndarray
 
 
 class ElementTables:
@@ -102,9 +103,9 @@ class ElementTables:
 
     - ``area``, ``diameter`` (T,), ``centroid`` (T, 2), ``normals`` (T, 3, 2)
     - ``qpts`` (T, nq, 2), ``qw`` (T, nq); ``epts`` (T, 3, ne, 2), ``ew`` (T, 3, ne)
-    - ``lam0`` (T, nq, d0), ``lam0_grad`` (T, nq, d0, 2), ``edge_lam0``
-      (T, 3, ne, d0), and ``edge_trace`` (T, 3, ne, db), the trace basis
-      in each edge's own orientation
+    - ``lam0`` (T, nq, d0), ``edge_lam0`` (T, 3, ne, d0), and
+      ``edge_trace`` (T, 3, ne, db), the trace basis in each edge's own
+      orientation
     - ``G`` (T, 2, n_loc), the weak gradient: for k=1 its range is the
       constants, so G = (1/|T|) sum_e <lam_b, n>_e with a zero interior block
 
@@ -137,7 +138,6 @@ class ElementTables:
 
         basis = TriBasis(j)
         self.lam0 = basis.eval(self.qpts, self.centroid, self.diameter)
-        self.lam0_grad = basis.eval_grad(self.qpts, self.centroid, self.diameter)
         self.edge_lam0 = basis.eval(self.epts, self.centroid[:, None], self.diameter[:, None])
         self.edge_trace = EdgeBasis(j).eval(signs * erule.points)
 
@@ -210,8 +210,12 @@ class ElementTables:
 
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the
-        interior quadrature points, shape (T, nq, d0)."""
-        return np.einsum("tqc,tqmc->tqm", self.beta_q, self.lam0_grad) - self.c_q[..., None] * self.lam0
+        interior quadrature points, shape (T, nq, d0).  The basis {1, X, Y}
+        has gradients 0, (1/h_T, 0) and (0, 1/h_T)."""
+        A = -self.c_q[..., None] * self.lam0
+        if self.dim_lam0 > 1:
+            A[..., 1:] += self.beta_q * (1.0 / self.diameter[:, None, None])
+        return A
 
     def _jumps(self):
         """Rows of lam_0 - lam_b at the edge quadrature points over the
@@ -286,6 +290,16 @@ def _require_finite(name: str, values: np.ndarray, what: str, ids=None) -> None:
         raise ValueError(f"{name} has a non-finite value on {what} {row if ids is None else ids[row]}")
 
 
+def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.coo_matrix:
+    """Sum element blocks (T, m, m) into an n x n sparse matrix, entry
+    (a, b) of block t landing on (idx[t, a], idx[t, b]); rows and columns
+    whose index is -1 are dropped.  Duplicates add up on conversion."""
+    free = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
+    rows = np.broadcast_to(idx[:, :, None], blocks.shape)[free]
+    cols = np.broadcast_to(idx[:, None, :], blocks.shape)[free]
+    return sparse.coo_matrix((blocks[free], (rows, cols)), shape=(n, n))
+
+
 def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:
     """Element tables with the problem's coefficients sampled, built in
     one pass so assembly and the analysis layer share identical
@@ -316,34 +330,23 @@ def assemble(
         raise ValueError(f"dofmap degree j={dofmap.j} does not match spec degree j={spec.j}")
     if tables is None:
         tables = build_contexts(mesh, spec)
-    idx = dofmap.lambda_indices
-    if tables.mesh is not mesh or tables.n_loc != idx.shape[1]:
+    idx = dofmap.element_indices
+    if tables.mesh is not mesh or tables.n_loc + 1 != idx.shape[1]:
         raise ValueError("element tables do not match the mesh and dofmap")
 
-    S = tables.stabilizer(spec.tau)
-    B = tables.coupling()
-    s_free = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
-    b_free = idx >= 0
-    s_rows = np.broadcast_to(idx[:, :, None], S.shape)[s_free]
-    s_cols = np.broadcast_to(idx[:, None, :], S.shape)[s_free]
-    b_rows = idx[b_free]
-    b_cols = np.broadcast_to(dofmap.u_start[:, None], idx.shape)[b_free]
-    b_vals = B[b_free]
-    n = dofmap.n_total
-    A = sparse.coo_matrix(
-        (
-            np.concatenate([S[s_free], b_vals, b_vals]),
-            (np.concatenate([s_rows, b_rows, b_cols]), np.concatenate([s_cols, b_cols, b_rows])),
-        ),
-        shape=(n, n),
-    ).tocsr()
-
-    rhs = np.zeros(n)
-    rhs[idx[:, : dofmap.dim_lam0]] = tables.load()
+    # Element matrices and loads over [lam_0; lam_b; u_T].
+    n, d0, db = tables.n_loc, dofmap.dim_lam0, dofmap.dim_lamb
+    E = np.zeros((mesh.num_elements, n + 1, n + 1))
+    E[:, :n, :n] = tables.stabilizer(spec.tau)
+    E[:, :n, n] = E[:, n, :n] = tables.coupling()
+    F = np.zeros(idx.shape)
+    F[:, :d0] = tables.load()
     edges = dofmap.classification.inflow_edges
-    starts = dofmap.lamb_start[edges]
-    edges, starts = edges[starts >= 0], starts[starts >= 0]
     owner, local = owner_local_edges(mesh, edges)
-    rhs[starts[:, None] + np.arange(dofmap.dim_lamb)] += tables.inflow_load(spec.g, edges, owner, local)
-    return SaddleSystem(matrix=A, rhs=rhs, dofmap=dofmap, element_S=S, element_B=B)
+    slots = d0 + db * local[:, None] + np.arange(db)
+    F[owner[:, None], slots] = tables.inflow_load(spec.g, edges, owner, local)
 
+    free = idx >= 0
+    A = scatter(E, idx, dofmap.n_total).tocsr()
+    rhs = np.bincount(idx[free], F[free], minlength=dofmap.n_total)
+    return SaddleSystem(matrix=A, rhs=rhs, dofmap=dofmap, element_matrix=E)

@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError, FileNotFoundError) as err:
+    except (KeyError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ACCEPTANCE_FAILURE
 

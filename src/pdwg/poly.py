@@ -109,17 +109,6 @@ class TriBasis:
             vals[..., 2] = (pts[..., 1] - centroid[..., None, 1]) / h
         return vals
 
-    def eval_grad(self, pts: np.ndarray, centroid: np.ndarray, h) -> np.ndarray:
-        """Basis first derivatives at physical points, shaped as for
-        :meth:`eval`; returns (..., npts, dim, 2)."""
-        pts = np.asarray(pts)
-        grads = np.zeros(pts.shape[:-1] + (self.dim, 2))
-        if self.degree == 1:
-            hinv = 1.0 / np.asarray(h, dtype=float)[..., None]
-            grads[..., 1, 0] = hinv
-            grads[..., 2, 1] = hinv
-        return grads
-
 
 class EdgeBasis:
     """Monomial basis of P_degree on an edge, in the parameter t in [-1, 1]."""

@@ -19,6 +19,10 @@ full system by an explicit matrix-vector product, so downstream
 conservation and error checks can rely on it.  A singular factor raises
 :class:`SolverError`; there is no fallback.  Identical inputs produce
 bitwise-identical solutions.
+
+The :class:`Solution` carries the solved values of every element's
+unknowns in the layout of ``DofMap.element_indices``, [lam_0; traces of
+edges 0, 1, 2; u_T], with 0 on outflow traces.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import SaddleSystem
-from .weakspace import DofMap, PrimalFunction, WeakFunction
+from .assembly import SaddleSystem, scatter
+from .weakspace import DofMap
 
 DEFAULT_TOL = 1e-11
 _REFINE_STEPS = 3
@@ -50,37 +53,33 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Solution:
-    """Multiplier and primal coefficients with solve diagnostics."""
+    """Solved values of every element's unknowns, ``local`` (T, n_loc + 1)
+    laid out as ``DofMap.element_indices`` with 0 on outflow traces, and
+    solve diagnostics."""
 
-    lam: WeakFunction
-    u: PrimalFunction
+    local: np.ndarray
     residual: float
     info: dict
 
 
-def schur_complement(S: np.ndarray, B: np.ndarray, d0: int):
+def schur_complement(E: np.ndarray, d0: int):
     """Eliminate the interior block of every element.
 
-    ``S`` (T, n, n) and ``B`` (T, n) are the element stabilizer and
-    coupling blocks over the local multiplier [lam_0 (d0); lam_b], the
-    primal unknown being one constant per element (k=1).  With
-    C = [S_0b, B_0] the coupling of lam_0 to y = [lam_b; u_T], one batched
-    solve gives Z = S_00^{-1} [C, I], shape (T, d0, m + d0), and with
-    X = S_00^{-1} C = Z[..., :m] the condensed element matrices are
+    ``E`` (T, n, n) holds the element matrices over [lam_0 (d0); y], with
+    y = [lam_b; u_T] the unknowns kept.  With C = E_0y the coupling of
+    lam_0 to y, one batched solve gives Z = E_00^{-1} [C, I], shape
+    (T, d0, m + d0), and with X = E_00^{-1} C = Z[..., :m] the condensed
+    element matrices are
 
-        K = [[S_bb, B_b], [B_b^T, 0]] - C^T X,   shape (T, m, m),
+        K = E_yy - C^T X,   shape (T, m, m),
 
-    m = n - d0 + 1.  Then lam_0 = Z[..., m:] r_0 - X y.
+    m = n - d0.  Then lam_0 = Z[..., m:] r_0 - X y.
     """
-    T, n = B.shape
-    m = n - d0 + 1
-    C = np.concatenate([S[:, :d0, d0:], B[:, :d0, None]], axis=2)
+    T, n = E.shape[:2]
+    C = E[:, :d0, d0:]
     identity = np.broadcast_to(np.eye(d0), (T, d0, d0))
-    Z = np.linalg.solve(S[:, :d0, :d0], np.concatenate([C, identity], axis=2))
-    K = np.zeros((T, m, m))
-    K[:, :-1, :-1] = S[:, d0:, d0:]
-    K[:, :-1, -1] = K[:, -1, :-1] = B[:, d0:]
-    K -= np.swapaxes(C, 1, 2) @ Z[..., :m]
+    Z = np.linalg.solve(E[:, :d0, :d0], np.concatenate([C, identity], axis=2))
+    K = E[:, d0:, d0:] - np.swapaxes(C, 1, 2) @ Z[..., : n - d0]
     return Z, K
 
 
@@ -172,15 +171,13 @@ class _CondensedLU:
         dm = system.dofmap
         d0 = dm.dim_lam0
         self.n0 = dm.mesh.num_elements * d0
-        Z, K = schur_complement(system.element_S, system.element_B, d0)
+        Z, K = schur_complement(system.element_matrix, d0)
         m = K.shape[-1]
         self.X, self.S00_inv = Z[..., :m], Z[..., m:]
-        traces = dm.lambda_indices[:, d0:]
         # Condensed indices of [lam_b; u_T] per element, -1 on outflow traces.
-        cidx = np.concatenate(
-            [np.where(traces >= 0, traces - self.n0, -1), dm.u_start[:, None] - self.n0], axis=1
-        )
-        self.free = cidx >= 0
+        kept = dm.element_indices[:, d0:]
+        self.free = kept >= 0
+        cidx = np.where(self.free, kept - self.n0, -1)
         self.order = dm.n_total - self.n0
         start = time.perf_counter()
         self.perm = nested_dissection(dm)[0]
@@ -189,10 +186,7 @@ class _CondensedLU:
         self.inv[self.perm] = np.arange(self.order)
         # The same indices in the factored (permuted) numbering.
         self.cidx = np.where(self.free, self.inv[cidx], -1)
-        mask = self.free[:, :, None] & self.free[:, None, :]
-        rows = np.broadcast_to(self.cidx[:, :, None], K.shape)[mask]
-        cols = np.broadcast_to(self.cidx[:, None, :], K.shape)[mask]
-        Kc = sparse.csc_matrix((K[mask], (rows, cols)), shape=(self.order, self.order))
+        Kc = scatter(K, self.cidx, self.order).tocsc()
         self.nnz = Kc.nnz
         try:
             self.lu = splu(
@@ -252,9 +246,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
             f"(order={A.shape[0]}, condensed order={factor.order})"
         )
 
-    dofmap = system.dofmap
-    lam = WeakFunction.from_free_vector(dofmap, x[: dofmap.n_lambda])
-    u = PrimalFunction.from_vector(dofmap, x[dofmap.n_lambda :])
+    idx = system.dofmap.element_indices
     info = {
         "method": "splu",
         "order": int(A.shape[0]),
@@ -269,4 +261,4 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "initial_residual": residuals[0],
         "tol": tol,
     }
-    return Solution(lam=lam, u=u, residual=residual, info=info)
+    return Solution(local=np.where(idx >= 0, x[idx], 0.0), residual=residual, info=info)

@@ -47,7 +47,6 @@ class LevelResult:
     cons_max_flux_jump: float
     cons_scale_f: float
     solver_residual: float
-    solver_method: str
     seconds: float
 
 
@@ -152,7 +151,6 @@ def run_study(
                 cons_max_flux_jump=cons.max_flux_jump,
                 cons_scale_f=cons.scale_f,
                 solver_residual=solution.residual,
-                solver_method=solution.info["method"],
                 seconds=time.perf_counter() - start,
             )
         )
@@ -161,7 +159,7 @@ def run_study(
             mesh = refine_uniform(mesh)
     report.system = system
     if collect_field:
-        report.field_points = postprocess_averages(solution.u, mesh)
+        report.field_points = postprocess_averages(solution.local[:, -1], mesh)
 
     return report
 
@@ -192,9 +190,9 @@ def emit_csv(report: StudyReport, path) -> None:
 
 
 def emit_plot_data(source, path) -> None:
-    """Write post-processed point values as x,y,value rows.  ``source`` is
-    a StudyReport carrying field points or a PostField itself."""
-    pts = getattr(source, "field_points", source)
+    """Write the post-processed point values of a StudyReport as x,y,value
+    rows."""
+    pts = source.field_points
     if pts is None:
         raise ValueError("report holds no field data; run with collect_field=True")
     lines = ["x,y,value"]

@@ -5,7 +5,9 @@ The multiplier space pairs an interior polynomial of degree j per element
 with an independent trace polynomial of degree j per edge; traces on
 outflow edges are constrained to zero and never receive a global index.
 The primal space is fully discontinuous, degree k-1 = 0 per element: one
-constant per element.
+constant per element.  Every layer from assembly to analysis sees an
+element's unknowns in one layout, [lam_0; traces of edges 0, 1, 2; u_T],
+whose global indices are the rows of ``DofMap.element_indices``.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -32,7 +34,9 @@ class DofMap:
 
     Multiplier indices come first: one block of dim P_j(T) per element,
     then one block of dim P_j(e) per free (non-outflow) edge.  Primal
-    indices follow, one constant per element.
+    indices follow, one constant per element.  ``element_indices``, shape
+    (T, n_loc + 1), holds the global indices of each element's unknowns
+    [lam_0; traces of edges 0, 1, 2; u_T], -1 on outflow traces.
     """
 
     def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):
@@ -48,7 +52,6 @@ class DofMap:
         constrained = np.zeros(mesh.num_edges, dtype=bool)
         constrained[classification.outflow_edges] = True
 
-        self.lam0_start = np.arange(T, dtype=np.int64) * self.dim_lam0
         rank = np.cumsum(~constrained) - 1
         self.lamb_start = np.where(
             constrained, -1, T * self.dim_lam0 + rank * self.dim_lamb
@@ -56,16 +59,15 @@ class DofMap:
         self.n_free_edges = int((~constrained).sum())
         self.n_lambda = T * self.dim_lam0 + self.n_free_edges * self.dim_lamb
         self.n_u = T
-        self.u_start = self.n_lambda + np.arange(T, dtype=np.int64)
 
-        # Local multiplier blocks [interior; trace edge 0; 1; 2] of every
-        # element, -1 marking constrained (outflow) trace entries.
+        elems = np.arange(T, dtype=np.int64)[:, None]
         starts = self.lamb_start[mesh.element_edges][..., None]
         traces = np.where(starts < 0, -1, starts + np.arange(self.dim_lamb))
-        self.lambda_indices = np.concatenate(
-            [self.lam0_start[:, None] + np.arange(self.dim_lam0), traces.reshape(T, -1)], axis=1
+        self.element_indices = np.concatenate(
+            [elems * self.dim_lam0 + np.arange(self.dim_lam0), traces.reshape(T, -1), self.n_lambda + elems],
+            axis=1,
         )
-        self.lambda_indices.setflags(write=False)
+        self.element_indices.setflags(write=False)
 
     @property
     def n_total(self) -> int:
@@ -110,21 +112,6 @@ class WeakFunction:
         free, cols = dofmap.free_trace_indices()
         x[cols] = self.lamb[free]
         return x
-
-
-@dataclass
-class PrimalFunction:
-    """Coefficients of a fully discontinuous piecewise constant, one row
-    per element."""
-
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_vector(cls, dofmap: DofMap, x: np.ndarray) -> "PrimalFunction":
-        return cls(coeffs=x.reshape(dofmap.mesh.num_elements, 1).copy())
-
-    def vector(self) -> np.ndarray:
-        return self.coeffs.ravel().copy()
 
 
 def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> WeakFunction:

@@ -17,7 +17,7 @@ from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, classify_boundary, refine_uniform
 from pdwg.solver import solve
 from pdwg.study import StudyReport
-from pdwg.weakspace import DofMap, PrimalFunction, WeakFunction, project_to_weak
+from pdwg.weakspace import DofMap, WeakFunction, project_to_weak
 
 
 def refined(tag, level):
@@ -52,29 +52,29 @@ class TestNodalInterpolant:
     def test_constant(self):
         mesh = refined("unit_square", 1)
         interp = nodal_interpolant(lambda x, y: np.ones_like(x), mesh)
-        assert np.allclose(interp.coeffs, 1.0)
+        assert interp.shape == (mesh.num_elements,)
+        assert np.allclose(interp, 1.0)
 
     def test_linear_is_centroid_value(self):
         mesh = build_coarse_mesh("unit_square")
         interp = nodal_interpolant(lambda x, y: x, mesh)
         for t in range(mesh.num_elements):
             cx = mesh.vertices[mesh.elements[t]].mean(axis=0)[0]
-            assert interp.coeffs[t, 0] == pytest.approx(cx, abs=1e-15)
+            assert interp[t] == pytest.approx(cx, abs=1e-15)
 
     def test_smooth_sample(self):
         mesh = refined("unit_square", 2)
         interp = nodal_interpolant(lambda x, y: np.sin(x) * np.cos(y), mesh)
         c = mesh.vertices[mesh.elements[5]].mean(axis=0)
-        assert interp.coeffs[5, 0] == pytest.approx(math.sin(c[0]) * math.cos(c[1]))
+        assert interp[5] == pytest.approx(math.sin(c[0]) * math.cos(c[1]))
 
 
 class TestErrorNorms:
     def test_constant_offset(self):
         # u_h = I_h u + 0.5 on the unit square: ||e_h|| = 0.5 (area 1)
         mesh, dm, spec, sol = solved_unit_problem(level=2)
-        sol.u.coeffs[:] = 1.5
-        sol.lam.lam0[:] = 0.0
-        sol.lam.lamb[:] = 0.0
+        sol.local[:, :-1] = 0.0
+        sol.local[:, -1] = 1.5
         rep = error_norms(sol, spec, mesh)
         assert rep.err_u == pytest.approx(0.5, abs=1e-12)
         assert rep.err_lam0 == 0.0
@@ -157,7 +157,7 @@ class TestConservation:
 
     def test_perturbation_detected(self):
         mesh, dm, spec, sol = solved_unit_problem(level=1)
-        sol.u.coeffs[0, 0] += 0.01
+        sol.local[0, -1] += 0.01
         rep = conservation_report(sol, spec, mesh)
         assert rep.max_element_residual > 1e-6
 
@@ -166,15 +166,15 @@ class TestConservation:
         # scaling a solution perturbation by 10 scales the maxima by 10
         mesh, dm, spec, sol = solved_unit_problem(level=1)
         rng = np.random.default_rng(5)
-        du = rng.standard_normal(sol.u.coeffs.shape)
-        dl0 = rng.standard_normal(sol.lam.lam0.shape)
+        du = rng.standard_normal(mesh.num_elements)
+        dl0 = rng.standard_normal((mesh.num_elements, dm.dim_lam0))
 
         def perturbed(scale):
             import copy
 
             s = copy.deepcopy(sol)
-            s.u.coeffs += scale * du
-            s.lam.lam0 += scale * dl0
+            s.local[:, -1] += scale * du
+            s.local[:, : dm.dim_lam0] += scale * dl0
             return conservation_report(s, spec, mesh)
 
         small = perturbed(1e-3)
@@ -204,20 +204,19 @@ class TestOrders:
 class TestPostprocess:
     def test_constant_field(self):
         mesh = refined("unit_square", 1)
-        u = PrimalFunction(coeffs=np.full((mesh.num_elements, 1), 3.0))
-        field = postprocess_averages(u, mesh)
+        field = postprocess_averages(np.full(mesh.num_elements, 3.0), mesh)
         assert np.allclose(field.value, 3.0)
         assert len(field.x) == mesh.num_vertices + mesh.num_edges
 
     def test_vertex_and_midpoint_averages(self):
         mesh = build_coarse_mesh("unit_square")
-        u = PrimalFunction(coeffs=np.array([[7.0], [9.0]]))
+        u = np.array([7.0, 9.0])
         field = postprocess_averages(u, mesh)
         # vertex values: corners (1,0) and (0,1) touch both elements
         vertex_vals = field.value[: mesh.num_vertices]
         for v, (x, y) in enumerate(mesh.vertices):
             incident = [t for t in range(2) if v in mesh.elements[t]]
-            expected = np.mean([u.coeffs[t, 0] for t in incident])
+            expected = np.mean([u[t] for t in incident])
             assert vertex_vals[v] == pytest.approx(expected)
         # the interior (diagonal) edge midpoint averages both elements;
         # boundary edge midpoints take their single element's value
@@ -227,12 +226,12 @@ class TestPostprocess:
             if t2 >= 0:
                 assert edge_vals[e] == pytest.approx(8.0)
             else:
-                assert edge_vals[e] == pytest.approx(u.coeffs[int(t1), 0])
+                assert edge_vals[e] == pytest.approx(u[int(t1)])
 
     def test_matches_loop_reference(self):
         mesh = refined("cracked_square", 2)
         vals = np.sin(np.arange(mesh.num_elements, dtype=float))
-        field = postprocess_averages(PrimalFunction(coeffs=vals[:, None]), mesh)
+        field = postprocess_averages(vals, mesh)
         vertex = np.zeros(mesh.num_vertices)
         count = np.zeros(mesh.num_vertices)
         for t, tri in enumerate(mesh.elements):
@@ -246,9 +245,8 @@ class TestPostprocess:
     def test_crack_sides_average_separately(self):
         mesh = refined("cracked_square", 1)
         centroids = mesh.vertices[mesh.elements].mean(axis=1)
-        vals = np.where(centroids[:, 1] > 0, 1.0, -1.0).reshape(-1, 1)
-        u = PrimalFunction(coeffs=vals)
-        field = postprocess_averages(u, mesh)
+        vals = np.where(centroids[:, 1] > 0, 1.0, -1.0)
+        field = postprocess_averages(vals, mesh)
         # both copies of the duplicated crack midpoint (0.5, 0) keep their
         # own side's value
         idx = np.flatnonzero(

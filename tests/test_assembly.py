@@ -13,7 +13,7 @@ from pdwg.fields import (
     constant_vector,
 )
 from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, owner_local_edges, refine_uniform
-from pdwg.poly import project_element
+from pdwg.poly import TriBasis, project_element
 from pdwg.weakspace import DofMap
 
 
@@ -102,6 +102,21 @@ class TestLocalStabilizer:
         for j in (0, 1):
             S = build_contexts(mesh, make_spec(tau=tau, j=j)).stabilizer(tau)
             assert np.array_equal(S, np.swapaxes(S, 1, 2))
+
+    def test_adjoint_matches_finite_difference(self):
+        # beta.grad(sigma_0) - c sigma_0 at every interior quadrature point,
+        # with the derivative along beta taken by central differences
+        mesh = refined("l_shape", 1)
+        for j in (0, 1):
+            tables = build_contexts(mesh, make_spec(beta=(0.7, -1.3), c=0.4, j=j))
+            basis, step = TriBasis(j), 1e-6 * tables.beta_q
+            fd = (
+                basis.eval(tables.qpts + step, tables.centroid, tables.diameter)
+                - basis.eval(tables.qpts - step, tables.centroid, tables.diameter)
+            ) / 2e-6
+            expected = fd - tables.c_q[..., None] * tables.lam0
+            assert tables.adjoint().shape == (mesh.num_elements, tables.qw.shape[1], 3 if j else 1)
+            assert np.allclose(tables.adjoint(), expected, rtol=0, atol=1e-8)
 
 
 class TestLocalBForm:
@@ -240,8 +255,9 @@ class TestAssemble:
         for t in range(mesh.num_elements):
             row = A[dm.n_lambda + t]
             cols = row.indices
-            allowed = set(int(i) for i in dm.lambda_indices[t] if i >= 0)
+            allowed = set(int(i) for i in dm.element_indices[t] if i >= 0)
             assert set(cols.tolist()) <= allowed
+            assert A[dm.n_lambda + t, dm.n_lambda + t] == 0.0
 
     def test_mismatched_dofmap_rejected(self):
         spec = make_spec()

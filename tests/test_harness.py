@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +224,18 @@ class TestCli:
         assert main(["run", "--experiment", "table1", "--levels", "1", *option, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_uncreatable_out_exits_3_naming_it(self, tmp_path):
+        # --out below a regular file cannot be created
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        env = dict(os.environ, PYTHONPATH=str(Path(pdwg.study.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdwg", "run", "--experiment", "table1", "--levels", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 3
+        assert str(out) in proc.stderr and "Traceback" not in proc.stderr
 
     def test_verify_passes_table1(self, capsys):
         assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0

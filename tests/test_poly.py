@@ -100,19 +100,6 @@ class TestTriBasis:
         with pytest.raises(ValueError, match="degree 0 or 1"):
             TriBasis(degree)
 
-    def test_gradient_matches_finite_difference(self):
-        basis = TriBasis(1)
-        c = np.array([0.4, 0.3])
-        h = 1.7
-        pts = np.array([[0.25, 0.6]])
-        eps = 1e-6
-        grads = basis.eval_grad(pts, c, h)[0]
-        for comp in range(2):
-            shift = np.zeros(2)
-            shift[comp] = eps
-            fd = (basis.eval(pts + shift, c, h) - basis.eval(pts - shift, c, h)) / (2 * eps)
-            assert np.allclose(grads[:, comp], fd[0], atol=1e-8)
-
     @pytest.mark.parametrize("level", range(6))
     def test_mass_matrix_conditioning(self, level):
         # scaled monomials keep kappa under 100 for degree <= 1 at any size

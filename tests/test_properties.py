@@ -80,7 +80,7 @@ def test_constant_solution_reproduced(problem):
     _, tables, _, solution = solve_problem(mesh, s)
     errs = error_norms(solution, s, mesh, tables)
     assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
-    assert np.allclose(solution.u.coeffs, 1.0, rtol=0, atol=1e-8)
+    assert np.allclose(solution.local[:, -1], 1.0, rtol=0, atol=1e-8)
 
 
 @PROPERTY_SETTINGS
@@ -129,4 +129,4 @@ def test_constant_solution_on_affine_images(problem, affine):
     _, tables, _, solution = solve_problem(mesh, s)
     errs = error_norms(solution, s, mesh, tables)
     assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
-    assert np.allclose(solution.u.coeffs, 1.0, rtol=0, atol=1e-8)
+    assert np.allclose(solution.local[:, -1], 1.0, rtol=0, atol=1e-8)

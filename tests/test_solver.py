@@ -43,13 +43,20 @@ def catalog_systems(levels):
                 mesh = refine_uniform(mesh)
 
 
+def full_vector(sol, dm):
+    """The global solution vector, rebuilt from the element-local values."""
+    x, free = np.zeros(dm.n_total), dm.element_indices >= 0
+    x[dm.element_indices[free]] = sol.local[free]
+    return x
+
+
 class TestKernels:
     def test_hand_inverted_2x2(self):
         # S_00 = [[2, 1], [1, 2]] has inverse [[2, -1], [-1, 2]] / 3; with
         # C = [[1, 0], [0, 3]], C^T S_00^{-1} C = [[2/3, -1], [-1, 6]].
-        S = np.array([[[2.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 5.0]]])
-        B = np.array([[0.0, 3.0, 1.0]])
-        Z, K = schur_complement(S, B, 2)
+        # The element matrix is [[S, B], [B^T, 0]] with B = [0, 3, 1].
+        E = np.array([[[2.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 3.0], [1.0, 0.0, 5.0, 1.0], [0.0, 3.0, 1.0, 0.0]]])
+        Z, K = schur_complement(E, 2)
         S00_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         assert np.allclose(Z[0], np.hstack([S00_inv @ [[1.0, 0.0], [0.0, 3.0]], S00_inv]), atol=1e-15)
         assert np.allclose(K[0], [[13.0 / 3.0, 2.0], [2.0, -6.0]], atol=1e-14)
@@ -61,12 +68,13 @@ class TestKernels:
             Q = rng.standard_normal((T, n, n))
             S = Q @ np.swapaxes(Q, 1, 2) + n * np.eye(n)
             B = rng.standard_normal((T, n))
-            Z, K = schur_complement(S, B, d0)
+            E = np.zeros((T, n + 1, n + 1))
+            E[:, :n, :n] = S
+            E[:, :n, n] = E[:, n, :n] = B
+            Z, K = schur_complement(E, d0)
             for t in range(T):
                 # Dense elimination of the first d0 unknowns of [[S, B], [B^T, 0]].
-                M = np.zeros((n + 1, n + 1))
-                M[:n, :n] = S[t]
-                M[:n, n] = M[n, :n] = B[t]
+                M = E[t]
                 M00_inv = np.linalg.inv(M[:d0, :d0])
                 ref = M[d0:, d0:] - M[d0:, :d0] @ M00_inv @ M[:d0, d0:]
                 assert np.allclose(K[t], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
@@ -86,14 +94,13 @@ class TestSolve:
     def test_unit_solution_recovered(self, tau, domain):
         mesh, dm, system = unit_problem(tau=tau, level=2, domain=domain)
         sol = solve(system)
-        assert np.max(np.abs(sol.u.coeffs - 1.0)) < 1e-10
-        assert np.max(np.abs(sol.lam.lam0)) < 1e-10
-        assert np.max(np.abs(sol.lam.lamb)) < 1e-10
+        assert np.max(np.abs(sol.local[:, -1] - 1.0)) < 1e-10
+        assert np.max(np.abs(sol.local[:, :-1])) < 1e-10
 
     def test_residual_matches_recompute(self):
         _, dm, system = unit_problem()
         sol = solve(system)
-        x = np.concatenate([sol.lam.free_vector(dm), sol.u.vector()])
+        x = full_vector(sol, dm)
         recomputed = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(
             system.rhs
         )
@@ -102,16 +109,15 @@ class TestSolve:
     def test_constrained_traces_exactly_zero(self):
         _, dm, system = unit_problem()
         sol = solve(system)
-        for e in dm.classification.outflow_edges:
-            assert np.all(sol.lam.lamb[e] == 0.0)
+        outflow = dm.element_indices < 0
+        assert outflow.sum() == dm.dim_lamb * len(dm.classification.outflow_edges) > 0
+        assert np.all(sol.local[outflow] == 0.0)
 
     def test_determinism_bitwise(self):
         _, dm, system = unit_problem(level=2)
         a = solve(system)
         b = solve(system)
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
-        assert np.array_equal(a.lam.lam0, b.lam.lam0)
-        assert np.array_equal(a.lam.lamb, b.lam.lamb)
+        assert np.array_equal(a.local, b.local)
         assert a.residual == b.residual
 
     def test_tolerance_validation(self):
@@ -147,8 +153,7 @@ class TestSolve:
     @pytest.mark.parametrize("j", [0, 1])
     def test_matches_dense_full_solve(self, j, tau, c, domain):
         _, dm, system = unit_problem(tau=tau, level=2, domain=domain, j=j, c=c)
-        sol = solve(system)
-        x = np.concatenate([sol.lam.free_vector(dm), sol.u.vector()])
+        x = full_vector(solve(system), dm)
         x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
@@ -176,9 +181,9 @@ class TestNestedDissection:
         perm, _ = nested_dissection(dm)
         place = np.argsort(perm)
         n0 = dm.mesh.num_elements * dm.dim_lam0
-        traces = dm.lambda_indices[:, dm.dim_lam0 :]
+        traces = dm.element_indices[:, dm.dim_lam0 : -1]
         trace_place = np.where(traces >= 0, place[traces - n0], -1)
-        u_place = place[dm.u_start - n0]
+        u_place = place[dm.element_indices[:, -1] - n0]
         assert np.all(u_place > trace_place.max(axis=1))
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
@@ -190,7 +195,7 @@ class TestNestedDissection:
         edge_order = perm[(perm < F * db) & (perm % db == 0)] // db
         assert np.array_equal(np.sort(edge_order), np.arange(F))
         n0 = dm.mesh.num_elements * dm.dim_lam0
-        traces = dm.lambda_indices[:, dm.dim_lam0 :: db]
+        traces = dm.element_indices[:, dm.dim_lam0 : -1 : db]
         elem_edges = np.where(traces >= 0, (traces - n0) // db, F)
         assert (len(nodes) > 0) == (F > 64)
         for start, left, right, sep in nodes:
@@ -217,8 +222,7 @@ class TestOrderedFactor:
     def test_catalog_matches_dense_full_solve(self):
         for name, j, level, system in catalog_systems((0, 1, 2)):
             dm = system.dofmap
-            sol = solve(system)
-            x = np.concatenate([sol.lam.free_vector(dm), sol.u.vector()])
+            x = full_vector(solve(system), dm)
             x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
             # fig8_f0 at level 0 has a zero right-hand side: x must be 0.
             assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max(), (name, j, level)

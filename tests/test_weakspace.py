@@ -15,7 +15,6 @@ from pdwg.poly import (
 )
 from pdwg.weakspace import (
     DofMap,
-    PrimalFunction,
     WeakFunction,
     commutativity_check,
     project_to_weak,
@@ -79,10 +78,10 @@ class TestDofMap:
         for e in dm.classification.outflow_edges:
             assert dm.lamb_start[e] == -1
         outflow = np.isin(mesh.element_edges, dm.classification.outflow_edges)
-        traces = dm.lambda_indices[:, 3:].reshape(mesh.num_elements, 3, 2)
+        traces = dm.element_indices[:, 3:-1].reshape(mesh.num_elements, 3, 2)
         assert np.all(traces[outflow] == -1) and np.all(traces[~outflow] >= 0)
         for t in range(mesh.num_elements):
-            idx = dm.lambda_indices[t]
+            idx = dm.element_indices[t, :-1]
             free = idx[idx >= 0]
             assert np.all(free < dm.n_lambda)
             assert len(np.unique(free)) == len(free)
@@ -92,9 +91,9 @@ class TestDofMap:
         dm = make_dofmap(mesh)
         seen = set()
         for t in range(mesh.num_elements):
-            seen.update(int(i) for i in dm.lambda_indices[t] if i >= 0)
-            seen.add(int(dm.u_start[t]))
+            seen.update(int(i) for i in dm.element_indices[t] if i >= 0)
         assert seen == set(range(dm.n_total))
+        assert np.array_equal(dm.element_indices[:, -1], dm.n_lambda + np.arange(mesh.num_elements))
 
     def test_rejects_unsupported_degrees(self):
         mesh = build_coarse_mesh("unit_square")
@@ -258,12 +257,3 @@ class TestWeakGradient:
         with pytest.raises(ValueError):
             commutativity_check(lambda x, y: x, lambda x, y: (1.0, 0.0), mesh, j=-1)
 
-
-class TestPrimalFunction:
-    def test_vector_round_trip(self):
-        mesh = refined("unit_square", 1)
-        dm = make_dofmap(mesh)
-        x = np.arange(dm.n_u, dtype=float)
-        u = PrimalFunction.from_vector(dm, x)
-        assert np.allclose(u.vector(), x)
-        assert u.coeffs.shape == (mesh.num_elements, 1)
