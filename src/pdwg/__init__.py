@@ -10,7 +10,8 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 - ``mesh``       triangulations of the benchmark domains, refinement,
                  inflow/outflow classification
 - ``poly``       polynomial bases, quadrature, L2 projections
-- ``weakspace``  degrees of freedom and the discrete weak gradient
+- ``weakspace``  degrees of freedom, projection into the weak space and
+                 the discrete weak gradient
 - ``assembly``   local forms and the global saddle-point system
 - ``solver``     static condensation, nested-dissection sparse LU, residual checks
 - ``analysis``   error norms, conservation checks, post-processing
@@ -28,7 +29,7 @@ from .mesh import (
     classify_boundary,
     refine_uniform,
 )
-from .weakspace import DofMap, WeakFunction
+from .weakspace import DofMap
 from .assembly import ProblemSpec, SaddleSystem, assemble
 from .solver import Solution, SolverError, solve
 from .catalog import catalog, get_experiment
@@ -44,7 +45,6 @@ __all__ = [
     "Solution",
     "SolverError",
     "StudyReport",
-    "WeakFunction",
     "assemble",
     "build_coarse_mesh",
     "catalog",

@@ -28,7 +28,6 @@ import numpy as np
 from .assembly import ElementTables, ProblemSpec, build_contexts
 from .mesh import Mesh, owner_local_edges
 from .solver import Solution
-from .weakspace import WeakFunction
 
 
 @dataclass
@@ -72,27 +71,21 @@ def error_norms(
     tables: ElementTables | None = None,
 ) -> ErrorReport:
     """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
-    ||lam_b||.  Each edge is counted once, weighted by the diameter of its
-    owner element (the lower incident element index)."""
+    ||lam_b||.  Each edge is counted once, from its first incident
+    element, which supplies its trace, quadrature weights and h_T."""
     if spec.exact_u is None:
         raise ValueError("error norms require an exact solution")
     tables = tables if tables is not None else build_contexts(mesh, spec)
     diff = solution.local[:, -1] - nodal_interpolant(spec.exact_u, mesh)
     lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.local[:, : tables.dim_lam0])
-    lamb = _edge_rows(tables, np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables)))
-    lamb_sq = np.sum(_edge_rows(tables, tables.ew) * lamb * lamb, axis=1)
+    owner, local = owner_local_edges(mesh, np.arange(mesh.num_edges))
+    lamb = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))[owner, local]
+    lamb_sq = np.sum(tables.ew[owner, local] * lamb * lamb, axis=1)
     return ErrorReport(
         err_u=math.sqrt(float(tables.area @ (diff * diff))),
         err_lam0=math.sqrt(float(np.sum(tables.qw * lam0 * lam0))),
-        err_lamb=math.sqrt(float(_edge_owner_diameters(tables) @ lamb_sq)),
+        err_lamb=math.sqrt(float(tables.diameter[owner] @ lamb_sq)),
     )
-
-
-def _edge_rows(tables: ElementTables, values: np.ndarray) -> np.ndarray:
-    """Per mesh edge, the rows of an element-edge table (T, 3, ...) seen
-    from the edge's first incident element."""
-    owner, local = owner_local_edges(tables.mesh, np.arange(tables.mesh.num_edges))
-    return values[owner, local]
 
 
 def _traces(solution: Solution, tables: ElementTables) -> np.ndarray:
@@ -100,22 +93,16 @@ def _traces(solution: Solution, tables: ElementTables) -> np.ndarray:
     return solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
 
 
-def _edge_owner_diameters(tables: ElementTables) -> np.ndarray:
-    """Diameter of each edge's owner: its lower incident element index."""
-    sides = tables.mesh.edge_elems
-    owner = np.where(sides[:, 1] < 0, sides[:, 0], sides.min(axis=1))
-    return tables.diameter[owner]
-
-
-def triple_norm_Wh(lam: WeakFunction, spec: ProblemSpec, mesh: Mesh) -> float:
-    """Multiplier seminorm
+def triple_norm_Wh(lam: np.ndarray, spec: ProblemSpec, mesh: Mesh) -> float:
+    """Multiplier seminorm of a weak function given as element rows
+    [lam_0; traces of edges 0, 1, 2], shape (T, n_loc):
 
         ( sum_T 1/h_T ||lam_0 - lam_b||_{dT}^2
               + tau ||beta.grad(lam_0) - c lam_0||_T^2 )^(1/2),
 
     which squares to the stabilizer quadratic form s(lam, lam)."""
     tables = build_contexts(mesh, spec)
-    return math.sqrt(float(tables.stabilizer_energy(tables.local_coefficients(lam), spec.tau).sum()))
+    return math.sqrt(float(tables.stabilizer_energy(lam, spec.tau).sum()))
 
 
 def conservation_report(

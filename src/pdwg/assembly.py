@@ -40,7 +40,7 @@ from scipy import sparse
 from .fields import DerivedLoad, evaluate_branches
 from .mesh import DOMAIN_TAGS, Mesh, geometry_arrays, owner_local_edges
 from .poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
-from .weakspace import DofMap, WeakFunction
+from .weakspace import DofMap
 
 # Five Gauss points per edge.
 EDGE_QUAD_DEGREE = 9
@@ -201,12 +201,6 @@ class ElementTables:
                 "branch of its centroid",
                 stacklevel=3,
             )
-
-    def local_coefficients(self, lam: WeakFunction) -> np.ndarray:
-        """Local coefficient vectors [interior; traces of edges 0, 1, 2]
-        of a weak function, shape (T, n_loc)."""
-        traces = lam.lamb[self.mesh.element_edges]
-        return np.concatenate([lam.lam0, traces.reshape(len(traces), -1)], axis=1)
 
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the

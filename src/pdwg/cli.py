@@ -100,19 +100,20 @@ def _cmd_run(args) -> int:
         else load_experiment_config(args.config)
     )
     levels = _level_range(args.levels, exp.levels[0], None)
-    try:
-        report = run_study(
-            exp,
-            levels=levels,
-            tau=args.tau,
-            j=None if args.j is None else J_DEGREES[args.j],
-            tol=args.tol,
-            collect_field="field" in exp.outputs,
-        )
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    # Fail before the study if --out cannot become a directory; it is made
+    # only after the study succeeds.
     out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+    report = run_study(
+        exp,
+        levels=levels,
+        tau=args.tau,
+        j=None if args.j is None else J_DEGREES[args.j],
+        tol=args.tol,
+        collect_field="field" in exp.outputs,
+    )
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(report, out / f"{exp.name}.csv")
     if report.field_points is not None:
@@ -128,11 +129,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     exp = get_experiment(args.experiment)
     levels = _level_range(args.levels, 0, (0, 3))
-    try:
-        report = run_study(exp, levels=levels)
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    report = run_study(exp, levels=levels)
     failures: list[str] = []
 
     # Symmetry / structure gates on the system solved at the finest level.
@@ -202,6 +199,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SolverError as err:
+        print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     except (KeyError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ACCEPTANCE_FAILURE

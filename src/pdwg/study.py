@@ -75,20 +75,21 @@ class StudyReport:
 
     def table(self) -> str:
         """Human-readable study table."""
-        ou = self.orders("err_u")
-        o0 = self.orders("err_lam0")
-        ob = self.orders("err_lamb")
-        lines = [
-            f"{'1/h':>5} {'err_u':>12} {'order':>7} {'err_l0':>12} "
-            f"{'order':>7} {'err_lb':>12} {'order':>7}"
-        ]
+        widths = (5, 12, 7, 12, 7, 12, 7)
+        head = ("1/h", "err_u", "order", "err_l0", "order", "err_lb", "order")
+        rows = [head, *self._cells("%.5e", "%.3f")]
+        return "\n".join(" ".join(f"{c:>{w}}" for c, w in zip(row, widths)) for row in rows)
+
+    def _cells(self, err_fmt: str, order_fmt: str):
+        """Per row, 1/h and each (error, order) pair formatted, empty where
+        a value is missing."""
+        keys = ("err_u", "err_lam0", "err_lamb")
+        orders = [self.orders(key) for key in keys]
         for i, r in enumerate(self.rows):
-            lines.append(
-                f"{r.inv_h:>5} {_fmt(r.err_u, '%.5e'):>12} {_fmt(ou[i], '%.3f'):>7} "
-                f"{_fmt(r.err_lam0, '%.5e'):>12} {_fmt(o0[i], '%.3f'):>7} "
-                f"{_fmt(r.err_lamb, '%.5e'):>12} {_fmt(ob[i], '%.3f'):>7}"
-            )
-        return "\n".join(lines)
+            cells = [str(r.inv_h)]
+            for key, o in zip(keys, orders):
+                cells += [_fmt(getattr(r, key), err_fmt), _fmt(o[i], order_fmt)]
+            yield cells
 
 
 def _fmt(value, spec_str) -> str:
@@ -167,24 +168,7 @@ def run_study(
 def emit_csv(report: StudyReport, path) -> None:
     """Write the study table: one row per level, empty order cells on the
     first row and wherever errors are unavailable or at round-off level."""
-    ou = report.orders("err_u")
-    o0 = report.orders("err_lam0")
-    ob = report.orders("err_lamb")
-    lines = [CSV_HEADER]
-    for i, r in enumerate(report.rows):
-        lines.append(
-            ",".join(
-                [
-                    str(r.inv_h),
-                    _fmt(r.err_u, "%.12e"),
-                    _fmt(ou[i], "%.6f"),
-                    _fmt(r.err_lam0, "%.12e"),
-                    _fmt(o0[i], "%.6f"),
-                    _fmt(r.err_lamb, "%.12e"),
-                    _fmt(ob[i], "%.6f"),
-                ]
-            )
-        )
+    lines = [CSV_HEADER, *(",".join(cells) for cells in report._cells("%.12e", "%.6f"))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,5 +1,5 @@
-"""Degrees of freedom for the weak and primal spaces, and the discrete
-weak gradient.
+"""Degrees of freedom for the weak and primal spaces, the L2 projection
+into the weak space, and the discrete weak gradient.
 
 The multiplier space pairs an interior polynomial of degree j per element
 with an independent trace polynomial of degree j per edge; traces on
@@ -7,7 +7,11 @@ outflow edges are constrained to zero and never receive a global index.
 The primal space is fully discontinuous, degree k-1 = 0 per element: one
 constant per element.  Every layer from assembly to analysis sees an
 element's unknowns in one layout, [lam_0; traces of edges 0, 1, 2; u_T],
-whose global indices are the rows of ``DofMap.element_indices``.
+whose global indices are the rows of ``DofMap.element_indices``.  A weak
+function is held the same way, as element rows (T, n_loc) over
+[lam_0; traces of edges 0, 1, 2], the layout without u_T:
+``x[element_indices[:, :-1]]`` gathers it from a multiplier vector x,
+with 0 put in the slots of outflow traces.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -21,12 +25,10 @@ constants, so grad_w v = (1/|T|) <vb, n>_{dT}; the element tables of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mesh import BoundaryClassification, Mesh
-from .poly import EdgeBasis, dim_poly2d, quad_edge
+from .mesh import BoundaryClassification, Mesh, owner_local_edges
+from .poly import dim_poly2d
 
 
 class DofMap:
@@ -73,51 +75,13 @@ class DofMap:
     def n_total(self) -> int:
         return self.n_lambda + self.n_u
 
-    def free_trace_indices(self):
-        """The free (non-outflow) edges and the global indices of their
-        trace blocks, shape (n_free_edges, dim_lamb)."""
-        free = np.flatnonzero(self.lamb_start >= 0)
-        return free, self.lamb_start[free, None] + np.arange(self.dim_lamb)
 
-
-@dataclass
-class WeakFunction:
-    """Coefficients of a weak function: per-element interior polynomials
-    (rows of ``lam0``) and per-edge trace polynomials (rows of ``lamb``).
-    Trace rows on constrained edges are identically zero."""
-
-    lam0: np.ndarray
-    lamb: np.ndarray
-
-    @classmethod
-    def zeros(cls, dofmap: DofMap) -> "WeakFunction":
-        return cls(
-            lam0=np.zeros((dofmap.mesh.num_elements, dofmap.dim_lam0)),
-            lamb=np.zeros((dofmap.mesh.num_edges, dofmap.dim_lamb)),
-        )
-
-    @classmethod
-    def from_free_vector(cls, dofmap: DofMap, x: np.ndarray) -> "WeakFunction":
-        wf = cls.zeros(dofmap)
-        T = dofmap.mesh.num_elements
-        wf.lam0[:] = x[: T * dofmap.dim_lam0].reshape(T, dofmap.dim_lam0)
-        free, cols = dofmap.free_trace_indices()
-        wf.lamb[free] = x[cols]
-        return wf
-
-    def free_vector(self, dofmap: DofMap) -> np.ndarray:
-        x = np.zeros(dofmap.n_lambda)
-        T = dofmap.mesh.num_elements
-        x[: T * dofmap.dim_lam0] = self.lam0.ravel()
-        free, cols = dofmap.free_trace_indices()
-        x[cols] = self.lamb[free]
-        return x
-
-
-def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> WeakFunction:
+def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> np.ndarray:
     """Componentwise L2 projection of a smooth function into the weak
-    space: interior projections onto P_j(T) and trace projections onto
-    P_j(e) for every edge, all elements and edges in one batch.
+    space, as element rows [lam_0; traces of edges 0, 1, 2], shape
+    (T, n_loc): interior projections onto P_j(T) and trace projections
+    onto P_j(e) in each edge's own orientation, all elements and edges in
+    one batch.  Both elements of an interior edge hold the same trace.
     ``quad_degree`` (default 2j+2) is the interior quadrature exactness."""
     from .assembly import ElementTables
 
@@ -125,29 +89,24 @@ def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> We
     return _project(w, ElementTables(mesh, j, qd))
 
 
-def _sample(w, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(w(x, y), dtype=float), x.shape)
-
-
-def _project(w, tables) -> WeakFunction:
-    """:func:`project_to_weak` on the interior quadrature of ``tables``."""
+def _l2(V, weights, w, pts) -> np.ndarray:
+    """Batched L2 projections of w onto the bases V (..., nq, d) under the
+    quadrature ``weights`` (..., nq) at ``pts`` (..., nq, 2), (..., d)."""
     # Mass matrix and moments in one product, so a w in the span of the
     # basis yields moments that are exact multiples of mass columns.
-    V, qw = tables.lam0, tables.qw
-    wv = _sample(w, tables.qpts[..., 0], tables.qpts[..., 1])[..., None]
-    Mb = np.swapaxes(V, 1, 2) @ (qw[..., None] * np.concatenate([V, wv], axis=2))
-    lam0 = np.linalg.solve(Mb[..., :-1], Mb[..., -1:])[..., 0]
+    wv = np.broadcast_to(np.asarray(w(pts[..., 0], pts[..., 1]), dtype=float), weights.shape)
+    Mb = np.swapaxes(V, -1, -2) @ (weights[..., None] * np.concatenate([V, wv[..., None]], axis=-1))
+    return np.linalg.solve(Mb[..., :-1], Mb[..., -1:])[..., 0]
 
-    # Traces in each edge's own orientation; the edge length scales mass
-    # and moments alike, so one mass matrix serves every edge.
-    mesh, db = tables.mesh, tables.edge_trace.shape[-1]
-    rule = quad_edge(max(2 * db, 9))
-    a, b = mesh.vertices[mesh.edges[:, 0], None], mesh.vertices[mesh.edges[:, 1], None]
-    pts = a + 0.5 * (rule.points[:, None] + 1.0) * (b - a)
-    Ve = EdgeBasis(db - 1).eval(rule.points)
-    P = Ve.T @ (rule.weights[:, None] * np.concatenate([Ve, _sample(w, pts[..., 0], pts[..., 1]).T], axis=1))
-    lamb = np.linalg.solve(P[:, :db], P[:, db:]).T
-    return WeakFunction(lam0=lam0, lamb=lamb)
+
+def _project(w, tables) -> np.ndarray:
+    """:func:`project_to_weak` on the quadrature of ``tables``.  Each mesh
+    edge is projected once, on its first incident element's edge table."""
+    mesh = tables.mesh
+    lam0 = _l2(tables.lam0, tables.qw, w, tables.qpts)
+    owner, local = owner_local_edges(mesh, np.arange(mesh.num_edges))
+    lamb = _l2(tables.edge_trace[owner, local], tables.ew[owner, local], w, tables.epts[owner, local])
+    return np.concatenate([lam0, lamb[mesh.element_edges].reshape(len(lam0), -1)], axis=1)
 
 
 def commutativity_check(
@@ -170,7 +129,7 @@ def commutativity_check(
 
     qd = quad_degree if quad_degree is not None else 2 * j + 6
     tables = ElementTables(mesh, j, qd)
-    lhs = np.einsum("tcn,tn->tc", tables.G, tables.local_coefficients(_project(w, tables)))
+    lhs = np.einsum("tcn,tn->tc", tables.G, _project(w, tables))
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]
     # L2 projection of grad w onto the constants.
     grad = np.stack([np.broadcast_to(np.asarray(g, dtype=float), x.shape) for g in grad_w(x, y)], axis=-1)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import pdwg.cli
 import pdwg.study
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
+from pdwg.solver import SolverError
 from pdwg.study import CSV_HEADER, emit_csv, emit_plot_data, run_study
 
 
@@ -236,6 +238,29 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("below", [True, False], ids=["under-a-file", "a-file"])
+    def test_out_that_cannot_be_a_directory_exits_3_before_the_study(self, tmp_path, capsys, monkeypatch, below):
+        monkeypatch.setattr(pdwg.cli, "run_study", lambda *a, **k: pytest.fail("study ran"))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "x" if below else afile
+        assert main(["run", "--experiment", "table1", "--out", str(out)]) == 3
+        assert f"--out {out}" in capsys.readouterr().err
+        assert afile.is_file() and afile.read_text() == ""
+        assert sorted(tmp_path.iterdir()) == [afile]
+
+    def test_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverError("singular condensed matrix")
+
+        monkeypatch.setattr(pdwg.cli, "run_study", fail)
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", "table1", "--out", str(out)]) == 2
+        assert "solver failure" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["verify", "--experiment", "table1"]) == 2
+        assert "solver failure" in capsys.readouterr().err
 
     def test_verify_passes_table1(self, capsys):
         assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0

@@ -15,7 +15,6 @@ from pdwg.poly import (
 )
 from pdwg.weakspace import (
     DofMap,
-    WeakFunction,
     commutativity_check,
     project_to_weak,
 )
@@ -102,18 +101,6 @@ class TestDofMap:
             DofMap(mesh, 2, cls)
         with pytest.raises(ValueError):
             DofMap(mesh, -1, cls)
-
-
-class TestWeakFunctionRoundTrip:
-    def test_free_vector_round_trip(self):
-        mesh = refined("unit_square", 1)
-        dm = make_dofmap(mesh)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(dm.n_lambda)
-        wf = WeakFunction.from_free_vector(dm, x)
-        assert np.allclose(wf.free_vector(dm), x)
-        for e in dm.classification.outflow_edges:
-            assert np.all(wf.lamb[e] == 0.0)
 
 
 class TestWeakGradient:
@@ -223,11 +210,8 @@ class TestWeakGradient:
         proj = project_to_weak(lambda x, y: x**2, mesh, j=1)
         t = 0
         G = ElementTables(mesh, 1, 1).G[t]
-        local = np.concatenate(
-            [proj.lam0[t]] + [proj.lamb[mesh.element_edges[t, i]] for i in range(3)]
-        )
         centroid = coords_of(mesh, t).mean(axis=0)
-        assert np.allclose(G @ local, [2.0 * centroid[0], 0.0], atol=1e-12)
+        assert np.allclose(G @ proj[t], [2.0 * centroid[0], 0.0], atol=1e-12)
 
     def test_commutativity_smooth_with_enlarged_quadrature(self):
         mesh = refined("unit_square", 3)
@@ -249,8 +233,21 @@ class TestWeakGradient:
         proj = project_to_weak(w, mesh, j, quad_degree=8)
         lam0 = np.array([project_element(w, j, coords_of(mesh, t), 8) for t in range(mesh.num_elements)])
         lamb = np.array([project_edge(w, j, *mesh.vertices[mesh.edges[e]]) for e in range(mesh.num_edges)])
-        assert np.allclose(proj.lam0, lam0, rtol=0, atol=1e-14 * np.abs(lam0).max())
-        assert np.allclose(proj.lamb, lamb, rtol=0, atol=1e-14 * np.abs(lamb).max())
+        traces = lamb[mesh.element_edges].reshape(mesh.num_elements, -1)
+        d0 = lam0.shape[1]
+        assert proj.shape == (mesh.num_elements, d0 + traces.shape[1])
+        assert np.allclose(proj[:, :d0], lam0, rtol=0, atol=1e-14 * np.abs(lam0).max())
+        assert np.allclose(proj[:, d0:], traces, rtol=0, atol=1e-14 * np.abs(lamb).max())
+
+        # Both elements of an interior edge hold the same trace, bit for bit.
+        interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
+        rows = proj[:, d0:].reshape(mesh.num_elements, 3, -1)
+        sides = []
+        for k in (0, 1):
+            t = mesh.edge_elems[interior, k]
+            i = np.argmax(mesh.element_edges[t] == interior[:, None], axis=1)
+            sides.append(rows[t, i])
+        assert len(interior) and np.array_equal(sides[0], sides[1])
 
     def test_commutativity_requires_j_at_least_k_minus_1(self):
         mesh = build_coarse_mesh("unit_square")
