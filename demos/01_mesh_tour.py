@@ -1,15 +1,15 @@
 """Tour of the three benchmark domains: coarse meshes, uniform refinement,
-and inflow/outflow classification.
+and inflow/outflow classification read from a problem's element tables.
 
 Run from the repository root:  PYTHONPATH=src python3 demos/01_mesh_tour.py
 """
 
 import numpy as np
 
-from pdwg.fields import constant_vector, rotation
+from pdwg.assembly import build_contexts, classify_boundary
+from pdwg.catalog import get_experiment
 from pdwg.mesh import (
     build_coarse_mesh,
-    classify_boundary,
     domain_area,
     dump_mesh,
     geometry_arrays,
@@ -39,14 +39,12 @@ dup = np.flatnonzero(
 )
 print(f"\ncracked square level 1: vertex (0.5, 0) appears {len(dup)} times")
 
-# Boundary classification depends on the convection field.
+# Boundary classification depends on the convection field, which it reads
+# from the element tables of a problem on the mesh.
 mesh = refine_uniform(build_coarse_mesh("unit_square"))
-for beta, label in (
-    (constant_vector(1.0, -1.0), "beta=[1,-1]"),
-    (rotation(0.5, 0.5), "beta=[y-0.5,-x+0.5]"),
-):
-    cls = classify_boundary(mesh, beta)
+for name, label in (("table5", "beta=[1,-1]"), ("fig1_tau1", "beta=[y-0.5,-x+0.5]")):
+    cls = classify_boundary(mesh, build_contexts(mesh, get_experiment(name).spec))
     print(f"{label}: {len(cls.inflow_edges)} inflow, {len(cls.outflow_edges)} outflow edges")
-
-dump_mesh(mesh, "unit_square_level1.txt", classify_boundary(mesh, constant_vector(1.0, -1.0)))
+    if name == "table5":
+        dump_mesh(mesh, "unit_square_level1.txt", cls)
 print("wrote unit_square_level1.txt (vertex / element / edge sections)")

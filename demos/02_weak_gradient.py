@@ -28,7 +28,7 @@ print("element:", coords.tolist())
 
 # v0 = 0 with unit trace on the hypotenuse only: the weak gradient is
 # |e| <n> / |T| = (2, 2) on this right triangle.
-tables = ElementTables(mesh, j=1, interior_degree=6)
+tables = ElementTables(mesh, j=1)
 G = tables.G[t]  # (2 components, 9 local coefficients)
 local = np.zeros(9)
 for i in range(3):
@@ -58,7 +58,7 @@ print("grad_w of v = x with matching trace:   ", G @ local)
 mesh3 = build_coarse_mesh("unit_square")
 for _ in range(3):
     mesh3 = refine_uniform(mesh3)
-tables3 = ElementTables(mesh3, j=1, interior_degree=6)
+tables3 = ElementTables(mesh3, j=1)
 ones = np.zeros(9)
 ones[0] = 1.0
 ones[3::2] = 1.0
@@ -69,6 +69,6 @@ print(f"max |grad_w 1| over {len(grads)} elements: {np.abs(grads).max():.1e}")
 res = commutativity_check(
     lambda x, y: np.sin(x) * np.cos(y),
     lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
-    mesh3, j=1, quad_degree=8,
+    mesh3, j=1,
 )
 print(f"commutation residual for sin(x)cos(y) at level 3: {res:.2e}")

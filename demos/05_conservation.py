@@ -12,9 +12,9 @@ Run:  PYTHONPATH=src python3 demos/05_conservation.py
 import copy
 
 from pdwg.analysis import conservation_report
-from pdwg.assembly import assemble, build_contexts
+from pdwg.assembly import assemble, build_contexts, classify_boundary
 from pdwg.catalog import get_experiment
-from pdwg.mesh import build_coarse_mesh, classify_boundary, refine_uniform
+from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.solver import solve
 from pdwg.weakspace import DofMap
 
@@ -25,20 +25,19 @@ print(exp.description)
 mesh = build_coarse_mesh(spec.domain_tag)
 for _ in range(3):
     mesh = refine_uniform(mesh)
-classification = classify_boundary(mesh, spec.beta)
-dofmap = DofMap(mesh, spec.j, classification)
 tables = build_contexts(mesh, spec)  # element tables shared by every stage
+dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
 system = assemble(mesh, dofmap, spec, tables)
 solution = solve(system)
 
-report = conservation_report(solution, spec, mesh, tables)
+report = conservation_report(solution, spec, tables)
 print(f"elements: {mesh.num_elements}, interior edges: {len(report.interior_edges)}")
 print(f"max |element balance residual| = {report.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {report.max_flux_jump:.3e}")
 
 broken = copy.deepcopy(solution)
 broken.local[7, -1] += 1e-3  # u_h on element 7
-bad = conservation_report(broken, spec, mesh, tables)
+bad = conservation_report(broken, spec, tables)
 print("\nafter perturbing one element value by 1e-3:")
 print(f"max |element balance residual| = {bad.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {bad.max_flux_jump:.3e}")

@@ -7,12 +7,12 @@ The package discretizes the first-order equation
 with a fully discontinuous primal unknown and a weak-function Lagrange
 multiplier coupled through a symmetric saddle-point system.  Submodules:
 
-- ``mesh``       triangulations of the benchmark domains, refinement,
-                 inflow/outflow classification
+- ``mesh``       triangulations of the benchmark domains and refinement
 - ``poly``       polynomial bases, quadrature, L2 projections
 - ``weakspace``  degrees of freedom, projection into the weak space and
                  the discrete weak gradient
-- ``assembly``   local forms and the global saddle-point system
+- ``assembly``   element tables, inflow/outflow classification, local
+                 forms and the global saddle-point system
 - ``solver``     static condensation, nested-dissection sparse LU, residual checks
 - ``analysis``   error norms, conservation checks, post-processing
 - ``fields``     closed-form coefficient fields and piecewise composition
@@ -26,11 +26,10 @@ from .mesh import (
     ElementGeometry,
     Mesh,
     build_coarse_mesh,
-    classify_boundary,
     refine_uniform,
 )
 from .weakspace import DofMap
-from .assembly import ProblemSpec, SaddleSystem, assemble
+from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, classify_boundary
 from .solver import Solution, SolverError, solve
 from .catalog import catalog, get_experiment
 from .study import StudyReport, emit_csv, emit_plot_data, run_study
@@ -47,6 +46,7 @@ __all__ = [
     "StudyReport",
     "assemble",
     "build_coarse_mesh",
+    "build_contexts",
     "catalog",
     "classify_boundary",
     "emit_csv",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ElementTables, ProblemSpec, build_contexts
-from .mesh import Mesh, owner_local_edges
+from .mesh import Mesh
 from .solver import Solution
 
 
@@ -64,21 +64,17 @@ def nodal_interpolant(exact_u, mesh: Mesh) -> np.ndarray:
     return np.asarray(exact_u(centers[:, 0], centers[:, 1]), dtype=float).reshape(-1)
 
 
-def error_norms(
-    solution: Solution,
-    spec: ProblemSpec,
-    mesh: Mesh,
-    tables: ElementTables | None = None,
-) -> ErrorReport:
+def error_norms(solution: Solution, spec: ProblemSpec, tables: ElementTables) -> ErrorReport:
     """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
-    ||lam_b||.  Each edge is counted once, from its first incident
-    element, which supplies its trace, quadrature weights and h_T."""
+    ||lam_b|| on the mesh of ``tables``.  Each edge is counted once, from
+    its first incident element, which supplies its trace, quadrature
+    weights and h_T."""
     if spec.exact_u is None:
         raise ValueError("error norms require an exact solution")
-    tables = tables if tables is not None else build_contexts(mesh, spec)
+    mesh = tables.mesh
     diff = solution.local[:, -1] - nodal_interpolant(spec.exact_u, mesh)
     lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.local[:, : tables.dim_lam0])
-    owner, local = owner_local_edges(mesh, np.arange(mesh.num_edges))
+    owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
     lamb = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))[owner, local]
     lamb_sq = np.sum(tables.ew[owner, local] * lamb * lamb, axis=1)
     return ErrorReport(
@@ -105,14 +101,10 @@ def triple_norm_Wh(lam: np.ndarray, spec: ProblemSpec, mesh: Mesh) -> float:
     return math.sqrt(float(tables.stabilizer_energy(lam, spec.tau).sum()))
 
 
-def conservation_report(
-    solution: Solution,
-    spec: ProblemSpec,
-    mesh: Mesh,
-    tables: ElementTables | None = None,
-) -> ConservationReport:
+def conservation_report(solution: Solution, spec: ProblemSpec, tables: ElementTables) -> ConservationReport:
     """Elementwise balance residuals of the conservation identity and the
-    interior-edge normal-flux jumps tested against the edge trace basis.
+    interior-edge normal-flux jumps tested against the edge trace basis,
+    on the mesh of ``tables``.
 
     The jump test uses the flux the scheme itself transports: beta u_h is
     projected elementwise onto degree k-1 vectors (for elementwise
@@ -120,7 +112,7 @@ def conservation_report(
     assembly quadrature, so a converged solve drives them to solver
     tolerance.
     """
-    tables = tables if tables is not None else build_contexts(mesh, spec)
+    mesh = tables.mesh
     u = solution.local[:, -1]
     lam0 = solution.local[:, : tables.dim_lam0]
     qw, ew = tables.qw, tables.ew

@@ -38,12 +38,17 @@ import numpy as np
 from scipy import sparse
 
 from .fields import DerivedLoad, evaluate_branches
-from .mesh import DOMAIN_TAGS, Mesh, geometry_arrays, owner_local_edges
+from .mesh import DOMAIN_TAGS, BoundaryClassification, Mesh, geometry_arrays
 from .poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from .weakspace import DofMap
 
-# Five Gauss points per edge.
+# Five Gauss points per edge; the middle one, t = 0, is the edge midpoint.
 EDGE_QUAD_DEGREE = 9
+EDGE_MIDPOINT = 2
+
+# Edges with |beta . n| at or below this are treated as outflow, so their
+# trace unknowns are constrained.
+CLASSIFY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,10 @@ class ElementTables:
     """Quadrature, basis and coefficient tables of all elements of a mesh.
 
     Every array has a leading axis over the T elements, so each local form
-    is one array expression over the mesh.  With nq interior and ne edge
-    quadrature points, d0 = dim P_j(T) and db = dim P_j(e):
+    is one array expression over the mesh.  The quadrature is fixed: the
+    interior rule is exact to degree 2j+4 and the edge rule has five Gauss
+    points.  With nq interior and ne edge quadrature points,
+    d0 = dim P_j(T) and db = dim P_j(e):
 
     - ``area``, ``diameter`` (T,), ``centroid`` (T, 2), ``normals`` (T, 3, 2)
     - ``qpts`` (T, nq, 2), ``qw`` (T, nq); ``epts`` (T, 3, ne, 2), ``ew`` (T, 3, ne)
@@ -114,7 +121,7 @@ class ElementTables:
     (T, nq), with ``beta_branch`` (T,) the branch of beta per element.
     """
 
-    def __init__(self, mesh: Mesh, j: int, interior_degree: int):
+    def __init__(self, mesh: Mesh, j: int):
         self.mesh = mesh
         geom = geometry_arrays(mesh)
         self.area = geom.area
@@ -124,7 +131,11 @@ class ElementTables:
 
         coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
         v0, v1, v2 = coords[:, 0, None], coords[:, 1, None], coords[:, 2, None]
-        rule = quad_triangle(interior_degree)
+        # Interior exactness 2j+2 makes every polynomial-data integral exact;
+        # two extra degrees keep the error of smooth non polynomial data
+        # (rotational convection, trigonometric loads) below discretization
+        # error at the refinement levels used here.
+        rule = quad_triangle(2 * j + 4)
         ref_x, ref_y = rule.points[:, 0, None], rule.points[:, 1, None]
         self.qpts = v0 + ref_x * (v1 - v0) + ref_y * (v2 - v0)
         self.qw = rule.weights * (2.0 * self.area[:, None])
@@ -295,23 +306,34 @@ def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.coo_matrix:
 
 
 def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:
-    """Element tables with the problem's coefficients sampled, built in
-    one pass so assembly and the analysis layer share identical
-    integration data."""
-    # Interior exactness 2j+2 makes every polynomial-data integral exact;
-    # two extra degrees keep the error of smooth non polynomial data
-    # (rotational convection, trigonometric loads) below discretization
-    # error at the refinement levels used here.
-    return ElementTables(mesh, spec.j, 2 * spec.j + 4).sample(spec)
+    """Element tables with the problem's coefficients sampled: the one
+    pass over a level's geometry and coefficients that boundary
+    classification, assembly and the analysis layer all read."""
+    return ElementTables(mesh, spec.j).sample(spec)
 
 
-def assemble(
-    mesh: Mesh,
-    dofmap: DofMap,
-    spec: ProblemSpec,
-    tables: ElementTables | None = None,
-) -> SaddleSystem:
-    """Assemble the global saddle-point system.
+def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassification:
+    """Split boundary edges into inflow (beta . n < -eps at the edge
+    midpoint) and outflow.  Characteristic edges (|beta . n| <= eps) count
+    as outflow so their trace unknowns are constrained.
+
+    beta . n is read from the sampled ``tables`` of ``mesh``: beta at the
+    middle node of the edge rule (the midpoint), in the branch of the
+    edge's first incident element, and that element's outward normal.
+    """
+    if tables.mesh is not mesh:
+        raise ValueError("element tables were built for a different mesh")
+    edges = mesh.boundary_edges
+    owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
+    b = tables.beta_e[owner, local, EDGE_MIDPOINT]
+    n = tables.normals[owner, local]
+    inflow = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1] < -CLASSIFY_EPS
+    return BoundaryClassification(inflow_edges=edges[inflow], outflow_edges=edges[~inflow])
+
+
+def assemble(mesh: Mesh, dofmap: DofMap, spec: ProblemSpec, tables: ElementTables) -> SaddleSystem:
+    """Assemble the global saddle-point system from the sampled element
+    tables of ``mesh``.
 
     Outflow trace unknowns are eliminated (never indexed), which keeps the
     matrix exactly the variational problem on the constrained multiplier
@@ -322,8 +344,6 @@ def assemble(
         raise ValueError("dofmap was built for a different mesh")
     if dofmap.j != spec.j:
         raise ValueError(f"dofmap degree j={dofmap.j} does not match spec degree j={spec.j}")
-    if tables is None:
-        tables = build_contexts(mesh, spec)
     idx = dofmap.element_indices
     if tables.mesh is not mesh or tables.n_loc + 1 != idx.shape[1]:
         raise ValueError("element tables do not match the mesh and dofmap")
@@ -336,7 +356,7 @@ def assemble(
     F = np.zeros(idx.shape)
     F[:, :d0] = tables.load()
     edges = dofmap.classification.inflow_edges
-    owner, local = owner_local_edges(mesh, edges)
+    owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
     slots = d0 + db * local[:, None] + np.arange(db)
     F[owner[:, None], slots] = tables.inflow_load(spec.g, edges, owner, local)
 

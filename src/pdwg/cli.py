@@ -54,8 +54,9 @@ def load_experiment_config(path) -> Experiment:
     name = cfg["name"]
     if not (isinstance(name, str) and name and Path(name).name == name):
         raise ValueError(f"name must be a plain file name (it names the output files), got {name!r}")
-    if cfg.get("k", 1) != 1:
-        raise ValueError(f"k must be 1 (only the lowest order is supported), got k={cfg['k']!r}")
+    k = cfg.get("k", 1)
+    if type(k) is not int or k != 1:
+        raise ValueError(f"k must be 1 (only the lowest order is supported), got k={k!r}")
     levels = cfg.get("levels", [0, 5])
     return make_experiment(
         name,

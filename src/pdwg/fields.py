@@ -263,9 +263,10 @@ def field_from_config(obj, vector: bool = False) -> Field | Piecewise:
     """Build a field from a JSON-style description: a {"name": ...}
     registry lookup, a constant, or a {"piecewise": [{"where": [a, b, d],
     "field": ...}, ...], "else": ...} composition of fields of the same
-    kind.  A scalar constant is a number or {"const": value}; a vector is
-    {"const": [bx, by]} or {"rotation": [cx, cy]}.  Raises ValueError
-    naming the key of any malformed part."""
+    kind, each "where" three finite numbers.  A scalar constant is a number
+    or {"const": value}; a vector is {"const": [bx, by]} or
+    {"rotation": [cx, cy]}.  Raises ValueError naming the key of any
+    malformed part."""
     kind, registry = ("vector", VECTOR_FIELDS) if vector else ("scalar", SCALAR_FIELDS)
     if not vector and _is_number(obj):
         return constant(obj)
@@ -289,9 +290,12 @@ def field_from_config(obj, vector: bool = False) -> Field | Piecewise:
         for key, where in [("field", p) for p in pieces] + [("else", obj)]:
             if key not in where:
                 raise ValueError(f"'piecewise' is missing the key {key!r} in {where!r}")
+        planes = [_numbers(p, "where", 3) for p in pieces]
+        for plane in planes:
+            if not np.isfinite(plane).all():
+                raise ValueError(f"'where' must hold finite numbers, got {plane!r}")
         pieces = tuple(
-            (HalfPlane(*_numbers(p, "where", 3)), field_from_config(p["field"], vector))
-            for p in pieces
+            (HalfPlane(*plane), field_from_config(p["field"], vector)) for plane, p in zip(planes, pieces)
         )
         return Piecewise("piecewise", pieces, field_from_config(obj["else"], vector))
     raise ValueError(f"cannot interpret {kind} field spec {obj!r}")

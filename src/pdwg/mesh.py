@@ -1,5 +1,4 @@
-"""Triangulations of the benchmark domains with refinement and boundary
-classification.
+"""Triangulations of the benchmark domains with refinement.
 
 Three domains are built in: the unit square (0,1)^2, the L-shaped domain
 with vertices (0,0), (2,0), (2,1), (1,1), (1,2), (0,2), and the square
@@ -22,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import evaluate_branches
-
 DOMAIN_TAGS = ("unit_square", "l_shape", "cracked_square")
-
-# Edges with |beta . n| at or below this are treated as outflow, so their
-# trace unknowns are constrained.
-CLASSIFY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,16 +31,19 @@ class Mesh:
     ``edges[e] = (a, b)`` with a < b; the edge parameterization runs from
     vertex a to vertex b.  ``edge_elems[e] = (left, right)`` holds the
     incident elements, with the element traversing a -> b in its
-    counterclockwise loop first and -1 marking a missing (boundary) side.
-    ``element_edges[t, i]`` is the edge spanned by local vertices
-    (i, i+1 mod 3) of element t, and ``element_edge_signs[t, i]`` is +1
-    when that traversal agrees with the edge's own a -> b orientation.
+    counterclockwise loop first and -1 marking a missing (boundary) side;
+    ``edge_local[e, k]`` is the local index of edge e in element
+    ``edge_elems[e, k]`` (-1 on a missing side).  ``element_edges[t, i]``
+    is the edge spanned by local vertices (i, i+1 mod 3) of element t, and
+    ``element_edge_signs[t, i]`` is +1 when that traversal agrees with the
+    edge's own a -> b orientation.
     """
 
     vertices: np.ndarray
     elements: np.ndarray
     edges: np.ndarray
     edge_elems: np.ndarray
+    edge_local: np.ndarray
     element_edges: np.ndarray
     element_edge_signs: np.ndarray
     level: int
@@ -87,7 +83,8 @@ class ElementGeometry:
 
 @dataclass(frozen=True)
 class BoundaryClassification:
-    """Partition of the boundary edges into inflow and outflow sets."""
+    """Partition of the boundary edges into inflow and outflow sets
+    (:func:`pdwg.assembly.classify_boundary`)."""
 
     inflow_edges: np.ndarray
     outflow_edges: np.ndarray
@@ -139,13 +136,16 @@ def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
     # The +1 traversal takes the first slot of a shared edge.
     slot = np.where((sign == 1) | (count[edge_of] == 1), 0, 1)
     edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_local = np.full((len(edges), 2), -1, dtype=np.int64)
     edge_elems[edge_of, slot] = np.repeat(np.arange(len(elements)), 3)
+    edge_local[edge_of, slot] = np.tile(np.arange(3), len(elements))
 
     return Mesh(
         vertices=vertices,
         elements=elements,
         edges=edges,
         edge_elems=edge_elems,
+        edge_local=edge_local,
         element_edges=edge_of.reshape(-1, 3),
         element_edge_signs=sign.reshape(-1, 3),
         level=level,
@@ -260,36 +260,6 @@ def geometry_arrays(mesh: Mesh) -> ElementGeometry:
         edge_lengths=lengths,
         edge_normals=normals,
     )
-
-
-def owner_local_edges(mesh: Mesh, edges: np.ndarray):
-    """For each edge, its first incident element t and the local index i
-    with ``element_edges[t, i] == edge``."""
-    edges = np.asarray(edges, dtype=np.int64)
-    owner = mesh.edge_elems[edges, 0]
-    local = np.argmax(mesh.element_edges[owner] == edges[:, None], axis=1)
-    return owner, local
-
-
-def classify_boundary(mesh: Mesh, beta) -> BoundaryClassification:
-    """Split boundary edges into inflow (beta . n < -eps at the midpoint)
-    and outflow.  Characteristic edges (|beta . n| <= eps) count as outflow
-    so their trace unknowns are constrained.
-
-    ``beta`` is a field from :mod:`pdwg.fields`; piecewise fields are
-    resolved using the incident element's centroid; beta . n is sampled at
-    the edge midpoint.
-    """
-    edges = mesh.boundary_edges
-    owner, local = owner_local_edges(mesh, edges)
-    geom = geometry_arrays(mesh)
-    n = geom.edge_normals[owner, local]
-    mid = 0.5 * (mesh.vertices[mesh.edges[edges, 0]] + mesh.vertices[mesh.edges[edges, 1]])
-    cx, cy = geom.centroid[owner].T
-    idx = beta.branch_index(cx, cy)
-    b = evaluate_branches(beta.branches, idx, mid[:, 0], mid[:, 1])
-    inflow = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1] < -CLASSIFY_EPS
-    return BoundaryClassification(inflow_edges=edges[inflow], outflow_edges=edges[~inflow])
 
 
 def dump_mesh(mesh: Mesh, path, classification: BoundaryClassification | None = None) -> None:

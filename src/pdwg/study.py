@@ -1,8 +1,9 @@
 """Refinement-study driver and CSV / plot-data emission.
 
 A study builds the coarse mesh of the experiment's domain, refines it
-uniformly level by level, and for each level assembles, solves, and
-analyzes the problem.  Levels are reported through the nominal grid
+uniformly level by level, and for each level builds the element tables
+once, then classifies the boundary, assembles, solves and analyzes the
+problem from them.  Levels are reported through the nominal grid
 spacing 1/h = 2^level of the unit cells.  Output files are plain CSV with
 deterministic formatting, so identical runs produce identical bytes.
 """
@@ -19,9 +20,9 @@ from .analysis import (
     error_norms,
     postprocess_averages,
 )
-from .assembly import SaddleSystem, assemble, build_contexts
+from .assembly import SaddleSystem, assemble, build_contexts, classify_boundary
 from .catalog import Experiment
-from .mesh import build_coarse_mesh, classify_boundary, refine_uniform
+from .mesh import build_coarse_mesh, refine_uniform
 from .solver import DEFAULT_TOL, solve
 from .weakspace import DofMap
 
@@ -126,18 +127,17 @@ def run_study(
 
     for level in range(lo, hi + 1):
         start = time.perf_counter()
-        classification = classify_boundary(mesh, spec.beta)
-        dofmap = DofMap(mesh, spec.j, classification)
         tables = build_contexts(mesh, spec)
+        dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
         system = assemble(mesh, dofmap, spec, tables)
         solution = solve(system, tol=tol)
 
         if spec.exact_u is not None:
-            errs = error_norms(solution, spec, mesh, tables)
+            errs = error_norms(solution, spec, tables)
             err_u, err_l0, err_lb = errs.err_u, errs.err_lam0, errs.err_lamb
         else:
             err_u = err_l0 = err_lb = None
-        cons: ConservationReport = conservation_report(solution, spec, mesh, tables)
+        cons: ConservationReport = conservation_report(solution, spec, tables)
 
         report.rows.append(
             LevelResult(

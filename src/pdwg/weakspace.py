@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import BoundaryClassification, Mesh, owner_local_edges
+from .mesh import BoundaryClassification, Mesh
 from .poly import dim_poly2d
 
 
@@ -76,17 +76,16 @@ class DofMap:
         return self.n_lambda + self.n_u
 
 
-def project_to_weak(w, mesh: Mesh, j: int, quad_degree: int | None = None) -> np.ndarray:
+def project_to_weak(w, mesh: Mesh, j: int) -> np.ndarray:
     """Componentwise L2 projection of a smooth function into the weak
     space, as element rows [lam_0; traces of edges 0, 1, 2], shape
     (T, n_loc): interior projections onto P_j(T) and trace projections
     onto P_j(e) in each edge's own orientation, all elements and edges in
-    one batch.  Both elements of an interior edge hold the same trace.
-    ``quad_degree`` (default 2j+2) is the interior quadrature exactness."""
+    one batch, on the fixed quadrature of the element tables.  Both
+    elements of an interior edge hold the same trace."""
     from .assembly import ElementTables
 
-    qd = quad_degree if quad_degree is not None else 2 * j + 2
-    return _project(w, ElementTables(mesh, j, qd))
+    return _project(w, ElementTables(mesh, j))
 
 
 def _l2(V, weights, w, pts) -> np.ndarray:
@@ -104,18 +103,12 @@ def _project(w, tables) -> np.ndarray:
     edge is projected once, on its first incident element's edge table."""
     mesh = tables.mesh
     lam0 = _l2(tables.lam0, tables.qw, w, tables.qpts)
-    owner, local = owner_local_edges(mesh, np.arange(mesh.num_edges))
+    owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
     lamb = _l2(tables.edge_trace[owner, local], tables.ew[owner, local], w, tables.epts[owner, local])
     return np.concatenate([lam0, lamb[mesh.element_edges].reshape(len(lam0), -1)], axis=1)
 
 
-def commutativity_check(
-    w,
-    grad_w,
-    mesh: Mesh,
-    j: int,
-    quad_degree: int | None = None,
-) -> float:
+def commutativity_check(w, grad_w, mesh: Mesh, j: int) -> float:
     """Max over elements of the L2 norm of
 
         grad_w(Q_h w) - Q_h(grad w),
@@ -127,8 +120,7 @@ def commutativity_check(
     """
     from .assembly import ElementTables
 
-    qd = quad_degree if quad_degree is not None else 2 * j + 6
-    tables = ElementTables(mesh, j, qd)
+    tables = ElementTables(mesh, j)
     lhs = np.einsum("tcn,tn->tc", tables.G, _project(w, tables))
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]
     # L2 projection of grad w onto the constants.

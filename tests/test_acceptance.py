@@ -8,26 +8,20 @@ import time
 
 import numpy as np
 
-from pdwg.assembly import ElementTables, assemble
+from helpers import build_level, refined
+from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import main
-from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, refine_uniform
+from pdwg.mesh import build_coarse_mesh, geometry_arrays, refine_uniform
 from pdwg.poly import EdgeBasis, map_to_edge, quad_edge
 from pdwg.study import run_study
-from pdwg.weakspace import DofMap, commutativity_check
+from pdwg.weakspace import commutativity_check
 from pdwg.analysis import triple_norm_Wh
 
 
 def _line(num, ok, detail):
     print(f"acceptance criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
-
-
-def refined(tag, level):
-    mesh = build_coarse_mesh(tag)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
 
 
 def finest_two(orders):
@@ -129,7 +123,7 @@ def _identity_residual(mesh):
     erule = quad_edge(9)
     worst = 0.0
     geom = geometry_arrays(mesh)
-    G = ElementTables(mesh, 1, 1).G
+    G = ElementTables(mesh, 1).G
     for t in range(mesh.num_elements):
         lhs = geom.area[t] * G[t]
         rhs = np.zeros_like(lhs)
@@ -173,7 +167,7 @@ def test_criterion_5_weak_gradient_properties():
         )
         if not axis:
             local[3 + 2 * i] = 1.0
-    hyp = ElementTables(mesh, 1, 1).G[t] @ local
+    hyp = ElementTables(mesh, 1).G[t] @ local
     hyp_err = float(np.max(np.abs(hyp - 2.0)))
 
     mesh1 = refined("unit_square", 1)
@@ -222,9 +216,7 @@ def test_criterion_6_system_structure():
     for name, level in cases:
         spec = get_experiment(name).spec
         mesh = refined(spec.domain_tag, level)
-        cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, spec.j, cls)
-        system = assemble(mesh, dm, spec)
+        _, dm, system = build_level(mesh, spec)
         asym = abs(system.matrix - system.matrix.T)
         worst_asym = max(worst_asym, asym.max() if asym.nnz else 0.0)
         uu = system.matrix[dm.n_lambda :, dm.n_lambda :]

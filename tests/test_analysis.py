@@ -12,19 +12,13 @@ from pdwg.analysis import (
     postprocess_averages,
     triple_norm_Wh,
 )
-from pdwg.assembly import ProblemSpec, assemble
+from helpers import build_level, refined
+from pdwg.assembly import ProblemSpec
 from pdwg.fields import constant, constant_vector
-from pdwg.mesh import build_coarse_mesh, classify_boundary, refine_uniform
+from pdwg.mesh import build_coarse_mesh
 from pdwg.solver import solve
 from pdwg.study import StudyReport
-from pdwg.weakspace import DofMap, project_to_weak
-
-
-def refined(tag, level):
-    mesh = build_coarse_mesh(tag)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
+from pdwg.weakspace import project_to_weak
 
 
 def make_spec(beta=(1.0, -1.0), c=1.0, f=1.0, g=1.0, tau=1.0, domain="unit_square", exact=None):
@@ -41,11 +35,8 @@ def make_spec(beta=(1.0, -1.0), c=1.0, f=1.0, g=1.0, tau=1.0, domain="unit_squar
 
 def solved_unit_problem(level=2, tau=1.0, domain="unit_square"):
     spec = make_spec(tau=tau, domain=domain, exact=constant(1.0))
-    mesh = refined(domain, level)
-    cls = classify_boundary(mesh, spec.beta)
-    dm = DofMap(mesh, 1, cls)
-    system = assemble(mesh, dm, spec)
-    return mesh, dm, spec, solve(system)
+    tables, dm, system = build_level(refined(domain, level), spec)
+    return tables, dm, spec, solve(system)
 
 
 class TestNodalInterpolant:
@@ -72,26 +63,26 @@ class TestNodalInterpolant:
 class TestErrorNorms:
     def test_constant_offset(self):
         # u_h = I_h u + 0.5 on the unit square: ||e_h|| = 0.5 (area 1)
-        mesh, dm, spec, sol = solved_unit_problem(level=2)
+        tables, dm, spec, sol = solved_unit_problem(level=2)
         sol.local[:, :-1] = 0.0
         sol.local[:, -1] = 1.5
-        rep = error_norms(sol, spec, mesh)
+        rep = error_norms(sol, spec, tables)
         assert rep.err_u == pytest.approx(0.5, abs=1e-12)
         assert rep.err_lam0 == 0.0
         assert rep.err_lamb == 0.0
 
     def test_unit_solution_machine_accuracy(self):
-        mesh, dm, spec, sol = solved_unit_problem(level=2)
-        rep = error_norms(sol, spec, mesh)
+        tables, dm, spec, sol = solved_unit_problem(level=2)
+        rep = error_norms(sol, spec, tables)
         assert rep.err_u <= 1e-8
         assert rep.err_lam0 <= 1e-8
         assert rep.err_lamb <= 1e-8
 
     def test_requires_exact_solution(self):
-        mesh, dm, spec, sol = solved_unit_problem(level=1)
+        tables, dm, spec, sol = solved_unit_problem(level=1)
         bare = dataclasses.replace(spec, exact_u=None)
         with pytest.raises(ValueError):
-            error_norms(sol, bare, mesh)
+            error_norms(sol, bare, tables)
 
 
 class TestTripleNormWh:
@@ -122,9 +113,7 @@ class TestTripleNormWh:
     def test_matches_assembled_quadratic_form(self, domain, tau):
         mesh = refined(domain, 1)
         spec = make_spec(tau=tau, domain=domain)
-        cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, 1, cls)
-        system = assemble(mesh, dm, spec)
+        _, dm, system = build_level(mesh, spec)
         S = system.matrix[: dm.n_lambda, : dm.n_lambda]
         idx = dm.element_indices[:, :-1]
         rng = np.random.default_rng(11)
@@ -138,8 +127,8 @@ class TestTripleNormWh:
 
 class TestConservation:
     def test_unit_solution(self):
-        mesh, dm, spec, sol = solved_unit_problem(level=2)
-        rep = conservation_report(sol, spec, mesh)
+        tables, dm, spec, sol = solved_unit_problem(level=2)
+        rep = conservation_report(sol, spec, tables)
         assert rep.max_element_residual <= 1e-10
         assert rep.max_flux_jump <= 1e-10
         assert rep.scale_f == 1.0
@@ -155,18 +144,18 @@ class TestConservation:
         assert row.cons_max_flux_jump <= 1e-9
 
     def test_perturbation_detected(self):
-        mesh, dm, spec, sol = solved_unit_problem(level=1)
+        tables, dm, spec, sol = solved_unit_problem(level=1)
         sol.local[0, -1] += 0.01
-        rep = conservation_report(sol, spec, mesh)
+        rep = conservation_report(sol, spec, tables)
         assert rep.max_element_residual > 1e-6
 
     def test_residual_scales_linearly_with_solution_error(self):
         # conservation quantities are linear in the algebraic residual, so
         # scaling a solution perturbation by 10 scales the maxima by 10
-        mesh, dm, spec, sol = solved_unit_problem(level=1)
+        tables, dm, spec, sol = solved_unit_problem(level=1)
         rng = np.random.default_rng(5)
-        du = rng.standard_normal(mesh.num_elements)
-        dl0 = rng.standard_normal((mesh.num_elements, dm.dim_lam0))
+        du = rng.standard_normal(tables.mesh.num_elements)
+        dl0 = rng.standard_normal((tables.mesh.num_elements, dm.dim_lam0))
 
         def perturbed(scale):
             import copy
@@ -174,7 +163,7 @@ class TestConservation:
             s = copy.deepcopy(sol)
             s.local[:, -1] += scale * du
             s.local[:, : dm.dim_lam0] += scale * dl0
-            return conservation_report(s, spec, mesh)
+            return conservation_report(s, spec, tables)
 
         small = perturbed(1e-3)
         large = perturbed(1e-2)

@@ -3,7 +3,8 @@ import pytest
 
 import dataclasses
 
-from pdwg.assembly import ProblemSpec, assemble, build_contexts
+from helpers import build_level, refined, tables_for
+from pdwg.assembly import ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -12,16 +13,9 @@ from pdwg.fields import (
     constant,
     constant_vector,
 )
-from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, owner_local_edges, refine_uniform
+from pdwg.mesh import build_coarse_mesh, geometry_arrays
 from pdwg.poly import TriBasis, project_element
 from pdwg.weakspace import DofMap
-
-
-def refined(tag, level):
-    mesh = build_coarse_mesh(tag)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
 
 
 def make_spec(beta=(1.0, -1.0), c=1.0, f=0.0, g=0.0, tau=1.0, domain="unit_square", **kw):
@@ -181,15 +175,16 @@ class TestLocalLoads:
         # level-0 left edge: length 1, beta.n = -1, g = 1, sigma_b = 1
         mesh = build_coarse_mesh("unit_square")
         spec = make_spec(g=1.0)
-        cls = classify_boundary(mesh, spec.beta)
+        tables = build_contexts(mesh, spec)
+        cls = classify_boundary(mesh, tables)
         left = [
             e
             for e in cls.inflow_edges
             if np.allclose(mesh.vertices[mesh.edges[e], 0], 0.0)
         ]
         assert len(left) == 1
-        owner, local = owner_local_edges(mesh, left)
-        vec = build_contexts(mesh, spec).inflow_load(spec.g, left, owner, local)[0]
+        owner, local = mesh.edge_elems[left, 0], mesh.edge_local[left, 0]
+        vec = tables.inflow_load(spec.g, left, owner, local)[0]
         assert vec[0] == pytest.approx(-1.0, abs=1e-14)
         assert vec[1] == pytest.approx(0.0, abs=1e-14)  # odd moment vanishes
 
@@ -197,9 +192,8 @@ class TestLocalLoads:
 class TestAssemble:
     def build(self, spec, level=1):
         mesh = refined(spec.domain_tag, level)
-        cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, spec.j, cls)
-        return mesh, dm, assemble(mesh, dm, spec)
+        _, dm, system = build_level(mesh, spec)
+        return mesh, dm, system
 
     def test_symmetry_and_zero_block(self):
         spec = make_spec(f=1.0, g=1.0)
@@ -225,7 +219,7 @@ class TestAssemble:
         # lam0 = lamb = x + y is continuous and transport-free for
         # beta=[1,-1], c=0, so s(lam, lam) = 0
         spec = make_spec(beta=(1.0, -1.0), c=0.0, f=0.0, g=0.0, tau=1.0)
-        mesh, dm, system = self.build(spec, level=1)
+        mesh = refined(spec.domain_tag, 1)
         from pdwg.weakspace import project_to_weak
 
         lam = project_to_weak(lambda x, y: x + y, mesh, j=1)
@@ -239,7 +233,7 @@ class TestAssemble:
             outflow_edges=np.array([], dtype=np.int64),
         )
         dm_all = DofMap(mesh, 1, all_in)
-        system_all = assemble(mesh, dm_all, spec)
+        system_all = assemble(mesh, dm_all, spec, build_contexts(mesh, spec))
         x_all = np.zeros(dm_all.n_lambda)
         x_all[dm_all.element_indices[:, :-1]] = lam
         S_all = system_all.matrix[: dm_all.n_lambda, : dm_all.n_lambda]
@@ -260,10 +254,10 @@ class TestAssemble:
         spec = make_spec()
         mesh = refined("unit_square", 1)
         other = refined("unit_square", 1)
-        cls = classify_boundary(other, spec.beta)
+        cls = classify_boundary(other, tables_for(other, spec.beta))
         dm = DofMap(other, 1, cls)
         with pytest.raises(ValueError):
-            assemble(mesh, dm, spec)
+            assemble(mesh, dm, spec, build_contexts(mesh, spec))
 
     def test_straddling_piecewise_beta_warns(self):
         beta = Piecewise(
@@ -280,10 +274,8 @@ class TestAssemble:
             domain_tag="unit_square",
         )
         mesh = refined("unit_square", 1)
-        cls = classify_boundary(mesh, beta)
-        dm = DofMap(mesh, 1, cls)
         with pytest.warns(UserWarning, match="straddles"):
-            assemble(mesh, dm, spec)
+            build_contexts(mesh, spec)
 
     def test_aligned_piecewise_beta_does_not_warn(self):
         import warnings
@@ -302,11 +294,9 @@ class TestAssemble:
             domain_tag="unit_square",
         )
         mesh = refined("unit_square", 2)
-        cls = classify_boundary(mesh, beta)
-        dm = DofMap(mesh, 1, cls)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assemble(mesh, dm, spec)
+            build_level(mesh, spec)
 
     def test_beta_and_c_resolve_branches_independently(self):
         # beta splits along x = 1/2 and c along y = 1/2 (both mesh lines),
@@ -346,11 +336,9 @@ class TestAssemble:
     def test_non_finite_inflow_data_names_edge(self):
         spec = make_spec(g=float("inf"))
         mesh = refined("unit_square", 1)
-        cls = classify_boundary(mesh, spec.beta)
-        dm = DofMap(mesh, 1, cls)
-        first = int(cls.inflow_edges[0])
+        first = int(classify_boundary(mesh, tables_for(mesh, spec.beta)).inflow_edges[0])
         with pytest.raises(ValueError, match=f"g has a non-finite value on edge {first}"):
-            assemble(mesh, dm, spec)
+            build_level(mesh, spec)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):

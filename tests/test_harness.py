@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import pdwg.assembly
 import pdwg.cli
+import pdwg.mesh
 import pdwg.study
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
@@ -281,6 +283,18 @@ class TestCli:
         assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0
         assert len(calls) == 3
 
+    def test_run_study_builds_each_level_geometry_once(self, monkeypatch):
+        # The element tables are the only pass over a level's geometry:
+        # classification, assembly and analysis all read them.
+        calls = []
+        for module in (pdwg.mesh, pdwg.assembly):
+            original = module.geometry_arrays
+            monkeypatch.setattr(
+                module, "geometry_arrays", lambda mesh, original=original: calls.append(mesh) or original(mesh)
+            )
+        run_study(get_experiment("table5"), levels=(0, 2))
+        assert len(calls) == 3
+
     def test_verify_gates_the_solved_system(self, monkeypatch, capsys):
         assemble = pdwg.study.assemble
 
@@ -381,6 +395,16 @@ class TestConfigFile:
                 {"c": {"piecewise": [{"where": [1, 1, 1]}], "else": 1}},
                 "missing the key 'field'",
             ),
+            (
+                {"beta": {"piecewise": [{"where": [float("nan"), 1, 1], "field": {"const": [1, -1]}}],
+                          "else": {"const": [-1, 1]}}},
+                "'where' must hold finite numbers",
+            ),
+            (
+                {"beta": {"piecewise": [{"where": [1, 1, float("inf")], "field": {"const": [1, -1]}}],
+                          "else": {"const": [-1, 1]}}},
+                "'where' must hold finite numbers",
+            ),
         ],
     )
     def test_malformed_input_exits_3_before_writing(self, tmp_path, capsys, overrides, message):
@@ -393,7 +417,7 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("k", [2, 0])
+    @pytest.mark.parametrize("k", [2, 0, True, 1.0])
     def test_k_other_than_1_exits_3_before_writing(self, tmp_path, capsys, k):
         path = self.write_config(tmp_path, k=k)
         out = tmp_path / "out"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import refined, tables_for
+from pdwg.assembly import classify_boundary
 from pdwg.fields import constant_vector, rotation
 from pdwg.mesh import (
     DOMAIN_TAGS,
     MeshError,
     build_coarse_mesh,
-    classify_boundary,
     domain_area,
     dump_mesh,
     geometry_arrays,
@@ -21,13 +22,6 @@ def euler_ok(mesh):
     E = mesh.num_edges
     B = len(mesh.boundary_edges)
     return 2 * E == 3 * T + B
-
-
-def refined(tag, level):
-    mesh = build_coarse_mesh(tag)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
 
 
 class TestCoarseMeshes:
@@ -179,6 +173,10 @@ class TestVectorizedTopology:
                 plus_first = sorted(inc, key=lambda x: -x[2])
                 expected = [x[0] for x in plus_first] + [-1] * (2 - len(inc))
                 assert mesh.edge_elems[e].tolist() == expected
+            present = mesh.edge_elems >= 0
+            sides = mesh.element_edges[mesh.edge_elems[present], mesh.edge_local[present]]
+            assert np.array_equal(sides, np.nonzero(present)[0])
+            assert np.all(mesh.edge_local[~present] == -1)
             mesh = refine_uniform(mesh)
 
     def test_refinement_children_match_loop_reference(self):
@@ -254,7 +252,7 @@ def edge_set_on(mesh, predicate):
 class TestClassifyBoundary:
     def test_unit_square_down_right(self):
         mesh = refined("unit_square", 2)
-        cls = classify_boundary(mesh, BETA_DOWN_RIGHT)
+        cls = classify_boundary(mesh, tables_for(mesh, BETA_DOWN_RIGHT))
         expected_in = edge_set_on(mesh, lambda v: v[0] < 1e-14) | edge_set_on(
             mesh, lambda v: v[1] > 1 - 1e-14
         )
@@ -266,7 +264,7 @@ class TestClassifyBoundary:
 
     def test_unit_square_up_right(self):
         mesh = refined("unit_square", 1)
-        cls = classify_boundary(mesh, constant_vector(1.0, 1.0))
+        cls = classify_boundary(mesh, tables_for(mesh, constant_vector(1.0, 1.0)))
         expected_in = edge_set_on(mesh, lambda v: v[0] < 1e-14) | edge_set_on(
             mesh, lambda v: v[1] < 1e-14
         )
@@ -276,7 +274,7 @@ class TestClassifyBoundary:
         # walk of the boundary: the segment (2,1)-(1,1) has outward normal
         # (0,1) so beta=[1,-1] flows in; (1,1)-(1,2) has normal (1,0), out.
         mesh = build_coarse_mesh("l_shape")
-        cls = classify_boundary(mesh, BETA_DOWN_RIGHT)
+        cls = classify_boundary(mesh, tables_for(mesh, BETA_DOWN_RIGHT))
         reentrant_top = edge_set_on(
             mesh, lambda v: abs(v[1] - 1.0) < 1e-14 and v[0] >= 1.0 - 1e-14
         )
@@ -288,7 +286,7 @@ class TestClassifyBoundary:
 
     def test_characteristic_edge_goes_to_outflow(self):
         mesh = build_coarse_mesh("unit_square")
-        cls = classify_boundary(mesh, constant_vector(1.0, 0.0))
+        cls = classify_boundary(mesh, tables_for(mesh, constant_vector(1.0, 0.0)))
         bottom = edge_set_on(mesh, lambda v: v[1] < 1e-14)
         top = edge_set_on(mesh, lambda v: v[1] > 1 - 1e-14)
         assert (bottom | top) <= set(cls.outflow_edges.tolist())
@@ -297,7 +295,7 @@ class TestClassifyBoundary:
         # clockwise rotation about the crack tip: the lower lip of the
         # slit is inflow, the upper lip outflow
         mesh = refined("cracked_square", 1)
-        cls = classify_boundary(mesh, rotation(0.0, 0.0))
+        cls = classify_boundary(mesh, tables_for(mesh, rotation(0.0, 0.0)))
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         for e in mesh.boundary_edges:
             if 1e-14 < mids[e, 0] < 1 - 1e-14 and abs(mids[e, 1]) < 1e-14:
@@ -307,6 +305,12 @@ class TestClassifyBoundary:
                     assert e in cls.outflow_edges
                 else:
                     assert e in cls.inflow_edges
+
+    def test_tables_of_another_mesh_rejected(self):
+        mesh = build_coarse_mesh("unit_square")
+        other = build_coarse_mesh("unit_square")
+        with pytest.raises(ValueError, match="different mesh"):
+            classify_boundary(mesh, tables_for(other, BETA_DOWN_RIGHT))
 
 
 def test_classification_matches_pointwise_reference():
@@ -318,7 +322,7 @@ def test_classification_matches_pointwise_reference():
         otherwise=constant_vector(-1.0, 0.3),
     )
     mesh = refined("cracked_square", 2)
-    cls = classify_boundary(mesh, beta)
+    cls = classify_boundary(mesh, tables_for(mesh, beta))
     geom = geometry_arrays(mesh)
     inflow = []
     for e in mesh.boundary_edges:
@@ -336,7 +340,7 @@ def test_classification_matches_pointwise_reference():
 class TestDump:
     def test_dump_format(self, tmp_path):
         mesh = build_coarse_mesh("unit_square")
-        cls = classify_boundary(mesh, BETA_DOWN_RIGHT)
+        cls = classify_boundary(mesh, tables_for(mesh, BETA_DOWN_RIGHT))
         path = tmp_path / "mesh.txt"
         dump_mesh(mesh, path, cls)
         text = path.read_text()

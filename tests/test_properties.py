@@ -17,12 +17,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import build_level, refined
 from pdwg.analysis import conservation_report, error_norms
-from pdwg.assembly import ProblemSpec, assemble, build_contexts
+from pdwg.assembly import ProblemSpec
 from pdwg.fields import SCALAR_FIELDS, DerivedLoad, constant, constant_vector
-from pdwg.mesh import DOMAIN_TAGS, build_coarse_mesh, classify_boundary, refine_uniform
+from pdwg.mesh import DOMAIN_TAGS
 from pdwg.solver import solve
-from pdwg.weakspace import DofMap
 from test_acceptance import _identity_residual
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -30,7 +30,7 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 
 @lru_cache(maxsize=None)
 def level2(tag):
-    return refine_uniform(refine_uniform(build_coarse_mesh(tag)))
+    return refined(tag, 2)
 
 
 @st.composite
@@ -54,9 +54,7 @@ def problems(draw):
 
 
 def solve_problem(mesh, spec):
-    dm = DofMap(mesh, spec.j, classify_boundary(mesh, spec.beta))
-    tables = build_contexts(mesh, spec)
-    system = assemble(mesh, dm, spec, tables)
+    tables, dm, system = build_level(mesh, spec)
     return dm, tables, system, solve(system)
 
 
@@ -65,8 +63,8 @@ def solve_problem(mesh, spec):
 def test_symmetric_with_zero_primal_block(problem):
     mesh, spec = problem
     s = spec(SCALAR_FIELDS["one"])
-    dm = DofMap(mesh, s.j, classify_boundary(mesh, s.beta))
-    A = assemble(mesh, dm, s).matrix
+    _, dm, system = build_level(mesh, s)
+    A = system.matrix
     asym = abs(A - A.T)
     assert (asym.max() if asym.nnz else 0.0) <= 1e-13
     assert A[dm.n_lambda :, dm.n_lambda :].count_nonzero() == 0
@@ -78,7 +76,7 @@ def test_constant_solution_reproduced(problem):
     mesh, spec = problem
     s = spec(SCALAR_FIELDS["one"])
     _, tables, _, solution = solve_problem(mesh, s)
-    errs = error_norms(solution, s, mesh, tables)
+    errs = error_norms(solution, s, tables)
     assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
     assert np.allclose(solution.local[:, -1], 1.0, rtol=0, atol=1e-8)
 
@@ -89,7 +87,7 @@ def test_elementwise_conservation(problem):
     mesh, spec = problem
     s = spec(SCALAR_FIELDS["sin_x_cos_y"])
     _, tables, _, solution = solve_problem(mesh, s)
-    cons = conservation_report(solution, s, mesh, tables)
+    cons = conservation_report(solution, s, tables)
     assert cons.max_element_residual <= 1e-9 * cons.scale_f
 
 
@@ -127,6 +125,6 @@ def test_constant_solution_on_affine_images(problem, affine):
     mesh = mapped(mesh, affine)
     s = spec(SCALAR_FIELDS["one"])
     _, tables, _, solution = solve_problem(mesh, s)
-    errs = error_norms(solution, s, mesh, tables)
+    errs = error_norms(solution, s, tables)
     assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
     assert np.allclose(solution.local[:, -1], 1.0, rtol=0, atol=1e-8)

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pdwg.assembly import ProblemSpec, assemble, build_contexts
+from helpers import build_level, refined
+from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
-from pdwg.mesh import build_coarse_mesh, classify_boundary, refine_uniform
+from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.solver import SolverError, nested_dissection, schur_complement, solve
-from pdwg.weakspace import DofMap
 
 
 def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, -1.0)):
@@ -21,12 +21,9 @@ def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, 
         domain_tag=domain,
         j=j,
     )
-    mesh = build_coarse_mesh(domain)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    cls = classify_boundary(mesh, spec.beta)
-    dm = DofMap(mesh, j, cls)
-    return mesh, dm, assemble(mesh, dm, spec)
+    mesh = refined(domain, level)
+    _, dm, system = build_level(mesh, spec)
+    return mesh, dm, system
 
 
 def catalog_systems(levels):
@@ -38,8 +35,7 @@ def catalog_systems(levels):
             mesh = build_coarse_mesh(spec.domain_tag)
             for level in range(max(levels) + 1):
                 if level in levels:
-                    dm = DofMap(mesh, j, classify_boundary(mesh, spec.beta))
-                    yield name, j, level, assemble(mesh, dm, spec, build_contexts(mesh, spec))
+                    yield name, j, level, build_level(mesh, spec)[2]
                 mesh = refine_uniform(mesh)
 
 
@@ -240,10 +236,6 @@ class TestOrderedFactor:
 
     def test_fill_at_table5_level6(self):
         spec = get_experiment("table5").spec
-        mesh = build_coarse_mesh(spec.domain_tag)
-        for _ in range(6):
-            mesh = refine_uniform(mesh)
-        dm = DofMap(mesh, spec.j, classify_boundary(mesh, spec.beta))
-        info = solve(assemble(mesh, dm, spec)).info
+        info = solve(build_level(refined(spec.domain_tag, 6), spec)[2]).info
         # COLAMD gives 11.8 here.
         assert info["fill_per_nlogn"] <= 11.0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import refined, tables_for
 from pdwg.fields import constant_vector
-from pdwg.assembly import ElementTables
-from pdwg.mesh import build_coarse_mesh, classify_boundary, geometry_arrays, refine_uniform
+from pdwg.assembly import ElementTables, classify_boundary
+from pdwg.mesh import build_coarse_mesh, geometry_arrays
 from pdwg.poly import (
     EdgeBasis,
     TriBasis,
@@ -22,15 +23,8 @@ from pdwg.weakspace import (
 BETA = constant_vector(1.0, -1.0)
 
 
-def refined(tag, level):
-    mesh = build_coarse_mesh(tag)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
-
-
 def make_dofmap(mesh, j=1, beta=BETA):
-    return DofMap(mesh, j, classify_boundary(mesh, beta))
+    return DofMap(mesh, j, classify_boundary(mesh, tables_for(mesh, beta)))
 
 
 def coords_of(mesh, t):
@@ -96,7 +90,7 @@ class TestDofMap:
 
     def test_rejects_unsupported_degrees(self):
         mesh = build_coarse_mesh("unit_square")
-        cls = classify_boundary(mesh, BETA)
+        cls = classify_boundary(mesh, tables_for(mesh, BETA))
         with pytest.raises(ValueError):
             DofMap(mesh, 2, cls)
         with pytest.raises(ValueError):
@@ -107,7 +101,7 @@ class TestWeakGradient:
     def test_gradient_of_h1_linear_is_classical(self):
         # v0 = x with matching trace: grad_w v = (1, 0) on any triangle
         mesh = refined("l_shape", 1)
-        tables = ElementTables(mesh, 1, 1)
+        tables = ElementTables(mesh, 1)
         for t in [0, 3, mesh.num_elements - 1]:
             G = tables.G[t]
             lam0 = project_element(lambda x, y: x, 1, coords_of(mesh, t))
@@ -130,7 +124,7 @@ class TestWeakGradient:
         mesh = build_coarse_mesh("unit_square")
         t = find_reference_like_element(mesh)
         coords = coords_of(mesh, t)
-        G = ElementTables(mesh, 1, 1).G[t]
+        G = ElementTables(mesh, 1).G[t]
         local = np.zeros(3 + 3 * 2)
         for i in range(3):
             a = coords[i]
@@ -145,7 +139,7 @@ class TestWeakGradient:
 
     def test_constant_weak_function_has_zero_gradient(self):
         mesh = refined("unit_square", 1)
-        tables = ElementTables(mesh, 1, 1)
+        tables = ElementTables(mesh, 1)
         for t in range(mesh.num_elements):
             G = tables.G[t]
             local = np.zeros(9)
@@ -166,7 +160,7 @@ class TestWeakGradient:
         erule = quad_edge(9)
         worst = 0.0
         geom = geometry_arrays(mesh)
-        tables = ElementTables(mesh, 1, 1)
+        tables = ElementTables(mesh, 1)
         for t in range(mesh.num_elements):
             G = tables.G[t]
             # r=0: psi in {(1,0),(0,1)}, div psi = 0
@@ -209,7 +203,7 @@ class TestWeakGradient:
 
         proj = project_to_weak(lambda x, y: x**2, mesh, j=1)
         t = 0
-        G = ElementTables(mesh, 1, 1).G[t]
+        G = ElementTables(mesh, 1).G[t]
         centroid = coords_of(mesh, t).mean(axis=0)
         assert np.allclose(G @ proj[t], [2.0 * centroid[0], 0.0], atol=1e-12)
 
@@ -218,7 +212,7 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: np.sin(x) * np.cos(y),
             lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
-            mesh, j=1, quad_degree=8,
+            mesh, j=1,
         )
         assert res <= 1e-10
 
@@ -230,8 +224,9 @@ class TestWeakGradient:
         def w(x, y):
             return np.sin(3.0 * x) * np.exp(y) + x * y
 
-        proj = project_to_weak(w, mesh, j, quad_degree=8)
-        lam0 = np.array([project_element(w, j, coords_of(mesh, t), 8) for t in range(mesh.num_elements)])
+        # The element tables integrate on the interior rule of exactness 2j+4.
+        proj = project_to_weak(w, mesh, j)
+        lam0 = np.array([project_element(w, j, coords_of(mesh, t), 2 * j + 4) for t in range(mesh.num_elements)])
         lamb = np.array([project_edge(w, j, *mesh.vertices[mesh.edges[e]]) for e in range(mesh.num_edges)])
         traces = lamb[mesh.element_edges].reshape(mesh.num_elements, -1)
         d0 = lam0.shape[1]
@@ -244,9 +239,7 @@ class TestWeakGradient:
         rows = proj[:, d0:].reshape(mesh.num_elements, 3, -1)
         sides = []
         for k in (0, 1):
-            t = mesh.edge_elems[interior, k]
-            i = np.argmax(mesh.element_edges[t] == interior[:, None], axis=1)
-            sides.append(rows[t, i])
+            sides.append(rows[mesh.edge_elems[interior, k], mesh.edge_local[interior, k]])
         assert len(interior) and np.array_equal(sides[0], sides[1])
 
     def test_commutativity_requires_j_at_least_k_minus_1(self):
