@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ElementTables, ProblemSpec, build_contexts
+from .assembly import ElementTables, ProblemSpec
 from .mesh import Mesh
 from .solver import Solution
 
@@ -89,15 +89,15 @@ def _traces(solution: Solution, tables: ElementTables) -> np.ndarray:
     return solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
 
 
-def triple_norm_Wh(lam: np.ndarray, spec: ProblemSpec, mesh: Mesh) -> float:
+def triple_norm_Wh(lam: np.ndarray, spec: ProblemSpec, tables: ElementTables) -> float:
     """Multiplier seminorm of a weak function given as element rows
-    [lam_0; traces of edges 0, 1, 2], shape (T, n_loc):
+    [lam_0; traces of edges 0, 1, 2], shape (T, n_loc), on the mesh of
+    the sampled ``tables``:
 
         ( sum_T 1/h_T ||lam_0 - lam_b||_{dT}^2
               + tau ||beta.grad(lam_0) - c lam_0||_T^2 )^(1/2),
 
     which squares to the stabilizer quadratic form s(lam, lam)."""
-    tables = build_contexts(mesh, spec)
     return math.sqrt(float(tables.stabilizer_energy(lam, spec.tau).sum()))
 
 

@@ -15,10 +15,11 @@ with the per-element stabilizer
 
 and coupling form b_T(v, sigma) = (v, beta . grad_w(sigma) - c sigma_0)_T.
 Written in block form over x = [lam; u] the system is [[S, B], [B^T, 0]]
-with symmetric positive semidefinite S.  It is summed by :func:`scatter`
-from one element matrix E_T = [[S_T, B_T], [B_T^T, 0]] per element, over
-the element's unknowns as laid out by ``DofMap.element_indices``, with
-constrained outflow traces eliminated.
+with symmetric positive semidefinite S.  It is the sum of one element
+matrix E_T = [[S_T, B_T], [B_T^T, 0]] per element, over the element's
+unknowns as laid out by ``DofMap.element_indices``, with constrained
+outflow traces eliminated, and is kept as those element matrices:
+:func:`scatter` sums them into a sparse matrix only when one is read.
 
 Every local form is evaluated for all elements at once from one set of
 element tables (:class:`ElementTables`).  Variable coefficients are
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -88,15 +90,36 @@ class ProblemSpec:
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse system [[S, B], [B^T, 0]] x = [rhs_lambda; 0],
-    with the element matrices it was summed from: ``element_matrix``
-    (T, n_loc + 1, n_loc + 1), E_T = [[S_T, B_T], [B_T^T, 0]] over the
-    element's unknowns laid out as ``dofmap.element_indices``."""
+    """The system [[S, B], [B^T, 0]] x = [rhs_lambda; 0] held as its
+    element matrices ``element_matrix`` (T, n_loc + 1, n_loc + 1),
+    E_T = [[S_T, B_T], [B_T^T, 0]] over the element's unknowns laid out
+    as ``dofmap.element_indices``.  The assembled sparse ``matrix`` is
+    built on first read; :meth:`matvec` and :attr:`nnz` do without it."""
 
-    matrix: sparse.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
     element_matrix: np.ndarray
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The assembled CSR matrix, summed on first read and then kept."""
+        return scatter(self.element_matrix, self.dofmap.element_indices, self.dofmap.n_total).tocsr()
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of ``matrix``, explicit zeros included, counted
+        from the element pattern: two unknowns share more than one element
+        only as traces of one interior edge, which has exactly two."""
+        free = (self.dofmap.element_indices >= 0).sum(axis=1)
+        interior = np.count_nonzero(self.dofmap.mesh.edge_elems[:, 1] >= 0)
+        return int(free @ free - self.dofmap.dim_lamb**2 * interior)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``matrix @ x`` applied element by element, equal to round-off."""
+        idx = self.dofmap.element_indices
+        free = idx >= 0
+        y = self.element_matrix @ np.where(free, x[idx], 0.0)[..., None]
+        return np.bincount(idx[free], y[..., 0][free], minlength=len(x))
 
 
 class ElementTables:
@@ -312,6 +335,13 @@ def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:
     return ElementTables(mesh, spec.j).sample(spec)
 
 
+def _require_sampled(tables: ElementTables, mesh: Mesh) -> None:
+    if tables.mesh is not mesh:
+        raise ValueError("element tables were built for a different mesh")
+    if not hasattr(tables, "beta_e"):
+        raise ValueError("element table coefficients were never sampled; build tables with build_contexts")
+
+
 def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassification:
     """Split boundary edges into inflow (beta . n < -eps at the edge
     midpoint) and outflow.  Characteristic edges (|beta . n| <= eps) count
@@ -321,8 +351,7 @@ def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassificati
     middle node of the edge rule (the midpoint), in the branch of the
     edge's first incident element, and that element's outward normal.
     """
-    if tables.mesh is not mesh:
-        raise ValueError("element tables were built for a different mesh")
+    _require_sampled(tables, mesh)
     edges = mesh.boundary_edges
     owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
     b = tables.beta_e[owner, local, EDGE_MIDPOINT]
@@ -336,17 +365,19 @@ def assemble(mesh: Mesh, dofmap: DofMap, spec: ProblemSpec, tables: ElementTable
     tables of ``mesh``.
 
     Outflow trace unknowns are eliminated (never indexed), which keeps the
-    matrix exactly the variational problem on the constrained multiplier
-    space.  The returned matrix is symmetric with an identically zero
-    primal-primal block.
+    system exactly the variational problem on the constrained multiplier
+    space.  Its matrix is symmetric with an identically zero primal-primal
+    block; it is held as the element matrices, and the sparse one is built
+    only if ``SaddleSystem.matrix`` is read.
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")
     if dofmap.j != spec.j:
         raise ValueError(f"dofmap degree j={dofmap.j} does not match spec degree j={spec.j}")
     idx = dofmap.element_indices
-    if tables.mesh is not mesh or tables.n_loc + 1 != idx.shape[1]:
-        raise ValueError("element tables do not match the mesh and dofmap")
+    _require_sampled(tables, mesh)
+    if tables.n_loc + 1 != idx.shape[1]:
+        raise ValueError("element tables do not match the dofmap")
 
     # Element matrices and loads over [lam_0; lam_b; u_T].
     n, d0, db = tables.n_loc, dofmap.dim_lam0, dofmap.dim_lamb
@@ -361,6 +392,5 @@ def assemble(mesh: Mesh, dofmap: DofMap, spec: ProblemSpec, tables: ElementTable
     F[owner[:, None], slots] = tables.inflow_load(spec.g, edges, owner, local)
 
     free = idx >= 0
-    A = scatter(E, idx, dofmap.n_total).tocsr()
     rhs = np.bincount(idx[free], F[free], minlength=dofmap.n_total)
-    return SaddleSystem(matrix=A, rhs=rhs, dofmap=dofmap, element_matrix=E)
+    return SaddleSystem(rhs=rhs, dofmap=dofmap, element_matrix=E)

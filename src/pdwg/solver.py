@@ -13,12 +13,12 @@ built from the mesh: a recursive coordinate bisection of the free edges
 whose separators are read off the element-edge incidence, with every u_T
 placed after the traces of its element.
 
-Iterative refinement runs on the full assembled system: each correction is
-a condensed solve of b - A x, and the residual contract is checked on the
-full system by an explicit matrix-vector product, so downstream
-conservation and error checks can rely on it.  A singular factor raises
-:class:`SolverError`; there is no fallback.  Identical inputs produce
-bitwise-identical solutions.
+Iterative refinement runs on the full system: each correction is a
+condensed solve of b - A x, and the residual contract is checked on the
+full system, applied element by element by :meth:`SaddleSystem.matvec`
+with no sparse matrix built, so downstream conservation and error checks
+can rely on it.  A singular factor raises :class:`SolverError`; there is
+no fallback.  Identical inputs produce bitwise-identical solutions.
 
 The :class:`Solution` carries the solved values of every element's
 unknowns in the layout of ``DofMap.element_indices``, [lam_0; traces of
@@ -196,9 +196,8 @@ class _CondensedLU:
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as err:
-            A = system.matrix
             raise SolverError(
-                f"factorization failed ({err}): full order {A.shape[0]}, nnz {A.nnz}; "
+                f"factorization failed ({err}): full order {dm.n_total}, nnz {system.nnz}; "
                 f"condensed order {self.order}, nnz {self.nnz}"
             ) from err
 
@@ -216,19 +215,19 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve the assembled system to relative residual <= tol.
 
     Factors the condensed [lam_b; u] system once and refines on the full
-    system.  Raises :class:`SolverError` if the factor is singular or the
-    residual contract is missed (relevant for tau=0 with j=k on very
-    coarse meshes, where uniqueness needs a small enough mesh size).
+    system, applied element by element.  Raises :class:`SolverError` if
+    the factor is singular or the residual contract is missed (relevant
+    for tau=0 with j=k on very coarse meshes, where uniqueness needs a
+    small enough mesh size).
     """
     if not 1e-14 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-14, 1e-6], got {tol}")
-    A = system.matrix
     b = system.rhs
     factor = _CondensedLU(system)
     bnorm = float(np.linalg.norm(b))
 
     def relative_residual(x):
-        r = b - A @ x
+        r = b - system.matvec(x)
         rnorm = float(np.linalg.norm(r))
         return r, (rnorm / bnorm if bnorm > 0 else rnorm)
 
@@ -243,14 +242,14 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     if not np.isfinite(residual) or residual > tol:
         raise SolverError(
             f"residual contract missed: {residual:.3e} > {tol:.3e} "
-            f"(order={A.shape[0]}, condensed order={factor.order})"
+            f"(order={system.dofmap.n_total}, condensed order={factor.order})"
         )
 
     idx = system.dofmap.element_indices
     info = {
         "method": "splu",
-        "order": int(A.shape[0]),
-        "nnz": int(A.nnz),
+        "order": system.dofmap.n_total,
+        "nnz": system.nnz,
         "condensed_order": factor.order,
         "condensed_nnz": factor.nnz,
         "ordering": "nested_dissection",

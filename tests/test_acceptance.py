@@ -216,7 +216,7 @@ def test_criterion_6_system_structure():
     for name, level in cases:
         spec = get_experiment(name).spec
         mesh = refined(spec.domain_tag, level)
-        _, dm, system = build_level(mesh, spec)
+        tables, dm, system = build_level(mesh, spec)
         asym = abs(system.matrix - system.matrix.T)
         worst_asym = max(worst_asym, asym.max() if asym.nnz else 0.0)
         uu = system.matrix[dm.n_lambda :, dm.n_lambda :]
@@ -227,7 +227,7 @@ def test_criterion_6_system_structure():
             x = rng.standard_normal(dm.n_lambda)
             lam = np.where(idx >= 0, x[idx], 0.0)
             quad = float(x @ (S @ x))
-            norm2 = triple_norm_Wh(lam, spec, mesh) ** 2
+            norm2 = triple_norm_Wh(lam, spec, tables) ** 2
             worst_mismatch = max(worst_mismatch, abs(norm2 - quad) / max(abs(quad), 1e-300))
     ok = worst_asym <= 1e-13 and zero_blocks and worst_mismatch <= 1e-12
     assert _line(

@@ -13,7 +13,7 @@ from pdwg.analysis import (
     triple_norm_Wh,
 )
 from helpers import build_level, refined
-from pdwg.assembly import ProblemSpec
+from pdwg.assembly import ProblemSpec, build_contexts
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
 from pdwg.solver import solve
@@ -90,7 +90,7 @@ class TestTripleNormWh:
         mesh = refined("unit_square", 1)
         spec = make_spec(tau=0.0)
         lam = project_to_weak(lambda x, y: x * 0 + 2.0, mesh, j=1)
-        assert triple_norm_Wh(lam, spec, mesh) < 1e-13
+        assert triple_norm_Wh(lam, spec, build_contexts(mesh, spec)) < 1e-13
 
     def test_reference_triangle_value(self):
         # same oracle as the local stabilizer: lam0=x, lamb=0, tau=0 on
@@ -106,14 +106,15 @@ class TestTripleNormWh:
         lam = np.zeros((mesh.num_elements, 3 + 3 * 2))
         lam[t, :3] = project_element(lambda x, y: x, 1, mesh.vertices[mesh.elements[t]])
         expected = math.sqrt((1.0 / 3.0 + math.sqrt(2.0) / 3.0) / math.sqrt(2.0))
-        assert triple_norm_Wh(lam, spec, mesh) == pytest.approx(expected, abs=1e-12)
+        tables = build_contexts(mesh, spec)
+        assert triple_norm_Wh(lam, spec, tables) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("domain", ["unit_square", "l_shape"])
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_matches_assembled_quadratic_form(self, domain, tau):
         mesh = refined(domain, 1)
         spec = make_spec(tau=tau, domain=domain)
-        _, dm, system = build_level(mesh, spec)
+        tables, dm, system = build_level(mesh, spec)
         S = system.matrix[: dm.n_lambda, : dm.n_lambda]
         idx = dm.element_indices[:, :-1]
         rng = np.random.default_rng(11)
@@ -121,7 +122,7 @@ class TestTripleNormWh:
             x = rng.standard_normal(dm.n_lambda)
             lam = np.where(idx >= 0, x[idx], 0.0)
             quad = float(x @ (S @ x))
-            norm = triple_norm_Wh(lam, spec, mesh)
+            norm = triple_norm_Wh(lam, spec, tables)
             assert norm**2 == pytest.approx(quad, rel=1e-12, abs=1e-13)
 
 

@@ -4,7 +4,7 @@ import pytest
 import dataclasses
 
 from helpers import build_level, refined, tables_for
-from pdwg.assembly import ProblemSpec, assemble, build_contexts, classify_boundary
+from pdwg.assembly import ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -258,6 +258,9 @@ class TestAssemble:
         dm = DofMap(other, 1, cls)
         with pytest.raises(ValueError):
             assemble(mesh, dm, spec, build_contexts(mesh, spec))
+        dm = DofMap(mesh, 1, classify_boundary(mesh, tables_for(mesh, spec.beta)))
+        with pytest.raises(ValueError, match="never sampled.*build_contexts"):
+            assemble(mesh, dm, spec, ElementTables(mesh, 1))
 
     def test_straddling_piecewise_beta_warns(self):
         beta = Piecewise(

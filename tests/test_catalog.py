@@ -16,6 +16,7 @@ from pdwg.study import emit_csv, emit_plot_data, run_study
 DATA = Path(__file__).parent / "data"
 RECORDED = json.loads((DATA / "catalog_specs.json").read_text())
 CSV_HASHES = DATA / "catalog_csv_sha256.json"
+LEVEL_HASHES = DATA / "level_results_sha256.json"
 
 
 def test_list_output_is_byte_identical(capsys):
@@ -68,6 +69,40 @@ def test_catalog_outputs_are_byte_identical(tmp_path):
     assert catalog_csv_hashes(tmp_path) == json.loads(CSV_HASHES.read_text())
 
 
+# Fields that vary between identical runs: wall time, and the solver's
+# residual, which moves in round-off when the residual is summed differently.
+UNPINNED_FIELDS = {"seconds", "solver_residual"}
+
+
+def level_result_hashes() -> dict:
+    """sha256 per catalog entry and j in {k-1, k} of every LevelResult
+    field but UNPINNED_FIELDS at levels 0-3 and the default tolerance,
+    floats written exactly with float.hex."""
+    hashes = {}
+    for name, exp in catalog().items():
+        for j in (0, 1):
+            lines = [
+                ",".join(
+                    value.hex() if isinstance(value, float) else repr(value)
+                    for key, value in vars(row).items()
+                    if key not in UNPINNED_FIELDS
+                )
+                for row in run_study(exp, levels=(0, 3), j=j).rows
+            ]
+            hashes[f"{name}_j{j}"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return hashes
+
+
+def test_level_results_are_bit_identical():
+    # Pins every error, conservation and size number of the catalog sweep
+    # bit for bit, beyond the 12 digits the CSVs print.  Re-record, only
+    # after a change meant to alter the results, with
+    #   PYTHONPATH=src python tests/test_catalog.py
+    # and say in the change which numbers moved and why.
+    assert level_result_hashes() == json.loads(LEVEL_HASHES.read_text())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         CSV_HASHES.write_text(json.dumps(catalog_csv_hashes(Path(tmp)), indent=1) + "\n")
+    LEVEL_HASHES.write_text(json.dumps(level_result_hashes(), indent=1) + "\n")

@@ -295,6 +295,18 @@ class TestCli:
         run_study(get_experiment("table5"), levels=(0, 2))
         assert len(calls) == 3
 
+    def test_run_path_builds_no_full_matrix(self, monkeypatch, tmp_path):
+        # The solve reads the element matrices; the assembled sparse matrix
+        # is built only when a caller reads SaddleSystem.matrix, and once.
+        calls = []
+        scatter = pdwg.assembly.scatter
+        monkeypatch.setattr(pdwg.assembly, "scatter", lambda *args: calls.append(args[2]) or scatter(*args))
+        assert main(["run", "--experiment", "table1", "--levels", "2", "--out", str(tmp_path)]) == 0
+        report = run_study(get_experiment("table5"), levels=(0, 2))
+        assert calls == []
+        assert report.system.matrix is report.system.matrix
+        assert calls == [report.system.dofmap.n_total]
+
     def test_verify_gates_the_solved_system(self, monkeypatch, capsys):
         assemble = pdwg.study.assemble
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import refined, tables_for
-from pdwg.assembly import classify_boundary
+from pdwg.assembly import ElementTables, classify_boundary
 from pdwg.fields import constant_vector, rotation
 from pdwg.mesh import (
     DOMAIN_TAGS,
@@ -311,6 +311,8 @@ class TestClassifyBoundary:
         other = build_coarse_mesh("unit_square")
         with pytest.raises(ValueError, match="different mesh"):
             classify_boundary(mesh, tables_for(other, BETA_DOWN_RIGHT))
+        with pytest.raises(ValueError, match="never sampled.*build_contexts"):
+            classify_boundary(mesh, ElementTables(mesh, 1))
 
 
 def test_classification_matches_pointwise_reference():

@@ -218,10 +218,31 @@ class TestOrderedFactor:
     def test_catalog_matches_dense_full_solve(self):
         for name, j, level, system in catalog_systems((0, 1, 2)):
             dm = system.dofmap
-            x = full_vector(solve(system), dm)
+            sol = solve(system)
+            x = full_vector(sol, dm)
             x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
             # fig8_f0 at level 0 has a zero right-hand side: x must be 0.
             assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max(), (name, j, level)
+            # The count and the residual product the solve takes from the
+            # element matrices agree with the assembled matrix.  The two
+            # products sum in different orders, so they differ by round-off
+            # of |A| |x|, which is up to 400 times |A x| (table12, table16
+            # and fig9_f10000).
+            A = system.matrix
+            assert sol.info["nnz"] == A.nnz, (name, j, level)
+            scale = np.linalg.norm(abs(A) @ abs(x))
+            assert np.linalg.norm(system.matvec(x) - A @ x) <= 1e-14 * scale, (name, j, level)
+
+    def test_refinement_residual_matches_the_assembled_product(self):
+        # At tol 1e-14 this system takes one refinement step, so the
+        # element-wise residual both drives the correction and is reported.
+        spec = dataclasses.replace(get_experiment("table4").spec, j=1)
+        system = build_level(refined(spec.domain_tag, 2), spec)[2]
+        sol = solve(system, tol=1e-14)
+        assert sol.info["refine_steps"] == 1
+        x = full_vector(sol, system.dofmap)
+        assembled = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+        assert abs(sol.residual - assembled) <= 1e-15
 
     def test_catalog_sweep_needs_at_most_one_refinement(self):
         # Guards the pivot threshold: a smaller one lets SuperLU keep tiny
