@@ -1,20 +1,15 @@
 """Tour of the three benchmark domains: coarse meshes, uniform refinement,
-and inflow/outflow classification read from a problem's element tables.
+element areas from the element tables, and inflow/outflow classification
+read from a problem's element tables.
 
 Run from the repository root:  PYTHONPATH=src python3 demos/01_mesh_tour.py
 """
 
 import numpy as np
 
-from pdwg.assembly import build_contexts, classify_boundary
+from pdwg.assembly import ElementTables, build_contexts, classify_boundary
 from pdwg.catalog import get_experiment
-from pdwg.mesh import (
-    build_coarse_mesh,
-    domain_area,
-    dump_mesh,
-    geometry_arrays,
-    refine_uniform,
-)
+from pdwg.mesh import build_coarse_mesh, domain_area, refine_uniform
 
 for tag in ("unit_square", "l_shape", "cracked_square"):
     mesh = build_coarse_mesh(tag)
@@ -23,7 +18,7 @@ for tag in ("unit_square", "l_shape", "cracked_square"):
         T = mesh.num_elements
         E = mesh.num_edges
         B = len(mesh.boundary_edges)
-        area = geometry_arrays(mesh).area.sum()
+        area = ElementTables(mesh, j=1).area.sum()
         print(
             f"  level {level}: T={T:5d} E={E:5d} B={B:4d}  "
             f"2E-3T-B={2 * E - 3 * T - B}  area={area:.13f} "
@@ -45,6 +40,3 @@ mesh = refine_uniform(build_coarse_mesh("unit_square"))
 for name, label in (("table5", "beta=[1,-1]"), ("fig1_tau1", "beta=[y-0.5,-x+0.5]")):
     cls = classify_boundary(mesh, build_contexts(mesh, get_experiment(name).spec))
     print(f"{label}: {len(cls.inflow_edges)} inflow, {len(cls.outflow_edges)} outflow edges")
-    if name == "table5":
-        dump_mesh(mesh, "unit_square_level1.txt", cls)
-print("wrote unit_square_level1.txt (vertex / element / edge sections)")

@@ -25,19 +25,19 @@ print(exp.description)
 mesh = build_coarse_mesh(spec.domain_tag)
 for _ in range(3):
     mesh = refine_uniform(mesh)
-tables = build_contexts(mesh, spec)  # element tables shared by every stage
+tables = build_contexts(mesh, spec)  # the level: geometry, coefficients and the problem
 dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
-system = assemble(mesh, dofmap, spec, tables)
+system = assemble(mesh, dofmap, tables)
 solution = solve(system)
 
-report = conservation_report(solution, spec, tables)
+report = conservation_report(solution, tables)
 print(f"elements: {mesh.num_elements}, interior edges: {len(report.interior_edges)}")
 print(f"max |element balance residual| = {report.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {report.max_flux_jump:.3e}")
 
 broken = copy.deepcopy(solution)
 broken.local[7, -1] += 1e-3  # u_h on element 7
-bad = conservation_report(broken, spec, tables)
+bad = conservation_report(broken, tables)
 print("\nafter perturbing one element value by 1e-3:")
 print(f"max |element balance residual| = {bad.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {bad.max_flux_jump:.3e}")

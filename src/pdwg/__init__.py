@@ -21,13 +21,7 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 - ``cli``        the ``pdwg`` command line tool
 """
 
-from .mesh import (
-    BoundaryClassification,
-    ElementGeometry,
-    Mesh,
-    build_coarse_mesh,
-    refine_uniform,
-)
+from .mesh import BoundaryClassification, Mesh, build_coarse_mesh, refine_uniform
 from .weakspace import DofMap
 from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, classify_boundary
 from .solver import Solution, SolverError, solve
@@ -37,7 +31,6 @@ from .study import StudyReport, emit_csv, emit_plot_data, run_study
 __all__ = [
     "BoundaryClassification",
     "DofMap",
-    "ElementGeometry",
     "Mesh",
     "ProblemSpec",
     "SaddleSystem",

@@ -15,7 +15,9 @@ and flux  F_h = beta u_h - 1/h_T (lam_0 - lam_b) n,  which satisfy
 
 elementwise and have continuous normal flux across interior edges.  All
 conservation integrals reuse the assembly quadrature rules, so the checks
-hold to solver accuracy rather than quadrature accuracy.
+hold to solver accuracy rather than quadrature accuracy.  Every check
+reads the level's sampled element tables, and with them the problem
+(tau, the coefficients and the exact solution) they were sampled from.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ElementTables, ProblemSpec
+from .assembly import ElementTables
 from .mesh import Mesh
 from .solver import Solution
 
@@ -57,22 +59,23 @@ class ConservationReport:
         return float(np.abs(self.flux_jumps).max()) if len(self.flux_jumps) else 0.0
 
 
-def nodal_interpolant(exact_u, mesh: Mesh) -> np.ndarray:
-    """Exact solution sampled at element centers, one value per element."""
-    coords = mesh.vertices[mesh.elements]
-    centers = coords.mean(axis=1)
-    return np.asarray(exact_u(centers[:, 0], centers[:, 1]), dtype=float).reshape(-1)
+def nodal_interpolant(exact_u, tables: ElementTables) -> np.ndarray:
+    """Exact solution sampled at the element centroids of ``tables``, one
+    value per element."""
+    cx, cy = tables.centroid.T
+    return np.asarray(exact_u(cx, cy), dtype=float).reshape(-1)
 
 
-def error_norms(solution: Solution, spec: ProblemSpec, tables: ElementTables) -> ErrorReport:
+def error_norms(solution: Solution, tables: ElementTables) -> ErrorReport:
     """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
-    ||lam_b|| on the mesh of ``tables``.  Each edge is counted once, from
-    its first incident element, which supplies its trace, quadrature
-    weights and h_T."""
-    if spec.exact_u is None:
+    ||lam_b||, against the exact solution of the problem ``tables`` were
+    sampled from, on their mesh.  Each edge is counted once, from its first
+    incident element, which supplies its trace, quadrature weights and h_T."""
+    exact_u = tables.spec.exact_u
+    if exact_u is None:
         raise ValueError("error norms require an exact solution")
     mesh = tables.mesh
-    diff = solution.local[:, -1] - nodal_interpolant(spec.exact_u, mesh)
+    diff = solution.local[:, -1] - nodal_interpolant(exact_u, tables)
     lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.local[:, : tables.dim_lam0])
     owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
     lamb = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))[owner, local]
@@ -89,22 +92,22 @@ def _traces(solution: Solution, tables: ElementTables) -> np.ndarray:
     return solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
 
 
-def triple_norm_Wh(lam: np.ndarray, spec: ProblemSpec, tables: ElementTables) -> float:
+def triple_norm_Wh(lam: np.ndarray, tables: ElementTables) -> float:
     """Multiplier seminorm of a weak function given as element rows
     [lam_0; traces of edges 0, 1, 2], shape (T, n_loc), on the mesh of
-    the sampled ``tables``:
+    the sampled ``tables``, with their problem's beta, c and tau:
 
         ( sum_T 1/h_T ||lam_0 - lam_b||_{dT}^2
               + tau ||beta.grad(lam_0) - c lam_0||_T^2 )^(1/2),
 
     which squares to the stabilizer quadratic form s(lam, lam)."""
-    return math.sqrt(float(tables.stabilizer_energy(lam, spec.tau).sum()))
+    return math.sqrt(float(tables.stabilizer_energy(lam).sum()))
 
 
-def conservation_report(solution: Solution, spec: ProblemSpec, tables: ElementTables) -> ConservationReport:
+def conservation_report(solution: Solution, tables: ElementTables) -> ConservationReport:
     """Elementwise balance residuals of the conservation identity and the
     interior-edge normal-flux jumps tested against the edge trace basis,
-    on the mesh of ``tables``.
+    for the problem ``tables`` were sampled from, on their mesh.
 
     The jump test uses the flux the scheme itself transports: beta u_h is
     projected elementwise onto degree k-1 vectors (for elementwise
@@ -119,8 +122,9 @@ def conservation_report(solution: Solution, spec: ProblemSpec, tables: ElementTa
 
     # u_tilde = u_h + tau (beta.grad(lam_0) - c lam_0)
     utilde = np.broadcast_to(u[:, None], qw.shape)
-    if spec.tau > 0:
-        utilde = utilde + spec.tau * np.einsum("tqm,tm->tq", tables.adjoint(), lam0)
+    tau = tables.spec.tau
+    if tau > 0:
+        utilde = utilde + tau * np.einsum("tqm,tm->tq", tables.adjoint(), lam0)
     residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
 
     lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)

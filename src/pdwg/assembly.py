@@ -22,11 +22,13 @@ outflow traces eliminated, and is kept as those element matrices:
 :func:`scatter` sums them into a sparse matrix only when one is read.
 
 Every local form is evaluated for all elements at once from one set of
-element tables (:class:`ElementTables`).  Variable coefficients are
-evaluated pointwise at quadrature nodes; piecewise-defined fields are
-resolved per element by the branch containing the element centroid (an
-element whose vertices disagree with its centroid branch triggers a
-configuration warning).
+element tables (:class:`ElementTables`), which compute the geometry of
+every element and keep the problem they were sampled from, so every
+later stage reads both from them.  Variable coefficients are evaluated
+pointwise at quadrature nodes; piecewise-defined fields are resolved per
+element by the branch containing the element centroid (an element whose
+vertices disagree with its centroid branch triggers a configuration
+warning).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from .fields import DerivedLoad, evaluate_branches
-from .mesh import DOMAIN_TAGS, BoundaryClassification, Mesh, geometry_arrays
+from .mesh import DOMAIN_TAGS, BoundaryClassification, Mesh, MeshError
 from .poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from .weakspace import DofMap
 
@@ -123,15 +125,19 @@ class SaddleSystem:
 
 
 class ElementTables:
-    """Quadrature, basis and coefficient tables of all elements of a mesh.
+    """Geometry, quadrature, basis and coefficient tables of all elements
+    of a mesh, and the problem they were sampled from.
 
     Every array has a leading axis over the T elements, so each local form
     is one array expression over the mesh.  The quadrature is fixed: the
     interior rule is exact to degree 2j+4 and the edge rule has five Gauss
-    points.  With nq interior and ne edge quadrature points,
+    points.  The multiplier degree j is 0 or 1; any other j raises
+    ValueError, and an element of non-positive area raises MeshError
+    naming it.  With nq interior and ne edge quadrature points,
     d0 = dim P_j(T) and db = dim P_j(e):
 
-    - ``area``, ``diameter`` (T,), ``centroid`` (T, 2), ``normals`` (T, 3, 2)
+    - ``area``, ``diameter`` (longest edge) (T,), ``centroid`` (T, 2), and
+      ``normals`` (T, 3, 2), the outward unit normals in local edge order
     - ``qpts`` (T, nq, 2), ``qw`` (T, nq); ``epts`` (T, 3, ne, 2), ``ew`` (T, 3, ne)
     - ``lam0`` (T, nq, d0), ``edge_lam0`` (T, 3, ne, d0), and
       ``edge_trace`` (T, 3, ne, db), the trace basis in each edge's own
@@ -139,20 +145,31 @@ class ElementTables:
     - ``G`` (T, 2, n_loc), the weak gradient: for k=1 its range is the
       constants, so G = (1/|T|) sum_e <lam_b, n>_e with a zero interior block
 
-    :meth:`sample` adds the coefficients at the quadrature points:
-    ``beta_q`` (T, nq, 2), ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q``
-    (T, nq), with ``beta_branch`` (T,) the branch of beta per element.
+    :meth:`sample` keeps the problem as ``spec`` (ValueError until then)
+    and adds its coefficients at the quadrature points: ``beta_q`` (T, nq, 2),
+    ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q`` (T, nq), with
+    ``beta_branch`` (T,) the branch of beta per element.  The forms and
+    the analysis read tau, g and the exact solution from ``spec``.
     """
 
     def __init__(self, mesh: Mesh, j: int):
         self.mesh = mesh
-        geom = geometry_arrays(mesh)
-        self.area = geom.area
-        self.diameter = geom.diameter
-        self.centroid = geom.centroid
-        self.normals = geom.edge_normals
-
+        self.j = j
+        self._spec: ProblemSpec | None = None
         coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
+        self.area = 0.5 * (
+            (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
+            - (coords[:, 2, 0] - coords[:, 0, 0]) * (coords[:, 1, 1] - coords[:, 0, 1])
+        )
+        if np.any(self.area <= 0):
+            bad = int(np.flatnonzero(self.area <= 0)[0])
+            raise MeshError(f"element {bad} has non-positive area {self.area[bad]}")
+        tangents = np.roll(coords, -1, axis=1) - coords  # (T, 3, 2)
+        lengths = np.hypot(tangents[:, :, 0], tangents[:, :, 1])
+        self.diameter = lengths.max(axis=1)
+        self.centroid = coords.mean(axis=1)
+        self.normals = np.stack([tangents[:, :, 1], -tangents[:, :, 0]], axis=-1) / lengths[..., None]
+
         v0, v1, v2 = coords[:, 0, None], coords[:, 1, None], coords[:, 2, None]
         # Interior exactness 2j+2 makes every polynomial-data integral exact;
         # two extra degrees keep the error of smooth non polynomial data
@@ -164,10 +181,8 @@ class ElementTables:
         self.qw = rule.weights * (2.0 * self.area[:, None])
 
         erule = quad_edge(EDGE_QUAD_DEGREE)
-        start = coords[:, :, None]
-        step = np.roll(coords, -1, axis=1)[:, :, None] - start
-        self.epts = start + 0.5 * (erule.points[:, None] + 1.0) * step
-        self.ew = erule.weights * (0.5 * geom.edge_lengths[..., None])
+        self.epts = coords[:, :, None] + 0.5 * (erule.points[:, None] + 1.0) * tangents[:, :, None]
+        self.ew = erule.weights * (0.5 * lengths[..., None])
         signs = mesh.element_edge_signs[..., None]
 
         basis = TriBasis(j)
@@ -191,10 +206,17 @@ class ElementTables:
     def n_loc(self) -> int:
         return self.G.shape[-1]
 
+    @property
+    def spec(self) -> ProblemSpec:
+        if self._spec is None:
+            raise ValueError("element table coefficients were never sampled; build tables with build_contexts")
+        return self._spec
+
     def sample(self, spec: ProblemSpec) -> "ElementTables":
-        """Evaluate beta, c and f at the quadrature points, each resolved
-        per element by the branch holding its centroid.  Raises ValueError
-        naming the field and element of the first non-finite sample."""
+        """Keep ``spec`` and evaluate its beta, c and f at the quadrature
+        points, each resolved per element by the branch holding its
+        centroid.  Raises ValueError naming the field and element of the
+        first non-finite sample."""
         cx, cy = self.centroid.T
         x, y = self.qpts[..., 0], self.qpts[..., 1]
         beta_branch = spec.beta.branch_index(cx, cy)
@@ -217,6 +239,7 @@ class ElementTables:
         for name, values in (("beta", self.beta_q), ("beta", self.beta_e), ("c", self.c_q), ("f", self.f_q)):
             _require_finite(name, values, "element")
         self._warn_if_straddling(spec.beta)
+        self._spec = spec
         return self
 
     def _warn_if_straddling(self, beta):
@@ -258,11 +281,12 @@ class ElementTables:
             D[:, i, :, d0 + i * db : d0 + (i + 1) * db] = -self.edge_trace[:, i]
         return D.reshape(T, -1, n), (self.ew / self.diameter[:, None, None]).reshape(T, -1)
 
-    def stabilizer(self, tau: float) -> np.ndarray:
+    def stabilizer(self) -> np.ndarray:
         """Symmetric positive semidefinite stabilizer matrices over the
         local multiplier coefficients, shape (T, n_loc, n_loc)."""
         D, w = self._jumps()
         S = np.swapaxes(D, 1, 2) @ (w[..., None] * D)
+        tau = self.spec.tau
         if tau > 0:
             d0 = self.dim_lam0
             A = self.adjoint()
@@ -273,12 +297,13 @@ class ElementTables:
         S[:, lower[0], lower[1]] = S[:, lower[1], lower[0]]
         return S
 
-    def stabilizer_energy(self, x: np.ndarray, tau: float) -> np.ndarray:
+    def stabilizer_energy(self, x: np.ndarray) -> np.ndarray:
         """s_T(x, x) of local coefficient vectors x (T, n_loc), summed from
         squares so it is nonnegative and vanishes exactly when lam_0 = lam_b
         at the edge points (and the adjoint term is zero), shape (T,)."""
         D, w = self._jumps()
         energy = np.einsum("tq,tq->t", w, (D @ x[..., None])[..., 0] ** 2)
+        tau = self.spec.tau
         if tau > 0:
             Ax = self.adjoint() @ x[:, : self.dim_lam0, None]
             energy += tau * np.einsum("tq,tq->t", self.qw, Ax[..., 0] ** 2)
@@ -296,11 +321,12 @@ class ElementTables:
         """Element loads -(f, sigma_0)_T over the interior basis, (T, d0)."""
         return -np.einsum("tq,tqm->tm", self.qw * self.f_q, self.lam0)
 
-    def inflow_load(self, g, edges, rows, local) -> np.ndarray:
+    def inflow_load(self, edges, rows, local) -> np.ndarray:
         """Inflow data terms <sigma_b, beta.n g>_e over the trace basis of
         the boundary edges ``edges``, edge ``edges[m]`` being local edge
         ``local[m]`` of table row ``rows[m]``; shape (len(edges), db).
         ``g`` takes the branch of the element's centroid."""
+        g = self.spec.g
         pts = self.epts[rows, local]
         bn = np.einsum("mqc,mc->mq", self.beta_e[rows, local], self.normals[rows, local])
         cx, cy = self.centroid[rows].T
@@ -338,8 +364,7 @@ def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:
 def _require_sampled(tables: ElementTables, mesh: Mesh) -> None:
     if tables.mesh is not mesh:
         raise ValueError("element tables were built for a different mesh")
-    if not hasattr(tables, "beta_e"):
-        raise ValueError("element table coefficients were never sampled; build tables with build_contexts")
+    tables.spec  # raises ValueError if the tables were never sampled
 
 
 def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassification:
@@ -360,9 +385,9 @@ def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassificati
     return BoundaryClassification(inflow_edges=edges[inflow], outflow_edges=edges[~inflow])
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, spec: ProblemSpec, tables: ElementTables) -> SaddleSystem:
-    """Assemble the global saddle-point system from the sampled element
-    tables of ``mesh``.
+def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
+    """Assemble the global saddle-point system of the problem the element
+    tables of ``mesh`` were sampled from.
 
     Outflow trace unknowns are eliminated (never indexed), which keeps the
     system exactly the variational problem on the constrained multiplier
@@ -372,24 +397,22 @@ def assemble(mesh: Mesh, dofmap: DofMap, spec: ProblemSpec, tables: ElementTable
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")
-    if dofmap.j != spec.j:
-        raise ValueError(f"dofmap degree j={dofmap.j} does not match spec degree j={spec.j}")
-    idx = dofmap.element_indices
     _require_sampled(tables, mesh)
-    if tables.n_loc + 1 != idx.shape[1]:
-        raise ValueError("element tables do not match the dofmap")
+    if tables.j != dofmap.j:
+        raise ValueError(f"element tables of degree j={tables.j} do not match the dofmap of degree j={dofmap.j}")
+    idx = dofmap.element_indices
 
     # Element matrices and loads over [lam_0; lam_b; u_T].
     n, d0, db = tables.n_loc, dofmap.dim_lam0, dofmap.dim_lamb
     E = np.zeros((mesh.num_elements, n + 1, n + 1))
-    E[:, :n, :n] = tables.stabilizer(spec.tau)
+    E[:, :n, :n] = tables.stabilizer()
     E[:, :n, n] = E[:, n, :n] = tables.coupling()
     F = np.zeros(idx.shape)
     F[:, :d0] = tables.load()
     edges = dofmap.classification.inflow_edges
     owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
     slots = d0 + db * local[:, None] + np.arange(db)
-    F[owner[:, None], slots] = tables.inflow_load(spec.g, edges, owner, local)
+    F[owner[:, None], slots] = tables.inflow_load(edges, owner, local)
 
     free = idx >= 0
     rhs = np.bincount(idx[free], F[free], minlength=dofmap.n_total)

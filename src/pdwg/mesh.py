@@ -68,20 +68,6 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of every element of a mesh (:func:`geometry_arrays`), each
-    field with a leading element axis: area and diameter (longest edge)
-    (T,), centroid (T, 2), edge lengths (T, 3) and outward unit normals
-    (T, 3, 2) in local edge order."""
-
-    area: np.ndarray
-    diameter: np.ndarray
-    centroid: np.ndarray
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundaryClassification:
     """Partition of the boundary edges into inflow and outflow sets
     (:func:`pdwg.assembly.classify_boundary`)."""
@@ -238,56 +224,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     elements = np.stack(children, axis=1).reshape(-1, 3)
 
     return _build_topology(vertices, elements, mesh.level + 1, mesh.domain_tag)
-
-
-def geometry_arrays(mesh: Mesh) -> ElementGeometry:
-    """Geometry of all elements in one vectorized pass."""
-    coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
-    area = 0.5 * (
-        (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
-        - (coords[:, 2, 0] - coords[:, 0, 0]) * (coords[:, 1, 1] - coords[:, 0, 1])
-    )
-    if np.any(area <= 0):
-        bad = int(np.flatnonzero(area <= 0)[0])
-        raise MeshError(f"element {bad} has non-positive area {area[bad]}")
-    tangents = np.roll(coords, -1, axis=1) - coords  # (T, 3, 2)
-    lengths = np.hypot(tangents[:, :, 0], tangents[:, :, 1])
-    normals = np.stack([tangents[:, :, 1], -tangents[:, :, 0]], axis=-1) / lengths[..., None]
-    return ElementGeometry(
-        area=area,
-        diameter=lengths.max(axis=1),
-        centroid=coords.mean(axis=1),
-        edge_lengths=lengths,
-        edge_normals=normals,
-    )
-
-
-def dump_mesh(mesh: Mesh, path, classification: BoundaryClassification | None = None) -> None:
-    """Write the mesh as plain text: vertex, element, and edge sections.
-
-    Edge lines read ``index v0 v1 leftElem rightElemOrMarker`` where the
-    marker is INFLOW/OUTFLOW when a classification is given and BOUNDARY
-    otherwise.
-    """
-    inflow = set() if classification is None else set(classification.inflow_edges.tolist())
-    lines = ["# vertices: index x y"]
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"{i} {x!r} {y!r}")
-    lines.append("# elements: index v0 v1 v2")
-    for t, (v0, v1, v2) in enumerate(mesh.elements):
-        lines.append(f"{t} {v0} {v1} {v2}")
-    lines.append("# edges: index v0 v1 leftElem rightElemOrMarker")
-    for e, (a, b) in enumerate(mesh.edges):
-        left, right = mesh.edge_elems[e]
-        if right >= 0:
-            tail = str(right)
-        elif classification is None:
-            tail = "BOUNDARY"
-        else:
-            tail = "INFLOW" if e in inflow else "OUTFLOW"
-        lines.append(f"{e} {a} {b} {left} {tail}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def domain_area(domain_tag: str) -> float:

@@ -129,15 +129,15 @@ def run_study(
         start = time.perf_counter()
         tables = build_contexts(mesh, spec)
         dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
-        system = assemble(mesh, dofmap, spec, tables)
+        system = assemble(mesh, dofmap, tables)
         solution = solve(system, tol=tol)
 
         if spec.exact_u is not None:
-            errs = error_norms(solution, spec, tables)
+            errs = error_norms(solution, tables)
             err_u, err_l0, err_lb = errs.err_u, errs.err_lam0, errs.err_lamb
         else:
             err_u = err_l0 = err_lb = None
-        cons: ConservationReport = conservation_report(solution, spec, tables)
+        cons: ConservationReport = conservation_report(solution, tables)
 
         report.rows.append(
             LevelResult(

@@ -20,7 +20,9 @@ is the vector polynomial of degree r = k-1 defined by
 
 for all vector polynomials psi of degree r.  For k=1 the range is the
 constants, so grad_w v = (1/|T|) <vb, n>_{dT}; the element tables of
-:mod:`pdwg.assembly` hold this closed form for every element.
+:mod:`pdwg.assembly` hold this closed form for every element.  The
+projection and the commutativity check take those tables from the
+caller, sampled or not; this module builds none of its own.
 """
 
 from __future__ import annotations
@@ -76,18 +78,6 @@ class DofMap:
         return self.n_lambda + self.n_u
 
 
-def project_to_weak(w, mesh: Mesh, j: int) -> np.ndarray:
-    """Componentwise L2 projection of a smooth function into the weak
-    space, as element rows [lam_0; traces of edges 0, 1, 2], shape
-    (T, n_loc): interior projections onto P_j(T) and trace projections
-    onto P_j(e) in each edge's own orientation, all elements and edges in
-    one batch, on the fixed quadrature of the element tables.  Both
-    elements of an interior edge hold the same trace."""
-    from .assembly import ElementTables
-
-    return _project(w, ElementTables(mesh, j))
-
-
 def _l2(V, weights, w, pts) -> np.ndarray:
     """Batched L2 projections of w onto the bases V (..., nq, d) under the
     quadrature ``weights`` (..., nq) at ``pts`` (..., nq, 2), (..., d)."""
@@ -98,9 +88,15 @@ def _l2(V, weights, w, pts) -> np.ndarray:
     return np.linalg.solve(Mb[..., :-1], Mb[..., -1:])[..., 0]
 
 
-def _project(w, tables) -> np.ndarray:
-    """:func:`project_to_weak` on the quadrature of ``tables``.  Each mesh
-    edge is projected once, on its first incident element's edge table."""
+def project_to_weak(w, tables) -> np.ndarray:
+    """Componentwise L2 projection of a smooth function into the weak
+    space of the element tables ``tables``, sampled or not, as element
+    rows [lam_0; traces of edges 0, 1, 2], shape (T, n_loc): interior
+    projections onto P_j(T) and trace projections onto P_j(e) in each
+    edge's own orientation, all elements and edges in one batch, on the
+    fixed quadrature of the tables.  Each mesh edge is projected once, on
+    its first incident element's edge table, so both elements of an
+    interior edge hold the same trace."""
     mesh = tables.mesh
     lam0 = _l2(tables.lam0, tables.qw, w, tables.qpts)
     owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
@@ -108,20 +104,18 @@ def _project(w, tables) -> np.ndarray:
     return np.concatenate([lam0, lamb[mesh.element_edges].reshape(len(lam0), -1)], axis=1)
 
 
-def commutativity_check(w, grad_w, mesh: Mesh, j: int) -> float:
+def commutativity_check(w, grad_w, tables) -> float:
     """Max over elements of the L2 norm of
 
         grad_w(Q_h w) - Q_h(grad w),
 
     where the first term applies the discrete weak gradient to the
     projected weak function and the second projects the analytic gradient
-    onto the constants (degree k-1 = 0).  Vanishes to quadrature accuracy
-    for j in {k-1, k}; any other j raises ValueError.
+    onto the constants (degree k-1 = 0), on the mesh and quadrature of the
+    element tables ``tables``, sampled or not.  Vanishes to quadrature
+    accuracy for j in {k-1, k}, the degrees the tables accept.
     """
-    from .assembly import ElementTables
-
-    tables = ElementTables(mesh, j)
-    lhs = np.einsum("tcn,tn->tc", tables.G, _project(w, tables))
+    lhs = np.einsum("tcn,tn->tc", tables.G, project_to_weak(w, tables))
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]
     # L2 projection of grad w onto the constants.
     grad = np.stack([np.broadcast_to(np.asarray(g, dtype=float), x.shape) for g in grad_w(x, y)], axis=-1)

@@ -28,4 +28,4 @@ def build_level(mesh, spec):
     then the classification, DOF map and assembled system read from them."""
     tables = build_contexts(mesh, spec)
     dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
-    return tables, dofmap, assemble(mesh, dofmap, spec, tables)
+    return tables, dofmap, assemble(mesh, dofmap, tables)

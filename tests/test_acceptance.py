@@ -12,7 +12,7 @@ from helpers import build_level, refined
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import main
-from pdwg.mesh import build_coarse_mesh, geometry_arrays, refine_uniform
+from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.poly import EdgeBasis, map_to_edge, quad_edge
 from pdwg.study import run_study
 from pdwg.weakspace import commutativity_check
@@ -122,8 +122,8 @@ def _identity_residual(mesh):
     basis_e = EdgeBasis(1)
     erule = quad_edge(9)
     worst = 0.0
-    geom = geometry_arrays(mesh)
-    G = ElementTables(mesh, 1).G
+    geom = ElementTables(mesh, 1)
+    G = geom.G
     for t in range(mesh.num_elements):
         lhs = geom.area[t] * G[t]
         rhs = np.zeros_like(lhs)
@@ -133,7 +133,7 @@ def _identity_residual(mesh):
             _, w, tloc = map_to_edge(erule, mesh.vertices[a_id], mesh.vertices[b_id])
             tglob = tloc if a_id < b_id else -tloc
             evals = basis_e.eval(tglob)
-            n = geom.edge_normals[t, i]
+            n = geom.normals[t, i]
             lo = 3 + i * 2
             for comp in range(2):
                 rhs[comp, lo : lo + 2] = n[comp] * (w @ evals)
@@ -175,12 +175,12 @@ def test_criterion_5_weak_gradient_properties():
     res_lin = commutativity_check(
         lambda x, y: 1.0 + 2.0 * x - 3.0 * y,
         lambda x, y: (2.0 * ones(x), -3.0 * ones(x)),
-        mesh1, j=1,
+        ElementTables(mesh1, 1),
     )
     res_sq = commutativity_check(
         lambda x, y: x**2,
         lambda x, y: (2.0 * np.asarray(x, dtype=float), 0.0 * ones(x)),
-        mesh1, j=1,
+        ElementTables(mesh1, 1),
     )
     ok = (
         worst_identity <= 1e-12
@@ -227,7 +227,7 @@ def test_criterion_6_system_structure():
             x = rng.standard_normal(dm.n_lambda)
             lam = np.where(idx >= 0, x[idx], 0.0)
             quad = float(x @ (S @ x))
-            norm2 = triple_norm_Wh(lam, spec, tables) ** 2
+            norm2 = triple_norm_Wh(lam, tables) ** 2
             worst_mismatch = max(worst_mismatch, abs(norm2 - quad) / max(abs(quad), 1e-300))
     ok = worst_asym <= 1e-13 and zero_blocks and worst_mismatch <= 1e-12
     assert _line(

@@ -13,7 +13,7 @@ from pdwg.analysis import (
     triple_norm_Wh,
 )
 from helpers import build_level, refined
-from pdwg.assembly import ProblemSpec, build_contexts
+from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
 from pdwg.solver import solve
@@ -36,26 +36,26 @@ def make_spec(beta=(1.0, -1.0), c=1.0, f=1.0, g=1.0, tau=1.0, domain="unit_squar
 def solved_unit_problem(level=2, tau=1.0, domain="unit_square"):
     spec = make_spec(tau=tau, domain=domain, exact=constant(1.0))
     tables, dm, system = build_level(refined(domain, level), spec)
-    return tables, dm, spec, solve(system)
+    return tables, dm, solve(system)
 
 
 class TestNodalInterpolant:
     def test_constant(self):
         mesh = refined("unit_square", 1)
-        interp = nodal_interpolant(lambda x, y: np.ones_like(x), mesh)
+        interp = nodal_interpolant(lambda x, y: np.ones_like(x), ElementTables(mesh, 1))
         assert interp.shape == (mesh.num_elements,)
         assert np.allclose(interp, 1.0)
 
     def test_linear_is_centroid_value(self):
         mesh = build_coarse_mesh("unit_square")
-        interp = nodal_interpolant(lambda x, y: x, mesh)
+        interp = nodal_interpolant(lambda x, y: x, ElementTables(mesh, 1))
         for t in range(mesh.num_elements):
             cx = mesh.vertices[mesh.elements[t]].mean(axis=0)[0]
             assert interp[t] == pytest.approx(cx, abs=1e-15)
 
     def test_smooth_sample(self):
         mesh = refined("unit_square", 2)
-        interp = nodal_interpolant(lambda x, y: np.sin(x) * np.cos(y), mesh)
+        interp = nodal_interpolant(lambda x, y: np.sin(x) * np.cos(y), ElementTables(mesh, 1))
         c = mesh.vertices[mesh.elements[5]].mean(axis=0)
         assert interp[5] == pytest.approx(math.sin(c[0]) * math.cos(c[1]))
 
@@ -63,34 +63,37 @@ class TestNodalInterpolant:
 class TestErrorNorms:
     def test_constant_offset(self):
         # u_h = I_h u + 0.5 on the unit square: ||e_h|| = 0.5 (area 1)
-        tables, dm, spec, sol = solved_unit_problem(level=2)
+        tables, dm, sol = solved_unit_problem(level=2)
         sol.local[:, :-1] = 0.0
         sol.local[:, -1] = 1.5
-        rep = error_norms(sol, spec, tables)
+        rep = error_norms(sol, tables)
         assert rep.err_u == pytest.approx(0.5, abs=1e-12)
         assert rep.err_lam0 == 0.0
         assert rep.err_lamb == 0.0
 
     def test_unit_solution_machine_accuracy(self):
-        tables, dm, spec, sol = solved_unit_problem(level=2)
-        rep = error_norms(sol, spec, tables)
+        tables, dm, sol = solved_unit_problem(level=2)
+        rep = error_norms(sol, tables)
         assert rep.err_u <= 1e-8
         assert rep.err_lam0 <= 1e-8
         assert rep.err_lamb <= 1e-8
 
     def test_requires_exact_solution(self):
-        tables, dm, spec, sol = solved_unit_problem(level=1)
-        bare = dataclasses.replace(spec, exact_u=None)
+        tables, dm, sol = solved_unit_problem(level=1)
+        bare = dataclasses.replace(tables.spec, exact_u=None)
         with pytest.raises(ValueError):
-            error_norms(sol, bare, tables)
+            error_norms(sol, build_contexts(tables.mesh, bare))
+        with pytest.raises(ValueError, match="never sampled.*build_contexts"):
+            error_norms(sol, ElementTables(tables.mesh, 1))
 
 
 class TestTripleNormWh:
     def test_continuous_multiplier_vanishes_tau0(self):
         mesh = refined("unit_square", 1)
         spec = make_spec(tau=0.0)
-        lam = project_to_weak(lambda x, y: x * 0 + 2.0, mesh, j=1)
-        assert triple_norm_Wh(lam, spec, build_contexts(mesh, spec)) < 1e-13
+        tables = build_contexts(mesh, spec)
+        lam = project_to_weak(lambda x, y: x * 0 + 2.0, tables)
+        assert triple_norm_Wh(lam, tables) < 1e-13
 
     def test_reference_triangle_value(self):
         # same oracle as the local stabilizer: lam0=x, lamb=0, tau=0 on
@@ -107,7 +110,7 @@ class TestTripleNormWh:
         lam[t, :3] = project_element(lambda x, y: x, 1, mesh.vertices[mesh.elements[t]])
         expected = math.sqrt((1.0 / 3.0 + math.sqrt(2.0) / 3.0) / math.sqrt(2.0))
         tables = build_contexts(mesh, spec)
-        assert triple_norm_Wh(lam, spec, tables) == pytest.approx(expected, abs=1e-12)
+        assert triple_norm_Wh(lam, tables) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("domain", ["unit_square", "l_shape"])
     @pytest.mark.parametrize("tau", [0.0, 1.0])
@@ -122,14 +125,14 @@ class TestTripleNormWh:
             x = rng.standard_normal(dm.n_lambda)
             lam = np.where(idx >= 0, x[idx], 0.0)
             quad = float(x @ (S @ x))
-            norm = triple_norm_Wh(lam, spec, tables)
+            norm = triple_norm_Wh(lam, tables)
             assert norm**2 == pytest.approx(quad, rel=1e-12, abs=1e-13)
 
 
 class TestConservation:
     def test_unit_solution(self):
-        tables, dm, spec, sol = solved_unit_problem(level=2)
-        rep = conservation_report(sol, spec, tables)
+        tables, dm, sol = solved_unit_problem(level=2)
+        rep = conservation_report(sol, tables)
         assert rep.max_element_residual <= 1e-10
         assert rep.max_flux_jump <= 1e-10
         assert rep.scale_f == 1.0
@@ -145,15 +148,15 @@ class TestConservation:
         assert row.cons_max_flux_jump <= 1e-9
 
     def test_perturbation_detected(self):
-        tables, dm, spec, sol = solved_unit_problem(level=1)
+        tables, dm, sol = solved_unit_problem(level=1)
         sol.local[0, -1] += 0.01
-        rep = conservation_report(sol, spec, tables)
+        rep = conservation_report(sol, tables)
         assert rep.max_element_residual > 1e-6
 
     def test_residual_scales_linearly_with_solution_error(self):
         # conservation quantities are linear in the algebraic residual, so
         # scaling a solution perturbation by 10 scales the maxima by 10
-        tables, dm, spec, sol = solved_unit_problem(level=1)
+        tables, dm, sol = solved_unit_problem(level=1)
         rng = np.random.default_rng(5)
         du = rng.standard_normal(tables.mesh.num_elements)
         dl0 = rng.standard_normal((tables.mesh.num_elements, dm.dim_lam0))
@@ -164,7 +167,7 @@ class TestConservation:
             s = copy.deepcopy(sol)
             s.local[:, -1] += scale * du
             s.local[:, : dm.dim_lam0] += scale * dl0
-            return conservation_report(s, spec, tables)
+            return conservation_report(s, tables)
 
         small = perturbed(1e-3)
         large = perturbed(1e-2)

@@ -13,7 +13,7 @@ from pdwg.fields import (
     constant,
     constant_vector,
 )
-from pdwg.mesh import build_coarse_mesh, geometry_arrays
+from pdwg.mesh import build_coarse_mesh
 from pdwg.poly import TriBasis, project_element
 from pdwg.weakspace import DofMap
 
@@ -54,7 +54,7 @@ class TestLocalStabilizer:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(tau=0.0)
-        S = build_contexts(mesh, spec).stabilizer(spec.tau)[t]
+        S = build_contexts(mesh, spec).stabilizer()[t]
         rho = local_coeffs_interior_x(mesh, t)
         expected = (1.0 / 3.0 + np.sqrt(2.0) / 3.0) / np.sqrt(2.0)
         assert rho @ S @ rho == pytest.approx(expected, abs=1e-13)
@@ -64,7 +64,7 @@ class TestLocalStabilizer:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(1.0, 0.0), c=0.0, tau=1.0)
-        S = build_contexts(mesh, spec).stabilizer(spec.tau)[t]
+        S = build_contexts(mesh, spec).stabilizer()[t]
         rho = local_coeffs_interior_x(mesh, t)
         expected = (1.0 / 3.0 + np.sqrt(2.0) / 3.0) / np.sqrt(2.0) + 0.5
         assert rho @ S @ rho == pytest.approx(expected, abs=1e-13)
@@ -75,7 +75,7 @@ class TestLocalStabilizer:
         mesh = build_coarse_mesh("unit_square")
         t = corner_element(mesh)
         spec = make_spec(beta=(1.0, -1.0), c=0.0, tau=1.0)
-        S = build_contexts(mesh, spec).stabilizer(spec.tau)[t]
+        S = build_contexts(mesh, spec).stabilizer()[t]
         rho = np.zeros(9)
         rho[0] = 1.0
         rho[3::2] = 1.0
@@ -84,7 +84,7 @@ class TestLocalStabilizer:
     def test_symmetric_psd(self):
         mesh = refined("l_shape", 1)
         spec = make_spec(tau=2.5)
-        stabilizers = build_contexts(mesh, spec).stabilizer(spec.tau)
+        stabilizers = build_contexts(mesh, spec).stabilizer()
         for t in (0, 5, 11):
             S = stabilizers[t]
             assert np.allclose(S, S.T)
@@ -94,7 +94,7 @@ class TestLocalStabilizer:
     def test_exactly_symmetric(self, tau):
         mesh = refined("l_shape", 1)
         for j in (0, 1):
-            S = build_contexts(mesh, make_spec(tau=tau, j=j)).stabilizer(tau)
+            S = build_contexts(mesh, make_spec(tau=tau, j=j)).stabilizer()
             assert np.array_equal(S, np.swapaxes(S, 1, 2))
 
     def test_adjoint_matches_finite_difference(self):
@@ -152,7 +152,7 @@ class TestLocalBForm:
         sigma = np.zeros(9)
         sigma[0] = 1.0
         sigma[3::2] = 1.0
-        area = geometry_arrays(mesh).area[t]
+        area = ElementTables(mesh, 1).area[t]
         assert sigma @ B == pytest.approx(-area, abs=1e-13)
 
 
@@ -184,7 +184,7 @@ class TestLocalLoads:
         ]
         assert len(left) == 1
         owner, local = mesh.edge_elems[left, 0], mesh.edge_local[left, 0]
-        vec = tables.inflow_load(spec.g, left, owner, local)[0]
+        vec = tables.inflow_load(left, owner, local)[0]
         assert vec[0] == pytest.approx(-1.0, abs=1e-14)
         assert vec[1] == pytest.approx(0.0, abs=1e-14)  # odd moment vanishes
 
@@ -222,7 +222,7 @@ class TestAssemble:
         mesh = refined(spec.domain_tag, 1)
         from pdwg.weakspace import project_to_weak
 
-        lam = project_to_weak(lambda x, y: x + y, mesh, j=1)
+        lam = project_to_weak(lambda x, y: x + y, ElementTables(mesh, 1))
         # the kernel statement needs the full function, outflow traces
         # included, so assemble on an all-inflow classification that
         # constrains no trace
@@ -233,7 +233,7 @@ class TestAssemble:
             outflow_edges=np.array([], dtype=np.int64),
         )
         dm_all = DofMap(mesh, 1, all_in)
-        system_all = assemble(mesh, dm_all, spec, build_contexts(mesh, spec))
+        system_all = assemble(mesh, dm_all, build_contexts(mesh, spec))
         x_all = np.zeros(dm_all.n_lambda)
         x_all[dm_all.element_indices[:, :-1]] = lam
         S_all = system_all.matrix[: dm_all.n_lambda, : dm_all.n_lambda]
@@ -257,10 +257,13 @@ class TestAssemble:
         cls = classify_boundary(other, tables_for(other, spec.beta))
         dm = DofMap(other, 1, cls)
         with pytest.raises(ValueError):
-            assemble(mesh, dm, spec, build_contexts(mesh, spec))
-        dm = DofMap(mesh, 1, classify_boundary(mesh, tables_for(mesh, spec.beta)))
+            assemble(mesh, dm, build_contexts(mesh, spec))
+        cls = classify_boundary(mesh, tables_for(mesh, spec.beta))
+        dm = DofMap(mesh, 1, cls)
         with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            assemble(mesh, dm, spec, ElementTables(mesh, 1))
+            assemble(mesh, dm, ElementTables(mesh, 1))
+        with pytest.raises(ValueError, match="tables of degree j=1 .* dofmap of degree j=0"):
+            assemble(mesh, DofMap(mesh, 0, cls), build_contexts(mesh, spec))
 
     def test_straddling_piecewise_beta_warns(self):
         beta = Piecewise(

@@ -10,7 +10,6 @@ from scipy import sparse
 
 import pdwg.assembly
 import pdwg.cli
-import pdwg.mesh
 import pdwg.study
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
@@ -278,7 +277,7 @@ class TestCli:
         calls = []
         stabilizer = ElementTables.stabilizer
         monkeypatch.setattr(
-            ElementTables, "stabilizer", lambda self, tau: calls.append(tau) or stabilizer(self, tau)
+            ElementTables, "stabilizer", lambda self: calls.append(self) or stabilizer(self)
         )
         assert main(["verify", "--experiment", "table1", "--levels", "3"]) == 0
         assert len(calls) == 3
@@ -287,11 +286,10 @@ class TestCli:
         # The element tables are the only pass over a level's geometry:
         # classification, assembly and analysis all read them.
         calls = []
-        for module in (pdwg.mesh, pdwg.assembly):
-            original = module.geometry_arrays
-            monkeypatch.setattr(
-                module, "geometry_arrays", lambda mesh, original=original: calls.append(mesh) or original(mesh)
-            )
+        init = ElementTables.__init__
+        monkeypatch.setattr(
+            ElementTables, "__init__", lambda self, mesh, j: calls.append(mesh) or init(self, mesh, j)
+        )
         run_study(get_experiment("table5"), levels=(0, 2))
         assert len(calls) == 3
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from pdwg.mesh import (
     MeshError,
     build_coarse_mesh,
     domain_area,
-    dump_mesh,
-    geometry_arrays,
     refine_uniform,
 )
 
@@ -89,15 +89,15 @@ class TestRefinement:
     def test_area_preserved(self, tag):
         mesh = build_coarse_mesh(tag)
         for level in range(6):
-            total = geometry_arrays(mesh).area.sum()
+            total = ElementTables(mesh, 1).area.sum()
             assert abs(total - domain_area(tag)) < 1e-13, f"level {level}"
             mesh = refine_uniform(mesh)
 
     def test_h_halves_exactly(self):
         coarse = build_coarse_mesh("unit_square")
         fine = refine_uniform(coarse)
-        h_coarse = geometry_arrays(coarse).diameter.max()
-        h_fine = geometry_arrays(fine).diameter.max()
+        h_coarse = ElementTables(coarse, 1).diameter.max()
+        h_fine = ElementTables(fine, 1).diameter.max()
         assert h_fine == pytest.approx(0.5 * h_coarse, abs=1e-15)
 
     def test_crack_midpoint_duplicated(self):
@@ -210,7 +210,7 @@ class TestVectorizedTopology:
 class TestElementGeometry:
     def test_reference_like_element(self):
         mesh = build_coarse_mesh("unit_square")
-        geom = geometry_arrays(mesh)
+        geom = ElementTables(mesh, 1)
         assert geom.area[0] == pytest.approx(0.5)
         assert geom.diameter[0] == pytest.approx(np.sqrt(2.0))
         assert np.allclose(geom.centroid[0], mesh.vertices[mesh.elements[0]].mean(axis=0))
@@ -218,26 +218,38 @@ class TestElementGeometry:
     @pytest.mark.parametrize("tag", DOMAIN_TAGS)
     def test_closed_polygon(self, tag):
         mesh = refined(tag, 2)
-        geom = geometry_arrays(mesh)
+        geom = ElementTables(mesh, 1)
+        coords = mesh.vertices[mesh.elements]
+        sides = np.roll(coords, -1, axis=1) - coords
+        edge_lengths = np.hypot(sides[..., 0], sides[..., 1])
         for t in range(mesh.num_elements):
-            total = (geom.edge_lengths[t, :, None] * geom.edge_normals[t]).sum(axis=0)
+            total = (edge_lengths[t, :, None] * geom.normals[t]).sum(axis=0)
             assert np.max(np.abs(total)) < 1e-14
-            assert np.allclose(np.hypot(*geom.edge_normals[t].T), 1.0)
+            assert np.allclose(np.hypot(*geom.normals[t].T), 1.0)
 
     def test_level1_child_area(self):
         mesh = refined("unit_square", 1)
-        area = geometry_arrays(mesh).area
+        area = ElementTables(mesh, 1).area
         for t in range(mesh.num_elements):
             assert area[t] == pytest.approx(0.125)
 
     def test_normals_point_outward(self):
         mesh = build_coarse_mesh("l_shape")
-        geom = geometry_arrays(mesh)
+        geom = ElementTables(mesh, 1)
         for t in range(mesh.num_elements):
             coords = mesh.vertices[mesh.elements[t]]
             for i in range(3):
                 mid = 0.5 * (coords[i] + coords[(i + 1) % 3])
-                assert np.dot(mid - geom.centroid[t], geom.edge_normals[t, i]) > 0
+                assert np.dot(mid - geom.centroid[t], geom.normals[t, i]) > 0
+
+    def test_clockwise_element_rejected_by_tables(self):
+        # A Mesh built directly, bypassing the topology checks.
+        mesh = build_coarse_mesh("unit_square")
+        elements = mesh.elements.copy()
+        elements[1] = elements[1, ::-1]
+        clockwise = replace(mesh, elements=elements)
+        with pytest.raises(MeshError, match="element 1 has non-positive area"):
+            tables_for(clockwise, BETA_DOWN_RIGHT)
 
 
 def edge_set_on(mesh, predicate):
@@ -325,11 +337,11 @@ def test_classification_matches_pointwise_reference():
     )
     mesh = refined("cracked_square", 2)
     cls = classify_boundary(mesh, tables_for(mesh, beta))
-    geom = geometry_arrays(mesh)
+    geom = ElementTables(mesh, 1)
     inflow = []
     for e in mesh.boundary_edges:
         t = int(mesh.edge_elems[e, 0])
-        n = geom.edge_normals[t, list(mesh.element_edges[t]).index(e)]
+        n = geom.normals[t, list(mesh.element_edges[t]).index(e)]
         mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
         branch = beta.branches[int(beta.branch_index(*geom.centroid[t]))]
         bx, by = branch(np.array([mid[0]]), np.array([mid[1]]))
@@ -338,16 +350,3 @@ def test_classification_matches_pointwise_reference():
     assert cls.inflow_edges.tolist() == inflow
     assert sorted(cls.outflow_edges.tolist() + inflow) == mesh.boundary_edges.tolist()
 
-
-class TestDump:
-    def test_dump_format(self, tmp_path):
-        mesh = build_coarse_mesh("unit_square")
-        cls = classify_boundary(mesh, tables_for(mesh, BETA_DOWN_RIGHT))
-        path = tmp_path / "mesh.txt"
-        dump_mesh(mesh, path, cls)
-        text = path.read_text()
-        assert "# vertices: index x y" in text
-        assert "# elements: index v0 v1 v2" in text
-        assert "INFLOW" in text and "OUTFLOW" in text
-        lines = [l for l in text.splitlines() if not l.startswith("#")]
-        assert len(lines) == mesh.num_vertices + mesh.num_elements + mesh.num_edges

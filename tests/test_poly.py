@@ -187,11 +187,12 @@ class TestEdgeProjection:
 
 def test_tri_area_and_diameter():
     # element 0 of the coarse unit square is the reference triangle
-    from pdwg.mesh import build_coarse_mesh, geometry_arrays
+    from pdwg.assembly import ElementTables
+    from pdwg.mesh import build_coarse_mesh
 
     mesh = build_coarse_mesh("unit_square")
     assert np.array_equal(mesh.vertices[mesh.elements[0]], REF)
-    geom = geometry_arrays(mesh)
+    geom = ElementTables(mesh, 1)
     assert geom.area[0] == pytest.approx(0.5)
     assert geom.diameter[0] == pytest.approx(np.sqrt(2.0))
     assert longest_edge(REF) == geom.diameter[0]

@@ -4,7 +4,7 @@ import pytest
 from helpers import refined, tables_for
 from pdwg.fields import constant_vector
 from pdwg.assembly import ElementTables, classify_boundary
-from pdwg.mesh import build_coarse_mesh, geometry_arrays
+from pdwg.mesh import build_coarse_mesh
 from pdwg.poly import (
     EdgeBasis,
     TriBasis,
@@ -159,13 +159,12 @@ class TestWeakGradient:
         rule = quad_triangle(4)
         erule = quad_edge(9)
         worst = 0.0
-        geom = geometry_arrays(mesh)
         tables = ElementTables(mesh, 1)
         for t in range(mesh.num_elements):
             G = tables.G[t]
             # r=0: psi in {(1,0),(0,1)}, div psi = 0
             # lhs[comp, n] = area * G[comp, n]
-            lhs = geom.area[t] * G
+            lhs = tables.area[t] * G
             rhs = np.zeros_like(lhs)
             for i in range(3):
                 a_id = mesh.elements[t][i]
@@ -173,7 +172,7 @@ class TestWeakGradient:
                 pts, w, tloc = map_to_edge(erule, mesh.vertices[a_id], mesh.vertices[b_id])
                 tglob = tloc if a_id < b_id else -tloc
                 evals = basis_e.eval(tglob)
-                n = geom.edge_normals[t, i]
+                n = tables.normals[t, i]
                 lo = basis_j.dim + i * basis_e.dim
                 for comp in range(2):
                     rhs[comp, lo : lo + basis_e.dim] = n[comp] * (w @ evals)
@@ -187,7 +186,7 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: 2.0 * x - y + 0.5,
             lambda x, y: (np.full_like(np.asarray(x, float), 2.0), np.full_like(np.asarray(x, float), -1.0)),
-            mesh, j=1,
+            ElementTables(mesh, 1),
         )
         assert res <= 1e-11
 
@@ -197,13 +196,14 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: x**2,
             lambda x, y: (2.0 * np.asarray(x, float), np.zeros_like(np.asarray(x, float))),
-            mesh, j=1,
+            ElementTables(mesh, 1),
         )
         assert res <= 1e-12
 
-        proj = project_to_weak(lambda x, y: x**2, mesh, j=1)
+        tables = ElementTables(mesh, 1)
+        proj = project_to_weak(lambda x, y: x**2, tables)
         t = 0
-        G = ElementTables(mesh, 1).G[t]
+        G = tables.G[t]
         centroid = coords_of(mesh, t).mean(axis=0)
         assert np.allclose(G @ proj[t], [2.0 * centroid[0], 0.0], atol=1e-12)
 
@@ -212,7 +212,7 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: np.sin(x) * np.cos(y),
             lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
-            mesh, j=1,
+            ElementTables(mesh, 1),
         )
         assert res <= 1e-10
 
@@ -225,7 +225,7 @@ class TestWeakGradient:
             return np.sin(3.0 * x) * np.exp(y) + x * y
 
         # The element tables integrate on the interior rule of exactness 2j+4.
-        proj = project_to_weak(w, mesh, j)
+        proj = project_to_weak(w, ElementTables(mesh, j))
         lam0 = np.array([project_element(w, j, coords_of(mesh, t), 2 * j + 4) for t in range(mesh.num_elements)])
         lamb = np.array([project_edge(w, j, *mesh.vertices[mesh.edges[e]]) for e in range(mesh.num_edges)])
         traces = lamb[mesh.element_edges].reshape(mesh.num_elements, -1)
@@ -245,5 +245,5 @@ class TestWeakGradient:
     def test_commutativity_requires_j_at_least_k_minus_1(self):
         mesh = build_coarse_mesh("unit_square")
         with pytest.raises(ValueError):
-            commutativity_check(lambda x, y: x, lambda x, y: (1.0, 0.0), mesh, j=-1)
+            commutativity_check(lambda x, y: x, lambda x, y: (1.0, 0.0), ElementTables(mesh, -1))
 
