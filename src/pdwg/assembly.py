@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -157,31 +157,40 @@ class ElementTables:
         self.j = j
         self._spec: ProblemSpec | None = None
         coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
+        T = len(coords)
         self.area = 0.5 * (
             (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
             - (coords[:, 2, 0] - coords[:, 0, 0]) * (coords[:, 1, 1] - coords[:, 0, 1])
         )
-        if np.any(self.area <= 0):
+        if (self.area <= 0).any():
             bad = int(np.flatnonzero(self.area <= 0)[0])
             raise MeshError(f"element {bad} has non-positive area {self.area[bad]}")
-        tangents = np.roll(coords, -1, axis=1) - coords  # (T, 3, 2)
+        # Short axes (3 vertices, 2 coordinates) are spelled out below: numpy
+        # reduces and broadcasts over them slowly, and each value is the
+        # same expression, in the same order, as the reduction or broadcast.
+        tangents = coords[:, [1, 2, 0]] - coords  # (T, 3, 2)
         lengths = np.hypot(tangents[:, :, 0], tangents[:, :, 1])
-        self.diameter = lengths.max(axis=1)
-        self.centroid = coords.mean(axis=1)
-        self.normals = np.stack([tangents[:, :, 1], -tangents[:, :, 0]], axis=-1) / lengths[..., None]
+        self.diameter = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]), lengths[:, 2])
+        self.centroid = (coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3
+        self.normals = np.empty((T, 3, 2))
+        np.divide(tangents[:, :, 1], lengths, out=self.normals[..., 0])
+        np.divide(-tangents[:, :, 0], lengths, out=self.normals[..., 1])
 
-        v0, v1, v2 = coords[:, 0, None], coords[:, 1, None], coords[:, 2, None]
         # Interior exactness 2j+2 makes every polynomial-data integral exact;
         # two extra degrees keep the error of smooth non polynomial data
         # (rotational convection, trigonometric loads) below discretization
         # error at the refinement levels used here.
         rule = quad_triangle(2 * j + 4)
-        ref_x, ref_y = rule.points[:, 0, None], rule.points[:, 1, None]
-        self.qpts = v0 + ref_x * (v1 - v0) + ref_y * (v2 - v0)
-        self.qw = rule.weights * (2.0 * self.area[:, None])
-
+        ref_x, ref_y = rule.points.T
         erule = quad_edge(EDGE_QUAD_DEGREE)
-        self.epts = coords[:, :, None] + 0.5 * (erule.points[:, None] + 1.0) * tangents[:, :, None]
+        along = 0.5 * (erule.points + 1.0)
+        self.qpts = np.empty((T, len(ref_x), 2))
+        self.epts = np.empty((T, 3, len(along), 2))
+        for c in range(2):
+            v0, v1, v2 = coords[:, 0, c, None], coords[:, 1, c, None], coords[:, 2, c, None]
+            self.qpts[..., c] = v0 + ref_x * (v1 - v0) + ref_y * (v2 - v0)
+            self.epts[..., c] = coords[:, :, c, None] + along * tangents[:, :, c, None]
+        self.qw = rule.weights * (2.0 * self.area[:, None])
         self.ew = erule.weights * (0.5 * lengths[..., None])
         signs = mesh.element_edge_signs[..., None]
 
@@ -190,7 +199,7 @@ class ElementTables:
         self.edge_lam0 = basis.eval(self.epts, self.centroid[:, None], self.diameter[:, None])
         self.edge_trace = EdgeBasis(j).eval(signs * erule.points)
 
-        T, d0, db = mesh.num_elements, basis.dim, j + 1
+        d0, db = basis.dim, j + 1
         moments = np.einsum("tiq,tiqm->tim", self.ew, self.edge_trace)
         self.G = np.zeros((T, 2, d0 + 3 * db))
         self.G[:, :, d0:] = (
@@ -215,8 +224,11 @@ class ElementTables:
     def sample(self, spec: ProblemSpec) -> "ElementTables":
         """Keep ``spec`` and evaluate its beta, c and f at the quadrature
         points, each resolved per element by the branch holding its
-        centroid.  Raises ValueError naming the field and element of the
-        first non-finite sample."""
+        centroid.  Raises ValueError naming both degrees for a spec whose
+        j is not the tables' degree, and naming the field and element of
+        the first non-finite sample."""
+        if spec.j != self.j:
+            raise ValueError(f"a problem of degree j={spec.j} cannot be sampled on element tables of degree j={self.j}")
         cx, cy = self.centroid.T
         x, y = self.qpts[..., 0], self.qpts[..., 1]
         beta_branch = spec.beta.branch_index(cx, cy)
@@ -229,10 +241,15 @@ class ElementTables:
         self.c_q = evaluate_branches(spec.c.branches, c_branch[:, None], x, y)
         if isinstance(spec.f, DerivedLoad):
             self.f_q = np.empty_like(self.c_q)
-            for bi, ci in sorted(set(zip(beta_branch.tolist(), c_branch.tolist()))):
-                rows = (beta_branch == bi) & (c_branch == ci)
-                f = spec.f.bind(spec.beta.branches[bi], spec.c.branches[ci])
-                self.f_q[rows] = f(x[rows], y[rows])
+            betas, cs = spec.beta.branches, spec.c.branches
+            if len(betas) == len(cs) == 1:
+                # One (beta, c) pair holds every element: no masks, and the
+                # C-ordered copies of the points that x[rows] would make.
+                self.f_q[...] = spec.f.bind(betas[0], cs[0])(x.copy(), y.copy())
+            else:
+                for bi, ci in sorted(set(zip(beta_branch.tolist(), c_branch.tolist()))):
+                    rows = (beta_branch == bi) & (c_branch == ci)
+                    self.f_q[rows] = spec.f.bind(betas[bi], cs[ci])(x[rows], y[rows])
         else:
             f_branch = spec.f.branch_index(cx, cy)
             self.f_q = evaluate_branches(spec.f.branches, f_branch[:, None], x, y)
@@ -265,7 +282,9 @@ class ElementTables:
         has gradients 0, (1/h_T, 0) and (0, 1/h_T)."""
         A = -self.c_q[..., None] * self.lam0
         if self.dim_lam0 > 1:
-            A[..., 1:] += self.beta_q * (1.0 / self.diameter[:, None, None])
+            inv_h = (1.0 / self.diameter)[:, None]
+            for k in (1, 2):  # per column, so numpy loops over the points
+                A[..., k] += self.beta_q[..., k - 1] * inv_h
         return A
 
     def _jumps(self):
@@ -293,8 +312,8 @@ class ElementTables:
             S[:, :d0, :d0] += tau * (np.swapaxes(A, 1, 2) @ (self.qw[..., None] * A))
         # The products are symmetric only to round-off; mirror the upper
         # triangle so S (and the assembled matrix) is exactly symmetric.
-        lower = np.tril_indices(self.n_loc, -1)
-        S[:, lower[0], lower[1]] = S[:, lower[1], lower[0]]
+        rows, cols = _strict_lower(self.n_loc)
+        S[:, rows, cols] = S[:, cols, rows]
         return S
 
     def stabilizer_energy(self, x: np.ndarray) -> np.ndarray:
@@ -335,23 +354,30 @@ class ElementTables:
         return np.einsum("mq,mqk->mk", self.ew[rows, local] * bn * gv, self.edge_trace[rows, local])
 
 
+@lru_cache(maxsize=None)
+def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of n x n."""
+    return np.tril_indices(n, -1)
+
+
 def _require_finite(name: str, values: np.ndarray, what: str, ids=None) -> None:
     """Raise naming the first row (element, or ``ids[row]``) of ``values``
     that holds a non-finite entry."""
-    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"{name} has a non-finite value on {what} {row if ids is None else ids[row]}")
+    if np.isfinite(values).all():
+        return
+    row = int(np.argmin(np.isfinite(values).all(axis=tuple(range(1, values.ndim)))))
+    raise ValueError(f"{name} has a non-finite value on {what} {row if ids is None else ids[row]}")
 
 
-def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.coo_matrix:
-    """Sum element blocks (T, m, m) into an n x n sparse matrix, entry
-    (a, b) of block t landing on (idx[t, a], idx[t, b]); rows and columns
-    whose index is -1 are dropped.  Duplicates add up on conversion."""
+def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.csc_matrix:
+    """Sum element blocks (T, m, m) into an n x n CSC matrix, entry (a, b)
+    of block t landing on (idx[t, a], idx[t, b]); rows and columns whose
+    index is -1 are dropped.  Duplicates add up.  Built straight from the
+    triplets, which skips the checks of a COO matrix converted after."""
     free = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
     rows = np.broadcast_to(idx[:, :, None], blocks.shape)[free]
     cols = np.broadcast_to(idx[:, None, :], blocks.shape)[free]
-    return sparse.coo_matrix((blocks[free], (rows, cols)), shape=(n, n))
+    return sparse.csc_matrix((blocks[free], (rows, cols)), shape=(n, n))
 
 
 def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:

@@ -104,24 +104,34 @@ def evaluate_branches(branches, idx, x, y, method: str = "__call__") -> np.ndarr
 
     ``idx`` broadcasts against the points.  Scalar results have the shape
     of the points; vector results (a pair of components) gain a trailing
-    axis of length 2.
+    axis of length 2.  Every branch sees its points as flat C-ordered
+    copies, so a field with one branch gets exactly the inputs a masked
+    evaluation would give it, without the masks.
     """
-    x, y, idx = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(idx)
-    )
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(branches) == 1:
+        shape = np.broadcast(x, y, idx).shape
+        x, y = ((v if v.shape == shape else np.broadcast_to(v, shape)).flatten() for v in (x, y))
+        vals = _rows(getattr(branches[0], method)(x, y), x.size)
+        return vals.reshape(shape + vals.shape[1:])
+    x, y, idx = np.broadcast_arrays(x, y, np.asarray(idx))
     out = None
     for k, branch in enumerate(branches):
         mask = idx == k
-        n = int(mask.sum())
-        vals = getattr(branch, method)(x[mask], y[mask])
-        if isinstance(vals, tuple):
-            vals = np.stack([np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in vals], axis=-1)
-        else:
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), (n,))
+        vals = _rows(getattr(branch, method)(x[mask], y[mask]), int(mask.sum()))
         if out is None:
             out = np.empty(x.shape + vals.shape[1:])
         out[mask] = vals
     return out
+
+
+def _rows(vals, n: int) -> np.ndarray:
+    """A branch's values at n points as float rows, (n,) for a scalar and
+    (n, 2) for a pair of components; a constant is spread to n rows."""
+    if isinstance(vals, tuple):
+        return np.stack([_rows(v, n) for v in vals], axis=-1)
+    vals = np.asarray(vals, dtype=float)
+    return vals if vals.shape == (n,) else np.full(n, vals)
 
 
 @dataclass(frozen=True)

@@ -99,18 +99,28 @@ def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
 
     # Half edges (a, b) of every element in traversal order, element-major.
     a = elements.ravel()
-    b = np.roll(elements, -1, axis=1).ravel()
+    b = elements[:, [1, 2, 0]].ravel()
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    _, first, inverse = np.unique(lo * len(vertices) + hi, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    edge_of = rank[inverse.ravel()]
-    sign = np.where(a < b, 1, -1).astype(np.int8)
+    # Half edges sorted stably by their vertex pair: each run of equal
+    # pairs is one edge, and the run's first half edge is its first
+    # appearance in the element list.
+    key = lo * len(vertices) + hi
+    order = np.argsort(key, kind="stable")
+    starts = np.ones(len(key), dtype=bool)
+    np.not_equal(key[order[1:]], key[order[:-1]], out=starts[1:])
+    first = np.zeros(len(key), dtype=bool)
+    first[order[starts]] = True
+    # Edges numbered by first appearance, handed to every half edge of the run.
+    number = np.cumsum(first) - 1
+    edge_of = np.empty(len(key), dtype=np.int64)
+    edge_of[order] = number[order[starts]][np.cumsum(starts) - 1]
+    forward = a < b
+    sign = np.where(forward, 1, -1).astype(np.int8)
 
-    edges = np.column_stack([lo, hi])[np.sort(first)]
+    edges = np.column_stack([lo, hi])[first]
     count = np.bincount(edge_of, minlength=len(edges))
-    plus = np.bincount(edge_of, weights=sign == 1, minlength=len(edges))
+    plus = np.bincount(edge_of[forward], minlength=len(edges))
     bad_count = count > 2
     bad_sign = (count == 2) & (plus != 1)
     if np.any(bad_count | bad_sign):
@@ -120,11 +130,12 @@ def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
         raise MeshError(f"edge {e} traversed twice in the same direction")
 
     # The +1 traversal takes the first slot of a shared edge.
-    slot = np.where((sign == 1) | (count[edge_of] == 1), 0, 1)
+    slot = np.where(forward | (count[edge_of] == 1), 0, 1)
     edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
     edge_local = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_elems[edge_of, slot] = np.repeat(np.arange(len(elements)), 3)
-    edge_local[edge_of, slot] = np.tile(np.arange(3), len(elements))
+    half = np.arange(len(key))
+    edge_elems[edge_of, slot] = half // 3
+    edge_local[edge_of, slot] = half % 3
 
     return Mesh(
         vertices=vertices,

@@ -111,17 +111,21 @@ class TriBasis:
 
 
 class EdgeBasis:
-    """Monomial basis of P_degree on an edge, in the parameter t in [-1, 1]."""
+    """Monomial basis of P_degree on an edge, in the parameter t in [-1, 1]:
+    {1} for degree 0 and {1, t} for degree 1, the only degrees used."""
 
     def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        if degree not in (0, 1):
+            raise ValueError(f"EdgeBasis supports degree 0 or 1, got {degree}")
         self.dim = degree + 1
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         """Basis values at parameter points t (...); returns (..., dim)."""
         t = np.asarray(t, dtype=float)
-        return t[..., None] ** np.arange(self.dim)
+        vals = np.ones(t.shape + (self.dim,))
+        if self.dim == 2:
+            vals[..., 1] = t
+        return vals
 
 
 def map_to_triangle(rule: QuadRule, coords: np.ndarray):

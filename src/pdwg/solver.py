@@ -74,11 +74,19 @@ def schur_complement(E: np.ndarray, d0: int):
         K = E_yy - C^T X,   shape (T, m, m),
 
     m = n - d0.  Then lam_0 = Z[..., m:] r_0 - X y.
+
+    With d0 = 1 the blocks are scalars a and Z = [C, 1] * (1 / a), which
+    is bitwise what LAPACK's 1 x 1 solve returns (it multiplies by the
+    inverted pivot), without the batched solve's per-call cost.
     """
     T, n = E.shape[:2]
     C = E[:, :d0, d0:]
-    identity = np.broadcast_to(np.eye(d0), (T, d0, d0))
-    Z = np.linalg.solve(E[:, :d0, :d0], np.concatenate([C, identity], axis=2))
+    if d0 == 1:
+        inv = 1.0 / E[:, :1, :1]
+        Z = np.concatenate([C * inv, inv], axis=2)
+    else:
+        identity = np.broadcast_to(np.eye(d0), (T, d0, d0))
+        Z = np.linalg.solve(E[:, :d0, :d0], np.concatenate([C, identity], axis=2))
     K = E[:, d0:, d0:] - np.swapaxes(C, 1, 2) @ Z[..., : n - d0]
     return Z, K
 
@@ -155,7 +163,8 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
         elem_key = 2 * elem_free
     # u_T sorts right after the last free trace of its element, and before
     # everything if its element has none.
-    key = np.concatenate([np.repeat(edge_key, db), elem_key.max(axis=1) + 1])
+    last = np.maximum(np.maximum(elem_key[:, 0], elem_key[:, 1]), elem_key[:, 2])
+    key = np.concatenate([np.repeat(edge_key, db), last + 1])
     perm = np.argsort(key, kind="stable")
     return perm, (np.concatenate(nodes) if nodes else np.zeros((0, 4), dtype=np.int64))
 
@@ -182,11 +191,14 @@ class _CondensedLU:
         start = time.perf_counter()
         self.perm = nested_dissection(dm)[0]
         self.order_s = time.perf_counter() - start
-        self.inv = np.empty_like(self.perm)
-        self.inv[self.perm] = np.arange(self.order)
+        # int32, the index type SuperLU takes, so scipy keeps the indices
+        # of the condensed matrix as they are instead of checking and
+        # casting them.
+        self.inv = np.empty(self.order, dtype=np.int32)
+        self.inv[self.perm] = np.arange(self.order, dtype=np.int32)
         # The same indices in the factored (permuted) numbering.
         self.cidx = np.where(self.free, self.inv[cidx], -1)
-        Kc = scatter(K, self.cidx, self.order).tocsc()
+        Kc = scatter(K, self.cidx, self.order)
         self.nnz = Kc.nnz
         try:
             self.lu = splu(
@@ -211,6 +223,12 @@ class _CondensedLU:
         return np.concatenate([lam0.ravel(), y[self.inv]])
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` lies in the range ``solve`` accepts."""
+    if not 1e-14 <= tol <= 1e-6:
+        raise ValueError(f"tol must lie in [1e-14, 1e-6], got {tol}")
+
+
 def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve the assembled system to relative residual <= tol.
 
@@ -220,8 +238,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     for tau=0 with j=k on very coarse meshes, where uniqueness needs a
     small enough mesh size).
     """
-    if not 1e-14 <= tol <= 1e-6:
-        raise ValueError(f"tol must lie in [1e-14, 1e-6], got {tol}")
+    check_tol(tol)
     b = system.rhs
     factor = _CondensedLU(system)
     bnorm = float(np.linalg.norm(b))

@@ -23,7 +23,7 @@ from .analysis import (
 from .assembly import SaddleSystem, assemble, build_contexts, classify_boundary
 from .catalog import Experiment
 from .mesh import build_coarse_mesh, refine_uniform
-from .solver import DEFAULT_TOL, solve
+from .solver import DEFAULT_TOL, check_tol, solve
 from .weakspace import DofMap
 
 CSV_HEADER = "inv_h,err_u,order_u,err_l0,order_l0,err_lb,order_lb"
@@ -108,7 +108,10 @@ def run_study(
     """Run one experiment over a range of refinement levels.
 
     ``tau`` and ``j`` override the catalog configuration without
-    duplicating the entry.
+    duplicating the entry.  A bad level range or ``tol`` raises
+    ValueError before any mesh is built.  Each level's tables, DOF map,
+    system and solution are dropped before the next level is built; the
+    report keeps the finest level's system.
     """
     spec = experiment.spec
     if tau is not None:
@@ -119,6 +122,7 @@ def run_study(
     lo, hi = levels if levels is not None else experiment.levels
     if lo < 0 or hi < lo:
         raise ValueError(f"bad level range ({lo}, {hi})")
+    check_tol(tol)
 
     report = StudyReport(experiment=experiment.name)
     mesh = build_coarse_mesh(spec.domain_tag)
@@ -157,6 +161,7 @@ def run_study(
         )
 
         if level < hi:
+            del tables, dofmap, system, solution, cons
             mesh = refine_uniform(mesh)
     report.system = system
     if collect_field:

@@ -29,3 +29,9 @@ def build_level(mesh, spec):
     tables = build_contexts(mesh, spec)
     dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
     return tables, dofmap, assemble(mesh, dofmap, tables)
+
+
+def same_bits(a, b):
+    """True when two arrays hold the same dtype, shape and bytes, so
+    signed zeros and NaN payloads count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

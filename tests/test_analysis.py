@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from pdwg.analysis import (
+    _sum_per_edge,
     conservation_report,
     error_norms,
     nodal_interpolant,
     postprocess_averages,
     triple_norm_Wh,
 )
-from helpers import build_level, refined
+from helpers import build_level, refined, same_bits
 from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
@@ -180,6 +181,19 @@ class TestConservation:
 def orders(errors):
     rows = [SimpleNamespace(err_u=e) for e in errors]
     return StudyReport("orders", rows=rows).orders("err_u")
+
+
+class TestSumPerEdge:
+    def test_equals_add_at(self):
+        # Bit for bit, signed zeros included: one bincount per column adds
+        # each edge's element rows from 0 in element order, as add.at does.
+        mesh = refined("cracked_square", 2)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((mesh.num_elements, 3, 2)) * 10.0 ** rng.integers(-300, 300, (mesh.num_elements, 3, 2))
+        values[::5] = -0.0
+        expected = np.zeros((mesh.num_edges, 2))
+        np.add.at(expected, mesh.element_edges, values)
+        assert same_bits(_sum_per_edge(mesh, values), expected)
 
 
 class TestOrders:

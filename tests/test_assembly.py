@@ -3,7 +3,7 @@ import pytest
 
 import dataclasses
 
-from helpers import build_level, refined, tables_for
+from helpers import build_level, refined, same_bits, tables_for
 from pdwg.assembly import ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import (
     DerivedLoad,
@@ -264,6 +264,25 @@ class TestAssemble:
             assemble(mesh, dm, ElementTables(mesh, 1))
         with pytest.raises(ValueError, match="tables of degree j=1 .* dofmap of degree j=0"):
             assemble(mesh, DofMap(mesh, 0, cls), build_contexts(mesh, spec))
+
+    def test_sample_rejects_a_problem_of_another_degree(self):
+        mesh = refined("unit_square", 1)
+        with pytest.raises(ValueError, match="degree j=1 .* tables of degree j=0"):
+            ElementTables(mesh, 0).sample(make_spec(j=1))
+        with pytest.raises(ValueError, match="degree j=0 .* tables of degree j=1"):
+            ElementTables(mesh, 1).sample(make_spec(j=0))
+
+    def test_one_pair_derived_load_equals_the_masked_path(self):
+        # One (beta, c) pair holds every element, so f is evaluated once on
+        # the same C-ordered copies that selecting every row would make.
+        exact = SCALAR_FIELDS["sin_pix_cos_piy"]
+        spec = make_spec(exact_u=exact, tau=0.5)
+        spec = dataclasses.replace(spec, f=DerivedLoad(exact))
+        tables = build_contexts(refined("l_shape", 2), spec)
+        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+        rows = np.ones(len(x), dtype=bool)
+        expected = spec.f.bind(spec.beta, spec.c)(x[rows], y[rows])
+        assert same_bits(tables.f_q, expected)
 
     def test_straddling_piecewise_beta_warns(self):
         beta = Piecewise(

@@ -17,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 RECORDED = json.loads((DATA / "catalog_specs.json").read_text())
 CSV_HASHES = DATA / "catalog_csv_sha256.json"
 LEVEL_HASHES = DATA / "level_results_sha256.json"
+FINE_LEVEL_HASHES = DATA / "table5_levels_4_6_sha256.json"
 
 
 def test_list_output_is_byte_identical(capsys):
@@ -74,23 +75,34 @@ def test_catalog_outputs_are_byte_identical(tmp_path):
 UNPINNED_FIELDS = {"seconds", "solver_residual"}
 
 
-def level_result_hashes() -> dict:
-    """sha256 per catalog entry and j in {k-1, k} of every LevelResult
-    field but UNPINNED_FIELDS at levels 0-3 and the default tolerance,
+def rows_hash(rows) -> str:
+    """sha256 of every LevelResult field but UNPINNED_FIELDS of ``rows``,
     floats written exactly with float.hex."""
-    hashes = {}
-    for name, exp in catalog().items():
-        for j in (0, 1):
-            lines = [
-                ",".join(
-                    value.hex() if isinstance(value, float) else repr(value)
-                    for key, value in vars(row).items()
-                    if key not in UNPINNED_FIELDS
-                )
-                for row in run_study(exp, levels=(0, 3), j=j).rows
-            ]
-            hashes[f"{name}_j{j}"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return hashes
+    lines = [
+        ",".join(
+            value.hex() if isinstance(value, float) else repr(value)
+            for key, value in vars(row).items()
+            if key not in UNPINNED_FIELDS
+        )
+        for row in rows
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def level_result_hashes() -> dict:
+    """``rows_hash`` per catalog entry and j in {k-1, k} at levels 0-3 and
+    the default tolerance."""
+    return {
+        f"{name}_j{j}": rows_hash(run_study(exp, levels=(0, 3), j=j).rows)
+        for name, exp in catalog().items()
+        for j in (0, 1)
+    }
+
+
+def fine_level_hashes() -> dict:
+    """``rows_hash`` of table5 with j = k at levels 4-6, where the
+    condensed factor and the per-element tables are largest."""
+    return {"table5_j1": rows_hash(run_study(catalog()["table5"], levels=(4, 6), j=1).rows)}
 
 
 def test_level_results_are_bit_identical():
@@ -102,7 +114,13 @@ def test_level_results_are_bit_identical():
     assert level_result_hashes() == json.loads(LEVEL_HASHES.read_text())
 
 
+def test_fine_level_results_are_bit_identical():
+    # The same pin as above on the levels the catalog sweep does not reach.
+    assert fine_level_hashes() == json.loads(FINE_LEVEL_HASHES.read_text())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         CSV_HASHES.write_text(json.dumps(catalog_csv_hashes(Path(tmp)), indent=1) + "\n")
     LEVEL_HASHES.write_text(json.dumps(level_result_hashes(), indent=1) + "\n")
+    FINE_LEVEL_HASHES.write_text(json.dumps(fine_level_hashes(), indent=1) + "\n")

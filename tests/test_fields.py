@@ -9,9 +9,12 @@ from pdwg.fields import (
     SCALAR_FIELDS,
     constant,
     constant_vector,
+    evaluate_branches,
     field_from_config,
     rotation,
 )
+from helpers import refined, same_bits
+from pdwg.assembly import ElementTables
 
 
 class TestHalfPlane:
@@ -81,6 +84,38 @@ class TestPiecewise:
             beta.grad(np.array([0.1, 0.9]), np.array([0.1, 0.9]))
         with pytest.raises(ValueError, match="'flip': vector fields have no gradient"):
             DerivedLoad(beta).bind(constant_vector(1.0, 0.0), constant(0.0))
+
+
+class TestEvaluateBranches:
+    @pytest.mark.parametrize(
+        "field, method",
+        [
+            (SCALAR_FIELDS["sin_pix_cos_piy"], "__call__"),
+            (SCALAR_FIELDS["sin_pix_cos_piy"], "grad"),
+            (SCALAR_FIELDS["ridge"], "grad"),
+            (constant(2.5), "__call__"),
+            (constant(2.5), "grad"),
+            (rotation(0.5, 0.5), "__call__"),
+            (constant_vector(1.0, -1.0), "div"),
+        ],
+        ids=["sin-value", "sin-grad", "ridge-grad", "const-value", "const-grad", "rotation", "const-div"],
+    )
+    def test_one_branch_equals_the_masked_path(self, field, method):
+        # Strided quadrature coordinates, as the element tables pass them.
+        tables = ElementTables(refined("l_shape", 2), 1)
+        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+        idx = np.zeros((len(x), 1), dtype=np.intp)
+        fast = evaluate_branches((field,), idx, x, y, method)
+        # A second branch that holds no point takes the masked path.
+        masked = evaluate_branches((field, field), idx, x, y, method)
+        assert same_bits(fast, masked)
+
+    def test_one_branch_broadcasts_points_and_branch_indices(self):
+        field = SCALAR_FIELDS["sin_x_cos_y"]
+        x, y, idx = np.linspace(0.0, 1.0, 4), np.array(0.3), np.zeros((3, 1), dtype=np.intp)
+        out = evaluate_branches((field,), idx, x, y)
+        assert out.shape == (3, 4)
+        assert same_bits(out, evaluate_branches((field, field), idx, x, y))
 
 
 class TestDerivedLoad:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,29 @@ class TestRunStudy:
     def test_bad_levels_rejected(self):
         with pytest.raises(ValueError):
             run_study(get_experiment("table1"), levels=(2, 1))
+
+    def test_each_level_is_dropped_before_the_next_is_built(self, monkeypatch):
+        # A level's tables, system and solution are gone once the next
+        # level's tables are built, so two levels never share the memory.
+        alive = []
+
+        def tracked(name):
+            original = getattr(pdwg.study, name)
+
+            def call(*args, **kwargs):
+                if name == "build_contexts":
+                    assert [ref for ref in alive if ref() is not None] == []
+                result = original(*args, **kwargs)
+                alive.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(pdwg.study, name, call)
+
+        for name in ("build_contexts", "DofMap", "assemble", "solve"):
+            tracked(name)
+        report = run_study(get_experiment("table5"), levels=(0, 2))
+        assert len(alive) == 12
+        assert report.system is alive[-2]()
 
 
 class TestEmission:
@@ -226,6 +250,13 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--experiment", "table1", "--levels", "1", *option, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_tol_exits_3_before_any_mesh_is_built(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pdwg.study, "build_coarse_mesh", lambda tag: pytest.fail("a mesh was built"))
+        out = tmp_path / "out"
+        assert main(["run", "--experiment", "table5", "--tol", "1e-3", "--out", str(out)]) == 3
+        assert "tol must lie in" in capsys.readouterr().err
         assert not out.exists()
 
     def test_uncreatable_out_exits_3_naming_it(self, tmp_path):

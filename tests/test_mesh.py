@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import refined, tables_for
-from pdwg.assembly import ElementTables, classify_boundary
+from helpers import refined, same_bits, tables_for
+from pdwg.assembly import EDGE_QUAD_DEGREE, ElementTables, classify_boundary
 from pdwg.fields import constant_vector, rotation
 from pdwg.mesh import (
     DOMAIN_TAGS,
@@ -13,6 +13,7 @@ from pdwg.mesh import (
     domain_area,
     refine_uniform,
 )
+from pdwg.poly import quad_edge, quad_triangle
 
 BETA_DOWN_RIGHT = constant_vector(1.0, -1.0)
 
@@ -241,6 +242,28 @@ class TestElementGeometry:
             for i in range(3):
                 mid = 0.5 * (coords[i] + coords[(i + 1) % 3])
                 assert np.dot(mid - geom.centroid[t], geom.normals[t, i]) > 0
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_spelled_out_axes_equal_the_array_forms(self, j):
+        # Jittered vertices, so no sum is exact in any order: the tables'
+        # geometry and quadrature points equal, bit for bit, the reductions
+        # and broadcasts over the (T, 3, 2) vertex stack they spell out.
+        mesh = refined("l_shape", 2)
+        rng = np.random.default_rng(3)
+        mesh = replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
+        tables = ElementTables(mesh, j)
+        coords = mesh.vertices[mesh.elements]
+        sides = np.roll(coords, -1, axis=1) - coords
+        lengths = np.hypot(sides[..., 0], sides[..., 1])
+        normals = np.stack([sides[..., 1], -sides[..., 0]], axis=-1) / lengths[..., None]
+        v0, v1, v2 = coords[:, 0, None], coords[:, 1, None], coords[:, 2, None]
+        ref_x, ref_y = quad_triangle(2 * j + 4).points.T[..., None]
+        t = quad_edge(EDGE_QUAD_DEGREE).points[:, None]
+        assert same_bits(tables.centroid, coords.mean(axis=1))
+        assert same_bits(tables.diameter, lengths.max(axis=1))
+        assert same_bits(tables.normals, normals)
+        assert same_bits(tables.qpts, v0 + ref_x * (v1 - v0) + ref_y * (v2 - v0))
+        assert same_bits(tables.epts, coords[:, :, None] + 0.5 * (t + 1.0) * sides[:, :, None])
 
     def test_clockwise_element_rejected_by_tables(self):
         # A Mesh built directly, bypassing the topology checks.

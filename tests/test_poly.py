@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import same_bits
 from pdwg.poly import (
     EdgeBasis,
     TriBasis,
@@ -150,6 +151,20 @@ class TestProjection:
             lambda x, y: basis.eval(np.column_stack([x, y]), center, h) @ c1, 1, REF, quad_degree=8
         )
         assert np.max(np.abs(c2 - c1)) < 1e-13
+
+
+class TestEdgeBasis:
+    def test_equals_the_power_form(self):
+        # [1, t] is t ** [0, 1] bit for bit, signed zeros and non-finite t too.
+        t = np.concatenate([np.linspace(-1.0, 1.0, 102), [-0.0, 0.0, 5e-324, -1e300, np.inf, np.nan]])
+        t = t.reshape(3, -1)[:, ::2]
+        for degree in (0, 1):
+            assert same_bits(EdgeBasis(degree).eval(t), t[..., None] ** np.arange(degree + 1))
+
+    @pytest.mark.parametrize("degree", [-1, 2])
+    def test_unsupported_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree 0 or 1"):
+            EdgeBasis(degree)
 
 
 class TestEdgeProjection:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import build_level, refined
+from helpers import build_level, refined, same_bits
 from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
@@ -76,6 +76,27 @@ class TestKernels:
                 assert np.allclose(K[t], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
                 ref_Z = np.hstack([M00_inv @ M[:d0, d0:], M00_inv])
                 assert np.allclose(Z[t], ref_Z, rtol=0, atol=1e-12 * np.abs(ref_Z).max())
+
+    def test_d0_1_closed_form_equals_the_lapack_solve(self):
+        # With one interior unknown a, Z = [C, 1] * (1 / a) is what LAPACK's
+        # 1 x 1 solve returns, bit for bit, and so is K built from it.
+        rng = np.random.default_rng(11)
+        T, n = 20000, 5
+        E = rng.standard_normal((T, n, n)) * 10.0 ** rng.integers(-80, 80, (T, n, n))
+        Z, K = schur_complement(E, 1)
+        C = E[:, :1, 1:]
+        Z_ref = np.linalg.solve(E[:, :1, :1], np.concatenate([C, np.ones((T, 1, 1))], axis=2))
+        K_ref = E[:, 1:, 1:] - np.swapaxes(C, 1, 2) @ Z_ref[..., : n - 1]
+        assert same_bits(Z, Z_ref) and same_bits(K, K_ref)
+        # Pivots at the ends of the double range, subnormal ones included.
+        a = np.array([5e-324, 1e-310, 2.2e-308, 1e-200, 1e200, 1e308, -1e-320, -3.0])
+        E = np.zeros((len(a), n, n))
+        E[:, 0, 0] = a
+        E[:, 0, 1:] = E[:, 1:, 0] = [1.0, 1e-10, 1e300, -0.0]
+        with np.errstate(all="ignore"):
+            Z = schur_complement(E, 1)[0]
+            Z_ref = np.linalg.solve(E[:, :1, :1], np.concatenate([E[:, :1, 1:], np.ones((len(a), 1, 1))], axis=2))
+        assert same_bits(Z, Z_ref)
 
     def test_singular_matrix_raises(self):
         # No convection and no reaction: u does not enter the equations.
