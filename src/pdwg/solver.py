@@ -9,9 +9,10 @@ condensation), factors the Schur complement over [lam_b; u] with a sparse
 LU (SuperLU, threshold pivoting), and recovers lam_0 locally.
 
 The factor runs in one fill-reducing order, :func:`nested_dissection`,
-built from the mesh: a recursive coordinate bisection of the free edges
-whose separators are read off the element-edge incidence, with every u_T
-placed after the traces of its element.
+built from the mesh: a recursive coordinate bisection of the free edges,
+cut between coordinate values, whose separators are the smaller side of
+each cut read off the element-edge incidence, with every u_T placed after
+the traces of its element.
 
 Iterative refinement runs on the full system: each correction is a
 condensed solve of b - A x, and the residual contract is checked on the
@@ -41,8 +42,8 @@ _REFINE_STEPS = 3
 # Parts of at most this many free edges are not bisected further.
 _LEAF_EDGES = 64
 # SuperLU keeps the diagonal pivot unless it is below this fraction of the
-# column maximum.  The default 1.0 gives 7.7 times the fill at table5 L6
-# (38.2M against 4.9M), and 0 leaves a first residual of 5.6e-2 on
+# column maximum.  The default 1.0 gives 8.2 times the fill at table5 L6
+# (31.6M against 3.86M), and 0 leaves a first residual of 6.2e-2 on
 # fig4_tau0 L6 (c = 0, tau = 0); the tests sweep the catalog against it.
 _PIVOT_THRESHOLD = 0.01
 
@@ -95,12 +96,17 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
     """Fill-reducing order of the condensed unknowns [lam_b; u_T].
 
     The free edges are split by a batched recursive coordinate bisection
-    of their midpoints, one round of array operations per tree level: a
-    part with more than ``_LEAF_EDGES`` edges is cut at the median of the
-    longer side of its bounding box, the separator is every left edge that
-    shares an element with a right edge, and the part is laid out as left
-    (without the separator), right, separator, the first two recursing in
-    place.  The trace unknowns of an edge keep its place, and each u_T
+    of their midpoints, one round of array operations per tree level.  A
+    part with more than ``_LEAF_EDGES`` edges is cut along the longer side
+    of its bounding box, between coordinate values: its edges at or above
+    the median edge's value go right (strictly above, when that value is
+    the part's smallest, so neither child is empty).  The separator is the
+    smaller of two sets, the left edges that share an element with a right
+    edge and the right edges that share an element with a left edge (the
+    left one on a tie); on a mesh line that is the line itself, one edge
+    per cell.  The part is laid out as left and right (each without the
+    separator), then separator, the first two recursing in place.  The
+    trace unknowns of an edge keep its place, and each u_T
     goes right after the last free trace of its element: its condensed
     diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to
     come after the unknowns that fill it in.
@@ -128,25 +134,36 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
         # both stably, so each part stays sorted along both axes and no
         # level sorts coordinates again.
         by_x, by_y = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-        has_right = np.zeros(T + 1, dtype=bool)
+        has_left, has_right = np.zeros(T + 1, dtype=bool), np.zeros(T + 1, dtype=bool)
         key = np.empty(F, dtype=np.int64)
         starts, sizes = np.zeros(1, dtype=np.int64), np.array([F])
         while len(starts):
             m, stops = len(starts), starts + sizes - 1
             use_y = y[by_y[stops]] - y[by_y[starts]] > x[by_x[stops]] - x[by_x[starts]]
-            part = np.repeat(np.arange(m), sizes)
-            pos = np.arange(len(part)) + (starts - np.cumsum(sizes) + sizes)[part]
+            part, first = np.repeat(np.arange(m), sizes), np.cumsum(sizes) - sizes
+            pos = np.arange(len(part)) + (starts - first)[part]
             ex, ey = by_x[pos], by_y[pos]
             e = np.where(use_y[part], ey, ex)
-            right = pos >= (starts + sizes // 2)[part]
+            # Cut between coordinate values: the edges at or above the
+            # median edge's value go right, or, when that value is the
+            # part's smallest, the edges strictly above it.
+            coord = np.where(use_y[part], y[e], x[e])
+            cut, low = coord[first + sizes // 2], coord[first]
+            right = np.where((cut == low)[part], coord > cut[part], coord >= cut[part])
             # No element couples the two children of a node, so an element
-            # holds edges of at most one part, and a left edge is a
-            # separator edge iff one of its elements holds a right edge.
-            has_right[:] = False
+            # holds edges of at most one part.  An element holding edges of
+            # both sides is cut, and either side's edges in cut elements
+            # separate: take the smaller side, the left one on a tie.
+            has_left[:] = has_right[:] = False
+            has_left[elems[e[~right]]] = True
             has_right[elems[e[right]]] = True
-            has_right[-1] = False
-            sep = has_right[elems[e]]
-            group = 3 * part + np.where(right, 1, 2 * (sep[:, 0] | sep[:, 1]))
+            has_left[-1] = False
+            in_cut = (has_left & has_right)[elems[e]].any(axis=1)
+            take_right = np.bincount(part[in_cut & right], minlength=m) < np.bincount(
+                part[in_cut & ~right], minlength=m
+            )
+            sep = in_cut & (right == take_right[part])
+            group = 3 * part + np.where(sep, 2, right)
             key[e] = group
             by_x[pos] = ex[np.argsort(key[ex], kind="stable")]
             by_y[pos] = ey[np.argsort(key[ey], kind="stable")]
@@ -189,8 +206,9 @@ class _CondensedLU:
         cidx = np.where(self.free, kept - self.n0, -1)
         self.order = dm.n_total - self.n0
         start = time.perf_counter()
-        self.perm = nested_dissection(dm)[0]
+        self.perm, nodes = nested_dissection(dm)
         self.order_s = time.perf_counter() - start
+        self.separator_edges = int(nodes[:, 3].sum())
         # int32, the index type SuperLU takes, so scipy keeps the indices
         # of the condensed matrix as they are instead of checking and
         # casting them.
@@ -271,6 +289,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "condensed_nnz": factor.nnz,
         "ordering": "nested_dissection",
         "order_s": factor.order_s,
+        "separator_edges": factor.separator_edges,
         "fill": int(factor.lu.nnz),
         "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
         "refine_steps": len(residuals) - 1,
