@@ -128,8 +128,8 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
         free = dofmap.lamb_start >= 0
         ends = mesh.edges[free]
         x, y = (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]).T
-        # Elements of each free edge; -1 (boundary) hits the last slot.
-        elems = mesh.edge_elems[free]
+        # Both elements of each free edge; -1 (boundary) hits the last slot.
+        elem0, elem1 = mesh.edge_elems[free].T.copy()
         # The free edges sorted along x and along y.  Every split reorders
         # both stably, so each part stays sorted along both axes and no
         # level sorts coordinates again.
@@ -148,19 +148,21 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
             # median edge's value go right, or, when that value is the
             # part's smallest, the edges strictly above it.
             coord = np.where(use_y[part], y[e], x[e])
-            cut, low = coord[first + sizes // 2], coord[first]
-            right = np.where((cut == low)[part], coord > cut[part], coord >= cut[part])
+            median, low = coord[first + sizes // 2], coord[first]
+            right = np.where((median == low)[part], coord > median[part], coord >= median[part])
             # No element couples the two children of a node, so an element
             # holds edges of at most one part.  An element holding edges of
             # both sides is cut, and either side's edges in cut elements
             # separate: take the smaller side, the left one on a tie.
+            e0, e1, left = elem0[e], elem1[e], ~right
             has_left[:] = has_right[:] = False
-            has_left[elems[e[~right]]] = True
-            has_right[elems[e[right]]] = True
+            has_left[e0[left]] = has_left[e1[left]] = True
+            has_right[e0[right]] = has_right[e1[right]] = True
             has_left[-1] = False
-            in_cut = (has_left & has_right)[elems[e]].any(axis=1)
+            cut_elem = has_left & has_right
+            in_cut = cut_elem[e0] | cut_elem[e1]
             take_right = np.bincount(part[in_cut & right], minlength=m) < np.bincount(
-                part[in_cut & ~right], minlength=m
+                part[in_cut & left], minlength=m
             )
             sep = in_cut & (right == take_right[part])
             group = 3 * part + np.where(sep, 2, right)
