@@ -242,8 +242,8 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
     def test_root_separator_is_one_mesh_line(self, level):
-        # The unit square's 2^L x 2^L grid is cut along its middle line;
-        # the left edges that share an element with it are two per cell.
+        # The unit square's 2^L x 2^L grid is cut along its middle line,
+        # not along the two edges per cell beside it.
         _, dm, _ = unit_problem(level=level)
         perm, nodes = nested_dissection(dm)
         start, left, right, sep = nodes[0]
@@ -303,7 +303,6 @@ class TestOrderedFactor:
     def test_refinement_residual_matches_the_assembled_product(self):
         # At tol 1e-14 this system takes one refinement step, so the
         # element-wise residual both drives the correction and is reported.
-        # (table4 j=1 L2 takes none in the current order.)
         spec = dataclasses.replace(get_experiment("table9").spec, j=1)
         system = build_level(refined(spec.domain_tag, 2), spec)[2]
         sol = solve(system, tol=1e-14)
@@ -328,5 +327,5 @@ class TestOrderedFactor:
         info = solve(build_level(refined(spec.domain_tag, 6), spec)[2]).info
         # COLAMD gives 11.8 here, and separators cut at the median edge
         # (two edges per cell where one mesh line would do) 10.05; cutting
-        # between coordinate values and taking the smaller side gives 7.85.
+        # between coordinate values and taking the smaller side gives 7.86.
         assert info["fill_per_nlogn"] <= 8.5
