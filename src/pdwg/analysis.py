@@ -130,12 +130,11 @@ def conservation_report(solution: Solution, tables: ElementTables) -> Conservati
     lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
     lamb_on_e = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))
     stab = (lam0_on_e - lamb_on_e) / tables.diameter[:, None, None]
-    bn = np.einsum("tiqc,tic->tiq", tables.beta_e, tables.normals)
-    residuals += np.sum(ew * (bn * u[:, None, None] - stab), axis=(1, 2))
+    residuals += np.sum(ew * (tables.beta_n * u[:, None, None] - stab), axis=(1, 2))
 
     # This side's contribution to <[F_h . n], trace basis>_e, with beta u_h
     # replaced by its L2 projection onto the constants.
-    flux = u[:, None] * np.einsum("tq,tqc->tc", qw, tables.beta_q) / qw.sum(axis=1)[:, None]
+    flux = u[:, None] * tables.beta_int / qw.sum(axis=1)[:, None]
     flux_n = np.einsum("tc,tic->ti", flux, tables.normals)
     moments = np.einsum("tiq,tiqm->tim", ew * (flux_n[..., None] - stab), tables.edge_trace)
     jump_moments = _sum_per_edge(mesh, moments)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -148,7 +148,10 @@ class ElementTables:
     :meth:`sample` keeps the problem as ``spec`` (ValueError until then)
     and adds its coefficients at the quadrature points: ``beta_q`` (T, nq, 2),
     ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q`` (T, nq), with
-    ``beta_branch`` (T,) the branch of beta per element.  The forms and
+    ``beta_branch`` (T,) the branch of beta per element.  From them it
+    computes once what the coupling form and the conservation check both
+    read: ``beta_int`` (T, 2), the integral of beta over the element, and
+    ``beta_n`` (T, 3, ne), beta . n at the edge points.  The forms and
     the analysis read tau, g and the exact solution from ``spec``.
     """
 
@@ -255,6 +258,8 @@ class ElementTables:
             self.f_q = evaluate_branches(spec.f.branches, f_branch[:, None], x, y)
         for name, values in (("beta", self.beta_q), ("beta", self.beta_e), ("c", self.c_q), ("f", self.f_q)):
             _require_finite(name, values, "element")
+        self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
+        self.beta_n = np.einsum("tiqc,tic->tiq", self.beta_e, self.normals)
         self._warn_if_straddling(spec.beta)
         self._spec = spec
         return self
@@ -312,8 +317,7 @@ class ElementTables:
             S[:, :d0, :d0] += tau * (np.swapaxes(A, 1, 2) @ (self.qw[..., None] * A))
         # The products are symmetric only to round-off; mirror the upper
         # triangle so S (and the assembled matrix) is exactly symmetric.
-        rows, cols = _strict_lower(self.n_loc)
-        S[:, rows, cols] = S[:, cols, rows]
+        np.copyto(S, np.swapaxes(S, 1, 2), where=np.tri(self.n_loc, k=-1, dtype=bool))
         return S
 
     def stabilizer_energy(self, x: np.ndarray) -> np.ndarray:
@@ -332,7 +336,7 @@ class ElementTables:
         """b_T(1, sigma) = (1, beta . grad_w(sigma) - c sigma_0)_T over the
         local multiplier basis (the primal basis is the constant 1),
         shape (T, n_loc)."""
-        B = np.einsum("tc,tcn->tn", np.einsum("tq,tqc->tc", self.qw, self.beta_q), self.G)
+        B = np.einsum("tc,tcn->tn", self.beta_int, self.G)
         B[:, : self.dim_lam0] -= np.einsum("tq,tqm->tm", self.qw * self.c_q, self.lam0)
         return B
 
@@ -347,17 +351,11 @@ class ElementTables:
         ``g`` takes the branch of the element's centroid."""
         g = self.spec.g
         pts = self.epts[rows, local]
-        bn = np.einsum("mqc,mc->mq", self.beta_e[rows, local], self.normals[rows, local])
+        bn = self.beta_n[rows, local]
         cx, cy = self.centroid[rows].T
         gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
         _require_finite("g", gv, "edge", np.asarray(edges))
         return np.einsum("mq,mqk->mk", self.ew[rows, local] * bn * gv, self.edge_trace[rows, local])
-
-
-@lru_cache(maxsize=None)
-def _strict_lower(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict lower triangle of n x n."""
-    return np.tril_indices(n, -1)
 
 
 def _require_finite(name: str, values: np.ndarray, what: str, ids=None) -> None:
@@ -398,16 +396,15 @@ def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassificati
     midpoint) and outflow.  Characteristic edges (|beta . n| <= eps) count
     as outflow so their trace unknowns are constrained.
 
-    beta . n is read from the sampled ``tables`` of ``mesh``: beta at the
-    middle node of the edge rule (the midpoint), in the branch of the
-    edge's first incident element, and that element's outward normal.
+    beta . n is read from the sampled ``tables`` of ``mesh``: at the
+    middle node of the edge rule (the midpoint), with beta in the branch
+    of the edge's first incident element and that element's outward
+    normal.
     """
     _require_sampled(tables, mesh)
     edges = mesh.boundary_edges
     owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
-    b = tables.beta_e[owner, local, EDGE_MIDPOINT]
-    n = tables.normals[owner, local]
-    inflow = b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1] < -CLASSIFY_EPS
+    inflow = tables.beta_n[owner, local, EDGE_MIDPOINT] < -CLASSIFY_EPS
     return BoundaryClassification(inflow_edges=edges[inflow], outflow_edges=edges[~inflow])
 
 

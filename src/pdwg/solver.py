@@ -219,6 +219,8 @@ class _CondensedLU:
         # The same indices in the factored (permuted) numbering.
         self.cidx = np.where(self.free, self.inv[cidx], -1)
         Kc = scatter(K, self.cidx, self.order)
+        # The element matrices are in Kc now; free them before the factor.
+        del K
         self.nnz = Kc.nnz
         try:
             self.lu = splu(

@@ -4,7 +4,7 @@ import pytest
 import dataclasses
 
 from helpers import build_level, refined, same_bits, tables_for
-from pdwg.assembly import ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
+from pdwg.assembly import EDGE_MIDPOINT, ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -12,6 +12,7 @@ from pdwg.fields import (
     SCALAR_FIELDS,
     constant,
     constant_vector,
+    rotation,
 )
 from pdwg.mesh import build_coarse_mesh
 from pdwg.poly import TriBasis, project_element
@@ -283,6 +284,25 @@ class TestAssemble:
         rows = np.ones(len(x), dtype=bool)
         expected = spec.f.bind(spec.beta, spec.c)(x[rows], y[rows])
         assert same_bits(tables.f_q, expected)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_stored_beta_integral_and_normal_flux_equal_their_expressions(self, j):
+        # Jittered vertices and a rotational beta, so no product or sum is
+        # exact: beta_int and beta_n equal, bit for bit, the contractions
+        # the coupling form, the inflow load and the conservation check
+        # evaluated, and the midpoint sum of classify_boundary.
+        mesh = refined("l_shape", 2)
+        rng = np.random.default_rng(5)
+        mesh = dataclasses.replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
+        spec = dataclasses.replace(make_spec(domain="l_shape", j=j), beta=rotation(0.3, 0.7))
+        t = build_contexts(mesh, spec)
+        assert same_bits(t.beta_int, np.einsum("tq,tqc->tc", t.qw, t.beta_q))
+        assert same_bits(t.beta_n, np.einsum("tiqc,tic->tiq", t.beta_e, t.normals))
+        rows, local = rng.integers(0, mesh.num_elements, 40), rng.integers(0, 3, 40)
+        bn = np.einsum("mqc,mc->mq", t.beta_e[rows, local], t.normals[rows, local])
+        assert same_bits(t.beta_n[rows, local], bn)
+        b, n = t.beta_e[rows, local, EDGE_MIDPOINT], t.normals[rows, local]
+        assert same_bits(t.beta_n[rows, local, EDGE_MIDPOINT], b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1])
 
     def test_straddling_piecewise_beta_warns(self):
         beta = Piecewise(
