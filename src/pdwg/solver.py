@@ -6,7 +6,11 @@ P_j polynomial that vanishes on all of dT is zero, so this holds for
 tau = 0 too), and its rows of b(.,.) touch only that element's u_T.
 ``solve`` therefore eliminates lam_0 element by element (static
 condensation), factors the Schur complement over [lam_b; u] with a sparse
-LU (SuperLU, threshold pivoting), and recovers lam_0 locally.
+LU (SuperLU, threshold pivoting), and recovers lam_0 locally.  The
+interior block has d0 = 1 (j = 0) or d0 = 3 (j = 1) unknowns; it is
+inverted in closed form (d0 = 1) or by an L D L^T factorization written
+out over the element axis (d0 = 3), where a pivot that is not positive
+and finite raises :class:`SolverError` naming its element.
 
 The factor runs in one fill-reducing order, :func:`nested_dissection`,
 built from the mesh: a recursive coordinate bisection of the free edges,
@@ -68,28 +72,74 @@ def schur_complement(E: np.ndarray, d0: int):
 
     ``E`` (T, n, n) holds the element matrices over [lam_0 (d0); y], with
     y = [lam_b; u_T] the unknowns kept.  With C = E_0y the coupling of
-    lam_0 to y, one batched solve gives Z = E_00^{-1} [C, I], shape
-    (T, d0, m + d0), and with X = E_00^{-1} C = Z[..., :m] the condensed
-    element matrices are
+    lam_0 to y, Z = E_00^{-1} [C, I], shape (T, d0, m + d0), and with
+    X = E_00^{-1} C = Z[..., :m] the condensed element matrices are
 
         K = E_yy - C^T X,   shape (T, m, m),
 
     m = n - d0.  Then lam_0 = Z[..., m:] r_0 - X y.
 
-    With d0 = 1 the blocks are scalars a and Z = [C, 1] * (1 / a), which
-    is bitwise what LAPACK's 1 x 1 solve returns (it multiplies by the
-    inverted pivot), without the batched solve's per-call cost.
+    d0 is 1 (j = 0) or 3 (j = 1); any other d0 raises ValueError.  With
+    d0 = 1 the blocks are scalars a and Z = [C, 1] * (1 / a), which is
+    bitwise what LAPACK's 1 x 1 solve returns (it multiplies by the
+    inverted pivot).  With d0 = 3, :func:`_ldl_solve` factors every block
+    as L D L^T, written out over the element axis.  Either way no LAPACK
+    call is made per element.
     """
-    T, n = E.shape[:2]
+    if d0 not in (1, 3):
+        raise ValueError(f"the interior block must be 1 x 1 or 3 x 3, got d0={d0}")
+    n = E.shape[1]
     C = E[:, :d0, d0:]
     if d0 == 1:
         inv = 1.0 / E[:, :1, :1]
         Z = np.concatenate([C * inv, inv], axis=2)
     else:
-        identity = np.broadcast_to(np.eye(d0), (T, d0, d0))
-        Z = np.linalg.solve(E[:, :d0, :d0], np.concatenate([C, identity], axis=2))
+        Z = _ldl_solve(E)
     K = E[:, d0:, d0:] - np.swapaxes(C, 1, 2) @ Z[..., : n - d0]
     return Z, K
+
+
+def _ldl_solve(E: np.ndarray) -> np.ndarray:
+    """Z = E_00^{-1} [C, I] for the 3 x 3 interior blocks E_00 of ``E``.
+
+    Each symmetric positive definite block is factored as L D L^T, the
+    Cholesky factorization without square roots, read from its lower
+    triangle; forward substitution, the division by D and back
+    substitution then run on the rows of [C, I].  Like LAPACK's solve,
+    and unlike an explicit adjugate inverse, this is backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    chs. 10 and 14).  A pivot of D that is not positive and finite raises
+    :class:`SolverError` naming the first such element.
+    """
+    T, n = E.shape[:2]
+    a00, a10, a20 = E[:, 0, 0], E[:, 1, 0], E[:, 2, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l10, l20 = a10 / a00, a20 / a00
+        d1 = E[:, 1, 1] - l10 * a10
+        v = E[:, 2, 1] - l20 * a10
+        l21 = v / d1
+        d2 = E[:, 2, 2] - l20 * a20 - l21 * v
+    pivots = np.stack([a00, d1, d2], axis=1)
+    bad = ~((pivots > 0) & (pivots < np.inf)).all(axis=1)
+    if bad.any():
+        t = int(np.flatnonzero(bad)[0])
+        raise SolverError(f"interior block of element {t} is not positive definite: LDL^T pivots {pivots[t]}")
+    # [C, I] with the element axis last, so each row operation runs over
+    # contiguous memory.
+    R = np.zeros((3, n, T))
+    R[:, : n - 3] = E[:, :3, 3:].transpose(1, 2, 0)
+    R[0, n - 3] = R[1, n - 2] = R[2, n - 1] = 1.0
+    y0, y1, y2 = R
+    y1 -= l10 * y0
+    y2 -= l20 * y0
+    y2 -= l21 * y1
+    y0 /= a00
+    y1 /= d1
+    y2 /= d2
+    y1 -= l21 * y2
+    y0 -= l10 * y1
+    y0 -= l20 * y2
+    return R.transpose(2, 0, 1)
 
 
 def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:

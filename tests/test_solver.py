@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import build_level, refined, same_bits
+from helpers import build_level, lapack_schur, refined, same_bits
 from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
@@ -47,15 +47,66 @@ def full_vector(sol, dm):
 
 
 class TestKernels:
-    def test_hand_inverted_2x2(self):
-        # S_00 = [[2, 1], [1, 2]] has inverse [[2, -1], [-1, 2]] / 3; with
-        # C = [[1, 0], [0, 3]], C^T S_00^{-1} C = [[2/3, -1], [-1, 6]].
-        # The element matrix is [[S, B], [B^T, 0]] with B = [0, 3, 1].
-        E = np.array([[[2.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 3.0], [1.0, 0.0, 5.0, 1.0], [0.0, 3.0, 1.0, 0.0]]])
-        Z, K = schur_complement(E, 2)
-        S00_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert np.allclose(Z[0], np.hstack([S00_inv @ [[1.0, 0.0], [0.0, 3.0]], S00_inv]), atol=1e-15)
-        assert np.allclose(K[0], [[13.0 / 3.0, 2.0], [2.0, -6.0]], atol=1e-14)
+    def test_hand_inverted_3x3(self):
+        # S_00 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]] has inverse
+        # [[3, 2, 1], [2, 4, 2], [1, 2, 3]] / 4.  With C = [[1, 0], [0, 3],
+        # [1, 0]], X = S_00^{-1} C = [[1, 1.5], [1, 3], [1, 1.5]] and
+        # C^T X = [[2, 3], [3, 9]].  The element matrix is [[S, B], [B^T, 0]]
+        # with S_bb = 5 and B = [0, 3, 0, 1].
+        E = np.array(
+            [
+                [
+                    [2.0, -1.0, 0.0, 1.0, 0.0],
+                    [-1.0, 2.0, -1.0, 0.0, 3.0],
+                    [0.0, -1.0, 2.0, 1.0, 0.0],
+                    [1.0, 0.0, 1.0, 5.0, 1.0],
+                    [0.0, 3.0, 0.0, 1.0, 0.0],
+                ]
+            ]
+        )
+        Z, K = schur_complement(E, 3)
+        S00_inv = np.array([[3.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 3.0]]) / 4.0
+        assert np.allclose(Z[0], np.hstack([[[1.0, 1.5], [1.0, 3.0], [1.0, 1.5]], S00_inv]), atol=1e-15)
+        assert np.allclose(K[0], [[3.0, -2.0], [-2.0, -9.0]], atol=1e-14)
+
+    @pytest.mark.parametrize("d0", [0, 2, 4])
+    def test_other_interior_sizes_rejected(self, d0):
+        with pytest.raises(ValueError, match=f"d0={d0}"):
+            schur_complement(np.eye(6)[None], d0)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # first pivot 0
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot 0
+            [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]],  # third pivot 0
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]],  # negative
+            [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]],  # infinite
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]],
+        ],
+    )
+    def test_pivot_not_positive_and_finite_names_the_element(self, block):
+        # Element 2 of four; the others are the identity.
+        E = np.broadcast_to(np.eye(6), (4, 6, 6)).copy()
+        E[2, :3, :3] = block
+        with pytest.raises(SolverError, match="element 2 is not positive definite"):
+            schur_complement(E, 3)
+
+    def test_ldlt_matches_the_lapack_solve_on_the_catalog(self):
+        # Every catalog interior block at L0-3, tau = 1000 and 10000
+        # included: per element, the largest error of Z relative to its
+        # largest entry is 6.6e-14 (table16 j=1 L3), and of K 8.9e-15.  The
+        # adjugate inverse reaches 4.4e-13 and 2.7e-13 and fails here.
+        taus = set()
+        for name, j, level, system in catalog_systems((0, 1, 2, 3)):
+            E, d0 = system.element_matrix, system.dofmap.dim_lam0
+            Z, K = schur_complement(E, d0)
+            Z_ref, K_ref = lapack_schur(E, d0)
+            z_err = np.abs(Z - Z_ref).max(axis=(1, 2)) / np.abs(Z_ref).max(axis=(1, 2))
+            k_err = np.abs(K - K_ref).max(axis=(1, 2)) / np.abs(K_ref).max(axis=(1, 2))
+            assert z_err.max() <= 2e-13 and k_err.max() <= 5e-14, (name, j, level)
+            taus.add(get_experiment(name).spec.tau)
+        assert {1000.0, 10000.0} <= taus
 
     def test_random_bordered_saddle_against_dense(self):
         rng = np.random.default_rng(3)
@@ -84,9 +135,7 @@ class TestKernels:
         T, n = 20000, 5
         E = rng.standard_normal((T, n, n)) * 10.0 ** rng.integers(-80, 80, (T, n, n))
         Z, K = schur_complement(E, 1)
-        C = E[:, :1, 1:]
-        Z_ref = np.linalg.solve(E[:, :1, :1], np.concatenate([C, np.ones((T, 1, 1))], axis=2))
-        K_ref = E[:, 1:, 1:] - np.swapaxes(C, 1, 2) @ Z_ref[..., : n - 1]
+        Z_ref, K_ref = lapack_schur(E, 1)
         assert same_bits(Z, Z_ref) and same_bits(K, K_ref)
         # Pivots at the ends of the double range, subnormal ones included.
         a = np.array([5e-324, 1e-310, 2.2e-308, 1e-200, 1e200, 1e308, -1e-320, -3.0])
@@ -94,9 +143,7 @@ class TestKernels:
         E[:, 0, 0] = a
         E[:, 0, 1:] = E[:, 1:, 0] = [1.0, 1e-10, 1e300, -0.0]
         with np.errstate(all="ignore"):
-            Z = schur_complement(E, 1)[0]
-            Z_ref = np.linalg.solve(E[:, :1, :1], np.concatenate([E[:, :1, 1:], np.ones((len(a), 1, 1))], axis=2))
-        assert same_bits(Z, Z_ref)
+            assert same_bits(schur_complement(E, 1)[0], lapack_schur(E, 1)[0])
 
     def test_singular_matrix_raises(self):
         # No convection and no reaction: u does not enter the equations.
@@ -301,9 +348,10 @@ class TestOrderedFactor:
             assert np.linalg.norm(system.matvec(x) - A @ x) <= 1e-14 * scale, (name, j, level)
 
     def test_refinement_residual_matches_the_assembled_product(self):
-        # At tol 1e-14 this system takes one refinement step, so the
-        # element-wise residual both drives the correction and is reported.
-        spec = dataclasses.replace(get_experiment("table9").spec, j=1)
+        # At tol 1e-14 this system takes one refinement step (first
+        # residual 2.7e-14), so the element-wise residual both drives the
+        # correction and is reported.
+        spec = dataclasses.replace(get_experiment("table4").spec, j=1)
         system = build_level(refined(spec.domain_tag, 2), spec)[2]
         sol = solve(system, tol=1e-14)
         assert sol.info["refine_steps"] == 1
