@@ -78,7 +78,7 @@ def error_norms(solution: Solution, tables: ElementTables) -> ErrorReport:
     diff = solution.local[:, -1] - nodal_interpolant(exact_u, tables)
     lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.local[:, : tables.dim_lam0])
     owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
-    lamb = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))[owner, local]
+    lamb = _trace_values(solution, tables)[owner, local]
     lamb_sq = np.sum(tables.ew[owner, local] * lamb * lamb, axis=1)
     return ErrorReport(
         err_u=math.sqrt(float(tables.area @ (diff * diff))),
@@ -87,9 +87,19 @@ def error_norms(solution: Solution, tables: ElementTables) -> ErrorReport:
     )
 
 
-def _traces(solution: Solution, tables: ElementTables) -> np.ndarray:
-    """Trace coefficients of each element's edges, (T, 3, db)."""
-    return solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
+def _trace_values(solution: Solution, tables: ElementTables) -> np.ndarray:
+    """lam_b at the edge quadrature points of each element's edges,
+    (T, 3, ne).  The sum over the db trace coefficients is spelled out:
+    it adds the same products in the same order as the einsum
+    "tiqm,tim->tiq", which starts from zero, so the final + 0.0 (turning
+    a -0.0 sum into +0.0) makes it bitwise the einsum at half its cost."""
+    basis = tables.edge_trace
+    traces = solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
+    values = basis[..., 0] * traces[:, :, None, 0]
+    for m in range(1, traces.shape[-1]):
+        values += basis[..., m] * traces[:, :, None, m]
+    values += 0.0
+    return values
 
 
 def triple_norm_Wh(lam: np.ndarray, tables: ElementTables) -> float:
@@ -128,8 +138,7 @@ def conservation_report(solution: Solution, tables: ElementTables) -> Conservati
     residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
 
     lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
-    lamb_on_e = np.einsum("tiqm,tim->tiq", tables.edge_trace, _traces(solution, tables))
-    stab = (lam0_on_e - lamb_on_e) / tables.diameter[:, None, None]
+    stab = (lam0_on_e - _trace_values(solution, tables)) / tables.diameter[:, None, None]
     residuals += np.sum(ew * (tables.beta_n * u[:, None, None] - stab), axis=(1, 2))
 
     # This side's contribution to <[F_h . n], trace basis>_e, with beta u_h

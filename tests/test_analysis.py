@@ -7,6 +7,7 @@ import pytest
 
 from pdwg.analysis import (
     _sum_per_edge,
+    _trace_values,
     conservation_report,
     error_norms,
     nodal_interpolant,
@@ -17,7 +18,7 @@ from helpers import build_level, refined, same_bits
 from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
-from pdwg.solver import solve
+from pdwg.solver import Solution, solve
 from pdwg.study import StudyReport
 from pdwg.weakspace import project_to_weak
 
@@ -194,6 +195,25 @@ class TestSumPerEdge:
         expected = np.zeros((mesh.num_edges, 2))
         np.add.at(expected, mesh.element_edges, values)
         assert same_bits(_sum_per_edge(mesh, values), expected)
+
+
+class TestTraceValues:
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_equals_the_einsum(self, j):
+        # Bit for bit, signed zeros included, on jittered vertices and
+        # element rows over 1e-100..1e100: the spelled-out sum over the
+        # trace coefficients is the einsum it replaces.
+        mesh = refined("l_shape", 2)
+        rng = np.random.default_rng(7)
+        mesh = dataclasses.replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
+        tables = ElementTables(mesh, j)
+        shape = (mesh.num_elements, tables.n_loc + 1)
+        local = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
+        local[rng.random(shape) < 0.3] = -0.0
+        local[rng.random(shape) < 0.2] = 0.0
+        traces = local[:, tables.dim_lam0 : -1].reshape(len(local), 3, -1)
+        expected = np.einsum("tiqm,tim->tiq", tables.edge_trace, traces)
+        assert same_bits(_trace_values(Solution(local, 0.0, {}), tables), expected)
 
 
 class TestOrders:
