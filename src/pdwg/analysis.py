@@ -92,7 +92,7 @@ def _trace_values(solution: Solution, tables: ElementTables) -> np.ndarray:
     (T, 3, ne).  The sum over the db trace coefficients is spelled out:
     it adds the same products in the same order as the einsum
     "tiqm,tim->tiq", which starts from zero, so the final + 0.0 (turning
-    a -0.0 sum into +0.0) makes it bitwise the einsum at half its cost."""
+    a -0.0 sum into +0.0) makes it bitwise that einsum, at less cost."""
     basis = tables.edge_trace
     traces = solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
     values = basis[..., 0] * traces[:, :, None, 0]

@@ -149,10 +149,11 @@ class ElementTables:
     and adds its coefficients at the quadrature points: ``beta_q`` (T, nq, 2),
     ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q`` (T, nq), with
     ``beta_branch`` (T,) the branch of beta per element.  From them it
-    computes once what the coupling form and the conservation check both
-    read: ``beta_int`` (T, 2), the integral of beta over the element, and
-    ``beta_n`` (T, 3, ne), beta . n at the edge points.  The forms and
-    the analysis read tau, g and the exact solution from ``spec``.
+    computes, once, ``beta_int`` (T, 2), the integral of beta over the
+    element, and ``beta_n`` (T, 3, ne), beta . n at the edge points, which
+    the forms, boundary classification and the conservation check read.
+    The forms and the analysis read tau, g and the exact solution from
+    ``spec``.
     """
 
     def __init__(self, mesh: Mesh, j: int):

@@ -306,9 +306,9 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
 
     Factors the condensed [lam_b; u] system once and refines on the full
     system, applied element by element.  Raises :class:`SolverError` if
-    the factor is singular or the residual contract is missed (relevant
-    for tau=0 with j=k on very coarse meshes, where uniqueness needs a
-    small enough mesh size).
+    an interior block is not positive definite, the factor is singular or
+    the residual contract is missed (relevant for tau=0 with j=k on very
+    coarse meshes, where uniqueness needs a small enough mesh size).
     """
     check_tol(tol)
     b = system.rhs
