@@ -15,8 +15,7 @@ import numpy as np
 
 from pdwg.assembly import ElementTables
 from pdwg.mesh import build_coarse_mesh, refine_uniform
-from pdwg.poly import project_element
-from pdwg.weakspace import commutativity_check
+from pdwg.weakspace import commutativity_check, project_to_weak
 
 mesh = build_coarse_mesh("unit_square")
 t = next(
@@ -40,17 +39,10 @@ for i in range(3):
         local[3 + 2 * i] = 1.0
 print("grad_w of the hypotenuse-trace function:", G @ local)
 
-# An H1 function represented weakly (trace matches interior) recovers its
-# classical gradient: v = x gives (1, 0).
-lam0 = project_element(lambda x, y: x, 1, coords)
-local = np.zeros(9)
-local[:3] = lam0
-for i in range(3):
-    a_id, b_id = mesh.elements[t][i], mesh.elements[t][(i + 1) % 3]
-    lo, hi = sorted((a_id, b_id))
-    mid = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
-    half = 0.5 * (mesh.vertices[hi] - mesh.vertices[lo])
-    local[3 + 2 * i : 5 + 2 * i] = (mid[0], half[0])
+# An H1 function represented weakly (interior and traces both its L2
+# projections, element rows [lam_0; traces]) recovers its classical
+# gradient: v = x gives (1, 0).
+local = project_to_weak(lambda x, y: x, tables)[t]
 print("grad_w of v = x with matching trace:   ", G @ local)
 
 # The constant weak function {1, 1} has zero weak gradient on every

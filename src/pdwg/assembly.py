@@ -27,8 +27,9 @@ every element and keep the problem they were sampled from, so every
 later stage reads both from them.  Variable coefficients are evaluated
 pointwise at quadrature nodes; piecewise-defined fields are resolved per
 element by the branch containing the element centroid (an element whose
-vertices disagree with its centroid branch triggers a configuration
-warning).
+vertices disagree with its centroid branch of beta, c or f triggers a
+configuration warning naming the field; inflow data g take the branch of
+the centroid of the element owning the edge, with no warning).
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ class SaddleSystem:
     """The system [[S, B], [B^T, 0]] x = [rhs_lambda; 0] held as its
     element matrices ``element_matrix`` (T, n_loc + 1, n_loc + 1),
     E_T = [[S_T, B_T], [B_T^T, 0]] over the element's unknowns laid out
-    as ``dofmap.element_indices``.  The assembled sparse ``matrix`` is
-    built on first read; :meth:`matvec` and :attr:`nnz` do without it."""
+    as ``dofmap.element_indices``.  The solver and ``pdwg verify`` read
+    the element matrices; :meth:`matvec` and :attr:`nnz` do without the
+    assembled sparse ``matrix``, which is built on first read by
+    perfbench's assembly counters and by tests, and by nothing in the
+    library."""
 
     rhs: np.ndarray
     dofmap: DofMap
@@ -147,8 +151,7 @@ class ElementTables:
 
     :meth:`sample` keeps the problem as ``spec`` (ValueError until then)
     and adds its coefficients at the quadrature points: ``beta_q`` (T, nq, 2),
-    ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q`` (T, nq), with
-    ``beta_branch`` (T,) the branch of beta per element.  From them it
+    ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q`` (T, nq).  From them it
     computes, once, ``beta_int`` (T, 2), the integral of beta over the
     element, and ``beta_n`` (T, 3, ne), beta . n at the edge points, which
     the forms, boundary classification and the conservation check read.
@@ -228,7 +231,9 @@ class ElementTables:
     def sample(self, spec: ProblemSpec) -> "ElementTables":
         """Keep ``spec`` and evaluate its beta, c and f at the quadrature
         points, each resolved per element by the branch holding its
-        centroid.  Raises ValueError naming both degrees for a spec whose
+        centroid; warns, naming the field, if a piecewise beta, c or f
+        (one not derived from the exact solution) has an element whose
+        corners lie in another branch.  Raises ValueError naming both degrees for a spec whose
         j is not the tables' degree, and naming the field and element of
         the first non-finite sample."""
         if spec.j != self.j:
@@ -237,7 +242,6 @@ class ElementTables:
         x, y = self.qpts[..., 0], self.qpts[..., 1]
         beta_branch = spec.beta.branch_index(cx, cy)
         c_branch = spec.c.branch_index(cx, cy)
-        self.beta_branch = beta_branch
         self.beta_q = evaluate_branches(spec.beta.branches, beta_branch[:, None], x, y)
         self.beta_e = evaluate_branches(
             spec.beta.branches, beta_branch[:, None, None], self.epts[..., 0], self.epts[..., 1]
@@ -261,24 +265,28 @@ class ElementTables:
             _require_finite(name, values, "element")
         self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
         self.beta_n = np.einsum("tiqc,tic->tiq", self.beta_e, self.normals)
-        self._warn_if_straddling(spec.beta)
+        self._warn_if_straddling("beta", spec.beta, beta_branch)
+        self._warn_if_straddling("c", spec.c, c_branch)
+        if not isinstance(spec.f, DerivedLoad):
+            self._warn_if_straddling("f", spec.f, f_branch)
         self._spec = spec
         return self
 
-    def _warn_if_straddling(self, beta):
-        if len(beta.branches) == 1:
+    def _warn_if_straddling(self, name, field, branch):
+        """Warn, naming the field, when an element's corners lie in another
+        branch of ``field`` than ``branch``, the one its centroid took."""
+        if len(field.branches) == 1:
             return
         # Probe just inside each corner so vertices sitting exactly on an
         # aligned branch interface do not trigger false positives.
         coords = self.mesh.vertices[self.mesh.elements]
         probes = coords + 1e-6 * (self.centroid[:, None] - coords)
-        corner = beta.branch_index(probes[..., 0], probes[..., 1])
-        bad = np.flatnonzero((corner != self.beta_branch[:, None]).any(axis=1))
+        corner = field.branch_index(probes[..., 0], probes[..., 1])
+        bad = np.flatnonzero((corner != branch[:, None]).any(axis=1))
         if len(bad):
             warnings.warn(
-                f"element {bad[0]} straddles a piecewise convection-field branch "
-                f"boundary ({len(bad)} elements in all); each is assigned the "
-                "branch of its centroid",
+                f"element {bad[0]} straddles a branch boundary of the piecewise field {name} "
+                f"({len(bad)} elements in all); each is assigned the branch of its centroid",
                 stacklevel=3,
             )
 
@@ -417,7 +425,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
     system exactly the variational problem on the constrained multiplier
     space.  Its matrix is symmetric with an identically zero primal-primal
     block; it is held as the element matrices, and the sparse one is built
-    only if ``SaddleSystem.matrix`` is read.
+    only if ``SaddleSystem.matrix`` is read, which only perfbench's
+    assembly counters and tests do.
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")

@@ -13,7 +13,8 @@ Subcommands:
 
     pdwg verify --experiment NAME [--levels N]
         Run the experiment and check the per-run gates: solver residual,
-        system symmetry, elementwise conservation, and (for exact
+        exact symmetry and a zero primal-primal entry of every element
+        matrix solved, elementwise conservation, and (for exact
         solutions) error decrease.
 
 Exit codes: 0 success, 2 solver failure, 3 acceptance failure.
@@ -25,6 +26,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .catalog import Experiment, catalog, get_experiment, make_experiment
 from .fields import field_from_config, number
@@ -133,14 +136,18 @@ def _cmd_verify(args) -> int:
     report = run_study(exp, levels=levels)
     failures: list[str] = []
 
-    # Symmetry / structure gates on the system solved at the finest level.
-    matrix, n_lambda = report.system.matrix, report.system.dofmap.n_lambda
-    asym = abs(matrix - matrix.T)
-    asym_max = asym.max() if asym.nnz else 0.0
-    if asym_max > 1e-13:
-        failures.append(f"matrix asymmetry {asym_max:.3e} > 1e-13")
-    if matrix[n_lambda:, n_lambda:].count_nonzero():
-        failures.append("primal-primal block is not identically zero")
+    # Symmetry / structure gates on the element matrices solved at the
+    # finest level: an exactly symmetric E_T for every T makes their sum
+    # exactly symmetric, and each u_T lies in one element only, so the
+    # u-u entries of the E_T are the assembled primal-primal block.
+    E = report.system.element_matrix
+    Et = np.swapaxes(E, 1, 2)
+    asym = (E != Et).any(axis=(1, 2))
+    if asym.any():
+        failures.append(f"matrix asymmetry {np.abs(E - Et).max():.3e} > 0, first in element {asym.argmax()}")
+    uu = E[:, -1, -1] != 0
+    if uu.any():
+        failures.append(f"primal-primal block is not identically zero, first in element {uu.argmax()}")
 
     last = report.rows[-1]
     if last.cons_max_residual > 1e-9 * last.cons_scale_f:

@@ -3,10 +3,10 @@
 Problem data (convection field, reaction, load, inflow data, exact
 solution) is a :class:`Field`, one closed form (scalar or vector) drawn
 from a small registry of named forms, or a :class:`Piecewise` composition
-of fields over half-plane predicates.  Piecewise coefficient fields are
-resolved per element (the branch containing the element
-centroid), while piecewise exact solutions and boundary data are evaluated
-pointwise.
+of fields over half-plane predicates.  Piecewise coefficient fields and
+piecewise inflow data are resolved per element (the branch containing the
+centroid of the element, for inflow data the element owning the inflow
+edge), while piecewise exact solutions are evaluated pointwise.
 
 All callables are vectorized over numpy arrays of coordinates.
 """
@@ -58,9 +58,9 @@ class Field:
 class Piecewise:
     """Fields composed over half planes: the first piece whose half plane
     holds a point wins, and ``otherwise`` covers the rest.  Coefficients
-    resolve their branch per element; calling the composition (or its
-    ``grad``) evaluates it pointwise, as for exact solutions and boundary
-    data."""
+    and inflow data resolve their branch per element; calling the
+    composition (or its ``grad``) evaluates it pointwise, as for exact
+    solutions."""
 
     name: str
     pieces: tuple[tuple[HalfPlane, Field], ...]

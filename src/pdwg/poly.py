@@ -1,4 +1,4 @@
-"""Polynomial bases on triangles and edges, quadrature, and L2 projections.
+"""Polynomial bases on triangles and edges, and quadrature rules.
 
 Triangle bases are monomials in centroid-scaled coordinates
 
@@ -12,7 +12,9 @@ one, so that both elements sharing an edge evaluate traces identically.
 Triangle quadrature uses a tensor Gauss-Legendre rule collapsed onto the
 reference triangle (0,0), (1,0), (0,1); the point count is chosen from the
 requested exactness degree, so the rule is provably exact for polynomials
-up to that degree.
+up to that degree.  The L2 projection onto these bases is one batched
+operator over a level's element tables,
+:func:`pdwg.weakspace.project_to_weak`.
 """
 
 from __future__ import annotations
@@ -126,62 +128,3 @@ class EdgeBasis:
         if self.dim == 2:
             vals[..., 1] = t
         return vals
-
-
-def map_to_triangle(rule: QuadRule, coords: np.ndarray):
-    """Push a reference-triangle rule to a physical triangle.
-
-    Returns physical points (n, 2) and weights scaled by 2*area (the
-    reference triangle has measure 1/2).
-    """
-    v0, v1, v2 = coords
-    pts = v0 + np.outer(rule.points[:, 0], v1 - v0) + np.outer(rule.points[:, 1], v2 - v0)
-    area = 0.5 * abs(
-        (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    )
-    return pts, rule.weights * (2.0 * area)
-
-
-def map_to_edge(rule: QuadRule, a: np.ndarray, b: np.ndarray):
-    """Push a [-1, 1] rule to the segment from a to b.
-
-    Returns physical points (n, 2), weights scaled by |b - a| / 2, and the
-    parameter values t (useful for evaluating edge bases).
-    """
-    t = rule.points
-    pts = a + np.outer(0.5 * (t + 1.0), b - a)
-    length = float(np.hypot(*(b - a)))
-    return pts, rule.weights * (0.5 * length), t
-
-
-def project_element(f, degree: int, coords: np.ndarray, quad_degree: int | None = None) -> np.ndarray:
-    """L2 projection of f onto P_degree of the triangle with the given
-    vertex coordinates; returns coefficients in the TriBasis ordering.
-
-    ``quad_degree`` defaults to 2*degree + 2 and should be raised for
-    non-polynomial f.
-    """
-    coords = np.asarray(coords, dtype=float)
-    rule = quad_triangle(quad_degree if quad_degree is not None else 2 * degree + 2)
-    pts, w = map_to_triangle(rule, coords)
-    h = max(np.hypot(*(coords[(i + 1) % 3] - coords[i])) for i in range(3))
-    V = TriBasis(degree).eval(pts, coords.mean(axis=0), h)
-    M = V.T @ (w[:, None] * V)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    b = V.T @ (w * fv)
-    return np.linalg.solve(M, b)
-
-
-def project_edge(f, degree: int, a: np.ndarray, b: np.ndarray, quad_degree: int | None = None) -> np.ndarray:
-    """L2 projection of f onto P_degree of the segment a -> b; coefficients
-    are in the EdgeBasis parameterization of that segment."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rule = quad_edge(quad_degree if quad_degree is not None else max(2 * degree + 2, 9))
-    pts, w, t = map_to_edge(rule, a, b)
-    basis = EdgeBasis(degree)
-    V = basis.eval(t)
-    M = V.T @ (w[:, None] * V)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    rhs = V.T @ (w * fv)
-    return np.linalg.solve(M, rhs)

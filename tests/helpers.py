@@ -1,11 +1,13 @@
-"""Builders shared by the tests: refined meshes, and one level's element
-tables, DOF map and system built the way ``run_study`` builds them."""
+"""Builders shared by the tests: refined meshes, one level's element
+tables, DOF map and system built the way ``run_study`` builds them, and
+single-element references for the batched element tables."""
 
 import numpy as np
 
 from pdwg.assembly import ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import constant
 from pdwg.mesh import build_coarse_mesh, refine_uniform
+from pdwg.poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from pdwg.weakspace import DofMap
 
 
@@ -48,3 +50,33 @@ def lapack_schur(E, d0):
     identity = np.broadcast_to(np.eye(d0), (T, d0, d0))
     Z = np.linalg.solve(E[:, :d0, :d0], np.concatenate([C, identity], axis=2))
     return Z, E[:, d0:, d0:] - np.swapaxes(C, 1, 2) @ Z[..., : n - d0]
+
+
+def map_to_edge(rule, a, b):
+    """Push a [-1, 1] rule to the segment from a to b: physical points
+    (n, 2), weights scaled by |b - a| / 2, and the parameter values t."""
+    t = rule.points
+    pts = a + np.outer(0.5 * (t + 1.0), b - a)
+    return pts, rule.weights * (0.5 * float(np.hypot(*(b - a)))), t
+
+
+def project_element(f, degree, coords, quad_degree):
+    """L2 projection of f onto P_degree of one triangle, one element at a
+    time, on the triangle rule exact to ``quad_degree``; coefficients in
+    the TriBasis ordering."""
+    rule = quad_triangle(quad_degree)
+    v0, v1, v2 = coords
+    pts = v0 + np.outer(rule.points[:, 0], v1 - v0) + np.outer(rule.points[:, 1], v2 - v0)
+    area = 0.5 * abs((v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1]))
+    w = rule.weights * (2.0 * area)
+    h = max(np.hypot(*(coords[(i + 1) % 3] - coords[i])) for i in range(3))
+    V = TriBasis(degree).eval(pts, coords.mean(axis=0), h)
+    return np.linalg.solve(V.T @ (w[:, None] * V), V.T @ (w * f(pts[:, 0], pts[:, 1])))
+
+
+def project_edge(f, degree, a, b):
+    """L2 projection of f onto P_degree of the segment a -> b on the
+    five-point Gauss rule, in the EdgeBasis parameter of that segment."""
+    pts, w, t = map_to_edge(quad_edge(9), a, b)
+    V = EdgeBasis(degree).eval(t)
+    return np.linalg.solve(V.T @ (w[:, None] * V), V.T @ (w * f(pts[:, 0], pts[:, 1])))

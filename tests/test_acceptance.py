@@ -8,12 +8,12 @@ import time
 
 import numpy as np
 
-from helpers import build_level, refined
+from helpers import build_level, map_to_edge, refined
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import main
 from pdwg.mesh import build_coarse_mesh, refine_uniform
-from pdwg.poly import EdgeBasis, map_to_edge, quad_edge
+from pdwg.poly import EdgeBasis, quad_edge
 from pdwg.study import run_study
 from pdwg.weakspace import commutativity_check
 from pdwg.analysis import triple_norm_Wh

@@ -106,12 +106,11 @@ class TestTripleNormWh:
             t for t in range(2)
             if any(np.allclose(v, (0, 0)) for v in mesh.vertices[mesh.elements[t]])
         )
-        from pdwg.poly import project_element
-
-        lam = np.zeros((mesh.num_elements, 3 + 3 * 2))
-        lam[t, :3] = project_element(lambda x, y: x, 1, mesh.vertices[mesh.elements[t]])
-        expected = math.sqrt((1.0 / 3.0 + math.sqrt(2.0) / 3.0) / math.sqrt(2.0))
         tables = build_contexts(mesh, spec)
+        lam = np.zeros((mesh.num_elements, 3 + 3 * 2))
+        # x = x_c + h_T X in the scaled basis {1, X, Y}
+        lam[t, :3] = tables.centroid[t, 0], tables.diameter[t], 0.0
+        expected = math.sqrt((1.0 / 3.0 + math.sqrt(2.0) / 3.0) / math.sqrt(2.0))
         assert triple_norm_Wh(lam, tables) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("domain", ["unit_square", "l_shape"])

@@ -1,7 +1,8 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
-
-import dataclasses
 
 from helpers import build_level, refined, same_bits, tables_for
 from pdwg.assembly import EDGE_MIDPOINT, ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
@@ -15,7 +16,7 @@ from pdwg.fields import (
     rotation,
 )
 from pdwg.mesh import build_coarse_mesh
-from pdwg.poly import TriBasis, project_element
+from pdwg.poly import TriBasis
 from pdwg.weakspace import DofMap
 
 
@@ -43,9 +44,9 @@ def corner_element(mesh):
 
 
 def local_coeffs_interior_x(mesh, t):
-    """Local multiplier coefficients for lam0 = x, lam_b = 0."""
-    lam0 = project_element(lambda x, y: x, 1, coords_of(mesh, t))
-    return np.concatenate([lam0, np.zeros(6)])
+    """Local multiplier coefficients for lam0 = x = x_c + h_T X, lam_b = 0."""
+    tables = ElementTables(mesh, 1)
+    return np.concatenate([[tables.centroid[t, 0], tables.diameter[t], 0.0], np.zeros(6)])
 
 
 class TestLocalStabilizer:
@@ -319,12 +320,35 @@ class TestAssemble:
             domain_tag="unit_square",
         )
         mesh = refined("unit_square", 1)
-        with pytest.warns(UserWarning, match="straddles"):
+        with pytest.warns(UserWarning, match="straddles a branch boundary of the piecewise field beta "):
             build_contexts(mesh, spec)
 
-    def test_aligned_piecewise_beta_does_not_warn(self):
-        import warnings
+    @pytest.mark.parametrize("name", ["c", "f"])
+    def test_straddling_piecewise_c_or_f_warns(self, name):
+        # x = 0.3 is no mesh line at level 2: it cuts the 8 elements of
+        # the column 0.25 < x < 0.5
+        split = Piecewise("off_line", pieces=((HalfPlane(1.0, 0.0, 0.3), constant(1.0)),), otherwise=constant(2.0))
+        spec = dataclasses.replace(make_spec(), **{name: split})
+        with pytest.warns(UserWarning) as record:
+            build_contexts(refined("unit_square", 2), spec)
+        assert len(record) == 1
+        assert f"straddles a branch boundary of the piecewise field {name} (8 elements in all)" in str(
+            record[0].message
+        )
 
+    def test_aligned_piecewise_c_and_f_do_not_warn(self):
+        # x + y = 1 is a mesh line at every level
+        split = HalfPlane(1.0, 1.0, 1.0)
+        spec = dataclasses.replace(
+            make_spec(),
+            c=Piecewise("c_split", pieces=((split, constant(1.0)),), otherwise=constant(2.0)),
+            f=Piecewise("f_split", pieces=((split, constant(0.5)),), otherwise=constant(-1.0)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_level(refined("unit_square", 2), spec)
+
+    def test_aligned_piecewise_beta_does_not_warn(self):
         beta = Piecewise(
             "aligned_split",
             pieces=((HalfPlane(1.0, 1.0, 1.0), constant_vector(1.0, -1.0)),),

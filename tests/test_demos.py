@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from a clean working directory."""
+"""Every demo script runs to completion from a clean working directory,
+with warnings as errors, as the rest of the suite runs."""
 
 import os
 import subprocess
@@ -19,6 +20,6 @@ def test_all_six_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import pdwg.assembly
 import pdwg.cli
+import pdwg.solver
 import pdwg.study
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
@@ -325,29 +325,55 @@ class TestCli:
         assert len(calls) == 3
 
     def test_run_path_builds_no_full_matrix(self, monkeypatch, tmp_path):
-        # The solve reads the element matrices; the assembled sparse matrix
+        # The solve and verify read the element matrices, and the solver
+        # scatters only the condensed matrix; the assembled sparse matrix
         # is built only when a caller reads SaddleSystem.matrix, and once.
-        calls = []
+        calls, totals = [], []
         scatter = pdwg.assembly.scatter
-        monkeypatch.setattr(pdwg.assembly, "scatter", lambda *args: calls.append(args[2]) or scatter(*args))
+        for module in (pdwg.assembly, pdwg.solver):
+            monkeypatch.setattr(module, "scatter", lambda *args: calls.append(args[2]) or scatter(*args))
+        assemble = pdwg.study.assemble
+        monkeypatch.setattr(pdwg.study, "assemble", lambda *args: totals.append(args[1].n_total) or assemble(*args))
         assert main(["run", "--experiment", "table1", "--levels", "2", "--out", str(tmp_path)]) == 0
+        assert main(["verify", "--experiment", "table1", "--levels", "2"]) == 0
         report = run_study(get_experiment("table5"), levels=(0, 2))
-        assert calls == []
+        # One condensed scatter per level, in the order the levels were built.
+        assert len(calls) == len(totals) == 7
+        assert all(n != total for n, total in zip(calls, totals))
+        calls.clear()
         assert report.system.matrix is report.system.matrix
         assert calls == [report.system.dofmap.n_total]
 
-    def test_verify_gates_the_solved_system(self, monkeypatch, capsys):
-        assemble = pdwg.study.assemble
+    @staticmethod
+    def _verify_perturbed(monkeypatch, capsys, entry):
+        """Run verify on table1 with ``entry`` of one element matrix per
+        level moved up by one ulp after assembly, so the solve uses it;
+        returns the exit code, stderr and the element of the finest level."""
+        assemble, elements = pdwg.assembly.assemble, []
 
-        def with_primal_entry(*args, **kwargs):
+        def perturbed(*args, **kwargs):
             system = assemble(*args, **kwargs)
-            n, size = system.dofmap.n_lambda, system.matrix.shape[0]
-            system.matrix = system.matrix + sparse.csr_matrix(([1e-300], ([n], [n])), shape=(size, size))
+            t = len(system.element_matrix) // 2
+            E = system.element_matrix[t]
+            E[entry] = np.nextafter(E[entry], np.inf)
+            elements.append(t)
             return system
 
-        monkeypatch.setattr(pdwg.study, "assemble", with_primal_entry)
-        assert main(["verify", "--experiment", "table1", "--levels", "2"]) == 3
-        assert "primal-primal block is not identically zero" in capsys.readouterr().err
+        monkeypatch.setattr(pdwg.study, "assemble", perturbed)
+        code = main(["verify", "--experiment", "table1", "--levels", "2"])
+        return code, capsys.readouterr().err, elements[-1]
+
+    def test_verify_gates_the_solved_system(self, monkeypatch, capsys):
+        # A nonzero u-u entry, or one off-diagonal entry without its
+        # mirror, in one element matrix fails verify naming that element.
+        for entry, failure in (
+            ((-1, -1), "primal-primal block is not identically zero"),
+            ((1, 0), "matrix asymmetry"),
+        ):
+            code, err, t = self._verify_perturbed(monkeypatch, capsys, entry)
+            assert code == 3
+            assert err.count("FAIL") == 1
+            assert f"FAIL table1: {failure}" in err and f"first in element {t}\n" in err
 
     def test_verify_demo_runs(self, capsys):
         assert main(["verify", "--experiment", "fig6", "--levels", "2"]) == 0

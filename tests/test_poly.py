@@ -1,25 +1,32 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import same_bits
-from pdwg.poly import (
-    EdgeBasis,
-    TriBasis,
-    dim_poly2d,
-    map_to_edge,
-    map_to_triangle,
-    project_edge,
-    project_element,
-    quad_edge,
-    quad_triangle,
-)
+from helpers import refined, same_bits
+from pdwg.assembly import ElementTables
+from pdwg.mesh import build_coarse_mesh
+from pdwg.poly import EdgeBasis, TriBasis, dim_poly2d, quad_edge, quad_triangle
+from pdwg.weakspace import project_to_weak
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def longest_edge(coords):
-    """Diameter of a triangle, computed as project_element does."""
+    """Diameter of a triangle, its longest edge, as ``ElementTables.diameter``
+    holds it."""
     return max(np.hypot(*(coords[(i + 1) % 3] - coords[i])) for i in range(3))
+
+
+def reference_tables(degree, scale=1.0):
+    """Element tables of degree ``degree`` on the coarse unit square scaled
+    by ``scale``; element 0 is the reference triangle scaled, and its local
+    edge 0 is mesh edge 0, from (0, 0) to (scale, 0)."""
+    mesh = build_coarse_mesh("unit_square")
+    mesh = dataclasses.replace(mesh, vertices=scale * mesh.vertices)
+    assert np.array_equal(mesh.vertices[mesh.elements[0]], scale * REF)
+    assert mesh.element_edges[0, 0] == 0 and list(mesh.edges[0]) == [0, 1]
+    return ElementTables(mesh, degree)
 
 
 def ref_monomial_integral(a, b):
@@ -103,23 +110,22 @@ class TestTriBasis:
 
     @pytest.mark.parametrize("level", range(6))
     def test_mass_matrix_conditioning(self, level):
-        # scaled monomials keep kappa under 100 for degree <= 1 at any size
-        scale = 0.5**level
-        coords = REF * scale
-        rule = quad_triangle(4)
-        pts, w = map_to_triangle(rule, coords)
-        basis = TriBasis(1)
-        vals = basis.eval(pts, coords.mean(axis=0), longest_edge(coords))
-        M = vals.T @ (w[:, None] * vals)
-        assert np.allclose(M, M.T)
+        # scaled monomials keep kappa under 100 for degree <= 1 at any size;
+        # the mass matrices are those project_to_weak solves with
+        tables = ElementTables(refined("unit_square", level), 1)
+        M = np.swapaxes(tables.lam0, 1, 2) @ (tables.qw[..., None] * tables.lam0)
+        assert np.allclose(M, np.swapaxes(M, 1, 2))
         assert np.all(np.linalg.eigvalsh(M) > 0)
-        assert np.linalg.cond(M) < 100
+        assert np.all(np.linalg.cond(M) < 100)
 
 
 class TestProjection:
+    """The interior projection of ``project_to_weak`` on the reference
+    triangle, element 0 of the coarse unit square."""
+
     def test_polynomial_reproduced(self):
         f = lambda x, y: 2.0 + 3.0 * x - 1.5 * y
-        coeffs = project_element(f, 1, REF)
+        coeffs = project_to_weak(f, reference_tables(1))[0, :3]
         # evaluating the projection at arbitrary points recovers f
         basis = TriBasis(1)
         pts = np.array([[0.2, 0.3], [0.1, 0.05], [0.4, 0.55]])
@@ -128,14 +134,15 @@ class TestProjection:
 
     def test_mean_value_of_x_squared(self):
         # oracle: int x^2 over ref triangle = 1/12, area 1/2 -> mean 1/6
-        coeffs = project_element(lambda x, y: x**2, 0, REF)
+        coeffs = project_to_weak(lambda x, y: x**2, reference_tables(0))[0, :1]
         assert coeffs[0] == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_orthogonality_residual(self):
+        # orthogonal under the interior rule of the tables, which it uses
         f = lambda x, y: np.sin(x)
-        coeffs = project_element(f, 1, REF, quad_degree=8)
-        rule = quad_triangle(8)
-        pts, w = map_to_triangle(rule, REF)
+        tables = reference_tables(1)
+        coeffs = project_to_weak(f, tables)[0, :3]
+        pts, w = tables.qpts[0], tables.qw[0]
         basis = TriBasis(1)
         vals = basis.eval(pts, REF.mean(axis=0), longest_edge(REF))
         resid = f(pts[:, 0], pts[:, 1]) - vals @ coeffs
@@ -144,12 +151,11 @@ class TestProjection:
 
     def test_idempotent(self):
         f = lambda x, y: np.cos(x) * y
-        c1 = project_element(f, 1, REF, quad_degree=8)
+        tables = reference_tables(1)
+        c1 = project_to_weak(f, tables)[0, :3]
         basis = TriBasis(1)
         center, h = REF.mean(axis=0), longest_edge(REF)
-        c2 = project_element(
-            lambda x, y: basis.eval(np.column_stack([x, y]), center, h) @ c1, 1, REF, quad_degree=8
-        )
+        c2 = project_to_weak(lambda x, y: basis.eval(np.stack([x, y], axis=-1), center, h) @ c1, tables)[0, :3]
         assert np.max(np.abs(c2 - c1)) < 1e-13
 
 
@@ -168,43 +174,45 @@ class TestEdgeBasis:
 
 
 class TestEdgeProjection:
-    A = np.array([0.0, 0.0])
-    B = np.array([2.0, 0.0])
+    """The trace projection of ``project_to_weak`` on the edge from
+    A = (0, 0) to B = (2, 0), where t = x - 1: edge 0 of the coarse unit
+    square scaled by 2, in slots d0.. of element row 0."""
+
+    @staticmethod
+    def project(f, tables):
+        d0 = tables.dim_lam0
+        return project_to_weak(f, tables)[0, d0 : d0 + tables.j + 1]
 
     def test_constant_exact(self):
-        coeffs = project_edge(lambda x, y: 4.0 + 0 * x, 1, self.A, self.B)
+        coeffs = self.project(lambda x, y: 4.0 + 0 * x, reference_tables(1, scale=2.0))
         assert coeffs == pytest.approx([4.0, 0.0], abs=1e-14)
 
     def test_mean_of_t_squared(self):
         # t = x - 1 on this edge; projecting t^2 onto P0 gives 1/3
-        coeffs = project_edge(lambda x, y: (x - 1.0) ** 2, 0, self.A, self.B)
+        coeffs = self.project(lambda x, y: (x - 1.0) ** 2, reference_tables(0, scale=2.0))
         assert coeffs[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_orthogonality_residual(self):
+        # orthogonal under the edge rule of the tables, which it uses
         f = lambda x, y: np.cos(x)
-        coeffs = project_edge(f, 1, self.A, self.B, quad_degree=15)
-        rule = quad_edge(15)
-        pts, w, t = map_to_edge(rule, self.A, self.B)
-        vals = EdgeBasis(1).eval(t)
+        tables = reference_tables(1, scale=2.0)
+        coeffs = self.project(f, tables)
+        pts, w, vals = tables.epts[0, 0], tables.ew[0, 0], tables.edge_trace[0, 0]
         resid = f(pts[:, 0], pts[:, 1]) - vals @ coeffs
         for m in range(2):
             assert abs(np.sum(w * resid * vals[:, m])) < 1e-12
 
     def test_idempotent(self):
         f = lambda x, y: np.exp(x)
-        c1 = project_edge(f, 1, self.A, self.B, quad_degree=15)
+        tables = reference_tables(1, scale=2.0)
+        c1 = self.project(f, tables)
         basis = EdgeBasis(1)
-        c2 = project_edge(
-            lambda x, y: basis.eval(x - 1.0) @ c1, 1, self.A, self.B, quad_degree=15
-        )
+        c2 = self.project(lambda x, y: basis.eval(x - 1.0) @ c1, tables)
         assert np.max(np.abs(c2 - c1)) < 1e-13
 
 
 def test_tri_area_and_diameter():
     # element 0 of the coarse unit square is the reference triangle
-    from pdwg.assembly import ElementTables
-    from pdwg.mesh import build_coarse_mesh
-
     mesh = build_coarse_mesh("unit_square")
     assert np.array_equal(mesh.vertices[mesh.elements[0]], REF)
     geom = ElementTables(mesh, 1)

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import refined, tables_for
+from helpers import map_to_edge, project_edge, project_element, refined, tables_for
 from pdwg.fields import constant_vector
 from pdwg.assembly import ElementTables, classify_boundary
 from pdwg.mesh import build_coarse_mesh
-from pdwg.poly import (
-    EdgeBasis,
-    TriBasis,
-    map_to_edge,
-    project_edge,
-    project_element,
-    quad_edge,
-    quad_triangle,
-)
+from pdwg.poly import EdgeBasis, TriBasis, quad_edge
 from pdwg.weakspace import (
     DofMap,
     commutativity_check,
@@ -104,8 +96,8 @@ class TestWeakGradient:
         tables = ElementTables(mesh, 1)
         for t in [0, 3, mesh.num_elements - 1]:
             G = tables.G[t]
-            lam0 = project_element(lambda x, y: x, 1, coords_of(mesh, t))
-            local = [lam0]
+            # x = x_c + h_T X in the scaled basis {1, X, Y}
+            local = [np.array([tables.centroid[t, 0], tables.diameter[t], 0.0])]
             for i in range(3):
                 a_id = mesh.elements[t][i]
                 b_id = mesh.elements[t][(i + 1) % 3]
@@ -156,7 +148,6 @@ class TestWeakGradient:
         mesh = refined(tag, level)
         basis_j = TriBasis(1)
         basis_e = EdgeBasis(1)
-        rule = quad_triangle(4)
         erule = quad_edge(9)
         worst = 0.0
         tables = ElementTables(mesh, 1)
