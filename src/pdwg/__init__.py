@@ -8,7 +8,7 @@ with a fully discontinuous primal unknown and a weak-function Lagrange
 multiplier coupled through a symmetric saddle-point system.  Submodules:
 
 - ``mesh``       triangulations of the benchmark domains and refinement
-- ``poly``       polynomial bases, quadrature, L2 projections
+- ``poly``       polynomial bases and quadrature rules
 - ``weakspace``  degrees of freedom, projection into the weak space and
                  the discrete weak gradient
 - ``assembly``   element tables, inflow/outflow classification, local

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
 
-from .fields import DerivedLoad, evaluate_branches
+from .fields import DerivedLoad, evaluate_branches, is_number
 from .mesh import DOMAIN_TAGS, BoundaryClassification, Mesh, MeshError
 from .poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from .weakspace import DofMap
@@ -66,9 +65,10 @@ class ProblemSpec:
     vectorized callable, optional and only used by the analysis layer.
     The primal degree ``k`` is fixed at 1 (u_h piecewise constant) and
     the multiplier degree ``j`` is k-1 or k.  Construction raises
-    ValueError naming the field for a non-finite or negative ``tau``, an
-    unknown ``domain_tag`` or a j other than the integer k-1 or k, so a
-    bad spec fails before any mesh is built.
+    ValueError naming the field for a ``tau`` that is not a finite
+    nonnegative int or float (a bool is not), an unknown ``domain_tag`` or
+    a j other than the integer k-1 or k, so a bad spec fails before any
+    mesh is built.
     """
 
     k: ClassVar[int] = 1
@@ -83,8 +83,8 @@ class ProblemSpec:
     j: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"tau must be a finite nonnegative number, got {self.tau}")
+        if not (is_number(self.tau) and np.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be a finite nonnegative number, got {self.tau!r}")
         if self.domain_tag not in DOMAIN_TAGS:
             raise ValueError(f"domain_tag must be one of {DOMAIN_TAGS}, got {self.domain_tag!r}")
         if type(self.j) is not int or self.j not in (self.k - 1, self.k):
@@ -98,17 +98,16 @@ class SaddleSystem:
     E_T = [[S_T, B_T], [B_T^T, 0]] over the element's unknowns laid out
     as ``dofmap.element_indices``.  The solver and ``pdwg verify`` read
     the element matrices; :meth:`matvec` and :attr:`nnz` do without the
-    assembled sparse ``matrix``, which is built on first read by
-    perfbench's assembly counters and by tests, and by nothing in the
-    library."""
+    assembled sparse ``matrix``, which is summed anew on every read and
+    kept by no system.  Only perfbench's assembly counters read it."""
 
     rhs: np.ndarray
     dofmap: DofMap
     element_matrix: np.ndarray
 
-    @cached_property
+    @property
     def matrix(self) -> sparse.csr_matrix:
-        """The assembled CSR matrix, summed on first read and then kept."""
+        """The assembled CSR matrix, summed anew on every read."""
         return scatter(self.element_matrix, self.dofmap.element_indices, self.dofmap.n_total).tocsr()
 
     @property
@@ -150,11 +149,12 @@ class ElementTables:
       constants, so G = (1/|T|) sum_e <lam_b, n>_e with a zero interior block
 
     :meth:`sample` keeps the problem as ``spec`` (ValueError until then)
-    and adds its coefficients at the quadrature points: ``beta_q`` (T, nq, 2),
-    ``beta_e`` (T, 3, ne, 2), ``c_q`` and ``f_q`` (T, nq).  From them it
-    computes, once, ``beta_int`` (T, 2), the integral of beta over the
-    element, and ``beta_n`` (T, 3, ne), beta . n at the edge points, which
-    the forms, boundary classification and the conservation check read.
+    and adds its coefficients at the interior quadrature points: ``beta_q``
+    (T, nq, 2), ``c_q`` and ``f_q`` (T, nq).  It also computes, once,
+    ``beta_int`` (T, 2), the integral of beta over the element, and
+    ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is not
+    kept there), which the forms, boundary classification and the
+    conservation check read.
     The forms and the analysis read tau, g and the exact solution from
     ``spec``.
     """
@@ -242,29 +242,26 @@ class ElementTables:
         x, y = self.qpts[..., 0], self.qpts[..., 1]
         beta_branch = spec.beta.branch_index(cx, cy)
         c_branch = spec.c.branch_index(cx, cy)
-        self.beta_q = evaluate_branches(spec.beta.branches, beta_branch[:, None], x, y)
-        self.beta_e = evaluate_branches(
-            spec.beta.branches, beta_branch[:, None, None], self.epts[..., 0], self.epts[..., 1]
-        )
-        self.c_q = evaluate_branches(spec.c.branches, c_branch[:, None], x, y)
+        # The load first: a derived load makes the most temporaries, and the
+        # arrays sampled after it reuse their memory, which lowers a study's
+        # peak RSS (the same arrays and bits in any order).
         if isinstance(spec.f, DerivedLoad):
-            self.f_q = np.empty_like(self.c_q)
-            betas, cs = spec.beta.branches, spec.c.branches
-            if len(betas) == len(cs) == 1:
-                # One (beta, c) pair holds every element: no masks, and the
-                # C-ordered copies of the points that x[rows] would make.
-                self.f_q[...] = spec.f.bind(betas[0], cs[0])(x.copy(), y.copy())
-            else:
-                for bi, ci in sorted(set(zip(beta_branch.tolist(), c_branch.tolist()))):
-                    rows = (beta_branch == bi) & (c_branch == ci)
-                    self.f_q[rows] = spec.f.bind(betas[bi], cs[ci])(x[rows], y[rows])
+            # One branch per (beta, c) pair, pair (b, c) at b * len(cs) + c.
+            cs = spec.c.branches
+            pairs = [spec.f.bind(b, c) for b in spec.beta.branches for c in cs]
+            self.f_q = evaluate_branches(pairs, (beta_branch * len(cs) + c_branch)[:, None], x, y)
         else:
             f_branch = spec.f.branch_index(cx, cy)
             self.f_q = evaluate_branches(spec.f.branches, f_branch[:, None], x, y)
-        for name, values in (("beta", self.beta_q), ("beta", self.beta_e), ("c", self.c_q), ("f", self.f_q)):
+        self.beta_q = evaluate_branches(spec.beta.branches, beta_branch[:, None], x, y)
+        beta_e = evaluate_branches(
+            spec.beta.branches, beta_branch[:, None, None], self.epts[..., 0], self.epts[..., 1]
+        )
+        self.c_q = evaluate_branches(spec.c.branches, c_branch[:, None], x, y)
+        for name, values in (("beta", self.beta_q), ("beta", beta_e), ("c", self.c_q), ("f", self.f_q)):
             _require_finite(name, values, "element")
         self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
-        self.beta_n = np.einsum("tiqc,tic->tiq", self.beta_e, self.normals)
+        self.beta_n = np.einsum("tiqc,tic->tiq", beta_e, self.normals)
         self._warn_if_straddling("beta", spec.beta, beta_branch)
         self._warn_if_straddling("c", spec.c, c_branch)
         if not isinstance(spec.f, DerivedLoad):
@@ -425,8 +422,8 @@ def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
     system exactly the variational problem on the constrained multiplier
     space.  Its matrix is symmetric with an identically zero primal-primal
     block; it is held as the element matrices, and the sparse one is built
-    only if ``SaddleSystem.matrix`` is read, which only perfbench's
-    assembly counters and tests do.
+    only when ``SaddleSystem.matrix`` is read, which only perfbench's
+    assembly counters do.
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")

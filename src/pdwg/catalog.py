@@ -14,6 +14,7 @@ the exact solution to the inflow boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .assembly import ProblemSpec
@@ -99,7 +100,10 @@ _BETA_PW_DEMO = Piecewise(
 )
 
 
-def _build_catalog() -> dict[str, Experiment]:
+@functools.cache
+def catalog() -> dict[str, Experiment]:
+    """All experiments, keyed by name (insertion ordered), built on the
+    first call."""
     entries: list[Experiment] = []
 
     def add(name, description, domain, beta, c, tau, **kwargs):
@@ -254,17 +258,6 @@ def _build_catalog() -> dict[str, Experiment]:
             raise ValueError(f"duplicate experiment name {entry.name}")
         out[entry.name] = entry
     return out
-
-
-_CATALOG = None
-
-
-def catalog() -> dict[str, Experiment]:
-    """All experiments, keyed by name (insertion ordered)."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return _CATALOG
 
 
 def get_experiment(name: str) -> Experiment:

@@ -278,7 +278,7 @@ def field_from_config(obj, vector: bool = False) -> Field | Piecewise:
     {"rotation": [cx, cy]}.  Raises ValueError naming the key of any
     malformed part."""
     kind, registry = ("vector", VECTOR_FIELDS) if vector else ("scalar", SCALAR_FIELDS)
-    if not vector and _is_number(obj):
+    if not vector and is_number(obj):
         return constant(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"cannot interpret {kind} field spec {obj!r}")
@@ -311,14 +311,15 @@ def field_from_config(obj, vector: bool = False) -> Field | Piecewise:
     raise ValueError(f"cannot interpret {kind} field spec {obj!r}")
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
+    """True for an int or float that is not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def number(obj: dict, key: str) -> float:
     """``obj[key]`` as a float; ValueError naming ``key`` unless it is a
     JSON number."""
-    if not _is_number(obj.get(key)):
+    if not is_number(obj.get(key)):
         raise ValueError(f"{key!r} must be a number, got {obj.get(key)!r}")
     return float(obj[key])
 
@@ -327,6 +328,6 @@ def _numbers(obj: dict, key: str, count: int) -> list[float]:
     """``obj[key]`` as a list of ``count`` floats; ValueError naming
     ``key`` unless it is a list of exactly ``count`` JSON numbers."""
     values = obj.get(key)
-    if not (isinstance(values, list) and len(values) == count and all(map(_is_number, values))):
+    if not (isinstance(values, list) and len(values) == count and all(map(is_number, values))):
         raise ValueError(f"{key!r} must be a list of {count} numbers, got {values!r}")
     return [float(v) for v in values]

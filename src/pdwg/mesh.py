@@ -46,7 +46,6 @@ class Mesh:
     edge_local: np.ndarray
     element_edges: np.ndarray
     element_edge_signs: np.ndarray
-    level: int
     domain_tag: str
 
     @property
@@ -80,7 +79,7 @@ class MeshError(ValueError):
     """Raised for invalid mesh topology or geometry."""
 
 
-def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
+def _build_topology(vertices, elements, domain_tag) -> Mesh:
     """Derive edge connectivity from an element list and validate it.
 
     Edges are numbered in order of first appearance along the element
@@ -145,26 +144,26 @@ def _build_topology(vertices, elements, level, domain_tag) -> Mesh:
         edge_local=edge_local,
         element_edges=edge_of.reshape(-1, 3),
         element_edge_signs=sign.reshape(-1, 3),
-        level=level,
         domain_tag=domain_tag,
     )
 
 
-def _square_cells(cells, vertex_ids):
-    """Split unit square cells by their lower-right -> upper-left diagonal.
-
-    ``cells`` holds (lower-left corner) pairs; ``vertex_ids`` maps lattice
-    coordinates to vertex indices.  Returns counterclockwise triangles.
-    """
-    elements = []
-    for (x, y) in cells:
-        ll = vertex_ids[(x, y)]
-        lr = vertex_ids[(x + 1, y)]
-        ur = vertex_ids[(x + 1, y + 1)]
-        ul = vertex_ids[(x, y + 1)]
-        elements.append((ll, lr, ul))
-        elements.append((lr, ur, ul))
-    return elements
+# Coarse meshes: lattice points (the vertices, in order) and unit square
+# cells given as the vertex indices of their lower-left, lower-right,
+# upper-right and upper-left corners.  The cracked square has a second copy
+# of (1, 0), vertex 9, for the upper lip of the slit; the crack tip (0, 0)
+# stays single because the domain is connected around it.
+_COARSE = {
+    "unit_square": ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]),
+    "l_shape": (
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2)],
+        [(0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6)],
+    ),
+    "cracked_square": (
+        [(-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0), (-1, 1), (0, 1), (1, 1), (1, 0)],
+        [(0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 9, 8, 7)],
+    ),
+}
 
 
 def build_coarse_mesh(domain_tag: str) -> Mesh:
@@ -175,47 +174,14 @@ def build_coarse_mesh(domain_tag: str) -> Mesh:
     cracked_square: 8 triangles on (-1,1)^2 with the segment (0,1) x {0}
                     duplicated so the two sides of the slit are detached.
 
-    Every cell is split by its lower-right -> upper-left diagonal.
+    Every cell is split by its lower-right -> upper-left diagonal into the
+    counterclockwise triangles (ll, lr, ul) and (lr, ur, ul).
     """
-    if domain_tag == "unit_square":
-        pts = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-        vertices = np.zeros((4, 2))
-        for (x, y), i in pts.items():
-            vertices[i] = (x, y)
-        elements = _square_cells([(0, 0)], pts)
-        return _build_topology(vertices, elements, 0, domain_tag)
-
-    if domain_tag == "l_shape":
-        lattice = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2)]
-        pts = {p: i for i, p in enumerate(lattice)}
-        vertices = np.array(lattice, dtype=float)
-        elements = _square_cells([(0, 0), (1, 0), (0, 1)], pts)
-        return _build_topology(vertices, elements, 0, domain_tag)
-
-    if domain_tag == "cracked_square":
-        lattice = [
-            (-1, -1), (0, -1), (1, -1),
-            (-1, 0), (0, 0), (1, 0),
-            (-1, 1), (0, 1), (1, 1),
-        ]
-        pts = {p: i for i, p in enumerate(lattice)}
-        vertices = [np.array(p, dtype=float) for p in lattice]
-        # Second copy of (1, 0) for the upper lip of the slit; the crack tip
-        # (0, 0) stays single because the domain is connected around it.
-        upper_10 = len(vertices)
-        vertices.append(np.array((1.0, 0.0)))
-
-        pts_lower = dict(pts)
-        pts_upper = dict(pts)
-        pts_upper[(1, 0)] = upper_10
-
-        elements = []
-        elements += _square_cells([(-1, -1), (0, -1)], pts_lower)
-        elements += _square_cells([(-1, 0)], pts_upper)
-        elements += _square_cells([(0, 0)], pts_upper)
-        return _build_topology(np.array(vertices), elements, 0, domain_tag)
-
-    raise MeshError(f"unknown domain tag {domain_tag!r}; expected one of {DOMAIN_TAGS}")
+    if domain_tag not in _COARSE:
+        raise MeshError(f"unknown domain tag {domain_tag!r}; expected one of {DOMAIN_TAGS}")
+    lattice, cells = _COARSE[domain_tag]
+    elements = np.array(cells)[:, [0, 1, 3, 1, 2, 3]].reshape(-1, 3)
+    return _build_topology(np.array(lattice, dtype=float), elements, domain_tag)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -234,7 +200,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     children = [v0, m01, m20, m01, v1, m12, m20, m12, v2, m01, m12, m20]
     elements = np.stack(children, axis=1).reshape(-1, 3)
 
-    return _build_topology(vertices, elements, mesh.level + 1, mesh.domain_tag)
+    return _build_topology(vertices, elements, mesh.domain_tag)
 
 
 def domain_area(domain_tag: str) -> float:

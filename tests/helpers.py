@@ -1,9 +1,11 @@
 """Builders shared by the tests: refined meshes, one level's element
-tables, DOF map and system built the way ``run_study`` builds them, and
-single-element references for the batched element tables."""
+tables, DOF map and system built the way ``run_study`` builds them, the
+assembled sparse matrix of a system, and single-element references for
+the batched element tables."""
 
 import numpy as np
 
+import pdwg.assembly
 from pdwg.assembly import ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import constant
 from pdwg.mesh import build_coarse_mesh, refine_uniform
@@ -33,6 +35,14 @@ def build_level(mesh, spec):
     tables = build_contexts(mesh, spec)
     dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
     return tables, dofmap, assemble(mesh, dofmap, tables)
+
+
+def assembled_matrix(system):
+    """The sparse CSR matrix of ``system``, summed from its element
+    matrices by the scatter the solver uses, looked up when called so a
+    test that patches ``pdwg.assembly.scatter`` sees the call."""
+    idx = system.dofmap.element_indices
+    return pdwg.assembly.scatter(system.element_matrix, idx, system.dofmap.n_total).tocsr()
 
 
 def same_bits(a, b):

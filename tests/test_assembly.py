@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import build_level, refined, same_bits, tables_for
+from helpers import assembled_matrix, build_level, refined, same_bits, tables_for
 from pdwg.assembly import EDGE_MIDPOINT, ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
+from pdwg.catalog import get_experiment
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -200,7 +201,7 @@ class TestAssemble:
     def test_symmetry_and_zero_block(self):
         spec = make_spec(f=1.0, g=1.0)
         mesh, dm, system = self.build(spec, level=2)
-        A = system.matrix
+        A = assembled_matrix(system)
         asym = abs(A - A.T)
         assert (asym.max() if asym.nnz else 0.0) <= 1e-13
         uu = A[dm.n_lambda :, dm.n_lambda :]
@@ -214,7 +215,7 @@ class TestAssemble:
             mesh, dm, system = self.build(spec, level=2)
             x = np.zeros(dm.n_total)
             x[dm.n_lambda :] = 1.0
-            resid = np.max(np.abs(system.matrix @ x - system.rhs))
+            resid = np.max(np.abs(assembled_matrix(system) @ x - system.rhs))
             assert resid < 1e-12
 
     def test_stabilizer_kernel_quadratic_form(self):
@@ -238,13 +239,13 @@ class TestAssemble:
         system_all = assemble(mesh, dm_all, build_contexts(mesh, spec))
         x_all = np.zeros(dm_all.n_lambda)
         x_all[dm_all.element_indices[:, :-1]] = lam
-        S_all = system_all.matrix[: dm_all.n_lambda, : dm_all.n_lambda]
+        S_all = assembled_matrix(system_all)[: dm_all.n_lambda, : dm_all.n_lambda]
         assert abs(x_all @ (S_all @ x_all)) < 1e-12
 
     def test_u_rows_couple_only_to_own_element(self):
         spec = make_spec()
         mesh, dm, system = self.build(spec, level=1)
-        A = system.matrix.tocsr()
+        A = assembled_matrix(system)
         for t in range(mesh.num_elements):
             row = A[dm.n_lambda + t]
             cols = row.indices
@@ -286,6 +287,28 @@ class TestAssemble:
         expected = spec.f.bind(spec.beta, spec.c)(x[rows], y[rows])
         assert same_bits(tables.f_q, expected)
 
+    def test_two_branch_derived_load_equals_the_per_pair_path(self):
+        # pw_const_flip splits at x + y = 1 and c at x = 1, both mesh lines
+        # of the L shape, so three (beta, c) pairs hold elements and the
+        # fourth none; each pair's load is evaluated on its own rows.
+        exact = SCALAR_FIELDS["sin_pix_cos_piy"]
+        c = Piecewise("c_split", pieces=((HalfPlane(1.0, 0.0, 1.0), constant(1.0)),), otherwise=constant(2.5))
+        spec = dataclasses.replace(
+            get_experiment("table23").spec, c=c, f=DerivedLoad(exact), exact_u=exact, tau=0.5
+        )
+        assert spec.beta.name == "pw_const_flip"
+        tables = build_contexts(refined("l_shape", 2), spec)
+        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+        cx, cy = tables.centroid.T
+        bi, ci = spec.beta.branch_index(cx, cy), c.branch_index(cx, cy)
+        assert len(set(zip(bi.tolist(), ci.tolist()))) == 3
+        expected = np.empty_like(tables.f_q)
+        for b, beta in enumerate(spec.beta.branches):
+            for k, ck in enumerate(c.branches):
+                rows = (bi == b) & (ci == k)
+                expected[rows] = spec.f.bind(beta, ck)(x[rows], y[rows])
+        assert same_bits(tables.f_q, expected)
+
     @pytest.mark.parametrize("j", [0, 1])
     def test_stored_beta_integral_and_normal_flux_equal_their_expressions(self, j):
         # Jittered vertices and a rotational beta, so no product or sum is
@@ -297,12 +320,13 @@ class TestAssemble:
         mesh = dataclasses.replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
         spec = dataclasses.replace(make_spec(domain="l_shape", j=j), beta=rotation(0.3, 0.7))
         t = build_contexts(mesh, spec)
+        beta_e = np.stack(spec.beta(t.epts[..., 0], t.epts[..., 1]), axis=-1)
         assert same_bits(t.beta_int, np.einsum("tq,tqc->tc", t.qw, t.beta_q))
-        assert same_bits(t.beta_n, np.einsum("tiqc,tic->tiq", t.beta_e, t.normals))
+        assert same_bits(t.beta_n, np.einsum("tiqc,tic->tiq", beta_e, t.normals))
         rows, local = rng.integers(0, mesh.num_elements, 40), rng.integers(0, 3, 40)
-        bn = np.einsum("mqc,mc->mq", t.beta_e[rows, local], t.normals[rows, local])
+        bn = np.einsum("mqc,mc->mq", beta_e[rows, local], t.normals[rows, local])
         assert same_bits(t.beta_n[rows, local], bn)
-        b, n = t.beta_e[rows, local, EDGE_MIDPOINT], t.normals[rows, local]
+        b, n = beta_e[rows, local, EDGE_MIDPOINT], t.normals[rows, local]
         assert same_bits(t.beta_n[rows, local, EDGE_MIDPOINT], b[:, 0] * n[:, 0] + b[:, 1] * n[:, 1])
 
     def test_straddling_piecewise_beta_warns(self):
@@ -416,6 +440,12 @@ class TestAssemble:
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau must be a finite"):
+            make_spec(tau=tau)
+
+    @pytest.mark.parametrize("tau", ["1", None, True, False])
+    def test_non_number_tau_rejected(self, tau):
+        # Only an int or float is a number, as for config numbers (fields.number).
+        with pytest.raises(ValueError, match="tau must be a finite nonnegative number, got "):
             make_spec(tau=tau)
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pdwg.assembly
 import pdwg.cli
 import pdwg.solver
 import pdwg.study
+from helpers import assembled_matrix
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
@@ -326,8 +328,8 @@ class TestCli:
 
     def test_run_path_builds_no_full_matrix(self, monkeypatch, tmp_path):
         # The solve and verify read the element matrices, and the solver
-        # scatters only the condensed matrix; the assembled sparse matrix
-        # is built only when a caller reads SaddleSystem.matrix, and once.
+        # scatters only the condensed matrix; the full order is scattered
+        # only when a caller sums the assembled matrix, which the patch sees.
         calls, totals = [], []
         scatter = pdwg.assembly.scatter
         for module in (pdwg.assembly, pdwg.solver):
@@ -341,8 +343,20 @@ class TestCli:
         assert len(calls) == len(totals) == 7
         assert all(n != total for n, total in zip(calls, totals))
         calls.clear()
-        assert report.system.matrix is report.system.matrix
+        assembled_matrix(report.system)
         assert calls == [report.system.dofmap.n_total]
+
+    def test_library_reads_no_attribute_named_matrix(self):
+        # SaddleSystem.matrix has no reader in the package: the solver and
+        # verify read the element matrices.
+        package = Path(pdwg.assembly.__file__).parent
+        reads = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "matrix"
+        ]
+        assert reads == []
 
     @staticmethod
     def _verify_perturbed(monkeypatch, capsys, entry):

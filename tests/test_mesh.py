@@ -197,7 +197,7 @@ class TestVectorizedTopology:
         # edge (0, 1) shared by three triangles
         elements = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
         with pytest.raises(MeshError, match="edge 0"):
-            _build_topology(vertices, elements, 0, "unit_square")
+            _build_topology(vertices, elements, "unit_square")
 
     def test_same_direction_traversal_rejected(self):
         from pdwg.mesh import _build_topology
@@ -205,7 +205,7 @@ class TestVectorizedTopology:
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
         elements = [(0, 1, 2), (0, 1, 3)]
         with pytest.raises(MeshError, match="same direction"):
-            _build_topology(vertices, elements, 0, "unit_square")
+            _build_topology(vertices, elements, "unit_square")
 
 
 class TestElementGeometry:

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_level, refined
+from helpers import assembled_matrix, build_level, refined
 from pdwg.analysis import conservation_report, error_norms
 from pdwg.assembly import ProblemSpec
 from pdwg.fields import SCALAR_FIELDS, DerivedLoad, constant, constant_vector
@@ -64,7 +64,7 @@ def test_symmetric_with_zero_primal_block(problem):
     mesh, spec = problem
     s = spec(SCALAR_FIELDS["one"])
     _, dm, system = build_level(mesh, s)
-    A = system.matrix
+    A = assembled_matrix(system)
     asym = abs(A - A.T)
     assert (asym.max() if asym.nnz else 0.0) <= 1e-13
     assert A[dm.n_lambda :, dm.n_lambda :].count_nonzero() == 0

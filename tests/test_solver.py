@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import build_level, lapack_schur, refined, same_bits
+from helpers import assembled_matrix, build_level, lapack_schur, refined, same_bits
 from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
@@ -165,7 +165,7 @@ class TestSolve:
         _, dm, system = unit_problem()
         sol = solve(system)
         x = full_vector(sol, dm)
-        recomputed = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(
+        recomputed = np.linalg.norm(assembled_matrix(system) @ x - system.rhs) / np.linalg.norm(
             system.rhs
         )
         assert abs(recomputed - sol.residual) <= 1e-14
@@ -195,7 +195,7 @@ class TestSolve:
         _, _, system = unit_problem(level=1)
         sol = solve(system)
         assert sol.info["method"] == "splu"
-        assert sol.info["order"] == system.matrix.shape[0]
+        assert sol.info["order"] == assembled_matrix(system).shape[0]
         assert sol.info["nnz"] > 0
 
     def test_condensed_diagnostics(self):
@@ -223,7 +223,7 @@ class TestSolve:
     def test_matches_dense_full_solve(self, j, tau, c, domain):
         _, dm, system = unit_problem(tau=tau, level=2, domain=domain, j=j, c=c)
         x = full_vector(solve(system), dm)
-        x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        x_ref = np.linalg.solve(assembled_matrix(system).toarray(), system.rhs)
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
@@ -334,7 +334,8 @@ class TestOrderedFactor:
             dm = system.dofmap
             sol = solve(system)
             x = full_vector(sol, dm)
-            x_ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+            A = assembled_matrix(system)
+            x_ref = np.linalg.solve(A.toarray(), system.rhs)
             # fig8_f0 at level 0 has a zero right-hand side: x must be 0.
             assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max(), (name, j, level)
             # The count and the residual product the solve takes from the
@@ -342,7 +343,6 @@ class TestOrderedFactor:
             # products sum in different orders, so they differ by round-off
             # of |A| |x|, which is up to 400 times |A x| (table12, table16
             # and fig9_f10000).
-            A = system.matrix
             assert sol.info["nnz"] == A.nnz, (name, j, level)
             scale = np.linalg.norm(abs(A) @ abs(x))
             assert np.linalg.norm(system.matvec(x) - A @ x) <= 1e-14 * scale, (name, j, level)
@@ -356,7 +356,7 @@ class TestOrderedFactor:
         sol = solve(system, tol=1e-14)
         assert sol.info["refine_steps"] == 1
         x = full_vector(sol, system.dofmap)
-        assembled = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+        assembled = np.linalg.norm(system.rhs - assembled_matrix(system) @ x) / np.linalg.norm(system.rhs)
         assert abs(sol.residual - assembled) <= 1e-15
 
     def test_catalog_sweep_needs_at_most_one_refinement(self):
