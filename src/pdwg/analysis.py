@@ -146,27 +146,19 @@ def conservation_report(solution: Solution, tables: ElementTables) -> Conservati
     flux = u[:, None] * tables.beta_int / qw.sum(axis=1)[:, None]
     flux_n = np.einsum("tc,tic->ti", flux, tables.normals)
     moments = np.einsum("tiq,tiqm->tim", ew * (flux_n[..., None] - stab), tables.edge_trace)
-    jump_moments = _sum_per_edge(mesh, moments)
 
+    # Each interior edge's jump adds its two sides' moments, read through
+    # its elements and local edges.  The larger of the (one or two) trace
+    # moments is taken without a reduction over that short axis.
     interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
-    # The larger of the (one or two) trace moments, without a reduction
-    # over that short axis.
-    jumps = np.abs(jump_moments[interior])
+    (left, right), (left_i, right_i) = mesh.edge_elems[interior].T, mesh.edge_local[interior].T
+    jumps = np.abs(moments[left, left_i] + moments[right, right_i])
     return ConservationReport(
         element_residuals=residuals,
         flux_jumps=np.maximum(jumps[:, 0], jumps[:, -1]),
         interior_edges=interior,
         scale_f=max(1.0, float(np.abs(tables.f_q).max())),
     )
-
-
-def _sum_per_edge(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Sum element-edge rows ``values`` (T, 3, m) onto the mesh edges,
-    (num_edges, m): one ``np.bincount`` per column, which adds in element
-    order from 0 exactly as ``np.add.at`` does."""
-    edges = mesh.element_edges.ravel()
-    columns = values.reshape(len(edges), -1).T
-    return np.stack([np.bincount(edges, col, mesh.num_edges) for col in columns], axis=-1)
 
 
 @dataclass
@@ -182,18 +174,16 @@ def postprocess_averages(vals: np.ndarray, mesh: Mesh) -> PostField:
     """Averages of the piecewise constant u_h, given by its value on each
     element, (T,).  Vertex values are the unweighted mean of u_h over the
     elements sharing the vertex; edge-midpoint values average the one or
-    two incident elements.  Duplicated crack vertices average per side."""
+    two incident elements (the final + 0.0 turns a -0.0 into +0.0).
+    Duplicated crack vertices average per side."""
     nV = mesh.num_vertices
     vsum = np.bincount(mesh.elements.ravel(), weights=np.repeat(vals, 3), minlength=nV)
     vcnt = np.bincount(mesh.elements.ravel(), minlength=nV)
     vertex_vals = vsum / np.maximum(vcnt, 1)
 
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    sides = mesh.edge_elems.ravel()
-    edge_of = np.repeat(np.arange(mesh.num_edges), 2)[sides >= 0]
-    esum = np.bincount(edge_of, weights=vals[sides[sides >= 0]], minlength=mesh.num_edges)
-    ecnt = np.bincount(edge_of, minlength=mesh.num_edges)
-    edge_vals = esum / np.maximum(ecnt, 1)
+    left, right = mesh.edge_elems.T
+    edge_vals = np.where(right >= 0, (vals[left] + vals[right]) / 2, vals[left]) + 0.0
 
     x = np.concatenate([mesh.vertices[:, 0], mids[:, 0]])
     y = np.concatenate([mesh.vertices[:, 1], mids[:, 1]])

@@ -97,9 +97,9 @@ class SaddleSystem:
     element matrices ``element_matrix`` (T, n_loc + 1, n_loc + 1),
     E_T = [[S_T, B_T], [B_T^T, 0]] over the element's unknowns laid out
     as ``dofmap.element_indices``.  The solver and ``pdwg verify`` read
-    the element matrices; :meth:`matvec` and :attr:`nnz` do without the
-    assembled sparse ``matrix``, which is summed anew on every read and
-    kept by no system.  Only perfbench's assembly counters read it."""
+    the element matrices; :meth:`matvec` (on element rows) and :attr:`nnz`
+    do without the assembled sparse ``matrix``, which is summed anew on
+    every read and kept by no system.  Only perfbench's counters read it."""
 
     rhs: np.ndarray
     dofmap: DofMap
@@ -119,12 +119,13 @@ class SaddleSystem:
         interior = np.count_nonzero(self.dofmap.mesh.edge_elems[:, 1] >= 0)
         return int(free @ free - self.dofmap.dim_lamb**2 * interior)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``matrix @ x`` applied element by element, equal to round-off."""
+    def matvec(self, local: np.ndarray) -> np.ndarray:
+        """``matrix @ x`` applied element by element, equal to round-off,
+        for x given as element rows laid out as ``Solution.local``."""
         idx = self.dofmap.element_indices
         free = idx >= 0
-        y = self.element_matrix @ np.where(free, x[idx], 0.0)[..., None]
-        return np.bincount(idx[free], y[..., 0][free], minlength=len(x))
+        y = self.element_matrix @ local[..., None]
+        return np.bincount(idx[free], y[..., 0][free], minlength=self.dofmap.n_total)
 
 
 class ElementTables:

@@ -17,7 +17,7 @@ Subcommands:
         matrix solved, elementwise conservation, and (for exact
         solutions) error decrease.
 
-Exit codes: 0 success, 2 solver failure, 3 acceptance failure.
+Exit codes: 0 success, 2 solver failure, 3 acceptance or usage failure.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if (args.experiment is None) == (args.config is None):
-        print("error: provide exactly one of --experiment or --config", file=sys.stderr)
-        return EXIT_ACCEPTANCE_FAILURE
     exp = (
         get_experiment(args.experiment)
         if args.experiment is not None
@@ -183,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a refinement study")
-    p_run.add_argument("--experiment", help="catalog entry name (see 'pdwg list')")
-    p_run.add_argument("--config", help="JSON problem description")
+    source = p_run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--experiment", help="catalog entry name (see 'pdwg list')")
+    source.add_argument("--config", help="JSON problem description")
     p_run.add_argument("--levels", type=int, help="number of levels (default: catalog range)")
     p_run.add_argument("--tau", type=float, help="override the stabilization parameter")
     p_run.add_argument("--j", choices=tuple(J_DEGREES), help="multiplier degree")
@@ -204,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:
+        # argparse exits 2, the solver-failure code here, on a usage error.
+        return EXIT_ACCEPTANCE_FAILURE if done.code else EXIT_OK
     try:
         return args.func(args)
     except SolverError as err:

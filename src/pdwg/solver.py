@@ -18,16 +18,16 @@ cut between coordinate values, whose separators are the smaller side of
 each cut read off the element-edge incidence, with every u_T placed after
 the traces of its element.
 
-Iterative refinement runs on the full system: each correction is a
-condensed solve of b - A x, and the residual contract is checked on the
-full system, applied element by element by :meth:`SaddleSystem.matvec`
-with no sparse matrix built, so downstream conservation and error checks
-can rely on it.  A singular factor raises :class:`SolverError`; there is
-no fallback.  Identical inputs produce bitwise-identical solutions.
-
-The :class:`Solution` carries the solved values of every element's
-unknowns in the layout of ``DofMap.element_indices``, [lam_0; traces of
-edges 0, 1, 2; u_T], with 0 on outflow traces.
+Each condensed solve hands back element rows in the layout of
+``DofMap.element_indices``, [lam_0; traces of edges 0, 1, 2; u_T], with 0
+on outflow traces, so both elements of an interior edge read its traces
+from one entry of the factor's solution, bit for bit.  Iterative
+refinement adds correction rows for b - A x, with A applied to the rows
+element by element by :meth:`SaddleSystem.matvec` (no sparse matrix
+built), and the residual contract is checked on the full system.  The
+refined rows are :attr:`Solution.local`.  A singular factor raises
+:class:`SolverError`; there is no fallback.  Identical inputs produce
+bitwise-identical solutions.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Solution:
-    """Solved values of every element's unknowns, ``local`` (T, n_loc + 1)
+    """The refined element rows of the solve, ``local`` (T, n_loc + 1),
     laid out as ``DofMap.element_indices`` with 0 on outflow traces, and
     solve diagnostics."""
 
@@ -240,10 +240,10 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
 
 class _CondensedLU:
     """LU factor of the condensed system over y = [lam_b; u], with the
-    element data that maps a full right-hand side in and the full solution
-    out.  The lam_0 unknowns come first in the full vector, d0 per element,
-    so y is the tail of x.  The condensed matrix is built and factored in
-    the :func:`nested_dissection` order, position i holding y[perm[i]]."""
+    element data that maps a full right-hand side in and element rows out.
+    The lam_0 unknowns come first in the full vector, d0 per element, so y
+    is its tail.  The condensed matrix is built and factored in the
+    :func:`nested_dissection` order, position i holding y[perm[i]]."""
 
     def __init__(self, system: SaddleSystem):
         dm = system.dofmap
@@ -264,10 +264,10 @@ class _CondensedLU:
         # int32, the index type SuperLU takes, so scipy keeps the indices
         # of the condensed matrix as they are instead of checking and
         # casting them.
-        self.inv = np.empty(self.order, dtype=np.int32)
-        self.inv[self.perm] = np.arange(self.order, dtype=np.int32)
+        inv = np.empty(self.order, dtype=np.int32)
+        inv[self.perm] = np.arange(self.order, dtype=np.int32)
         # The same indices in the factored (permuted) numbering.
-        self.cidx = np.where(self.free, self.inv[cidx], -1)
+        self.cidx = np.where(self.free, inv[cidx], -1)
         Kc = scatter(K, self.cidx, self.order)
         # The element matrices are in Kc now; free them before the factor.
         del K
@@ -292,7 +292,7 @@ class _CondensedLU:
         y = self.lu.solve(rc)
         y_loc = np.where(self.free, y[self.cidx], 0.0)
         lam0 = np.einsum("tij,tj->ti", self.S00_inv, r0) - np.einsum("tim,tm->ti", self.X, y_loc)
-        return np.concatenate([lam0.ravel(), y[self.inv]])
+        return np.concatenate([lam0, y_loc], axis=1)
 
 
 def check_tol(tol: float) -> None:
@@ -315,17 +315,17 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     factor = _CondensedLU(system)
     bnorm = float(np.linalg.norm(b))
 
-    def relative_residual(x):
-        r = b - system.matvec(x)
+    def relative_residual(local):
+        r = b - system.matvec(local)
         rnorm = float(np.linalg.norm(r))
         return r, (rnorm / bnorm if bnorm > 0 else rnorm)
 
-    x = factor.solve(b)
-    r, rel = relative_residual(x)
+    local = factor.solve(b)
+    r, rel = relative_residual(local)
     residuals = [rel]
     while residuals[-1] > tol and len(residuals) <= _REFINE_STEPS:
-        x = x + factor.solve(r)
-        r, rel = relative_residual(x)
+        local = local + factor.solve(r)
+        r, rel = relative_residual(local)
         residuals.append(rel)
     residual = residuals[-1]
     if not np.isfinite(residual) or residual > tol:
@@ -334,7 +334,6 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
             f"(order={system.dofmap.n_total}, condensed order={factor.order})"
         )
 
-    idx = system.dofmap.element_indices
     info = {
         "method": "splu",
         "order": system.dofmap.n_total,
@@ -350,4 +349,4 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "initial_residual": residuals[0],
         "tol": tol,
     }
-    return Solution(local=np.where(idx >= 0, x[idx], 0.0), residual=residual, info=info)
+    return Solution(local=local, residual=residual, info=info)

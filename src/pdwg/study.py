@@ -57,7 +57,6 @@ class StudyReport:
     the finest level, and its post-processed solution field when
     requested."""
 
-    experiment: str
     rows: list[LevelResult] = field(default_factory=list)
     system: SaddleSystem | None = None
     field_points: object = None
@@ -124,7 +123,7 @@ def run_study(
         raise ValueError(f"bad level range ({lo}, {hi})")
     check_tol(tol)
 
-    report = StudyReport(experiment=experiment.name)
+    report = StudyReport()
     mesh = build_coarse_mesh(spec.domain_tag)
     for _ in range(lo):
         mesh = refine_uniform(mesh)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pdwg.analysis import (
-    _sum_per_edge,
     _trace_values,
     conservation_report,
     error_norms,
@@ -180,20 +179,7 @@ class TestConservation:
 
 def orders(errors):
     rows = [SimpleNamespace(err_u=e) for e in errors]
-    return StudyReport("orders", rows=rows).orders("err_u")
-
-
-class TestSumPerEdge:
-    def test_equals_add_at(self):
-        # Bit for bit, signed zeros included: one bincount per column adds
-        # each edge's element rows from 0 in element order, as add.at does.
-        mesh = refined("cracked_square", 2)
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal((mesh.num_elements, 3, 2)) * 10.0 ** rng.integers(-300, 300, (mesh.num_elements, 3, 2))
-        values[::5] = -0.0
-        expected = np.zeros((mesh.num_edges, 2))
-        np.add.at(expected, mesh.element_edges, values)
-        assert same_bits(_sum_per_edge(mesh, values), expected)
+    return StudyReport(rows=rows).orders("err_u")
 
 
 class TestTraceValues:
@@ -266,6 +252,25 @@ class TestPostprocess:
         edge = [np.mean([vals[t] for t in pair if t >= 0]) for pair in mesh.edge_elems]
         assert np.array_equal(field.value[: mesh.num_vertices], vertex / count)
         assert np.allclose(field.value[mesh.num_vertices :], edge, rtol=0, atol=1e-15)
+
+    def test_edge_values_equal_the_sum_and_count(self):
+        # Bit for bit, signed zeros included, on values over 1e-300..1e300:
+        # the edge values read from each edge's one or two elements are the
+        # per-edge sums from 0 divided by the element counts.
+        mesh = refined("cracked_square", 2)
+        rng = np.random.default_rng(11)
+        T = mesh.num_elements
+        vals = rng.standard_normal(T) * 10.0 ** rng.integers(-300, 301, T)
+        vals[::4] = -0.0
+        vals[1::7] = 0.0
+        sides = mesh.edge_elems.ravel()
+        edge_of = np.repeat(np.arange(mesh.num_edges), 2)[sides >= 0]
+        esum = np.bincount(edge_of, weights=vals[sides[sides >= 0]], minlength=mesh.num_edges)
+        ecnt = np.bincount(edge_of, minlength=mesh.num_edges)
+        expected = esum / np.maximum(ecnt, 1)
+        assert (ecnt == 2).any() and (ecnt == 1).any()
+        field = postprocess_averages(vals, mesh)
+        assert same_bits(field.value[mesh.num_vertices :], expected)
 
     def test_crack_sides_average_separately(self):
         mesh = refined("cracked_square", 1)

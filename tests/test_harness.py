@@ -230,6 +230,29 @@ class TestCli:
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--experiment", "table5", "--j", "2", "--out", "OUT"],
+            ["run", "--experiment", "table5", "--levels", "abc", "--out", "OUT"],
+            ["run", "--experiment", "table5"],
+            ["bogus", "--out", "OUT"],
+            ["verify"],
+            ["run", "--experiment", "table5", "--config", "c.json", "--out", "OUT"],
+        ],
+        ids=["bad-j", "bad-levels", "no-out", "bogus-command", "verify-no-experiment", "both-sources"],
+    )
+    def test_usage_error_exits_3_before_writing(self, tmp_path, capsys, argv):
+        # argparse's own exit code 2 would read as a solver failure.
+        out = tmp_path / "out"
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: pdwg" in capsys.readouterr().out
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_levels_below_1_exit_3_before_writing(self, tmp_path, capsys, count):
         out = tmp_path / "out"

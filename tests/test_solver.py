@@ -177,6 +177,25 @@ class TestSolve:
         assert outflow.sum() == dm.dim_lamb * len(dm.classification.outflow_edges) > 0
         assert np.all(sol.local[outflow] == 0.0)
 
+    @pytest.mark.parametrize(
+        "entry, j, level, tol, steps",
+        [("table4", 1, 2, 1e-14, 1), ("table9", 0, 3, 1e-11, 0)],
+        ids=["table4-j1-refined", "table9-j0"],
+    )
+    def test_interior_edge_traces_agree_on_both_sides(self, entry, j, level, tol, steps):
+        # Both elements of an interior edge hold its traces bit for bit,
+        # after refinement too (table4 j = 1 at tol 1e-14 takes one step).
+        spec = dataclasses.replace(get_experiment(entry).spec, j=j)
+        _, dm, system = build_level(refined(spec.domain_tag, level), spec)
+        sol = solve(system, tol=tol)
+        assert sol.info["refine_steps"] == steps
+        mesh, d0, db = dm.mesh, dm.dim_lam0, dm.dim_lamb
+        interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
+        assert len(interior) > 0
+        slots = d0 + db * mesh.edge_local[interior, :, None] + np.arange(db)
+        sides = sol.local[mesh.edge_elems[interior, :, None], slots]
+        assert same_bits(sides[:, 0], sides[:, 1])
+
     def test_determinism_bitwise(self):
         _, dm, system = unit_problem(level=2)
         a = solve(system)
@@ -345,7 +364,7 @@ class TestOrderedFactor:
             # and fig9_f10000).
             assert sol.info["nnz"] == A.nnz, (name, j, level)
             scale = np.linalg.norm(abs(A) @ abs(x))
-            assert np.linalg.norm(system.matvec(x) - A @ x) <= 1e-14 * scale, (name, j, level)
+            assert np.linalg.norm(system.matvec(sol.local) - A @ x) <= 1e-14 * scale, (name, j, level)
 
     def test_refinement_residual_matches_the_assembled_product(self):
         # At tol 1e-14 this system takes one refinement step (first
