@@ -14,6 +14,8 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .analysis import (
     ConservationReport,
     conservation_report,
@@ -183,8 +185,6 @@ def emit_plot_data(source, path) -> None:
     pts = source.field_points
     if pts is None:
         raise ValueError("report holds no field data; run with collect_field=True")
-    lines = ["x,y,value"]
-    for x, y, v in zip(pts.x, pts.y, pts.value):
-        lines.append(f"{x:.12e},{y:.12e},{v:.12e}")
+    rows = np.column_stack([pts.x, pts.y, pts.value]).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,value\n" + "%.12e,%.12e,%.12e\n" * len(pts.x) % tuple(rows))

@@ -18,7 +18,8 @@ from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
 from pdwg.solver import SolverError
-from pdwg.study import CSV_HEADER, emit_csv, emit_plot_data, run_study
+from pdwg.analysis import PostField
+from pdwg.study import CSV_HEADER, StudyReport, emit_csv, emit_plot_data, run_study
 
 
 class TestCatalog:
@@ -170,6 +171,17 @@ class TestEmission:
         assert lines[0] == "x,y,value"
         vals = np.array([float(l.split(",")[2]) for l in lines[1:]])
         assert np.max(np.abs(vals - 1.0)) < 1e-8
+
+    def test_field_emission_equals_the_per_line_format(self, tmp_path):
+        # One formatting call writes the bytes of one f-string per point.
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1, 2.0 / 3.0])
+        y, value = -x[::-1], np.roll(x, 3)
+        rep = StudyReport(field_points=PostField(x=x, y=y, value=value))
+        path = tmp_path / "field.csv"
+        emit_plot_data(rep, path)
+        lines = ["x,y,value"] + [f"{a:.12e},{b:.12e},{v:.12e}" for a, b, v in zip(x, y, value)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert b"-0.000000000000e+00" in path.read_bytes()
 
     def test_field_emission_requires_field(self, tmp_path):
         rep = run_study(get_experiment("table1"), levels=(0, 0))
