@@ -43,11 +43,13 @@ from .weakspace import DofMap
 
 DEFAULT_TOL = 1e-11
 _REFINE_STEPS = 3
-# Parts of at most this many free edges are not bisected further.
-_LEAF_EDGES = 64
+# Parts of at most this many free edges are not bisected further.  16
+# rather than 64 takes the table5 L6 fill from 3.86M to 3.25M; 8 takes
+# under 3% more off, for one more round per part.
+_LEAF_EDGES = 16
 # SuperLU keeps the diagonal pivot unless it is below this fraction of the
-# column maximum.  The default 1.0 gives 8.2 times the fill at table5 L6
-# (31.6M against 3.86M), and 0 leaves a first residual of 6.2e-2 on
+# column maximum.  The default 1.0 gives 8.8 times the fill at table5 L6
+# (28.5M against 3.25M), and 0 leaves a first residual of 1.2e-2 on
 # fig4_tau0 L6 (c = 0, tau = 0); the tests sweep the catalog against it.
 _PIVOT_THRESHOLD = 0.01
 
@@ -155,11 +157,13 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
     edge and the right edges that share an element with a left edge (the
     left one on a tie); on a mesh line that is the line itself, one edge
     per cell.  The part is laid out as left and right (each without the
-    separator), then separator, the first two recursing in place.  The
-    trace unknowns of an edge keep its place, and each u_T
-    goes right after the last free trace of its element: its condensed
-    diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to
-    come after the unknowns that fill it in.
+    separator), then separator, the first two recursing in place.  A leaf
+    keeps its edges in x order, and a mesh of no more than
+    ``_LEAF_EDGES`` free edges keeps them in free-edge order.  The trace
+    unknowns of an edge keep its place, and each u_T goes right after the
+    last free trace of its element: its condensed diagonal
+    -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to come after
+    the unknowns that fill it in.
 
     Returns ``perm``, the condensed index placed at each position
     (perm[new] = old), and ``nodes``, one row (start, left, right,

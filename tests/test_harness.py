@@ -14,11 +14,11 @@ import pdwg.cli
 import pdwg.solver
 import pdwg.study
 from helpers import assembled_matrix
+from pdwg.analysis import PostField
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
 from pdwg.solver import SolverError
-from pdwg.analysis import PostField
 from pdwg.study import CSV_HEADER, StudyReport, emit_csv, emit_plot_data, run_study
 
 

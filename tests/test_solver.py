@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import assembled_matrix, build_level, lapack_schur, refined, same_bits
+from pdwg.analysis import conservation_report
 from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, refine_uniform
-from pdwg.solver import SolverError, nested_dissection, schur_complement, solve
+from pdwg.solver import _LEAF_EDGES, SolverError, nested_dissection, schur_complement, solve
 
 
 def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, -1.0)):
@@ -179,12 +180,12 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "entry, j, level, tol, steps",
-        [("table4", 1, 2, 1e-14, 1), ("table9", 0, 3, 1e-11, 0)],
-        ids=["table4-j1-refined", "table9-j0"],
+        [("table8", 1, 2, 1e-14, 1), ("table9", 0, 3, 1e-11, 0)],
+        ids=["table8-j1-refined", "table9-j0"],
     )
     def test_interior_edge_traces_agree_on_both_sides(self, entry, j, level, tol, steps):
         # Both elements of an interior edge hold its traces bit for bit,
-        # after refinement too (table4 j = 1 at tol 1e-14 takes one step).
+        # after refinement too (table8 j = 1 at tol 1e-14 takes one step).
         spec = dataclasses.replace(get_experiment(entry).spec, j=j)
         _, dm, system = build_level(refined(spec.domain_tag, level), spec)
         sol = solve(system, tol=tol)
@@ -218,7 +219,7 @@ class TestSolve:
         assert sol.info["nnz"] > 0
 
     def test_condensed_diagnostics(self):
-        _, dm, system = unit_problem(level=2)
+        _, dm, system = unit_problem(level=1)
         info = solve(system).info
         T = dm.mesh.num_elements
         assert info["condensed_order"] == dm.n_total - T * dm.dim_lam0
@@ -229,7 +230,8 @@ class TestSolve:
         assert info["ordering"] == "nested_dissection"
         assert isinstance(info["order_s"], float) and info["order_s"] >= 0.0
         assert info["fill_per_nlogn"] == pytest.approx(info["fill"] / (n * np.log2(n)), rel=1e-15)
-        # Level 2 has at most 64 free edges: nothing is bisected.
+        # Level 1 has 12 free edges, at most _LEAF_EDGES: nothing is bisected.
+        assert dm.n_free_edges <= _LEAF_EDGES
         assert info["separator_edges"] == 0
         _, dm, system = unit_problem(level=4)
         _, nodes = nested_dissection(dm)
@@ -297,7 +299,7 @@ class TestNestedDissection:
         n0 = dm.mesh.num_elements * dm.dim_lam0
         traces = dm.element_indices[:, dm.dim_lam0 : -1 : db]
         elem_edges = np.where(traces >= 0, (traces - n0) // db, F)
-        assert (len(nodes) > 0) == (F > 64)
+        assert (len(nodes) > 0) == (F > _LEAF_EDGES)
         for start, left, right, sep in nodes:
             assert min(left, right) > 0
             side = np.zeros(F + 1, dtype=int)
@@ -335,7 +337,7 @@ class TestNestedDissection:
                 assert left > 0 and right > 0
         assert reached > 0
 
-    def test_exactly_the_parts_above_64_edges_are_split(self):
+    def test_exactly_the_parts_above_the_leaf_size_are_split(self):
         _, dm, _ = unit_problem(level=5)
         _, nodes = nested_dissection(dm)
         parts = {(0, dm.n_free_edges)}
@@ -344,7 +346,7 @@ class TestNestedDissection:
             parts |= {(start, left), (start + left, right)}
         split = {(start, left + right + sep) for start, left, right, sep in nodes}
         assert len(split) == len(nodes) > 1
-        assert split == {(start, size) for start, size in parts if size > 64}
+        assert split == {(start, size) for start, size in parts if size > _LEAF_EDGES}
 
 
 class TestOrderedFactor:
@@ -368,9 +370,9 @@ class TestOrderedFactor:
 
     def test_refinement_residual_matches_the_assembled_product(self):
         # At tol 1e-14 this system takes one refinement step (first
-        # residual 2.7e-14), so the element-wise residual both drives the
+        # residual 3.6e-14), so the element-wise residual both drives the
         # correction and is reported.
-        spec = dataclasses.replace(get_experiment("table4").spec, j=1)
+        spec = dataclasses.replace(get_experiment("table8").spec, j=1)
         system = build_level(refined(spec.domain_tag, 2), spec)[2]
         sol = solve(system, tol=1e-14)
         assert sol.info["refine_steps"] == 1
@@ -389,10 +391,28 @@ class TestOrderedFactor:
             count += 1
         assert count == 352
 
+    @pytest.mark.parametrize("entry", ["fig8_f10000", "fig9_f10000", "fig10_f10000"])
+    def test_flux_jump_where_the_margin_is_thinnest(self, entry):
+        # The largest flux jumps of catalog L0-5 are on these j = 1 systems
+        # (5.3e-10 on fig10_f10000 at level 5).  The gate is the 1e-9 of
+        # acceptance criterion 6 and ``pdwg verify``.
+        spec = dataclasses.replace(get_experiment(entry).spec, j=1)
+        tables, _, system = build_level(refined(spec.domain_tag, 5), spec)
+        sol = solve(system)
+        assert sol.info["initial_residual"] <= 1e-11
+        assert conservation_report(sol, tables).max_flux_jump <= 1e-9
+
     def test_fill_at_table5_level6(self):
         spec = get_experiment("table5").spec
         info = solve(build_level(refined(spec.domain_tag, 6), spec)[2]).info
         # COLAMD gives 11.8 here, and separators cut at the median edge
         # (two edges per cell where one mesh line would do) 10.05; cutting
-        # between coordinate values and taking the smaller side gives 7.86.
-        assert info["fill_per_nlogn"] <= 8.5
+        # between coordinate values and taking the smaller side gives 7.86
+        # with 64-edge leaves, and 6.60 with 16-edge leaves.
+        assert info["fill_per_nlogn"] <= 6.7
+
+    def test_fill_at_table3_level5(self):
+        spec = get_experiment("table3").spec
+        info = solve(build_level(refined(spec.domain_tag, 5), spec)[2]).info
+        # The L-shape: 8.75 with 64-edge leaves, 7.40 with 16-edge leaves.
+        assert info["fill_per_nlogn"] <= 7.5
