@@ -17,9 +17,9 @@ and coupling form b_T(v, sigma) = (v, beta . grad_w(sigma) - c sigma_0)_T.
 Written in block form over x = [lam; u] the system is [[S, B], [B^T, 0]]
 with symmetric positive semidefinite S.  It is the sum of one element
 matrix E_T = [[S_T, B_T], [B_T^T, 0]] per element, over the element's
-unknowns as laid out by ``DofMap.element_indices``, with constrained
-outflow traces eliminated, and is kept as those element matrices:
-:func:`scatter` sums them into a sparse matrix only when one is read.
+unknowns [lam_0; traces of edges 0, 1, 2; u_T] with constrained outflow
+traces eliminated, and is kept as those element matrices: :func:`scatter`
+sums them into a sparse matrix only when one is read.
 
 Every local form is evaluated for all elements at once from one set of
 element tables (:class:`ElementTables`), which compute the geometry of
@@ -93,39 +93,43 @@ class ProblemSpec:
 
 @dataclass
 class SaddleSystem:
-    """The system [[S, B], [B^T, 0]] x = [rhs_lambda; 0] held as its
-    element matrices ``element_matrix`` (T, n_loc + 1, n_loc + 1),
-    E_T = [[S_T, B_T], [B_T^T, 0]] over the element's unknowns laid out
-    as ``dofmap.element_indices``.  The solver and ``pdwg verify`` read
-    the element matrices; :meth:`matvec` (on element rows) and :attr:`nnz`
-    do without the assembled sparse ``matrix``, which is summed anew on
-    every read and kept by no system.  Only perfbench's counters read it."""
+    """The system [[S, B], [B^T, 0]] x = [rhs_lambda; 0] held per element:
+    ``element_matrix`` (T, n_loc + 1, n_loc + 1) holds E_T = [[S_T, B_T],
+    [B_T^T, 0]] over [lam_0; traces of edges 0, 1, 2; u_T], ``rhs0`` (T, d0)
+    the lam_0 rows of the right-hand side, and ``rhs`` the rest, numbered
+    by ``dofmap.element_indices``.  The solver and ``pdwg verify`` read
+    these; :meth:`matvec` and :attr:`nnz` do without the sparse ``matrix``,
+    summed anew on every read and kept by no system, which only perfbench's
+    counters read."""
 
     rhs: np.ndarray
+    rhs0: np.ndarray
     dofmap: DofMap
     element_matrix: np.ndarray
 
     @property
     def matrix(self) -> sparse.csr_matrix:
-        """The assembled CSR matrix, summed anew on every read."""
-        return scatter(self.element_matrix, self.dofmap.element_indices, self.dofmap.n_total).tocsr()
+        """The assembled CSR matrix, lam_0 numbered first, summed anew on every read."""
+        n0, idx = self.rhs0.size, self.dofmap.element_indices
+        full = np.concatenate([np.arange(n0).reshape(self.rhs0.shape), np.where(idx >= 0, idx + n0, -1)], axis=1)
+        return scatter(self.element_matrix, full, self.dofmap.n_total).tocsr()
 
     @property
     def nnz(self) -> int:
         """Stored entries of ``matrix``, explicit zeros included, counted
         from the element pattern: two unknowns share more than one element
         only as traces of one interior edge, which has exactly two."""
-        free = (self.dofmap.element_indices >= 0).sum(axis=1)
+        free = self.dofmap.dim_lam0 + (self.dofmap.element_indices >= 0).sum(axis=1)
         interior = np.count_nonzero(self.dofmap.mesh.edge_elems[:, 1] >= 0)
         return int(free @ free - self.dofmap.dim_lamb**2 * interior)
 
-    def matvec(self, local: np.ndarray) -> np.ndarray:
-        """``matrix @ x`` applied element by element, equal to round-off,
-        for x given as element rows laid out as ``Solution.local``."""
-        idx = self.dofmap.element_indices
+    def matvec(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``matrix @ x`` applied element by element, equal to round-off, for
+        x as element rows laid out as ``Solution.local``: (lam_0 rows, rest)."""
+        d0, idx = self.dofmap.dim_lam0, self.dofmap.element_indices
         free = idx >= 0
-        y = self.element_matrix @ local[..., None]
-        return np.bincount(idx[free], y[..., 0][free], minlength=self.dofmap.n_total)
+        y = (self.element_matrix @ local[..., None])[..., 0]
+        return y[:, :d0], np.bincount(idx[free], y[:, d0:][free], minlength=self.dofmap.n_condensed)
 
 
 class ElementTables:
@@ -433,18 +437,16 @@ def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
         raise ValueError(f"element tables of degree j={tables.j} do not match the dofmap of degree j={dofmap.j}")
     idx = dofmap.element_indices
 
-    # Element matrices and loads over [lam_0; lam_b; u_T].
-    n, d0, db = tables.n_loc, dofmap.dim_lam0, dofmap.dim_lamb
+    # Element matrices over [lam_0; lam_b; u_T], loads over [lam_b; u_T].
+    n, db = tables.n_loc, dofmap.dim_lamb
     E = np.zeros((mesh.num_elements, n + 1, n + 1))
     E[:, :n, :n] = tables.stabilizer()
     E[:, :n, n] = E[:, n, :n] = tables.coupling()
     F = np.zeros(idx.shape)
-    F[:, :d0] = tables.load()
     edges = dofmap.classification.inflow_edges
     owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
-    slots = d0 + db * local[:, None] + np.arange(db)
-    F[owner[:, None], slots] = tables.inflow_load(edges, owner, local)
+    F[owner[:, None], db * local[:, None] + np.arange(db)] = tables.inflow_load(edges, owner, local)
 
     free = idx >= 0
-    rhs = np.bincount(idx[free], F[free], minlength=dofmap.n_total)
-    return SaddleSystem(rhs=rhs, dofmap=dofmap, element_matrix=E)
+    rhs = np.bincount(idx[free], F[free], minlength=dofmap.n_condensed)
+    return SaddleSystem(rhs=rhs, rhs0=tables.load(), dofmap=dofmap, element_matrix=E)

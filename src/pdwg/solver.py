@@ -18,13 +18,15 @@ cut between coordinate values, whose separators are the smaller side of
 each cut read off the element-edge incidence, with every u_T placed after
 the traces of its element.
 
-Each condensed solve hands back element rows in the layout of
-``DofMap.element_indices``, [lam_0; traces of edges 0, 1, 2; u_T], with 0
-on outflow traces, so both elements of an interior edge read its traces
-from one entry of the factor's solution, bit for bit.  Iterative
-refinement adds correction rows for b - A x, with A applied to the rows
-element by element by :meth:`SaddleSystem.matvec` (no sparse matrix
-built), and the residual contract is checked on the full system.  The
+Only [lam_b; u] is numbered (``DofMap.element_indices``); lam_0 stays in
+its element rows.  Each condensed solve takes the lam_0 rows and the
+condensed part of a right-hand side and hands back element rows
+[lam_0; traces of edges 0, 1, 2; u_T], with 0 on outflow traces, so both
+elements of an interior edge read its traces from one entry of the
+factor's solution, bit for bit.  Iterative refinement adds correction
+rows for b - A x, with A applied to the rows element by element by
+:meth:`SaddleSystem.matvec` (no sparse matrix built), and the residual
+contract is checked on the full system, lam_0 rows included.  The
 refined rows are :attr:`Solution.local`.  A singular factor raises
 :class:`SolverError`; there is no fallback.  Identical inputs produce
 bitwise-identical solutions.
@@ -61,8 +63,8 @@ class SolverError(RuntimeError):
 @dataclass
 class Solution:
     """The refined element rows of the solve, ``local`` (T, n_loc + 1),
-    laid out as ``DofMap.element_indices`` with 0 on outflow traces, and
-    solve diagnostics."""
+    over [lam_0; traces of edges 0, 1, 2; u_T] with 0 on outflow traces,
+    and solve diagnostics."""
 
     local: np.ndarray
     residual: float
@@ -172,9 +174,8 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
     """
     mesh, T, db = dofmap.mesh, dofmap.mesh.num_elements, dofmap.dim_lamb
     F = dofmap.n_free_edges
-    lamb = dofmap.lamb_start[mesh.element_edges]
-    # Free-edge rank of each element edge, -1 on outflow edges.
-    elem_free = np.where(lamb >= 0, (lamb - T * dofmap.dim_lam0) // db, -1)
+    # Free-edge rank of each element edge, -1 (-1 // db) on outflow edges.
+    elem_free = dofmap.lamb_start[mesh.element_edges] // db
     # Sort key of every free edge: twice its place in the edge order.
     edge_key = np.arange(0, 2 * F, 2)
     nodes = []
@@ -243,24 +244,19 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CondensedLU:
-    """LU factor of the condensed system over y = [lam_b; u], with the
-    element data that maps a full right-hand side in and element rows out.
-    The lam_0 unknowns come first in the full vector, d0 per element, so y
-    is its tail.  The condensed matrix is built and factored in the
+    """LU factor of the condensed system over y = [lam_b; u], the unknowns
+    numbered by ``DofMap.element_indices``, with the element data that
+    maps a right-hand side, its lam_0 rows and its y part, in and element
+    rows out.  The condensed matrix is built and factored in the
     :func:`nested_dissection` order, position i holding y[perm[i]]."""
 
     def __init__(self, system: SaddleSystem):
         dm = system.dofmap
-        d0 = dm.dim_lam0
-        self.n0 = dm.mesh.num_elements * d0
-        Z, K = schur_complement(system.element_matrix, d0)
+        Z, K = schur_complement(system.element_matrix, dm.dim_lam0)
         m = K.shape[-1]
         self.X, self.S00_inv = Z[..., :m], Z[..., m:]
-        # Condensed indices of [lam_b; u_T] per element, -1 on outflow traces.
-        kept = dm.element_indices[:, d0:]
-        self.free = kept >= 0
-        cidx = np.where(self.free, kept - self.n0, -1)
-        self.order = dm.n_total - self.n0
+        self.free = dm.element_indices >= 0
+        self.order = dm.n_condensed
         start = time.perf_counter()
         self.perm, nodes = nested_dissection(dm)
         self.order_s = time.perf_counter() - start
@@ -270,9 +266,9 @@ class _CondensedLU:
         # casting them.
         inv = np.empty(self.order, dtype=np.int32)
         inv[self.perm] = np.arange(self.order, dtype=np.int32)
-        # The same indices in the factored (permuted) numbering.
-        self.cidx = np.where(self.free, inv[cidx], -1)
-        Kc = scatter(K, self.cidx, self.order)
+        # The element indices in the factored (permuted) numbering.
+        self.idx = np.where(self.free, inv[dm.element_indices], -1)
+        Kc = scatter(K, self.idx, self.order)
         # The element matrices are in Kc now; free them before the factor.
         del K
         self.nnz = Kc.nnz
@@ -289,12 +285,12 @@ class _CondensedLU:
                 f"condensed order {self.order}, nnz {self.nnz}"
             ) from err
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        r0 = b[: self.n0].reshape(self.S00_inv.shape[:2])
+    def solve(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Element rows solving for lam_0 rows ``r0`` and the rest ``r``."""
         load = np.einsum("tim,ti->tm", self.X, r0)[self.free]
-        rc = b[self.n0 :][self.perm] - np.bincount(self.cidx[self.free], load, self.order)
+        rc = r[self.perm] - np.bincount(self.idx[self.free], load, self.order)
         y = self.lu.solve(rc)
-        y_loc = np.where(self.free, y[self.cidx], 0.0)
+        y_loc = np.where(self.free, y[self.idx], 0.0)
         lam0 = np.einsum("tij,tj->ti", self.S00_inv, r0) - np.einsum("tim,tm->ti", self.X, y_loc)
         return np.concatenate([lam0, y_loc], axis=1)
 
@@ -315,21 +311,23 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     coarse meshes, where uniqueness needs a small enough mesh size).
     """
     check_tol(tol)
-    b = system.rhs
+    b0, b = system.rhs0, system.rhs
     factor = _CondensedLU(system)
-    bnorm = float(np.linalg.norm(b))
+    # The full vector is the lam_0 rows, element by element, then the rest.
+    bnorm = float(np.linalg.norm(np.concatenate([b0.ravel(), b])))
 
     def relative_residual(local):
-        r = b - system.matvec(local)
-        rnorm = float(np.linalg.norm(r))
-        return r, (rnorm / bnorm if bnorm > 0 else rnorm)
+        y0, y = system.matvec(local)
+        r0, r = b0 - y0, b - y
+        rnorm = float(np.linalg.norm(np.concatenate([r0.ravel(), r])))
+        return r0, r, (rnorm / bnorm if bnorm > 0 else rnorm)
 
-    local = factor.solve(b)
-    r, rel = relative_residual(local)
+    local = factor.solve(b0, b)
+    r0, r, rel = relative_residual(local)
     residuals = [rel]
     while residuals[-1] > tol and len(residuals) <= _REFINE_STEPS:
-        local = local + factor.solve(r)
-        r, rel = relative_residual(local)
+        local = local + factor.solve(r0, r)
+        r0, r, rel = relative_residual(local)
         residuals.append(rel)
     residual = residuals[-1]
     if not np.isfinite(residual) or residual > tol:

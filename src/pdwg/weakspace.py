@@ -3,15 +3,13 @@ into the weak space, and the discrete weak gradient.
 
 The multiplier space pairs an interior polynomial of degree j per element
 with an independent trace polynomial of degree j per edge; traces on
-outflow edges are constrained to zero and never receive a global index.
-The primal space is fully discontinuous, degree k-1 = 0 per element: one
-constant per element.  Every layer from assembly to analysis sees an
-element's unknowns in one layout, [lam_0; traces of edges 0, 1, 2; u_T],
-whose global indices are the rows of ``DofMap.element_indices``.  A weak
-function is held the same way, as element rows (T, n_loc) over
-[lam_0; traces of edges 0, 1, 2], the layout without u_T:
-``x[element_indices[:, :-1]]`` gathers it from a multiplier vector x,
-with 0 put in the slots of outflow traces.
+outflow edges are constrained to zero and never receive an index.  The
+primal space is fully discontinuous, degree k-1 = 0 per element: one
+constant per element.  Every layer from assembly to analysis holds an
+element's unknowns as element rows [lam_0; traces of edges 0, 1, 2; u_T],
+and a weak function as the rows without u_T, 0 on outflow traces.  lam_0
+couples only within its element, so only [lam_b; u_T], the unknowns the
+sparse LU factors, are numbered, by the rows of ``DofMap.element_indices``.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -34,13 +32,13 @@ from .poly import dim_poly2d
 
 
 class DofMap:
-    """Global indexing for the multiplier and primal unknowns.
+    """Numbering of the unknowns the solver factors, [lam_b; u].
 
-    Multiplier indices come first: one block of dim P_j(T) per element,
-    then one block of dim P_j(e) per free (non-outflow) edge.  Primal
-    indices follow, one constant per element.  ``element_indices``, shape
-    (T, n_loc + 1), holds the global indices of each element's unknowns
-    [lam_0; traces of edges 0, 1, 2; u_T], -1 on outflow traces.
+    One block of dim P_j(e) per free (non-outflow) edge, from 0 in edge
+    order, then one constant per element: ``n_condensed`` in all.
+    ``element_indices`` (T, 3 db + 1) holds each element's indices of
+    [traces of edges 0, 1, 2; u_T], -1 on outflow traces.  lam_0 is not
+    numbered, but ``n_lambda`` and ``n_total`` count it, as the full order.
     """
 
     def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):
@@ -57,20 +55,16 @@ class DofMap:
         constrained[classification.outflow_edges] = True
 
         rank = np.cumsum(~constrained) - 1
-        self.lamb_start = np.where(
-            constrained, -1, T * self.dim_lam0 + rank * self.dim_lamb
-        ).astype(np.int64)
+        self.lamb_start = np.where(constrained, -1, rank * self.dim_lamb).astype(np.int64)
         self.n_free_edges = int((~constrained).sum())
         self.n_lambda = T * self.dim_lam0 + self.n_free_edges * self.dim_lamb
         self.n_u = T
+        self.n_condensed = self.n_free_edges * self.dim_lamb + T
 
-        elems = np.arange(T, dtype=np.int64)[:, None]
         starts = self.lamb_start[mesh.element_edges][..., None]
         traces = np.where(starts < 0, -1, starts + np.arange(self.dim_lamb))
-        self.element_indices = np.concatenate(
-            [elems * self.dim_lam0 + np.arange(self.dim_lam0), traces.reshape(T, -1), self.n_lambda + elems],
-            axis=1,
-        )
+        u = self.n_free_edges * self.dim_lamb + np.arange(T, dtype=np.int64)[:, None]
+        self.element_indices = np.concatenate([traces.reshape(T, -1), u], axis=1)
         self.element_indices.setflags(write=False)
 
     @property

@@ -1,7 +1,8 @@
 """Builders shared by the tests: refined meshes, one level's element
 tables, DOF map and system built the way ``run_study`` builds them, the
-assembled sparse matrix of a system, and single-element references for
-the batched element tables."""
+full numbering of a system with its assembled sparse matrix, right-hand
+side and solution vector, and single-element references for the batched
+element tables."""
 
 import numpy as np
 
@@ -37,11 +38,38 @@ def build_level(mesh, spec):
     return tables, dofmap, assemble(mesh, dofmap, tables)
 
 
+def full_indices(dofmap):
+    """(T, n_loc + 1) indices of every element's unknowns
+    [lam_0; traces of edges 0, 1, 2; u_T] in the full system, -1 on
+    outflow traces: lam_0 first, d0 per element in element order, then
+    the unknowns of ``dofmap.element_indices``."""
+    T, d0 = dofmap.mesh.num_elements, dofmap.dim_lam0
+    idx = dofmap.element_indices
+    lam0 = np.arange(T * d0).reshape(T, d0)
+    return np.concatenate([lam0, np.where(idx >= 0, idx + T * d0, -1)], axis=1)
+
+
+def full_rhs(system):
+    """The right-hand side of ``system`` in the numbering of
+    :func:`full_indices`."""
+    return np.concatenate([system.rhs0.ravel(), system.rhs])
+
+
+def full_vector(local, dofmap):
+    """The vector in the numbering of :func:`full_indices` of element rows
+    ``local`` laid out as ``Solution.local``."""
+    idx = full_indices(dofmap)
+    x, free = np.zeros(dofmap.n_total), idx >= 0
+    x[idx[free]] = local[free]
+    return x
+
+
 def assembled_matrix(system):
-    """The sparse CSR matrix of ``system``, summed from its element
-    matrices by the scatter the solver uses, looked up when called so a
-    test that patches ``pdwg.assembly.scatter`` sees the call."""
-    idx = system.dofmap.element_indices
+    """The sparse CSR matrix of ``system`` in the numbering of
+    :func:`full_indices`, summed from its element matrices by the scatter
+    the solver uses, looked up when called so a test that patches
+    ``pdwg.assembly.scatter`` sees the call."""
+    idx = full_indices(system.dofmap)
     return pdwg.assembly.scatter(system.element_matrix, idx, system.dofmap.n_total).tocsr()
 
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import assembled_matrix, build_level, map_to_edge, refined
+from helpers import assembled_matrix, build_level, full_indices, map_to_edge, refined
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import main
@@ -223,7 +223,7 @@ def test_criterion_6_system_structure():
         uu = A[dm.n_lambda :, dm.n_lambda :]
         zero_blocks = zero_blocks and uu.count_nonzero() == 0
         S = A[: dm.n_lambda, : dm.n_lambda]
-        idx = dm.element_indices[:, :-1]
+        idx = full_indices(dm)[:, :-1]
         for _ in range(100):
             x = rng.standard_normal(dm.n_lambda)
             lam = np.where(idx >= 0, x[idx], 0.0)

@@ -13,7 +13,7 @@ from pdwg.analysis import (
     postprocess_averages,
     triple_norm_Wh,
 )
-from helpers import assembled_matrix, build_level, refined, same_bits
+from helpers import assembled_matrix, build_level, full_indices, refined, same_bits
 from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
@@ -119,7 +119,7 @@ class TestTripleNormWh:
         spec = make_spec(tau=tau, domain=domain)
         tables, dm, system = build_level(mesh, spec)
         S = assembled_matrix(system)[: dm.n_lambda, : dm.n_lambda]
-        idx = dm.element_indices[:, :-1]
+        idx = full_indices(dm)[:, :-1]
         rng = np.random.default_rng(11)
         for _ in range(25):
             x = rng.standard_normal(dm.n_lambda)

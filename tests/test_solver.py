@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import assembled_matrix, build_level, lapack_schur, refined, same_bits
+from helpers import assembled_matrix, build_level, full_rhs, full_vector, lapack_schur, refined, same_bits
 from pdwg.analysis import conservation_report
 from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, refine_uniform
-from pdwg.solver import _LEAF_EDGES, SolverError, nested_dissection, schur_complement, solve
+from pdwg.solver import _LEAF_EDGES, SolverError, _CondensedLU, nested_dissection, schur_complement, solve
 
 
 def unit_problem(tau=1.0, level=2, domain="unit_square", j=1, c=1.0, beta=(1.0, -1.0)):
@@ -40,11 +40,14 @@ def catalog_systems(levels):
                 mesh = refine_uniform(mesh)
 
 
-def full_vector(sol, dm):
-    """The global solution vector, rebuilt from the element-local values."""
-    x, free = np.zeros(dm.n_total), dm.element_indices >= 0
-    x[dm.element_indices[free]] = sol.local[free]
-    return x
+def assert_interior_traces_agree(sol, dm):
+    """Both elements of every interior edge hold its traces bit for bit."""
+    mesh, d0, db = dm.mesh, dm.dim_lam0, dm.dim_lamb
+    interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
+    assert len(interior) > 0
+    slots = d0 + db * mesh.edge_local[interior, :, None] + np.arange(db)
+    sides = sol.local[mesh.edge_elems[interior, :, None], slots]
+    assert same_bits(sides[:, 0], sides[:, 1])
 
 
 class TestKernels:
@@ -165,10 +168,8 @@ class TestSolve:
     def test_residual_matches_recompute(self):
         _, dm, system = unit_problem()
         sol = solve(system)
-        x = full_vector(sol, dm)
-        recomputed = np.linalg.norm(assembled_matrix(system) @ x - system.rhs) / np.linalg.norm(
-            system.rhs
-        )
+        x, b = full_vector(sol.local, dm), full_rhs(system)
+        recomputed = np.linalg.norm(assembled_matrix(system) @ x - b) / np.linalg.norm(b)
         assert abs(recomputed - sol.residual) <= 1e-14
 
     def test_constrained_traces_exactly_zero(self):
@@ -176,7 +177,7 @@ class TestSolve:
         sol = solve(system)
         outflow = dm.element_indices < 0
         assert outflow.sum() == dm.dim_lamb * len(dm.classification.outflow_edges) > 0
-        assert np.all(sol.local[outflow] == 0.0)
+        assert np.all(sol.local[:, dm.dim_lam0 :][outflow] == 0.0)
 
     @pytest.mark.parametrize(
         "entry, j, level, tol, steps",
@@ -190,12 +191,7 @@ class TestSolve:
         _, dm, system = build_level(refined(spec.domain_tag, level), spec)
         sol = solve(system, tol=tol)
         assert sol.info["refine_steps"] == steps
-        mesh, d0, db = dm.mesh, dm.dim_lam0, dm.dim_lamb
-        interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
-        assert len(interior) > 0
-        slots = d0 + db * mesh.edge_local[interior, :, None] + np.arange(db)
-        sides = sol.local[mesh.edge_elems[interior, :, None], slots]
-        assert same_bits(sides[:, 0], sides[:, 1])
+        assert_interior_traces_agree(sol, dm)
 
     def test_determinism_bitwise(self):
         _, dm, system = unit_problem(level=2)
@@ -222,7 +218,7 @@ class TestSolve:
         _, dm, system = unit_problem(level=1)
         info = solve(system).info
         T = dm.mesh.num_elements
-        assert info["condensed_order"] == dm.n_total - T * dm.dim_lam0
+        assert info["condensed_order"] == dm.n_condensed == dm.n_total - T * dm.dim_lam0
         assert 0 < info["condensed_nnz"] <= info["fill"]
         assert info["refine_steps"] in range(4)
         assert np.isfinite(info["initial_residual"])
@@ -243,8 +239,8 @@ class TestSolve:
     @pytest.mark.parametrize("j", [0, 1])
     def test_matches_dense_full_solve(self, j, tau, c, domain):
         _, dm, system = unit_problem(tau=tau, level=2, domain=domain, j=j, c=c)
-        x = full_vector(solve(system), dm)
-        x_ref = np.linalg.solve(assembled_matrix(system).toarray(), system.rhs)
+        x = full_vector(solve(system).local, dm)
+        x_ref = np.linalg.solve(assembled_matrix(system).toarray(), full_rhs(system))
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
@@ -275,18 +271,16 @@ class TestNestedDissection:
     def test_is_a_permutation(self, case):
         _, dm, _ = unit_problem(**case)
         perm, _ = nested_dissection(dm)
-        order = dm.n_total - dm.mesh.num_elements * dm.dim_lam0
-        assert np.array_equal(np.sort(perm), np.arange(order))
+        assert np.array_equal(np.sort(perm), np.arange(dm.n_condensed))
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_u_after_the_traces_of_its_element(self, case):
         _, dm, _ = unit_problem(**case)
         perm, _ = nested_dissection(dm)
         place = np.argsort(perm)
-        n0 = dm.mesh.num_elements * dm.dim_lam0
-        traces = dm.element_indices[:, dm.dim_lam0 : -1]
-        trace_place = np.where(traces >= 0, place[traces - n0], -1)
-        u_place = place[dm.element_indices[:, -1] - n0]
+        traces = dm.element_indices[:, :-1]
+        trace_place = np.where(traces >= 0, place[traces], -1)
+        u_place = place[dm.element_indices[:, -1]]
         assert np.all(u_place > trace_place.max(axis=1))
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
@@ -296,9 +290,8 @@ class TestNestedDissection:
         db, F = dm.dim_lamb, dm.n_free_edges
         edge_order = free_edge_order(perm, dm)
         assert np.array_equal(np.sort(edge_order), np.arange(F))
-        n0 = dm.mesh.num_elements * dm.dim_lam0
-        traces = dm.element_indices[:, dm.dim_lam0 : -1 : db]
-        elem_edges = np.where(traces >= 0, (traces - n0) // db, F)
+        traces = dm.element_indices[:, : -1 : db]
+        elem_edges = np.where(traces >= 0, traces // db, F)
         assert (len(nodes) > 0) == (F > _LEAF_EDGES)
         for start, left, right, sep in nodes:
             assert min(left, right) > 0
@@ -354,9 +347,9 @@ class TestOrderedFactor:
         for name, j, level, system in catalog_systems((0, 1, 2)):
             dm = system.dofmap
             sol = solve(system)
-            x = full_vector(sol, dm)
+            x = full_vector(sol.local, dm)
             A = assembled_matrix(system)
-            x_ref = np.linalg.solve(A.toarray(), system.rhs)
+            x_ref = np.linalg.solve(A.toarray(), full_rhs(system))
             # fig8_f0 at level 0 has a zero right-hand side: x must be 0.
             assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max(), (name, j, level)
             # The count and the residual product the solve takes from the
@@ -366,7 +359,8 @@ class TestOrderedFactor:
             # and fig9_f10000).
             assert sol.info["nnz"] == A.nnz, (name, j, level)
             scale = np.linalg.norm(abs(A) @ abs(x))
-            assert np.linalg.norm(system.matvec(sol.local) - A @ x) <= 1e-14 * scale, (name, j, level)
+            y0, y = system.matvec(sol.local)
+            assert np.linalg.norm(np.concatenate([y0.ravel(), y]) - A @ x) <= 1e-14 * scale, (name, j, level)
 
     def test_refinement_residual_matches_the_assembled_product(self):
         # At tol 1e-14 this system takes one refinement step (first
@@ -376,9 +370,38 @@ class TestOrderedFactor:
         system = build_level(refined(spec.domain_tag, 2), spec)[2]
         sol = solve(system, tol=1e-14)
         assert sol.info["refine_steps"] == 1
-        x = full_vector(sol, system.dofmap)
-        assembled = np.linalg.norm(system.rhs - assembled_matrix(system) @ x) / np.linalg.norm(system.rhs)
+        x = full_vector(sol.local, system.dofmap)
+        b = full_rhs(system)
+        assembled = np.linalg.norm(b - assembled_matrix(system) @ x) / np.linalg.norm(b)
         assert abs(sol.residual - assembled) <= 1e-15
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_forced_refinement_keeps_the_contract(self, monkeypatch, j):
+        # The first condensed solve is rounded through float32, so its
+        # residual is far above tol on any system and refinement has to
+        # run.  The element-wise residuals it reports, first and last,
+        # match the assembled product, lam_0 rows included, and the
+        # correction rows keep both sides of every interior edge equal.
+        condensed_solve, rows = _CondensedLU.solve, []
+
+        def rounded_first(factor, r0, r):
+            local = condensed_solve(factor, r0, r)
+            rows.append(local if rows else local.astype(np.float32).astype(float))
+            return rows[-1]
+
+        monkeypatch.setattr(_CondensedLU, "solve", rounded_first)
+        spec = dataclasses.replace(get_experiment("table5").spec, j=j)
+        _, dm, system = build_level(refined(spec.domain_tag, 2), spec)
+        A, b = assembled_matrix(system), full_rhs(system)
+
+        def assembled_residual(local):
+            return np.linalg.norm(b - A @ full_vector(local, dm)) / np.linalg.norm(b)
+
+        sol = solve(system, tol=1e-14)
+        assert sol.info["refine_steps"] >= 1 and sol.info["initial_residual"] > 1e-9
+        assert abs(sol.info["initial_residual"] - assembled_residual(rows[0])) <= 1e-15
+        assert abs(sol.residual - assembled_residual(sol.local)) <= 1e-15
+        assert_interior_traces_agree(sol, dm)
 
     def test_catalog_sweep_needs_at_most_one_refinement(self):
         # Guards the pivot threshold: a smaller one lets SuperLU keep tiny

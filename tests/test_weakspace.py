@@ -63,22 +63,26 @@ class TestDofMap:
         for e in dm.classification.outflow_edges:
             assert dm.lamb_start[e] == -1
         outflow = np.isin(mesh.element_edges, dm.classification.outflow_edges)
-        traces = dm.element_indices[:, 3:-1].reshape(mesh.num_elements, 3, 2)
+        traces = dm.element_indices[:, :-1].reshape(mesh.num_elements, 3, 2)
         assert np.all(traces[outflow] == -1) and np.all(traces[~outflow] >= 0)
         for t in range(mesh.num_elements):
             idx = dm.element_indices[t, :-1]
             free = idx[idx >= 0]
-            assert np.all(free < dm.n_lambda)
+            assert np.all(free < dm.n_free_edges * dm.dim_lamb)
             assert len(np.unique(free)) == len(free)
 
     def test_indices_form_bijection(self):
+        # Only the traces and u_T are numbered; lam_0 stays in its element.
         mesh = refined("l_shape", 1)
         dm = make_dofmap(mesh)
+        T, db = mesh.num_elements, dm.dim_lamb
+        assert dm.element_indices.shape == (T, 3 * db + 1)
         seen = set()
-        for t in range(mesh.num_elements):
+        for t in range(T):
             seen.update(int(i) for i in dm.element_indices[t] if i >= 0)
-        assert seen == set(range(dm.n_total))
-        assert np.array_equal(dm.element_indices[:, -1], dm.n_lambda + np.arange(mesh.num_elements))
+        assert seen == set(range(dm.n_condensed))
+        assert dm.n_condensed == dm.n_free_edges * db + T == dm.n_total - T * dm.dim_lam0
+        assert np.array_equal(dm.element_indices[:, -1], dm.n_free_edges * db + np.arange(T))
 
     def test_rejects_unsupported_degrees(self):
         mesh = build_coarse_mesh("unit_square")
