@@ -66,9 +66,10 @@ class ProblemSpec:
     The primal degree ``k`` is fixed at 1 (u_h piecewise constant) and
     the multiplier degree ``j`` is k-1 or k.  Construction raises
     ValueError naming the field for a ``tau`` that is not a finite
-    nonnegative int or float (a bool is not), an unknown ``domain_tag`` or
-    a j other than the integer k-1 or k, so a bad spec fails before any
-    mesh is built.
+    nonnegative int or float (a bool is not), an unknown ``domain_tag``,
+    a j other than the integer k-1 or k, and, for a derived load, a
+    branch of its exact solution without a gradient or of beta without a
+    divergence, so a bad spec fails before any mesh is built.
     """
 
     k: ClassVar[int] = 1
@@ -89,6 +90,12 @@ class ProblemSpec:
             raise ValueError(f"domain_tag must be one of {DOMAIN_TAGS}, got {self.domain_tag!r}")
         if type(self.j) is not int or self.j not in (self.k - 1, self.k):
             raise ValueError(f"j must be the integer k-1 or k, got j={self.j!r} for k={self.k}")
+        if isinstance(self.f, DerivedLoad):
+            needs = (("exact_u", self.f.exact, "grad", "gradient"), ("beta", self.beta, "div", "divergence"))
+            for name, field, attr, what in needs:  # a nested Piecewise branch has no div
+                missing = [b.name for b in field.branches if getattr(b, attr, None) is None]
+                if missing:
+                    raise ValueError(f"{name} has no {what} on branch {missing[0]!r}; the derived load f needs one")
 
 
 @dataclass
@@ -236,33 +243,34 @@ class ElementTables:
     def sample(self, spec: ProblemSpec) -> "ElementTables":
         """Keep ``spec`` and evaluate its beta, c and f at the quadrature
         points, each resolved per element by the branch holding its
-        centroid; warns, naming the field, if a piecewise beta, c or f
-        (one not derived from the exact solution) has an element whose
-        corners lie in another branch.  Raises ValueError naming both degrees for a spec whose
-        j is not the tables' degree, and naming the field and element of
-        the first non-finite sample."""
+        centroid; a derived load is formed from the sampled beta and c
+        with div(beta) of the element's branch and u, grad(u) pointwise.
+        Warns, naming the field, if a piecewise beta, c or f (one not
+        derived from the exact solution) has an element whose corners lie
+        in another branch.  Raises ValueError naming both degrees for a
+        spec whose j is not the tables' degree, and naming the field and
+        element of the first non-finite sample."""
         if spec.j != self.j:
             raise ValueError(f"a problem of degree j={spec.j} cannot be sampled on element tables of degree j={self.j}")
         cx, cy = self.centroid.T
         x, y = self.qpts[..., 0], self.qpts[..., 1]
         beta_branch = spec.beta.branch_index(cx, cy)
         c_branch = spec.c.branch_index(cx, cy)
-        # The load first: a derived load makes the most temporaries, and the
-        # arrays sampled after it reuse their memory, which lowers a study's
-        # peak RSS (the same arrays and bits in any order).
+        self.beta_q = evaluate_branches(spec.beta.branches, beta_branch[:, None], x, y)
+        self.c_q = evaluate_branches(spec.c.branches, c_branch[:, None], x, y)
         if isinstance(spec.f, DerivedLoad):
-            # One branch per (beta, c) pair, pair (b, c) at b * len(cs) + c.
-            cs = spec.c.branches
-            pairs = [spec.f.bind(b, c) for b in spec.beta.branches for c in cs]
-            self.f_q = evaluate_branches(pairs, (beta_branch * len(cs) + c_branch)[:, None], x, y)
+            exact = spec.f.exact
+            u_branch = exact.branch_index(x, y)
+            grad = evaluate_branches(exact.branches, u_branch, x, y, "grad")
+            u = evaluate_branches(exact.branches, u_branch, x, y)
+            div = evaluate_branches(spec.beta.branches, beta_branch[:, None], x, y, "div")
+            self.f_q = self.beta_q[..., 0] * grad[..., 0] + self.beta_q[..., 1] * grad[..., 1] + div * u + self.c_q * u
         else:
             f_branch = spec.f.branch_index(cx, cy)
             self.f_q = evaluate_branches(spec.f.branches, f_branch[:, None], x, y)
-        self.beta_q = evaluate_branches(spec.beta.branches, beta_branch[:, None], x, y)
         beta_e = evaluate_branches(
             spec.beta.branches, beta_branch[:, None, None], self.epts[..., 0], self.epts[..., 1]
         )
-        self.c_q = evaluate_branches(spec.c.branches, c_branch[:, None], x, y)
         for name, values in (("beta", self.beta_q), ("beta", beta_e), ("c", self.c_q), ("f", self.f_q)):
             _require_finite(name, values, "element")
         self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
@@ -437,16 +445,15 @@ def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
         raise ValueError(f"element tables of degree j={tables.j} do not match the dofmap of degree j={dofmap.j}")
     idx = dofmap.element_indices
 
-    # Element matrices over [lam_0; lam_b; u_T], loads over [lam_b; u_T].
+    # Element matrices over [lam_0; lam_b; u_T].
     n, db = tables.n_loc, dofmap.dim_lamb
     E = np.zeros((mesh.num_elements, n + 1, n + 1))
     E[:, :n, :n] = tables.stabilizer()
     E[:, :n, n] = E[:, n, :n] = tables.coupling()
-    F = np.zeros(idx.shape)
+    # An inflow trace belongs to one element only, so its load is written,
+    # not summed; + 0.0 turns a -0.0 load into the +0.0 a sum from 0 gives.
     edges = dofmap.classification.inflow_edges
     owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
-    F[owner[:, None], db * local[:, None] + np.arange(db)] = tables.inflow_load(edges, owner, local)
-
-    free = idx >= 0
-    rhs = np.bincount(idx[free], F[free], minlength=dofmap.n_condensed)
+    rhs = np.zeros(dofmap.n_condensed)
+    rhs[idx[owner[:, None], db * local[:, None] + np.arange(db)]] = tables.inflow_load(edges, owner, local) + 0.0
     return SaddleSystem(rhs=rhs, rhs0=tables.load(), dofmap=dofmap, element_matrix=E)

@@ -7,9 +7,11 @@ layer, and kinked solutions (one entry per stabilization value); ``fig6``
 emitting post-processed solution fields.  Names follow the numbering of
 the published benchmark suite this library reproduces.
 
-Loads for manufactured solutions are analytic (beta . grad u + c u, all
-catalog convection fields are divergence free) and inflow data restricts
-the exact solution to the inflow boundary.
+Loads for manufactured solutions are ``DerivedLoad`` markers: the element
+tables form beta . grad u + u div(beta) + c u from the sampled beta and c
+(every catalog convection field is divergence free), and building the
+spec checks each branch for its gradient or divergence.  Inflow data
+restricts the exact solution to the inflow boundary.
 """
 
 from __future__ import annotations

@@ -136,28 +136,17 @@ def _rows(vals, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DerivedLoad:
-    """Load manufactured from an exact solution:
+    """Marks the load manufactured from the exact solution ``exact``:
 
         f = beta . grad(u) + u div(beta) + c u,
 
-    evaluated with the convection branch of the element being assembled.
+    formed by ``ElementTables.sample`` from the sampled beta and c of
+    each element's branches, u and grad(u) pointwise.  ``ProblemSpec``
+    checks that every branch of ``exact`` has a gradient and every branch
+    of beta a divergence.
     """
 
     exact: Field | Piecewise
-
-    def bind(self, beta: Field, c) -> Callable:
-        if self.exact.grad is None:
-            raise ValueError(f"exact field {self.exact.name!r} has no gradient")
-        if beta.div is None:
-            raise ValueError(f"convection field {beta.name!r} has no divergence")
-
-        def _f(x, y):
-            ux, uy = self.exact.grad(x, y)
-            bx, by = beta(x, y)
-            u = self.exact(x, y)
-            return bx * ux + by * uy + beta.div(x, y) * u + c(x, y) * u
-
-        return _f
 
 
 def constant(value: float, name: str | None = None) -> Field:

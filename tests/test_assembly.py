@@ -33,6 +33,31 @@ def make_spec(beta=(1.0, -1.0), c=1.0, f=0.0, g=0.0, tau=1.0, domain="unit_squar
     )
 
 
+def pair_load(exact, beta, c, x, y):
+    """beta . grad u + u div beta + c u for one (beta, c) branch pair, every
+    field called on the points (x, y): the reference that the sampled
+    derived load must equal bit for bit."""
+    ux, uy = exact.grad(x, y)
+    bx, by = beta(x, y)
+    u = exact(x, y)
+    return bx * ux + by * uy + beta.div(x, y) * u + c(x, y) * u
+
+
+def per_pair_load(tables, spec):
+    """The derived load of ``spec`` at the interior points of ``tables``,
+    each (beta, c) branch pair evaluated on the C-ordered copy of the rows
+    whose centroid it holds."""
+    x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+    cx, cy = tables.centroid.T
+    bi, ci = spec.beta.branch_index(cx, cy), spec.c.branch_index(cx, cy)
+    f = np.empty_like(x)
+    for b, beta in enumerate(spec.beta.branches):
+        for k, c in enumerate(spec.c.branches):
+            rows = (bi == b) & (ci == k)
+            f[rows] = pair_load(spec.f.exact, beta, c, x[rows], y[rows])
+    return f
+
+
 def coords_of(mesh, t):
     return mesh.vertices[mesh.elements[t]]
 
@@ -221,6 +246,25 @@ class TestAssemble:
             assert same_bits(getattr(A, name), getattr(ref, name)), name
         assert A.nnz == system.nnz
 
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("scale", [1.0, -0.0])
+    def test_inflow_loads_equal_their_sum_from_zero(self, monkeypatch, j, scale):
+        # Each inflow trace is written once, and equals the element-row
+        # sum from 0 over [traces; u_T]: scale -0.0 turns loads into -0.0,
+        # which that sum makes +0.0.
+        mesh = refined("l_shape", 2)
+        tables, dm, _ = build_level(mesh, dataclasses.replace(get_experiment("table7").spec, j=j))
+        load = tables.inflow_load
+        monkeypatch.setattr(tables, "inflow_load", lambda *args: scale * load(*args))
+        edges, db, idx = dm.classification.inflow_edges, dm.dim_lamb, dm.element_indices
+        owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
+        F = np.zeros(idx.shape)
+        F[owner[:, None], db * local[:, None] + np.arange(db)] = tables.inflow_load(edges, owner, local)
+        assert ((F == 0) & np.signbit(F)).any() == np.signbit(scale)
+        free = idx >= 0
+        expected = np.bincount(idx[free], F[free], minlength=dm.n_condensed)
+        assert same_bits(assemble(mesh, dm, tables).rhs, expected)
+
     def test_unit_solution_satisfies_system(self):
         # beta=[1,-1], c=1, f=c, g=1: (u=1, lam=0) solves the discrete
         # equations exactly, so the plug-in residual is at rounding level
@@ -296,10 +340,7 @@ class TestAssemble:
         spec = make_spec(exact_u=exact, tau=0.5)
         spec = dataclasses.replace(spec, f=DerivedLoad(exact))
         tables = build_contexts(refined("l_shape", 2), spec)
-        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
-        rows = np.ones(len(x), dtype=bool)
-        expected = spec.f.bind(spec.beta, spec.c)(x[rows], y[rows])
-        assert same_bits(tables.f_q, expected)
+        assert same_bits(tables.f_q, per_pair_load(tables, spec))
 
     def test_two_branch_derived_load_equals_the_per_pair_path(self):
         # pw_const_flip splits at x + y = 1 and c at x = 1, both mesh lines
@@ -312,16 +353,44 @@ class TestAssemble:
         )
         assert spec.beta.name == "pw_const_flip"
         tables = build_contexts(refined("l_shape", 2), spec)
-        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
         cx, cy = tables.centroid.T
         bi, ci = spec.beta.branch_index(cx, cy), c.branch_index(cx, cy)
         assert len(set(zip(bi.tolist(), ci.tolist()))) == 3
-        expected = np.empty_like(tables.f_q)
-        for b, beta in enumerate(spec.beta.branches):
-            for k, ck in enumerate(c.branches):
-                rows = (bi == b) & (ci == k)
-                expected[rows] = spec.f.bind(beta, ck)(x[rows], y[rows])
-        assert same_bits(tables.f_q, expected)
+        assert same_bits(tables.f_q, per_pair_load(tables, spec))
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_piecewise_exact_derived_load_equals_the_per_pair_path(self, j):
+        # ridge_with_plateau picks its branch per point, across the elements
+        # of both branches of fig3's pw_rotation.
+        exact = SCALAR_FIELDS["ridge_with_plateau"]
+        spec = dataclasses.replace(get_experiment("fig3_tau1").spec, f=DerivedLoad(exact), exact_u=exact, j=j)
+        assert spec.beta.name == "pw_rotation"
+        tables = build_contexts(refined("unit_square", 3), spec)
+        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
+        assert len(np.unique(exact.branch_index(x, y))) == 2
+        assert len(np.unique(spec.beta.branch_index(*tables.centroid.T))) == 2
+        assert same_bits(tables.f_q, per_pair_load(tables, spec))
+
+    def test_derived_load_samples_beta_and_c_once_at_the_interior_points(self):
+        # beta at the interior and at the edge points, c at the interior
+        # points: the load is formed from beta_q and c_q.
+        calls = {"beta": 0, "c": 0}
+
+        def counted(name, field):
+            def fn(x, y):
+                calls[name] += 1
+                return field.fn(x, y)
+
+            return dataclasses.replace(field, fn=fn)
+
+        exact = SCALAR_FIELDS["sin_x_cos_y"]
+        spec = ProblemSpec(
+            beta=counted("beta", rotation(0.5, 0.5)), c=counted("c", constant(2.0)),
+            f=DerivedLoad(exact), g=exact, tau=1.0, domain_tag="unit_square",
+        )
+        tables = build_contexts(refined("unit_square", 2), spec)
+        assert calls == {"beta": 2, "c": 1}
+        assert same_bits(tables.f_q, per_pair_load(tables, spec))
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_stored_beta_integral_and_normal_flux_equal_their_expressions(self, j):
@@ -432,7 +501,7 @@ class TestAssemble:
             x, y = tables.qpts[t, :, 0], tables.qpts[t, :, 1]
             assert np.array_equal(tables.beta_q[t], np.stack(b(x, y), axis=-1))
             assert np.array_equal(tables.c_q[t], ct(x, y))
-            assert np.allclose(tables.f_q[t], spec.f.bind(b, ct)(x, y), rtol=0, atol=1e-14)
+            assert np.allclose(tables.f_q[t], pair_load(exact, b, ct, x, y), rtol=0, atol=1e-14)
         assert len(pairs) == 4
 
     def test_non_finite_coefficient_names_field_and_element(self):

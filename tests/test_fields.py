@@ -14,7 +14,12 @@ from pdwg.fields import (
     rotation,
 )
 from helpers import refined, same_bits
-from pdwg.assembly import ElementTables
+from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
+
+
+def derived_spec(exact, beta=constant_vector(1.0, -1.0), c=constant(1.0)):
+    """A problem whose load is derived from ``exact``."""
+    return ProblemSpec(beta=beta, c=c, f=DerivedLoad(exact), g=constant(0.0), tau=0.0, domain_tag="unit_square")
 
 
 class TestHalfPlane:
@@ -82,8 +87,8 @@ class TestPiecewise:
         )
         with pytest.raises(ValueError, match="'flip': vector fields have no gradient"):
             beta.grad(np.array([0.1, 0.9]), np.array([0.1, 0.9]))
-        with pytest.raises(ValueError, match="'flip': vector fields have no gradient"):
-            DerivedLoad(beta).bind(constant_vector(1.0, 0.0), constant(0.0))
+        with pytest.raises(ValueError, match="exact_u has no gradient on branch 'const\\(1,-1\\)'"):
+            derived_spec(beta)
 
 
 class TestEvaluateBranches:
@@ -120,24 +125,19 @@ class TestEvaluateBranches:
 
 class TestDerivedLoad:
     def test_transport_identity(self):
-        exact = SCALAR_FIELDS["sin_x_cos_y"]
-        load = DerivedLoad(exact)
-        f = load.bind(constant_vector(1.0, -1.0), constant(1.0))
-        x = np.array([0.2, 0.7])
-        y = np.array([0.4, 0.1])
+        tables = build_contexts(refined("unit_square", 1), derived_spec(SCALAR_FIELDS["sin_x_cos_y"]))
+        x, y = tables.qpts[..., 0], tables.qpts[..., 1]
         expected = np.cos(x) * np.cos(y) + np.sin(x) * np.sin(y) + np.sin(x) * np.cos(y)
-        assert np.allclose(f(x, y), expected, atol=1e-14)
+        assert np.allclose(tables.f_q, expected, rtol=0, atol=1e-14)
 
     def test_requires_gradient(self):
-        load = DerivedLoad(SCALAR_FIELDS["cos_5y"])
-        with pytest.raises(ValueError, match="gradient"):
-            load.bind(constant_vector(1.0, 0.0), constant(0.0))
+        with pytest.raises(ValueError, match="exact_u has no gradient on branch 'cos_5y'"):
+            derived_spec(SCALAR_FIELDS["cos_5y"])
 
     def test_requires_divergence(self):
-        load = DerivedLoad(SCALAR_FIELDS["one"])
         beta = Field("no_div", lambda x, y: (x, y))
-        with pytest.raises(ValueError, match="divergence"):
-            load.bind(beta, constant(0.0))
+        with pytest.raises(ValueError, match="beta has no divergence on branch 'no_div'"):
+            derived_spec(SCALAR_FIELDS["one"], beta=beta)
 
 
 class TestRotation:

@@ -521,6 +521,18 @@ class TestConfigFile:
                           "else": {"const": [-1, 1]}}},
                 "'where' must hold finite numbers",
             ),
+            ({"exact_u": {"name": "cos_5y"}}, "exact_u has no gradient on branch 'cos_5y'"),
+            (
+                {"exact_u": {"piecewise": [{"where": [1, 1, 1], "field": {"name": "sin_x_cos_y"}}],
+                             "else": {"name": "cos_5y"}}},
+                "exact_u has no gradient on branch 'cos_5y'",
+            ),
+            (
+                {"beta": {"piecewise": [{"where": [1, 1, 1], "field": {
+                    "piecewise": [{"where": [1, 0, 0.5], "field": {"const": [1, -1]}}], "else": {"const": [1, 0]}}}],
+                    "else": {"const": [-1, 1]}}},
+                "beta has no divergence on branch 'piecewise'",
+            ),
         ],
     )
     def test_malformed_input_exits_3_before_writing(self, tmp_path, capsys, overrides, message):
