@@ -26,10 +26,10 @@ element tables (:class:`ElementTables`), which compute the geometry of
 every element and keep the problem they were sampled from, so every
 later stage reads both from them.  Variable coefficients are evaluated
 pointwise at quadrature nodes; piecewise-defined fields are resolved per
-element by the branch containing the element centroid (an element whose
-vertices disagree with its centroid branch of beta, c or f triggers a
-configuration warning naming the field; inflow data g take the branch of
-the centroid of the element owning the edge, with no warning).
+element by the leaf, at any nesting depth, holding the centroid (an
+element whose vertices disagree with its centroid leaf of beta, c or f
+triggers a configuration warning naming the field; inflow data g take the
+leaf of the centroid of the element owning the edge, with no warning).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ProblemSpec:
     """Data of one transport problem.
 
     beta / c / f / g are fields from :mod:`pdwg.fields`, which resolve
-    their branch per element; ``f`` may be a :class:`DerivedLoad` to
+    their leaf per element; ``f`` may be a :class:`DerivedLoad` to
     manufacture the load from the exact solution.  ``exact_u`` is any
     vectorized callable, optional and only used by the analysis layer.
     The primal degree ``k`` is fixed at 1 (u_h piecewise constant) and
@@ -68,7 +68,7 @@ class ProblemSpec:
     ValueError naming the field for a ``tau`` that is not a finite
     nonnegative int or float (a bool is not), an unknown ``domain_tag``,
     a j other than the integer k-1 or k, and, for a derived load, a
-    branch of its exact solution without a gradient or of beta without a
+    leaf of its exact solution without a gradient or of beta without a
     divergence, so a bad spec fails before any mesh is built.
     """
 
@@ -92,8 +92,8 @@ class ProblemSpec:
             raise ValueError(f"j must be the integer k-1 or k, got j={self.j!r} for k={self.k}")
         if isinstance(self.f, DerivedLoad):
             needs = (("exact_u", self.f.exact, "grad", "gradient"), ("beta", self.beta, "div", "divergence"))
-            for name, field, attr, what in needs:  # a nested Piecewise branch has no div
-                missing = [b.name for b in field.branches if getattr(b, attr, None) is None]
+            for name, field, attr, what in needs:
+                missing = [b.name for b in field.branches if getattr(b, attr) is None]
                 if missing:
                     raise ValueError(f"{name} has no {what} on branch {missing[0]!r}; the derived load f needs one")
 
@@ -242,12 +242,12 @@ class ElementTables:
 
     def sample(self, spec: ProblemSpec) -> "ElementTables":
         """Keep ``spec`` and evaluate its beta, c and f at the quadrature
-        points, each resolved per element by the branch holding its
+        points, each resolved per element by the leaf holding its
         centroid; a derived load is formed from the sampled beta and c
-        with div(beta) of the element's branch and u, grad(u) pointwise.
+        with div(beta) of the element's leaf and u, grad(u) pointwise.
         Warns, naming the field, if a piecewise beta, c or f (one not
         derived from the exact solution) has an element whose corners lie
-        in another branch.  Raises ValueError naming both degrees for a
+        in another leaf.  Raises ValueError naming both degrees for a
         spec whose j is not the tables' degree, and naming the field and
         element of the first non-finite sample."""
         if spec.j != self.j:
@@ -284,7 +284,7 @@ class ElementTables:
 
     def _warn_if_straddling(self, name, field, branch):
         """Warn, naming the field, when an element's corners lie in another
-        branch of ``field`` than ``branch``, the one its centroid took."""
+        leaf of ``field`` than ``branch``, the one its centroid took."""
         if len(field.branches) == 1:
             return
         # Probe just inside each corner so vertices sitting exactly on an
@@ -367,7 +367,7 @@ class ElementTables:
         """Inflow data terms <sigma_b, beta.n g>_e over the trace basis of
         the boundary edges ``edges``, edge ``edges[m]`` being local edge
         ``local[m]`` of table row ``rows[m]``; shape (len(edges), db).
-        ``g`` takes the branch of the element's centroid."""
+        ``g`` takes the leaf of the element's centroid."""
         g = self.spec.g
         pts = self.epts[rows, local]
         bn = self.beta_n[rows, local]
@@ -416,7 +416,7 @@ def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassificati
     as outflow so their trace unknowns are constrained.
 
     beta . n is read from the sampled ``tables`` of ``mesh``: at the
-    middle node of the edge rule (the midpoint), with beta in the branch
+    middle node of the edge rule (the midpoint), with beta in the leaf
     of the edge's first incident element and that element's outward
     normal.
     """

@@ -10,8 +10,8 @@ the published benchmark suite this library reproduces.
 Loads for manufactured solutions are ``DerivedLoad`` markers: the element
 tables form beta . grad u + u div(beta) + c u from the sampled beta and c
 (every catalog convection field is divergence free), and building the
-spec checks each branch for its gradient or divergence.  Inflow data
-restricts the exact solution to the inflow boundary.
+spec checks each leaf, at any depth, for its gradient or divergence.
+Inflow data restricts the exact solution to the inflow boundary.
 """
 
 from __future__ import annotations
@@ -45,20 +45,21 @@ class Experiment:
     expected_orders: str = ""
 
     def __post_init__(self):
-        lo_hi = self.levels
-        if not (
-            isinstance(lo_hi, tuple)
-            and len(lo_hi) == 2
-            and all(type(n) is int for n in lo_hi)
-            and 0 <= lo_hi[0] <= lo_hi[1]
-        ):
-            raise ValueError(f"levels must be two integers [lo, hi] with 0 <= lo <= hi, got {lo_hi!r}")
+        check_levels(self.levels)
 
     @property
     def outputs(self) -> tuple[str, ...]:
         """Error norms for an exact solution, the post-processed solution
         field otherwise; conservation always."""
         return ("errors", "conservation") if self.spec.exact_u is not None else ("conservation", "field")
+
+
+def check_levels(levels) -> tuple[int, int]:
+    """``levels``, checked: a tuple (lo, hi) of two ints (no bool) with 0 <= lo <= hi."""
+    pair = isinstance(levels, tuple) and len(levels) == 2 and all(type(n) is int for n in levels)
+    if not (pair and 0 <= levels[0] <= levels[1]):
+        raise ValueError(f"levels must be two integers [lo, hi] with 0 <= lo <= hi, got {levels!r}")
+    return levels
 
 
 def make_experiment(

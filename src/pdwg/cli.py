@@ -38,19 +38,25 @@ EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 2
 EXIT_ACCEPTANCE_FAILURE = 3
 
+CONFIG_KEYS = ("name", "description", "domain", "beta", "c", "tau", "exact_u", "f", "g", "k", "j", "levels")
+
 
 def load_experiment_config(path) -> Experiment:
     """Build an experiment from a JSON file mirroring the problem fields.
 
-    Required keys: name, domain, beta, tau.  Optional: c (default 0),
-    exact_u, f, g, k (must be 1), j (0 or 1, default 1), levels ([lo, hi],
-    default [0, 5]).  When exact_u is given, f and g default to the
-    manufactured load and the exact inflow trace.
+    Required keys: name, domain, beta, tau.  Optional: description, c
+    (default 0), exact_u, f, g, k (must be 1), j (0 or 1, default 1),
+    levels ([lo, hi], default [0, 5]).  Any other key is a ValueError
+    naming it.  When exact_u is given, f and g default to the manufactured
+    load and the exact inflow trace.
     """
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"config has an unknown key {unknown[0]!r}; the keys are {', '.join(CONFIG_KEYS)}")
     for key in ("name", "domain", "beta", "tau"):
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")

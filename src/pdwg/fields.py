@@ -3,10 +3,13 @@
 Problem data (convection field, reaction, load, inflow data, exact
 solution) is a :class:`Field`, one closed form (scalar or vector) drawn
 from a small registry of named forms, or a :class:`Piecewise` composition
-of fields over half-plane predicates.  Piecewise coefficient fields and
-piecewise inflow data are resolved per element (the branch containing the
+of fields over half-plane predicates, whose pieces may be compositions
+in turn.  A composition is read through its closed-form leaves at any
+depth (``branches``) and the index of the leaf holding each point
+(``branch_index``), evaluated by :func:`evaluate_branches`.  Coefficient
+fields and inflow data resolve the leaf per element (the leaf at the
 centroid of the element, for inflow data the element owning the inflow
-edge), while piecewise exact solutions are evaluated pointwise.
+edge), while exact solutions are evaluated pointwise.
 
 All callables are vectorized over numpy arrays of coordinates.
 """
@@ -57,46 +60,33 @@ class Field:
 @dataclass(frozen=True)
 class Piecewise:
     """Fields composed over half planes: the first piece whose half plane
-    holds a point wins, and ``otherwise`` covers the rest.  Coefficients
-    and inflow data resolve their branch per element; calling the
-    composition (or its ``grad``) evaluates it pointwise, as for exact
-    solutions."""
+    holds a point wins, and ``otherwise`` covers the rest.  A piece may
+    itself be a composition; ``branches`` are the closed-form leaves at
+    any depth, and every reader resolves a point through the leaf that
+    holds it: coefficients and inflow data per element (the leaf at its
+    centroid), calls pointwise."""
 
     name: str
-    pieces: tuple[tuple[HalfPlane, Field], ...]
-    otherwise: Field
+    pieces: tuple[tuple[HalfPlane, Field | Piecewise], ...]
+    otherwise: Field | Piecewise
 
     @property
     def branches(self) -> tuple:
-        return tuple(branch for _, branch in self.pieces) + (self.otherwise,)
+        return tuple(leaf for _, field in self.pieces for leaf in field.branches) + self.otherwise.branches
 
     def branch_index(self, x, y) -> np.ndarray:
-        """Index into ``branches`` of the branch holding each point."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        idx = np.full(x.shape, len(self.pieces), dtype=np.intp)
-        for k in range(len(self.pieces) - 1, -1, -1):
-            idx[self.pieces[k][0].contains(x, y)] = k
+        """Index into ``branches`` of the leaf holding each point."""
+        offset = len(self.branches) - len(self.otherwise.branches)
+        idx = offset + self.otherwise.branch_index(x, y)
+        for plane, field in reversed(self.pieces):
+            offset -= len(field.branches)
+            idx = np.where(plane.contains(x, y), offset + field.branch_index(x, y), idx)
         return idx
 
-    def _pointwise(self, method, x, y):
-        idx = self.branch_index(x, y)
-        out = evaluate_branches(self.branches, idx, x, y, method)
-        return out if out.shape == idx.shape else (out[..., 0], out[..., 1])
-
     def __call__(self, x, y):
-        return self._pointwise("__call__", x, y)
-
-    @property
-    def grad(self):
-        """Pointwise gradient of a scalar composition; ValueError naming
-        the field when a branch has none (every branch of a vector one)."""
-        for branch in self.branches:
-            if branch.grad is None:
-                what = "vector fields have no gradient" if branch.div is not None else (
-                    f"branch {branch.name!r} has no gradient"
-                )
-                raise ValueError(f"piecewise field {self.name!r}: {what}")
-        return lambda x, y: self._pointwise("grad", x, y)
+        idx = self.branch_index(x, y)
+        out = evaluate_branches(self.branches, idx, x, y)
+        return out if out.shape == idx.shape else (out[..., 0], out[..., 1])
 
 
 def evaluate_branches(branches, idx, x, y, method: str = "__call__") -> np.ndarray:
@@ -141,9 +131,9 @@ class DerivedLoad:
         f = beta . grad(u) + u div(beta) + c u,
 
     formed by ``ElementTables.sample`` from the sampled beta and c of
-    each element's branches, u and grad(u) pointwise.  ``ProblemSpec``
-    checks that every branch of ``exact`` has a gradient and every branch
-    of beta a divergence.
+    each element's leaves, u and grad(u) pointwise.  ``ProblemSpec``
+    checks that every leaf of ``exact`` has a gradient and every leaf of
+    beta a divergence.
     """
 
     exact: Field | Piecewise

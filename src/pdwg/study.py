@@ -23,7 +23,7 @@ from .analysis import (
     postprocess_averages,
 )
 from .assembly import SaddleSystem, assemble, build_contexts, classify_boundary
-from .catalog import Experiment
+from .catalog import Experiment, check_levels
 from .mesh import build_coarse_mesh, refine_uniform
 from .solver import DEFAULT_TOL, check_tol, solve
 from .weakspace import DofMap
@@ -109,10 +109,10 @@ def run_study(
     """Run one experiment over a range of refinement levels.
 
     ``tau`` and ``j`` override the catalog configuration without
-    duplicating the entry.  A bad level range or ``tol`` raises
-    ValueError before any mesh is built.  Each level's tables, DOF map,
-    system and solution are dropped before the next level is built; the
-    report keeps the finest level's system.
+    duplicating the entry.  A level range that ``check_levels`` refuses,
+    or a bad ``tol``, raises ValueError before any mesh is built.  Each
+    level's tables, DOF map, system and solution are dropped before the
+    next level is built; the report keeps the finest level's system.
     """
     spec = experiment.spec
     if tau is not None:
@@ -120,9 +120,7 @@ def run_study(
     if j is not None:
         spec = replace(spec, j=j)
 
-    lo, hi = levels if levels is not None else experiment.levels
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad level range ({lo}, {hi})")
+    lo, hi = check_levels(levels if levels is not None else experiment.levels)
     check_tol(tol)
 
     report = StudyReport()

@@ -34,9 +34,9 @@ def make_spec(beta=(1.0, -1.0), c=1.0, f=0.0, g=0.0, tau=1.0, domain="unit_squar
 
 
 def pair_load(exact, beta, c, x, y):
-    """beta . grad u + u div beta + c u for one (beta, c) branch pair, every
-    field called on the points (x, y): the reference that the sampled
-    derived load must equal bit for bit."""
+    """beta . grad u + u div beta + c u for one (beta, c) leaf pair and one
+    leaf of the exact solution, every field called on the points (x, y):
+    the reference that the sampled derived load must equal bit for bit."""
     ux, uy = exact.grad(x, y)
     bx, by = beta(x, y)
     u = exact(x, y)
@@ -45,16 +45,20 @@ def pair_load(exact, beta, c, x, y):
 
 def per_pair_load(tables, spec):
     """The derived load of ``spec`` at the interior points of ``tables``,
-    each (beta, c) branch pair evaluated on the C-ordered copy of the rows
-    whose centroid it holds."""
+    each (beta, c) leaf pair with each leaf of the exact solution evaluated
+    on the C-ordered copy of the points it holds: beta and c by the leaf at
+    the element's centroid, the exact solution by the leaf at the point."""
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]
     cx, cy = tables.centroid.T
-    bi, ci = spec.beta.branch_index(cx, cy), spec.c.branch_index(cx, cy)
+    bi, ci = spec.beta.branch_index(cx, cy)[:, None], spec.c.branch_index(cx, cy)[:, None]
+    exact = spec.f.exact
+    ui = exact.branch_index(x, y)
     f = np.empty_like(x)
     for b, beta in enumerate(spec.beta.branches):
         for k, c in enumerate(spec.c.branches):
-            rows = (bi == b) & (ci == k)
-            f[rows] = pair_load(spec.f.exact, beta, c, x[rows], y[rows])
+            for e, u in enumerate(exact.branches):
+                at = (bi == b) & (ci == k) & (ui == e)
+                f[at] = pair_load(u, beta, c, x[at], y[at])
     return f
 
 
@@ -442,6 +446,40 @@ class TestAssemble:
         assert f"straddles a branch boundary of the piecewise field {name} (8 elements in all)" in str(
             record[0].message
         )
+
+    def test_nested_piecewise_c_takes_one_leaf_per_element_and_warns(self):
+        # Below the mesh line x + y = 1, c splits again at x = 0.3, which is
+        # no mesh line at level 2: 5 elements straddle the inner interface,
+        # and each takes the leaf at its centroid at every interior point.
+        inner = Piecewise("inner", pieces=((HalfPlane(1.0, 0.0, 0.3), constant(1.0)),), otherwise=constant(2.0))
+        c = Piecewise("nested", pieces=((HalfPlane(1.0, 1.0, 1.0), inner),), otherwise=constant(3.0))
+        assert [leaf(0.0, 0.0) for leaf in c.branches] == [1.0, 2.0, 3.0]
+        with pytest.warns(UserWarning) as record:
+            tables = build_contexts(refined("unit_square", 2), dataclasses.replace(make_spec(), c=c))
+        assert len(record) == 1
+        assert "element 1 straddles a branch boundary of the piecewise field c (5 elements in all)" in str(
+            record[0].message
+        )
+        leaf = c.branch_index(*tables.centroid.T)
+        assert set(leaf.tolist()) == {0, 1, 2}
+        assert np.array_equal(tables.c_q, np.broadcast_to(1.0 + leaf[:, None], tables.c_q.shape))
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_nested_beta_derived_load_equals_the_per_pair_path(self, j):
+        # beta nests a split at x = 1/2 below x + y = 1, both mesh lines, so
+        # all three leaves hold elements; each leaf's divergence enters f.
+        inner = Piecewise(
+            "inner", pieces=((HalfPlane(1.0, 0.0, 0.5), constant_vector(1.0, -1.0)),), otherwise=rotation(0.5, 0.5)
+        )
+        beta = Piecewise("nested", pieces=((HalfPlane(1.0, 1.0, 1.0), inner),), otherwise=constant_vector(-1.0, 1.0))
+        exact = SCALAR_FIELDS["sin_x_cos_y"]
+        spec = ProblemSpec(beta=beta, c=constant(1.0), f=DerivedLoad(exact), g=exact, tau=1.0,
+                           domain_tag="unit_square", j=j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = build_contexts(refined("unit_square", 2), spec)
+        assert set(beta.branch_index(*tables.centroid.T).tolist()) == {0, 1, 2}
+        assert same_bits(tables.f_q, per_pair_load(tables, spec))
 
     def test_aligned_piecewise_c_and_f_do_not_warn(self):
         # x + y = 1 is a mesh line at every level

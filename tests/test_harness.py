@@ -114,9 +114,16 @@ class TestRunStudy:
         assert all(r.err_u is None for r in rep.rows)
         assert rep.field_points is not None
 
-    def test_bad_levels_rejected(self):
-        with pytest.raises(ValueError):
-            run_study(get_experiment("table1"), levels=(2, 1))
+    @pytest.mark.parametrize(
+        "levels", [(2, 1), (0, 1.0), (True, 1), (-1, 2)], ids=["reversed", "float", "bool", "negative"]
+    )
+    def test_bad_levels_rejected(self, monkeypatch, levels):
+        def no_mesh(*args):
+            raise AssertionError("a mesh was built for a bad level range")
+
+        monkeypatch.setattr(pdwg.study, "build_coarse_mesh", no_mesh)
+        with pytest.raises(ValueError, match="levels must be two integers"):
+            run_study(get_experiment("table1"), levels=levels)
 
     def test_each_level_is_dropped_before_the_next_is_built(self, monkeypatch):
         # A level's tables, system and solution are gone once the next
@@ -381,6 +388,19 @@ class TestCli:
         assembled_matrix(report.system)
         assert calls == [report.system.dofmap.n_total]
 
+    def test_only_fields_and_assembly_resolve_branches(self):
+        # A piecewise field is read through its leaves on one path: no other
+        # module of the package calls evaluate_branches or branch_index.
+        package = Path(pdwg.assembly.__file__).parent
+        callers = {
+            path.name
+            for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("evaluate_branches", "branch_index")
+        }
+        assert sorted(callers) == ["assembly.py", "fields.py"]
+
     def test_library_reads_no_attribute_named_matrix(self):
         # SaddleSystem.matrix has no reader in the package: the solver and
         # verify read the element matrices.
@@ -528,11 +548,12 @@ class TestConfigFile:
                 "exact_u has no gradient on branch 'cos_5y'",
             ),
             (
-                {"beta": {"piecewise": [{"where": [1, 1, 1], "field": {
-                    "piecewise": [{"where": [1, 0, 0.5], "field": {"const": [1, -1]}}], "else": {"const": [1, 0]}}}],
-                    "else": {"const": [-1, 1]}}},
-                "beta has no divergence on branch 'piecewise'",
+                {"exact_u": {"piecewise": [{"where": [1, 1, 1], "field": {
+                    "piecewise": [{"where": [1, 0, 0.5], "field": {"name": "sin_x_cos_y"}}],
+                    "else": {"name": "cos_5y"}}}], "else": {"name": "sin_x_cos_y"}}},
+                "exact_u has no gradient on branch 'cos_5y'",
             ),
+            ({"cc": 5.0, "level": [0, 1]}, "config has an unknown key 'cc'"),
         ],
     )
     def test_malformed_input_exits_3_before_writing(self, tmp_path, capsys, overrides, message):
@@ -544,6 +565,17 @@ class TestConfigFile:
         assert rc == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nested_beta_derived_load_runs(self, tmp_path):
+        # Every leaf of a nested beta has a divergence, so the derived load
+        # is formed from the leaf at each element's centroid.
+        beta = {"piecewise": [{"where": [1, 1, 1], "field": {
+            "piecewise": [{"where": [1, 0, 0.5], "field": {"const": [1, -1]}}], "else": {"const": [1, 0]}}}],
+            "else": {"const": [-1, 1]}}
+        path = self.write_config(tmp_path, beta=beta, levels=[1, 2])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "custom.csv").exists()
 
     @pytest.mark.parametrize("k", [2, 0, True, 1.0])
     def test_k_other_than_1_exits_3_before_writing(self, tmp_path, capsys, k):
