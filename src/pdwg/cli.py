@@ -44,11 +44,11 @@ CONFIG_KEYS = ("name", "description", "domain", "beta", "c", "tau", "exact_u", "
 def load_experiment_config(path) -> Experiment:
     """Build an experiment from a JSON file mirroring the problem fields.
 
-    Required keys: name, domain, beta, tau.  Optional: description, c
-    (default 0), exact_u, f, g, k (must be 1), j (0 or 1, default 1),
-    levels ([lo, hi], default [0, 5]).  Any other key is a ValueError
-    naming it.  When exact_u is given, f and g default to the manufactured
-    load and the exact inflow trace.
+    Required keys: name, domain, beta, tau.  Optional: description (a
+    string), c (default 0), exact_u, f, g, k (must be 1), j (0 or 1,
+    default 1), levels ([lo, hi], default [0, 5]).  Any other key is a
+    ValueError naming it.  When exact_u is given, f and g default to the
+    manufactured load and the exact inflow trace.
     """
     with open(path) as fh:
         cfg = json.load(fh)
@@ -63,13 +63,16 @@ def load_experiment_config(path) -> Experiment:
     name = cfg["name"]
     if not (isinstance(name, str) and name and Path(name).name == name):
         raise ValueError(f"name must be a plain file name (it names the output files), got {name!r}")
+    description = cfg.get("description", f"config {path}")
+    if not isinstance(description, str):
+        raise ValueError(f"description must be a string, got {description!r}")
     k = cfg.get("k", 1)
     if type(k) is not int or k != 1:
         raise ValueError(f"k must be 1 (only the lowest order is supported), got k={k!r}")
     levels = cfg.get("levels", [0, 5])
     return make_experiment(
         name,
-        cfg.get("description", f"config {path}"),
+        description,
         cfg["domain"],
         field_from_config(cfg["beta"], vector=True),
         field_from_config(cfg.get("c", 0.0)),

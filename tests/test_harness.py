@@ -554,6 +554,7 @@ class TestConfigFile:
                 "exact_u has no gradient on branch 'cos_5y'",
             ),
             ({"cc": 5.0, "level": [0, 1]}, "config has an unknown key 'cc'"),
+            ({"description": ["not", "text"]}, "description must be a string"),
         ],
     )
     def test_malformed_input_exits_3_before_writing(self, tmp_path, capsys, overrides, message):
