@@ -6,11 +6,12 @@ P_j polynomial that vanishes on all of dT is zero, so this holds for
 tau = 0 too), and its rows of b(.,.) touch only that element's u_T.
 ``solve`` therefore eliminates lam_0 element by element (static
 condensation), factors the Schur complement over [lam_b; u] with a sparse
-LU (SuperLU, threshold pivoting), and recovers lam_0 locally.  The
-interior block has d0 = 1 (j = 0) or d0 = 3 (j = 1) unknowns; it is
-inverted in closed form (d0 = 1) or by an L D L^T factorization written
-out over the element axis (d0 = 3), where a pivot that is not positive
-and finite raises :class:`SolverError` naming its element.
+LU (SuperLU, threshold pivoting) in single precision, refines its
+solution in double, and recovers lam_0 locally.  The interior block has
+d0 = 1 (j = 0) or d0 = 3 (j = 1) unknowns; it is inverted in closed form
+(d0 = 1) or by an L D L^T factorization written out over the element
+axis (d0 = 3), where a pivot that is not positive and finite raises
+:class:`SolverError` naming its element.
 
 The factor runs in one fill-reducing order, :func:`nested_dissection`,
 built from the mesh: a recursive coordinate bisection of the free edges,
@@ -19,17 +20,29 @@ each cut read off the element-edge incidence, with every u_T placed after
 the traces of its element.
 
 Only [lam_b; u] is numbered (``DofMap.element_indices``); lam_0 stays in
-its element rows.  Each condensed solve takes the lam_0 rows and the
-condensed part of a right-hand side and hands back element rows
-[lam_0; traces of edges 0, 1, 2; u_T], with 0 on outflow traces, so both
-elements of an interior edge read its traces from one entry of the
-factor's solution, bit for bit.  Iterative refinement adds correction
-rows for b - A x, with A applied to the rows element by element by
-:meth:`SaddleSystem.matvec` (no sparse matrix built), and the residual
-contract is checked on the full system, lam_0 rows included.  The
-refined rows are :attr:`Solution.local`.  A singular factor raises
-:class:`SolverError`; there is no fallback.  Identical inputs produce
-bitwise-identical solutions.
+its element rows, and the right-hand side is condensed once.  SuperLU
+factors the condensed matrix Kc with its values cast to float32, which
+takes about a fifth off the factor's memory; Kc itself stays in float64.
+Each single-precision solve scales its right-hand side by its largest
+magnitude, casts it to float32, and casts the result back and unscales
+it.  Iterative refinement in double (Langou et al., SC 2006; Carson and
+Higham, SIAM J. Sci. Comput. 40, 2018) adds such solves of the float64
+residual rc - Kc y until it is at double round-off, max|rc - Kc y| <=
+eps max|Kc| max|y|, or stops halving, or ``_REFINE_STEPS`` corrections
+have run.  Stopping at tol would not do: the flux jumps scale with the
+load, and with |f| up to 1e4 (fig8-fig10_f10000) a residual just under
+1e-11 leaves jumps of up to 5.8e-8.  lam_0 is then recovered once, as
+element rows [lam_0; traces of edges 0, 1, 2; u_T] with 0 on outflow
+traces, so both elements of an interior edge read its traces from one
+entry of y, bit for bit; these rows are :attr:`Solution.local`.  The
+residual contract is checked once, on the full system, lam_0 rows
+included, with A applied to the rows element by element by
+:meth:`SaddleSystem.matvec` (no sparse matrix built).  ``info`` reports
+``factor_dtype`` ("float32"), ``refine_steps``, the corrections after the
+first solve, and ``initial_residual``, the first solve's relative
+residual ||rc - Kc y|| / ||b||.  A singular factor, or a refinement that
+ends above tol, raises :class:`SolverError`; there is no fallback.
+Identical inputs produce bitwise-identical solutions.
 """
 
 from __future__ import annotations
@@ -44,7 +57,12 @@ from .assembly import SaddleSystem, scatter
 from .weakspace import DofMap
 
 DEFAULT_TOL = 1e-11
-_REFINE_STEPS = 3
+# Correction solves after the first, at most.  A step gains about six
+# digits on most systems (catalog levels 0-5 take at most 4 steps), but
+# only one or two where tau = 0 and j = 1 leave the condensed system badly
+# conditioned (fig10_f10000 j=1: 7 steps at level 6, 12 at level 7).
+_REFINE_STEPS = 20
+_EPS = np.finfo(float).eps
 # Parts of at most this many free edges are not bisected further.  16
 # rather than 64 takes the table5 L6 fill from 3.86M to 3.25M; 8 takes
 # under 3% more off, for one more round per part.
@@ -244,11 +262,13 @@ def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CondensedLU:
-    """LU factor of the condensed system over y = [lam_b; u], the unknowns
-    numbered by ``DofMap.element_indices``, with the element data that
-    maps a right-hand side, its lam_0 rows and its y part, in and element
-    rows out.  The condensed matrix is built and factored in the
-    :func:`nested_dissection` order, position i holding y[perm[i]]."""
+    """Single-precision LU factor of the condensed system over
+    y = [lam_b; u], the unknowns numbered by ``DofMap.element_indices``,
+    with the element data that maps a right-hand side in (its lam_0 rows
+    and its y part) and element rows out.  The condensed matrix is built
+    and factored in the :func:`nested_dissection` order, position i
+    holding y[perm[i]]; ``Kc`` keeps it in double precision for the
+    refinement residual."""
 
     def __init__(self, system: SaddleSystem):
         dm = system.dofmap
@@ -272,6 +292,10 @@ class _CondensedLU:
         # The element matrices are in Kc now; free them before the factor.
         del K
         self.nnz = Kc.nnz
+        # SuperLU factors Kc with its values cast to float32; the double
+        # values go back into Kc afterwards.
+        data = Kc.data
+        Kc.data = data.astype(np.float32)
         try:
             self.lu = splu(
                 Kc,
@@ -284,12 +308,27 @@ class _CondensedLU:
                 f"factorization failed ({err}): full order {dm.n_total}, nnz {system.nnz}; "
                 f"condensed order {self.order}, nnz {self.nnz}"
             ) from err
+        Kc.data = data
+        self.Kc, self.Kc_max = Kc, np.abs(data).max()
 
-    def solve(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Element rows solving for lam_0 rows ``r0`` and the rest ``r``."""
+    def condense(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The condensed right-hand side, in the factored numbering, for
+        lam_0 rows ``r0`` and the rest ``r``."""
         load = np.einsum("tim,ti->tm", self.X, r0)[self.free]
-        rc = r[self.perm] - np.bincount(self.idx[self.free], load, self.order)
-        y = self.lu.solve(rc)
+        return r[self.perm] - np.bincount(self.idx[self.free], load, self.order)
+
+    def solve(self, rc: np.ndarray) -> np.ndarray:
+        """One single-precision solve of Kc y = rc: rc is scaled by its
+        largest magnitude, so float32 neither overflows nor underflows on
+        it, solved in float32, and the result cast back and unscaled."""
+        scale = np.abs(rc).max()
+        if scale == 0.0:
+            return np.zeros(self.order)
+        return self.lu.solve((rc / scale).astype(np.float32)).astype(float) * scale
+
+    def rows(self, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Element rows for the condensed solution ``y`` of lam_0 rows
+        ``r0``: lam_0 recovered in each element, 0 on outflow traces."""
         y_loc = np.where(self.free, y[self.idx], 0.0)
         lam0 = np.einsum("tij,tj->ti", self.S00_inv, r0) - np.einsum("tim,tm->ti", self.X, y_loc)
         return np.concatenate([lam0, y_loc], axis=1)
@@ -304,9 +343,13 @@ def check_tol(tol: float) -> None:
 def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve the assembled system to relative residual <= tol.
 
-    Factors the condensed [lam_b; u] system once and refines on the full
-    system, applied element by element.  Raises :class:`SolverError` if
-    an interior block is not positive definite, the factor is singular or
+    Factors the condensed [lam_b; u] system once in single precision and
+    refines its solution in double until the condensed residual is at
+    double round-off, max|rc - Kc y| <= eps max|Kc| max|y|, or stops
+    halving, or ``_REFINE_STEPS`` corrections have run.  lam_0 is then
+    recovered and the residual contract checked once, on the full system
+    applied element by element.  Raises :class:`SolverError` if an
+    interior block is not positive definite, the factor is singular or
     the residual contract is missed (relevant for tau=0 with j=k on very
     coarse meshes, where uniqueness needs a small enough mesh size).
     """
@@ -315,24 +358,26 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     factor = _CondensedLU(system)
     # The full vector is the lam_0 rows, element by element, then the rest.
     bnorm = float(np.linalg.norm(np.concatenate([b0.ravel(), b])))
+    bnorm = bnorm if bnorm > 0 else 1.0
 
-    def relative_residual(local):
-        y0, y = system.matvec(local)
-        r0, r = b0 - y0, b - y
-        rnorm = float(np.linalg.norm(np.concatenate([r0.ravel(), r])))
-        return r0, r, (rnorm / bnorm if bnorm > 0 else rnorm)
-
-    local = factor.solve(b0, b)
-    r0, r, rel = relative_residual(local)
-    residuals = [rel]
-    while residuals[-1] > tol and len(residuals) <= _REFINE_STEPS:
-        local = local + factor.solve(r0, r)
-        r0, r, rel = relative_residual(local)
-        residuals.append(rel)
-    residual = residuals[-1]
+    rc = factor.condense(b0, b)
+    y = factor.solve(rc)
+    res = rc - factor.Kc @ y
+    initial_residual = float(np.linalg.norm(res)) / bnorm
+    rmax, steps = np.abs(res).max(), 0
+    while rmax > _EPS * factor.Kc_max * np.abs(y).max() and steps < _REFINE_STEPS:
+        y = y + factor.solve(res)
+        res = rc - factor.Kc @ y
+        last, rmax = rmax, np.abs(res).max()
+        steps += 1
+        if rmax > last / 2:
+            break
+    local = factor.rows(b0, y)
+    y0, yc = system.matvec(local)
+    residual = float(np.linalg.norm(np.concatenate([(b0 - y0).ravel(), b - yc]))) / bnorm
     if not np.isfinite(residual) or residual > tol:
         raise SolverError(
-            f"residual contract missed: {residual:.3e} > {tol:.3e} "
+            f"residual contract missed: {residual:.3e} > {tol:.3e} after {steps} refinement steps "
             f"(order={system.dofmap.n_total}, condensed order={factor.order})"
         )
 
@@ -347,8 +392,9 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "separator_edges": factor.separator_edges,
         "fill": int(factor.lu.nnz),
         "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
-        "refine_steps": len(residuals) - 1,
-        "initial_residual": residuals[0],
+        "factor_dtype": "float32",
+        "refine_steps": steps,
+        "initial_residual": initial_residual,
         "tol": tol,
     }
     return Solution(local=local, residual=residual, info=info)

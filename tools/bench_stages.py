@@ -1,0 +1,121 @@
+"""Time one refinement level stage by stage, for the ``BENCH_*.json`` records.
+
+    python tools/bench_stages.py --src parent=../old/src --src change=src \\
+        --runs 3 --out BENCH.json table5:6 table5:7 fig4_tau0:7
+
+Each EXPERIMENT:LEVEL point is built and solved the way ``run_study``
+builds a level, once per run and source tree, each time in a fresh
+process, so its peak RSS (``ru_maxrss``) is that point's alone.  The
+trees given by ``--src LABEL=PATH`` (``pdwg`` is imported from PATH)
+alternate within every run, so two checkouts are measured back to back.
+Stages, in seconds: mesh (the coarse mesh and every refinement), tables,
+classify, dofmap, assemble, solve (condensation, ordering, factor,
+refinement and the residual check) with its parts order and factor (the
+SuperLU call), errors and conservation.  The record holds every run and
+the median of each metric.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+
+def measure(point: str) -> dict:
+    """Stage times, solver diagnostics and peak RSS of one point, in this
+    process."""
+    import pdwg.solver
+    from pdwg.analysis import conservation_report, error_norms
+    from pdwg.assembly import assemble, build_contexts, classify_boundary
+    from pdwg.catalog import get_experiment
+    from pdwg.mesh import build_coarse_mesh, refine_uniform
+    from pdwg.weakspace import DofMap
+
+    name, level = point.split(":")
+    spec = get_experiment(name).spec
+    times = {}
+
+    def stage(key, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        times[key] = times.get(key, 0.0) + time.perf_counter() - start
+        return out
+
+    splu = pdwg.solver.splu
+    pdwg.solver.splu = lambda *args, **kwargs: stage("factor_s", splu, *args, **kwargs)
+    mesh = stage("mesh_s", build_coarse_mesh, spec.domain_tag)
+    for _ in range(int(level)):
+        mesh = stage("mesh_s", refine_uniform, mesh)
+    tables = stage("tables_s", build_contexts, mesh, spec)
+    classification = stage("classify_s", classify_boundary, mesh, tables)
+    dofmap = stage("dofmap_s", DofMap, mesh, spec.j, classification)
+    system = stage("assemble_s", assemble, mesh, dofmap, tables)
+    solution = stage("solve_s", pdwg.solver.solve, system)
+    if spec.exact_u is not None:
+        stage("errors_s", error_norms, solution, tables)
+    stage("conservation_s", conservation_report, solution, tables)
+    info = solution.info
+    return {
+        **times,
+        "order_s": info["order_s"],
+        "total_s": sum(t for key, t in times.items() if key != "factor_s"),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "elements": mesh.num_elements,
+        "condensed_order": info["condensed_order"],
+        "fill": info["fill"],
+        "factor_dtype": info.get("factor_dtype", "float64"),
+        "refine_steps": info["refine_steps"],
+        "initial_residual": info["initial_residual"],
+        "residual": solution.residual,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("points", nargs="+", help="EXPERIMENT:LEVEL")
+    parser.add_argument("--src", action="append", required=True, help="LABEL=PATH of a source tree")
+    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--out", help="write the record here (default: stdout)")
+    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.one:
+        print(json.dumps(measure(args.points[0])))
+        return
+    trees = dict(src.split("=", 1) for src in args.src)
+    runs = {point: {label: [] for label in trees} for point in args.points}
+    for _ in range(args.runs):
+        for point in args.points:
+            for label, path in trees.items():
+                env = dict(os.environ, PYTHONPATH=os.path.abspath(path))
+                cmd = [sys.executable, __file__, "--one", "--src", f"{label}={path}", point]
+                done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+                runs[point][label].append(json.loads(done.stdout))
+    medians = {
+        point: {
+            label: {key: statistics.median(r[key] for r in rs) for key, value in rs[0].items() if not isinstance(value, str)}
+            for label, rs in by_label.items()
+        }
+        for point, by_label in runs.items()
+    }
+    record = {
+        "command": " ".join(["python", *sys.argv]),
+        "machine": f"{platform.machine()}, {os.cpu_count()} cores, Python {platform.python_version()}",
+        "runs": args.runs,
+        "median": medians,
+        "all_runs": runs,
+    }
+    text = json.dumps(record, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()
