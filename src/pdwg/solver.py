@@ -22,7 +22,7 @@ the traces of its element.
 Only [lam_b; u] is numbered (``DofMap.element_indices``); lam_0 stays in
 its element rows, and the right-hand side is condensed once.  SuperLU
 factors the condensed matrix Kc with its values cast to float32, which
-takes about a fifth off the factor's memory; Kc itself stays in float64.
+halves the bytes of every factor value; Kc itself stays in float64.
 Each single-precision solve scales its right-hand side by its largest
 magnitude, casts it to float32, and casts the result back and unscales
 it.  Iterative refinement in double (Langou et al., SC 2006; Carson and
@@ -309,7 +309,7 @@ class _CondensedLU:
                 f"condensed order {self.order}, nnz {self.nnz}"
             ) from err
         Kc.data = data
-        self.Kc, self.Kc_max = Kc, np.abs(data).max()
+        self.Kc = Kc
 
     def condense(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The condensed right-hand side, in the factored numbering, for
@@ -364,8 +364,8 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     y = factor.solve(rc)
     res = rc - factor.Kc @ y
     initial_residual = float(np.linalg.norm(res)) / bnorm
-    rmax, steps = np.abs(res).max(), 0
-    while rmax > _EPS * factor.Kc_max * np.abs(y).max() and steps < _REFINE_STEPS:
+    kmax, rmax, steps = np.abs(factor.Kc.data).max(), np.abs(res).max(), 0
+    while rmax > _EPS * kmax * np.abs(y).max() and steps < _REFINE_STEPS:
         y = y + factor.solve(res)
         res = rc - factor.Kc @ y
         last, rmax = rmax, np.abs(res).max()
