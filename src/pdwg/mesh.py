@@ -187,8 +187,14 @@ def build_coarse_mesh(domain_tag: str) -> Mesh:
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Replace every triangle by four congruent children via edge midpoints.
 
-    Midpoints are created per edge, so duplicated crack edges receive
-    duplicated midpoints and the slit stays open.
+    The children of element p are rows 4p..4p+3 of the refined mesh: the
+    corner triangles at its vertices 0, 1 and 2, each keeping that vertex
+    in its own slot, then the middle triangle (m01, m12, m20) of its edge
+    midpoints.  So the element numbers of a mesh refined L times are a
+    tree, coarse element c holding rows c 4^L .. (c + 1) 4^L - 1, which
+    the solver's fill-reducing order reads off.  Midpoints are created per
+    edge, so duplicated crack edges receive duplicated midpoints and the
+    slit stays open.
     """
     nV = mesh.num_vertices
     mid_coords = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])

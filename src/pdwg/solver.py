@@ -13,11 +13,14 @@ d0 = 1 (j = 0) or d0 = 3 (j = 1) unknowns; it is inverted in closed form
 axis (d0 = 3), where a pivot that is not positive and finite raises
 :class:`SolverError` naming its element.
 
-The factor runs in one fill-reducing order, :func:`nested_dissection`,
-built from the mesh: a recursive coordinate bisection of the free edges,
-cut between coordinate values, whose separators are the smaller side of
-each cut read off the element-edge incidence, with every u_T placed after
-the traces of its element.
+The factor runs in one fill-reducing order, :func:`refinement_tree_order`
+(``info["ordering"]`` "refinement_tree"): nested dissection read off the
+refinement tree that ``refine_uniform`` numbers the elements by, each
+edge placed after the subtree of the tree node where its two elements
+meet, with every u_T placed after the traces of its element.
+``info["separator_edges"]`` is the root separator, the free edges whose
+elements lie in different coarse elements (the 2^L edges of the diagonal
+x + y = 1 on the unit square at level L).
 
 Only [lam_b; u] is numbered (``DofMap.element_indices``); lam_0 stays in
 its element rows, and the right-hand side is condensed once.  SuperLU
@@ -54,6 +57,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import SaddleSystem, scatter
+from .mesh import _COARSE
 from .weakspace import DofMap
 
 DEFAULT_TOL = 1e-11
@@ -63,10 +67,6 @@ DEFAULT_TOL = 1e-11
 # conditioned (fig10_f10000 j=1: 7 steps at level 6, 12 at level 7).
 _REFINE_STEPS = 20
 _EPS = np.finfo(float).eps
-# Parts of at most this many free edges are not bisected further.  16
-# rather than 64 takes the table5 L6 fill from 3.86M to 3.25M; 8 takes
-# under 3% more off, for one more round per part.
-_LEAF_EDGES = 16
 # SuperLU keeps the diagonal pivot unless it is below this fraction of the
 # column maximum.  The default 1.0 gives 8.8 times the fill at table5 L6
 # (28.5M against 3.25M), and 0 leaves a first residual of 1.2e-2 on
@@ -164,101 +164,52 @@ def _ldl_solve(E: np.ndarray) -> np.ndarray:
     return R.transpose(2, 0, 1)
 
 
-def nested_dissection(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
-    """Fill-reducing order of the condensed unknowns [lam_b; u_T].
+def refinement_tree_order(dofmap: DofMap) -> tuple[np.ndarray, int]:
+    """Fill-reducing order of the condensed unknowns [lam_b; u_T], read
+    off the refinement tree.
 
-    The free edges are split by a batched recursive coordinate bisection
-    of their midpoints, one round of array operations per tree level.  A
-    part with more than ``_LEAF_EDGES`` edges is cut along the longer side
-    of its bounding box, between coordinate values: its edges at or above
-    the median edge's value go right (strictly above, when that value is
-    the part's smallest, so neither child is empty).  The separator is the
-    smaller of two sets, the left edges that share an element with a right
-    edge and the right edges that share an element with a left edge (the
-    left one on a tie); on a mesh line that is the line itself, one edge
-    per cell.  The part is laid out as left and right (each without the
-    separator), then separator, the first two recursing in place.  A leaf
-    keeps its edges in x order, and a mesh of no more than
-    ``_LEAF_EDGES`` free edges keeps them in free-edge order.  The trace
-    unknowns of an edge keep its place, and each u_T goes right after the
-    last free trace of its element: its condensed diagonal
-    -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to come after
-    the unknowns that fill it in.
+    ``refine_uniform`` numbers the four children of element p as rows
+    4p..4p+3, so on a mesh refined L times from C coarse elements the
+    element numbers are a tree: the coarse elements grouped in pairs (a
+    binary tree over their numbers), and below each one a base-4 tree of
+    depth L.  The two elements a and b of an edge (b = a on the boundary)
+    meet at one node of that tree, and the node's edges separate its
+    children: this is nested dissection of a regular finite element mesh
+    (George, SIAM J. Numer. Anal. 10, 1973).  An edge whose elements lie
+    in one coarse element meets at the base-4 node ceil(bitlen(a ^ b) / 2)
+    levels up; otherwise it meets at the binary node bitlen((a >> 2L) ^
+    (b >> 2L)) levels above the coarse elements.  The free edges are sorted stably by the end of their node's element range,
+    then by the node's height, a postorder that puts each separator after
+    its subtree.  The trace unknowns of an edge keep its place, and each
+    u_T goes right after the last free trace of its element: its condensed
+    diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to
+    come after the unknowns that fill it in.  Any element numbering gives
+    a permutation; only its fill depends on the refinement numbering.
 
     Returns ``perm``, the condensed index placed at each position
-    (perm[new] = old), and ``nodes``, one row (start, left, right,
-    separator) per bisection: the first position of the node in the
-    edge order and the sizes of its three parts, in edges.
+    (perm[new] = old), and the size of the root separator: the free edges
+    whose elements lie in different coarse elements.
     """
-    mesh, T, db = dofmap.mesh, dofmap.mesh.num_elements, dofmap.dim_lamb
-    F = dofmap.n_free_edges
-    # Free-edge rank of each element edge, -1 (-1 // db) on outflow edges.
-    elem_free = dofmap.lamb_start[mesh.element_edges] // db
-    # Sort key of every free edge: twice its place in the edge order.
-    edge_key = np.arange(0, 2 * F, 2)
-    nodes = []
-    if F > _LEAF_EDGES:
-        free = dofmap.lamb_start >= 0
-        ends = mesh.edges[free]
-        x, y = (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]).T
-        # Both elements of each free edge; -1 (boundary) hits the last slot.
-        elem0, elem1 = mesh.edge_elems[free].T.copy()
-        # The free edges sorted along x and along y.  Every split reorders
-        # both stably, so each part stays sorted along both axes and no
-        # level sorts coordinates again.
-        by_x, by_y = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-        has_left, has_right = np.zeros(T + 1, dtype=bool), np.zeros(T + 1, dtype=bool)
-        key = np.empty(F, dtype=np.int64)
-        starts, sizes = np.zeros(1, dtype=np.int64), np.array([F])
-        while len(starts):
-            m, stops = len(starts), starts + sizes - 1
-            use_y = y[by_y[stops]] - y[by_y[starts]] > x[by_x[stops]] - x[by_x[starts]]
-            part, first = np.repeat(np.arange(m), sizes), np.cumsum(sizes) - sizes
-            pos = np.arange(len(part)) + (starts - first)[part]
-            ex, ey = by_x[pos], by_y[pos]
-            e = np.where(use_y[part], ey, ex)
-            # Cut between coordinate values: the edges at or above the
-            # median edge's value go right, or, when that value is the
-            # part's smallest, the edges strictly above it.
-            coord = np.where(use_y[part], y[e], x[e])
-            median, low = coord[first + sizes // 2], coord[first]
-            right = np.where((median == low)[part], coord > median[part], coord >= median[part])
-            # No element couples the two children of a node, so an element
-            # holds edges of at most one part.  An element holding edges of
-            # both sides is cut, and either side's edges in cut elements
-            # separate: take the smaller side, the left one on a tie.
-            e0, e1, left = elem0[e], elem1[e], ~right
-            has_left[:] = has_right[:] = False
-            has_left[e0[left]] = has_left[e1[left]] = True
-            has_right[e0[right]] = has_right[e1[right]] = True
-            has_left[-1] = False
-            cut_elem = has_left & has_right
-            in_cut = cut_elem[e0] | cut_elem[e1]
-            take_right = np.bincount(part[in_cut & right], minlength=m) < np.bincount(
-                part[in_cut & left], minlength=m
-            )
-            sep = in_cut & (right == take_right[part])
-            group = 3 * part + np.where(sep, 2, right)
-            key[e] = group
-            by_x[pos] = ex[np.argsort(key[ex], kind="stable")]
-            by_y[pos] = ey[np.argsort(key[ey], kind="stable")]
-            counts = np.bincount(group, minlength=3 * m).reshape(m, 3)
-            nodes.append(np.column_stack([starts, counts]))
-            starts = np.concatenate([starts, starts + counts[:, 0]])
-            sizes = counts[:, :2].T.ravel()
-            starts, sizes = starts[sizes > _LEAF_EDGES], sizes[sizes > _LEAF_EDGES]
-        place = np.empty(F + 1, dtype=np.int64)
-        place[by_x] = edge_key
-        place[F] = -2
-        edge_key, elem_key = place[:F], place[elem_free]
-    else:
-        elem_key = 2 * elem_free
-    # u_T sorts right after the last free trace of its element, and before
-    # everything if its element has none.
-    last = np.maximum(np.maximum(elem_key[:, 0], elem_key[:, 1]), elem_key[:, 2])
-    key = np.concatenate([np.repeat(edge_key, db), last + 1])
-    perm = np.argsort(key, kind="stable")
-    return perm, (np.concatenate(nodes) if nodes else np.zeros((0, 4), dtype=np.int64))
+    mesh, db, F = dofmap.mesh, dofmap.dim_lamb, dofmap.n_free_edges
+    L = (mesh.num_elements // (2 * len(_COARSE[mesh.domain_tag][1]))).bit_length() // 2
+    a, b = mesh.edge_elems[dofmap.lamb_start >= 0].T
+    b = np.where(b < 0, a, b)
+    # The height h, in bits of the element number, of the node where a
+    # and b meet: 2 bits per base-4 level, then 1 per binary level.  Its
+    # element range ends at ((a >> h) + 1) << h.  bitlen is the exponent
+    # of frexp, exact below 2^53.
+    ca, cb = a >> 2 * L, b >> 2 * L
+    split = ca != cb
+    h = np.where(split, 2 * L + np.frexp(ca ^ cb)[1], 2 * ((np.frexp(a ^ b)[1] + 1) // 2))
+    edge_order = np.lexsort((h, ((a >> h) + 1) << h))
+    # Twice each free edge's place, and -2 (sorting first) for the outflow
+    # edges, at index -1.
+    place = np.empty(F + 1, dtype=np.int64)
+    place[edge_order] = np.arange(0, 2 * F, 2)
+    place[F] = -2
+    elem_key = place[dofmap.lamb_start[mesh.element_edges] // db]
+    key = np.concatenate([np.repeat(place[:F], db), elem_key.max(axis=1) + 1])
+    return np.argsort(key, kind="stable"), int(split.sum())
 
 
 class _CondensedLU:
@@ -266,7 +217,7 @@ class _CondensedLU:
     y = [lam_b; u], the unknowns numbered by ``DofMap.element_indices``,
     with the element data that maps a right-hand side in (its lam_0 rows
     and its y part) and element rows out.  The condensed matrix is built
-    and factored in the :func:`nested_dissection` order, position i
+    and factored in the :func:`refinement_tree_order` order, position i
     holding y[perm[i]]; ``Kc`` keeps it in double precision for the
     refinement residual."""
 
@@ -278,9 +229,8 @@ class _CondensedLU:
         self.free = dm.element_indices >= 0
         self.order = dm.n_condensed
         start = time.perf_counter()
-        self.perm, nodes = nested_dissection(dm)
+        self.perm, self.separator_edges = refinement_tree_order(dm)
         self.order_s = time.perf_counter() - start
-        self.separator_edges = int(nodes[:, 3].sum())
         # int32, the index type SuperLU takes, so scipy keeps the indices
         # of the condensed matrix as they are instead of checking and
         # casting them.
@@ -387,7 +337,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "nnz": system.nnz,
         "condensed_order": factor.order,
         "condensed_nnz": factor.nnz,
-        "ordering": "nested_dissection",
+        "ordering": "refinement_tree",
         "order_s": factor.order_s,
         "separator_edges": factor.separator_edges,
         "fill": int(factor.lu.nnz),

@@ -228,15 +228,16 @@ class TestCli:
         assert rc == 0
 
     def test_roundoff_orders_blank(self, tmp_path):
-        # table1 (u = 1) has errors of 1e-17..1e-15 only: every order
-        # cell is blank; table5 has none and keeps its recorded bytes
+        # table1 (u = 1) has round-off errors only, at most 1e-15 and
+        # exactly 0 where a level hits u: every order cell is blank; table5
+        # has none and keeps its recorded bytes
         assert main(["run", "--experiment", "table1", "--levels", "4", "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "table1.csv").read_text().splitlines()[1:]
         assert len(rows) == 4
         for row in rows:
             cells = row.split(",")
             assert cells[2] == cells[4] == cells[6] == ""
-            assert all(0.0 < float(cells[i]) <= 1e-12 for i in (1, 3, 5))
+            assert all(0.0 <= float(cells[i]) <= 1e-12 for i in (1, 3, 5))
         assert main(["run", "--experiment", "table5", "--levels", "6", "--out", str(tmp_path)]) == 0
         recorded = Path(__file__).parent / "data" / "table5_levels_0_5.csv"
         assert (tmp_path / "table5.csv").read_bytes() == recorded.read_bytes()

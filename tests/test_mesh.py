@@ -82,6 +82,20 @@ class TestRefinement:
         assert refined("unit_square", 4).num_elements == 2 * 4**4
 
     @pytest.mark.parametrize("tag", DOMAIN_TAGS)
+    def test_children_of_element_p_are_rows_4p_to_4p_plus_3(self, tag):
+        # The numbering the solver's order reads the refinement tree from:
+        # three corners, each at its parent vertex's slot, then the middle.
+        mesh = build_coarse_mesh(tag)
+        for _ in range(3):
+            fine = refine_uniform(mesh)
+            corners = mesh.vertices[mesh.elements]
+            # Points 0-5 of each parent: v0, v1, v2, m01, m12, m20.
+            points = np.concatenate([corners, 0.5 * (corners + corners[:, [1, 2, 0]])], axis=1)
+            expected = points[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3, 2)
+            assert np.array_equal(fine.vertices[fine.elements], expected)
+            mesh = fine
+
+    @pytest.mark.parametrize("tag", DOMAIN_TAGS)
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
     def test_euler_relation_all_levels(self, tag, level):
         assert euler_ok(refined(tag, level))

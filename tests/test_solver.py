@@ -10,11 +10,10 @@ from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.solver import (
-    _LEAF_EDGES,
     _REFINE_STEPS,
     SolverError,
     _CondensedLU,
-    nested_dissection,
+    refinement_tree_order,
     schur_complement,
     solve,
 )
@@ -232,15 +231,13 @@ class TestSolve:
         assert info["refine_steps"] in range(1, _REFINE_STEPS + 1)
         assert np.isfinite(info["initial_residual"])
         n = info["condensed_order"]
-        assert info["ordering"] == "nested_dissection"
+        assert info["ordering"] == "refinement_tree"
         assert isinstance(info["order_s"], float) and info["order_s"] >= 0.0
         assert info["fill_per_nlogn"] == pytest.approx(info["fill"] / (n * np.log2(n)), rel=1e-15)
-        # Level 1 has 12 free edges, at most _LEAF_EDGES: nothing is bisected.
-        assert dm.n_free_edges <= _LEAF_EDGES
-        assert info["separator_edges"] == 0
+        # The root separator is the diagonal between the two coarse elements.
+        assert info["separator_edges"] == 2
         _, dm, system = unit_problem(level=4)
-        _, nodes = nested_dissection(dm)
-        assert solve(system).info["separator_edges"] == nodes[:, 3].sum() > 0
+        assert solve(system).info["separator_edges"] == refinement_tree_order(dm)[1] == 2**4
 
     @pytest.mark.parametrize("domain", ["unit_square", "cracked_square"])
     @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -275,17 +272,30 @@ def free_edge_midpoints(dm):
     return dm.mesh.vertices[dm.mesh.edges[dm.lamb_start >= 0]].mean(axis=1)
 
 
+def tree_heights(mesh):
+    """Both elements a and b of every edge (b = a on the boundary) and the
+    levels of the refinement tree, as heights in bits of the element
+    number: 2 per base-4 level below the coarse elements, then 1 per
+    binary level above them."""
+    a, b = mesh.edge_elems.T
+    C = build_coarse_mesh(mesh.domain_tag).num_elements
+    L = round(np.log(mesh.num_elements // C) / np.log(4))
+    assert mesh.num_elements == C * 4**L
+    heights = list(range(0, 2 * L + 1, 2)) + list(range(2 * L + 1, 2 * L + (C - 1).bit_length() + 1))
+    return a, np.where(b < 0, a, b), heights
+
+
 class TestNestedDissection:
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_is_a_permutation(self, case):
         _, dm, _ = unit_problem(**case)
-        perm, _ = nested_dissection(dm)
+        perm, _ = refinement_tree_order(dm)
         assert np.array_equal(np.sort(perm), np.arange(dm.n_condensed))
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_u_after_the_traces_of_its_element(self, case):
         _, dm, _ = unit_problem(**case)
-        perm, _ = nested_dissection(dm)
+        perm, _ = refinement_tree_order(dm)
         place = np.argsort(perm)
         traces = dm.element_indices[:, :-1]
         trace_place = np.where(traces >= 0, place[traces], -1)
@@ -294,61 +304,44 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_no_element_couples_the_two_children_of_a_node(self, case):
+        # Every tree node's edges are one block of the order with its
+        # separator last, each child's edges a block before it, and no
+        # element holds edges of two children outside the separator.
         _, dm, _ = unit_problem(**case)
-        perm, nodes = nested_dissection(dm)
+        perm, _ = refinement_tree_order(dm)
         db, F = dm.dim_lamb, dm.n_free_edges
-        edge_order = free_edge_order(perm, dm)
-        assert np.array_equal(np.sort(edge_order), np.arange(F))
+        pos = np.full(F, -1)
+        pos[free_edge_order(perm, dm)] = np.arange(F)
+        assert np.array_equal(np.sort(pos), np.arange(F))
+        a, b, heights = tree_heights(dm.mesh)
+        free = dm.lamb_start >= 0
+        a, b = a[free], b[free]
         traces = dm.element_indices[:, : -1 : db]
         elem_edges = np.where(traces >= 0, traces // db, F)
-        assert (len(nodes) > 0) == (F > _LEAF_EDGES)
-        for start, left, right, sep in nodes:
-            assert min(left, right) > 0
-            side = np.zeros(F + 1, dtype=int)
-            side[edge_order[start : start + left]] = 1
-            side[edge_order[start + left : start + left + right]] = 2
-            sides = side[elem_edges]
-            assert not np.any((sides == 1).any(axis=1) & (sides == 2).any(axis=1))
+        for lo, hi in zip(heights, heights[1:]):
+            node = np.where(a >> hi == b >> hi, a >> hi, -1)
+            child = np.where(a >> lo == b >> lo, a >> lo, -1)
+            for n in np.unique(node[node >= 0]):
+                mine, sep = node == n, (node == n) & (child < 0)
+                assert np.ptp(pos[mine]) + 1 == mine.sum()
+                assert pos[mine & ~sep].max(initial=-1) < pos[sep].min(initial=F)
+                for c in np.unique(child[mine & ~sep]):
+                    assert np.ptp(pos[child == c]) + 1 == (child == c).sum()
+                # The child of each edge an element holds, -1 off this node,
+                # on its separator and on outflow edges.
+                held = np.append(np.where(mine & ~sep, child, -1), -1)[elem_edges]
+                assert np.all((held == held.max(axis=1)[:, None]) | (held < 0))
+        assert (node == 0).sum() == F
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
     def test_root_separator_is_one_mesh_line(self, level):
-        # The unit square's 2^L x 2^L grid is cut along its middle line,
-        # not along the two edges per cell beside it.
+        # The unit square's two coarse triangles meet along the diagonal
+        # x + y = 1, which separates the two halves and is ordered last.
         _, dm, _ = unit_problem(level=level)
-        perm, nodes = nested_dissection(dm)
-        start, left, right, sep = nodes[0]
+        perm, sep = refinement_tree_order(dm)
         assert sep == 2**level
-        root_sep = free_edge_order(perm, dm)[start + left + right : start + left + right + sep]
-        mid = free_edge_midpoints(dm)[root_sep]
-        assert len(np.unique(mid[:, 0])) == 1 or len(np.unique(mid[:, 1])) == 1
-
-    def test_cut_above_the_smallest_value_leaves_both_children(self):
-        # In this L-shape some part has more than half of its edges at the
-        # smallest coordinate of its longer side, so its median value is
-        # that smallest value and only the edges above it go right.
-        _, dm, _ = unit_problem(domain="l_shape", level=4, beta=(1.0, 0.0))
-        perm, nodes = nested_dissection(dm)
-        order, mid = free_edge_order(perm, dm), free_edge_midpoints(dm)
-        reached = 0
-        for start, left, right, sep in nodes:
-            part = mid[order[start : start + left + right + sep]]
-            extent = part.max(axis=0) - part.min(axis=0)
-            coord = np.sort(part[:, int(extent[1] > extent[0])])
-            if coord[len(coord) // 2] == coord[0]:
-                reached += 1
-                assert left > 0 and right > 0
-        assert reached > 0
-
-    def test_exactly_the_parts_above_the_leaf_size_are_split(self):
-        _, dm, _ = unit_problem(level=5)
-        _, nodes = nested_dissection(dm)
-        parts = {(0, dm.n_free_edges)}
-        for start, left, right, sep in nodes:
-            assert (start, left + right + sep) in parts
-            parts |= {(start, left), (start + left, right)}
-        split = {(start, left + right + sep) for start, left, right, sep in nodes}
-        assert len(split) == len(nodes) > 1
-        assert split == {(start, size) for start, size in parts if size > _LEAF_EDGES}
+        root_sep = free_edge_order(perm, dm)[-sep:]
+        assert np.all(free_edge_midpoints(dm)[root_sep].sum(axis=1) == 1.0)
 
 
 class TestOrderedFactor:
@@ -473,11 +466,20 @@ class TestOrderedFactor:
         # COLAMD gives 11.8 here, and separators cut at the median edge
         # (two edges per cell where one mesh line would do) 10.05; cutting
         # between coordinate values and taking the smaller side gives 7.86
-        # with 64-edge leaves, and 6.60 with 16-edge leaves.
+        # with 64-edge leaves, and 6.60 with 16-edge leaves.  The refinement
+        # tree gives 6.68.
         assert info["fill_per_nlogn"] <= 6.7
 
     def test_fill_at_table3_level5(self):
         spec = get_experiment("table3").spec
         info = solve(build_level(refined(spec.domain_tag, 5), spec)[2]).info
-        # The L-shape: 8.75 with 64-edge leaves, 7.40 with 16-edge leaves.
-        assert info["fill_per_nlogn"] <= 7.5
+        # The L-shape: 8.75 with 64-edge leaves, 7.40 with 16-edge leaves of
+        # coordinate bisection, 6.22 read off the refinement tree.
+        assert info["fill_per_nlogn"] <= 6.3
+
+    def test_fill_at_fig10_f10000_level5(self):
+        # tau = 0 and j = 1 on the L-shape, where SuperLU moves rows: 10.09
+        # under coordinate bisection, 7.01 read off the refinement tree.
+        spec = dataclasses.replace(get_experiment("fig10_f10000").spec, j=1)
+        info = solve(build_level(refined(spec.domain_tag, 5), spec)[2]).info
+        assert info["fill_per_nlogn"] <= 7.1
