@@ -11,8 +11,10 @@ alternate within every run, so two checkouts are measured back to back.
 Stages, in seconds: mesh (the coarse mesh and every refinement), tables,
 classify, dofmap, assemble, solve (condensation, ordering, factor,
 refinement and the residual check) with its parts order and factor (the
-SuperLU call), errors and conservation.  The record holds every run and
-the median of each metric.
+SuperLU call), errors and conservation.  Beside them each point records
+the order's name, the factor fill and fill / (n log2 n) over the
+condensed order n, the root separator's edges, the refinement steps and
+the residuals.  The record holds every run and the median of each metric.
 """
 
 import argparse
@@ -67,7 +69,10 @@ def measure(point: str) -> dict:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "elements": mesh.num_elements,
         "condensed_order": info["condensed_order"],
+        "ordering": info["ordering"],
         "fill": info["fill"],
+        "fill_per_nlogn": info["fill_per_nlogn"],
+        "separator_edges": info["separator_edges"],
         "factor_dtype": info.get("factor_dtype", "float64"),
         "refine_steps": info["refine_steps"],
         "initial_residual": info["initial_residual"],
