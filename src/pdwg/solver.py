@@ -62,9 +62,9 @@ from .weakspace import DofMap
 
 DEFAULT_TOL = 1e-11
 # Correction solves after the first, at most.  A step gains about six
-# digits on most systems (catalog levels 0-5 take at most 4 steps), but
+# digits on most systems (catalog levels 0-5 take at most 3 steps), but
 # only one or two where tau = 0 and j = 1 leave the condensed system badly
-# conditioned (fig10_f10000 j=1: 7 steps at level 6, 12 at level 7).
+# conditioned (fig10_f10000 j=1: 7 steps at level 7).
 _REFINE_STEPS = 20
 _EPS = np.finfo(float).eps
 # SuperLU keeps the diagonal pivot unless it is below this fraction of the
@@ -178,9 +178,10 @@ def refinement_tree_order(dofmap: DofMap) -> tuple[np.ndarray, int]:
     (George, SIAM J. Numer. Anal. 10, 1973).  An edge whose elements lie
     in one coarse element meets at the base-4 node ceil(bitlen(a ^ b) / 2)
     levels up; otherwise it meets at the binary node bitlen((a >> 2L) ^
-    (b >> 2L)) levels above the coarse elements.  The free edges are sorted stably by the end of their node's element range,
-    then by the node's height, a postorder that puts each separator after
-    its subtree.  The trace unknowns of an edge keep its place, and each
+    (b >> 2L)) levels above the coarse elements.  The free edges are
+    sorted stably by the end of their node's element range, then by the
+    node's height, a postorder that puts each separator after its
+    subtree.  The trace unknowns of an edge keep its place, and each
     u_T goes right after the last free trace of its element: its condensed
     diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to
     come after the unknowns that fill it in.  Any element numbering gives
@@ -191,6 +192,7 @@ def refinement_tree_order(dofmap: DofMap) -> tuple[np.ndarray, int]:
     whose elements lie in different coarse elements.
     """
     mesh, db, F = dofmap.mesh, dofmap.dim_lamb, dofmap.n_free_edges
+    # Two coarse elements per unit square cell of the domain.
     L = (mesh.num_elements // (2 * len(_COARSE[mesh.domain_tag][1]))).bit_length() // 2
     a, b = mesh.edge_elems[dofmap.lamb_start >= 0].T
     b = np.where(b < 0, a, b)
@@ -202,8 +204,9 @@ def refinement_tree_order(dofmap: DofMap) -> tuple[np.ndarray, int]:
     split = ca != cb
     h = np.where(split, 2 * L + np.frexp(ca ^ cb)[1], 2 * ((np.frexp(a ^ b)[1] + 1) // 2))
     edge_order = np.lexsort((h, ((a >> h) + 1) << h))
-    # Twice each free edge's place, and -2 (sorting first) for the outflow
-    # edges, at index -1.
+    # Twice each free edge's place, and -2 at index -1, where the outflow
+    # edges of an element land: u_T sorts right after the last free trace
+    # of its element, and before everything if its element has none.
     place = np.empty(F + 1, dtype=np.int64)
     place[edge_order] = np.arange(0, 2 * F, 2)
     place[F] = -2

@@ -408,8 +408,8 @@ class TestOrderedFactor:
 
     def test_catalog_sweep_starts_near_single_precision(self):
         # Guards the pivot threshold.  With 0.01 the first single-precision
-        # solve leaves a relative residual of at most 2.4e-5 (fig5_tau0
-        # j=1 L2), and at most 4 steps refine it.  A smaller threshold lets
+        # solve leaves a relative residual of at most 3.3e-5 (fig10_f10000
+        # j=1 L3), and at most 3 steps refine it.  A smaller threshold lets
         # SuperLU keep tiny diagonal pivots of the c = 0 entries: with
         # 0.001 the first residual reaches 2.7e-4 (table6 j=1 L3), and with
         # 0 it reaches 5.0 and 19 systems miss the contract.
