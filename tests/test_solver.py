@@ -272,12 +272,13 @@ def free_edge_midpoints(dm):
     return dm.mesh.vertices[dm.mesh.edges[dm.lamb_start >= 0]].mean(axis=1)
 
 
-def tree_heights(mesh):
-    """Both elements a and b of every edge (b = a on the boundary) and the
-    levels of the refinement tree, as heights in bits of the element
-    number: 2 per base-4 level below the coarse elements, then 1 per
-    binary level above them."""
-    a, b = mesh.edge_elems.T
+def tree_heights(dm):
+    """Both elements a and b of every free edge (b = a on the boundary)
+    and the levels of the refinement tree, as heights in bits of the
+    element number: 2 per base-4 level below the coarse elements, then 1
+    per binary level above them."""
+    mesh = dm.mesh
+    a, b = mesh.edge_elems[dm.lamb_start >= 0].T
     C = build_coarse_mesh(mesh.domain_tag).num_elements
     L = round(np.log(mesh.num_elements // C) / np.log(4))
     assert mesh.num_elements == C * 4**L
@@ -313,9 +314,7 @@ class TestNestedDissection:
         pos = np.full(F, -1)
         pos[free_edge_order(perm, dm)] = np.arange(F)
         assert np.array_equal(np.sort(pos), np.arange(F))
-        a, b, heights = tree_heights(dm.mesh)
-        free = dm.lamb_start >= 0
-        a, b = a[free], b[free]
+        a, b, heights = tree_heights(dm)
         traces = dm.element_indices[:, : -1 : db]
         elem_edges = np.where(traces >= 0, traces // db, F)
         for lo, hi in zip(heights, heights[1:]):
@@ -331,6 +330,7 @@ class TestNestedDissection:
                 # on its separator and on outflow edges.
                 held = np.append(np.where(mine & ~sep, child, -1), -1)[elem_edges]
                 assert np.all((held == held.max(axis=1)[:, None]) | (held < 0))
+        # The last level is the root, which holds every free edge.
         assert (node == 0).sum() == F
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
