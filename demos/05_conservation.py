@@ -11,7 +11,7 @@ Run:  PYTHONPATH=src python3 demos/05_conservation.py
 
 import copy
 
-from pdwg.analysis import conservation_report
+from pdwg.analysis import build_checks, conservation_report
 from pdwg.assembly import assemble, build_contexts, classify_boundary
 from pdwg.catalog import get_experiment
 from pdwg.mesh import build_coarse_mesh, refine_uniform
@@ -28,16 +28,18 @@ for _ in range(3):
 tables = build_contexts(mesh, spec)  # the level: geometry, coefficients and the problem
 dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
 system = assemble(mesh, dofmap, tables)
+checks = build_checks(tables)  # the level's checks, formed before the factor
+del tables
 solution = solve(system)
 
-report = conservation_report(solution, tables)
+report = conservation_report(solution, checks)
 print(f"elements: {mesh.num_elements}, interior edges: {len(report.interior_edges)}")
 print(f"max |element balance residual| = {report.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {report.max_flux_jump:.3e}")
 
 broken = copy.deepcopy(solution)
 broken.local[7, -1] += 1e-3  # u_h on element 7
-bad = conservation_report(broken, tables)
+bad = conservation_report(broken, checks)
 print("\nafter perturbing one element value by 1e-3:")
 print(f"max |element balance residual| = {bad.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {bad.max_flux_jump:.3e}")

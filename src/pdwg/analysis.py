@@ -15,9 +15,19 @@ and flux  F_h = beta u_h - 1/h_T (lam_0 - lam_b) n,  which satisfy
 
 elementwise and have continuous normal flux across interior edges.  All
 conservation integrals reuse the assembly quadrature rules, so the checks
-hold to solver accuracy rather than quadrature accuracy.  Every check
-reads the level's sampled element tables, and with them the problem
-(tau, the coefficients and the exact solution) they were sampled from.
+hold to solver accuracy rather than quadrature accuracy.
+
+Every check is linear or quadratic in one element's row of
+``Solution.local``, so a level's checks are formed in two steps.
+:func:`build_checks` reads the sampled element tables, and with them the
+problem (tau, the coefficients and the exact solution), before the
+factor and forms :class:`LevelChecks`, small per-element operators;
+the tables can then be dropped, and only these operators live through
+the factor.  After the solve, :func:`error_norms` and
+:func:`conservation_report` apply them to ``Solution.local``.  The
+operators are formed from the tables' quadrature, independently of the
+assembled element matrices, so the conservation check also checks the
+assembly.
 """
 
 from __future__ import annotations
@@ -59,6 +69,39 @@ class ConservationReport:
         return float(np.abs(self.flux_jumps).max()) if len(self.flux_jumps) else 0.0
 
 
+@dataclass
+class LevelChecks:
+    """The checks of one level as per-element operators on element rows
+    [lam_0 (d0); traces of edges 0, 1, 2 (3 db); u_T], laid out as
+    ``Solution.local``, with phi the trace basis of an edge:
+
+    - ``balance`` (T, n_loc + 1) and ``load`` (T,): the element balance
+      residual is balance_T . x_T - load_T, with load_T = int_T f;
+    - the moments of each side's F_h . n against phi on each local edge
+      e, (T, 3, db) each: ``flux_lam0`` (T, 3, db, d0), <phi/h_T, sigma_0>_e,
+      which the moments subtract, ``flux_trace`` (T, 3, db, db),
+      <phi/h_T, sigma_b>_e over that edge's traces, and ``flux_u``
+      (T, 3, db), <phi, beta_h . n>_e;
+    - with an exact solution (None without): ``exact_u`` (T,), its
+      values at the centroids, and ``area`` (T,); ``lam0_mass`` (T, d0, d0),
+      the lam_0 mass matrices, and ``trace_mass`` (E, db, db), h_T times
+      the trace mass matrix of each edge on its first incident element;
+    - ``scale_f``, max(1, max |f|) at the interior quadrature points.
+    """
+
+    mesh: Mesh
+    balance: np.ndarray
+    load: np.ndarray
+    flux_lam0: np.ndarray
+    flux_trace: np.ndarray
+    flux_u: np.ndarray
+    scale_f: float
+    exact_u: np.ndarray | None = None
+    area: np.ndarray | None = None
+    lam0_mass: np.ndarray | None = None
+    trace_mass: np.ndarray | None = None
+
+
 def nodal_interpolant(exact_u, tables: ElementTables) -> np.ndarray:
     """Exact solution sampled at the element centroids of ``tables``, one
     value per element."""
@@ -66,40 +109,87 @@ def nodal_interpolant(exact_u, tables: ElementTables) -> np.ndarray:
     return np.asarray(exact_u(cx, cy), dtype=float).reshape(-1)
 
 
-def error_norms(solution: Solution, tables: ElementTables) -> ErrorReport:
-    """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
-    ||lam_b||, against the exact solution of the problem ``tables`` were
-    sampled from, on their mesh.  Each edge is counted once, from its first
-    incident element, which supplies its trace, quadrature weights and h_T."""
-    exact_u = tables.spec.exact_u
-    if exact_u is None:
-        raise ValueError("error norms require an exact solution")
-    mesh = tables.mesh
-    diff = solution.local[:, -1] - nodal_interpolant(exact_u, tables)
-    lam0 = np.einsum("tqm,tm->tq", tables.lam0, solution.local[:, : tables.dim_lam0])
-    owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
-    lamb = _trace_values(solution, tables)[owner, local]
-    lamb_sq = np.sum(tables.ew[owner, local] * lamb * lamb, axis=1)
-    return ErrorReport(
-        err_u=math.sqrt(float(tables.area @ (diff * diff))),
-        err_lam0=math.sqrt(float(np.sum(tables.qw * lam0 * lam0))),
-        err_lamb=math.sqrt(float(tables.diameter[owner] @ lamb_sq)),
+def build_checks(tables: ElementTables) -> LevelChecks:
+    """The error and conservation operators of the problem the sampled
+    ``tables`` hold, on their mesh, formed from the tables' quadrature
+    exactly as the checks are defined, sigma running over the element's
+    unknowns:
+
+    - flux moments <F_h . n, phi>_e: lam_0 by -<phi/h_T, sigma_0>_e, that
+      edge's traces by <phi/h_T, sigma_b>_e, and u_T by <phi, beta_h . n>_e,
+      where beta u_h is replaced by its L2 projection onto the constants,
+      beta_h = int_T beta / |T| (for elementwise constant convection the
+      flux exactly);
+    - balance: u_T by int_T c + int_dT beta.n, lam_0 by
+      tau (c, beta.grad(sigma_0) - c sigma_0)_T - <1/h_T, sigma_0>_dT,
+      and each trace by <1/h_T, sigma_b>_e;
+    - errors: the lam_0 mass matrices, and the owner-edge trace mass
+      matrices h_T^2 <phi/h_T, phi>_e.
+
+    The first trace basis function is the constant 1, so the edge
+    integrals of the balance, and <phi, 1>_e of the u_T moments, are
+    moments against it, and the trace mass matrices are the trace
+    moments scaled.  Every operand of the batched products is
+    contiguous, the layout in which numpy multiplies small matrices
+    fastest.
+    """
+    spec, mesh = tables.spec, tables.mesh
+    qw, ew, h = tables.qw, tables.ew, tables.diameter
+    T, d0, n = mesh.num_elements, tables.dim_lam0, tables.n_loc
+    db = (n - d0) // 3
+
+    against = (ew / h[:, None, None])[:, :, None, :] * np.swapaxes(tables.edge_trace, 2, 3)
+    flux_lam0 = against @ tables.edge_lam0
+    flux_trace = against @ tables.edge_trace
+    h_beta_n = np.einsum("tc,tic->ti", tables.beta_int, tables.normals) * (h / tables.area)[:, None]
+
+    balance = np.empty((T, n + 1))
+    lam0_on_one = flux_lam0[:, :, 0]
+    np.negative(lam0_on_one[:, 0] + lam0_on_one[:, 1] + lam0_on_one[:, 2], out=balance[:, :d0])
+    if spec.tau > 0:
+        balance[:, :d0] += spec.tau * ((qw * tables.c_q)[:, None] @ tables.adjoint)[:, 0]
+    balance[:, d0:n] = flux_trace[:, :, 0].reshape(T, -1)
+    balance[:, n] = np.vecdot(qw, tables.c_q) + np.vecdot(ew.reshape(T, -1), tables.beta_n.reshape(T, -1))
+
+    checks = LevelChecks(
+        mesh=mesh,
+        balance=balance,
+        load=np.vecdot(qw, tables.f_q),
+        flux_lam0=flux_lam0,
+        flux_trace=flux_trace,
+        flux_u=h_beta_n[..., None] * flux_trace[..., 0],
+        scale_f=max(1.0, float(np.abs(tables.f_q).max())),
     )
+    if spec.exact_u is not None:
+        owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
+        checks.exact_u = nodal_interpolant(spec.exact_u, tables)
+        checks.area = tables.area
+        checks.lam0_mass = (np.swapaxes(tables.lam0, 1, 2) * qw[:, None, :]) @ tables.lam0
+        checks.trace_mass = flux_trace.reshape(-1, db, db)[3 * owner + local] * (h * h)[owner, None, None]
+    return checks
 
 
-def _trace_values(solution: Solution, tables: ElementTables) -> np.ndarray:
-    """lam_b at the edge quadrature points of each element's edges,
-    (T, 3, ne).  The sum over the db trace coefficients is spelled out:
-    it adds the same products in the same order as the einsum
-    "tiqm,tim->tiq", which starts from zero, so the final + 0.0 (turning
-    a -0.0 sum into +0.0) makes it bitwise that einsum, at less cost."""
-    basis = tables.edge_trace
-    traces = solution.local[:, tables.dim_lam0 : -1].reshape(len(solution.local), 3, -1)
-    values = basis[..., 0] * traces[:, :, None, 0]
-    for m in range(1, traces.shape[-1]):
-        values += basis[..., m] * traces[:, :, None, m]
-    values += 0.0
-    return values
+def _quadratic(mass: np.ndarray, x: np.ndarray) -> float:
+    """The sum over the leading axis of x_i^T mass_i x_i."""
+    return float(np.einsum("im,iml,il->", x, mass, x))
+
+
+def error_norms(solution: Solution, checks: LevelChecks) -> ErrorReport:
+    """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
+    ||lam_b||, against the exact solution of the level's problem.  Each
+    edge is counted once, from its first incident element, which supplies
+    its trace, quadrature weights and h_T."""
+    if checks.exact_u is None:
+        raise ValueError("error norms require an exact solution")
+    local, mesh = solution.local, checks.mesh
+    d0, db = checks.lam0_mass.shape[-1], checks.trace_mass.shape[-1]
+    traces = local[:, d0:-1].reshape(len(local), 3, db)
+    diff = local[:, -1] - checks.exact_u
+    return ErrorReport(
+        err_u=math.sqrt(float(checks.area @ (diff * diff))),
+        err_lam0=math.sqrt(_quadratic(checks.lam0_mass, local[:, :d0])),
+        err_lamb=math.sqrt(_quadratic(checks.trace_mass, traces[mesh.edge_elems[:, 0], mesh.edge_local[:, 0]])),
+    )
 
 
 def triple_norm_Wh(lam: np.ndarray, tables: ElementTables) -> float:
@@ -110,54 +200,39 @@ def triple_norm_Wh(lam: np.ndarray, tables: ElementTables) -> float:
         ( sum_T 1/h_T ||lam_0 - lam_b||_{dT}^2
               + tau ||beta.grad(lam_0) - c lam_0||_T^2 )^(1/2),
 
-    which squares to the stabilizer quadratic form s(lam, lam)."""
+    which squares to the stabilizer quadratic form s(lam, lam).  It reads
+    the tables, so a solution's seminorm is taken while they are alive."""
     return math.sqrt(float(tables.stabilizer_energy(lam).sum()))
 
 
-def conservation_report(solution: Solution, tables: ElementTables) -> ConservationReport:
+def conservation_report(solution: Solution, checks: LevelChecks) -> ConservationReport:
     """Elementwise balance residuals of the conservation identity and the
     interior-edge normal-flux jumps tested against the edge trace basis,
-    for the problem ``tables`` were sampled from, on their mesh.
-
-    The jump test uses the flux the scheme itself transports: beta u_h is
-    projected elementwise onto degree k-1 vectors (for elementwise
-    constant convection this is the flux exactly).  Residuals reuse the
-    assembly quadrature, so a converged solve drives them to solver
-    tolerance.
+    by the operators of ``checks`` (see :func:`build_checks`).  Both
+    reuse the assembly quadrature, so a converged solve drives them to
+    solver tolerance.
     """
-    mesh = tables.mesh
-    u = solution.local[:, -1]
-    lam0 = solution.local[:, : tables.dim_lam0]
-    qw, ew = tables.qw, tables.ew
+    local, mesh = solution.local, checks.mesh
+    T, d0, db = len(local), checks.flux_lam0.shape[-1], checks.flux_trace.shape[-1]
+    residuals = np.vecdot(checks.balance, local) - checks.load
 
-    # u_tilde = u_h + tau (beta.grad(lam_0) - c lam_0)
-    utilde = u[:, None]
-    tau = tables.spec.tau
-    if tau > 0:
-        utilde = utilde + tau * np.einsum("tqm,tm->tq", tables.adjoint(), lam0)
-    residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
-
-    lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
-    stab = (lam0_on_e - _trace_values(solution, tables)) / tables.diameter[:, None, None]
-    residuals += np.sum(ew * (tables.beta_n * u[:, None, None] - stab), axis=(1, 2))
-
-    # This side's contribution to <[F_h . n], trace basis>_e, with beta u_h
-    # replaced by its L2 projection onto the constants.
-    flux = u[:, None] * tables.beta_int / qw.sum(axis=1)[:, None]
-    flux_n = np.einsum("tc,tic->ti", flux, tables.normals)
-    moments = np.einsum("tiq,tiqm->tim", ew * (flux_n[..., None] - stab), tables.edge_trace)
+    # Each side's moments of <[F_h . n], trace basis>_e, (T * 3, db).
+    moments = np.vecdot(checks.flux_trace, local[:, d0:-1].reshape(T, 3, 1, db))
+    moments -= np.vecdot(checks.flux_lam0, local[:, None, None, :d0])
+    moments += checks.flux_u * local[:, -1, None, None]
+    moments = moments.reshape(-1, db)
 
     # Each interior edge's jump adds its two sides' moments, read through
     # its elements and local edges.  The larger of the (one or two) trace
     # moments is taken without a reduction over that short axis.
     interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
-    (left, right), (left_i, right_i) = mesh.edge_elems[interior].T, mesh.edge_local[interior].T
-    jumps = np.abs(moments[left, left_i] + moments[right, right_i])
+    left, right = (3 * mesh.edge_elems + mesh.edge_local)[interior].T
+    jumps = np.abs(moments[left] + moments[right])
     return ConservationReport(
         element_residuals=residuals,
         flux_jumps=np.maximum(jumps[:, 0], jumps[:, -1]),
         interior_edges=interior,
-        scale_f=max(1.0, float(np.abs(tables.f_q).max())),
+        scale_f=checks.scale_f,
     )
 
 

@@ -2,8 +2,12 @@
 
 A study builds the coarse mesh of the experiment's domain, refines it
 uniformly level by level, and for each level builds the element tables
-once, then classifies the boundary, assembles, solves and analyzes the
-problem from them.  Levels are reported through the nominal grid
+once, then classifies the boundary, assembles and forms the level's
+error and conservation operators from them (``build_checks``).  The
+tables are dropped before the solve, so the factor runs with only the
+mesh, the DOF map, the system and those operators alive; after the solve
+``error_norms`` and ``conservation_report`` apply the operators to the
+solution.  Levels are reported through the nominal grid
 spacing 1/h = 2^level of the unit cells.  Output files are plain CSV with
 deterministic formatting, so identical runs produce identical bytes.
 """
@@ -18,6 +22,7 @@ import numpy as np
 
 from .analysis import (
     ConservationReport,
+    build_checks,
     conservation_report,
     error_norms,
     postprocess_averages,
@@ -111,8 +116,9 @@ def run_study(
     ``tau`` and ``j`` override the catalog configuration without
     duplicating the entry.  A level range that ``check_levels`` refuses,
     or a bad ``tol``, raises ValueError before any mesh is built.  Each
-    level's tables, DOF map, system and solution are dropped before the
-    next level is built; the report keeps the finest level's system.
+    level's tables are dropped before its solve, once its checks are
+    formed, and its DOF map, system, checks and solution before the next
+    level is built; the report keeps the finest level's system.
     """
     spec = experiment.spec
     if tau is not None:
@@ -133,14 +139,16 @@ def run_study(
         tables = build_contexts(mesh, spec)
         dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
         system = assemble(mesh, dofmap, tables)
+        checks = build_checks(tables)
+        del tables
         solution = solve(system, tol=tol)
 
         if spec.exact_u is not None:
-            errs = error_norms(solution, tables)
+            errs = error_norms(solution, checks)
             err_u, err_l0, err_lb = errs.err_u, errs.err_lam0, errs.err_lamb
         else:
             err_u = err_l0 = err_lb = None
-        cons: ConservationReport = conservation_report(solution, tables)
+        cons: ConservationReport = conservation_report(solution, checks)
 
         report.rows.append(
             LevelResult(
@@ -160,7 +168,7 @@ def run_study(
         )
 
         if level < hi:
-            del tables, dofmap, system, solution, cons
+            del checks, dofmap, system, solution, cons
             mesh = refine_uniform(mesh)
     report.system = system
     if collect_field:

@@ -1,12 +1,17 @@
 """Builders shared by the tests: refined meshes, one level's element
 tables, DOF map and system built the way ``run_study`` builds them, the
 full numbering of a system with its assembled sparse matrix, right-hand
-side and solution vector, and single-element references for the batched
-element tables."""
+side and solution vector, single-element references for the batched
+element tables, and the error norms and conservation checks evaluated
+directly from the tables, the reference for the operators of
+``pdwg.analysis``."""
+
+import math
 
 import numpy as np
 
 import pdwg.assembly
+from pdwg.analysis import ConservationReport, ErrorReport, nodal_interpolant
 from pdwg.assembly import ProblemSpec, assemble, build_contexts, classify_boundary
 from pdwg.fields import constant
 from pdwg.mesh import build_coarse_mesh, refine_uniform
@@ -118,3 +123,53 @@ def project_edge(f, degree, a, b):
     pts, w, t = map_to_edge(quad_edge(9), a, b)
     V = EdgeBasis(degree).eval(t)
     return np.linalg.solve(V.T @ (w[:, None] * V), V.T @ (w * f(pts[:, 0], pts[:, 1])))
+
+
+def direct_trace_values(local, tables):
+    """lam_b at the edge quadrature points of each element's edges,
+    (T, 3, ne), for element rows ``local`` laid out as ``Solution.local``."""
+    traces = local[:, tables.dim_lam0 : -1].reshape(len(local), 3, -1)
+    return np.einsum("tiqm,tim->tiq", tables.edge_trace, traces)
+
+
+def direct_error_norms(local, tables):
+    """``error_norms`` evaluated directly from the sampled ``tables`` at
+    the quadrature points, for element rows ``local``."""
+    mesh = tables.mesh
+    diff = local[:, -1] - nodal_interpolant(tables.spec.exact_u, tables)
+    lam0 = np.einsum("tqm,tm->tq", tables.lam0, local[:, : tables.dim_lam0])
+    owner, edge = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
+    lamb = direct_trace_values(local, tables)[owner, edge]
+    lamb_sq = np.sum(tables.ew[owner, edge] * lamb * lamb, axis=1)
+    return ErrorReport(
+        err_u=math.sqrt(float(tables.area @ (diff * diff))),
+        err_lam0=math.sqrt(float(np.sum(tables.qw * lam0 * lam0))),
+        err_lamb=math.sqrt(float(tables.diameter[owner] @ lamb_sq)),
+    )
+
+
+def direct_conservation(local, tables):
+    """``conservation_report`` evaluated directly from the sampled
+    ``tables``: u_tilde, the flux F_h and its jumps formed at the
+    quadrature points, for element rows ``local``."""
+    mesh = tables.mesh
+    u = local[:, -1]
+    lam0 = local[:, : tables.dim_lam0]
+    qw, ew = tables.qw, tables.ew
+    utilde = u[:, None] + tables.spec.tau * np.einsum("tqm,tm->tq", tables.adjoint, lam0)
+    residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
+    lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
+    stab = (lam0_on_e - direct_trace_values(local, tables)) / tables.diameter[:, None, None]
+    residuals += np.sum(ew * (tables.beta_n * u[:, None, None] - stab), axis=(1, 2))
+    flux = u[:, None] * tables.beta_int / qw.sum(axis=1)[:, None]
+    flux_n = np.einsum("tc,tic->ti", flux, tables.normals)
+    moments = np.einsum("tiq,tiqm->tim", ew * (flux_n[..., None] - stab), tables.edge_trace)
+    interior = np.flatnonzero(mesh.edge_elems[:, 1] >= 0)
+    (left, right), (left_i, right_i) = mesh.edge_elems[interior].T, mesh.edge_local[interior].T
+    jumps = np.abs(moments[left, left_i] + moments[right, right_i]).max(axis=1)
+    return ConservationReport(
+        element_residuals=residuals,
+        flux_jumps=jumps,
+        interior_edges=interior,
+        scale_f=max(1.0, float(np.abs(tables.f_q).max())),
+    )

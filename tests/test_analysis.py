@@ -1,24 +1,36 @@
 import dataclasses
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pdwg.solver
+import pdwg.study
 from pdwg.analysis import (
-    _trace_values,
+    build_checks,
     conservation_report,
     error_norms,
     nodal_interpolant,
     postprocess_averages,
     triple_norm_Wh,
 )
-from helpers import assembled_matrix, build_level, full_indices, refined, same_bits
+from helpers import (
+    assembled_matrix,
+    build_level,
+    direct_conservation,
+    direct_error_norms,
+    full_indices,
+    refined,
+    same_bits,
+)
 from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
+from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
-from pdwg.solver import Solution, solve
-from pdwg.study import StudyReport
+from pdwg.solver import solve
+from pdwg.study import ROUNDOFF_ERROR, StudyReport, run_study
 from pdwg.weakspace import project_to_weak
 
 
@@ -35,9 +47,10 @@ def make_spec(beta=(1.0, -1.0), c=1.0, f=1.0, g=1.0, tau=1.0, domain="unit_squar
 
 
 def solved_unit_problem(level=2, tau=1.0, domain="unit_square"):
+    """The level's checks, DOF map and solution of the constant solution."""
     spec = make_spec(tau=tau, domain=domain, exact=constant(1.0))
     tables, dm, system = build_level(refined(domain, level), spec)
-    return tables, dm, solve(system)
+    return build_checks(tables), dm, solve(system)
 
 
 class TestNodalInterpolant:
@@ -64,28 +77,28 @@ class TestNodalInterpolant:
 class TestErrorNorms:
     def test_constant_offset(self):
         # u_h = I_h u + 0.5 on the unit square: ||e_h|| = 0.5 (area 1)
-        tables, dm, sol = solved_unit_problem(level=2)
+        checks, dm, sol = solved_unit_problem(level=2)
         sol.local[:, :-1] = 0.0
         sol.local[:, -1] = 1.5
-        rep = error_norms(sol, tables)
+        rep = error_norms(sol, checks)
         assert rep.err_u == pytest.approx(0.5, abs=1e-12)
         assert rep.err_lam0 == 0.0
         assert rep.err_lamb == 0.0
 
     def test_unit_solution_machine_accuracy(self):
-        tables, dm, sol = solved_unit_problem(level=2)
-        rep = error_norms(sol, tables)
+        checks, dm, sol = solved_unit_problem(level=2)
+        rep = error_norms(sol, checks)
         assert rep.err_u <= 1e-8
         assert rep.err_lam0 <= 1e-8
         assert rep.err_lamb <= 1e-8
 
     def test_requires_exact_solution(self):
-        tables, dm, sol = solved_unit_problem(level=1)
-        bare = dataclasses.replace(tables.spec, exact_u=None)
-        with pytest.raises(ValueError):
-            error_norms(sol, build_contexts(tables.mesh, bare))
+        checks, dm, sol = solved_unit_problem(level=1)
+        bare = make_spec()
+        with pytest.raises(ValueError, match="exact solution"):
+            error_norms(sol, build_checks(build_contexts(checks.mesh, bare)))
         with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            error_norms(sol, ElementTables(tables.mesh, 1))
+            build_checks(ElementTables(checks.mesh, 1))
 
 
 class TestTripleNormWh:
@@ -131,35 +144,32 @@ class TestTripleNormWh:
 
 class TestConservation:
     def test_unit_solution(self):
-        tables, dm, sol = solved_unit_problem(level=2)
-        rep = conservation_report(sol, tables)
+        checks, dm, sol = solved_unit_problem(level=2)
+        rep = conservation_report(sol, checks)
         assert rep.max_element_residual <= 1e-10
         assert rep.max_flux_jump <= 1e-10
         assert rep.scale_f == 1.0
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_solved_smooth_problem(self, tau):
-        from pdwg.catalog import get_experiment
-        from pdwg.study import run_study
-
         rep = run_study(get_experiment("table5"), levels=(3, 3), tau=tau)
         row = rep.rows[0]
         assert row.cons_max_residual <= 1e-9 * row.cons_scale_f
         assert row.cons_max_flux_jump <= 1e-9
 
     def test_perturbation_detected(self):
-        tables, dm, sol = solved_unit_problem(level=1)
+        checks, dm, sol = solved_unit_problem(level=1)
         sol.local[0, -1] += 0.01
-        rep = conservation_report(sol, tables)
+        rep = conservation_report(sol, checks)
         assert rep.max_element_residual > 1e-6
 
     def test_residual_scales_linearly_with_solution_error(self):
         # conservation quantities are linear in the algebraic residual, so
         # scaling a solution perturbation by 10 scales the maxima by 10
-        tables, dm, sol = solved_unit_problem(level=1)
+        checks, dm, sol = solved_unit_problem(level=1)
         rng = np.random.default_rng(5)
-        du = rng.standard_normal(tables.mesh.num_elements)
-        dl0 = rng.standard_normal((tables.mesh.num_elements, dm.dim_lam0))
+        du = rng.standard_normal(checks.mesh.num_elements)
+        dl0 = rng.standard_normal((checks.mesh.num_elements, dm.dim_lam0))
 
         def perturbed(scale):
             import copy
@@ -167,7 +177,7 @@ class TestConservation:
             s = copy.deepcopy(sol)
             s.local[:, -1] += scale * du
             s.local[:, : dm.dim_lam0] += scale * dl0
-            return conservation_report(s, tables)
+            return conservation_report(s, checks)
 
         small = perturbed(1e-3)
         large = perturbed(1e-2)
@@ -182,23 +192,51 @@ def orders(errors):
     return StudyReport(rows=rows).orders("err_u")
 
 
-class TestTraceValues:
-    @pytest.mark.parametrize("j", [0, 1])
-    def test_equals_the_einsum(self, j):
-        # Bit for bit, signed zeros included, on jittered vertices and
-        # element rows over 1e-100..1e100: the spelled-out sum over the
-        # trace coefficients is the einsum it replaces.
-        mesh = refined("l_shape", 2)
-        rng = np.random.default_rng(7)
-        mesh = dataclasses.replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
-        tables = ElementTables(mesh, j)
-        shape = (mesh.num_elements, tables.n_loc + 1)
-        local = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
-        local[rng.random(shape) < 0.3] = -0.0
-        local[rng.random(shape) < 0.2] = 0.0
-        traces = local[:, tables.dim_lam0 : -1].reshape(len(local), 3, -1)
-        expected = np.einsum("tiqm,tim->tiq", tables.edge_trace, traces)
-        assert same_bits(_trace_values(Solution(local, 0.0, {}), tables), expected)
+class TestChecks:
+    def test_operators_equal_the_direct_formulas(self):
+        # The per-element operators, formed before the factor, against the
+        # checks evaluated directly at the quadrature points of the tables
+        # (tests/helpers.py), over the catalog at levels 0-2 with j = k-1
+        # and j = k.  They add the same terms in another order.
+        for name, exp in catalog().items():
+            for j in (0, 1):
+                spec = dataclasses.replace(exp.spec, j=j)
+                for level in range(3):
+                    tables, _, system = build_level(refined(spec.domain_tag, level), spec)
+                    checks = build_checks(tables)
+                    sol = solve(system)
+                    where = (name, j, level)
+                    if spec.exact_u is not None:
+                        got, want = error_norms(sol, checks), direct_error_norms(sol.local, tables)
+                        for key in ("err_u", "err_lam0", "err_lamb"):
+                            if getattr(want, key) > ROUNDOFF_ERROR:
+                                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), where
+                    got, want = conservation_report(sol, checks), direct_conservation(sol.local, tables)
+                    assert got.scale_f == want.scale_f, where
+                    assert np.abs(got.element_residuals - want.element_residuals).max() <= 1e-12 * got.scale_f, where
+                    assert np.array_equal(got.interior_edges, want.interior_edges), where
+                    assert np.abs(got.flux_jumps - want.flux_jumps).max(initial=0.0) <= 1e-10, where
+
+    def test_no_tables_alive_during_the_factor(self, monkeypatch):
+        # run_study drops each level's element tables once its checks are
+        # formed, so the factor runs without them.
+        alive, factored = [], []
+        build, splu = pdwg.study.build_contexts, pdwg.solver.splu
+
+        def tracked_build(*args):
+            tables = build(*args)
+            alive.append(weakref.ref(tables))
+            return tables
+
+        def checked_splu(*args, **kwargs):
+            factored.append([ref() is None for ref in alive])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(pdwg.study, "build_contexts", tracked_build)
+        monkeypatch.setattr(pdwg.solver, "splu", checked_splu)
+        run_study(get_experiment("table5"), levels=(0, 2))
+        assert len(alive) == 3 and [len(dead) for dead in factored] == [1, 2, 3]
+        assert all(all(dead) for dead in factored)
 
 
 class TestOrders:

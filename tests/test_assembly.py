@@ -141,8 +141,8 @@ class TestLocalStabilizer:
                 - basis.eval(tables.qpts - step, tables.centroid, tables.diameter)
             ) / 2e-6
             expected = fd - tables.c_q[..., None] * tables.lam0
-            assert tables.adjoint().shape == (mesh.num_elements, tables.qw.shape[1], 3 if j else 1)
-            assert np.allclose(tables.adjoint(), expected, rtol=0, atol=1e-8)
+            assert tables.adjoint.shape == (mesh.num_elements, tables.qw.shape[1], 3 if j else 1)
+            assert np.allclose(tables.adjoint, expected, rtol=0, atol=1e-8)
 
 
 class TestLocalBForm:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assembled_matrix, build_level, refined
-from pdwg.analysis import conservation_report, error_norms
+from pdwg.analysis import build_checks, conservation_report, error_norms
 from pdwg.assembly import ProblemSpec
 from pdwg.fields import SCALAR_FIELDS, DerivedLoad, constant, constant_vector
 from pdwg.mesh import DOMAIN_TAGS
@@ -76,7 +76,7 @@ def test_constant_solution_reproduced(problem):
     mesh, spec = problem
     s = spec(SCALAR_FIELDS["one"])
     _, tables, _, solution = solve_problem(mesh, s)
-    errs = error_norms(solution, tables)
+    errs = error_norms(solution, build_checks(tables))
     assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
     assert np.allclose(solution.local[:, -1], 1.0, rtol=0, atol=1e-8)
 
@@ -87,7 +87,7 @@ def test_elementwise_conservation(problem):
     mesh, spec = problem
     s = spec(SCALAR_FIELDS["sin_x_cos_y"])
     _, tables, _, solution = solve_problem(mesh, s)
-    cons = conservation_report(solution, tables)
+    cons = conservation_report(solution, build_checks(tables))
     assert cons.max_element_residual <= 1e-9 * cons.scale_f
 
 
@@ -125,6 +125,6 @@ def test_constant_solution_on_affine_images(problem, affine):
     mesh = mapped(mesh, affine)
     s = spec(SCALAR_FIELDS["one"])
     _, tables, _, solution = solve_problem(mesh, s)
-    errs = error_norms(solution, tables)
+    errs = error_norms(solution, build_checks(tables))
     assert max(errs.err_u, errs.err_lam0, errs.err_lamb) <= 1e-8
     assert np.allclose(solution.local[:, -1], 1.0, rtol=0, atol=1e-8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import assembled_matrix, build_level, full_rhs, full_vector, lapack_schur, refined, same_bits
-from pdwg.analysis import conservation_report
+from pdwg.analysis import build_checks, conservation_report
 from pdwg.assembly import ProblemSpec
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
@@ -430,9 +430,10 @@ class TestOrderedFactor:
         # ``pdwg verify``.
         spec = dataclasses.replace(get_experiment(entry).spec, j=1)
         tables, _, system = build_level(refined(spec.domain_tag, 5), spec)
+        checks = build_checks(tables)
         sol = solve(system)
         assert sol.info["refine_steps"] >= 1
-        assert conservation_report(sol, tables).max_flux_jump <= 1e-9
+        assert conservation_report(sol, checks).max_flux_jump <= 1e-9
 
     def test_default_tol_refines_to_double_round_off(self):
         # Stopping at tol would end just under 1e-11; the refinement runs

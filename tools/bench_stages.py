@@ -9,12 +9,17 @@ process, so its peak RSS (``ru_maxrss``) is that point's alone.  The
 trees given by ``--src LABEL=PATH`` (``pdwg`` is imported from PATH)
 alternate within every run, so two checkouts are measured back to back.
 Stages, in seconds: mesh (the coarse mesh and every refinement), tables,
-classify, dofmap, assemble, solve (condensation, ordering, factor,
-refinement and the residual check) with its parts order and factor (the
-SuperLU call), errors and conservation.  Beside them each point records
-the order's name, the factor fill and fill / (n log2 n) over the
-condensed order n, the root separator's edges, the refinement steps and
-the residuals.  The record holds every run and the median of each metric.
+classify, dofmap, assemble, checks (the error and conservation operators
+formed before the solve, after which the tables are dropped), solve
+(condensation, ordering, factor, refinement and the residual check) with
+its parts order and factor (the SuperLU call), errors and conservation.
+A tree without ``build_checks`` reads the tables after the solve, as its
+``run_study`` does, and records no checks stage.  Beside them each point
+records the peak RSS after assembly, after the solve and at the end
+(``assemble_peak_mb``, ``solve_peak_mb``, ``peak_rss_mb``), the order's
+name, the factor fill and fill / (n log2 n) over the condensed order n,
+the root separator's edges, the refinement steps and the residuals.  The
+record holds every run and the median of each metric.
 """
 
 import argparse
@@ -28,9 +33,15 @@ import sys
 import time
 
 
+def peak_mb() -> float:
+    """The peak RSS of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def measure(point: str) -> dict:
     """Stage times, solver diagnostics and peak RSS of one point, in this
     process."""
+    import pdwg.analysis
     import pdwg.solver
     from pdwg.analysis import conservation_report, error_norms
     from pdwg.assembly import assemble, build_contexts, classify_boundary
@@ -57,16 +68,25 @@ def measure(point: str) -> dict:
     classification = stage("classify_s", classify_boundary, mesh, tables)
     dofmap = stage("dofmap_s", DofMap, mesh, spec.j, classification)
     system = stage("assemble_s", assemble, mesh, dofmap, tables)
+    assemble_peak_mb = peak_mb()
+    if hasattr(pdwg.analysis, "build_checks"):
+        checks = stage("checks_s", pdwg.analysis.build_checks, tables)
+        del tables
+    else:
+        checks = tables
     solution = stage("solve_s", pdwg.solver.solve, system)
+    solve_peak_mb = peak_mb()
     if spec.exact_u is not None:
-        stage("errors_s", error_norms, solution, tables)
-    stage("conservation_s", conservation_report, solution, tables)
+        stage("errors_s", error_norms, solution, checks)
+    stage("conservation_s", conservation_report, solution, checks)
     info = solution.info
     return {
         **times,
         "order_s": info["order_s"],
         "total_s": sum(t for key, t in times.items() if key != "factor_s"),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "assemble_peak_mb": assemble_peak_mb,
+        "solve_peak_mb": solve_peak_mb,
+        "peak_rss_mb": peak_mb(),
         "elements": mesh.num_elements,
         "condensed_order": info["condensed_order"],
         "ordering": info["ordering"],
