@@ -333,12 +333,14 @@ class ElementTables:
     def stabilizer(self) -> np.ndarray:
         """Symmetric positive semidefinite stabilizer matrices over the
         local multiplier coefficients, shape (T, n_loc, n_loc)."""
+        # The kept adjoint table is formed before the jump rows, so the
+        # rows, freed on return, do not lie under it in the heap.
+        tau = self.spec.tau
+        A = self.adjoint if tau > 0 else None
         D, w = self._jumps()
         S = np.swapaxes(D, 1, 2) @ (w[..., None] * D)
-        tau = self.spec.tau
         if tau > 0:
             d0 = self.dim_lam0
-            A = self.adjoint
             S[:, :d0, :d0] += tau * (np.swapaxes(A, 1, 2) @ (self.qw[..., None] * A))
         # The products are symmetric only to round-off; mirror the upper
         # triangle so S (and the assembled matrix) is exactly symmetric.
