@@ -333,8 +333,9 @@ class ElementTables:
     def stabilizer(self) -> np.ndarray:
         """Symmetric positive semidefinite stabilizer matrices over the
         local multiplier coefficients, shape (T, n_loc, n_loc)."""
-        # The kept adjoint table is formed before the jump rows, so the
-        # rows, freed on return, do not lie under it in the heap.
+        # The kept adjoint table is formed before the jump rows: formed
+        # after, it would sit above them in the heap and keep their pages
+        # from being returned once they are freed.
         tau = self.spec.tau
         A = self.adjoint if tau > 0 else None
         D, w = self._jumps()
