@@ -75,13 +75,18 @@ class LevelChecks:
     [lam_0 (d0); traces of edges 0, 1, 2 (3 db); u_T], laid out as
     ``Solution.local``, with phi the trace basis of an edge:
 
-    - ``balance`` (T, n_loc + 1) and ``load`` (T,): the element balance
-      residual is balance_T . x_T - load_T, with load_T = int_T f;
     - the moments of each side's F_h . n against phi on each local edge
-      e, (T, 3, db) each: ``flux_lam0`` (T, 3, db, d0), <phi/h_T, sigma_0>_e,
-      which the moments subtract, ``flux_trace`` (T, 3, db, db),
-      <phi/h_T, sigma_b>_e over that edge's traces, and ``flux_u``
-      (T, 3, db), <phi, beta_h . n>_e;
+      e, (T, 3, db) each: ``flux_trace`` (T, 3, db, db), <phi/h_T, sigma_b>_e
+      over that edge's traces, ``flux_lam0`` (T, 3, db, d0 - 1),
+      <phi/h_T, sigma_0>_e over the non-constant lam_0 basis functions,
+      which the moments subtract (the first basis functions of both are
+      the constant 1, so the constant lam_0's moments are
+      ``flux_trace[..., 0]``), and ``flux_u`` (T, 3, db), <phi, beta_h . n>_e;
+    - the element balance: its lam_0 and trace terms on the edges are the
+      moments against phi_0 = 1 summed over the three edges, so only
+      ``u_balance`` (T,), int_T c + int_dT beta.n, ``load`` (T,), int_T f,
+      and, for tau > 0, ``tau_lam0`` (T, d0), tau (c, beta.grad(sigma_0)
+      - c sigma_0)_T, are kept (None for tau = 0);
     - with an exact solution (None without): ``exact_u`` (T,), its
       values at the centroids, and ``area`` (T,); ``lam0_mass`` (T, d0, d0),
       the lam_0 mass matrices, and ``trace_mass`` (E, db, db), h_T times
@@ -90,12 +95,13 @@ class LevelChecks:
     """
 
     mesh: Mesh
-    balance: np.ndarray
-    load: np.ndarray
     flux_lam0: np.ndarray
     flux_trace: np.ndarray
     flux_u: np.ndarray
+    u_balance: np.ndarray
+    load: np.ndarray
     scale_f: float
+    tau_lam0: np.ndarray | None = None
     exact_u: np.ndarray | None = None
     area: np.ndarray | None = None
     lam0_mass: np.ndarray | None = None
@@ -120,58 +126,59 @@ def build_checks(tables: ElementTables) -> LevelChecks:
       where beta u_h is replaced by its L2 projection onto the constants,
       beta_h = int_T beta / |T| (for elementwise constant convection the
       flux exactly);
-    - balance: u_T by int_T c + int_dT beta.n, lam_0 by
-      tau (c, beta.grad(sigma_0) - c sigma_0)_T - <1/h_T, sigma_0>_dT,
-      and each trace by <1/h_T, sigma_b>_e;
+    - balance: u_T by int_T c + int_dT beta.n and lam_0 by
+      tau (c, beta.grad(sigma_0) - c sigma_0)_T, beside the flux moments
+      against phi_0 = 1;
     - errors: the lam_0 mass matrices, and the owner-edge trace mass
       matrices h_T^2 <phi/h_T, phi>_e.
 
-    The first trace basis function is the constant 1, so the edge
-    integrals of the balance, and <phi, 1>_e of the u_T moments, are
-    moments against it, and the trace mass matrices are the trace
-    moments scaled.  Every operand of the batched products is
-    contiguous, the layout in which numpy multiplies small matrices
-    fastest.
+    The first trace and lam_0 basis functions are the constant 1, so
+    <phi, 1>_e of the u_T and constant lam_0 moments is a trace moment,
+    and the trace mass matrices are the trace moments scaled.  The
+    weighted bases are formed one basis function at a time, as numpy
+    broadcasts over a short last axis slowly, and the weighted trace
+    basis is laid out contiguously, as numpy multiplies the small
+    matrices fastest from it.
     """
     spec, mesh = tables.spec, tables.mesh
     qw, ew, h = tables.qw, tables.ew, tables.diameter
-    T, d0, n = mesh.num_elements, tables.dim_lam0, tables.n_loc
-    db = (n - d0) // 3
+    T, d0, db = mesh.num_elements, tables.dim_lam0, tables.edge_trace.shape[-1]
 
-    against = (ew / h[:, None, None])[:, :, None, :] * np.swapaxes(tables.edge_trace, 2, 3)
-    flux_lam0 = against @ tables.edge_lam0
+    ew_h = ew / h[:, None, None]
+    against = np.empty((T, 3, db, ew.shape[-1]))
+    for m in range(db):
+        np.multiply(ew_h, tables.edge_trace[..., m], out=against[..., m, :])
     flux_trace = against @ tables.edge_trace
-    h_beta_n = np.einsum("tc,tic->ti", tables.beta_int, tables.normals) * (h / tables.area)[:, None]
-
-    balance = np.empty((T, n + 1))
-    lam0_on_one = flux_lam0[:, :, 0]
-    np.negative(lam0_on_one[:, 0] + lam0_on_one[:, 1] + lam0_on_one[:, 2], out=balance[:, :d0])
-    if spec.tau > 0:
-        balance[:, :d0] += spec.tau * ((qw * tables.c_q)[:, None] @ tables.adjoint)[:, 0]
-    balance[:, d0:n] = flux_trace[:, :, 0].reshape(T, -1)
-    balance[:, n] = np.vecdot(qw, tables.c_q) + np.vecdot(ew.reshape(T, -1), tables.beta_n.reshape(T, -1))
+    beta_int, normals = tables.beta_int[:, None], tables.normals
+    h_beta_n = beta_int[..., 0] * normals[..., 0] + beta_int[..., 1] * normals[..., 1]
+    h_beta_n *= (h / tables.area)[:, None]
 
     checks = LevelChecks(
         mesh=mesh,
-        balance=balance,
-        load=np.vecdot(qw, tables.f_q),
-        flux_lam0=flux_lam0,
+        flux_lam0=against @ tables.edge_lam0[..., 1:],
         flux_trace=flux_trace,
         flux_u=h_beta_n[..., None] * flux_trace[..., 0],
+        u_balance=np.einsum("tq,tq->t", qw, tables.c_q) + np.einsum("tiq,tiq->t", ew, tables.beta_n),
+        load=np.einsum("tq,tq->t", qw, tables.f_q),
         scale_f=max(1.0, float(np.abs(tables.f_q).max())),
     )
+    if spec.tau > 0:
+        checks.tau_lam0 = spec.tau * tables.adjoint_moments(qw * tables.c_q)
     if spec.exact_u is not None:
         owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
+        weighted = np.empty_like(tables.lam0)
+        for k in range(d0):
+            np.multiply(qw, tables.lam0[..., k], out=weighted[..., k])
         checks.exact_u = nodal_interpolant(spec.exact_u, tables)
         checks.area = tables.area
-        checks.lam0_mass = (np.swapaxes(tables.lam0, 1, 2) * qw[:, None, :]) @ tables.lam0
+        checks.lam0_mass = np.swapaxes(weighted, 1, 2) @ tables.lam0
         checks.trace_mass = flux_trace.reshape(-1, db, db)[3 * owner + local] * (h * h)[owner, None, None]
     return checks
 
 
 def _quadratic(mass: np.ndarray, x: np.ndarray) -> float:
     """The sum over the leading axis of x_i^T mass_i x_i."""
-    return float(np.einsum("im,iml,il->", x, mass, x))
+    return float(np.einsum("im,im->", np.einsum("iml,il->im", mass, x), x))
 
 
 def error_norms(solution: Solution, checks: LevelChecks) -> ErrorReport:
@@ -213,13 +220,22 @@ def conservation_report(solution: Solution, checks: LevelChecks) -> Conservation
     solver tolerance.
     """
     local, mesh = solution.local, checks.mesh
-    T, d0, db = len(local), checks.flux_lam0.shape[-1], checks.flux_trace.shape[-1]
-    residuals = np.vecdot(checks.balance, local) - checks.load
+    T, d0, db = len(local), checks.flux_lam0.shape[-1] + 1, checks.flux_trace.shape[-1]
+    lam0, u = local[:, :d0], local[:, -1]
+    traces = local[:, d0:-1].reshape(T, 3, 1, db)
 
-    # Each side's moments of <[F_h . n], trace basis>_e, (T * 3, db).
-    moments = np.vecdot(checks.flux_trace, local[:, d0:-1].reshape(T, 3, 1, db))
-    moments -= np.vecdot(checks.flux_lam0, local[:, None, None, :d0])
-    moments += checks.flux_u * local[:, -1, None, None]
+    # Each side's moments of <[F_h . n], trace basis>_e, (T, 3, db), the
+    # products over the short trace axis spelled out.  Before the u_T
+    # term, those against the constant add up to the balance's edge terms.
+    moments = checks.flux_trace[..., 0] * (traces[..., 0] - lam0[:, None, None, 0])
+    for k in range(1, db):
+        moments += checks.flux_trace[..., k] * traces[..., k]
+    if d0 > 1:
+        moments -= np.einsum("timk,tk->tim", checks.flux_lam0, lam0[:, 1:])
+    residuals = moments[:, 0, 0] + moments[:, 1, 0] + moments[:, 2, 0] + checks.u_balance * u - checks.load
+    if checks.tau_lam0 is not None:
+        residuals += np.einsum("tk,tk->t", checks.tau_lam0, lam0)
+    moments += checks.flux_u * u[:, None, None]
     moments = moments.reshape(-1, db)
 
     # Each interior edge's jump adds its two sides' moments, read through

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -167,8 +166,7 @@ class ElementTables:
     ``beta_int`` (T, 2), the integral of beta over the element, and
     ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is not
     kept there), which the forms, boundary classification and the
-    conservation check read.  :attr:`adjoint` is formed from them on its
-    first read.
+    conservation check read.
     The forms and the analysis read tau, g and the exact solution from
     ``spec``.
     """
@@ -302,20 +300,27 @@ class ElementTables:
                 stacklevel=3,
             )
 
-    @cached_property
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the
-        interior quadrature points, shape (T, nq, d0), formed on the first
-        read and kept with the tables: the stabilizer and the conservation
-        operators both read it.  The basis {1, X, Y} has gradients 0,
-        (1/h_T, 0) and (0, 1/h_T)."""
+        interior quadrature points, shape (T, nq, d0).  The basis {1, X, Y}
+        has gradients 0, (1/h_T, 0) and (0, 1/h_T)."""
         A = -self.c_q[..., None] * self.lam0
         if self.dim_lam0 > 1:
             inv_h = (1.0 / self.diameter)[:, None]
             for k in (1, 2):  # per column, so numpy loops over the points
                 A[..., k] += self.beta_q[..., k - 1] * inv_h
-        A.flags.writeable = False
         return A
+
+    def adjoint_moments(self, weight: np.ndarray) -> np.ndarray:
+        """The sums over the interior quadrature points of ``weight``
+        (T, nq) times :meth:`adjoint`, shape (T, d0), formed without its
+        (T, nq, d0) table."""
+        M = np.einsum("tq,tqk->tk", -weight * self.c_q, self.lam0)
+        if self.dim_lam0 > 1:
+            inv_h = 1.0 / self.diameter
+            for k in (1, 2):
+                M[:, k] += np.einsum("tq,tq->t", weight, self.beta_q[..., k - 1]) * inv_h
+        return M
 
     def _jumps(self):
         """Rows of lam_0 - lam_b at the edge quadrature points over the
@@ -333,15 +338,12 @@ class ElementTables:
     def stabilizer(self) -> np.ndarray:
         """Symmetric positive semidefinite stabilizer matrices over the
         local multiplier coefficients, shape (T, n_loc, n_loc)."""
-        # The kept adjoint table is formed before the jump rows: formed
-        # after, it would sit above them in the heap and keep their pages
-        # from being returned once they are freed.
-        tau = self.spec.tau
-        A = self.adjoint if tau > 0 else None
         D, w = self._jumps()
         S = np.swapaxes(D, 1, 2) @ (w[..., None] * D)
+        tau = self.spec.tau
         if tau > 0:
             d0 = self.dim_lam0
+            A = self.adjoint()
             S[:, :d0, :d0] += tau * (np.swapaxes(A, 1, 2) @ (self.qw[..., None] * A))
         # The products are symmetric only to round-off; mirror the upper
         # triangle so S (and the assembled matrix) is exactly symmetric.
@@ -356,7 +358,7 @@ class ElementTables:
         energy = np.einsum("tq,tq->t", w, (D @ x[..., None])[..., 0] ** 2)
         tau = self.spec.tau
         if tau > 0:
-            Ax = self.adjoint @ x[:, : self.dim_lam0, None]
+            Ax = self.adjoint() @ x[:, : self.dim_lam0, None]
             energy += tau * np.einsum("tq,tq->t", self.qw, Ax[..., 0] ** 2)
         return energy
 

@@ -156,7 +156,7 @@ def direct_conservation(local, tables):
     u = local[:, -1]
     lam0 = local[:, : tables.dim_lam0]
     qw, ew = tables.qw, tables.ew
-    utilde = u[:, None] + tables.spec.tau * np.einsum("tqm,tm->tq", tables.adjoint, lam0)
+    utilde = u[:, None] + tables.spec.tau * np.einsum("tqm,tm->tq", tables.adjoint(), lam0)
     residuals = np.sum(qw * tables.c_q * utilde, axis=1) - np.sum(qw * tables.f_q, axis=1)
     lam0_on_e = np.einsum("tiqm,tm->tiq", tables.edge_lam0, lam0)
     stab = (lam0_on_e - direct_trace_values(local, tables)) / tables.diameter[:, None, None]

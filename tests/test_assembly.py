@@ -141,8 +141,16 @@ class TestLocalStabilizer:
                 - basis.eval(tables.qpts - step, tables.centroid, tables.diameter)
             ) / 2e-6
             expected = fd - tables.c_q[..., None] * tables.lam0
-            assert tables.adjoint.shape == (mesh.num_elements, tables.qw.shape[1], 3 if j else 1)
-            assert np.allclose(tables.adjoint, expected, rtol=0, atol=1e-8)
+            assert tables.adjoint().shape == (mesh.num_elements, tables.qw.shape[1], 3 if j else 1)
+            assert np.allclose(tables.adjoint(), expected, rtol=0, atol=1e-8)
+
+    def test_adjoint_moments_sum_the_adjoint(self):
+        mesh = refined("l_shape", 1)
+        for j in (0, 1):
+            tables = build_contexts(mesh, make_spec(beta=(0.7, -1.3), c=0.4, j=j))
+            weight = tables.qw * tables.c_q
+            expected = np.einsum("tq,tqk->tk", weight, tables.adjoint())
+            assert np.allclose(tables.adjoint_moments(weight), expected, rtol=1e-13, atol=0)
 
 
 class TestLocalBForm:
