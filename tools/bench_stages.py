@@ -9,17 +9,18 @@ process, so its peak RSS (``ru_maxrss``) is that point's alone.  The
 trees given by ``--src LABEL=PATH`` (``pdwg`` is imported from PATH)
 alternate within every run, so two checkouts are measured back to back.
 Stages, in seconds: mesh (the coarse mesh and every refinement), tables,
-classify, dofmap, assemble, checks (the error and conservation operators
-formed before the solve, after which the tables are dropped), solve
+checks (the error and conservation operators, formed from the tables as
+``run_study`` forms them), classify, dofmap, assemble (after which the
+tables are dropped), solve
 (condensation, ordering, factor, refinement and the residual check) with
 its parts order and factor (the SuperLU call), errors and conservation.
-A tree without ``build_checks`` reads the tables after the solve, as its
-``run_study`` does, and records no checks stage.  Beside them each point
-records the peak RSS after assembly, after the solve and at the end
-(``assemble_peak_mb``, ``solve_peak_mb``, ``peak_rss_mb``), the order's
-name, the factor fill and fill / (n log2 n) over the condensed order n,
-the root separator's edges, the refinement steps and the residuals.  The
-record holds every run and the median of each metric.
+Beside them each point records the peak RSS after assembly, after the
+solve and at the end (``assemble_peak_mb``, ``solve_peak_mb``,
+``peak_rss_mb``), the order's name, the factor fill and fill / (n log2 n)
+over the condensed order n, the root separator's edges, the refinement
+steps and the residuals.  The record holds every run and the median of
+each metric.  A tree without ``build_checks`` reads the tables after
+the solve, as its ``run_study`` does, and records no checks stage.
 """
 
 import argparse
@@ -65,15 +66,15 @@ def measure(point: str) -> dict:
     for _ in range(int(level)):
         mesh = stage("mesh_s", refine_uniform, mesh)
     tables = stage("tables_s", build_contexts, mesh, spec)
+    if hasattr(pdwg.analysis, "build_checks"):
+        checks = stage("checks_s", pdwg.analysis.build_checks, tables)
+    else:
+        checks = tables
     classification = stage("classify_s", classify_boundary, mesh, tables)
     dofmap = stage("dofmap_s", DofMap, mesh, spec.j, classification)
     system = stage("assemble_s", assemble, mesh, dofmap, tables)
     assemble_peak_mb = peak_mb()
-    if hasattr(pdwg.analysis, "build_checks"):
-        checks = stage("checks_s", pdwg.analysis.build_checks, tables)
-        del tables
-    else:
-        checks = tables
+    del tables
     solution = stage("solve_s", pdwg.solver.solve, system)
     solve_peak_mb = peak_mb()
     if spec.exact_u is not None:
