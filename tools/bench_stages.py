@@ -19,8 +19,7 @@ solve and at the end (``assemble_peak_mb``, ``solve_peak_mb``,
 ``peak_rss_mb``), the order's name, the factor fill and fill / (n log2 n)
 over the condensed order n, the root separator's edges, the refinement
 steps and the residuals.  The record holds every run and the median of
-each metric.  A tree without ``build_checks`` reads the tables after
-the solve, as its ``run_study`` does, and records no checks stage.
+each metric.  Every tree must have ``pdwg.analysis.build_checks``.
 """
 
 import argparse
@@ -42,9 +41,8 @@ def peak_mb() -> float:
 def measure(point: str) -> dict:
     """Stage times, solver diagnostics and peak RSS of one point, in this
     process."""
-    import pdwg.analysis
     import pdwg.solver
-    from pdwg.analysis import conservation_report, error_norms
+    from pdwg.analysis import build_checks, conservation_report, error_norms
     from pdwg.assembly import assemble, build_contexts, classify_boundary
     from pdwg.catalog import get_experiment
     from pdwg.mesh import build_coarse_mesh, refine_uniform
@@ -66,10 +64,7 @@ def measure(point: str) -> dict:
     for _ in range(int(level)):
         mesh = stage("mesh_s", refine_uniform, mesh)
     tables = stage("tables_s", build_contexts, mesh, spec)
-    if hasattr(pdwg.analysis, "build_checks"):
-        checks = stage("checks_s", pdwg.analysis.build_checks, tables)
-    else:
-        checks = tables
+    checks = stage("checks_s", build_checks, tables)
     classification = stage("classify_s", classify_boundary, mesh, tables)
     dofmap = stage("dofmap_s", DofMap, mesh, spec.j, classification)
     system = stage("assemble_s", assemble, mesh, dofmap, tables)
