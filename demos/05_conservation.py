@@ -11,12 +11,10 @@ Run:  PYTHONPATH=src python3 demos/05_conservation.py
 
 import copy
 
-from pdwg.analysis import build_checks, conservation_report
-from pdwg.assembly import assemble, build_contexts, classify_boundary
+from pdwg.analysis import conservation_report
 from pdwg.catalog import get_experiment
 from pdwg.mesh import build_coarse_mesh, refine_uniform
-from pdwg.solver import solve
-from pdwg.weakspace import DofMap
+from pdwg.study import run_level
 
 exp = get_experiment("table19")  # rotational convection on the slit square
 spec = exp.spec
@@ -25,21 +23,16 @@ print(exp.description)
 mesh = build_coarse_mesh(spec.domain_tag)
 for _ in range(3):
     mesh = refine_uniform(mesh)
-tables = build_contexts(mesh, spec)  # the level: geometry, coefficients and the problem
-dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
-system = assemble(mesh, dofmap, tables)
-checks = build_checks(tables)  # the level's checks, formed before the factor
-del tables
-solution = solve(system)
+run = run_level(mesh, spec)  # tables, checks, assembly, solve and the checks applied
 
-report = conservation_report(solution, checks)
+report = run.conservation
 print(f"elements: {mesh.num_elements}, interior edges: {len(report.interior_edges)}")
 print(f"max |element balance residual| = {report.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {report.max_flux_jump:.3e}")
 
-broken = copy.deepcopy(solution)
+broken = copy.deepcopy(run.solution)
 broken.local[7, -1] += 1e-3  # u_h on element 7
-bad = conservation_report(broken, checks)
+bad = conservation_report(broken, run.checks)
 print("\nafter perturbing one element value by 1e-3:")
 print(f"max |element balance residual| = {bad.max_element_residual:.3e}")
 print(f"max |normal flux jump moment|  = {bad.max_flux_jump:.3e}")

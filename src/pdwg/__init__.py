@@ -17,7 +17,7 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 - ``analysis``   error norms, conservation checks, post-processing
 - ``fields``     closed-form coefficient fields and piecewise composition
 - ``catalog``    the benchmark experiment catalog
-- ``study``      refinement-study driver and CSV emission
+- ``study``      ``run_level`` (the one level pipeline), study driver, CSVs
 - ``cli``        the ``pdwg`` command line tool
 """
 
@@ -26,7 +26,7 @@ from .weakspace import DofMap
 from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, classify_boundary
 from .solver import Solution, SolverError, solve
 from .catalog import catalog, get_experiment
-from .study import StudyReport, emit_csv, emit_plot_data, run_study
+from .study import StudyReport, emit_csv, emit_plot_data, run_level, run_study
 
 __all__ = [
     "BoundaryClassification",
@@ -46,6 +46,7 @@ __all__ = [
     "emit_plot_data",
     "get_experiment",
     "refine_uniform",
+    "run_level",
     "run_study",
     "solve",
 ]

@@ -42,10 +42,11 @@ residual contract is checked once, on the full system, lam_0 rows
 included, with A applied to the rows element by element by
 :meth:`SaddleSystem.matvec` (no sparse matrix built).  ``info`` reports
 ``factor_dtype`` ("float32"), ``refine_steps``, the corrections after the
-first solve, and ``initial_residual``, the first solve's relative
-residual ||rc - Kc y|| / ||b||.  A singular factor, or a refinement that
-ends above tol, raises :class:`SolverError`; there is no fallback.
-Identical inputs produce bitwise-identical solutions.
+first solve, ``initial_residual``, the first solve's relative
+residual ||rc - Kc y|| / ||b||, and the seconds of the order and of the
+SuperLU call, ``order_s`` and ``factor_s``.  A singular factor, or a
+refinement that ends above tol, raises :class:`SolverError`; there is no
+fallback.  Identical inputs produce bitwise-identical solutions.
 """
 
 from __future__ import annotations
@@ -249,6 +250,7 @@ class _CondensedLU:
         # values go back into Kc afterwards.
         data = Kc.data
         Kc.data = data.astype(np.float32)
+        start = time.perf_counter()
         try:
             self.lu = splu(
                 Kc,
@@ -261,6 +263,7 @@ class _CondensedLU:
                 f"factorization failed ({err}): full order {dm.n_total}, nnz {system.nnz}; "
                 f"condensed order {self.order}, nnz {self.nnz}"
             ) from err
+        self.factor_s = time.perf_counter() - start
         Kc.data = data
         self.Kc = Kc
 
@@ -342,6 +345,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "condensed_nnz": factor.nnz,
         "ordering": "refinement_tree",
         "order_s": factor.order_s,
+        "factor_s": factor.factor_s,
         "separator_edges": factor.separator_edges,
         "fill": int(factor.lu.nnz),
         "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),

@@ -1,20 +1,17 @@
 """Refinement-study driver and CSV / plot-data emission.
 
 A study builds the coarse mesh of the experiment's domain, refines it
-uniformly level by level, and for each level builds the element tables
-once, forms the level's error and conservation operators from them
-(``build_checks``), then classifies the boundary and assembles.  The
-tables are dropped before the solve, so the factor runs with only the
-mesh, the DOF map, the system and those operators alive; after the solve
-``error_norms`` and ``conservation_report`` apply the operators to the
-solution.  Levels are reported through the nominal grid
-spacing 1/h = 2^level of the unit cells.  Output files are plain CSV with
-deterministic formatting, so identical runs produce identical bytes.
+uniformly level by level, and builds, solves and checks each level with
+``run_level``, the one level pipeline.  Levels are reported through the
+nominal grid spacing 1/h = 2^level of the unit cells.  Output files are
+plain CSV with deterministic formatting, so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass, field, replace
 
@@ -22,15 +19,17 @@ import numpy as np
 
 from .analysis import (
     ConservationReport,
+    ErrorReport,
+    LevelChecks,
     build_checks,
     conservation_report,
     error_norms,
     postprocess_averages,
 )
-from .assembly import SaddleSystem, assemble, build_contexts, classify_boundary
+from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, classify_boundary
 from .catalog import Experiment, check_levels
-from .mesh import build_coarse_mesh, refine_uniform
-from .solver import DEFAULT_TOL, check_tol, solve
+from .mesh import Mesh, build_coarse_mesh, refine_uniform
+from .solver import DEFAULT_TOL, Solution, check_tol, solve
 from .weakspace import DofMap
 
 CSV_HEADER = "inv_h,err_u,order_u,err_l0,order_l0,err_lb,order_lb"
@@ -103,6 +102,53 @@ def _fmt(value, spec_str) -> str:
     return "" if value is None else spec_str % value
 
 
+@dataclass
+class LevelRun:
+    """One level from :func:`run_level`; ``errors`` is None without an
+    exact solution, and ``stages`` maps each stage to its seconds
+    (``tables_s`` .. ``conservation_s``, ``errors_s`` only with ``errors``)
+    and holds the peak RSS in MB after the assembly and after the solve."""
+
+    dofmap: DofMap
+    system: SaddleSystem
+    checks: LevelChecks
+    solution: Solution
+    errors: ErrorReport | None
+    conservation: ConservationReport
+    stages: dict
+
+
+def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelRun:
+    """Build, solve and check ``spec`` on ``mesh``: tables, checks,
+    classification, DOF map and assembly, then the solve with the tables
+    dropped, then the error norms (with an exact solution) and the
+    conservation report.  Each stage function is looked up by its name in
+    this module when called, so whoever wraps that name sees the call."""
+    stages = {}
+
+    def timed(key, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        stages[key] = time.perf_counter() - start
+        return out
+
+    tables = timed("tables_s", build_contexts, mesh, spec)
+    # Formed before the assembly: formed after it, the checks' arrays
+    # land among its freed temporaries, and in a long run of studies
+    # the heap then keeps the dropped tables' pages through some
+    # factor (table5 L0-6 peaks at 139 MB instead of 125 MB).
+    checks = timed("checks_s", build_checks, tables)
+    dofmap = timed("dofmap_s", DofMap, mesh, spec.j, timed("classify_s", classify_boundary, mesh, tables))
+    system = timed("assemble_s", assemble, mesh, dofmap, tables)
+    stages["assemble_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    del tables
+    solution = timed("solve_s", solve, system, tol=tol)
+    stages["solve_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    errors = timed("errors_s", error_norms, solution, checks) if spec.exact_u is not None else None
+    conservation = timed("conservation_s", conservation_report, solution, checks)
+    return LevelRun(dofmap, system, checks, solution, errors, conservation, stages)
+
+
 def run_study(
     experiment: Experiment,
     levels: tuple[int, int] | None = None,
@@ -116,9 +162,9 @@ def run_study(
     ``tau`` and ``j`` override the catalog configuration without
     duplicating the entry.  A level range that ``check_levels`` refuses,
     or a bad ``tol``, raises ValueError before any mesh is built.  Each
-    level's tables are dropped before its solve, once its checks are
-    formed, and its DOF map, system, checks and solution before the next
-    level is built; the report keeps the finest level's system.
+    level runs through :func:`run_level`, and its DOF map, system, checks
+    and solution are dropped before the next level is built; the report
+    keeps the finest level's system.
     """
     spec = experiment.spec
     if tau is not None:
@@ -136,47 +182,30 @@ def run_study(
 
     for level in range(lo, hi + 1):
         start = time.perf_counter()
-        tables = build_contexts(mesh, spec)
-        # Formed before the assembly: formed after it, the checks' arrays
-        # land among its freed temporaries, and in a long run of studies
-        # the heap then keeps the dropped tables' pages through some
-        # factor (table5 L0-6 peaks at 139 MB instead of 125 MB).
-        checks = build_checks(tables)
-        dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
-        system = assemble(mesh, dofmap, tables)
-        del tables
-        solution = solve(system, tol=tol)
-
-        if spec.exact_u is not None:
-            errs = error_norms(solution, checks)
-            err_u, err_l0, err_lb = errs.err_u, errs.err_lam0, errs.err_lamb
-        else:
-            err_u = err_l0 = err_lb = None
-        cons: ConservationReport = conservation_report(solution, checks)
-
+        run = run_level(mesh, spec, tol)
         report.rows.append(
             LevelResult(
                 level=level,
                 inv_h=2**level,
-                n_lambda=dofmap.n_lambda,
-                n_u=dofmap.n_u,
-                err_u=err_u,
-                err_lam0=err_l0,
-                err_lamb=err_lb,
-                cons_max_residual=cons.max_element_residual,
-                cons_max_flux_jump=cons.max_flux_jump,
-                cons_scale_f=cons.scale_f,
-                solver_residual=solution.residual,
+                n_lambda=run.dofmap.n_lambda,
+                n_u=run.dofmap.n_u,
+                err_u=run.errors.err_u if run.errors else None,
+                err_lam0=run.errors.err_lam0 if run.errors else None,
+                err_lamb=run.errors.err_lamb if run.errors else None,
+                cons_max_residual=run.conservation.max_element_residual,
+                cons_max_flux_jump=run.conservation.max_flux_jump,
+                cons_scale_f=run.conservation.scale_f,
+                solver_residual=run.solution.residual,
                 seconds=time.perf_counter() - start,
             )
         )
 
         if level < hi:
-            del checks, dofmap, system, solution, cons
+            del run
             mesh = refine_uniform(mesh)
-    report.system = system
+    report.system = run.system
     if collect_field:
-        report.field_points = postprocess_averages(solution.local[:, -1], mesh)
+        report.field_points = postprocess_averages(run.solution.local[:, -1], mesh)
 
     return report
 

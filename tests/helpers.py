@@ -1,6 +1,7 @@
 """Builders shared by the tests: refined meshes, one level's element
-tables, DOF map and system built the way ``run_study`` builds them, the
-full numbering of a system with its assembled sparse matrix, right-hand
+tables, DOF map and system (``build_level``, the test-side build that
+keeps the tables, which ``run_level`` drops before the solve), the full
+numbering of a system with its assembled sparse matrix, right-hand
 side and solution vector, single-element references for the batched
 element tables, and the error norms and conservation checks evaluated
 directly from the tables, the reference for the operators of

@@ -218,8 +218,8 @@ class TestChecks:
                     assert np.abs(got.flux_jumps - want.flux_jumps).max(initial=0.0) <= 1e-10, where
 
     def test_no_tables_alive_during_the_factor(self, monkeypatch):
-        # run_study drops each level's element tables once its checks are
-        # formed, so the factor runs without them.
+        # run_level drops each level's element tables once its checks are
+        # formed, so the factor of every level of a study runs without them.
         alive, factored = [], []
         build, splu = pdwg.study.build_contexts, pdwg.solver.splu
 

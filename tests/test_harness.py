@@ -13,13 +13,13 @@ import pdwg.assembly
 import pdwg.cli
 import pdwg.solver
 import pdwg.study
-from helpers import assembled_matrix
+from helpers import assembled_matrix, refined
 from pdwg.analysis import PostField
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
 from pdwg.solver import SolverError
-from pdwg.study import CSV_HEADER, StudyReport, emit_csv, emit_plot_data, run_study
+from pdwg.study import CSV_HEADER, StudyReport, emit_csv, emit_plot_data, run_level, run_study
 
 
 class TestCatalog:
@@ -126,8 +126,8 @@ class TestRunStudy:
             run_study(get_experiment("table1"), levels=levels)
 
     def test_each_level_is_dropped_before_the_next_is_built(self, monkeypatch):
-        # A level's tables, system and solution are gone once the next
-        # level's tables are built, so two levels never share the memory.
+        # A level's tables, checks, system and solution are gone once the
+        # next level's tables are built, so two levels never share the memory.
         alive = []
 
         def tracked(name):
@@ -142,11 +142,52 @@ class TestRunStudy:
 
             monkeypatch.setattr(pdwg.study, name, call)
 
-        for name in ("build_contexts", "DofMap", "assemble", "solve"):
+        for name in ("build_contexts", "build_checks", "DofMap", "assemble", "solve"):
             tracked(name)
         report = run_study(get_experiment("table5"), levels=(0, 2))
-        assert len(alive) == 12
+        assert len(alive) == 15
         assert report.system is alive[-2]()
+
+    @pytest.mark.parametrize("name, level", [("table5", 2), ("fig6", 1)])
+    def test_run_level_gives_the_study_row(self, name, level):
+        # fig6 has no exact solution: no error norms and no errors_s.
+        exp = get_experiment(name)
+        row = run_study(exp, levels=(level, level)).rows[0]
+        run = run_level(refined(exp.spec.domain_tag, level), exp.spec)
+        errs, cons = run.errors, run.conservation
+        got = {
+            "n_lambda": run.dofmap.n_lambda,
+            "n_u": run.dofmap.n_u,
+            "err_u": errs.err_u if errs else None,
+            "err_lam0": errs.err_lam0 if errs else None,
+            "err_lamb": errs.err_lamb if errs else None,
+            "cons_max_residual": cons.max_element_residual,
+            "cons_max_flux_jump": cons.max_flux_jump,
+            "cons_scale_f": cons.scale_f,
+        }
+        bits = lambda value: value.hex() if isinstance(value, float) else value
+        assert {key: bits(value) for key, value in got.items()} == {key: bits(getattr(row, key)) for key in got}
+        assert (errs is None) == (exp.spec.exact_u is None)
+        errors_s = ["errors_s"] if errs else []
+        assert list(run.stages) == [
+            "tables_s", "checks_s", "classify_s", "dofmap_s", "assemble_s", "assemble_peak_mb",
+            "solve_s", "solve_peak_mb", *errors_s, "conservation_s",
+        ]
+        assert 0 < run.solution.info["factor_s"] <= run.stages["solve_s"]
+
+    def test_stage_tool_reports_every_stage(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "bench_stages.py"), "--one", "--src", "x=src", "table1:1"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        stages = ["mesh_s", "tables_s", "checks_s", "classify_s", "dofmap_s", "assemble_s", "solve_s"]
+        assert set(stages + ["errors_s", "conservation_s", "factor_s", "order_s", "peak_rss_mb"]) <= set(record)
+        assert 0 < record["factor_s"] <= record["solve_s"]
+        assert record["total_s"] == pytest.approx(sum(record[key] for key in stages + ["errors_s", "conservation_s"]))
 
 
 class TestEmission:

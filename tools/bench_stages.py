@@ -3,23 +3,22 @@
     python tools/bench_stages.py --src parent=../old/src --src change=src \\
         --runs 3 --out BENCH.json table5:6 table5:7 fig4_tau0:7
 
-Each EXPERIMENT:LEVEL point is built and solved the way ``run_study``
-builds a level, once per run and source tree, each time in a fresh
-process, so its peak RSS (``ru_maxrss``) is that point's alone.  The
-trees given by ``--src LABEL=PATH`` (``pdwg`` is imported from PATH)
+Each EXPERIMENT:LEVEL point is built, solved and checked by
+``pdwg.study.run_level``, once per run and source tree, each time in a
+fresh process, so its peak RSS (``ru_maxrss``) is that point's alone.
+The trees given by ``--src LABEL=PATH`` (``pdwg`` is imported from PATH)
 alternate within every run, so two checkouts are measured back to back.
-Stages, in seconds: mesh (the coarse mesh and every refinement), tables,
-checks (the error and conservation operators, formed from the tables as
-``run_study`` forms them), classify, dofmap, assemble (after which the
-tables are dropped), solve
-(condensation, ordering, factor, refinement and the residual check) with
-its parts order and factor (the SuperLU call), errors and conservation.
-Beside them each point records the peak RSS after assembly, after the
-solve and at the end (``assemble_peak_mb``, ``solve_peak_mb``,
-``peak_rss_mb``), the order's name, the factor fill and fill / (n log2 n)
-over the condensed order n, the root separator's edges, the refinement
-steps and the residuals.  The record holds every run and the median of
-each metric.  Every tree must have ``pdwg.analysis.build_checks``.
+Stages, in seconds: mesh (the coarse mesh and every refinement), then
+the stages of ``run_level``: tables, checks, classify, dofmap, assemble,
+solve (condensation, ordering, factor, refinement and the residual
+check) with its parts order and factor (the SuperLU call), errors and
+conservation.  Beside them each point records the peak RSS after
+assembly, after the solve and at the end (``assemble_peak_mb``,
+``solve_peak_mb``, ``peak_rss_mb``), the order's name, the factor fill
+and fill / (n log2 n) over the condensed order n, the root separator's
+edges, the refinement steps and the residuals.  The record holds every
+run and the median of each metric.  Every tree must have
+``pdwg.study.run_level``.
 """
 
 import argparse
@@ -33,66 +32,39 @@ import sys
 import time
 
 
-def peak_mb() -> float:
-    """The peak RSS of this process so far, in MB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
 def measure(point: str) -> dict:
     """Stage times, solver diagnostics and peak RSS of one point, in this
     process."""
-    import pdwg.solver
-    from pdwg.analysis import build_checks, conservation_report, error_norms
-    from pdwg.assembly import assemble, build_contexts, classify_boundary
     from pdwg.catalog import get_experiment
     from pdwg.mesh import build_coarse_mesh, refine_uniform
-    from pdwg.weakspace import DofMap
+    from pdwg.study import run_level
 
     name, level = point.split(":")
     spec = get_experiment(name).spec
-    times = {}
-
-    def stage(key, fn, *args, **kwargs):
-        start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        times[key] = times.get(key, 0.0) + time.perf_counter() - start
-        return out
-
-    splu = pdwg.solver.splu
-    pdwg.solver.splu = lambda *args, **kwargs: stage("factor_s", splu, *args, **kwargs)
-    mesh = stage("mesh_s", build_coarse_mesh, spec.domain_tag)
+    start = time.perf_counter()
+    mesh = build_coarse_mesh(spec.domain_tag)
     for _ in range(int(level)):
-        mesh = stage("mesh_s", refine_uniform, mesh)
-    tables = stage("tables_s", build_contexts, mesh, spec)
-    checks = stage("checks_s", build_checks, tables)
-    classification = stage("classify_s", classify_boundary, mesh, tables)
-    dofmap = stage("dofmap_s", DofMap, mesh, spec.j, classification)
-    system = stage("assemble_s", assemble, mesh, dofmap, tables)
-    assemble_peak_mb = peak_mb()
-    del tables
-    solution = stage("solve_s", pdwg.solver.solve, system)
-    solve_peak_mb = peak_mb()
-    if spec.exact_u is not None:
-        stage("errors_s", error_norms, solution, checks)
-    stage("conservation_s", conservation_report, solution, checks)
-    info = solution.info
+        mesh = refine_uniform(mesh)
+    mesh_s = time.perf_counter() - start
+    run = run_level(mesh, spec)
+    info = run.solution.info
     return {
-        **times,
+        "mesh_s": mesh_s,
+        **run.stages,
+        "factor_s": info["factor_s"],
         "order_s": info["order_s"],
-        "total_s": sum(t for key, t in times.items() if key != "factor_s"),
-        "assemble_peak_mb": assemble_peak_mb,
-        "solve_peak_mb": solve_peak_mb,
-        "peak_rss_mb": peak_mb(),
+        "total_s": mesh_s + sum(t for key, t in run.stages.items() if key.endswith("_s")),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "elements": mesh.num_elements,
         "condensed_order": info["condensed_order"],
         "ordering": info["ordering"],
         "fill": info["fill"],
         "fill_per_nlogn": info["fill_per_nlogn"],
         "separator_edges": info["separator_edges"],
-        "factor_dtype": info.get("factor_dtype", "float64"),
+        "factor_dtype": info["factor_dtype"],
         "refine_steps": info["refine_steps"],
         "initial_residual": info["initial_residual"],
-        "residual": solution.residual,
+        "residual": run.solution.residual,
     }
 
 
