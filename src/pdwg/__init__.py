@@ -9,11 +9,12 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 
 - ``mesh``       triangulations of the benchmark domains and refinement
 - ``poly``       polynomial bases and quadrature rules
-- ``weakspace``  degrees of freedom, projection into the weak space and
-                 the discrete weak gradient
+- ``weakspace``  degrees of freedom in the factor's nested-dissection
+                 order, projection into the weak space and the discrete
+                 weak gradient
 - ``assembly``   element tables, inflow/outflow classification, local
                  forms and the global saddle-point system
-- ``solver``     static condensation, nested-dissection sparse LU, residual checks
+- ``solver``     static condensation, sparse LU, residual checks
 - ``analysis``   error norms, conservation checks, post-processing
 - ``fields``     closed-form coefficient fields and piecewise composition
 - ``catalog``    the benchmark experiment catalog

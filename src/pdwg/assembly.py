@@ -104,7 +104,9 @@ class SaddleSystem:
     ``element_matrix`` (T, n_loc + 1, n_loc + 1) holds E_T = [[S_T, B_T],
     [B_T^T, 0]] over [lam_0; traces of edges 0, 1, 2; u_T], ``rhs0`` (T, d0)
     the lam_0 rows of the right-hand side, and ``rhs`` the rest, numbered
-    by ``dofmap.element_indices``.  The solver and ``pdwg verify`` read
+    by ``dofmap.element_indices``, the factor's order, which mixes each
+    u_T in with the traces: no slice of ``rhs`` or of :meth:`matvec`'s
+    second part is the u block.  The solver and ``pdwg verify`` read
     these; :meth:`matvec` and :attr:`nnz` do without the sparse ``matrix``,
     summed anew on every read and kept by no system, which only perfbench's
     counters read."""

@@ -184,6 +184,13 @@ def build_coarse_mesh(domain_tag: str) -> Mesh:
     return _build_topology(np.array(lattice, dtype=float), elements, domain_tag)
 
 
+def refinement_depth(mesh: Mesh) -> int:
+    """The number L of ``refine_uniform`` steps from the coarse mesh of
+    ``mesh.domain_tag`` to ``mesh``, read off its element count: C 4^L
+    elements for the coarse mesh's C."""
+    return (mesh.num_elements // (2 * len(_COARSE[mesh.domain_tag][1]))).bit_length() // 2
+
+
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Replace every triangle by four congruent children via edge midpoints.
 
@@ -192,9 +199,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     in its own slot, then the middle triangle (m01, m12, m20) of its edge
     midpoints.  So the element numbers of a mesh refined L times are a
     tree, coarse element c holding rows c 4^L .. (c + 1) 4^L - 1, which
-    the solver's fill-reducing order reads off.  Midpoints are created per
-    edge, so duplicated crack edges receive duplicated midpoints and the
-    slit stays open.
+    the numbering of :class:`pdwg.weakspace.DofMap` reads off.  Midpoints
+    are created per edge, so duplicated crack edges receive duplicated
+    midpoints and the slit stays open.
     """
     nV = mesh.num_vertices
     mid_coords = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])

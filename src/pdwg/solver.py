@@ -13,19 +13,15 @@ d0 = 1 (j = 0) or d0 = 3 (j = 1) unknowns; it is inverted in closed form
 axis (d0 = 3), where a pivot that is not positive and finite raises
 :class:`SolverError` naming its element.
 
-The factor runs in one fill-reducing order, :func:`refinement_tree_order`
-(``info["ordering"]`` "refinement_tree"): nested dissection read off the
-refinement tree that ``refine_uniform`` numbers the elements by, each
-edge placed after the subtree of the tree node where its two elements
-meet, with every u_T placed after the traces of its element.
-``info["separator_edges"]`` is the root separator, the free edges whose
-elements lie in different coarse elements (the 2^L edges of the diagonal
-x + y = 1 on the unit square at level L).
-
-Only [lam_b; u] is numbered (``DofMap.element_indices``); lam_0 stays in
-its element rows, and the right-hand side is condensed once.  SuperLU
-factors the condensed matrix Kc with its values cast to float32, which
-halves the bytes of every factor value; Kc itself stays in float64.
+Only [lam_b; u] is numbered, once, by ``DofMap.element_indices``, and
+that numbering is already the factor's fill-reducing order (nested
+dissection read off the refinement tree, :class:`pdwg.weakspace.DofMap`):
+the condensed matrix, its right-hand side and solution live in it, and
+this module orders nothing.  ``info["separator_edges"]`` is the DOF map's
+root separator.  lam_0 stays in its element rows, and the right-hand
+side is condensed once.  SuperLU factors the condensed matrix Kc with
+its values cast to float32, which halves the bytes of every factor
+value; Kc itself stays in float64.
 Each single-precision solve scales its right-hand side by its largest
 magnitude, casts it to float32, and casts the result back and unscales
 it.  Iterative refinement in double (Langou et al., SC 2006; Carson and
@@ -43,10 +39,9 @@ included, with A applied to the rows element by element by
 :meth:`SaddleSystem.matvec` (no sparse matrix built).  ``info`` reports
 ``factor_dtype`` ("float32"), ``refine_steps``, the corrections after the
 first solve, ``initial_residual``, the first solve's relative
-residual ||rc - Kc y|| / ||b||, and the seconds of the order and of the
-SuperLU call, ``order_s`` and ``factor_s``.  A singular factor, or a
-refinement that ends above tol, raises :class:`SolverError`; there is no
-fallback.  Identical inputs produce bitwise-identical solutions.
+residual ||rc - Kc y|| / ||b||, and the seconds of the SuperLU call,
+``factor_s``.  A singular factor, or a refinement that ends above tol,
+raises :class:`SolverError`; there is no fallback.  Identical inputs produce bitwise-identical solutions.
 """
 
 from __future__ import annotations
@@ -58,8 +53,6 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .assembly import SaddleSystem, scatter
-from .mesh import _COARSE
-from .weakspace import DofMap
 
 DEFAULT_TOL = 1e-11
 # Correction solves after the first, at most.  A step gains about six
@@ -165,83 +158,21 @@ def _ldl_solve(E: np.ndarray) -> np.ndarray:
     return R.transpose(2, 0, 1)
 
 
-def refinement_tree_order(dofmap: DofMap) -> tuple[np.ndarray, int]:
-    """Fill-reducing order of the condensed unknowns [lam_b; u_T], read
-    off the refinement tree.
-
-    ``refine_uniform`` numbers the four children of element p as rows
-    4p..4p+3, so on a mesh refined L times from C coarse elements the
-    element numbers are a tree: the coarse elements grouped in pairs (a
-    binary tree over their numbers), and below each one a base-4 tree of
-    depth L.  The two elements a and b of an edge (b = a on the boundary)
-    meet at one node of that tree, and the node's edges separate its
-    children: this is nested dissection of a regular finite element mesh
-    (George, SIAM J. Numer. Anal. 10, 1973).  An edge whose elements lie
-    in one coarse element meets at the base-4 node ceil(bitlen(a ^ b) / 2)
-    levels up; otherwise it meets at the binary node bitlen((a >> 2L) ^
-    (b >> 2L)) levels above the coarse elements.  The free edges are
-    sorted stably by the end of their node's element range, then by the
-    node's height, a postorder that puts each separator after its
-    subtree.  The trace unknowns of an edge keep its place, and each
-    u_T goes right after the last free trace of its element: its condensed
-    diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when c = 0, so it has to
-    come after the unknowns that fill it in.  Any element numbering gives
-    a permutation; only its fill depends on the refinement numbering.
-
-    Returns ``perm``, the condensed index placed at each position
-    (perm[new] = old), and the size of the root separator: the free edges
-    whose elements lie in different coarse elements.
-    """
-    mesh, db, F = dofmap.mesh, dofmap.dim_lamb, dofmap.n_free_edges
-    # Two coarse elements per unit square cell of the domain.
-    L = (mesh.num_elements // (2 * len(_COARSE[mesh.domain_tag][1]))).bit_length() // 2
-    a, b = mesh.edge_elems[dofmap.lamb_start >= 0].T
-    b = np.where(b < 0, a, b)
-    # The height h, in bits of the element number, of the node where a
-    # and b meet: 2 bits per base-4 level, then 1 per binary level.  Its
-    # element range ends at ((a >> h) + 1) << h.  bitlen is the exponent
-    # of frexp, exact below 2^53.
-    ca, cb = a >> 2 * L, b >> 2 * L
-    split = ca != cb
-    h = np.where(split, 2 * L + np.frexp(ca ^ cb)[1], 2 * ((np.frexp(a ^ b)[1] + 1) // 2))
-    edge_order = np.lexsort((h, ((a >> h) + 1) << h))
-    # Twice each free edge's place, and -2 at index -1, where the outflow
-    # edges of an element land: u_T sorts right after the last free trace
-    # of its element, and before everything if its element has none.
-    place = np.empty(F + 1, dtype=np.int64)
-    place[edge_order] = np.arange(0, 2 * F, 2)
-    place[F] = -2
-    elem_key = place[dofmap.lamb_start[mesh.element_edges] // db]
-    key = np.concatenate([np.repeat(place[:F], db), elem_key.max(axis=1) + 1])
-    return np.argsort(key, kind="stable"), int(split.sum())
-
-
 class _CondensedLU:
     """Single-precision LU factor of the condensed system over
-    y = [lam_b; u], the unknowns numbered by ``DofMap.element_indices``,
-    with the element data that maps a right-hand side in (its lam_0 rows
-    and its y part) and element rows out.  The condensed matrix is built
-    and factored in the :func:`refinement_tree_order` order, position i
-    holding y[perm[i]]; ``Kc`` keeps it in double precision for the
-    refinement residual."""
+    y = [lam_b; u] in the numbering of ``DofMap.element_indices``, with
+    the element data that maps a right-hand side in (its lam_0 rows and
+    its y part) and element rows out.  ``Kc`` keeps the condensed matrix
+    in double precision for the refinement residual."""
 
     def __init__(self, system: SaddleSystem):
         dm = system.dofmap
         Z, K = schur_complement(system.element_matrix, dm.dim_lam0)
         m = K.shape[-1]
         self.X, self.S00_inv = Z[..., :m], Z[..., m:]
-        self.free = dm.element_indices >= 0
+        self.idx = dm.element_indices
+        self.free = self.idx >= 0
         self.order = dm.n_condensed
-        start = time.perf_counter()
-        self.perm, self.separator_edges = refinement_tree_order(dm)
-        self.order_s = time.perf_counter() - start
-        # int32, the index type SuperLU takes, so scipy keeps the indices
-        # of the condensed matrix as they are instead of checking and
-        # casting them.
-        inv = np.empty(self.order, dtype=np.int32)
-        inv[self.perm] = np.arange(self.order, dtype=np.int32)
-        # The element indices in the factored (permuted) numbering.
-        self.idx = np.where(self.free, inv[dm.element_indices], -1)
         Kc = scatter(K, self.idx, self.order)
         # The element matrices are in Kc now; free them before the factor.
         del K
@@ -268,10 +199,10 @@ class _CondensedLU:
         self.Kc = Kc
 
     def condense(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The condensed right-hand side, in the factored numbering, for
-        lam_0 rows ``r0`` and the rest ``r``."""
+        """The condensed right-hand side for lam_0 rows ``r0`` and the
+        rest ``r``."""
         load = np.einsum("tim,ti->tm", self.X, r0)[self.free]
-        return r[self.perm] - np.bincount(self.idx[self.free], load, self.order)
+        return r - np.bincount(self.idx[self.free], load, self.order)
 
     def solve(self, rc: np.ndarray) -> np.ndarray:
         """One single-precision solve of Kc y = rc: rc is scaled by its
@@ -343,10 +274,8 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "nnz": system.nnz,
         "condensed_order": factor.order,
         "condensed_nnz": factor.nnz,
-        "ordering": "refinement_tree",
-        "order_s": factor.order_s,
         "factor_s": factor.factor_s,
-        "separator_edges": factor.separator_edges,
+        "separator_edges": system.dofmap.separator_edges,
         "fill": int(factor.lu.nnz),
         "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
         "factor_dtype": "float32",

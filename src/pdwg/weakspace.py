@@ -9,7 +9,9 @@ constant per element.  Every layer from assembly to analysis holds an
 element's unknowns as element rows [lam_0; traces of edges 0, 1, 2; u_T],
 and a weak function as the rows without u_T, 0 on outflow traces.  lam_0
 couples only within its element, so only [lam_b; u_T], the unknowns the
-sparse LU factors, are numbered, by the rows of ``DofMap.element_indices``.
+sparse LU factors, are numbered, by the rows of ``DofMap.element_indices``,
+once: in the refinement-tree order the factor runs in, so the solver
+renumbers nothing.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -27,18 +29,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import BoundaryClassification, Mesh
+from .mesh import BoundaryClassification, Mesh, refinement_depth
 from .poly import dim_poly2d
 
 
 class DofMap:
-    """Numbering of the unknowns the solver factors, [lam_b; u].
+    """Numbering of the unknowns the solver factors, [lam_b; u], in the
+    fill-reducing order of the factor.
 
-    One block of dim P_j(e) per free (non-outflow) edge, from 0 in edge
-    order, then one constant per element: ``n_condensed`` in all.
-    ``element_indices`` (T, 3 db + 1) holds each element's indices of
-    [traces of edges 0, 1, 2; u_T], -1 on outflow traces.  lam_0 is not
-    numbered, but ``n_lambda`` and ``n_total`` count it, as the full order.
+    ``refine_uniform`` numbers the four children of element p as rows
+    4p..4p+3, so on a mesh refined L times from C coarse elements the
+    element numbers are a tree: the coarse elements grouped in pairs (a
+    binary tree over their numbers), and below each one a base-4 tree of
+    depth L.  The two elements a and b of an edge (b = a on the boundary)
+    meet at one node of that tree, and the node's edges separate its
+    children: this is nested dissection of a regular finite element mesh
+    (George, SIAM J. Numer. Anal. 10, 1973).  An edge whose elements lie
+    in one coarse element meets at the base-4 node ceil(bitlen(a ^ b) / 2)
+    levels up; otherwise it meets at the binary node bitlen((a >> 2L) ^
+    (b >> 2L)) levels above the coarse elements.  The free (non-outflow)
+    edges are sorted stably by the end of their node's element range,
+    then by the node's height, a postorder that puts each separator after
+    its subtree.  Each u_T comes right after the last free trace of its
+    element: its condensed diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when
+    c = 0, so it has to come after the unknowns that fill it in.  Any
+    element numbering gives a valid numbering; only the factor's fill
+    depends on the refinement numbering.
+
+    Each free edge takes dim P_j(e) consecutive indices from
+    ``lamb_start`` (-1 on outflow edges) and each u_T one: ``n_condensed``
+    in all.  ``element_indices`` (T, 3 db + 1), int32 (the index type
+    SuperLU takes) and read-only, holds each element's indices of
+    [traces of edges 0, 1, 2; u_T], -1 on outflow traces, so u_T lies
+    among the traces, not after them.  ``separator_edges`` is the size of
+    the root separator, the free edges whose elements lie in different
+    coarse elements (the 2^L edges of the diagonal x + y = 1 on the unit
+    square at level L).  lam_0 is not numbered, but ``n_lambda`` and
+    ``n_total`` count it, as the full order.
     """
 
     def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):
@@ -48,23 +75,48 @@ class DofMap:
         self.classification = classification
         self.j = j
         self.dim_lam0 = dim_poly2d(j)
-        self.dim_lamb = j + 1
+        self.dim_lamb = db = j + 1
 
         T = mesh.num_elements
-        constrained = np.zeros(mesh.num_edges, dtype=bool)
-        constrained[classification.outflow_edges] = True
-
-        rank = np.cumsum(~constrained) - 1
-        self.lamb_start = np.where(constrained, -1, rank * self.dim_lamb).astype(np.int64)
-        self.n_free_edges = int((~constrained).sum())
-        self.n_lambda = T * self.dim_lam0 + self.n_free_edges * self.dim_lamb
+        free = np.ones(mesh.num_edges, dtype=bool)
+        free[classification.outflow_edges] = False
+        F = self.n_free_edges = int(free.sum())
+        self.n_lambda = T * self.dim_lam0 + F * db
         self.n_u = T
-        self.n_condensed = self.n_free_edges * self.dim_lamb + T
+        self.n_condensed = F * db + T
 
+        L = refinement_depth(mesh)
+        a, b = mesh.edge_elems[free].T
+        b = np.where(b < 0, a, b)
+        # The height h, in bits of the element number, of the node where a
+        # and b meet: 2 bits per base-4 level, then 1 per binary level.  Its
+        # element range ends at ((a >> h) + 1) << h.  bitlen is the exponent
+        # of frexp, exact below 2^53.
+        ca, cb = a >> 2 * L, b >> 2 * L
+        split = ca != cb
+        self.separator_edges = int(split.sum())
+        h = np.where(split, 2 * L + np.frexp(ca ^ cb)[1], 2 * ((np.frexp(a ^ b)[1] + 1) // 2))
+        # Twice each free edge's place, and -2 at rank -1, where the outflow
+        # edges of an element land: u_T sorts right after the last free
+        # trace of its element, and before everything if its element has
+        # none.
+        place = np.empty(F + 1, dtype=np.int64)
+        place[np.lexsort((h, ((a >> h) + 1) << h))] = np.arange(0, 2 * F, 2)
+        place[F] = -2
+        rank = np.where(free, np.cumsum(free) - 1, -1)
+        key = np.concatenate([place[:F], place[rank[mesh.element_edges]].max(axis=1) + 1])
+        # The F edges and T elements in that order, db indices per edge and
+        # one per u_T.
+        order = np.argsort(key, kind="stable")
+        size = np.where(order < F, db, 1)
+        start = np.empty(F + T, dtype=np.int64)
+        start[order] = np.cumsum(size) - size
+
+        self.lamb_start = np.full(mesh.num_edges, -1, dtype=np.int64)
+        self.lamb_start[free] = start[:F]
         starts = self.lamb_start[mesh.element_edges][..., None]
-        traces = np.where(starts < 0, -1, starts + np.arange(self.dim_lamb))
-        u = self.n_free_edges * self.dim_lamb + np.arange(T, dtype=np.int64)[:, None]
-        self.element_indices = np.concatenate([traces.reshape(T, -1), u], axis=1)
+        traces = np.where(starts < 0, -1, starts + np.arange(db)).reshape(T, -1)
+        self.element_indices = np.concatenate([traces, start[F:, None]], axis=1).astype(np.int32)
         self.element_indices.setflags(write=False)
 
     @property

@@ -44,21 +44,45 @@ def build_level(mesh, spec):
     return tables, dofmap, assemble(mesh, dofmap, tables)
 
 
+def full_of_condensed(dofmap):
+    """The index in the full system of each unknown of
+    ``dofmap.element_indices``: the traces in their order there from
+    T d0 on, then u_T in element order from ``dofmap.n_lambda`` on."""
+    T, n = dofmap.mesh.num_elements, dofmap.n_condensed
+    u = dofmap.element_indices[:, -1]
+    full, trace = np.empty(n, dtype=np.int64), np.ones(n, dtype=bool)
+    trace[u] = False
+    full[trace] = T * dofmap.dim_lam0 + np.arange(n - T)
+    full[u] = dofmap.n_lambda + np.arange(T)
+    return full
+
+
 def full_indices(dofmap):
     """(T, n_loc + 1) indices of every element's unknowns
     [lam_0; traces of edges 0, 1, 2; u_T] in the full system, -1 on
     outflow traces: lam_0 first, d0 per element in element order, then
-    the unknowns of ``dofmap.element_indices``."""
+    the traces and last u_T, one per element in element order, so the
+    first ``dofmap.n_lambda`` unknowns are the multiplier's."""
     T, d0 = dofmap.mesh.num_elements, dofmap.dim_lam0
     idx = dofmap.element_indices
     lam0 = np.arange(T * d0).reshape(T, d0)
-    return np.concatenate([lam0, np.where(idx >= 0, idx + T * d0, -1)], axis=1)
+    return np.concatenate([lam0, np.where(idx >= 0, full_of_condensed(dofmap)[idx], -1)], axis=1)
+
+
+def full_rows(r0, r, dofmap):
+    """The vector in the numbering of :func:`full_indices` of lam_0 rows
+    ``r0`` and the rest ``r`` numbered by ``dofmap.element_indices``, as
+    ``SaddleSystem`` holds its right-hand side and ``matvec`` returns."""
+    x = np.empty(dofmap.n_total)
+    x[: r0.size] = r0.ravel()
+    x[full_of_condensed(dofmap)] = r
+    return x
 
 
 def full_rhs(system):
     """The right-hand side of ``system`` in the numbering of
     :func:`full_indices`."""
-    return np.concatenate([system.rhs0.ravel(), system.rhs])
+    return full_rows(system.rhs0, system.rhs, system.dofmap)
 
 
 def full_vector(local, dofmap):

@@ -185,7 +185,9 @@ class TestRunStudy:
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout)
         stages = ["mesh_s", "tables_s", "checks_s", "classify_s", "dofmap_s", "assemble_s", "solve_s"]
-        assert set(stages + ["errors_s", "conservation_s", "factor_s", "order_s", "peak_rss_mb"]) <= set(record)
+        assert set(stages + ["errors_s", "conservation_s", "factor_s", "peak_rss_mb"]) <= set(record)
+        # The order is timed in dofmap_s: the solver orders nothing.
+        assert "order_s" not in record and "ordering" not in record
         assert 0 < record["factor_s"] <= record["solve_s"]
         assert record["total_s"] == pytest.approx(sum(record[key] for key in stages + ["errors_s", "conservation_s"]))
 
@@ -454,6 +456,25 @@ class TestCli:
             if isinstance(node, ast.Attribute) and node.attr == "matrix"
         ]
         assert reads == []
+
+    def test_solver_orders_nothing(self):
+        # DofMap is the one place that numbers the unknowns: the solver
+        # imports nothing from pdwg.mesh and sorts nothing.
+        path = Path(pdwg.solver.__file__)
+        tree = ast.parse(path.read_text(), str(path))
+        imports = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "mesh")
+            or (isinstance(node, ast.Import) and any(alias.name == "pdwg.mesh" for alias in node.names))
+        ]
+        sorts = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("argsort", "lexsort")
+        ]
+        assert imports == [] and sorts == []
 
     @staticmethod
     def _verify_perturbed(monkeypatch, capsys, entry):

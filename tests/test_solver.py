@@ -3,17 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import assembled_matrix, build_level, full_rhs, full_vector, lapack_schur, refined, same_bits
+import pdwg.solver
+from helpers import assembled_matrix, build_level, full_rhs, full_rows, full_vector, lapack_schur, refined, same_bits
 from pdwg.analysis import build_checks, conservation_report
-from pdwg.assembly import ProblemSpec
+from pdwg.assembly import ProblemSpec, scatter
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
-from pdwg.mesh import build_coarse_mesh, refine_uniform
+from pdwg.mesh import build_coarse_mesh, refine_uniform, refinement_depth
 from pdwg.solver import (
     _REFINE_STEPS,
     SolverError,
     _CondensedLU,
-    refinement_tree_order,
     schur_complement,
     solve,
 )
@@ -231,13 +231,33 @@ class TestSolve:
         assert info["refine_steps"] in range(1, _REFINE_STEPS + 1)
         assert np.isfinite(info["initial_residual"])
         n = info["condensed_order"]
-        assert info["ordering"] == "refinement_tree"
-        assert isinstance(info["order_s"], float) and info["order_s"] >= 0.0
+        assert "ordering" not in info and "order_s" not in info
+        assert isinstance(info["factor_s"], float) and info["factor_s"] >= 0.0
         assert info["fill_per_nlogn"] == pytest.approx(info["fill"] / (n * np.log2(n)), rel=1e-15)
         # The root separator is the diagonal between the two coarse elements.
         assert info["separator_edges"] == 2
         _, dm, system = unit_problem(level=4)
-        assert solve(system).info["separator_edges"] == refinement_tree_order(dm)[1] == 2**4
+        assert solve(system).info["separator_edges"] == dm.separator_edges == 2**4
+
+    @pytest.mark.parametrize("case", [dict(level=3, j=1), dict(domain="cracked_square", level=2, j=0, c=0.0)])
+    def test_factors_the_dofmap_numbering_as_it_is(self, monkeypatch, case):
+        # SuperLU receives the condensed element matrices scattered by
+        # element_indices, with no permutation between: the pattern bit for
+        # bit, and the values cast to float32.
+        _, dm, system = unit_problem(**case)
+        K = schur_complement(system.element_matrix, dm.dim_lam0)[1]
+        expected = scatter(K, dm.element_indices, dm.n_condensed)
+        factored, splu = [], pdwg.solver.splu
+
+        def capture(A, **kwargs):
+            factored.append((A.indices.copy(), A.indptr.copy(), A.data.copy()))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(pdwg.solver, "splu", capture)
+        solve(system)
+        (indices, indptr, data), = factored
+        assert same_bits(indices, expected.indices) and same_bits(indptr, expected.indptr)
+        assert same_bits(data, expected.data.astype(np.float32))
 
     @pytest.mark.parametrize("domain", ["unit_square", "cracked_square"])
     @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -261,14 +281,17 @@ ORDERING_CASES = [
 ]
 
 
-def free_edge_order(perm, dm):
-    """Free-edge ranks in the order ``perm`` places their traces."""
-    db, F = dm.dim_lamb, dm.n_free_edges
-    return perm[(perm < F * db) & (perm % db == 0)] // db
+def free_edge_positions(dm):
+    """The place of every free edge, in edge order, among the free edges
+    as ``element_indices`` numbers their traces."""
+    starts = dm.lamb_start[dm.lamb_start >= 0]
+    pos = np.empty(len(starts), dtype=np.int64)
+    pos[np.argsort(starts)] = np.arange(len(starts))
+    return pos
 
 
 def free_edge_midpoints(dm):
-    """(F, 2) midpoints of the free edges, by free-edge rank."""
+    """(F, 2) midpoints of the free edges, in edge order."""
     return dm.mesh.vertices[dm.mesh.edges[dm.lamb_start >= 0]].mean(axis=1)
 
 
@@ -279,29 +302,31 @@ def tree_heights(dm):
     per binary level above them."""
     mesh = dm.mesh
     a, b = mesh.edge_elems[dm.lamb_start >= 0].T
+    L = refinement_depth(mesh)
     C = build_coarse_mesh(mesh.domain_tag).num_elements
-    L = round(np.log(mesh.num_elements // C) / np.log(4))
     assert mesh.num_elements == C * 4**L
     heights = list(range(0, 2 * L + 1, 2)) + list(range(2 * L + 1, 2 * L + (C - 1).bit_length() + 1))
     return a, np.where(b < 0, a, b), heights
 
 
 class TestNestedDissection:
+    """The numbering of ``DofMap.element_indices`` is the factor's
+    nested dissection order, read off the refinement tree."""
+
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_is_a_permutation(self, case):
         _, dm, _ = unit_problem(**case)
-        perm, _ = refinement_tree_order(dm)
-        assert np.array_equal(np.sort(perm), np.arange(dm.n_condensed))
+        idx = dm.element_indices
+        numbered = np.unique(idx[idx >= 0])
+        assert np.array_equal(numbered, np.arange(dm.n_condensed))
+        # Each free edge holds db consecutive indices of its own.
+        starts = np.sort(dm.lamb_start[dm.lamb_start >= 0])
+        assert np.all(np.diff(starts) >= dm.dim_lamb)
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_u_after_the_traces_of_its_element(self, case):
         _, dm, _ = unit_problem(**case)
-        perm, _ = refinement_tree_order(dm)
-        place = np.argsort(perm)
-        traces = dm.element_indices[:, :-1]
-        trace_place = np.where(traces >= 0, place[traces], -1)
-        u_place = place[dm.element_indices[:, -1]]
-        assert np.all(u_place > trace_place.max(axis=1))
+        assert np.all(dm.element_indices[:, -1] > dm.element_indices[:, :-1].max(axis=1))
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_no_element_couples_the_two_children_of_a_node(self, case):
@@ -309,14 +334,12 @@ class TestNestedDissection:
         # separator last, each child's edges a block before it, and no
         # element holds edges of two children outside the separator.
         _, dm, _ = unit_problem(**case)
-        perm, _ = refinement_tree_order(dm)
-        db, F = dm.dim_lamb, dm.n_free_edges
-        pos = np.full(F, -1)
-        pos[free_edge_order(perm, dm)] = np.arange(F)
-        assert np.array_equal(np.sort(pos), np.arange(F))
+        mesh, F = dm.mesh, dm.n_free_edges
+        pos = free_edge_positions(dm)
         a, b, heights = tree_heights(dm)
-        traces = dm.element_indices[:, : -1 : db]
-        elem_edges = np.where(traces >= 0, traces // db, F)
+        free = dm.lamb_start >= 0
+        rank = np.where(free, np.cumsum(free) - 1, F)
+        elem_edges = rank[mesh.element_edges]
         for lo, hi in zip(heights, heights[1:]):
             node = np.where(a >> hi == b >> hi, a >> hi, -1)
             child = np.where(a >> lo == b >> lo, a >> lo, -1)
@@ -336,11 +359,11 @@ class TestNestedDissection:
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
     def test_root_separator_is_one_mesh_line(self, level):
         # The unit square's two coarse triangles meet along the diagonal
-        # x + y = 1, which separates the two halves and is ordered last.
+        # x + y = 1, which separates the two halves and is numbered last.
         _, dm, _ = unit_problem(level=level)
-        perm, sep = refinement_tree_order(dm)
+        sep = dm.separator_edges
         assert sep == 2**level
-        root_sep = free_edge_order(perm, dm)[-sep:]
+        root_sep = np.argsort(free_edge_positions(dm))[-sep:]
         assert np.all(free_edge_midpoints(dm)[root_sep].sum(axis=1) == 1.0)
 
 
@@ -362,7 +385,7 @@ class TestOrderedFactor:
             assert sol.info["nnz"] == A.nnz, (name, j, level)
             scale = np.linalg.norm(abs(A) @ abs(x))
             y0, y = system.matvec(sol.local)
-            assert np.linalg.norm(np.concatenate([y0.ravel(), y]) - A @ x) <= 1e-14 * scale, (name, j, level)
+            assert np.linalg.norm(full_rows(y0, y, dm) - A @ x) <= 1e-14 * scale, (name, j, level)
 
     def test_refinement_residual_matches_the_assembled_product(self):
         # The factor is single precision, so this system is refined, and

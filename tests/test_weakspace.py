@@ -65,10 +65,14 @@ class TestDofMap:
         outflow = np.isin(mesh.element_edges, dm.classification.outflow_edges)
         traces = dm.element_indices[:, :-1].reshape(mesh.num_elements, 3, 2)
         assert np.all(traces[outflow] == -1) and np.all(traces[~outflow] >= 0)
+        # Each free edge's traces are its db consecutive indices from
+        # lamb_start, and no trace shares an index with a u_T.
+        starts = dm.lamb_start[mesh.element_edges][..., None]
+        assert np.array_equal(traces, np.where(starts < 0, -1, starts + np.arange(2)))
+        assert not np.isin(traces, dm.element_indices[:, -1]).any()
         for t in range(mesh.num_elements):
             idx = dm.element_indices[t, :-1]
             free = idx[idx >= 0]
-            assert np.all(free < dm.n_free_edges * dm.dim_lamb)
             assert len(np.unique(free)) == len(free)
 
     def test_indices_form_bijection(self):
@@ -82,7 +86,19 @@ class TestDofMap:
             seen.update(int(i) for i in dm.element_indices[t] if i >= 0)
         assert seen == set(range(dm.n_condensed))
         assert dm.n_condensed == dm.n_free_edges * db + T == dm.n_total - T * dm.dim_lam0
-        assert np.array_equal(dm.element_indices[:, -1], dm.n_free_edges * db + np.arange(T))
+        # int32, SuperLU's index type, and read-only.
+        assert dm.element_indices.dtype == np.int32 and not dm.element_indices.flags.writeable
+
+    @pytest.mark.parametrize("tag", ["unit_square", "l_shape", "cracked_square"])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_u_follows_the_last_trace_of_its_element(self, tag, j):
+        # u_T is numbered right after its element's last trace, behind the
+        # u_T of the elements before it that end on the same trace.
+        mesh = refined(tag, 2)
+        dm = make_dofmap(mesh, j=j)
+        last = dm.element_indices[:, :-1].max(axis=1)
+        behind = [int((last[:t] == last[t]).sum()) for t in range(mesh.num_elements)]
+        assert np.array_equal(dm.element_indices[:, -1], last + 1 + np.array(behind))
 
     def test_rejects_unsupported_degrees(self):
         mesh = build_coarse_mesh("unit_square")

@@ -10,13 +10,14 @@ The trees given by ``--src LABEL=PATH`` (``pdwg`` is imported from PATH)
 alternate within every run, so two checkouts are measured back to back.
 Stages, in seconds: mesh (the coarse mesh and every refinement), then
 the stages of ``run_level``: tables, checks, classify, dofmap, assemble,
-solve (condensation, ordering, factor, refinement and the residual
-check) with its parts order and factor (the SuperLU call), errors and
-conservation.  Beside them each point records the peak RSS after
-assembly, after the solve and at the end (``assemble_peak_mb``,
-``solve_peak_mb``, ``peak_rss_mb``), the order's name, the factor fill
-and fill / (n log2 n) over the condensed order n, the root separator's
-edges, the refinement steps and the residuals.  The record holds every
+solve (condensation, factor, refinement and the residual check) with
+its part factor (the SuperLU call), errors and conservation.  The
+fill-reducing order is the DOF map's numbering, so it is timed in
+dofmap.  Beside them each point records the peak RSS after assembly,
+after the solve and at the end (``assemble_peak_mb``,
+``solve_peak_mb``, ``peak_rss_mb``), the factor fill and fill /
+(n log2 n) over the condensed order n, the root separator's edges, the
+refinement steps and the residuals.  The record holds every
 run and the median of each metric.  Every tree must have
 ``pdwg.study.run_level``.
 """
@@ -52,12 +53,10 @@ def measure(point: str) -> dict:
         "mesh_s": mesh_s,
         **run.stages,
         "factor_s": info["factor_s"],
-        "order_s": info["order_s"],
         "total_s": mesh_s + sum(t for key, t in run.stages.items() if key.endswith("_s")),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "elements": mesh.num_elements,
         "condensed_order": info["condensed_order"],
-        "ordering": info["ordering"],
         "fill": info["fill"],
         "fill_per_nlogn": info["fill_per_nlogn"],
         "separator_edges": info["separator_edges"],
