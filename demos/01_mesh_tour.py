@@ -7,7 +7,7 @@ Run from the repository root:  PYTHONPATH=src python3 demos/01_mesh_tour.py
 
 import numpy as np
 
-from pdwg.assembly import ElementTables, build_contexts, classify_boundary
+from pdwg.assembly import ElementTables, build_contexts, build_forms, classify_boundary
 from pdwg.catalog import get_experiment
 from pdwg.mesh import build_coarse_mesh, domain_area, refine_uniform
 
@@ -35,8 +35,8 @@ dup = np.flatnonzero(
 print(f"\ncracked square level 1: vertex (0.5, 0) appears {len(dup)} times")
 
 # Boundary classification depends on the convection field, which it reads
-# from the element tables of a problem on the mesh.
+# from the element forms built from the tables of a problem on the mesh.
 mesh = refine_uniform(build_coarse_mesh("unit_square"))
 for name, label in (("table5", "beta=[1,-1]"), ("fig1_tau1", "beta=[y-0.5,-x+0.5]")):
-    cls = classify_boundary(mesh, build_contexts(mesh, get_experiment(name).spec))
+    cls = classify_boundary(mesh, build_forms(build_contexts(mesh, get_experiment(name).spec)))
     print(f"{label}: {len(cls.inflow_edges)} inflow, {len(cls.outflow_edges)} outflow edges")

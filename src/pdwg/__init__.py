@@ -12,8 +12,9 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 - ``weakspace``  degrees of freedom in the factor's nested-dissection
                  order, projection into the weak space and the discrete
                  weak gradient
-- ``assembly``   element tables, inflow/outflow classification, local
-                 forms and the global saddle-point system
+- ``assembly``   element tables of a level or an element block, the
+                 level's element forms, inflow/outflow classification
+                 and the global saddle-point system
 - ``solver``     static condensation, sparse LU, residual checks
 - ``analysis``   error norms, conservation checks, post-processing
 - ``fields``     closed-form coefficient fields and piecewise composition
@@ -24,7 +25,7 @@ multiplier coupled through a symmetric saddle-point system.  Submodules:
 
 from .mesh import BoundaryClassification, Mesh, build_coarse_mesh, refine_uniform
 from .weakspace import DofMap
-from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, classify_boundary
+from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, build_forms, classify_boundary
 from .solver import Solution, SolverError, solve
 from .catalog import catalog, get_experiment
 from .study import StudyReport, emit_csv, emit_plot_data, run_level, run_study
@@ -41,6 +42,7 @@ __all__ = [
     "assemble",
     "build_coarse_mesh",
     "build_contexts",
+    "build_forms",
     "catalog",
     "classify_boundary",
     "emit_csv",

@@ -21,13 +21,13 @@ Every check is linear or quadratic in one element's row of
 ``Solution.local``, so a level's checks are formed in two steps.
 :func:`build_checks` reads the sampled element tables, and with them the
 problem (tau, the coefficients and the exact solution), before the
-factor and forms :class:`LevelChecks`, small per-element operators;
-the tables can then be dropped, and only these operators live through
-the factor.  After the solve, :func:`error_norms` and
-:func:`conservation_report` apply them to ``Solution.local``.  The
-operators are formed from the tables' quadrature, independently of the
-assembled element matrices, so the conservation check also checks the
-assembly.
+factor and writes their rows of :class:`LevelChecks`, small per-element
+operators, one element block at a time; each block's tables can then be
+dropped, and only these operators live through the factor.  After the
+solve, :func:`error_norms` and :func:`conservation_report` apply them to
+``Solution.local``.  The operators are formed from the tables'
+quadrature, independently of the assembled element matrices, so the
+conservation check also checks the assembly.
 """
 
 from __future__ import annotations
@@ -88,9 +88,8 @@ class LevelChecks:
       and, for tau > 0, ``tau_lam0`` (T, d0), tau (c, beta.grad(sigma_0)
       - c sigma_0)_T, are kept (None for tau = 0);
     - with an exact solution (None without): ``exact_u`` (T,), its
-      values at the centroids, and ``area`` (T,); ``lam0_mass`` (T, d0, d0),
-      the lam_0 mass matrices, and ``trace_mass`` (E, db, db), h_T times
-      the trace mass matrix of each edge on its first incident element;
+      values at the centroids, ``area`` and ``diameter`` h_T (T,), and
+      ``lam0_mass`` (T, d0, d0), the lam_0 mass matrices;
     - ``scale_f``, max(1, max |f|) at the interior quadrature points.
     """
 
@@ -104,8 +103,8 @@ class LevelChecks:
     tau_lam0: np.ndarray | None = None
     exact_u: np.ndarray | None = None
     area: np.ndarray | None = None
+    diameter: np.ndarray | None = None
     lam0_mass: np.ndarray | None = None
-    trace_mass: np.ndarray | None = None
 
 
 def nodal_interpolant(exact_u, tables: ElementTables) -> np.ndarray:
@@ -115,11 +114,14 @@ def nodal_interpolant(exact_u, tables: ElementTables) -> np.ndarray:
     return np.asarray(exact_u(cx, cy), dtype=float).reshape(-1)
 
 
-def build_checks(tables: ElementTables) -> LevelChecks:
-    """The error and conservation operators of the problem the sampled
-    ``tables`` hold, on their mesh, formed from the tables' quadrature
-    exactly as the checks are defined, sigma running over the element's
-    unknowns:
+def build_checks(tables: ElementTables, checks: LevelChecks | None = None) -> LevelChecks:
+    """Write the error and conservation operators of the elements of the
+    sampled ``tables`` into their rows of ``checks``, the checks of the
+    tables' level (new ones when None), and return ``checks``; the tables
+    of a whole level give its checks in one call, and blocks of it give
+    them block by block.  The operators are those of the problem the
+    tables hold, formed from their quadrature exactly as the checks are
+    defined, sigma running over the element's unknowns:
 
     - flux moments <F_h . n, phi>_e: lam_0 by -<phi/h_T, sigma_0>_e, that
       edge's traces by <phi/h_T, sigma_b>_e, and u_T by <phi, beta_h . n>_e,
@@ -129,50 +131,68 @@ def build_checks(tables: ElementTables) -> LevelChecks:
     - balance: u_T by int_T c + int_dT beta.n and lam_0 by
       tau (c, beta.grad(sigma_0) - c sigma_0)_T, beside the flux moments
       against phi_0 = 1;
-    - errors: the lam_0 mass matrices, and the owner-edge trace mass
-      matrices h_T^2 <phi/h_T, phi>_e.
+    - errors: the lam_0 mass matrices, and h_T, which scales the trace
+      moments into the trace mass matrices h_T^2 <phi/h_T, phi>_e.
 
     The first trace and lam_0 basis functions are the constant 1, so
-    <phi, 1>_e of the u_T and constant lam_0 moments is a trace moment,
-    and the trace mass matrices are the trace moments scaled.  The
-    weighted bases are formed one basis function at a time, as numpy
+    <phi, 1>_e of the u_T and constant lam_0 moments is a trace moment.
+    The weighted bases are formed one basis function at a time, as numpy
     broadcasts over a short last axis slowly, and the weighted trace
     basis is laid out contiguously, as numpy multiplies the small
-    matrices fastest from it.
+    matrices fastest from it.  Raises ValueError for tables of another
+    mesh than ``checks``.
     """
-    spec, mesh = tables.spec, tables.mesh
+    spec, mesh, rows = tables.spec, tables.mesh, tables.rows
     qw, ew, h = tables.qw, tables.ew, tables.diameter
-    T, d0, db = mesh.num_elements, tables.dim_lam0, tables.edge_trace.shape[-1]
+    d0, db = tables.dim_lam0, tables.edge_trace.shape[-1]
+    if checks is None:
+        checks = _empty_checks(mesh, spec, d0, db)
+    elif checks.mesh is not mesh:
+        raise ValueError("element tables of another mesh cannot be added to these checks")
 
     ew_h = ew / h[:, None, None]
-    against = np.empty((T, 3, db, ew.shape[-1]))
+    against = np.empty((len(h), 3, db, ew.shape[-1]))
     for m in range(db):
         np.multiply(ew_h, tables.edge_trace[..., m], out=against[..., m, :])
-    flux_trace = against @ tables.edge_trace
+    flux_trace = np.matmul(against, tables.edge_trace, out=checks.flux_trace[rows])
+    np.matmul(against, tables.edge_lam0[..., 1:], out=checks.flux_lam0[rows])
     beta_int, normals = tables.beta_int[:, None], tables.normals
     h_beta_n = beta_int[..., 0] * normals[..., 0] + beta_int[..., 1] * normals[..., 1]
     h_beta_n *= (h / tables.area)[:, None]
-
-    checks = LevelChecks(
-        mesh=mesh,
-        flux_lam0=against @ tables.edge_lam0[..., 1:],
-        flux_trace=flux_trace,
-        flux_u=h_beta_n[..., None] * flux_trace[..., 0],
-        u_balance=np.einsum("tq,tq->t", qw, tables.c_q) + np.einsum("tiq,tiq->t", ew, tables.beta_n),
-        load=np.einsum("tq,tq->t", qw, tables.f_q),
-        scale_f=max(1.0, float(np.abs(tables.f_q).max())),
-    )
+    np.multiply(h_beta_n[..., None], flux_trace[..., 0], out=checks.flux_u[rows])
+    c_mass, beta_flux = np.einsum("tq,tq->t", qw, tables.c_q), np.einsum("tiq,tiq->t", ew, tables.beta_n)
+    np.add(c_mass, beta_flux, out=checks.u_balance[rows])
+    np.einsum("tq,tq->t", qw, tables.f_q, out=checks.load[rows])
+    checks.scale_f = max(checks.scale_f, float(np.abs(tables.f_q).max()))
     if spec.tau > 0:
-        checks.tau_lam0 = spec.tau * tables.adjoint_moments(qw * tables.c_q)
+        np.multiply(spec.tau, tables.adjoint_moments(qw * tables.c_q), out=checks.tau_lam0[rows])
     if spec.exact_u is not None:
-        owner, local = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
         weighted = np.empty_like(tables.lam0)
         for k in range(d0):
             np.multiply(qw, tables.lam0[..., k], out=weighted[..., k])
-        checks.exact_u = nodal_interpolant(spec.exact_u, tables)
-        checks.area = tables.area
-        checks.lam0_mass = np.swapaxes(weighted, 1, 2) @ tables.lam0
-        checks.trace_mass = flux_trace.reshape(-1, db, db)[3 * owner + local] * (h * h)[owner, None, None]
+        checks.exact_u[rows] = nodal_interpolant(spec.exact_u, tables)
+        checks.area[rows], checks.diameter[rows] = tables.area, h
+        np.matmul(np.swapaxes(weighted, 1, 2), tables.lam0, out=checks.lam0_mass[rows])
+    return checks
+
+
+def _empty_checks(mesh: Mesh, spec, d0: int, db: int) -> LevelChecks:
+    """The unwritten checks of ``spec`` on ``mesh`` for :func:`build_checks`."""
+    T = mesh.num_elements
+    checks = LevelChecks(
+        mesh=mesh,
+        flux_lam0=np.empty((T, 3, db, d0 - 1)),
+        flux_trace=np.empty((T, 3, db, db)),
+        flux_u=np.empty((T, 3, db)),
+        u_balance=np.empty(T),
+        load=np.empty(T),
+        scale_f=1.0,
+    )
+    if spec.tau > 0:
+        checks.tau_lam0 = np.empty((T, d0))
+    if spec.exact_u is not None:
+        checks.exact_u, checks.area, checks.diameter = np.empty(T), np.empty(T), np.empty(T)
+        checks.lam0_mass = np.empty((T, d0, d0))
     return checks
 
 
@@ -185,17 +205,20 @@ def error_norms(solution: Solution, checks: LevelChecks) -> ErrorReport:
     """Norms ||u_h - I_h u||, ||lam_0||, and the h_T-weighted trace norm
     ||lam_b||, against the exact solution of the level's problem.  Each
     edge is counted once, from its first incident element, which supplies
-    its trace, quadrature weights and h_T."""
+    its trace, quadrature weights and h_T: its trace mass matrix is that
+    element's trace moments scaled by h_T^2."""
     if checks.exact_u is None:
         raise ValueError("error norms require an exact solution")
-    local, mesh = solution.local, checks.mesh
-    d0, db = checks.lam0_mass.shape[-1], checks.trace_mass.shape[-1]
+    local, mesh, h = solution.local, checks.mesh, checks.diameter
+    d0, db = checks.lam0_mass.shape[-1], checks.flux_trace.shape[-1]
     traces = local[:, d0:-1].reshape(len(local), 3, db)
     diff = local[:, -1] - checks.exact_u
+    owner, edge = mesh.edge_elems[:, 0], mesh.edge_local[:, 0]
+    trace_mass = checks.flux_trace[owner, edge] * (h * h)[owner, None, None]
     return ErrorReport(
         err_u=math.sqrt(float(checks.area @ (diff * diff))),
         err_lam0=math.sqrt(_quadratic(checks.lam0_mass, local[:, :d0])),
-        err_lamb=math.sqrt(_quadratic(checks.trace_mass, traces[mesh.edge_elems[:, 0], mesh.edge_local[:, 0]])),
+        err_lamb=math.sqrt(_quadratic(trace_mass, traces[owner, edge])),
     )
 
 

@@ -21,10 +21,14 @@ unknowns [lam_0; traces of edges 0, 1, 2; u_T] with constrained outflow
 traces eliminated, and is kept as those element matrices: :func:`scatter`
 sums them into a sparse matrix only when one is read.
 
-Every local form is evaluated for all elements at once from one set of
-element tables (:class:`ElementTables`), which compute the geometry of
-every element and keep the problem they were sampled from, so every
-later stage reads both from them.  Variable coefficients are evaluated
+Every local form is evaluated for a block of elements at once from one
+set of element tables (:class:`ElementTables`), which compute the
+geometry of those elements and keep the problem they were sampled from.
+:func:`build_forms` writes a block's element matrices and loads, and the
+data of the boundary edges it holds, into the level's
+:class:`LevelForms`, which boundary classification and assembly read
+once every block is in, so no table of the whole level need exist.
+Variable coefficients are evaluated
 pointwise at quadrature nodes; piecewise-defined fields are resolved per
 element by the leaf, at any nesting depth, holding the centroid (an
 element whose vertices disagree with its centroid leaf of beta, c or f
@@ -142,16 +146,22 @@ class SaddleSystem:
 
 
 class ElementTables:
-    """Geometry, quadrature, basis and coefficient tables of all elements
-    of a mesh, and the problem they were sampled from.
+    """Geometry, quadrature, basis and coefficient tables of the elements
+    ``rows`` of a mesh (a slice; all of them by default), and the problem
+    they were sampled from.
 
-    Every array has a leading axis over the T elements, so each local form
-    is one array expression over the mesh.  The quadrature is fixed: the
+    Every array has a leading axis over those T elements, row t being
+    element ``rows.start + t`` of the mesh, so each local form is one array
+    expression over them.  ``pdwg.study.run_level`` builds the tables of
+    one contiguous block of at most ``ELEMENT_BLOCK`` elements at a time,
+    so a block holds all of this for its elements only, a few MB, and its
+    element work stays in cache; tests and the projection take the tables
+    of a whole level.  The quadrature is fixed: the
     interior rule is exact to degree 2j+4 and the edge rule has five Gauss
     points.  The multiplier degree j is 0 or 1; any other j raises
     ValueError, and an element of non-positive area raises MeshError
-    naming it.  With nq interior and ne edge quadrature points,
-    d0 = dim P_j(T) and db = dim P_j(e):
+    naming it by its number in the mesh.  With nq interior and ne edge
+    quadrature points, d0 = dim P_j(T) and db = dim P_j(e):
 
     - ``area``, ``diameter`` (longest edge) (T,), ``centroid`` (T, 2), and
       ``normals`` (T, 3, 2), the outward unit normals in local edge order
@@ -168,16 +178,18 @@ class ElementTables:
     ``beta_int`` (T, 2), the integral of beta over the element, and
     ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is not
     kept there), which the forms, boundary classification and the
-    conservation check read.
+    conservation check read, and ``straddling``, the elements that
+    straddle a leaf boundary of a piecewise field (see :meth:`sample`).
     The forms and the analysis read tau, g and the exact solution from
     ``spec``.
     """
 
-    def __init__(self, mesh: Mesh, j: int):
+    def __init__(self, mesh: Mesh, j: int, rows: slice = slice(None)):
         self.mesh = mesh
         self.j = j
+        self.rows = slice(*rows.indices(mesh.num_elements))
         self._spec: ProblemSpec | None = None
-        coords = mesh.vertices[mesh.elements]  # (T, 3, 2)
+        coords = mesh.vertices[mesh.elements[self.rows]]  # (T, 3, 2)
         T = len(coords)
         self.area = 0.5 * (
             (coords[:, 1, 0] - coords[:, 0, 0]) * (coords[:, 2, 1] - coords[:, 0, 1])
@@ -185,7 +197,7 @@ class ElementTables:
         )
         if (self.area <= 0).any():
             bad = int(np.flatnonzero(self.area <= 0)[0])
-            raise MeshError(f"element {bad} has non-positive area {self.area[bad]}")
+            raise MeshError(f"element {self.rows.start + bad} has non-positive area {self.area[bad]}")
         # Short axes (3 vertices, 2 coordinates) are spelled out below: numpy
         # reduces and broadcasts over them slowly, and each value is the
         # same expression, in the same order, as the reduction or broadcast.
@@ -213,7 +225,7 @@ class ElementTables:
             self.epts[..., c] = coords[:, :, c, None] + along * tangents[:, :, c, None]
         self.qw = rule.weights * (2.0 * self.area[:, None])
         self.ew = erule.weights * (0.5 * lengths[..., None])
-        signs = mesh.element_edge_signs[..., None]
+        signs = mesh.element_edge_signs[self.rows, :, None]
 
         basis = TriBasis(j)
         self.lam0 = basis.eval(self.qpts, self.centroid, self.diameter)
@@ -247,11 +259,12 @@ class ElementTables:
         points, each resolved per element by the leaf holding its
         centroid; a derived load is formed from the sampled beta and c
         with div(beta) of the element's leaf and u, grad(u) pointwise.
-        Warns, naming the field, if a piecewise beta, c or f (one not
-        derived from the exact solution) has an element whose corners lie
-        in another leaf.  Raises ValueError naming both degrees for a
-        spec whose j is not the tables' degree, and naming the field and
-        element of the first non-finite sample."""
+        Records in ``straddling``, for each piecewise beta, c or f (one
+        not derived from the exact solution) with elements whose corners
+        lie in another leaf, the first such element and their count,
+        which :func:`warn_straddling` reports.  Raises ValueError naming
+        both degrees for a spec whose j is not the tables' degree, and
+        naming the field and element of the first non-finite sample."""
         if spec.j != self.j:
             raise ValueError(f"a problem of degree j={spec.j} cannot be sampled on element tables of degree j={self.j}")
         cx, cy = self.centroid.T
@@ -273,34 +286,33 @@ class ElementTables:
         beta_e = evaluate_branches(
             spec.beta.branches, beta_branch[:, None, None], self.epts[..., 0], self.epts[..., 1]
         )
+        elements = range(self.rows.start, self.rows.stop)
         for name, values in (("beta", self.beta_q), ("beta", beta_e), ("c", self.c_q), ("f", self.f_q)):
-            _require_finite(name, values, "element")
+            _require_finite(name, values, "element", elements)
         self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
         self.beta_n = np.einsum("tiqc,tic->tiq", beta_e, self.normals)
-        self._warn_if_straddling("beta", spec.beta, beta_branch)
-        self._warn_if_straddling("c", spec.c, c_branch)
+        self.straddling = {}
+        self._find_straddling("beta", spec.beta, beta_branch)
+        self._find_straddling("c", spec.c, c_branch)
         if not isinstance(spec.f, DerivedLoad):
-            self._warn_if_straddling("f", spec.f, f_branch)
+            self._find_straddling("f", spec.f, f_branch)
         self._spec = spec
         return self
 
-    def _warn_if_straddling(self, name, field, branch):
-        """Warn, naming the field, when an element's corners lie in another
-        leaf of ``field`` than ``branch``, the one its centroid took."""
+    def _find_straddling(self, name, field, branch):
+        """Record in ``straddling[name]`` the first element, by its number
+        in the mesh, whose corners lie in another leaf of ``field`` than
+        ``branch``, the one its centroid took, and how many do."""
         if len(field.branches) == 1:
             return
         # Probe just inside each corner so vertices sitting exactly on an
         # aligned branch interface do not trigger false positives.
-        coords = self.mesh.vertices[self.mesh.elements]
+        coords = self.mesh.vertices[self.mesh.elements[self.rows]]
         probes = coords + 1e-6 * (self.centroid[:, None] - coords)
         corner = field.branch_index(probes[..., 0], probes[..., 1])
         bad = np.flatnonzero((corner != branch[:, None]).any(axis=1))
         if len(bad):
-            warnings.warn(
-                f"element {bad[0]} straddles a branch boundary of the piecewise field {name} "
-                f"({len(bad)} elements in all); each is assigned the branch of its centroid",
-                stacklevel=3,
-            )
+            self.straddling[name] = (self.rows.start + int(bad[0]), len(bad))
 
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the
@@ -330,7 +342,7 @@ class ElementTables:
         ew / h_T, (T, 3 ne)."""
         d0, n = self.dim_lam0, self.n_loc
         db = (n - d0) // 3
-        T = self.mesh.num_elements
+        T = len(self.ew)
         D = np.zeros(self.ew.shape + (n,))
         D[..., :d0] = self.edge_lam0
         for i in range(3):
@@ -376,27 +388,14 @@ class ElementTables:
         """Element loads -(f, sigma_0)_T over the interior basis, (T, d0)."""
         return -np.einsum("tq,tqm->tm", self.qw * self.f_q, self.lam0)
 
-    def inflow_load(self, edges, rows, local) -> np.ndarray:
-        """Inflow data terms <sigma_b, beta.n g>_e over the trace basis of
-        the boundary edges ``edges``, edge ``edges[m]`` being local edge
-        ``local[m]`` of table row ``rows[m]``; shape (len(edges), db).
-        ``g`` takes the leaf of the element's centroid."""
-        g = self.spec.g
-        pts = self.epts[rows, local]
-        bn = self.beta_n[rows, local]
-        cx, cy = self.centroid[rows].T
-        gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
-        _require_finite("g", gv, "edge", np.asarray(edges))
-        return np.einsum("mq,mqk->mk", self.ew[rows, local] * bn * gv, self.edge_trace[rows, local])
 
-
-def _require_finite(name: str, values: np.ndarray, what: str, ids=None) -> None:
-    """Raise naming the first row (element, or ``ids[row]``) of ``values``
+def _require_finite(name: str, values: np.ndarray, what: str, ids) -> None:
+    """Raise naming ``ids[row]``, the number of the first row of ``values``
     that holds a non-finite entry."""
     if np.isfinite(values).all():
         return
     row = int(np.argmin(np.isfinite(values).all(axis=tuple(range(1, values.ndim)))))
-    raise ValueError(f"{name} has a non-finite value on {what} {row if ids is None else ids[row]}")
+    raise ValueError(f"{name} has a non-finite value on {what} {ids[row]}")
 
 
 def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.csc_matrix:
@@ -410,39 +409,144 @@ def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.csc_matrix:
     return sparse.csc_matrix((blocks[free], (rows, cols)), shape=(n, n))
 
 
-def build_contexts(mesh: Mesh, spec: ProblemSpec) -> ElementTables:
+def build_contexts(mesh: Mesh, spec: ProblemSpec, rows: slice | None = None) -> ElementTables:
     """Element tables with the problem's coefficients sampled: the one
-    pass over a level's geometry and coefficients that boundary
-    classification, assembly and the analysis layer all read."""
-    return ElementTables(mesh, spec.j).sample(spec)
+    pass over the geometry and coefficients of a level, or of its element
+    block ``rows``, that the checks, classification and assembly read.
+    The tables of a whole level warn of elements that straddle a leaf
+    boundary of a piecewise field; a block's tables only record them, and
+    the caller warns once per level with :func:`warn_straddling`."""
+    tables = ElementTables(mesh, spec.j, slice(None) if rows is None else rows).sample(spec)
+    if rows is None:
+        warn_straddling(tables.straddling)
+    return tables
 
 
-def _require_sampled(tables: ElementTables, mesh: Mesh) -> None:
-    if tables.mesh is not mesh:
-        raise ValueError("element tables were built for a different mesh")
-    tables.spec  # raises ValueError if the tables were never sampled
+def warn_straddling(straddling: dict) -> None:
+    """Warn once per field of ``straddling`` (the name of a piecewise
+    field to its first straddling element and their count, as
+    :attr:`ElementTables.straddling` and :attr:`LevelForms.straddling`
+    hold them), naming the field, the element and the count."""
+    for name, (first, count) in straddling.items():
+        warnings.warn(
+            f"element {first} straddles a branch boundary of the piecewise field {name} "
+            f"({count} elements in all); each is assigned the branch of its centroid",
+            stacklevel=2,
+        )
 
 
-def classify_boundary(mesh: Mesh, tables: ElementTables) -> BoundaryClassification:
+@dataclass
+class LevelForms:
+    """The element-local forms of one level, written one element block at
+    a time by :func:`build_forms` from the block's tables, and all that
+    boundary classification and assembly read once the tables are gone:
+
+    - ``element_matrix`` (T, n_loc + 1, n_loc + 1), the element matrices
+      E_T = [[S_T, B_T], [B_T^T, 0]], and ``rhs0`` (T, d0), the element
+      loads -(f, sigma_0)_T;
+    - of each boundary edge ``edges[m]`` (``mesh.boundary_edges``, in
+      order), local edge ``local[m]`` of its one element ``owner[m]``:
+      the edge rule's ``points`` (nb, ne, 2) and ``weights`` (nb, ne),
+      ``beta_n`` (nb, ne), beta . n at the points, ``trace`` (nb, ne, db),
+      the trace basis there in the edge's own orientation, and
+      ``centroid`` (nb, 2), the element's centroid, whose leaf the
+      inflow data g take;
+    - ``straddling``, merged from the blocks' tables (see
+      :func:`warn_straddling`).
+    """
+
+    mesh: Mesh
+    spec: ProblemSpec
+    element_matrix: np.ndarray
+    rhs0: np.ndarray
+    edges: np.ndarray
+    owner: np.ndarray
+    local: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    beta_n: np.ndarray
+    trace: np.ndarray
+    centroid: np.ndarray
+    straddling: dict
+
+    def inflow_load(self, edges) -> np.ndarray:
+        """Inflow data terms <sigma_b, beta.n g>_e over the trace basis of
+        the boundary edges ``edges``, shape (len(edges), db), g evaluated
+        on those edges only, in the leaf of their element's centroid.
+        Raises ValueError naming the first edge where g is not finite."""
+        m = np.searchsorted(self.edges, edges)
+        g = self.spec.g
+        pts = self.points[m]
+        cx, cy = self.centroid[m].T
+        gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
+        _require_finite("g", gv, "edge", edges)
+        return np.einsum("mq,mqk->mk", self.weights[m] * self.beta_n[m] * gv, self.trace[m])
+
+
+def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> LevelForms:
+    """Write the element matrices and loads of the elements of the sampled
+    ``tables`` into their rows of ``forms``, and the data of the boundary
+    edges they hold into those edges' rows, and return ``forms``: the
+    forms of the tables' level, new ones when None.  Raises ValueError
+    for tables of another level or problem than ``forms``."""
+    mesh, spec, n = tables.mesh, tables.spec, tables.n_loc
+    ne, db = tables.ew.shape[-1], tables.edge_trace.shape[-1]
+    if forms is None:
+        T, edges = mesh.num_elements, mesh.boundary_edges
+        nb = len(edges)
+        forms = LevelForms(
+            mesh, spec, np.zeros((T, n + 1, n + 1)), np.empty((T, tables.dim_lam0)),
+            edges, mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0],
+            points=np.empty((nb, ne, 2)), weights=np.empty((nb, ne)), beta_n=np.empty((nb, ne)),
+            trace=np.empty((nb, ne, db)), centroid=np.empty((nb, 2)), straddling={},
+        )
+    elif forms.mesh is not mesh or forms.spec is not spec:
+        raise ValueError("element tables of another level or problem cannot be added to these forms")
+    lo, hi = tables.rows.start, tables.rows.stop
+    E = forms.element_matrix[lo:hi]
+    E[:, :n, :n] = tables.stabilizer()
+    E[:, :n, n] = E[:, n, :n] = tables.coupling()
+    forms.rhs0[lo:hi] = tables.load()
+    # The boundary edges whose element is in the block, each read at row
+    # k = 3 t + i of the tables' per-edge arrays, t its element's row and
+    # i its local edge.
+    held = (forms.owner >= lo) & (forms.owner < hi)
+    t = forms.owner[held] - lo
+    k = 3 * t + forms.local[held]
+    forms.points[held] = tables.epts.reshape(-1, ne, 2)[k]
+    forms.weights[held] = tables.ew.reshape(-1, ne)[k]
+    forms.beta_n[held] = tables.beta_n.reshape(-1, ne)[k]
+    forms.trace[held] = tables.edge_trace.reshape(-1, ne, db)[k]
+    forms.centroid[held] = tables.centroid[t]
+    for name, (first, count) in tables.straddling.items():
+        first, before = forms.straddling.get(name, (first, 0))
+        forms.straddling[name] = (first, before + count)
+    return forms
+
+
+def _require_level(forms: LevelForms, mesh: Mesh) -> None:
+    if forms.mesh is not mesh:
+        raise ValueError("element forms were built for a different mesh")
+
+
+def classify_boundary(mesh: Mesh, forms: LevelForms) -> BoundaryClassification:
     """Split boundary edges into inflow (beta . n < -eps at the edge
     midpoint) and outflow.  Characteristic edges (|beta . n| <= eps) count
     as outflow so their trace unknowns are constrained.
 
-    beta . n is read from the sampled ``tables`` of ``mesh``: at the
+    beta . n is read from the level's ``forms`` of ``mesh``: at the
     middle node of the edge rule (the midpoint), with beta in the leaf
-    of the edge's first incident element and that element's outward
-    normal.
+    of the edge's element and that element's outward normal.
     """
-    _require_sampled(tables, mesh)
-    edges = mesh.boundary_edges
-    owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
-    inflow = tables.beta_n[owner, local, EDGE_MIDPOINT] < -CLASSIFY_EPS
-    return BoundaryClassification(inflow_edges=edges[inflow], outflow_edges=edges[~inflow])
+    _require_level(forms, mesh)
+    inflow = forms.beta_n[:, EDGE_MIDPOINT] < -CLASSIFY_EPS
+    return BoundaryClassification(inflow_edges=forms.edges[inflow], outflow_edges=forms.edges[~inflow])
 
 
-def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
-    """Assemble the global saddle-point system of the problem the element
-    tables of ``mesh`` were sampled from.
+def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
+    """Assemble the global saddle-point system of the level whose element
+    forms ``forms`` hold: its element matrices and loads, and the inflow
+    loads placed by ``dofmap``.
 
     Outflow trace unknowns are eliminated (never indexed), which keeps the
     system exactly the variational problem on the constrained multiplier
@@ -453,20 +557,14 @@ def assemble(mesh: Mesh, dofmap: DofMap, tables: ElementTables) -> SaddleSystem:
     """
     if dofmap.mesh is not mesh:
         raise ValueError("dofmap was built for a different mesh")
-    _require_sampled(tables, mesh)
-    if tables.j != dofmap.j:
-        raise ValueError(f"element tables of degree j={tables.j} do not match the dofmap of degree j={dofmap.j}")
-    idx = dofmap.element_indices
-
-    # Element matrices over [lam_0; lam_b; u_T].
-    n, db = tables.n_loc, dofmap.dim_lamb
-    E = np.zeros((mesh.num_elements, n + 1, n + 1))
-    E[:, :n, :n] = tables.stabilizer()
-    E[:, :n, n] = E[:, n, :n] = tables.coupling()
+    _require_level(forms, mesh)
+    if forms.spec.j != dofmap.j:
+        raise ValueError(f"element tables of degree j={forms.spec.j} do not match the dofmap of degree j={dofmap.j}")
+    idx, db = dofmap.element_indices, dofmap.dim_lamb
     # An inflow trace belongs to one element only, so its load is written,
     # not summed; + 0.0 turns a -0.0 load into the +0.0 a sum from 0 gives.
     edges = dofmap.classification.inflow_edges
     owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
     rhs = np.zeros(dofmap.n_condensed)
-    rhs[idx[owner[:, None], db * local[:, None] + np.arange(db)]] = tables.inflow_load(edges, owner, local) + 0.0
-    return SaddleSystem(rhs=rhs, rhs0=tables.load(), dofmap=dofmap, element_matrix=E)
+    rhs[idx[owner[:, None], db * local[:, None] + np.arange(db)]] = forms.inflow_load(edges) + 0.0
+    return SaddleSystem(rhs=rhs, rhs0=forms.rhs0, dofmap=dofmap, element_matrix=forms.element_matrix)

@@ -26,13 +26,32 @@ from .analysis import (
     error_norms,
     postprocess_averages,
 )
-from .assembly import ProblemSpec, SaddleSystem, assemble, build_contexts, classify_boundary
+from .assembly import (
+    ProblemSpec,
+    SaddleSystem,
+    assemble,
+    build_contexts,
+    build_forms,
+    classify_boundary,
+    warn_straddling,
+)
 from .catalog import Experiment, check_levels
 from .mesh import Mesh, build_coarse_mesh, refine_uniform
 from .solver import DEFAULT_TOL, Solution, check_tol, solve
 from .weakspace import DofMap
 
 CSV_HEADER = "inv_h,err_u,order_u,err_l0,order_l0,err_lb,order_lb"
+
+# The most elements whose tables exist at once.  A block's tables take
+# 1.5 kB per element at j = 0 and 2.6 kB at j = 1, and the stabilizer's
+# jump rows 1.0 and 2.2 kB more, so a block of 1024 works on a few MB,
+# near the 2 MB L2 cache of a core, instead of streaming whole-level
+# arrays through memory once per stage.  At table5 level 6 (8 blocks) the
+# element stages took 36 ms against 39 ms with blocks of 512, 38 ms with
+# 2048 and 55 ms in one block.  It is a constant, not an option: results
+# do not depend on it, and every catalog level (at most 512 elements) is
+# one block, which does the work a whole level always did.
+ELEMENT_BLOCK = 1024
 
 # Errors at or below this are round-off: every error of the constant
 # solution tables (1e-17..1e-14) and of fig1 at level 0 with j=0, while
@@ -119,29 +138,41 @@ class LevelRun:
 
 
 def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelRun:
-    """Build, solve and check ``spec`` on ``mesh``: tables, checks,
-    classification, DOF map and assembly, then the solve with the tables
-    dropped, then the error norms (with an exact solution) and the
-    conservation report.  Each stage function is looked up by its name in
-    this module when called, so whoever wraps that name sees the call."""
-    stages = {}
+    """Build, solve and check ``spec`` on ``mesh``.  The element work runs
+    over contiguous blocks of at most ``ELEMENT_BLOCK`` elements: each
+    block's tables are built, its rows of the checks and of the element
+    forms (element matrices, loads and the data of the boundary edges it
+    holds) are written, and the tables are dropped before the next block.
+    Then the boundary is classified, the DOF map built and the system
+    assembled from the forms, solved, and checked: the error norms (with
+    an exact solution) and the conservation report.  Each stage's seconds
+    are summed over the blocks.  Each stage function is looked up by its
+    name in this module when called, so whoever wraps that name sees the
+    call."""
+    stages = dict.fromkeys(("tables_s", "checks_s", "classify_s", "dofmap_s", "assemble_s"), 0.0)
 
     def timed(key, fn, *args, **kwargs):
         start = time.perf_counter()
         out = fn(*args, **kwargs)
-        stages[key] = time.perf_counter() - start
+        stages[key] = stages.get(key, 0.0) + time.perf_counter() - start
         return out
 
-    tables = timed("tables_s", build_contexts, mesh, spec)
-    # Formed before the assembly: formed after it, the checks' arrays
-    # land among its freed temporaries, and in a long run of studies
-    # the heap then keeps the dropped tables' pages through some
-    # factor (table5 L0-6 peaks at 139 MB instead of 125 MB).
-    checks = timed("checks_s", build_checks, tables)
-    dofmap = timed("dofmap_s", DofMap, mesh, spec.j, timed("classify_s", classify_boundary, mesh, tables))
-    system = timed("assemble_s", assemble, mesh, dofmap, tables)
+    # Each block forms its checks before its element forms, so the level's
+    # checks are allocated first: formed after the assembly of a whole
+    # level, they landed among its freed temporaries, and a long run of
+    # table5 L0-6 studies kept those pages through some factor (139 MB
+    # peaks instead of 125 MB).
+    checks = forms = None
+    for start in range(0, mesh.num_elements, ELEMENT_BLOCK):
+        tables = timed("tables_s", build_contexts, mesh, spec, slice(start, start + ELEMENT_BLOCK))
+        checks = timed("checks_s", build_checks, tables, checks)
+        forms = timed("assemble_s", build_forms, tables, forms)
+        del tables
+    warn_straddling(forms.straddling)
+    dofmap = timed("dofmap_s", DofMap, mesh, spec.j, timed("classify_s", classify_boundary, mesh, forms))
+    system = timed("assemble_s", assemble, mesh, dofmap, forms)
     stages["assemble_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    del tables
+    del forms
     solution = timed("solve_s", solve, system, tol=tol)
     stages["solve_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     errors = timed("errors_s", error_norms, solution, checks) if spec.exact_u is not None else None

@@ -1,6 +1,7 @@
 """Builders shared by the tests: refined meshes, one level's element
 tables, DOF map and system (``build_level``, the test-side build that
-keeps the tables, which ``run_level`` drops before the solve), the full
+keeps the tables of the whole level, which ``run_level`` builds block by
+block and drops before the solve), the full
 numbering of a system with its assembled sparse matrix, right-hand
 side and solution vector, single-element references for the batched
 element tables, and the error norms and conservation checks evaluated
@@ -13,7 +14,7 @@ import numpy as np
 
 import pdwg.assembly
 from pdwg.analysis import ConservationReport, ErrorReport, nodal_interpolant
-from pdwg.assembly import ProblemSpec, assemble, build_contexts, classify_boundary
+from pdwg.assembly import ProblemSpec, assemble, build_contexts, build_forms, classify_boundary
 from pdwg.fields import constant
 from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
@@ -28,20 +29,22 @@ def refined(tag, level):
     return mesh
 
 
-def tables_for(mesh, beta):
-    """Element tables of ``mesh`` sampled for the convection ``beta`` with
-    zero data, enough to classify its boundary."""
+def forms_for(mesh, beta):
+    """Element forms of ``mesh`` for the convection ``beta`` with zero
+    data, enough to classify its boundary."""
     zero = constant(0.0)
     spec = ProblemSpec(beta=beta, c=zero, f=zero, g=zero, tau=0.0, domain_tag=mesh.domain_tag)
-    return build_contexts(mesh, spec)
+    return build_forms(build_contexts(mesh, spec))
 
 
 def build_level(mesh, spec):
-    """(tables, dofmap, system) of ``spec`` on ``mesh``: the tables first,
-    then the classification, DOF map and assembled system read from them."""
+    """(tables, dofmap, system) of ``spec`` on ``mesh``: the tables of the
+    whole level first, then the classification, DOF map and assembled
+    system read from their element forms."""
     tables = build_contexts(mesh, spec)
-    dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, tables))
-    return tables, dofmap, assemble(mesh, dofmap, tables)
+    forms = build_forms(tables)
+    dofmap = DofMap(mesh, spec.j, classify_boundary(mesh, forms))
+    return tables, dofmap, assemble(mesh, dofmap, forms)
 
 
 def full_of_condensed(dofmap):

@@ -4,8 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assembled_matrix, build_level, full_indices, full_rhs, refined, same_bits, tables_for
-from pdwg.assembly import EDGE_MIDPOINT, ElementTables, ProblemSpec, assemble, build_contexts, classify_boundary
+from helpers import assembled_matrix, build_level, forms_for, full_indices, full_rhs, refined, same_bits
+from pdwg.assembly import (
+    EDGE_MIDPOINT,
+    ElementTables,
+    ProblemSpec,
+    assemble,
+    build_contexts,
+    build_forms,
+    classify_boundary,
+)
 from pdwg.catalog import get_experiment
 from pdwg.fields import (
     DerivedLoad,
@@ -215,16 +223,15 @@ class TestLocalLoads:
         # level-0 left edge: length 1, beta.n = -1, g = 1, sigma_b = 1
         mesh = build_coarse_mesh("unit_square")
         spec = make_spec(g=1.0)
-        tables = build_contexts(mesh, spec)
-        cls = classify_boundary(mesh, tables)
+        forms = build_forms(build_contexts(mesh, spec))
+        cls = classify_boundary(mesh, forms)
         left = [
             e
             for e in cls.inflow_edges
             if np.allclose(mesh.vertices[mesh.edges[e], 0], 0.0)
         ]
         assert len(left) == 1
-        owner, local = mesh.edge_elems[left, 0], mesh.edge_local[left, 0]
-        vec = tables.inflow_load(left, owner, local)[0]
+        vec = forms.inflow_load(left)[0]
         assert vec[0] == pytest.approx(-1.0, abs=1e-14)
         assert vec[1] == pytest.approx(0.0, abs=1e-14)  # odd moment vanishes
 
@@ -273,17 +280,18 @@ class TestAssemble:
         # sum from 0 over [traces; u_T]: scale -0.0 turns loads into -0.0,
         # which that sum makes +0.0.
         mesh = refined("l_shape", 2)
-        tables, dm, _ = build_level(mesh, dataclasses.replace(get_experiment("table7").spec, j=j))
-        load = tables.inflow_load
-        monkeypatch.setattr(tables, "inflow_load", lambda *args: scale * load(*args))
+        forms = build_forms(build_contexts(mesh, dataclasses.replace(get_experiment("table7").spec, j=j)))
+        dm = DofMap(mesh, j, classify_boundary(mesh, forms))
+        load = forms.inflow_load
+        monkeypatch.setattr(forms, "inflow_load", lambda *args: scale * load(*args))
         edges, db, idx = dm.classification.inflow_edges, dm.dim_lamb, dm.element_indices
         owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
         F = np.zeros(idx.shape)
-        F[owner[:, None], db * local[:, None] + np.arange(db)] = tables.inflow_load(edges, owner, local)
+        F[owner[:, None], db * local[:, None] + np.arange(db)] = forms.inflow_load(edges)
         assert ((F == 0) & np.signbit(F)).any() == np.signbit(scale)
         free = idx >= 0
         expected = np.bincount(idx[free], F[free], minlength=dm.n_condensed)
-        assert same_bits(assemble(mesh, dm, tables).rhs, expected)
+        assert same_bits(assemble(mesh, dm, forms).rhs, expected)
 
     def test_unit_solution_satisfies_system(self):
         # beta=[1,-1], c=1, f=c, g=1: (u=1, lam=0) solves the discrete
@@ -314,7 +322,7 @@ class TestAssemble:
             outflow_edges=np.array([], dtype=np.int64),
         )
         dm_all = DofMap(mesh, 1, all_in)
-        system_all = assemble(mesh, dm_all, build_contexts(mesh, spec))
+        system_all = assemble(mesh, dm_all, build_forms(build_contexts(mesh, spec)))
         x_all = np.zeros(dm_all.n_lambda)
         x_all[full_indices(dm_all)[:, :-1]] = lam
         S_all = assembled_matrix(system_all)[: dm_all.n_lambda, : dm_all.n_lambda]
@@ -335,16 +343,20 @@ class TestAssemble:
         spec = make_spec()
         mesh = refined("unit_square", 1)
         other = refined("unit_square", 1)
-        cls = classify_boundary(other, tables_for(other, spec.beta))
+        cls = classify_boundary(other, forms_for(other, spec.beta))
         dm = DofMap(other, 1, cls)
+        forms = build_forms(build_contexts(mesh, spec))
         with pytest.raises(ValueError):
-            assemble(mesh, dm, build_contexts(mesh, spec))
-        cls = classify_boundary(mesh, tables_for(mesh, spec.beta))
-        dm = DofMap(mesh, 1, cls)
+            assemble(mesh, dm, forms)
+        with pytest.raises(ValueError, match="element forms were built for a different mesh"):
+            assemble(other, dm, forms)
+        cls = classify_boundary(mesh, forms_for(mesh, spec.beta))
         with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            assemble(mesh, dm, ElementTables(mesh, 1))
+            build_forms(ElementTables(mesh, 1))
+        with pytest.raises(ValueError, match="another level or problem"):
+            build_forms(build_contexts(other, spec), forms)
         with pytest.raises(ValueError, match="tables of degree j=1 .* dofmap of degree j=0"):
-            assemble(mesh, DofMap(mesh, 0, cls), build_contexts(mesh, spec))
+            assemble(mesh, DofMap(mesh, 0, cls), forms)
 
     def test_sample_rejects_a_problem_of_another_degree(self):
         mesh = refined("unit_square", 1)
@@ -566,7 +578,7 @@ class TestAssemble:
     def test_non_finite_inflow_data_names_edge(self):
         spec = make_spec(g=float("inf"))
         mesh = refined("unit_square", 1)
-        first = int(classify_boundary(mesh, tables_for(mesh, spec.beta)).inflow_edges[0])
+        first = int(classify_boundary(mesh, forms_for(mesh, spec.beta)).inflow_edges[0])
         with pytest.raises(ValueError, match=f"g has a non-finite value on edge {first}"):
             build_level(mesh, spec)
 

@@ -407,7 +407,7 @@ class TestCli:
         calls = []
         init = ElementTables.__init__
         monkeypatch.setattr(
-            ElementTables, "__init__", lambda self, mesh, j: calls.append(mesh) or init(self, mesh, j)
+            ElementTables, "__init__", lambda self, mesh, *args: calls.append(mesh) or init(self, mesh, *args)
         )
         run_study(get_experiment("table5"), levels=(0, 2))
         assert len(calls) == 3

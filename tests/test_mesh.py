@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import refined, same_bits, tables_for
-from pdwg.assembly import EDGE_QUAD_DEGREE, ElementTables, classify_boundary
+from helpers import forms_for, refined, same_bits
+from pdwg.assembly import EDGE_QUAD_DEGREE, ElementTables, build_forms, classify_boundary
 from pdwg.fields import constant_vector, rotation
 from pdwg.mesh import (
     DOMAIN_TAGS,
@@ -286,7 +286,7 @@ class TestElementGeometry:
         elements[1] = elements[1, ::-1]
         clockwise = replace(mesh, elements=elements)
         with pytest.raises(MeshError, match="element 1 has non-positive area"):
-            tables_for(clockwise, BETA_DOWN_RIGHT)
+            forms_for(clockwise, BETA_DOWN_RIGHT)
 
 
 def edge_set_on(mesh, predicate):
@@ -301,7 +301,7 @@ def edge_set_on(mesh, predicate):
 class TestClassifyBoundary:
     def test_unit_square_down_right(self):
         mesh = refined("unit_square", 2)
-        cls = classify_boundary(mesh, tables_for(mesh, BETA_DOWN_RIGHT))
+        cls = classify_boundary(mesh, forms_for(mesh, BETA_DOWN_RIGHT))
         expected_in = edge_set_on(mesh, lambda v: v[0] < 1e-14) | edge_set_on(
             mesh, lambda v: v[1] > 1 - 1e-14
         )
@@ -313,7 +313,7 @@ class TestClassifyBoundary:
 
     def test_unit_square_up_right(self):
         mesh = refined("unit_square", 1)
-        cls = classify_boundary(mesh, tables_for(mesh, constant_vector(1.0, 1.0)))
+        cls = classify_boundary(mesh, forms_for(mesh, constant_vector(1.0, 1.0)))
         expected_in = edge_set_on(mesh, lambda v: v[0] < 1e-14) | edge_set_on(
             mesh, lambda v: v[1] < 1e-14
         )
@@ -323,7 +323,7 @@ class TestClassifyBoundary:
         # walk of the boundary: the segment (2,1)-(1,1) has outward normal
         # (0,1) so beta=[1,-1] flows in; (1,1)-(1,2) has normal (1,0), out.
         mesh = build_coarse_mesh("l_shape")
-        cls = classify_boundary(mesh, tables_for(mesh, BETA_DOWN_RIGHT))
+        cls = classify_boundary(mesh, forms_for(mesh, BETA_DOWN_RIGHT))
         reentrant_top = edge_set_on(
             mesh, lambda v: abs(v[1] - 1.0) < 1e-14 and v[0] >= 1.0 - 1e-14
         )
@@ -335,7 +335,7 @@ class TestClassifyBoundary:
 
     def test_characteristic_edge_goes_to_outflow(self):
         mesh = build_coarse_mesh("unit_square")
-        cls = classify_boundary(mesh, tables_for(mesh, constant_vector(1.0, 0.0)))
+        cls = classify_boundary(mesh, forms_for(mesh, constant_vector(1.0, 0.0)))
         bottom = edge_set_on(mesh, lambda v: v[1] < 1e-14)
         top = edge_set_on(mesh, lambda v: v[1] > 1 - 1e-14)
         assert (bottom | top) <= set(cls.outflow_edges.tolist())
@@ -344,7 +344,7 @@ class TestClassifyBoundary:
         # clockwise rotation about the crack tip: the lower lip of the
         # slit is inflow, the upper lip outflow
         mesh = refined("cracked_square", 1)
-        cls = classify_boundary(mesh, tables_for(mesh, rotation(0.0, 0.0)))
+        cls = classify_boundary(mesh, forms_for(mesh, rotation(0.0, 0.0)))
         mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         for e in mesh.boundary_edges:
             if 1e-14 < mids[e, 0] < 1 - 1e-14 and abs(mids[e, 1]) < 1e-14:
@@ -359,9 +359,9 @@ class TestClassifyBoundary:
         mesh = build_coarse_mesh("unit_square")
         other = build_coarse_mesh("unit_square")
         with pytest.raises(ValueError, match="different mesh"):
-            classify_boundary(mesh, tables_for(other, BETA_DOWN_RIGHT))
+            classify_boundary(mesh, forms_for(other, BETA_DOWN_RIGHT))
         with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            classify_boundary(mesh, ElementTables(mesh, 1))
+            classify_boundary(mesh, build_forms(ElementTables(mesh, 1)))
 
 
 def test_classification_matches_pointwise_reference():
@@ -373,7 +373,7 @@ def test_classification_matches_pointwise_reference():
         otherwise=constant_vector(-1.0, 0.3),
     )
     mesh = refined("cracked_square", 2)
-    cls = classify_boundary(mesh, tables_for(mesh, beta))
+    cls = classify_boundary(mesh, forms_for(mesh, beta))
     geom = ElementTables(mesh, 1)
     inflow = []
     for e in mesh.boundary_edges:

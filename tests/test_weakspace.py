@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import map_to_edge, project_edge, project_element, refined, tables_for
+from helpers import forms_for, map_to_edge, project_edge, project_element, refined
 from pdwg.fields import constant_vector
 from pdwg.assembly import ElementTables, classify_boundary
 from pdwg.mesh import build_coarse_mesh
@@ -16,7 +16,7 @@ BETA = constant_vector(1.0, -1.0)
 
 
 def make_dofmap(mesh, j=1, beta=BETA):
-    return DofMap(mesh, j, classify_boundary(mesh, tables_for(mesh, beta)))
+    return DofMap(mesh, j, classify_boundary(mesh, forms_for(mesh, beta)))
 
 
 def coords_of(mesh, t):
@@ -102,7 +102,7 @@ class TestDofMap:
 
     def test_rejects_unsupported_degrees(self):
         mesh = build_coarse_mesh("unit_square")
-        cls = classify_boundary(mesh, tables_for(mesh, BETA))
+        cls = classify_boundary(mesh, forms_for(mesh, BETA))
         with pytest.raises(ValueError):
             DofMap(mesh, 2, cls)
         with pytest.raises(ValueError):
