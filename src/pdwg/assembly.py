@@ -24,10 +24,12 @@ sums them into a sparse matrix only when one is read.
 Every local form is evaluated for a block of elements at once from one
 set of element tables (:class:`ElementTables`), which compute the
 geometry of those elements and keep the problem they were sampled from.
-:func:`build_forms` writes a block's element matrices and loads, and the
-data of the boundary edges it holds, into the level's
-:class:`LevelForms`, which boundary classification and assembly read
-once every block is in, so no table of the whole level need exist.
+:func:`build_forms` writes a block's element matrices and loads into the
+level's :class:`LevelForms` and settles the boundary edges it holds,
+whose class and inflow load depend on their one element only: whether
+each is inflow, and its load.  Boundary classification and assembly read
+the forms once every block is in, so no table of the whole level need
+exist.
 Variable coefficients are evaluated
 pointwise at quadrature nodes; piecewise-defined fields are resolved per
 element by the leaf, at any nesting depth, holding the centroid (an
@@ -177,7 +179,7 @@ class ElementTables:
     (T, nq, 2), ``c_q`` and ``f_q`` (T, nq).  It also computes, once,
     ``beta_int`` (T, 2), the integral of beta over the element, and
     ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is not
-    kept there), which the forms, boundary classification and the
+    kept there), which the forms (the boundary edges' class too) and the
     conservation check read, and ``straddling``, the elements that
     straddle a leaf boundary of a piecewise field (see :meth:`sample`).
     The forms and the analysis read tau, g and the exact solution from
@@ -446,11 +448,9 @@ class LevelForms:
       loads -(f, sigma_0)_T;
     - of each boundary edge ``edges[m]`` (``mesh.boundary_edges``, in
       order), local edge ``local[m]`` of its one element ``owner[m]``:
-      the edge rule's ``points`` (nb, ne, 2) and ``weights`` (nb, ne),
-      ``beta_n`` (nb, ne), beta . n at the points, ``trace`` (nb, ne, db),
-      the trace basis there in the edge's own orientation, and
-      ``centroid`` (nb, 2), the element's centroid, whose leaf the
-      inflow data g take;
+      ``inflow`` (nb,), whether it is an inflow edge, and ``load``
+      (nb, db), its inflow data term <sigma_b, beta.n g>_e over the trace
+      basis, zero on outflow edges, where g is never evaluated;
     - ``straddling``, merged from the blocks' tables (see
       :func:`warn_straddling`).
     """
@@ -462,43 +462,32 @@ class LevelForms:
     edges: np.ndarray
     owner: np.ndarray
     local: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
-    beta_n: np.ndarray
-    trace: np.ndarray
-    centroid: np.ndarray
+    inflow: np.ndarray
+    load: np.ndarray
     straddling: dict
-
-    def inflow_load(self, edges) -> np.ndarray:
-        """Inflow data terms <sigma_b, beta.n g>_e over the trace basis of
-        the boundary edges ``edges``, shape (len(edges), db), g evaluated
-        on those edges only, in the leaf of their element's centroid.
-        Raises ValueError naming the first edge where g is not finite."""
-        m = np.searchsorted(self.edges, edges)
-        g = self.spec.g
-        pts = self.points[m]
-        cx, cy = self.centroid[m].T
-        gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
-        _require_finite("g", gv, "edge", edges)
-        return np.einsum("mq,mqk->mk", self.weights[m] * self.beta_n[m] * gv, self.trace[m])
 
 
 def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> LevelForms:
     """Write the element matrices and loads of the elements of the sampled
-    ``tables`` into their rows of ``forms``, and the data of the boundary
-    edges they hold into those edges' rows, and return ``forms``: the
-    forms of the tables' level, new ones when None.  Raises ValueError
-    for tables of another level or problem than ``forms``."""
+    ``tables`` into their rows of ``forms``, settle the boundary edges
+    they hold, and return ``forms``: the forms of the tables' level, new
+    ones when None.  An edge is inflow where beta . n < -``CLASSIFY_EPS``
+    at its midpoint, the middle node of the edge rule, with beta in the
+    leaf of its element and that element's outward normal, else outflow
+    (characteristic edges too, so their traces are constrained).  On the
+    inflow edges only, g is evaluated in the leaf of the element's
+    centroid and the edge's load written.  Raises ValueError naming the
+    block's first edge where g is not finite, the level's first, since
+    boundary edges are numbered in element order; and for tables of
+    another level or problem than ``forms``."""
     mesh, spec, n = tables.mesh, tables.spec, tables.n_loc
     ne, db = tables.ew.shape[-1], tables.edge_trace.shape[-1]
     if forms is None:
         T, edges = mesh.num_elements, mesh.boundary_edges
-        nb = len(edges)
         forms = LevelForms(
             mesh, spec, np.zeros((T, n + 1, n + 1)), np.empty((T, tables.dim_lam0)),
             edges, mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0],
-            points=np.empty((nb, ne, 2)), weights=np.empty((nb, ne)), beta_n=np.empty((nb, ne)),
-            trace=np.empty((nb, ne, db)), centroid=np.empty((nb, 2)), straddling={},
+            inflow=np.empty(len(edges), dtype=bool), load=np.zeros((len(edges), db)), straddling={},
         )
     elif forms.mesh is not mesh or forms.spec is not spec:
         raise ValueError("element tables of another level or problem cannot be added to these forms")
@@ -510,14 +499,19 @@ def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> Level
     # The boundary edges whose element is in the block, each read at row
     # k = 3 t + i of the tables' per-edge arrays, t its element's row and
     # i its local edge.
-    held = (forms.owner >= lo) & (forms.owner < hi)
+    held = np.flatnonzero((forms.owner >= lo) & (forms.owner < hi))
     t = forms.owner[held] - lo
     k = 3 * t + forms.local[held]
-    forms.points[held] = tables.epts.reshape(-1, ne, 2)[k]
-    forms.weights[held] = tables.ew.reshape(-1, ne)[k]
-    forms.beta_n[held] = tables.beta_n.reshape(-1, ne)[k]
-    forms.trace[held] = tables.edge_trace.reshape(-1, ne, db)[k]
-    forms.centroid[held] = tables.centroid[t]
+    beta_n = tables.beta_n.reshape(-1, ne)[k]
+    inflow = beta_n[:, EDGE_MIDPOINT] < -CLASSIFY_EPS
+    forms.inflow[held] = inflow
+    held, t, k = held[inflow], t[inflow], k[inflow]
+    pts, g = tables.epts.reshape(-1, ne, 2)[k], spec.g
+    cx, cy = tables.centroid[t].T
+    gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
+    _require_finite("g", gv, "edge", forms.edges[held])
+    weighted = tables.ew.reshape(-1, ne)[k] * beta_n[inflow] * gv
+    forms.load[held] = np.einsum("mq,mqk->mk", weighted, tables.edge_trace.reshape(-1, ne, db)[k])
     for name, (first, count) in tables.straddling.items():
         first, before = forms.straddling.get(name, (first, 0))
         forms.straddling[name] = (first, before + count)
@@ -530,23 +524,17 @@ def _require_level(forms: LevelForms, mesh: Mesh) -> None:
 
 
 def classify_boundary(mesh: Mesh, forms: LevelForms) -> BoundaryClassification:
-    """Split boundary edges into inflow (beta . n < -eps at the edge
-    midpoint) and outflow.  Characteristic edges (|beta . n| <= eps) count
-    as outflow so their trace unknowns are constrained.
-
-    beta . n is read from the level's ``forms`` of ``mesh``: at the
-    middle node of the edge rule (the midpoint), with beta in the leaf
-    of the edge's element and that element's outward normal.
-    """
+    """Split the boundary edges of the level's ``forms`` of ``mesh`` into
+    inflow and outflow by ``forms.inflow``, which :func:`build_forms`
+    settles at each edge's midpoint (characteristic edges are outflow)."""
     _require_level(forms, mesh)
-    inflow = forms.beta_n[:, EDGE_MIDPOINT] < -CLASSIFY_EPS
-    return BoundaryClassification(inflow_edges=forms.edges[inflow], outflow_edges=forms.edges[~inflow])
+    return BoundaryClassification(inflow_edges=forms.edges[forms.inflow], outflow_edges=forms.edges[~forms.inflow])
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     """Assemble the global saddle-point system of the level whose element
-    forms ``forms`` hold: its element matrices and loads, and the inflow
-    loads placed by ``dofmap``.
+    forms ``forms`` hold: its element matrices and loads, and the loads
+    of the inflow edges of ``dofmap``'s classification, placed by it.
 
     Outflow trace unknowns are eliminated (never indexed), which keeps the
     system exactly the variational problem on the constrained multiplier
@@ -563,8 +551,7 @@ def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     idx, db = dofmap.element_indices, dofmap.dim_lamb
     # An inflow trace belongs to one element only, so its load is written,
     # not summed; + 0.0 turns a -0.0 load into the +0.0 a sum from 0 gives.
-    edges = dofmap.classification.inflow_edges
-    owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
+    m = np.searchsorted(forms.edges, dofmap.classification.inflow_edges)
     rhs = np.zeros(dofmap.n_condensed)
-    rhs[idx[owner[:, None], db * local[:, None] + np.arange(db)]] = forms.inflow_load(edges) + 0.0
+    rhs[idx[forms.owner[m, None], db * forms.local[m, None] + np.arange(db)]] = forms.load[m] + 0.0
     return SaddleSystem(rhs=rhs, rhs0=forms.rhs0, dofmap=dofmap, element_matrix=forms.element_matrix)

@@ -141,8 +141,9 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     """Build, solve and check ``spec`` on ``mesh``.  The element work runs
     over contiguous blocks of at most ``ELEMENT_BLOCK`` elements: each
     block's tables are built, its rows of the checks and of the element
-    forms (element matrices, loads and the data of the boundary edges it
-    holds) are written, and the tables are dropped before the next block.
+    forms (element matrices and loads, and the inflow flag and load of
+    the boundary edges it holds) are written, and the tables are dropped
+    before the next block.
     Then the boundary is classified, the DOF map built and the system
     assembled from the forms, solved, and checked: the error norms (with
     an exact solution) and the conservation report.  Each stage's seconds

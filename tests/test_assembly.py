@@ -231,7 +231,7 @@ class TestLocalLoads:
             if np.allclose(mesh.vertices[mesh.edges[e], 0], 0.0)
         ]
         assert len(left) == 1
-        vec = forms.inflow_load(left)[0]
+        vec = forms.load[np.searchsorted(forms.edges, left)][0]
         assert vec[0] == pytest.approx(-1.0, abs=1e-14)
         assert vec[1] == pytest.approx(0.0, abs=1e-14)  # odd moment vanishes
 
@@ -275,19 +275,18 @@ class TestAssemble:
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("scale", [1.0, -0.0])
-    def test_inflow_loads_equal_their_sum_from_zero(self, monkeypatch, j, scale):
+    def test_inflow_loads_equal_their_sum_from_zero(self, j, scale):
         # Each inflow trace is written once, and equals the element-row
         # sum from 0 over [traces; u_T]: scale -0.0 turns loads into -0.0,
         # which that sum makes +0.0.
         mesh = refined("l_shape", 2)
         forms = build_forms(build_contexts(mesh, dataclasses.replace(get_experiment("table7").spec, j=j)))
         dm = DofMap(mesh, j, classify_boundary(mesh, forms))
-        load = forms.inflow_load
-        monkeypatch.setattr(forms, "inflow_load", lambda *args: scale * load(*args))
+        forms.load *= scale
         edges, db, idx = dm.classification.inflow_edges, dm.dim_lamb, dm.element_indices
         owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
         F = np.zeros(idx.shape)
-        F[owner[:, None], db * local[:, None] + np.arange(db)] = forms.inflow_load(edges)
+        F[owner[:, None], db * local[:, None] + np.arange(db)] = forms.load[np.searchsorted(forms.edges, edges)]
         assert ((F == 0) & np.signbit(F)).any() == np.signbit(scale)
         free = idx >= 0
         expected = np.bincount(idx[free], F[free], minlength=dm.n_condensed)

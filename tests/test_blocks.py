@@ -134,3 +134,20 @@ def test_one_straddling_warning_per_level():
     assert len(whole) == len(blocked) == 1
     assert str(blocked[0].message) == str(whole[0].message)
     assert "(16 elements in all)" in str(blocked[0].message)
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_g_is_never_evaluated_off_the_inflow_boundary(level):
+    # table5 (beta = (1, -1)) flows in through x = 0 and y = 1.  g is NaN
+    # on x - y > 1/2, which holds the centroids of elements whose boundary
+    # edges are all outflow (x = 1, y = 0) only, from level 2 on (level 1's
+    # stop at the line): the blocked run gives, bit for bit, what table5's
+    # own g gives.
+    spec = get_experiment("table5").spec
+    nan = constant(float("nan"))
+    off = Piecewise("g_nan_off_inflow", pieces=((HalfPlane(-1.0, 1.0, -0.5), nan),), otherwise=spec.g)
+    mesh = refined(spec.domain_tag, level)
+    run, want = run_level(mesh, dataclasses.replace(spec, g=off)), run_level(mesh, spec)
+    assert same_bits(run.system.rhs, want.system.rhs)
+    assert same_bits(run.solution.local, want.solution.local)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -126,8 +127,9 @@ class TestRunStudy:
             run_study(get_experiment("table1"), levels=levels)
 
     def test_each_level_is_dropped_before_the_next_is_built(self, monkeypatch):
-        # A level's tables, checks, system and solution are gone once the
-        # next level's tables are built, so two levels never share the memory.
+        # A level's tables, checks, element forms, system and solution are
+        # gone once the next level's tables are built, so two levels never
+        # share the memory.
         alive = []
 
         def tracked(name):
@@ -142,10 +144,10 @@ class TestRunStudy:
 
             monkeypatch.setattr(pdwg.study, name, call)
 
-        for name in ("build_contexts", "build_checks", "DofMap", "assemble", "solve"):
+        for name in ("build_contexts", "build_checks", "build_forms", "DofMap", "assemble", "solve"):
             tracked(name)
         report = run_study(get_experiment("table5"), levels=(0, 2))
-        assert len(alive) == 15
+        assert len(alive) == 18
         assert report.system is alive[-2]()
 
     @pytest.mark.parametrize("name, level", [("table5", 2), ("fig6", 1)])
@@ -253,6 +255,25 @@ class TestCli:
         assert (tmp_path / "table1.csv").exists()
         lines = (tmp_path / "table1.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_perfbench_hooks_fire_on_the_library(self, tmp_path):
+        # perfbench wraps the names in HOOKS from outside the package: each
+        # must still exist and each counter read its call, and every
+        # per-layer metric the benchmark declares must be reported.
+        root = Path(__file__).resolve().parents[1]
+        source = importlib.util.spec_from_file_location("perfbench_tracing", root / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(source)
+        source.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert pdwg.cli.main(["run", "--experiment", "table5", "--levels", "3", "--out", str(tmp_path)]) == 0
+        finally:
+            tracer.uninstall()
+        assert {name for name, _, _ in tracing.HOOKS} <= tracer.present
+        assert tracer.broken == {}
+        declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        assert {metric["name"] for metric in declared} <= set(tracer.layer_metrics())
 
     def test_run_demo_emits_field(self, tmp_path):
         rc = main(["run", "--experiment", "fig6", "--levels", "2", "--out", str(tmp_path)])

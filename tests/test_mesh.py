@@ -194,6 +194,17 @@ class TestVectorizedTopology:
             assert np.all(mesh.edge_local[~present] == -1)
             mesh = refine_uniform(mesh)
 
+    @pytest.mark.parametrize("tag", DOMAIN_TAGS)
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    def test_boundary_edges_follow_their_elements(self, tag, level):
+        # Boundary edges are numbered in (element, local edge) order, so a
+        # level's element blocks hold them in order, and the first block
+        # with a non-finite g names the level's first such edge.
+        mesh = refined(tag, level)
+        b = mesh.boundary_edges
+        key = 3 * mesh.edge_elems[b, 0] + mesh.edge_local[b, 0]
+        assert np.all(np.diff(key) > 0)
+
     def test_refinement_children_match_loop_reference(self):
         mesh = refine_uniform(build_coarse_mesh("l_shape"))
         fine = refine_uniform(mesh)
