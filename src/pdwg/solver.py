@@ -21,26 +21,27 @@ this module orders nothing.  ``info["separator_edges"]`` is the DOF map's
 root separator.  lam_0 stays in its element rows, and the right-hand
 side is condensed once.  SuperLU factors the condensed matrix Kc with
 its values cast to float32, which halves the bytes of every factor
-value; Kc itself stays in float64.
-Each single-precision solve scales its right-hand side by its largest
-magnitude, casts it to float32, and casts the result back and unscales
-it.  Iterative refinement in double (Langou et al., SC 2006; Carson and
-Higham, SIAM J. Sci. Comput. 40, 2018) adds such solves of the float64
-residual rc - Kc y until it is at double round-off, max|rc - Kc y| <=
-eps max|Kc| max|y|, or stops halving, or ``_REFINE_STEPS`` corrections
+value; no global matrix is kept beside the factor.  Each single-precision
+solve scales its right-hand side by its largest magnitude, casts it to
+float32, and casts the result back and unscales it.  lam_0 is recovered
+from every solution, as element rows [lam_0; traces of edges 0, 1, 2;
+u_T] with 0 on outflow traces, so both elements of an interior edge read
+its traces from one entry of y, bit for bit; these rows are
+:attr:`Solution.local`.  Iterative refinement in double (Langou et al.,
+SC 2006; Carson and Higham, SIAM J. Sci. Comput. 40, 2018) forms the
+residual of the full system from them, lam_0 rows included, with A
+applied element by element by :meth:`SaddleSystem.matvec` (no sparse
+matrix built), and adds a single-precision solve of its condensed part r
+until max|r| <= eps max|Kc| max|y| (max|Kc| from the double values
+before the cast), or r stops halving, or ``_REFINE_STEPS`` corrections
 have run.  Stopping at tol would not do: the flux jumps scale with the
 load, and with |f| up to 1e4 (fig8-fig10_f10000) a residual just under
-1e-11 leaves jumps of up to 5.8e-8.  lam_0 is then recovered once, as
-element rows [lam_0; traces of edges 0, 1, 2; u_T] with 0 on outflow
-traces, so both elements of an interior edge read its traces from one
-entry of y, bit for bit; these rows are :attr:`Solution.local`.  The
-residual contract is checked once, on the full system, lam_0 rows
-included, with A applied to the rows element by element by
-:meth:`SaddleSystem.matvec` (no sparse matrix built).  ``info`` reports
-``factor_dtype`` ("float32"), ``refine_steps``, the corrections after the
-first solve, ``initial_residual``, the first solve's relative
-residual ||rc - Kc y|| / ||b||, and the seconds of the SuperLU call,
-``factor_s``.  A singular factor, or a refinement that ends above tol,
+1e-11 leaves jumps of up to 5.8e-8.  The last residual is the one the
+residual contract checks.  ``info`` reports ``factor_dtype``
+("float32"), ``refine_steps``, the corrections after the first solve,
+``initial_residual``, the first solve's ||b - A x|| / ||b||, and the
+seconds of the SuperLU call, ``factor_s``.  A first solve that is not
+finite (a singular factor), or a refinement that ends above tol,
 raises :class:`SolverError`; there is no fallback.  Identical inputs produce bitwise-identical solutions.
 """
 
@@ -56,7 +57,7 @@ from .assembly import SaddleSystem, scatter
 
 DEFAULT_TOL = 1e-11
 # Correction solves after the first, at most.  A step gains about six
-# digits on most systems (catalog levels 0-5 take at most 3 steps), but
+# digits on most systems (catalog levels 0-5 take at most 4 steps), but
 # only one or two where tau = 0 and j = 1 leave the condensed system badly
 # conditioned (fig10_f10000 j=1: 7 steps at level 7).
 _REFINE_STEPS = 20
@@ -162,8 +163,9 @@ class _CondensedLU:
     """Single-precision LU factor of the condensed system over
     y = [lam_b; u] in the numbering of ``DofMap.element_indices``, with
     the element data that maps a right-hand side in (its lam_0 rows and
-    its y part) and element rows out.  ``Kc`` keeps the condensed matrix
-    in double precision for the refinement residual."""
+    its y part) and element rows out.  ``kmax`` is the largest magnitude
+    of the condensed matrix, summed in double before its cast; the
+    matrix itself is not kept."""
 
     def __init__(self, system: SaddleSystem):
         dm = system.dofmap
@@ -177,10 +179,11 @@ class _CondensedLU:
         # The element matrices are in Kc now; free them before the factor.
         del K
         self.nnz = Kc.nnz
-        # SuperLU factors Kc with its values cast to float32; the double
-        # values go back into Kc afterwards.
-        data = Kc.data
-        Kc.data = data.astype(np.float32)
+        # The stopping rule's scale comes from the summed double values;
+        # SuperLU then gets them cast to float32, and no global matrix
+        # outlives the factor (SuperLU keeps no reference to its input).
+        self.kmax = np.abs(Kc.data).max()
+        Kc.data = Kc.data.astype(np.float32)
         start = time.perf_counter()
         try:
             self.lu = splu(
@@ -195,8 +198,6 @@ class _CondensedLU:
                 f"condensed order {self.order}, nnz {self.nnz}"
             ) from err
         self.factor_s = time.perf_counter() - start
-        Kc.data = data
-        self.Kc = Kc
 
     def condense(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The condensed right-hand side for lam_0 rows ``r0`` and the
@@ -231,11 +232,12 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve the assembled system to relative residual <= tol.
 
     Factors the condensed [lam_b; u] system once in single precision and
-    refines its solution in double until the condensed residual is at
-    double round-off, max|rc - Kc y| <= eps max|Kc| max|y|, or stops
-    halving, or ``_REFINE_STEPS`` corrections have run.  lam_0 is then
-    recovered and the residual contract checked once, on the full system
-    applied element by element.  Raises :class:`SolverError` if an
+    refines its solution in double.  Every iterate is recovered as
+    element rows and its residual formed on the full system, applied
+    element by element; the condensed residual gives the next correction
+    until it is at double round-off, max|r| <= eps max|Kc| max|y|, or
+    stops halving, or ``_REFINE_STEPS`` corrections have run.  The last
+    residual is checked against tol.  Raises :class:`SolverError` if an
     interior block is not positive definite, the factor is singular or
     the residual contract is missed (relevant for tau=0 with j=k on very
     coarse meshes, where uniqueness needs a small enough mesh size).
@@ -247,21 +249,24 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     bnorm = float(np.linalg.norm(np.concatenate([b0.ravel(), b])))
     bnorm = bnorm if bnorm > 0 else 1.0
 
-    rc = factor.condense(b0, b)
-    y = factor.solve(rc)
-    res = rc - factor.Kc @ y
-    initial_residual = float(np.linalg.norm(res)) / bnorm
-    kmax, rmax, steps = np.abs(factor.Kc.data).max(), np.abs(res).max(), 0
-    while rmax > _EPS * kmax * np.abs(y).max() and steps < _REFINE_STEPS:
-        y = y + factor.solve(res)
-        res = rc - factor.Kc @ y
-        last, rmax = rmax, np.abs(res).max()
-        steps += 1
-        if rmax > last / 2:
+    y = factor.solve(factor.condense(b0, b))
+    if not np.isfinite(y).all():
+        raise SolverError(
+            f"singular factor: the first solve is not finite "
+            f"(full order {system.dofmap.n_total}, condensed order {factor.order})"
+        )
+    residuals, last, steps = [], np.inf, 0
+    while True:
+        local = factor.rows(b0, y)
+        y0, yc = system.matvec(local)
+        r0, r = b0 - y0, b - yc
+        residuals.append(float(np.linalg.norm(np.concatenate([r0.ravel(), r]))) / bnorm)
+        res = factor.condense(r0, r)
+        rmax = np.abs(res).max()
+        if rmax <= _EPS * factor.kmax * np.abs(y).max() or rmax > last / 2 or steps == _REFINE_STEPS:
             break
-    local = factor.rows(b0, y)
-    y0, yc = system.matvec(local)
-    residual = float(np.linalg.norm(np.concatenate([(b0 - y0).ravel(), b - yc]))) / bnorm
+        y, last, steps = y + factor.solve(res), rmax, steps + 1
+    residual = residuals[-1]
     if not np.isfinite(residual) or residual > tol:
         raise SolverError(
             f"residual contract missed: {residual:.3e} > {tol:.3e} after {steps} refinement steps "
@@ -280,7 +285,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
         "factor_dtype": "float32",
         "refine_steps": steps,
-        "initial_residual": initial_residual,
+        "initial_residual": residuals[0],
         "tol": tol,
     }
     return Solution(local=local, residual=residual, info=info)

@@ -572,6 +572,21 @@ class TestConfigFile:
         assert rc == 3
         assert "c has a non-finite value on element 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_singular_factor_named_when_the_first_solve_is_not_finite(self, tmp_path, capsys, tau):
+        # A rotation about the square's centre leaves every boundary edge
+        # characteristic at its midpoint, so with c = 0 the constant u is
+        # in the kernel; at level 0 with j = 1 the float32 factor solves to
+        # NaN instead of failing, and the solve must say why.
+        cfg = {"name": "spin", "domain": "unit_square", "beta": {"rotation": [0.5, 0.5]}, "c": 0.0, "f": 1.0}
+        path = tmp_path / "spin.json"
+        path.write_text(json.dumps({**cfg, "g": 0.0, "tau": tau, "j": 1, "levels": [0, 0]}))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "singular factor: the first solve is not finite (full order 10, condensed order 4)" in err
+        assert "residual contract missed" not in err
+
     def test_unknown_domain_rejected(self, tmp_path):
         path = self.write_config(tmp_path, domain="disk")
         with pytest.raises(ValueError, match="domain_tag must be one of"):

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -259,6 +260,31 @@ class TestSolve:
         assert same_bits(indices, expected.indices) and same_bits(indptr, expected.indptr)
         assert same_bits(data, expected.data.astype(np.float32))
 
+    def test_no_global_matrix_outlives_the_factor(self, monkeypatch):
+        # The double values of the scattered Kc are gone before SuperLU
+        # runs, which gets them as float32, and the matrix it got is gone
+        # once the factor is built: SuperLU keeps no reference to it, and
+        # every later product with A runs on the element matrices.
+        _, _, system = unit_problem(level=3)
+        scattered, received = [], []
+        scatter, splu = pdwg.solver.scatter, pdwg.solver.splu
+
+        def scatter_spy(*args):
+            Kc = scatter(*args)
+            scattered.append(weakref.ref(Kc.data))
+            return Kc
+
+        def splu_spy(A, **kwargs):
+            assert scattered[0]() is None and A.data.dtype == np.float32
+            received.extend(weakref.ref(a) for a in (A, A.data, A.indices, A.indptr))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(pdwg.solver, "scatter", scatter_spy)
+        monkeypatch.setattr(pdwg.solver, "splu", splu_spy)
+        factor = _CondensedLU(system)
+        assert factor.lu.nnz > 0 and len(received) == 4
+        assert all(ref() is None for ref in received)
+
     @pytest.mark.parametrize("domain", ["unit_square", "cracked_square"])
     @pytest.mark.parametrize("c", [0.0, 1.0])
     @pytest.mark.parametrize("tau", [0.0, 1.0])
@@ -432,10 +458,13 @@ class TestOrderedFactor:
     def test_catalog_sweep_starts_near_single_precision(self):
         # Guards the pivot threshold.  With 0.01 the first single-precision
         # solve leaves a relative residual of at most 3.3e-5 (fig10_f10000
-        # j=1 L3), and at most 3 steps refine it.  A smaller threshold lets
-        # SuperLU keep tiny diagonal pivots of the c = 0 entries: with
-        # 0.001 the first residual reaches 2.7e-4 (table6 j=1 L3), and with
-        # 0 it reaches 5.0 and 19 systems miss the contract.
+        # j=1 L3), and at most 4 steps refine it: 44 systems take 3, and
+        # table12 j=1 L2 takes 4, since the element-wise residual carries
+        # round-off of |A| |x|, up to 400 times |A x| there.  A smaller
+        # threshold lets SuperLU keep tiny diagonal pivots of the c = 0
+        # entries: with 0.001 the first residual reaches 2.1e-4 (fig10_f0
+        # j=1 L3), and with 0 it reaches 2.5 (fig5_tau0 j=1 L1) and 14
+        # systems fail.
         count = 0
         for name, j, level, system in catalog_systems((0, 1, 2, 3)):
             info = solve(system).info
@@ -460,7 +489,8 @@ class TestOrderedFactor:
 
     def test_default_tol_refines_to_double_round_off(self):
         # Stopping at tol would end just under 1e-11; the refinement runs
-        # on to the round-off of Kc y, where the full residual is 1.0e-15.
+        # on to the round-off of the element-wise product A x, where the
+        # full residual is 7.4e-16.
         spec = get_experiment("table5").spec
         sol = solve(build_level(refined(spec.domain_tag, 4), spec)[2])
         assert sol.info["tol"] == 1e-11 and sol.info["initial_residual"] > 1e-8
