@@ -141,10 +141,9 @@ class SaddleSystem:
     def matvec(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``matrix @ x`` applied element by element, equal to round-off, for
         x as element rows laid out as ``Solution.local``: (lam_0 rows, rest)."""
-        d0, idx = self.dofmap.dim_lam0, self.dofmap.element_indices
-        free = idx >= 0
+        d0 = self.dofmap.dim_lam0
         y = (self.element_matrix @ local[..., None])[..., 0]
-        return y[:, :d0], np.bincount(idx[free], y[:, d0:][free], minlength=self.dofmap.n_condensed)
+        return y[:, :d0], self.dofmap.add(y[:, d0:])
 
 
 class ElementTables:
@@ -180,10 +179,8 @@ class ElementTables:
     ``beta_int`` (T, 2), the integral of beta over the element, and
     ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is not
     kept there), which the forms (the boundary edges' class too) and the
-    conservation check read, and ``straddling``, the elements that
-    straddle a leaf boundary of a piecewise field (see :meth:`sample`).
-    The forms and the analysis read tau, g and the exact solution from
-    ``spec``.
+    conservation check read.  The forms and the analysis read tau, g and
+    the exact solution from ``spec``.
     """
 
     def __init__(self, mesh: Mesh, j: int, rows: slice = slice(None)):
@@ -261,12 +258,9 @@ class ElementTables:
         points, each resolved per element by the leaf holding its
         centroid; a derived load is formed from the sampled beta and c
         with div(beta) of the element's leaf and u, grad(u) pointwise.
-        Records in ``straddling``, for each piecewise beta, c or f (one
-        not derived from the exact solution) with elements whose corners
-        lie in another leaf, the first such element and their count,
-        which :func:`warn_straddling` reports.  Raises ValueError naming
-        both degrees for a spec whose j is not the tables' degree, and
-        naming the field and element of the first non-finite sample."""
+        Raises ValueError naming both degrees for a spec whose j is not
+        the tables' degree, and naming the field and element of the first
+        non-finite sample."""
         if spec.j != self.j:
             raise ValueError(f"a problem of degree j={spec.j} cannot be sampled on element tables of degree j={self.j}")
         cx, cy = self.centroid.T
@@ -293,28 +287,8 @@ class ElementTables:
             _require_finite(name, values, "element", elements)
         self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
         self.beta_n = np.einsum("tiqc,tic->tiq", beta_e, self.normals)
-        self.straddling = {}
-        self._find_straddling("beta", spec.beta, beta_branch)
-        self._find_straddling("c", spec.c, c_branch)
-        if not isinstance(spec.f, DerivedLoad):
-            self._find_straddling("f", spec.f, f_branch)
         self._spec = spec
         return self
-
-    def _find_straddling(self, name, field, branch):
-        """Record in ``straddling[name]`` the first element, by its number
-        in the mesh, whose corners lie in another leaf of ``field`` than
-        ``branch``, the one its centroid took, and how many do."""
-        if len(field.branches) == 1:
-            return
-        # Probe just inside each corner so vertices sitting exactly on an
-        # aligned branch interface do not trigger false positives.
-        coords = self.mesh.vertices[self.mesh.elements[self.rows]]
-        probes = coords + 1e-6 * (self.centroid[:, None] - coords)
-        corner = field.branch_index(probes[..., 0], probes[..., 1])
-        bad = np.flatnonzero((corner != branch[:, None]).any(axis=1))
-        if len(bad):
-            self.straddling[name] = (self.rows.start + int(bad[0]), len(bad))
 
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the
@@ -415,26 +389,38 @@ def build_contexts(mesh: Mesh, spec: ProblemSpec, rows: slice | None = None) -> 
     """Element tables with the problem's coefficients sampled: the one
     pass over the geometry and coefficients of a level, or of its element
     block ``rows``, that the checks, classification and assembly read.
-    The tables of a whole level warn of elements that straddle a leaf
-    boundary of a piecewise field; a block's tables only record them, and
-    the caller warns once per level with :func:`warn_straddling`."""
+    The tables of a whole level, once sampled, warn with
+    :func:`warn_straddling`; a caller that builds a level block by block
+    warns once per level itself."""
     tables = ElementTables(mesh, spec.j, slice(None) if rows is None else rows).sample(spec)
     if rows is None:
-        warn_straddling(tables.straddling)
+        warn_straddling(mesh, spec)
     return tables
 
 
-def warn_straddling(straddling: dict) -> None:
-    """Warn once per field of ``straddling`` (the name of a piecewise
-    field to its first straddling element and their count, as
-    :attr:`ElementTables.straddling` and :attr:`LevelForms.straddling`
-    hold them), naming the field, the element and the count."""
-    for name, (first, count) in straddling.items():
-        warnings.warn(
-            f"element {first} straddles a branch boundary of the piecewise field {name} "
-            f"({count} elements in all); each is assigned the branch of its centroid",
-            stacklevel=2,
-        )
+def warn_straddling(mesh: Mesh, spec: ProblemSpec) -> None:
+    """Warn once for each piecewise beta, c or f of ``spec`` (f not
+    derived from the exact solution) with elements of ``mesh`` whose
+    corners lie in another leaf than the centroid that
+    :meth:`ElementTables.sample` resolves them by, naming the field, the
+    first such element and their count."""
+    for name, field in (("beta", spec.beta), ("c", spec.c), ("f", spec.f)):
+        if isinstance(field, DerivedLoad) or len(field.branches) == 1:
+            continue
+        coords = mesh.vertices[mesh.elements]
+        # The tables' centroid expression, so each element takes the same
+        # leaf; each corner is probed just inside, so vertices sitting
+        # exactly on an aligned branch interface do not count.
+        centroid = (coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3
+        probes = coords + 1e-6 * (centroid[:, None] - coords)
+        corner = field.branch_index(probes[..., 0], probes[..., 1])
+        bad = np.flatnonzero((corner != field.branch_index(*centroid.T)[:, None]).any(axis=1))
+        if len(bad):
+            warnings.warn(
+                f"element {bad[0]} straddles a branch boundary of the piecewise field {name} "
+                f"({len(bad)} elements in all); each is assigned the branch of its centroid",
+                stacklevel=2,
+            )
 
 
 @dataclass
@@ -450,9 +436,7 @@ class LevelForms:
       order), local edge ``local[m]`` of its one element ``owner[m]``:
       ``inflow`` (nb,), whether it is an inflow edge, and ``load``
       (nb, db), its inflow data term <sigma_b, beta.n g>_e over the trace
-      basis, zero on outflow edges, where g is never evaluated;
-    - ``straddling``, merged from the blocks' tables (see
-      :func:`warn_straddling`).
+      basis, zero on outflow edges, where g is never evaluated.
     """
 
     mesh: Mesh
@@ -464,7 +448,6 @@ class LevelForms:
     local: np.ndarray
     inflow: np.ndarray
     load: np.ndarray
-    straddling: dict
 
 
 def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> LevelForms:
@@ -487,7 +470,7 @@ def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> Level
         forms = LevelForms(
             mesh, spec, np.zeros((T, n + 1, n + 1)), np.empty((T, tables.dim_lam0)),
             edges, mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0],
-            inflow=np.empty(len(edges), dtype=bool), load=np.zeros((len(edges), db)), straddling={},
+            inflow=np.empty(len(edges), dtype=bool), load=np.zeros((len(edges), db)),
         )
     elif forms.mesh is not mesh or forms.spec is not spec:
         raise ValueError("element tables of another level or problem cannot be added to these forms")
@@ -512,9 +495,6 @@ def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> Level
     _require_finite("g", gv, "edge", forms.edges[held])
     weighted = tables.ew.reshape(-1, ne)[k] * beta_n[inflow] * gv
     forms.load[held] = np.einsum("mq,mqk->mk", weighted, tables.edge_trace.reshape(-1, ne, db)[k])
-    for name, (first, count) in tables.straddling.items():
-        first, before = forms.straddling.get(name, (first, 0))
-        forms.straddling[name] = (first, before + count)
     return forms
 
 
@@ -555,3 +535,4 @@ def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     rhs = np.zeros(dofmap.n_condensed)
     rhs[idx[forms.owner[m, None], db * forms.local[m, None] + np.arange(db)]] = forms.load[m] + 0.0
     return SaddleSystem(rhs=rhs, rhs0=forms.rhs0, dofmap=dofmap, element_matrix=forms.element_matrix)
+

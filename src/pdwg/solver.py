@@ -163,19 +163,19 @@ class _CondensedLU:
     """Single-precision LU factor of the condensed system over
     y = [lam_b; u] in the numbering of ``DofMap.element_indices``, with
     the element data that maps a right-hand side in (its lam_0 rows and
-    its y part) and element rows out.  ``kmax`` is the largest magnitude
-    of the condensed matrix, summed in double before its cast; the
-    matrix itself is not kept."""
+    its y part) and element rows out, and S_00^{-1} b_0 of the system's
+    lam_0 loads b_0, formed once.  ``kmax`` is the largest magnitude of
+    the condensed matrix, summed in double before its cast; the matrix
+    itself is not kept."""
 
     def __init__(self, system: SaddleSystem):
-        dm = system.dofmap
+        dm = self.dofmap = system.dofmap
         Z, K = schur_complement(system.element_matrix, dm.dim_lam0)
         m = K.shape[-1]
-        self.X, self.S00_inv = Z[..., :m], Z[..., m:]
-        self.idx = dm.element_indices
-        self.free = self.idx >= 0
+        self.X = Z[..., :m]
+        self.lam0_load = np.einsum("tij,tj->ti", Z[..., m:], system.rhs0)
         self.order = dm.n_condensed
-        Kc = scatter(K, self.idx, self.order)
+        Kc = scatter(K, dm.element_indices, self.order)
         # The element matrices are in Kc now; free them before the factor.
         del K
         self.nnz = Kc.nnz
@@ -202,8 +202,7 @@ class _CondensedLU:
     def condense(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The condensed right-hand side for lam_0 rows ``r0`` and the
         rest ``r``."""
-        load = np.einsum("tim,ti->tm", self.X, r0)[self.free]
-        return r - np.bincount(self.idx[self.free], load, self.order)
+        return r - self.dofmap.add(np.einsum("tim,ti->tm", self.X, r0))
 
     def solve(self, rc: np.ndarray) -> np.ndarray:
         """One single-precision solve of Kc y = rc: rc is scaled by its
@@ -214,11 +213,12 @@ class _CondensedLU:
             return np.zeros(self.order)
         return self.lu.solve((rc / scale).astype(np.float32)).astype(float) * scale
 
-    def rows(self, r0: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Element rows for the condensed solution ``y`` of lam_0 rows
-        ``r0``: lam_0 recovered in each element, 0 on outflow traces."""
-        y_loc = np.where(self.free, y[self.idx], 0.0)
-        lam0 = np.einsum("tij,tj->ti", self.S00_inv, r0) - np.einsum("tim,tm->ti", self.X, y_loc)
+    def rows(self, y: np.ndarray) -> np.ndarray:
+        """Element rows for the condensed solution ``y`` of the system's
+        lam_0 loads: lam_0 recovered in each element, 0 on outflow
+        traces."""
+        y_loc = self.dofmap.gather(y)
+        lam0 = self.lam0_load - np.einsum("tim,tm->ti", self.X, y_loc)
         return np.concatenate([lam0, y_loc], axis=1)
 
 
@@ -257,7 +257,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         )
     residuals, last, steps = [], np.inf, 0
     while True:
-        local = factor.rows(b0, y)
+        local = factor.rows(y)
         y0, yc = system.matvec(local)
         r0, r = b0 - y0, b - yc
         residuals.append(float(np.linalg.norm(np.concatenate([r0.ravel(), r]))) / bnorm)

@@ -169,7 +169,7 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
         checks = timed("checks_s", build_checks, tables, checks)
         forms = timed("assemble_s", build_forms, tables, forms)
         del tables
-    warn_straddling(forms.straddling)
+    warn_straddling(mesh, spec)
     dofmap = timed("dofmap_s", DofMap, mesh, spec.j, timed("classify_s", classify_boundary, mesh, forms))
     system = timed("assemble_s", assemble, mesh, dofmap, forms)
     stages["assemble_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -118,10 +118,24 @@ class DofMap:
         traces = np.where(starts < 0, -1, starts + np.arange(db)).reshape(T, -1)
         self.element_indices = np.concatenate([traces, start[F:, None]], axis=1).astype(np.int32)
         self.element_indices.setflags(write=False)
+        # The rows' indices with outflow traces sent to one extra bin,
+        # n_condensed, which gather reads as +0.0 and add drops.
+        self._sink = np.where(self.element_indices < 0, self.n_condensed, self.element_indices).astype(np.int32)
 
     @property
     def n_total(self) -> int:
         return self.n_lambda + self.n_u
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """The condensed vector ``y`` as element rows over [traces of edges
+        0, 1, 2; u_T], (T, 3 db + 1), +0.0 on outflow traces."""
+        return np.append(y, 0.0)[self._sink]
+
+    def add(self, rows: np.ndarray) -> np.ndarray:
+        """Element rows (T, 3 db + 1) over [traces of edges 0, 1, 2; u_T]
+        summed into the condensed vector, in element order; the rows'
+        outflow entries are dropped."""
+        return np.bincount(self._sink.ravel(), rows.ravel(), self.n_condensed + 1)[:-1]
 
 
 def _l2(V, weights, w, pts) -> np.ndarray:

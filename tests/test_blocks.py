@@ -137,6 +137,42 @@ def test_one_straddling_warning_per_level():
 
 
 @pytest.mark.usefixtures("small_blocks")
+def test_straddling_first_in_a_later_block_is_named_and_counted_across_blocks():
+    # c splits at the mesh line x + y = 1, and above it again at x = 0.7,
+    # no mesh line at level 3: only elements above the diagonal, none of
+    # the first block's, straddle, and they lie in several blocks.
+    inner = Piecewise("inner", pieces=((HalfPlane(1.0, 0.0, 0.7), constant(1.0)),), otherwise=constant(2.0))
+    c = Piecewise("upper_split", pieces=((HalfPlane(1.0, 1.0, 1.0), constant(3.0)),), otherwise=inner)
+    spec = dataclasses.replace(get_experiment("table5").spec, c=c)
+    mesh = refined("unit_square", 3)
+    x = mesh.vertices[mesh.elements][..., 0]
+    above = mesh.vertices[mesh.elements].mean(axis=1).sum(axis=1) > 1.0
+    cut = np.flatnonzero(above & (x.min(axis=1) < 0.7) & (x.max(axis=1) > 0.7))
+    assert cut[0] >= BLOCK and len(np.unique(cut // BLOCK)) > 1
+    with warnings.catch_warnings(record=True) as blocked:
+        warnings.simplefilter("always")
+        run_level(mesh, spec)
+    assert [str(w.message) for w in blocked] == [
+        f"element {cut[0]} straddles a branch boundary of the piecewise field c "
+        f"({len(cut)} elements in all); each is assigned the branch of its centroid"
+    ]
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("build", [run_level, build_level], ids=["blocks", "whole-level"])
+def test_non_finite_coefficient_raises_before_any_straddling_warning(build):
+    # c is NaN left of x = 0.3, no mesh line at level 3, so elements
+    # straddle the split; sampling raises first, and nothing is warned.
+    split = Piecewise("nan_left", pieces=((HalfPlane(1.0, 0.0, 0.3), constant(float("nan"))),), otherwise=constant(1.0))
+    spec = dataclasses.replace(get_experiment("table5").spec, c=split)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^c has a non-finite value on element 0$"):
+            build(refined("unit_square", 3), spec)
+    assert record == []
+
+
+@pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_g_is_never_evaluated_off_the_inflow_boundary(level):
     # table5 (beta = (1, -1)) flows in through x = 0 and y = 1.  g is NaN

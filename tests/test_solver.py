@@ -441,7 +441,7 @@ class TestOrderedFactor:
             y = condensed_solve(factor, rc)
             if not rows:
                 y = y * (1 + 1e-3)
-                rows.append(factor.rows(system.rhs0, y))
+                rows.append(factor.rows(y))
             return y
 
         monkeypatch.setattr(_CondensedLU, "solve", spoiled_first)
