@@ -39,8 +39,9 @@ load, and with |f| up to 1e4 (fig8-fig10_f10000) a residual just under
 1e-11 leaves jumps of up to 5.8e-8.  The last residual is the one the
 residual contract checks.  ``info`` reports ``factor_dtype``
 ("float32"), ``refine_steps``, the corrections after the first solve,
-``initial_residual``, the first solve's ||b - A x|| / ||b||, and the
-seconds of the SuperLU call, ``factor_s``.  A first solve that is not
+``initial_residual``, the first solve's ||b - A x|| / ||b||, the
+seconds of the SuperLU call, ``factor_s``, and ``row_interchanges``,
+the rows its threshold pivoting moved.  A first solve that is not
 finite (a singular factor), or a refinement that ends above tol,
 raises :class:`SolverError`; there is no fallback.  Identical inputs produce bitwise-identical solutions.
 """
@@ -283,6 +284,7 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "separator_edges": system.dofmap.separator_edges,
         "fill": int(factor.lu.nnz),
         "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
+        "row_interchanges": int(np.count_nonzero(factor.lu.perm_r != np.arange(factor.order))),
         "factor_dtype": "float32",
         "refine_steps": steps,
         "initial_residual": residuals[0],

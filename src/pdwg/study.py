@@ -32,6 +32,7 @@ from .assembly import (
     assemble,
     build_contexts,
     build_forms,
+    check_regular,
     classify_boundary,
     warn_straddling,
 )
@@ -145,8 +146,9 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     the boundary edges it holds) are written, and the tables are dropped
     before the next block.
     Then the boundary is classified, the DOF map built and the system
-    assembled from the forms, solved, and checked: the error norms (with
-    an exact solution) and the conservation report.  Each stage's seconds
+    assembled from the forms, refused by ``check_regular`` if singular,
+    solved, and checked: the error norms (with an exact solution) and the
+    conservation report.  Each stage's seconds
     are summed over the blocks.  Each stage function is looked up by its
     name in this module when called, so whoever wraps that name sees the
     call."""
@@ -172,6 +174,7 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     warn_straddling(mesh, spec)
     dofmap = timed("dofmap_s", DofMap, mesh, spec.j, timed("classify_s", classify_boundary, mesh, forms))
     system = timed("assemble_s", assemble, mesh, dofmap, forms)
+    timed("assemble_s", check_regular, system)
     stages["assemble_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     del forms
     solution = timed("solve_s", solve, system, tol=tol)

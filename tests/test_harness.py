@@ -14,12 +14,12 @@ import pdwg.assembly
 import pdwg.cli
 import pdwg.solver
 import pdwg.study
-from helpers import assembled_matrix, refined
+from helpers import assembled_matrix, build_level, refined
 from pdwg.analysis import PostField
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
-from pdwg.solver import SolverError
+from pdwg.solver import SolverError, solve
 from pdwg.study import CSV_HEADER, StudyReport, emit_csv, emit_plot_data, run_level, run_study
 
 
@@ -573,19 +573,58 @@ class TestConfigFile:
         assert "c has a non-finite value on element 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_singular_factor_named_when_the_first_solve_is_not_finite(self, tmp_path, capsys, tau):
+    def test_singular_factor_named_when_the_first_solve_is_not_finite(self, tmp_path, tau):
         # A rotation about the square's centre leaves every boundary edge
         # characteristic at its midpoint, so with c = 0 the constant u is
         # in the kernel; at level 0 with j = 1 the float32 factor solves to
-        # NaN instead of failing, and the solve must say why.
+        # NaN instead of failing.  run_level refuses the system before the
+        # factor (below); solve, called on it directly, must say why.
         cfg = {"name": "spin", "domain": "unit_square", "beta": {"rotation": [0.5, 0.5]}, "c": 0.0, "f": 1.0}
         path = tmp_path / "spin.json"
         path.write_text(json.dumps({**cfg, "g": 0.0, "tau": tau, "j": 1, "levels": [0, 0]}))
-        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "singular factor: the first solve is not finite (full order 10, condensed order 4)" in err
-        assert "residual contract missed" not in err
+        system = build_level(refined("unit_square", 0), load_experiment_config(path).spec)[2]
+        with pytest.raises(SolverError) as err:
+            solve(system)
+        assert str(err.value) == "singular factor: the first solve is not finite (full order 10, condensed order 4)"
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize(
+        "beta, tau",
+        [
+            ({"const": [0.0, 0.0]}, 1.0),
+            ({"const": [1e-13, 1e-13]}, 1.0),
+            ({"rotation": [0.5, 0.5]}, 0.0),
+            ({"rotation": [0.5, 0.5]}, 1.0),
+        ],
+        ids=["no-convection", "characteristic", "rotation-tau0", "rotation-tau1"],
+    )
+    def test_constant_u_in_the_kernel_exits_3_before_the_factor(self, tmp_path, capsys, monkeypatch, beta, tau, j):
+        # With c = 0 and no inflow edge (beta = 0; every edge characteristic
+        # under CLASSIFY_EPS; a rotation about the centre at level 0), A
+        # maps lam = 0, u = 1 to 0: the run is refused before any factor,
+        # and nothing is written.
+        monkeypatch.setattr(pdwg.solver, "splu", lambda *a, **k: pytest.fail("factored"))
+        cfg = {"name": "kernel", "domain": "unit_square", "beta": beta, "c": 0.0, "f": 1.0, "g": 0.0}
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({**cfg, "tau": tau, "j": j, "levels": [0, 3]}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "error: the constant u is in the kernel: no inflow edge and no reaction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_element_with_no_coupling_exits_3_naming_it(self, tmp_path, capsys, monkeypatch):
+        # beta = 0 below the mesh line x + y = 1 and c = 0: the u_T of
+        # every element there couples to nothing, while the level has
+        # inflow edges above it.
+        monkeypatch.setattr(pdwg.solver, "splu", lambda *a, **k: pytest.fail("factored"))
+        beta = {"piecewise": [{"where": [1.0, 1.0, 1.0], "field": {"const": [0.0, 0.0]}}], "else": {"const": [1.0, -1.0]}}
+        cfg = {"name": "dead", "domain": "unit_square", "beta": beta, "c": 0.0, "f": 1.0, "g": 0.0, "tau": 1.0}
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps({**cfg, "levels": [1, 2]}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "error: u_T of element 0 is in the kernel: beta and c vanish on it" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_domain_rejected(self, tmp_path):
         path = self.write_config(tmp_path, domain="disk")

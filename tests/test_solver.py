@@ -222,6 +222,13 @@ class TestSolve:
         assert sol.info["order"] == assembled_matrix(system).shape[0]
         assert sol.info["nnz"] > 0
 
+    @pytest.mark.parametrize("entry, moved", [("table5", 0), ("fig10_f10000", 83)])
+    def test_row_interchanges_are_counted(self, entry, moved):
+        # The rows SuperLU's threshold pivoting moves, j = 1 at level 3.
+        spec = dataclasses.replace(get_experiment(entry).spec, j=1)
+        system = build_level(refined(spec.domain_tag, 3), spec)[2]
+        assert solve(system).info["row_interchanges"] == moved
+
     def test_condensed_diagnostics(self):
         _, dm, system = unit_problem(level=1)
         info = solve(system).info
