@@ -148,10 +148,9 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     Then the boundary is classified, the DOF map built and the system
     assembled from the forms, refused by ``check_regular`` if singular,
     solved, and checked: the error norms (with an exact solution) and the
-    conservation report.  Each stage's seconds
-    are summed over the blocks.  Each stage function is looked up by its
-    name in this module when called, so whoever wraps that name sees the
-    call."""
+    conservation report.  Each stage's seconds are summed over the
+    blocks.  Each stage function is looked up by its name in this module
+    when called, so whoever wraps that name sees the call."""
     stages = dict.fromkeys(("tables_s", "checks_s", "classify_s", "dofmap_s", "assemble_s"), 0.0)
 
     def timed(key, fn, *args, **kwargs):

@@ -61,11 +61,12 @@ class DofMap:
     in all.  ``element_indices`` (T, 3 db + 1), int32 (the index type
     SuperLU takes) and read-only, holds each element's indices of
     [traces of edges 0, 1, 2; u_T], -1 on outflow traces, so u_T lies
-    among the traces, not after them.  ``separator_edges`` is the size of
-    the root separator, the free edges whose elements lie in different
-    coarse elements (the 2^L edges of the diagonal x + y = 1 on the unit
-    square at level L).  lam_0 is not numbered, but ``n_lambda`` and
-    ``n_total`` count it, as the full order.
+    among the traces, not after them; :meth:`gather` and :meth:`add` move
+    such rows from and to the condensed vector.  ``separator_edges`` is
+    the size of the root separator, the free edges whose elements lie in
+    different coarse elements (the 2^L edges of the diagonal x + y = 1 on
+    the unit square at level L).  lam_0 is not numbered, but ``n_lambda``
+    and ``n_total`` count it, as the full order.
     """
 
     def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):

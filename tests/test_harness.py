@@ -617,7 +617,8 @@ class TestConfigFile:
         # every element there couples to nothing, while the level has
         # inflow edges above it.
         monkeypatch.setattr(pdwg.solver, "splu", lambda *a, **k: pytest.fail("factored"))
-        beta = {"piecewise": [{"where": [1.0, 1.0, 1.0], "field": {"const": [0.0, 0.0]}}], "else": {"const": [1.0, -1.0]}}
+        below = {"where": [1.0, 1.0, 1.0], "field": {"const": [0.0, 0.0]}}
+        beta = {"piecewise": [below], "else": {"const": [1.0, -1.0]}}
         cfg = {"name": "dead", "domain": "unit_square", "beta": beta, "c": 0.0, "f": 1.0, "g": 0.0, "tau": 1.0}
         path = tmp_path / "dead.json"
         path.write_text(json.dumps({**cfg, "levels": [1, 2]}))
