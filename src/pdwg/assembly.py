@@ -24,12 +24,11 @@ sums them into a sparse matrix only when one is read.
 Every local form is evaluated for a block of elements at once from one
 set of element tables (:class:`ElementTables`), which compute the
 geometry of those elements and keep the problem they were sampled from.
-:func:`build_forms` writes a block's element matrices and loads into the
-level's :class:`LevelForms` and settles the boundary edges it holds,
-whose class and inflow load depend on their one element only: whether
-each is inflow, and its load.  Boundary classification and assembly read
-the forms once every block is in, so no table of the whole level need
-exist.
+:func:`build_forms` writes a block's element matrices and loads, over
+the same element rows, into the level's :class:`LevelForms`: a boundary
+edge's class and inflow load depend on its one element only.  Boundary
+classification and assembly read the forms once every block is in, so
+no table of the whole level need exist.
 Variable coefficients are evaluated
 pointwise at quadrature nodes; piecewise-defined fields are resolved per
 element by the leaf, at any nesting depth, holding the centroid (an
@@ -427,74 +426,62 @@ def warn_straddling(mesh: Mesh, spec: ProblemSpec) -> None:
 class LevelForms:
     """The element-local forms of one level, written one element block at
     a time by :func:`build_forms` from the block's tables, and all that
-    boundary classification and assembly read once the tables are gone:
+    boundary classification and assembly read once the tables are gone,
+    over the element rows [lam_0; traces of edges 0, 1, 2; u_T]:
 
     - ``element_matrix`` (T, n_loc + 1, n_loc + 1), the element matrices
-      E_T = [[S_T, B_T], [B_T^T, 0]], and ``rhs0`` (T, d0), the element
-      loads -(f, sigma_0)_T;
-    - of each boundary edge ``edges[m]`` (``mesh.boundary_edges``, in
-      order), local edge ``local[m]`` of its one element ``owner[m]``:
-      ``inflow`` (nb,), whether it is an inflow edge, and ``load``
-      (nb, db), its inflow data term <sigma_b, beta.n g>_e over the trace
-      basis, zero on outflow edges, where g is never evaluated.
+      E_T = [[S_T, B_T], [B_T^T, 0]];
+    - ``load`` (T, n_loc + 1), the element loads: -(f, sigma_0)_T on
+      lam_0, <sigma_b, beta.n g>_e on the traces of inflow edges, and
+      zero elsewhere (g is never evaluated there);
+    - ``inflow`` (T, 3), whether each local edge is an inflow boundary edge.
     """
 
     mesh: Mesh
     spec: ProblemSpec
     element_matrix: np.ndarray
-    rhs0: np.ndarray
-    edges: np.ndarray
-    owner: np.ndarray
-    local: np.ndarray
-    inflow: np.ndarray
     load: np.ndarray
+    inflow: np.ndarray
 
 
 def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> LevelForms:
-    """Write the element matrices and loads of the elements of the sampled
-    ``tables`` into their rows of ``forms``, settle the boundary edges
-    they hold, and return ``forms``: the forms of the tables' level, new
-    ones when None.  An edge is inflow where beta . n < -``CLASSIFY_EPS``
-    at its midpoint, the middle node of the edge rule, with beta in the
-    leaf of its element and that element's outward normal, else outflow
+    """Write the element matrices, loads and inflow marks of the elements
+    of the sampled ``tables`` into their rows of ``forms``, and return
+    ``forms``: the forms of the tables' level, new ones when None.  A
+    boundary edge is inflow where beta . n < -``CLASSIFY_EPS`` at its
+    midpoint, the middle node of the edge rule, with beta in the leaf of
+    its element and that element's outward normal, else outflow
     (characteristic edges too, so their traces are constrained).  On the
     inflow edges only, g is evaluated in the leaf of the element's
-    centroid and the edge's load written.  Raises ValueError naming the
-    block's first edge where g is not finite, the level's first, since
-    boundary edges are numbered in element order; and for tables of
-    another level or problem than ``forms``."""
-    mesh, spec, n = tables.mesh, tables.spec, tables.n_loc
+    centroid and the edge's load written; :func:`assemble` checks that it
+    is finite.  Raises ValueError for tables of another level or problem
+    than ``forms``."""
+    mesh, spec, n, d0 = tables.mesh, tables.spec, tables.n_loc, tables.dim_lam0
     ne, db = tables.ew.shape[-1], tables.edge_trace.shape[-1]
     if forms is None:
-        T, edges = mesh.num_elements, mesh.boundary_edges
-        forms = LevelForms(
-            mesh, spec, np.zeros((T, n + 1, n + 1)), np.empty((T, tables.dim_lam0)),
-            edges, mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0],
-            inflow=np.empty(len(edges), dtype=bool), load=np.zeros((len(edges), db)),
-        )
+        T = mesh.num_elements
+        forms = LevelForms(mesh, spec, np.zeros((T, n + 1, n + 1)), np.zeros((T, n + 1)), np.empty((T, 3), dtype=bool))
     elif forms.mesh is not mesh or forms.spec is not spec:
         raise ValueError("element tables of another level or problem cannot be added to these forms")
     lo, hi = tables.rows.start, tables.rows.stop
     E = forms.element_matrix[lo:hi]
     E[:, :n, :n] = tables.stabilizer()
     E[:, :n, n] = E[:, n, :n] = tables.coupling()
-    forms.rhs0[lo:hi] = tables.load()
-    # The boundary edges whose element is in the block, each read at row
-    # k = 3 t + i of the tables' per-edge arrays, t its element's row and
-    # i its local edge.
-    held = np.flatnonzero((forms.owner >= lo) & (forms.owner < hi))
-    t = forms.owner[held] - lo
-    k = 3 * t + forms.local[held]
-    beta_n = tables.beta_n.reshape(-1, ne)[k]
-    inflow = beta_n[:, EDGE_MIDPOINT] < -CLASSIFY_EPS
-    forms.inflow[held] = inflow
-    held, t, k = held[inflow], t[inflow], k[inflow]
+    forms.load[lo:hi, :d0] = tables.load()
+    boundary = mesh.edge_elems[mesh.element_edges[lo:hi], 1] < 0
+    forms.inflow[lo:hi] = boundary & (tables.beta_n[..., EDGE_MIDPOINT] < -CLASSIFY_EPS)
+    # Each inflow edge read at row k = 3 t + i of the tables' per-edge
+    # arrays, t its element's row and i its local edge.
+    k = np.flatnonzero(forms.inflow[lo:hi])
+    t, i = np.divmod(k, 3)
     pts, g = tables.epts.reshape(-1, ne, 2)[k], spec.g
     cx, cy = tables.centroid[t].T
     gv = evaluate_branches(g.branches, g.branch_index(cx, cy)[:, None], pts[..., 0], pts[..., 1])
-    _require_finite("g", gv, "edge", forms.edges[held])
-    weighted = tables.ew.reshape(-1, ne)[k] * beta_n[inflow] * gv
-    forms.load[held] = np.einsum("mq,mqk->mk", weighted, tables.edge_trace.reshape(-1, ne, db)[k])
+    weighted = tables.ew.reshape(-1, ne)[k] * tables.beta_n.reshape(-1, ne)[k] * gv
+    # Written through the (T_b, 3, db) view of the trace columns: their
+    # (3 T_b, db) reshape would be a copy.
+    traces = forms.load[lo:hi, d0:-1].reshape(-1, 3, db)
+    traces[t, i] = np.einsum("mq,mqk->mk", weighted, tables.edge_trace.reshape(-1, ne, db)[k])
     return forms
 
 
@@ -506,15 +493,20 @@ def _require_level(forms: LevelForms, mesh: Mesh) -> None:
 def classify_boundary(mesh: Mesh, forms: LevelForms) -> BoundaryClassification:
     """Split the boundary edges of the level's ``forms`` of ``mesh`` into
     inflow and outflow by ``forms.inflow``, which :func:`build_forms`
-    settles at each edge's midpoint (characteristic edges are outflow)."""
+    marks at each edge's midpoint (characteristic edges are outflow);
+    boundary edges are numbered in element order, so both are sorted."""
     _require_level(forms, mesh)
-    return BoundaryClassification(inflow_edges=forms.edges[forms.inflow], outflow_edges=forms.edges[~forms.inflow])
+    edges = mesh.element_edges
+    outflow = (mesh.edge_elems[edges, 1] < 0) & ~forms.inflow
+    return BoundaryClassification(inflow_edges=edges[forms.inflow], outflow_edges=edges[outflow])
 
 
 def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     """Assemble the global saddle-point system of the level whose element
-    forms ``forms`` hold: its element matrices and loads, and the loads
-    of the inflow edges of ``dofmap``'s classification, placed by it.
+    forms ``forms`` hold: its element matrices and its element loads,
+    summed by ``dofmap`` but for the lam_0 rows.  Raises ValueError naming
+    the level's first edge where g is not finite, after every block's
+    coefficients were sampled, as with the tables of a whole level.
 
     Outflow trace unknowns are eliminated (never indexed), which keeps the
     system exactly the variational problem on the constrained multiplier
@@ -528,13 +520,12 @@ def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     _require_level(forms, mesh)
     if forms.spec.j != dofmap.j:
         raise ValueError(f"element tables of degree j={forms.spec.j} do not match the dofmap of degree j={dofmap.j}")
-    idx, db = dofmap.element_indices, dofmap.dim_lamb
-    # An inflow trace belongs to one element only, so its load is written,
-    # not summed; + 0.0 turns a -0.0 load into the +0.0 a sum from 0 gives.
-    m = np.searchsorted(forms.edges, dofmap.classification.inflow_edges)
-    rhs = np.zeros(dofmap.n_condensed)
-    rhs[idx[forms.owner[m, None], db * forms.local[m, None] + np.arange(db)]] = forms.load[m] + 0.0
-    return SaddleSystem(rhs=rhs, rhs0=forms.rhs0, dofmap=dofmap, element_matrix=forms.element_matrix)
+    d0, load = dofmap.dim_lam0, forms.load
+    # Boundary edges are numbered in element order, each a local edge of
+    # one element, so the first non-finite trace row names the first edge.
+    _require_finite("g", load[:, d0:-1].reshape(-1, dofmap.dim_lamb), "edge", mesh.element_edges.ravel())
+    rhs0, rhs = load[:, :d0].copy(), dofmap.add(load[:, d0:])
+    return SaddleSystem(rhs=rhs, rhs0=rhs0, dofmap=dofmap, element_matrix=forms.element_matrix)
 
 
 # A system is refused when A applied to x = (lam = 0, u = 1) is at most

@@ -142,15 +142,15 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     """Build, solve and check ``spec`` on ``mesh``.  The element work runs
     over contiguous blocks of at most ``ELEMENT_BLOCK`` elements: each
     block's tables are built, its rows of the checks and of the element
-    forms (element matrices and loads, and the inflow flag and load of
-    the boundary edges it holds) are written, and the tables are dropped
-    before the next block.
+    forms (element matrices, loads and inflow marks) are written, and the
+    tables are dropped before the next block.
     Then the boundary is classified, the DOF map built and the system
-    assembled from the forms, refused by ``check_regular`` if singular,
-    solved, and checked: the error norms (with an exact solution) and the
-    conservation report.  Each stage's seconds are summed over the
-    blocks.  Each stage function is looked up by its name in this module
-    when called, so whoever wraps that name sees the call."""
+    assembled from the forms (g checked finite), refused by
+    ``check_regular`` if singular, solved, and checked: the error norms
+    (with an exact solution) and the conservation report.  Each stage's
+    seconds are summed over the blocks.  Each stage function is looked up
+    by its name in this module when called, so whoever wraps that name
+    sees the call."""
     stages = dict.fromkeys(("tables_s", "checks_s", "classify_s", "dofmap_s", "assemble_s"), 0.0)
 
     def timed(key, fn, *args, **kwargs):

@@ -73,7 +73,6 @@ class DofMap:
         if j not in (0, 1):
             raise ValueError(f"j must be k-1 or k, got j={j} for k=1")
         self.mesh = mesh
-        self.classification = classification
         self.j = j
         self.dim_lam0 = dim_poly2d(j)
         self.dim_lamb = db = j + 1

@@ -14,7 +14,7 @@ from pdwg.assembly import (
     build_forms,
     classify_boundary,
 )
-from pdwg.catalog import get_experiment
+from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import (
     DerivedLoad,
     HalfPlane,
@@ -231,9 +231,31 @@ class TestLocalLoads:
             if np.allclose(mesh.vertices[mesh.edges[e], 0], 0.0)
         ]
         assert len(left) == 1
-        vec = forms.load[np.searchsorted(forms.edges, left)][0]
+        # The load sits on the traces of the edge's local edge i in its
+        # element's row, after the d0 = 3 lam_0 entries, db = 2 per edge.
+        t, i = mesh.edge_elems[left[0], 0], mesh.edge_local[left[0], 0]
+        vec = forms.load[t, 3 + 2 * i : 5 + 2 * i]
         assert vec[0] == pytest.approx(-1.0, abs=1e-14)
         assert vec[1] == pytest.approx(0.0, abs=1e-14)  # odd moment vanishes
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_trace_loads_lie_on_the_marked_inflow_edges(self, name):
+        # Levels 0-2, both j: the inflow marks are the local edges of the
+        # classified inflow edges, which with the outflow edges are the
+        # boundary edges, both sorted, and the trace and u_T columns of
+        # the element loads vanish off the marks.
+        for level in range(3):
+            mesh = refined(get_experiment(name).spec.domain_tag, level)
+            for j in (0, 1):
+                spec = dataclasses.replace(get_experiment(name).spec, j=j)
+                forms = build_forms(build_contexts(mesh, spec))
+                cls = classify_boundary(mesh, forms)
+                assert np.array_equal(forms.inflow, np.isin(mesh.element_edges, cls.inflow_edges))
+                both = np.concatenate([cls.inflow_edges, cls.outflow_edges])
+                assert np.array_equal(np.sort(both), mesh.boundary_edges)
+                assert all((np.diff(part) > 0).all() for part in (cls.inflow_edges, cls.outflow_edges))
+                traces = forms.load[:, -1 - 3 * (j + 1) : -1].reshape(-1, 3, j + 1)
+                assert not traces[~forms.inflow].any() and not forms.load[:, -1].any()
 
 
 class TestAssemble:
@@ -281,12 +303,13 @@ class TestAssemble:
         # which that sum makes +0.0.
         mesh = refined("l_shape", 2)
         forms = build_forms(build_contexts(mesh, dataclasses.replace(get_experiment("table7").spec, j=j)))
-        dm = DofMap(mesh, j, classify_boundary(mesh, forms))
+        cls = classify_boundary(mesh, forms)
+        dm = DofMap(mesh, j, cls)
         forms.load *= scale
-        edges, db, idx = dm.classification.inflow_edges, dm.dim_lamb, dm.element_indices
-        owner, local = mesh.edge_elems[edges, 0], mesh.edge_local[edges, 0]
+        edges, db, idx = cls.inflow_edges, dm.dim_lamb, dm.element_indices
+        owner, cols = mesh.edge_elems[edges, 0, None], db * mesh.edge_local[edges, 0, None] + np.arange(db)
         F = np.zeros(idx.shape)
-        F[owner[:, None], db * local[:, None] + np.arange(db)] = forms.load[np.searchsorted(forms.edges, edges)]
+        F[owner, cols] = forms.load[:, dm.dim_lam0 :][owner, cols]
         assert ((F == 0) & np.signbit(F)).any() == np.signbit(scale)
         free = idx >= 0
         expected = np.bincount(idx[free], F[free], minlength=dm.n_condensed)

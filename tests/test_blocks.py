@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import pdwg.study
-from helpers import build_level, refined, same_bits
+from helpers import build_level, forms_for, refined, same_bits
 from pdwg.analysis import build_checks
+from pdwg.assembly import classify_boundary
 from pdwg.catalog import get_experiment
 from pdwg.fields import HalfPlane, Piecewise, constant
 from pdwg.mesh import MeshError
@@ -31,19 +32,28 @@ def small_blocks(monkeypatch):
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("j", [0, 1])
 @pytest.mark.parametrize("entry", ["table21", "fig5_tau1", "table23", "table19"])
-def test_blocked_level_equals_the_whole_level(entry, j):
+def test_blocked_level_equals_the_whole_level(entry, j, monkeypatch):
     # Unit square (a piecewise beta, and a piecewise g whose leaf is read
     # at the gathered centroids), L-shape and cracked square at level 3,
     # 128 to 512 elements in 4 to 14 blocks, against the tables of the
     # whole level.
     spec = dataclasses.replace(get_experiment(entry).spec, j=j)
     mesh = refined(spec.domain_tag, 3)
+    classified = []
+
+    def classify(*args):
+        classified.append(classify_boundary(*args))
+        return classified[-1]
+
+    monkeypatch.setattr(pdwg.study, "classify_boundary", classify)
     run = run_level(mesh, spec)
     tables, dofmap, system = build_level(mesh, spec)
     checks = build_checks(tables)
     assert mesh.num_elements > 3 * BLOCK
+    # The classification depends on beta only.
+    whole = classify_boundary(mesh, forms_for(mesh, spec.beta))
     for part in ("inflow_edges", "outflow_edges"):
-        assert same_bits(getattr(run.dofmap.classification, part), getattr(dofmap.classification, part))
+        assert same_bits(getattr(classified[0], part), getattr(whole, part))
     assert same_bits(run.dofmap.element_indices, dofmap.element_indices)
     for part in ("element_matrix", "rhs0", "rhs"):
         assert same_bits(getattr(run.system, part), getattr(system, part))
@@ -93,13 +103,22 @@ def _split(name, inside, outside):
     [
         ({"c": _split("c_nan", constant(1.0), constant(float("nan")))}, "element 64"),
         ({"g": _split("g_inf", constant(0.0), constant(float("inf")))}, "edge "),
+        (
+            {
+                "c": _split("c_nan", constant(1.0), constant(float("nan"))),
+                "g": _split("g_inf_below", constant(float("inf")), constant(0.0)),
+            },
+            "element 64",
+        ),
     ],
 )
 def test_non_finite_data_in_a_later_block_names_it_globally(bad, number):
     # c is NaN, or g infinite, above x + y = 1, on elements 64 .. 127 of
     # level 3, which no element of the first two blocks reaches: the
     # blocked run names the same element or edge as the tables of the
-    # whole level.
+    # whole level.  With g infinite below the line too, on inflow edges
+    # of the first block, g is checked only once every block is in, so c
+    # is named, as by the whole level.
     spec = dataclasses.replace(get_experiment("table5").spec, **bad)
     mesh = refined("unit_square", 3)
     blocked = _message(lambda: run_level(mesh, spec))

@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 import pdwg.solver
-from helpers import assembled_matrix, build_level, full_rhs, full_rows, full_vector, lapack_schur, refined, same_bits
+from helpers import (
+    assembled_matrix,
+    build_level,
+    forms_for,
+    full_rhs,
+    full_rows,
+    full_vector,
+    lapack_schur,
+    refined,
+    same_bits,
+)
 from pdwg.analysis import build_checks, conservation_report
-from pdwg.assembly import ProblemSpec, scatter
+from pdwg.assembly import ProblemSpec, classify_boundary, scatter
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, refine_uniform, refinement_depth
@@ -181,10 +191,11 @@ class TestSolve:
         assert abs(recomputed - sol.residual) <= 1e-14
 
     def test_constrained_traces_exactly_zero(self):
-        _, dm, system = unit_problem()
+        mesh, dm, system = unit_problem()
         sol = solve(system)
         outflow = dm.element_indices < 0
-        assert outflow.sum() == dm.dim_lamb * len(dm.classification.outflow_edges) > 0
+        cls = classify_boundary(mesh, forms_for(mesh, constant_vector(1.0, -1.0)))
+        assert outflow.sum() == dm.dim_lamb * len(cls.outflow_edges) > 0
         assert np.all(sol.local[:, dm.dim_lam0 :][outflow] == 0.0)
 
     @pytest.mark.parametrize(

@@ -47,8 +47,9 @@ class TestDofMap:
     def test_invariant_count_formula(self):
         for tag in ("unit_square", "l_shape", "cracked_square"):
             mesh = refined(tag, 2)
-            dm = make_dofmap(mesh)
-            n_out = len(dm.classification.outflow_edges)
+            cls = classify_boundary(mesh, forms_for(mesh, BETA))
+            dm = DofMap(mesh, 1, cls)
+            n_out = len(cls.outflow_edges)
             assert dm.n_lambda == mesh.num_elements * 3 + (mesh.num_edges - n_out) * 2
 
     def test_j0_dimensions(self):
@@ -60,10 +61,11 @@ class TestDofMap:
 
     def test_constrained_edges_have_no_indices(self):
         mesh = refined("unit_square", 1)
-        dm = make_dofmap(mesh)
-        for e in dm.classification.outflow_edges:
+        cls = classify_boundary(mesh, forms_for(mesh, BETA))
+        dm = DofMap(mesh, 1, cls)
+        for e in cls.outflow_edges:
             assert dm.lamb_start[e] == -1
-        outflow = np.isin(mesh.element_edges, dm.classification.outflow_edges)
+        outflow = np.isin(mesh.element_edges, cls.outflow_edges)
         traces = dm.element_indices[:, :-1].reshape(mesh.num_elements, 3, 2)
         assert np.all(traces[outflow] == -1) and np.all(traces[~outflow] >= 0)
         # Each free edge's traces are its db consecutive indices from
