@@ -275,6 +275,27 @@ class TestCli:
         declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
         assert {metric["name"] for metric in declared} <= set(tracer.layer_metrics())
 
+    @pytest.mark.parametrize("workload", ["study_l6", "catalog_sweep"])
+    def test_traced_benchmark_run_ends_in_a_strict_json_result(self, workload):
+        # A traced run exits 0 only when every check passed; its last line
+        # must still be the result, in JSON without NaN or Infinity, with
+        # every per-layer metric of the benchmark present and finite.
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "1"],
+            cwd=root, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in the result line")
+
+        result = json.loads(proc.stdout.splitlines()[-1], parse_constant=refuse)
+        assert result["correct"] is True
+        metrics = result["metrics"]
+        for metric in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]:
+            assert np.isfinite(metrics[metric["name"]]["value"]), metric["name"]
+
     def test_run_demo_emits_field(self, tmp_path):
         rc = main(["run", "--experiment", "fig6", "--levels", "2", "--out", str(tmp_path)])
         assert rc == 0
