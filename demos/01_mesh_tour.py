@@ -1,24 +1,27 @@
 """Tour of the three benchmark domains: coarse meshes, uniform refinement,
-element areas from the element tables, and inflow/outflow classification
-read from a problem's element tables.
+element areas from the element tables of a problem with zero data, and
+inflow/outflow classification read from a problem's element tables.
 
 Run from the repository root:  PYTHONPATH=src python3 demos/01_mesh_tour.py
 """
 
 import numpy as np
 
-from pdwg.assembly import ElementTables, build_contexts, build_forms, classify_boundary
+from pdwg.assembly import ElementTables, ProblemSpec, build_contexts, build_forms, classify_boundary
 from pdwg.catalog import get_experiment
+from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, domain_area, refine_uniform
 
+zero = constant(0.0)
 for tag in ("unit_square", "l_shape", "cracked_square"):
     mesh = build_coarse_mesh(tag)
+    spec = ProblemSpec(beta=constant_vector(1.0, -1.0), c=zero, f=zero, g=zero, tau=0.0, domain_tag=tag)
     print(f"== {tag}")
     for level in range(4):
         T = mesh.num_elements
         E = mesh.num_edges
         B = len(mesh.boundary_edges)
-        area = ElementTables(mesh, j=1).area.sum()
+        area = ElementTables(mesh, spec).area.sum()
         print(
             f"  level {level}: T={T:5d} E={E:5d} B={B:4d}  "
             f"2E-3T-B={2 * E - 3 * T - B}  area={area:.13f} "

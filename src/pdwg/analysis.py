@@ -19,7 +19,7 @@ hold to solver accuracy rather than quadrature accuracy.
 
 Every check is linear or quadratic in one element's row of
 ``Solution.local``, so a level's checks are formed in two steps.
-:func:`build_checks` reads the sampled element tables, and with them the
+:func:`build_checks` reads the element tables, and with them their
 problem (tau, the coefficients and the exact solution), before the
 factor and writes their rows of :class:`LevelChecks`, small per-element
 operators, one element block at a time; each block's tables can then be
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ElementTables
+from .assembly import ElementTables, ProblemSpec
 from .mesh import Mesh
 from .solver import Solution
 
@@ -71,9 +71,9 @@ class ConservationReport:
 
 @dataclass
 class LevelChecks:
-    """The checks of one level as per-element operators on element rows
-    [lam_0 (d0); traces of edges 0, 1, 2 (3 db); u_T], laid out as
-    ``Solution.local``, with phi the trace basis of an edge:
+    """The checks of one level's problem ``spec`` as per-element operators
+    on element rows [lam_0 (d0); traces of edges 0, 1, 2 (3 db); u_T],
+    laid out as ``Solution.local``, with phi the trace basis of an edge:
 
     - the moments of each side's F_h . n against phi on each local edge
       e, (T, 3, db) each: ``flux_trace`` (T, 3, db, db), <phi/h_T, sigma_b>_e
@@ -94,6 +94,7 @@ class LevelChecks:
     """
 
     mesh: Mesh
+    spec: ProblemSpec
     flux_lam0: np.ndarray
     flux_trace: np.ndarray
     flux_u: np.ndarray
@@ -115,9 +116,9 @@ def nodal_interpolant(exact_u, tables: ElementTables) -> np.ndarray:
 
 
 def build_checks(tables: ElementTables, checks: LevelChecks | None = None) -> LevelChecks:
-    """Write the error and conservation operators of the elements of the
-    sampled ``tables`` into their rows of ``checks``, the checks of the
-    tables' level (new ones when None), and return ``checks``; the tables
+    """Write the error and conservation operators of the elements of
+    ``tables`` into their rows of ``checks``, the checks of the tables'
+    level and problem (new ones when None), and return ``checks``; the tables
     of a whole level give its checks in one call, and blocks of it give
     them block by block.  The operators are those of the problem the
     tables hold, formed from their quadrature exactly as the checks are
@@ -140,15 +141,15 @@ def build_checks(tables: ElementTables, checks: LevelChecks | None = None) -> Le
     broadcasts over a short last axis slowly, and the weighted trace
     basis is laid out contiguously, as numpy multiplies the small
     matrices fastest from it.  Raises ValueError for tables of another
-    mesh than ``checks``.
+    level or problem than ``checks``.
     """
     spec, mesh, rows = tables.spec, tables.mesh, tables.rows
     qw, ew, h = tables.qw, tables.ew, tables.diameter
     d0, db = tables.dim_lam0, tables.edge_trace.shape[-1]
     if checks is None:
         checks = _empty_checks(mesh, spec, d0, db)
-    elif checks.mesh is not mesh:
-        raise ValueError("element tables of another mesh cannot be added to these checks")
+    elif checks.mesh is not mesh or checks.spec is not spec:
+        raise ValueError("element tables of another level or problem cannot be added to these checks")
 
     ew_h = ew / h[:, None, None]
     against = np.empty((len(h), 3, db, ew.shape[-1]))
@@ -176,11 +177,12 @@ def build_checks(tables: ElementTables, checks: LevelChecks | None = None) -> Le
     return checks
 
 
-def _empty_checks(mesh: Mesh, spec, d0: int, db: int) -> LevelChecks:
+def _empty_checks(mesh: Mesh, spec: ProblemSpec, d0: int, db: int) -> LevelChecks:
     """The unwritten checks of ``spec`` on ``mesh`` for :func:`build_checks`."""
     T = mesh.num_elements
     checks = LevelChecks(
         mesh=mesh,
+        spec=spec,
         flux_lam0=np.empty((T, 3, db, d0 - 1)),
         flux_trace=np.empty((T, 3, db, db)),
         flux_u=np.empty((T, 3, db)),
@@ -225,7 +227,7 @@ def error_norms(solution: Solution, checks: LevelChecks) -> ErrorReport:
 def triple_norm_Wh(lam: np.ndarray, tables: ElementTables) -> float:
     """Multiplier seminorm of a weak function given as element rows
     [lam_0; traces of edges 0, 1, 2], shape (T, n_loc), on the mesh of
-    the sampled ``tables``, with their problem's beta, c and tau:
+    ``tables``, with their problem's beta, c and tau:
 
         ( sum_T 1/h_T ||lam_0 - lam_b||_{dT}^2
               + tau ||beta.grad(lam_0) - c lam_0||_T^2 )^(1/2),

@@ -22,8 +22,8 @@ traces eliminated, and is kept as those element matrices: :func:`scatter`
 sums them into a sparse matrix only when one is read.
 
 Every local form is evaluated for a block of elements at once from one
-set of element tables (:class:`ElementTables`), which compute the
-geometry of those elements and keep the problem they were sampled from.
+set of element tables (:class:`ElementTables`), built for one problem:
+the geometry of those elements and the problem's coefficients on them.
 :func:`build_forms` writes a block's element matrices and loads, over
 the same element rows, into the level's :class:`LevelForms`: a boundary
 edge's class and inflow load depend on its one element only.  Boundary
@@ -146,9 +146,9 @@ class SaddleSystem:
 
 
 class ElementTables:
-    """Geometry, quadrature, basis and coefficient tables of the elements
-    ``rows`` of a mesh (a slice; all of them by default), and the problem
-    they were sampled from.
+    """Geometry, quadrature, basis and coefficient tables of the problem
+    ``spec`` on the elements ``rows`` of a mesh (a slice; all of them by
+    default), kept as ``spec``.
 
     Every array has a leading axis over those T elements, row t being
     element ``rows.start + t`` of the mesh, so each local form is one array
@@ -157,11 +157,10 @@ class ElementTables:
     so a block holds all of this for its elements only, a few MB, and its
     element work stays in cache; tests and the projection take the tables
     of a whole level.  The quadrature is fixed: the
-    interior rule is exact to degree 2j+4 and the edge rule has five Gauss
-    points.  The multiplier degree j is 0 or 1; any other j raises
-    ValueError, and an element of non-positive area raises MeshError
-    naming it by its number in the mesh.  With nq interior and ne edge
-    quadrature points, d0 = dim P_j(T) and db = dim P_j(e):
+    interior rule is exact to degree 2j+4, j = ``spec.j``, and the edge
+    rule has five Gauss points.  An element of non-positive area raises
+    MeshError naming it by its number in the mesh.  With nq interior and
+    ne edge quadrature points, d0 = dim P_j(T) and db = dim P_j(e):
 
     - ``area``, ``diameter`` (longest edge) (T,), ``centroid`` (T, 2), and
       ``normals`` (T, 3, 2), the outward unit normals in local edge order
@@ -171,22 +170,26 @@ class ElementTables:
       orientation
     - ``G`` (T, 2, n_loc), the weak gradient: for k=1 its range is the
       constants, so G = (1/|T|) sum_e <lam_b, n>_e with a zero interior block
+    - the coefficients at the interior quadrature points, ``beta_q``
+      (T, nq, 2), ``c_q`` and ``f_q`` (T, nq), each resolved per element
+      by the leaf holding its centroid; a derived load is formed from the
+      sampled beta and c with div(beta) of the element's leaf and u,
+      grad(u) pointwise.  A non-finite sample raises ValueError naming
+      the field and the element
+    - ``beta_int`` (T, 2), the integral of beta over the element, and
+      ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is
+      not kept there), which the forms (the boundary edges' class too)
+      and the conservation check read.
 
-    :meth:`sample` keeps the problem as ``spec`` (ValueError until then)
-    and adds its coefficients at the interior quadrature points: ``beta_q``
-    (T, nq, 2), ``c_q`` and ``f_q`` (T, nq).  It also computes, once,
-    ``beta_int`` (T, 2), the integral of beta over the element, and
-    ``beta_n`` (T, 3, ne), beta . n at the edge points (beta itself is not
-    kept there), which the forms (the boundary edges' class too) and the
-    conservation check read.  The forms and the analysis read tau, g and
-    the exact solution from ``spec``.
+    The forms and the analysis read tau, g and the exact solution from
+    ``spec``.
     """
 
-    def __init__(self, mesh: Mesh, j: int, rows: slice = slice(None)):
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, rows: slice = slice(None)):
         self.mesh = mesh
-        self.j = j
+        self.spec = spec
         self.rows = slice(*rows.indices(mesh.num_elements))
-        self._spec: ProblemSpec | None = None
+        j = spec.j
         coords = mesh.vertices[mesh.elements[self.rows]]  # (T, 3, 2)
         T = len(coords)
         self.area = 0.5 * (
@@ -238,30 +241,7 @@ class ElementTables:
             / self.area[:, None, None]
         )
 
-    @property
-    def dim_lam0(self) -> int:
-        return self.lam0.shape[-1]
-
-    @property
-    def n_loc(self) -> int:
-        return self.G.shape[-1]
-
-    @property
-    def spec(self) -> ProblemSpec:
-        if self._spec is None:
-            raise ValueError("element table coefficients were never sampled; build tables with build_contexts")
-        return self._spec
-
-    def sample(self, spec: ProblemSpec) -> "ElementTables":
-        """Keep ``spec`` and evaluate its beta, c and f at the quadrature
-        points, each resolved per element by the leaf holding its
-        centroid; a derived load is formed from the sampled beta and c
-        with div(beta) of the element's leaf and u, grad(u) pointwise.
-        Raises ValueError naming both degrees for a spec whose j is not
-        the tables' degree, and naming the field and element of the first
-        non-finite sample."""
-        if spec.j != self.j:
-            raise ValueError(f"a problem of degree j={spec.j} cannot be sampled on element tables of degree j={self.j}")
+        # The problem's coefficients, each in the leaf of the element's centroid.
         cx, cy = self.centroid.T
         x, y = self.qpts[..., 0], self.qpts[..., 1]
         beta_branch = spec.beta.branch_index(cx, cy)
@@ -286,8 +266,14 @@ class ElementTables:
             _require_finite(name, values, "element", elements)
         self.beta_int = np.einsum("tq,tqc->tc", self.qw, self.beta_q)
         self.beta_n = np.einsum("tiqc,tic->tiq", beta_e, self.normals)
-        self._spec = spec
-        return self
+
+    @property
+    def dim_lam0(self) -> int:
+        return self.lam0.shape[-1]
+
+    @property
+    def n_loc(self) -> int:
+        return self.G.shape[-1]
 
     def adjoint(self) -> np.ndarray:
         """beta.grad(sigma_0) - c sigma_0 for the interior basis at the
@@ -385,13 +371,12 @@ def scatter(blocks: np.ndarray, idx: np.ndarray, n: int) -> sparse.csc_matrix:
 
 
 def build_contexts(mesh: Mesh, spec: ProblemSpec, rows: slice | None = None) -> ElementTables:
-    """Element tables with the problem's coefficients sampled: the one
-    pass over the geometry and coefficients of a level, or of its element
-    block ``rows``, that the checks, classification and assembly read.
-    The tables of a whole level, once sampled, warn with
-    :func:`warn_straddling`; a caller that builds a level block by block
-    warns once per level itself."""
-    tables = ElementTables(mesh, spec.j, slice(None) if rows is None else rows).sample(spec)
+    """The element tables of ``spec`` on a level, or on its element block
+    ``rows``: the one pass over the geometry and coefficients that the
+    checks, classification and assembly read.  The tables of a whole
+    level warn with :func:`warn_straddling`; a caller that builds a level
+    block by block warns once per level itself."""
+    tables = ElementTables(mesh, spec, slice(None) if rows is None else rows)
     if rows is None:
         warn_straddling(mesh, spec)
     return tables
@@ -401,17 +386,19 @@ def warn_straddling(mesh: Mesh, spec: ProblemSpec) -> None:
     """Warn once for each piecewise beta, c or f of ``spec`` (f not
     derived from the exact solution) with elements of ``mesh`` whose
     corners lie in another leaf than the centroid that
-    :meth:`ElementTables.sample` resolves them by, naming the field, the
-    first such element and their count."""
-    for name, field in (("beta", spec.beta), ("c", spec.c), ("f", spec.f)):
-        if isinstance(field, DerivedLoad) or len(field.branches) == 1:
-            continue
-        coords = mesh.vertices[mesh.elements]
-        # The tables' centroid expression, so each element takes the same
-        # leaf; each corner is probed just inside, so vertices sitting
-        # exactly on an aligned branch interface do not count.
-        centroid = (coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3
-        probes = coords + 1e-6 * (centroid[:, None] - coords)
+    :class:`ElementTables` resolves them by, naming the field, the first
+    such element and their count."""
+    named = (("beta", spec.beta), ("c", spec.c), ("f", spec.f))
+    fields = [(name, field) for name, field in named if not isinstance(field, DerivedLoad) and len(field.branches) > 1]
+    if not fields:
+        return
+    coords = mesh.vertices[mesh.elements]
+    # The tables' centroid expression, so each element takes the same
+    # leaf; each corner is probed just inside, so vertices sitting
+    # exactly on an aligned branch interface do not count.
+    centroid = (coords[:, 0] + coords[:, 1] + coords[:, 2]) / 3
+    probes = coords + 1e-6 * (centroid[:, None] - coords)
+    for name, field in fields:
         corner = field.branch_index(probes[..., 0], probes[..., 1])
         bad = np.flatnonzero((corner != field.branch_index(*centroid.T)[:, None]).any(axis=1))
         if len(bad):
@@ -446,8 +433,8 @@ class LevelForms:
 
 def build_forms(tables: ElementTables, forms: LevelForms | None = None) -> LevelForms:
     """Write the element matrices, loads and inflow marks of the elements
-    of the sampled ``tables`` into their rows of ``forms``, and return
-    ``forms``: the forms of the tables' level, new ones when None.  A
+    of ``tables`` into their rows of ``forms``, and return ``forms``: the
+    forms of the tables' level and problem, new ones when None.  A
     boundary edge is inflow where beta . n < -``CLASSIFY_EPS`` at its
     midpoint, the middle node of the edge rule, with beta in the leaf of
     its element and that element's outward normal, else outflow

@@ -130,8 +130,8 @@ class DerivedLoad:
 
         f = beta . grad(u) + u div(beta) + c u,
 
-    formed by ``ElementTables.sample`` from the sampled beta and c of
-    each element's leaves, u and grad(u) pointwise.  ``ProblemSpec``
+    formed by ``ElementTables`` from the sampled beta and c of each
+    element's leaves, u and grad(u) pointwise.  ``ProblemSpec``
     checks that every leaf of ``exact`` has a gradient and every leaf of
     beta a divergence.
     """

@@ -22,7 +22,7 @@ for all vector polynomials psi of degree r.  For k=1 the range is the
 constants, so grad_w v = (1/|T|) <vb, n>_{dT}; the element tables of
 :mod:`pdwg.assembly` hold this closed form for every element.  The
 projection and the commutativity check take those tables from the
-caller, sampled or not; this module builds none of its own.
+caller, whatever their problem; this module builds none of its own.
 """
 
 from __future__ import annotations
@@ -150,10 +150,10 @@ def _l2(V, weights, w, pts) -> np.ndarray:
 
 def project_to_weak(w, tables) -> np.ndarray:
     """Componentwise L2 projection of a smooth function into the weak
-    space of the element tables ``tables``, sampled or not, as element
-    rows [lam_0; traces of edges 0, 1, 2], shape (T, n_loc): interior
-    projections onto P_j(T) and trace projections onto P_j(e) in each
-    edge's own orientation, all elements and edges in one batch, on the
+    space of the element tables ``tables``, whatever their problem, as
+    element rows [lam_0; traces of edges 0, 1, 2], shape (T, n_loc):
+    interior projections onto P_j(T) and trace projections onto P_j(e) in
+    each edge's own orientation, all elements and edges in one batch, on the
     fixed quadrature of the tables.  Each mesh edge is projected once, on
     its first incident element's edge table, so both elements of an
     interior edge hold the same trace."""
@@ -172,8 +172,8 @@ def commutativity_check(w, grad_w, tables) -> float:
     where the first term applies the discrete weak gradient to the
     projected weak function and the second projects the analytic gradient
     onto the constants (degree k-1 = 0), on the mesh and quadrature of the
-    element tables ``tables``, sampled or not.  Vanishes to quadrature
-    accuracy for j in {k-1, k}, the degrees the tables accept.
+    element tables ``tables``, whatever their problem.  Vanishes to
+    quadrature accuracy for j in {k-1, k}, the degrees a problem takes.
     """
     lhs = np.einsum("tcn,tn->tc", tables.G, project_to_weak(w, tables))
     x, y = tables.qpts[..., 0], tables.qpts[..., 1]

@@ -14,8 +14,8 @@ import numpy as np
 
 import pdwg.assembly
 from pdwg.analysis import ConservationReport, ErrorReport, nodal_interpolant
-from pdwg.assembly import ProblemSpec, assemble, build_contexts, build_forms, classify_boundary
-from pdwg.fields import constant
+from pdwg.assembly import ElementTables, ProblemSpec, assemble, build_contexts, build_forms, classify_boundary
+from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.poly import EdgeBasis, TriBasis, quad_edge, quad_triangle
 from pdwg.weakspace import DofMap
@@ -29,12 +29,19 @@ def refined(tag, level):
     return mesh
 
 
+def tables_for(mesh, beta=constant_vector(1.0, -1.0), j=1):
+    """Element tables of degree ``j`` of ``mesh`` for the convection
+    ``beta`` with zero data: the geometry, quadrature and bases that the
+    projection and the weak gradient read, with no straddling warning."""
+    zero = constant(0.0)
+    spec = ProblemSpec(beta=beta, c=zero, f=zero, g=zero, tau=0.0, domain_tag=mesh.domain_tag, j=j)
+    return ElementTables(mesh, spec)
+
+
 def forms_for(mesh, beta):
     """Element forms of ``mesh`` for the convection ``beta`` with zero
     data, enough to classify its boundary."""
-    zero = constant(0.0)
-    spec = ProblemSpec(beta=beta, c=zero, f=zero, g=zero, tau=0.0, domain_tag=mesh.domain_tag)
-    return build_forms(build_contexts(mesh, spec))
+    return build_forms(tables_for(mesh, beta))
 
 
 def build_level(mesh, spec):

@@ -8,8 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import assembled_matrix, build_level, full_indices, map_to_edge, refined
-from pdwg.assembly import ElementTables
+from helpers import assembled_matrix, build_level, full_indices, map_to_edge, refined, tables_for
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import main
 from pdwg.mesh import build_coarse_mesh, refine_uniform
@@ -122,7 +121,7 @@ def _identity_residual(mesh):
     basis_e = EdgeBasis(1)
     erule = quad_edge(9)
     worst = 0.0
-    geom = ElementTables(mesh, 1)
+    geom = tables_for(mesh)
     G = geom.G
     for t in range(mesh.num_elements):
         lhs = geom.area[t] * G[t]
@@ -167,7 +166,7 @@ def test_criterion_5_weak_gradient_properties():
         )
         if not axis:
             local[3 + 2 * i] = 1.0
-    hyp = ElementTables(mesh, 1).G[t] @ local
+    hyp = tables_for(mesh).G[t] @ local
     hyp_err = float(np.max(np.abs(hyp - 2.0)))
 
     mesh1 = refined("unit_square", 1)
@@ -175,12 +174,12 @@ def test_criterion_5_weak_gradient_properties():
     res_lin = commutativity_check(
         lambda x, y: 1.0 + 2.0 * x - 3.0 * y,
         lambda x, y: (2.0 * ones(x), -3.0 * ones(x)),
-        ElementTables(mesh1, 1),
+        tables_for(mesh1),
     )
     res_sq = commutativity_check(
         lambda x, y: x**2,
         lambda x, y: (2.0 * np.asarray(x, dtype=float), 0.0 * ones(x)),
-        ElementTables(mesh1, 1),
+        tables_for(mesh1),
     )
     ok = (
         worst_identity <= 1e-12

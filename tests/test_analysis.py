@@ -24,8 +24,9 @@ from helpers import (
     full_indices,
     refined,
     same_bits,
+    tables_for,
 )
-from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
+from pdwg.assembly import ProblemSpec, build_contexts
 from pdwg.catalog import catalog, get_experiment
 from pdwg.fields import constant, constant_vector
 from pdwg.mesh import build_coarse_mesh
@@ -56,20 +57,20 @@ def solved_unit_problem(level=2, tau=1.0, domain="unit_square"):
 class TestNodalInterpolant:
     def test_constant(self):
         mesh = refined("unit_square", 1)
-        interp = nodal_interpolant(lambda x, y: np.ones_like(x), ElementTables(mesh, 1))
+        interp = nodal_interpolant(lambda x, y: np.ones_like(x), tables_for(mesh))
         assert interp.shape == (mesh.num_elements,)
         assert np.allclose(interp, 1.0)
 
     def test_linear_is_centroid_value(self):
         mesh = build_coarse_mesh("unit_square")
-        interp = nodal_interpolant(lambda x, y: x, ElementTables(mesh, 1))
+        interp = nodal_interpolant(lambda x, y: x, tables_for(mesh))
         for t in range(mesh.num_elements):
             cx = mesh.vertices[mesh.elements[t]].mean(axis=0)[0]
             assert interp[t] == pytest.approx(cx, abs=1e-15)
 
     def test_smooth_sample(self):
         mesh = refined("unit_square", 2)
-        interp = nodal_interpolant(lambda x, y: np.sin(x) * np.cos(y), ElementTables(mesh, 1))
+        interp = nodal_interpolant(lambda x, y: np.sin(x) * np.cos(y), tables_for(mesh))
         c = mesh.vertices[mesh.elements[5]].mean(axis=0)
         assert interp[5] == pytest.approx(math.sin(c[0]) * math.cos(c[1]))
 
@@ -97,8 +98,6 @@ class TestErrorNorms:
         bare = make_spec()
         with pytest.raises(ValueError, match="exact solution"):
             error_norms(sol, build_checks(build_contexts(checks.mesh, bare)))
-        with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            build_checks(ElementTables(checks.mesh, 1))
 
 
 class TestTripleNormWh:

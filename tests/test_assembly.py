@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assembled_matrix, build_level, forms_for, full_indices, full_rhs, refined, same_bits
+from helpers import assembled_matrix, build_level, forms_for, full_indices, full_rhs, refined, same_bits, tables_for
+from pdwg.analysis import build_checks
 from pdwg.assembly import (
     EDGE_MIDPOINT,
-    ElementTables,
     ProblemSpec,
     assemble,
     build_contexts,
@@ -83,7 +83,7 @@ def corner_element(mesh):
 
 def local_coeffs_interior_x(mesh, t):
     """Local multiplier coefficients for lam0 = x = x_c + h_T X, lam_b = 0."""
-    tables = ElementTables(mesh, 1)
+    tables = tables_for(mesh)
     return np.concatenate([[tables.centroid[t, 0], tables.diameter[t], 0.0], np.zeros(6)])
 
 
@@ -200,7 +200,7 @@ class TestLocalBForm:
         sigma = np.zeros(9)
         sigma[0] = 1.0
         sigma[3::2] = 1.0
-        area = ElementTables(mesh, 1).area[t]
+        area = tables_for(mesh).area[t]
         assert sigma @ B == pytest.approx(-area, abs=1e-13)
 
 
@@ -333,7 +333,7 @@ class TestAssemble:
         mesh = refined(spec.domain_tag, 1)
         from pdwg.weakspace import project_to_weak
 
-        lam = project_to_weak(lambda x, y: x + y, ElementTables(mesh, 1))
+        lam = project_to_weak(lambda x, y: x + y, tables_for(mesh))
         # the kernel statement needs the full function, outflow traces
         # included, so assemble on an all-inflow classification that
         # constrains no trace
@@ -373,19 +373,22 @@ class TestAssemble:
         with pytest.raises(ValueError, match="element forms were built for a different mesh"):
             assemble(other, dm, forms)
         cls = classify_boundary(mesh, forms_for(mesh, spec.beta))
-        with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            build_forms(ElementTables(mesh, 1))
         with pytest.raises(ValueError, match="another level or problem"):
             build_forms(build_contexts(other, spec), forms)
+        with pytest.raises(ValueError, match="another level or problem"):
+            build_checks(build_contexts(other, spec), build_checks(build_contexts(mesh, spec)))
+        # Blocks 0-3 and 4-7 of two problems on one mesh: table6 (tau = 0)
+        # has no tau operator for table5's block, and table5 and fig1_tau1
+        # (both tau = 1) would mix their operators.
+        for first, second in (("table6", "table5"), ("table5", "fig1_tau1")):
+            a = build_contexts(mesh, get_experiment(first).spec, slice(0, 4))
+            b = build_contexts(mesh, get_experiment(second).spec, slice(4, 8))
+            with pytest.raises(ValueError, match="another level or problem"):
+                build_forms(b, build_forms(a))
+            with pytest.raises(ValueError, match="another level or problem"):
+                build_checks(b, build_checks(a))
         with pytest.raises(ValueError, match="tables of degree j=1 .* dofmap of degree j=0"):
             assemble(mesh, DofMap(mesh, 0, cls), forms)
-
-    def test_sample_rejects_a_problem_of_another_degree(self):
-        mesh = refined("unit_square", 1)
-        with pytest.raises(ValueError, match="degree j=1 .* tables of degree j=0"):
-            ElementTables(mesh, 0).sample(make_spec(j=1))
-        with pytest.raises(ValueError, match="degree j=0 .* tables of degree j=1"):
-            ElementTables(mesh, 1).sample(make_spec(j=0))
 
     def test_one_pair_derived_load_equals_the_masked_path(self):
         # One (beta, c) pair holds every element, so f is evaluated once on
@@ -484,18 +487,20 @@ class TestAssemble:
         with pytest.warns(UserWarning, match="straddles a branch boundary of the piecewise field beta "):
             build_contexts(mesh, spec)
 
-    @pytest.mark.parametrize("name", ["c", "f"])
-    def test_straddling_piecewise_c_or_f_warns(self, name):
+    @pytest.mark.parametrize("names", [("c",), ("f",), ("c", "f")], ids="-".join)
+    def test_straddling_piecewise_c_or_f_warns(self, names):
         # x = 0.3 is no mesh line at level 2: it cuts the 8 elements of
-        # the column 0.25 < x < 0.5
+        # the column 0.25 < x < 0.5; each straddling field warns once, in
+        # the order beta, c, f
         split = Piecewise("off_line", pieces=((HalfPlane(1.0, 0.0, 0.3), constant(1.0)),), otherwise=constant(2.0))
-        spec = dataclasses.replace(make_spec(), **{name: split})
+        spec = dataclasses.replace(make_spec(), **dict.fromkeys(names, split))
         with pytest.warns(UserWarning) as record:
             build_contexts(refined("unit_square", 2), spec)
-        assert len(record) == 1
-        assert f"straddles a branch boundary of the piecewise field {name} (8 elements in all)" in str(
-            record[0].message
-        )
+        assert len(record) == len(names)
+        for name, warning in zip(names, record):
+            assert f"straddles a branch boundary of the piecewise field {name} (8 elements in all)" in str(
+                warning.message
+            )
 
     def test_nested_piecewise_c_takes_one_leaf_per_element_and_warns(self):
         # Below the mesh line x + y = 1, c splits again at x = 0.3, which is

@@ -13,8 +13,8 @@ from pdwg.fields import (
     field_from_config,
     rotation,
 )
-from helpers import refined, same_bits
-from pdwg.assembly import ElementTables, ProblemSpec, build_contexts
+from helpers import refined, same_bits, tables_for
+from pdwg.assembly import ProblemSpec, build_contexts
 
 
 def derived_spec(exact, beta=constant_vector(1.0, -1.0), c=constant(1.0)):
@@ -109,7 +109,7 @@ class TestEvaluateBranches:
     )
     def test_one_branch_equals_the_masked_path(self, field, method):
         # Strided quadrature coordinates, as the element tables pass them.
-        tables = ElementTables(refined("l_shape", 2), 1)
+        tables = tables_for(refined("l_shape", 2))
         x, y = tables.qpts[..., 0], tables.qpts[..., 1]
         idx = np.zeros((len(x), 1), dtype=np.intp)
         fast = evaluate_branches((field,), idx, x, y, method)

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -276,11 +277,16 @@ class TestCli:
         assert {metric["name"] for metric in declared} <= set(tracer.layer_metrics())
 
     @pytest.mark.parametrize("workload", ["study_l6", "catalog_sweep"])
-    def test_traced_benchmark_run_ends_in_a_strict_json_result(self, workload):
+    def test_traced_benchmark_run_ends_in_a_strict_json_result(self, workload, tmp_path):
         # A traced run exits 0 only when every check passed; its last line
         # must still be the result, in JSON without NaN or Infinity, with
-        # every per-layer metric of the benchmark present and finite.
-        root = Path(__file__).resolve().parents[1]
+        # every per-layer metric of the benchmark present and finite.  It
+        # runs on a copy of the benchmark and the sources, which it finds
+        # from its own location, so its output stays out of the checkout.
+        repo, root = Path(__file__).resolve().parents[1], tmp_path / "checkout"
+        for part in ("perfbench", "src"):
+            shutil.copytree(repo / part, root / part, ignore=shutil.ignore_patterns("__pycache__", "out"))
+        shutil.copy(repo / "BENCHMARK.json", root)
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", "--trace", "1"],
             cwd=root, capture_output=True, text=True, timeout=300,

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import forms_for, refined, same_bits
-from pdwg.assembly import EDGE_QUAD_DEGREE, ElementTables, build_forms, classify_boundary
+from helpers import forms_for, refined, same_bits, tables_for
+from pdwg.assembly import EDGE_QUAD_DEGREE, classify_boundary
 from pdwg.fields import constant_vector, rotation
 from pdwg.mesh import (
     DOMAIN_TAGS,
@@ -104,15 +104,15 @@ class TestRefinement:
     def test_area_preserved(self, tag):
         mesh = build_coarse_mesh(tag)
         for level in range(6):
-            total = ElementTables(mesh, 1).area.sum()
+            total = tables_for(mesh).area.sum()
             assert abs(total - domain_area(tag)) < 1e-13, f"level {level}"
             mesh = refine_uniform(mesh)
 
     def test_h_halves_exactly(self):
         coarse = build_coarse_mesh("unit_square")
         fine = refine_uniform(coarse)
-        h_coarse = ElementTables(coarse, 1).diameter.max()
-        h_fine = ElementTables(fine, 1).diameter.max()
+        h_coarse = tables_for(coarse).diameter.max()
+        h_fine = tables_for(fine).diameter.max()
         assert h_fine == pytest.approx(0.5 * h_coarse, abs=1e-15)
 
     def test_crack_midpoint_duplicated(self):
@@ -236,7 +236,7 @@ class TestVectorizedTopology:
 class TestElementGeometry:
     def test_reference_like_element(self):
         mesh = build_coarse_mesh("unit_square")
-        geom = ElementTables(mesh, 1)
+        geom = tables_for(mesh)
         assert geom.area[0] == pytest.approx(0.5)
         assert geom.diameter[0] == pytest.approx(np.sqrt(2.0))
         assert np.allclose(geom.centroid[0], mesh.vertices[mesh.elements[0]].mean(axis=0))
@@ -244,7 +244,7 @@ class TestElementGeometry:
     @pytest.mark.parametrize("tag", DOMAIN_TAGS)
     def test_closed_polygon(self, tag):
         mesh = refined(tag, 2)
-        geom = ElementTables(mesh, 1)
+        geom = tables_for(mesh)
         coords = mesh.vertices[mesh.elements]
         sides = np.roll(coords, -1, axis=1) - coords
         edge_lengths = np.hypot(sides[..., 0], sides[..., 1])
@@ -255,13 +255,13 @@ class TestElementGeometry:
 
     def test_level1_child_area(self):
         mesh = refined("unit_square", 1)
-        area = ElementTables(mesh, 1).area
+        area = tables_for(mesh).area
         for t in range(mesh.num_elements):
             assert area[t] == pytest.approx(0.125)
 
     def test_normals_point_outward(self):
         mesh = build_coarse_mesh("l_shape")
-        geom = ElementTables(mesh, 1)
+        geom = tables_for(mesh)
         for t in range(mesh.num_elements):
             coords = mesh.vertices[mesh.elements[t]]
             for i in range(3):
@@ -276,7 +276,7 @@ class TestElementGeometry:
         mesh = refined("l_shape", 2)
         rng = np.random.default_rng(3)
         mesh = replace(mesh, vertices=mesh.vertices + 0.01 * rng.standard_normal(mesh.vertices.shape))
-        tables = ElementTables(mesh, j)
+        tables = tables_for(mesh, j=j)
         coords = mesh.vertices[mesh.elements]
         sides = np.roll(coords, -1, axis=1) - coords
         lengths = np.hypot(sides[..., 0], sides[..., 1])
@@ -371,8 +371,6 @@ class TestClassifyBoundary:
         other = build_coarse_mesh("unit_square")
         with pytest.raises(ValueError, match="different mesh"):
             classify_boundary(mesh, forms_for(other, BETA_DOWN_RIGHT))
-        with pytest.raises(ValueError, match="never sampled.*build_contexts"):
-            classify_boundary(mesh, build_forms(ElementTables(mesh, 1)))
 
 
 def test_classification_matches_pointwise_reference():
@@ -385,7 +383,7 @@ def test_classification_matches_pointwise_reference():
     )
     mesh = refined("cracked_square", 2)
     cls = classify_boundary(mesh, forms_for(mesh, beta))
-    geom = ElementTables(mesh, 1)
+    geom = tables_for(mesh)
     inflow = []
     for e in mesh.boundary_edges:
         t = int(mesh.edge_elems[e, 0])

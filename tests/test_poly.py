@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import refined, same_bits
-from pdwg.assembly import ElementTables
+from helpers import refined, same_bits, tables_for
 from pdwg.mesh import build_coarse_mesh
 from pdwg.poly import EdgeBasis, TriBasis, dim_poly2d, quad_edge, quad_triangle
 from pdwg.weakspace import project_to_weak
@@ -26,7 +25,7 @@ def reference_tables(degree, scale=1.0):
     mesh = dataclasses.replace(mesh, vertices=scale * mesh.vertices)
     assert np.array_equal(mesh.vertices[mesh.elements[0]], scale * REF)
     assert mesh.element_edges[0, 0] == 0 and list(mesh.edges[0]) == [0, 1]
-    return ElementTables(mesh, degree)
+    return tables_for(mesh, j=degree)
 
 
 def ref_monomial_integral(a, b):
@@ -112,7 +111,7 @@ class TestTriBasis:
     def test_mass_matrix_conditioning(self, level):
         # scaled monomials keep kappa under 100 for degree <= 1 at any size;
         # the mass matrices are those project_to_weak solves with
-        tables = ElementTables(refined("unit_square", level), 1)
+        tables = tables_for(refined("unit_square", level))
         M = np.swapaxes(tables.lam0, 1, 2) @ (tables.qw[..., None] * tables.lam0)
         assert np.allclose(M, np.swapaxes(M, 1, 2))
         assert np.all(np.linalg.eigvalsh(M) > 0)
@@ -181,7 +180,7 @@ class TestEdgeProjection:
     @staticmethod
     def project(f, tables):
         d0 = tables.dim_lam0
-        return project_to_weak(f, tables)[0, d0 : d0 + tables.j + 1]
+        return project_to_weak(f, tables)[0, d0 : d0 + tables.edge_trace.shape[-1]]
 
     def test_constant_exact(self):
         coeffs = self.project(lambda x, y: 4.0 + 0 * x, reference_tables(1, scale=2.0))
@@ -215,7 +214,7 @@ def test_tri_area_and_diameter():
     # element 0 of the coarse unit square is the reference triangle
     mesh = build_coarse_mesh("unit_square")
     assert np.array_equal(mesh.vertices[mesh.elements[0]], REF)
-    geom = ElementTables(mesh, 1)
+    geom = tables_for(mesh)
     assert geom.area[0] == pytest.approx(0.5)
     assert geom.diameter[0] == pytest.approx(np.sqrt(2.0))
     assert longest_edge(REF) == geom.diameter[0]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import forms_for, map_to_edge, project_edge, project_element, refined, same_bits
+from helpers import forms_for, map_to_edge, project_edge, project_element, refined, same_bits, tables_for
 from pdwg.fields import constant_vector
-from pdwg.assembly import ElementTables, classify_boundary
+from pdwg.assembly import classify_boundary
 from pdwg.catalog import catalog
 from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.poly import EdgeBasis, TriBasis, quad_edge
@@ -135,7 +135,7 @@ class TestWeakGradient:
     def test_gradient_of_h1_linear_is_classical(self):
         # v0 = x with matching trace: grad_w v = (1, 0) on any triangle
         mesh = refined("l_shape", 1)
-        tables = ElementTables(mesh, 1)
+        tables = tables_for(mesh)
         for t in [0, 3, mesh.num_elements - 1]:
             G = tables.G[t]
             # x = x_c + h_T X in the scaled basis {1, X, Y}
@@ -158,7 +158,7 @@ class TestWeakGradient:
         mesh = build_coarse_mesh("unit_square")
         t = find_reference_like_element(mesh)
         coords = coords_of(mesh, t)
-        G = ElementTables(mesh, 1).G[t]
+        G = tables_for(mesh).G[t]
         local = np.zeros(3 + 3 * 2)
         for i in range(3):
             a = coords[i]
@@ -173,7 +173,7 @@ class TestWeakGradient:
 
     def test_constant_weak_function_has_zero_gradient(self):
         mesh = refined("unit_square", 1)
-        tables = ElementTables(mesh, 1)
+        tables = tables_for(mesh)
         for t in range(mesh.num_elements):
             G = tables.G[t]
             local = np.zeros(9)
@@ -192,7 +192,7 @@ class TestWeakGradient:
         basis_e = EdgeBasis(1)
         erule = quad_edge(9)
         worst = 0.0
-        tables = ElementTables(mesh, 1)
+        tables = tables_for(mesh)
         for t in range(mesh.num_elements):
             G = tables.G[t]
             # r=0: psi in {(1,0),(0,1)}, div psi = 0
@@ -219,7 +219,7 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: 2.0 * x - y + 0.5,
             lambda x, y: (np.full_like(np.asarray(x, float), 2.0), np.full_like(np.asarray(x, float), -1.0)),
-            ElementTables(mesh, 1),
+            tables_for(mesh),
         )
         assert res <= 1e-11
 
@@ -229,11 +229,11 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: x**2,
             lambda x, y: (2.0 * np.asarray(x, float), np.zeros_like(np.asarray(x, float))),
-            ElementTables(mesh, 1),
+            tables_for(mesh),
         )
         assert res <= 1e-12
 
-        tables = ElementTables(mesh, 1)
+        tables = tables_for(mesh)
         proj = project_to_weak(lambda x, y: x**2, tables)
         t = 0
         G = tables.G[t]
@@ -245,7 +245,7 @@ class TestWeakGradient:
         res = commutativity_check(
             lambda x, y: np.sin(x) * np.cos(y),
             lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)),
-            ElementTables(mesh, 1),
+            tables_for(mesh),
         )
         assert res <= 1e-10
 
@@ -258,7 +258,7 @@ class TestWeakGradient:
             return np.sin(3.0 * x) * np.exp(y) + x * y
 
         # The element tables integrate on the interior rule of exactness 2j+4.
-        proj = project_to_weak(w, ElementTables(mesh, j))
+        proj = project_to_weak(w, tables_for(mesh, j=j))
         lam0 = np.array([project_element(w, j, coords_of(mesh, t), 2 * j + 4) for t in range(mesh.num_elements)])
         lamb = np.array([project_edge(w, j, *mesh.vertices[mesh.edges[e]]) for e in range(mesh.num_edges)])
         traces = lamb[mesh.element_edges].reshape(mesh.num_elements, -1)
@@ -274,9 +274,4 @@ class TestWeakGradient:
         for k in (0, 1):
             sides.append(rows[mesh.edge_elems[interior, k], mesh.edge_local[interior, k]])
         assert len(interior) and np.array_equal(sides[0], sides[1])
-
-    def test_commutativity_requires_j_at_least_k_minus_1(self):
-        mesh = build_coarse_mesh("unit_square")
-        with pytest.raises(ValueError):
-            commutativity_check(lambda x, y: x, lambda x, y: (1.0, 0.0), ElementTables(mesh, -1))
 
