@@ -5,45 +5,53 @@ of s(.,.) is a d0 x d0 symmetric positive definite block per element (a
 P_j polynomial that vanishes on all of dT is zero, so this holds for
 tau = 0 too), and its rows of b(.,.) touch only that element's u_T.
 ``solve`` therefore eliminates lam_0 element by element (static
-condensation), factors the Schur complement over [lam_b; u] with a sparse
-LU (SuperLU, threshold pivoting) in single precision, refines its
-solution in double, and recovers lam_0 locally.  The interior block has
-d0 = 1 (j = 0) or d0 = 3 (j = 1) unknowns; it is inverted in closed form
-(d0 = 1) or by an L D L^T factorization written out over the element
-axis (d0 = 3), where a pivot that is not positive and finite raises
-:class:`SolverError` naming its element.
+condensation).  The interior block has d0 = 1 (j = 0) or d0 = 3 (j = 1)
+unknowns; it is inverted in closed form (d0 = 1) or by an L D L^T
+factorization written out over the element axis (d0 = 3), where a pivot
+that is not positive and finite raises :class:`SolverError` naming its
+element.
 
-Only [lam_b; u] is numbered, once, by ``DofMap.element_indices``, and
-that numbering is already the factor's fill-reducing order (nested
-dissection read off the refinement tree, :class:`pdwg.weakspace.DofMap`):
-the condensed matrix, its right-hand side and solution live in it, and
-this module orders nothing.  ``info["separator_edges"]`` is the DOF map's
-root separator.  lam_0 stays in its element rows, and the right-hand
-side is condensed once.  SuperLU factors the condensed matrix Kc with
-its values cast to float32, which halves the bytes of every factor
-value; no global matrix is kept beside the factor.  Each single-precision
-solve scales its right-hand side by its largest magnitude, casts it to
-float32, and casts the result back and unscales it.  lam_0 is recovered
-from every solution, as element rows [lam_0; traces of edges 0, 1, 2;
-u_T] with 0 on outflow traces, so both elements of an interior edge read
-its traces from one entry of y, bit for bit; these rows are
-:attr:`Solution.local`.  Iterative refinement in double (Langou et al.,
-SC 2006; Carson and Higham, SIAM J. Sci. Comput. 40, 2018) forms the
-residual of the full system from them, lam_0 rows included, with A
-applied element by element by :meth:`SaddleSystem.matvec` (no sparse
-matrix built), and adds a single-precision solve of its condensed part r
-until max|r| <= eps max|Kc| max|y| (max|Kc| from the double values
-before the cast), or r stops halving, or ``_REFINE_STEPS`` corrections
-have run.  Stopping at tol would not do: the flux jumps scale with the
-load, and with |f| up to 1e4 (fig8-fig10_f10000) a residual just under
-1e-11 leaves jumps of up to 5.8e-8.  The last residual is the one the
-residual contract checks.  ``info`` reports ``factor_dtype``
-("float32"), ``refine_steps``, the corrections after the first solve,
-``initial_residual``, the first solve's ||b - A x|| / ||b||, the
-seconds of the SuperLU call, ``factor_s``, and ``row_interchanges``,
-the rows its threshold pivoting moved.  A first solve that is not
-finite (a singular factor), or a refinement that ends above tol,
-raises :class:`SolverError`; there is no fallback.  Identical inputs produce bitwise-identical solutions.
+u_T belongs to one element too.  Its condensed element matrix over
+[free traces; u_T] is [[K_tt, k], [k^T, kappa]], with kappa = -B_0^T
+S_00^{-1} B_0 <= 0, exactly 0 where c = 0, so u_T is eliminated in its
+element against the shifted pivot p = kappa - delta max|k|^2 / max|K_tt|,
+delta = ``_SHIFT``: the regularization that makes a saddle-point system
+quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995; Friedlander and Orban,
+Math. Program. Comput. 4, 2012).  The trace matrix, summed from
+K_tt - k k^T / p, is the Schur complement of the semidefinite stabilizer
+plus k k^T / |p|, so it is symmetric positive definite on a regular
+system, and SuperLU factors it in double precision with no row
+interchanges (``diag_pivot_thresh=0``) in the numbering of
+``DofMap.element_indices``, the fill-reducing order read off the
+refinement tree (:class:`pdwg.weakspace.DofMap`): this module orders
+nothing.  No global matrix is kept beside the factor.  A solve of a
+condensed right-hand side (r_t, r_u) solves the traces for
+r_t - sum k r_u / p and recovers u_T = (r_u - k^T y_t) / p.
+
+The shift changes the factor, not the system solved.  Every solution is
+recovered as element rows [lam_0; traces of edges 0, 1, 2; u_T], 0 on
+outflow traces, so both elements of an interior edge read its traces
+from one entry of y, bit for bit (:attr:`Solution.local`).  Iterative
+refinement (Carson and Higham, SIAM J. Sci. Comput. 40, 2018) forms the
+residual of the full, unshifted system from them, applied element by
+element by :meth:`SaddleSystem.matvec`, and adds a solve of its
+condensed part r until max|r| <= eps max|K| max|y| (K the unshifted
+condensed element matrices), or r stops halving, or ``_REFINE_STEPS``
+corrections have run; this removes the shift's error.  Stopping at tol
+would not do: with |f| up to 1e4 (fig8-fig10_f10000) a residual just
+under 1e-11 leaves flux jumps of up to 5.8e-8.  The last residual is the
+one the residual contract checks.
+
+The shifted factor also "solves" a singular system, to a huge u with a
+residual at round-off, so ``solve`` first refuses one with
+:func:`pdwg.assembly.check_regular`.  ``info`` reports ``refine_steps``,
+the corrections after the first solve, ``initial_residual``, the first
+solve's ||b - A x|| / ||b||, ``factor_s``, the seconds of the SuperLU
+call, ``separator_edges``, the DOF map's root separator, and
+``row_interchanges``, the rows SuperLU moved (0).  A first solve that is
+not finite, or a refinement that ends above tol, raises
+:class:`SolverError`; there is no fallback.  Identical inputs produce
+bitwise-identical solutions.
 """
 
 from __future__ import annotations
@@ -54,20 +62,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import SaddleSystem, scatter
+from .assembly import SaddleSystem, check_regular, scatter
 
 DEFAULT_TOL = 1e-11
-# Correction solves after the first, at most.  A step gains about six
-# digits on most systems (catalog levels 0-5 take at most 4 steps), but
-# only one or two where tau = 0 and j = 1 leave the condensed system badly
-# conditioned (fig10_f10000 j=1: 7 steps at level 7).
+# Correction solves after the first, at most.  Catalog levels 0-5 take at
+# most 4 steps, most of them 1 or 2.
 _REFINE_STEPS = 20
 _EPS = np.finfo(float).eps
-# SuperLU keeps the diagonal pivot unless it is below this fraction of the
-# column maximum.  The default 1.0 gives 8.8 times the fill at table5 L6
-# (28.5M against 3.25M), and 0 leaves a first residual of 1.2e-2 on
-# fig4_tau0 L6 (c = 0, tau = 0); the tests sweep the catalog against it.
-_PIVOT_THRESHOLD = 0.01
+# delta of u_T's shifted pivot, relative to its element's scale.  Each of
+# 1e-12, 1e-10, 1e-8 and 1e-6 keeps all 528 catalog systems of levels 0-5
+# in contract, refined in at most 9, 4, 3 and 4 steps; at 1e-13 fig4_tau1
+# and fig5_tau1 j = 1 level 5 miss it.  1e-10 is mid-window.
+_SHIFT = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -161,13 +167,12 @@ def _ldl_solve(E: np.ndarray) -> np.ndarray:
 
 
 class _CondensedLU:
-    """Single-precision LU factor of the condensed system over
-    y = [lam_b; u] in the numbering of ``DofMap.element_indices``, with
-    the element data that maps a right-hand side in (its lam_0 rows and
-    its y part) and element rows out, and S_00^{-1} b_0 of the system's
-    lam_0 loads b_0, formed once.  ``kmax`` is the largest magnitude of
-    the condensed matrix, summed in double before its cast; the matrix
-    itself is not kept."""
+    """LU factor of the trace system, u_T eliminated in its element
+    against the shifted pivot ``p``, with the element data that maps a
+    condensed right-hand side in and element rows out: u_T's column ``k``
+    over the free traces, and S_00^{-1} b_0 of the lam_0 loads b_0.
+    ``kmax`` is the largest magnitude of the unshifted condensed element
+    matrices; neither they nor the trace matrix are kept."""
 
     def __init__(self, system: SaddleSystem):
         dm = self.dofmap = system.dofmap
@@ -175,24 +180,26 @@ class _CondensedLU:
         m = K.shape[-1]
         self.X = Z[..., :m]
         self.lam0_load = np.einsum("tij,tj->ti", Z[..., m:], system.rhs0)
-        self.order = dm.n_condensed
-        Kc = scatter(K, dm.element_indices, self.order)
+        self.order = dm.n_free_edges * dm.dim_lamb
+        # Outflow traces are not unknowns: zero their rows and columns.
+        free = dm.gather(np.ones(dm.n_condensed))
+        K *= free[:, :, None] * free[:, None, :]
+        # The stopping rule's scale is that of the unshifted matrices.
+        self.kmax = np.abs(K).max()
+        # u_T's column over the free traces, 0 in its own row, and its
+        # shifted pivot.
+        Kt, self.k = K[:, :-1, :-1], K[:, :, -1].copy()
+        self.k[:, -1] = 0.0
+        self.p = K[:, -1, -1] - _SHIFT * np.abs(self.k).max(axis=1) ** 2 / np.abs(Kt).max(axis=(1, 2))
+        Kt -= self.k[:, :-1, None] * self.k[:, None, :-1] / self.p[:, None, None]
+        Kc = scatter(Kt, dm.element_indices[:, :-1], self.order)
         # The element matrices are in Kc now; free them before the factor.
-        del K
+        del K, Kt
         self.nnz = Kc.nnz
-        # The stopping rule's scale comes from the summed double values;
-        # SuperLU then gets them cast to float32, and no global matrix
-        # outlives the factor (SuperLU keeps no reference to its input).
-        self.kmax = np.abs(Kc.data).max()
-        Kc.data = Kc.data.astype(np.float32)
         start = time.perf_counter()
         try:
-            self.lu = splu(
-                Kc,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=_PIVOT_THRESHOLD,
-                options=dict(SymmetricMode=True),
-            )
+            # SuperLU keeps no reference to Kc, which goes on return.
+            self.lu = splu(Kc, permc_spec="NATURAL", diag_pivot_thresh=0, options=dict(SymmetricMode=True))
         except RuntimeError as err:
             raise SolverError(
                 f"factorization failed ({err}): full order {dm.n_total}, nnz {system.nnz}; "
@@ -206,13 +213,13 @@ class _CondensedLU:
         return r - self.dofmap.add(np.einsum("tim,ti->tm", self.X, r0))
 
     def solve(self, rc: np.ndarray) -> np.ndarray:
-        """One single-precision solve of Kc y = rc: rc is scaled by its
-        largest magnitude, so float32 neither overflows nor underflows on
-        it, solved in float32, and the result cast back and unscaled."""
-        scale = np.abs(rc).max()
-        if scale == 0.0:
-            return np.zeros(self.order)
-        return self.lu.solve((rc / scale).astype(np.float32)).astype(float) * scale
+        """One solve of the condensed system with u_T's shifted pivots for
+        the right-hand side ``rc``: the traces first, u_T from them."""
+        dm, n = self.dofmap, self.order
+        w = rc[n:] / self.p
+        y = np.append(self.lu.solve((rc - dm.add(self.k * w[:, None]))[:n]), w)
+        y[n:] -= np.einsum("ti,ti->t", self.k, dm.gather(y)) / self.p
+        return y
 
     def rows(self, y: np.ndarray) -> np.ndarray:
         """Element rows for the condensed solution ``y`` of the system's
@@ -232,18 +239,21 @@ def check_tol(tol: float) -> None:
 def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve the assembled system to relative residual <= tol.
 
-    Factors the condensed [lam_b; u] system once in single precision and
-    refines its solution in double.  Every iterate is recovered as
-    element rows and its residual formed on the full system, applied
-    element by element; the condensed residual gives the next correction
-    until it is at double round-off, max|r| <= eps max|Kc| max|y|, or
-    stops halving, or ``_REFINE_STEPS`` corrections have run.  The last
-    residual is checked against tol.  Raises :class:`SolverError` if an
-    interior block is not positive definite, the factor is singular or
-    the residual contract is missed (relevant for tau=0 with j=k on very
-    coarse meshes, where uniqueness needs a small enough mesh size).
+    Refuses a singular system with ``check_regular`` (ValueError naming
+    the kernel or the element), then factors the trace system once, with
+    u_T eliminated against its shifted pivots, and refines its solution.
+    Every iterate is recovered as element rows and its residual formed on
+    the full system, applied element by element; the condensed residual
+    gives the next correction until it is at double round-off, max|r| <=
+    eps max|K| max|y|, or stops halving, or ``_REFINE_STEPS`` corrections
+    have run.  The last residual is checked against tol.  Raises
+    :class:`SolverError` if an interior block is not positive definite,
+    the first solve is not finite or the residual contract is missed
+    (relevant for tau=0 with j=k on very coarse meshes, where uniqueness
+    needs a small enough mesh size).
     """
     check_tol(tol)
+    check_regular(system)
     b0, b = system.rhs0, system.rhs
     factor = _CondensedLU(system)
     # The full vector is the lam_0 rows, element by element, then the rest.
@@ -283,9 +293,9 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
         "factor_s": factor.factor_s,
         "separator_edges": system.dofmap.separator_edges,
         "fill": int(factor.lu.nnz),
-        "fill_per_nlogn": float(factor.lu.nnz / (factor.order * np.log2(factor.order))),
+        # n log2 n vanishes at n = 1, where n stands in for it.
+        "fill_per_nlogn": float(factor.lu.nnz / (factor.order * max(np.log2(factor.order), 1.0))),
         "row_interchanges": int(np.count_nonzero(factor.lu.perm_r != np.arange(factor.order))),
-        "factor_dtype": "float32",
         "refine_steps": steps,
         "initial_residual": residuals[0],
         "tol": tol,

@@ -32,7 +32,6 @@ from .assembly import (
     assemble,
     build_contexts,
     build_forms,
-    check_regular,
     classify_boundary,
     warn_straddling,
 )
@@ -145,8 +144,8 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     forms (element matrices, loads and inflow marks) are written, and the
     tables are dropped before the next block.
     Then the boundary is classified, the DOF map built and the system
-    assembled from the forms (g checked finite), refused by
-    ``check_regular`` if singular, solved, and checked: the error norms
+    assembled from the forms (g checked finite), solved (``solve``
+    refuses a singular system), and checked: the error norms
     (with an exact solution) and the conservation report.  Each stage's
     seconds are summed over the blocks.  Each stage function is looked up
     by its name in this module when called, so whoever wraps that name
@@ -173,7 +172,6 @@ def run_level(mesh: Mesh, spec: ProblemSpec, tol: float = DEFAULT_TOL) -> LevelR
     warn_straddling(mesh, spec)
     dofmap = timed("dofmap_s", DofMap, mesh, spec.j, timed("classify_s", classify_boundary, mesh, forms))
     system = timed("assemble_s", assemble, mesh, dofmap, forms)
-    timed("assemble_s", check_regular, system)
     stages["assemble_peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     del forms
     solution = timed("solve_s", solve, system, tol=tol)

@@ -8,10 +8,11 @@ primal space is fully discontinuous, degree k-1 = 0 per element: one
 constant per element.  Every layer from assembly to analysis holds an
 element's unknowns as element rows [lam_0; traces of edges 0, 1, 2; u_T],
 and a weak function as the rows without u_T, 0 on outflow traces.  lam_0
-couples only within its element, so only [lam_b; u_T], the unknowns the
-sparse LU factors, are numbered, by the rows of ``DofMap.element_indices``,
-once: in the refinement-tree order the factor runs in, so the solver
-renumbers nothing.
+and u_T couple only within their element, so only the traces lam_b, the
+unknowns the sparse LU factors, are numbered in the refinement-tree
+order the factor runs in, once, by the rows of
+``DofMap.element_indices``, with u_T after them; the solver renumbers
+nothing.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -34,8 +35,8 @@ from .poly import dim_poly2d
 
 
 class DofMap:
-    """Numbering of the unknowns the solver factors, [lam_b; u], in the
-    fill-reducing order of the factor.
+    """Numbering of the condensed unknowns [lam_b; u]: the traces in the
+    fill-reducing order of the factor, then u.
 
     ``refine_uniform`` numbers the four children of element p as rows
     4p..4p+3, so on a mesh refined L times from C coarse elements the
@@ -50,23 +51,22 @@ class DofMap:
     (b >> 2L)) levels above the coarse elements.  The free (non-outflow)
     edges are sorted stably by the end of their node's element range,
     then by the node's height, a postorder that puts each separator after
-    its subtree.  Each u_T comes right after the last free trace of its
-    element: its condensed diagonal -B_0^T S_00^{-1} B_0 is exactly 0 when
-    c = 0, so it has to come after the unknowns that fill it in.  Any
-    element numbering gives a valid numbering; only the factor's fill
-    depends on the refinement numbering.
+    its subtree.  Any element numbering gives a valid numbering; only the
+    factor's fill depends on the refinement numbering.
 
     Each free edge takes dim P_j(e) consecutive indices from
-    ``lamb_start`` (-1 on outflow edges) and each u_T one: ``n_condensed``
-    in all.  ``element_indices`` (T, 3 db + 1), int32 (the index type
-    SuperLU takes) and read-only, holds each element's indices of
-    [traces of edges 0, 1, 2; u_T], -1 on outflow traces, so u_T lies
-    among the traces, not after them; :meth:`gather` and :meth:`add` move
-    such rows from and to the condensed vector.  ``separator_edges`` is
-    the size of the root separator, the free edges whose elements lie in
-    different coarse elements (the 2^L edges of the diagonal x + y = 1 on
-    the unit square at level L).  lam_0 is not numbered, but ``n_lambda``
-    and ``n_total`` count it, as the full order.
+    ``lamb_start`` (-1 on outflow edges), F db in all, and the u_T of
+    element t takes index F db + t after them, ``n_condensed`` in all; the
+    solver eliminates u_T in its element and factors the first F db only.
+    ``element_indices`` (T, 3 db + 1), int32 (the index type SuperLU
+    takes) and read-only, holds each element's indices of [traces of
+    edges 0, 1, 2; u_T], -1 on outflow traces; :meth:`gather` and
+    :meth:`add` move such rows from and to the condensed vector.
+    ``separator_edges`` is the size of the root separator, the free edges
+    whose elements lie in different coarse elements (the 2^L edges of the
+    diagonal x + y = 1 on the unit square at level L).  lam_0 is not
+    numbered, but ``n_lambda`` and ``n_total`` count it, as the full
+    order.
     """
 
     def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):
@@ -96,27 +96,15 @@ class DofMap:
         split = ca != cb
         self.separator_edges = int(split.sum())
         h = np.where(split, 2 * L + np.frexp(ca ^ cb)[1], 2 * ((np.frexp(a ^ b)[1] + 1) // 2))
-        # Twice each free edge's place, and -2 at rank -1, where the outflow
-        # edges of an element land: u_T sorts right after the last free
-        # trace of its element, and before everything if its element has
-        # none.
-        place = np.empty(F + 1, dtype=np.int64)
-        place[np.lexsort((h, ((a >> h) + 1) << h))] = np.arange(0, 2 * F, 2)
-        place[F] = -2
-        rank = np.where(free, np.cumsum(free) - 1, -1)
-        key = np.concatenate([place[:F], place[rank[mesh.element_edges]].max(axis=1) + 1])
-        # The F edges and T elements in that order, db indices per edge and
-        # one per u_T.
-        order = np.argsort(key, kind="stable")
-        size = np.where(order < F, db, 1)
-        start = np.empty(F + T, dtype=np.int64)
-        start[order] = np.cumsum(size) - size
+        start = np.empty(F, dtype=np.int64)
+        start[np.lexsort((h, ((a >> h) + 1) << h))] = np.arange(0, F * db, db)
 
         self.lamb_start = np.full(mesh.num_edges, -1, dtype=np.int64)
-        self.lamb_start[free] = start[:F]
+        self.lamb_start[free] = start
         starts = self.lamb_start[mesh.element_edges][..., None]
         traces = np.where(starts < 0, -1, starts + np.arange(db)).reshape(T, -1)
-        self.element_indices = np.concatenate([traces, start[F:, None]], axis=1).astype(np.int32)
+        u = F * db + np.arange(T)
+        self.element_indices = np.concatenate([traces, u[:, None]], axis=1).astype(np.int32)
         self.element_indices.setflags(write=False)
         # The rows' indices with outflow traces sent to one extra bin,
         # n_condensed, which gather reads as +0.0 and add drops.

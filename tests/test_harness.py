@@ -600,19 +600,21 @@ class TestConfigFile:
         assert "c has a non-finite value on element 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_singular_factor_named_when_the_first_solve_is_not_finite(self, tmp_path, tau):
+    def test_direct_solve_refuses_the_spin_system(self, tmp_path, tau, monkeypatch):
         # A rotation about the square's centre leaves every boundary edge
         # characteristic at its midpoint, so with c = 0 the constant u is
-        # in the kernel; at level 0 with j = 1 the float32 factor solves to
-        # NaN instead of failing.  run_level refuses the system before the
-        # factor (below); solve, called on it directly, must say why.
+        # in the kernel.  The shifted u_T pivots factor the system all the
+        # same, and without check_regular the solve returns a huge u with a
+        # residual at round-off; solve refuses it before any factor.
         cfg = {"name": "spin", "domain": "unit_square", "beta": {"rotation": [0.5, 0.5]}, "c": 0.0, "f": 1.0}
         path = tmp_path / "spin.json"
         path.write_text(json.dumps({**cfg, "g": 0.0, "tau": tau, "j": 1, "levels": [0, 0]}))
         system = build_level(refined("unit_square", 0), load_experiment_config(path).spec)[2]
-        with pytest.raises(SolverError) as err:
+        with pytest.raises(ValueError, match="the constant u is in the kernel"):
             solve(system)
-        assert str(err.value) == "singular factor: the first solve is not finite (full order 10, condensed order 4)"
+        monkeypatch.setattr(pdwg.solver, "check_regular", lambda system: None)
+        sol = solve(system)
+        assert np.abs(sol.local[:, -1]).max() > 1e10 and sol.residual < 1e-14
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize(

@@ -168,9 +168,10 @@ class TestKernels:
             assert same_bits(schur_complement(E, 1)[0], lapack_schur(E, 1)[0])
 
     def test_singular_matrix_raises(self):
-        # No convection and no reaction: u does not enter the equations.
+        # No convection and no reaction: u does not enter the equations, and
+        # a direct solve refuses the system before any factor.
         _, _, system = unit_problem(level=1, c=0.0, beta=(0.0, 0.0))
-        with pytest.raises(SolverError, match="condensed order"):
+        with pytest.raises(ValueError, match="the constant u is in the kernel"):
             solve(system)
 
 
@@ -205,7 +206,7 @@ class TestSolve:
     )
     def test_interior_edge_traces_agree_on_both_sides(self, entry, j, level):
         # Both elements of an interior edge hold its traces bit for bit,
-        # after the refinement that every single-precision factor needs.
+        # after the refinement that removes the shifted pivots' error.
         spec = dataclasses.replace(get_experiment(entry).spec, j=j)
         _, dm, system = build_level(refined(spec.domain_tag, level), spec)
         sol = solve(system)
@@ -233,20 +234,14 @@ class TestSolve:
         assert sol.info["order"] == assembled_matrix(system).shape[0]
         assert sol.info["nnz"] > 0
 
-    @pytest.mark.parametrize("entry, moved", [("table5", 0), ("fig10_f10000", 83)])
-    def test_row_interchanges_are_counted(self, entry, moved):
-        # The rows SuperLU's threshold pivoting moves, j = 1 at level 3.
-        spec = dataclasses.replace(get_experiment(entry).spec, j=1)
-        system = build_level(refined(spec.domain_tag, 3), spec)[2]
-        assert solve(system).info["row_interchanges"] == moved
-
     def test_condensed_diagnostics(self):
         _, dm, system = unit_problem(level=1)
         info = solve(system).info
-        T = dm.mesh.num_elements
-        assert info["condensed_order"] == dm.n_condensed == dm.n_total - T * dm.dim_lam0
+        # The factor's order is the free traces': lam_0 and u_T are
+        # eliminated in their elements.
+        assert info["condensed_order"] == dm.n_free_edges * dm.dim_lamb == dm.n_condensed - dm.n_u
         assert 0 < info["condensed_nnz"] <= info["fill"]
-        assert info["factor_dtype"] == "float32"
+        assert "factor_dtype" not in info and info["row_interchanges"] == 0
         assert info["refine_steps"] in range(1, _REFINE_STEPS + 1)
         assert np.isfinite(info["initial_residual"])
         n = info["condensed_order"]
@@ -258,46 +253,77 @@ class TestSolve:
         _, dm, system = unit_problem(level=4)
         assert solve(system).info["separator_edges"] == dm.separator_edges == 2**4
 
+    def test_fill_per_nlogn_at_order_one(self):
+        # fig1_tau0 j=0 at level 0 has one free edge, so the factor has
+        # order 1, where n log2 n is 0; the ratio is fill / n there.
+        spec = dataclasses.replace(get_experiment("fig1_tau0").spec, j=0)
+        info = solve(build_level(refined(spec.domain_tag, 0), spec)[2]).info
+        assert info["condensed_order"] == 1 and info["fill_per_nlogn"] == info["fill"] == 2
+
+    def test_non_finite_first_solve_raises(self, monkeypatch):
+        # check_regular refuses the singular systems the element matrices
+        # show; a first solve that is not finite all the same is named.
+        monkeypatch.setattr(_CondensedLU, "solve", lambda factor, rc: np.full(len(rc), np.nan))
+        _, _, system = unit_problem(level=1)
+        with pytest.raises(SolverError, match="singular factor: the first solve is not finite"):
+            solve(system)
+
     @pytest.mark.parametrize("case", [dict(level=3, j=1), dict(domain="cracked_square", level=2, j=0, c=0.0)])
     def test_factors_the_dofmap_numbering_as_it_is(self, monkeypatch, case):
-        # SuperLU receives the condensed element matrices scattered by
-        # element_indices, with no permutation between: the pattern bit for
-        # bit, and the values cast to float32.
+        # SuperLU receives the trace blocks of the condensed element
+        # matrices scattered by element_indices, with no permutation
+        # between: the pattern bit for bit, in double precision.  The
+        # values are the condensed matrix over [traces; u] with each u_T
+        # eliminated against kappa - delta max|k|^2 / max|K_tt| (k its free
+        # column, K_tt its element's free trace block), and the matrix is
+        # symmetric positive definite.
         _, dm, system = unit_problem(**case)
         K = schur_complement(system.element_matrix, dm.dim_lam0)[1]
-        expected = scatter(K, dm.element_indices, dm.n_condensed)
+        n = dm.n_free_edges * dm.dim_lamb
+        expected = scatter(K[:, :-1, :-1], dm.element_indices[:, :-1], n)
         factored, splu = [], pdwg.solver.splu
 
         def capture(A, **kwargs):
-            factored.append((A.indices.copy(), A.indptr.copy(), A.data.copy()))
+            factored.append(A.copy())
             return splu(A, **kwargs)
 
         monkeypatch.setattr(pdwg.solver, "splu", capture)
         solve(system)
-        (indices, indptr, data), = factored
-        assert same_bits(indices, expected.indices) and same_bits(indptr, expected.indptr)
-        assert same_bits(data, expected.data.astype(np.float32))
+        (A,) = factored
+        assert same_bits(A.indices, expected.indices) and same_bits(A.indptr, expected.indptr)
+        assert A.dtype == np.float64
+        # u_T lies in one element, so the u block of the condensed matrix is
+        # diagonal, kappa.
+        full = scatter(K, dm.element_indices, dm.n_condensed).toarray()
+        free = dm.gather(np.ones(dm.n_condensed))[:, :-1, None]
+        k, Ktt = np.abs(K[:, :-1, -1:] * free), np.abs(K[:, :-1, :-1] * free * np.swapaxes(free, 1, 2))
+        p = np.diag(full)[n:] - pdwg.solver._SHIFT * k.max(axis=(1, 2)) ** 2 / Ktt.max(axis=(1, 2))
+        oracle = full[:n, :n] - full[:n, n:] @ (full[n:, :n] / p[:, None])
+        dense = A.toarray()
+        assert np.abs(dense - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        assert np.linalg.eigvalsh(dense).min() > 0
 
     def test_no_global_matrix_outlives_the_factor(self, monkeypatch):
-        # The double values of the scattered Kc are gone before SuperLU
-        # runs, which gets them as float32, and the matrix it got is gone
-        # once the factor is built: SuperLU keeps no reference to it, and
-        # every later product with A runs on the element matrices.
+        # The condensed element matrices are gone before SuperLU runs,
+        # which gets their scattered trace blocks in double precision, and
+        # the matrix it got is gone once the factor is built: SuperLU
+        # keeps no reference to it, and every later product with A runs
+        # on the element matrices.
         _, _, system = unit_problem(level=3)
-        scattered, received = [], []
-        scatter, splu = pdwg.solver.scatter, pdwg.solver.splu
+        condensed, received = [], []
+        schur, splu = pdwg.solver.schur_complement, pdwg.solver.splu
 
-        def scatter_spy(*args):
-            Kc = scatter(*args)
-            scattered.append(weakref.ref(Kc.data))
-            return Kc
+        def schur_spy(*args):
+            Z, K = schur(*args)
+            condensed.append(weakref.ref(K))
+            return Z, K
 
         def splu_spy(A, **kwargs):
-            assert scattered[0]() is None and A.data.dtype == np.float32
+            assert condensed[0]() is None and A.data.dtype == np.float64
             received.extend(weakref.ref(a) for a in (A, A.data, A.indices, A.indptr))
             return splu(A, **kwargs)
 
-        monkeypatch.setattr(pdwg.solver, "scatter", scatter_spy)
+        monkeypatch.setattr(pdwg.solver, "schur_complement", schur_spy)
         monkeypatch.setattr(pdwg.solver, "splu", splu_spy)
         factor = _CondensedLU(system)
         assert factor.lu.nnz > 0 and len(received) == 4
@@ -432,7 +458,7 @@ class TestOrderedFactor:
             assert np.linalg.norm(full_rows(y0, y, dm) - A @ x) <= 1e-14 * scale, (name, j, level)
 
     def test_refinement_residual_matches_the_assembled_product(self):
-        # The factor is single precision, so this system is refined, and
+        # The shifted pivots leave an error, so this system is refined, and
         # the element-wise residual of the refined rows is the one reported.
         spec = dataclasses.replace(get_experiment("table8").spec, j=1)
         system = build_level(refined(spec.domain_tag, 2), spec)[2]
@@ -473,21 +499,22 @@ class TestOrderedFactor:
         assert abs(sol.residual - assembled_residual(sol.local)) <= 1e-15
         assert_interior_traces_agree(sol, dm)
 
-    def test_catalog_sweep_starts_near_single_precision(self):
-        # Guards the pivot threshold.  With 0.01 the first single-precision
-        # solve leaves a relative residual of at most 3.3e-5 (fig10_f10000
-        # j=1 L3), and at most 4 steps refine it: 44 systems take 3, and
-        # table12 j=1 L2 takes 4, since the element-wise residual carries
-        # round-off of |A| |x|, up to 400 times |A x| there.  A smaller
-        # threshold lets SuperLU keep tiny diagonal pivots of the c = 0
-        # entries: with 0.001 the first residual reaches 2.1e-4 (fig10_f0
-        # j=1 L3), and with 0 it reaches 2.5 (fig5_tau0 j=1 L1) and 14
-        # systems fail.
+    def test_catalog_sweep_refines_in_few_steps_and_moves_no_row(self):
+        # Guards the shift.  With delta = 1e-10 the first solve leaves a
+        # relative residual of at most 2.8e-5 (fig9_f10000 j=1 L3), and at
+        # most 4 steps refine it (table12 j=1 L0, where the element-wise
+        # residual carries round-off of |A| |x|, up to 400 times |A x|).
+        # With 1e-12 the first residual reaches 1.1e-2 and a system takes 9
+        # steps; with 1e-13 two systems at level 5 miss the contract.
+        # SuperLU keeps a diagonal pivot unless it is 0
+        # (diag_pivot_thresh=0), and the positive definite trace matrix
+        # has none, so no system moves a row.
         count = 0
         for name, j, level, system in catalog_systems((0, 1, 2, 3)):
             info = solve(system).info
             assert info["refine_steps"] <= 4, (name, j, level, info)
             assert info["initial_residual"] <= 1e-4, (name, j, level, info)
+            assert info["row_interchanges"] == 0, (name, j, level, info)
             count += 1
         assert count == 352
 
@@ -507,11 +534,11 @@ class TestOrderedFactor:
 
     def test_default_tol_refines_to_double_round_off(self):
         # Stopping at tol would end just under 1e-11; the refinement runs
-        # on to the round-off of the element-wise product A x, where the
-        # full residual is 7.4e-16.
+        # on to the round-off of the element-wise product A x: the first
+        # residual is 1.2e-10, the refined one 8.1e-16.
         spec = get_experiment("table5").spec
         sol = solve(build_level(refined(spec.domain_tag, 4), spec)[2])
-        assert sol.info["tol"] == 1e-11 and sol.info["initial_residual"] > 1e-8
+        assert sol.info["tol"] == 1e-11 and sol.info["initial_residual"] > 1e-11
         assert sol.residual <= 1e-14
 
     @pytest.mark.parametrize("damping, solves", [(0.4, 2), (0.6, _REFINE_STEPS + 1)], ids=["stalls", "capped"])
@@ -535,23 +562,19 @@ class TestOrderedFactor:
     def test_fill_at_table5_level6(self):
         spec = get_experiment("table5").spec
         info = solve(build_level(refined(spec.domain_tag, 6), spec)[2]).info
-        # COLAMD gives 11.8 here, and separators cut at the median edge
-        # (two edges per cell where one mesh line would do) 10.05; cutting
-        # between coordinate values and taking the smaller side gives 7.86
-        # with 64-edge leaves, and 6.60 with 16-edge leaves.  The refinement
-        # tree gives 6.68.
-        assert info["fill_per_nlogn"] <= 6.7
+        # The refinement tree's order over the traces gives 3.97.
+        assert info["fill_per_nlogn"] <= 4.0
 
     def test_fill_at_table3_level5(self):
         spec = get_experiment("table3").spec
         info = solve(build_level(refined(spec.domain_tag, 5), spec)[2]).info
-        # The L-shape: 8.75 with 64-edge leaves, 7.40 with 16-edge leaves of
-        # coordinate bisection, 6.22 read off the refinement tree.
-        assert info["fill_per_nlogn"] <= 6.3
+        # The L-shape: 3.78 read off the refinement tree.
+        assert info["fill_per_nlogn"] <= 3.8
 
     def test_fill_at_fig10_f10000_level5(self):
-        # tau = 0 and j = 1 on the L-shape, where SuperLU moves rows: 10.09
-        # under coordinate bisection, 7.01 read off the refinement tree.
+        # tau = 0 and j = 1 on the L-shape, where the multiplier block is
+        # singular: the shifted u_T pivots make the trace matrix definite,
+        # no row moves, and the fill is table3's on the same mesh, 3.78.
         spec = dataclasses.replace(get_experiment("fig10_f10000").spec, j=1)
         info = solve(build_level(refined(spec.domain_tag, 5), spec)[2]).info
-        assert info["fill_per_nlogn"] <= 7.1
+        assert info["row_interchanges"] == 0 and info["fill_per_nlogn"] <= 3.8

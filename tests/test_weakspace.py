@@ -95,13 +95,14 @@ class TestDofMap:
     @pytest.mark.parametrize("tag", ["unit_square", "l_shape", "cracked_square"])
     @pytest.mark.parametrize("j", [0, 1])
     def test_u_follows_the_last_trace_of_its_element(self, tag, j):
-        # u_T is numbered right after its element's last trace, behind the
-        # u_T of the elements before it that end on the same trace.
+        # The free traces take the first F db indices, and the u_T of
+        # element t takes F db + t, after every trace: the solver eliminates
+        # u_T in its element and factors the traces only.
         mesh = refined(tag, 2)
         dm = make_dofmap(mesh, j=j)
-        last = dm.element_indices[:, :-1].max(axis=1)
-        behind = [int((last[:t] == last[t]).sum()) for t in range(mesh.num_elements)]
-        assert np.array_equal(dm.element_indices[:, -1], last + 1 + np.array(behind))
+        n = dm.n_free_edges * dm.dim_lamb
+        assert dm.element_indices[:, :-1].max() == n - 1
+        assert np.array_equal(dm.element_indices[:, -1], n + np.arange(mesh.num_elements))
 
     def test_gather_and_add_equal_the_masked_expressions(self):
         # Every catalog entry at levels 0-2 with j = 0 and 1, on values

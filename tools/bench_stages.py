@@ -18,10 +18,11 @@ fill-reducing order is the DOF map's numbering, so it is timed in
 dofmap.  Beside them each point records the peak RSS after assembly,
 after the solve and at the end (``assemble_peak_mb``,
 ``solve_peak_mb``, ``peak_rss_mb``), the factor fill and fill /
-(n log2 n) over the condensed order n, the root separator's edges, the
-refinement steps and the residuals.  The record holds every
-run and the median of each metric.  Every tree must have
-``pdwg.study.run_level``.
+(n log2 n) over the factor's order n, the root separator's edges, the
+rows SuperLU moved, the refinement steps and the residuals.  A run that
+fails (under an address-space cap, say) is recorded by its error.  The
+record holds every run and the median of each metric over the runs that
+did not fail.  Every tree must have ``pdwg.study.run_level``.
 """
 
 import argparse
@@ -62,11 +63,16 @@ def measure(point: str) -> dict:
         "fill": info["fill"],
         "fill_per_nlogn": info["fill_per_nlogn"],
         "separator_edges": info["separator_edges"],
-        "factor_dtype": info["factor_dtype"],
+        "row_interchanges": info["row_interchanges"],
         "refine_steps": info["refine_steps"],
         "initial_residual": info["initial_residual"],
         "residual": run.solution.residual,
     }
+
+
+def median(runs: list) -> dict:
+    """The median of each metric over ``runs``; empty if there are none."""
+    return {key: statistics.median(r[key] for r in runs) for key in runs[0]} if runs else {}
 
 
 def main() -> None:
@@ -78,7 +84,10 @@ def main() -> None:
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one:
-        print(json.dumps(measure(args.points[0])))
+        try:
+            print(json.dumps(measure(args.points[0])))
+        except Exception as err:
+            print(json.dumps({"failed": f"{type(err).__name__}: {err}"}))
         return
     trees = dict(src.split("=", 1) for src in args.src)
     runs = {point: {label: [] for label in trees} for point in args.points}
@@ -90,10 +99,7 @@ def main() -> None:
                 done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
                 runs[point][label].append(json.loads(done.stdout))
     medians = {
-        point: {
-            label: {key: statistics.median(r[key] for r in rs) for key, value in rs[0].items() if not isinstance(value, str)}
-            for label, rs in by_label.items()
-        }
+        point: {label: median([r for r in rs if "failed" not in r]) for label, rs in by_label.items()}
         for point, by_label in runs.items()
     }
     record = {
