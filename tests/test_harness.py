@@ -20,7 +20,7 @@ from pdwg.analysis import PostField
 from pdwg.assembly import ElementTables
 from pdwg.catalog import catalog, get_experiment
 from pdwg.cli import load_experiment_config, main
-from pdwg.solver import SolverError, solve
+from pdwg.solver import SolverError, _CondensedLU, solve
 from pdwg.study import CSV_HEADER, StudyReport, emit_csv, emit_plot_data, run_level, run_study
 
 
@@ -600,12 +600,13 @@ class TestConfigFile:
         assert "c has a non-finite value on element 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_direct_solve_refuses_the_spin_system(self, tmp_path, tau, monkeypatch):
+    def test_singular_factor_named_when_the_first_solve_is_not_finite(self, tmp_path, tau, monkeypatch):
         # A rotation about the square's centre leaves every boundary edge
         # characteristic at its midpoint, so with c = 0 the constant u is
-        # in the kernel.  The shifted u_T pivots factor the system all the
-        # same, and without check_regular the solve returns a huge u with a
-        # residual at round-off; solve refuses it before any factor.
+        # in the kernel.  solve refuses the system before any factor.
+        # Without check_regular the shifted u_T pivots factor it all the
+        # same, to a huge u with a residual at round-off; a first solve
+        # that is not finite is named with the full and the factor's order.
         cfg = {"name": "spin", "domain": "unit_square", "beta": {"rotation": [0.5, 0.5]}, "c": 0.0, "f": 1.0}
         path = tmp_path / "spin.json"
         path.write_text(json.dumps({**cfg, "g": 0.0, "tau": tau, "j": 1, "levels": [0, 0]}))
@@ -615,6 +616,10 @@ class TestConfigFile:
         monkeypatch.setattr(pdwg.solver, "check_regular", lambda system: None)
         sol = solve(system)
         assert np.abs(sol.local[:, -1]).max() > 1e10 and sol.residual < 1e-14
+        monkeypatch.setattr(_CondensedLU, "solve", lambda factor, rc: np.full(len(rc), np.nan))
+        with pytest.raises(SolverError) as err:
+            solve(system)
+        assert str(err.value) == "singular factor: the first solve is not finite (full order 10, condensed order 2)"
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize(
