@@ -107,42 +107,42 @@ class ProblemSpec:
 class SaddleSystem:
     """The system [[S, B], [B^T, 0]] x = [rhs_lambda; 0] held per element:
     ``element_matrix`` (T, n_loc + 1, n_loc + 1) holds E_T = [[S_T, B_T],
-    [B_T^T, 0]] over [lam_0; traces of edges 0, 1, 2; u_T], ``rhs0`` (T, d0)
-    the lam_0 rows of the right-hand side, and ``rhs`` the rest, numbered
-    by ``dofmap.element_indices``: the traces in the factor's order, then
-    u, so ``rhs[F db:]`` (F the free edges) is the u block, and so is that
-    slice of :meth:`matvec`'s second part.  The solver and ``pdwg verify`` read
-    these; :meth:`matvec` and :attr:`nnz` do without the sparse ``matrix``,
-    summed anew on every read and kept by no system, which only perfbench's
-    counters read."""
+    [B_T^T, 0]] and ``load`` (T, n_loc + 1) the element loads, both over
+    [lam_0; traces of edges 0, 1, 2; u_T]; the right-hand side is the sum
+    of the loads, the traces' summed by ``dofmap``.  The solver and ``pdwg
+    verify`` read these; :meth:`residual` and :attr:`nnz` do without the
+    sparse ``matrix``, summed anew on every read and kept by no system,
+    which only perfbench's counters read."""
 
-    rhs: np.ndarray
-    rhs0: np.ndarray
+    load: np.ndarray
     dofmap: DofMap
     element_matrix: np.ndarray
 
     @property
     def matrix(self) -> sparse.csr_matrix:
-        """The assembled CSR matrix, lam_0 numbered first, summed anew on every read."""
-        n0, idx = self.rhs0.size, self.dofmap.element_indices
-        full = np.concatenate([np.arange(n0).reshape(self.rhs0.shape), np.where(idx >= 0, idx + n0, -1)], axis=1)
-        return scatter(self.element_matrix, full, self.dofmap.n_total).tocsr()
+        """The assembled CSR matrix, summed anew on every read: lam_0
+        first, d0 per element in element order, then the traces numbered
+        by ``dofmap.element_indices``, then u_T in element order."""
+        dm = self.dofmap
+        T, d0, idx = len(self.load), dm.dim_lam0, dm.element_indices
+        lam0 = np.arange(T * d0).reshape(T, d0)
+        full = np.concatenate([lam0, np.where(idx >= 0, idx + T * d0, -1), dm.n_lambda + np.arange(T)[:, None]], axis=1)
+        return scatter(self.element_matrix, full, dm.n_total).tocsr()
 
     @property
     def nnz(self) -> int:
         """Stored entries of ``matrix``, explicit zeros included, counted
         from the element pattern: two unknowns share more than one element
         only as traces of one interior edge, which has exactly two."""
-        free = self.dofmap.dim_lam0 + (self.dofmap.element_indices >= 0).sum(axis=1)
+        free = self.dofmap.dim_lam0 + 1 + (self.dofmap.element_indices >= 0).sum(axis=1)
         interior = np.count_nonzero(self.dofmap.mesh.edge_elems[:, 1] >= 0)
         return int(free @ free - self.dofmap.dim_lamb**2 * interior)
 
-    def matvec(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``matrix @ x`` applied element by element, equal to round-off, for
-        x as element rows laid out as ``Solution.local``: (lam_0 rows, rest)."""
-        d0 = self.dofmap.dim_lam0
-        y = (self.element_matrix @ local[..., None])[..., 0]
-        return y[:, :d0], self.dofmap.add(y[:, d0:])
+    def residual(self, local: np.ndarray) -> np.ndarray:
+        """The loads less ``matrix @ x`` applied element by element, for x
+        as element rows laid out as ``Solution.local``: element rows whose
+        trace rows sum to the residual's, as the loads' do."""
+        return self.load - (self.element_matrix @ local[..., None])[..., 0]
 
 
 class ElementTables:
@@ -490,8 +490,8 @@ def classify_boundary(mesh: Mesh, forms: LevelForms) -> BoundaryClassification:
 
 def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     """Assemble the global saddle-point system of the level whose element
-    forms ``forms`` hold: its element matrices and its element loads,
-    summed by ``dofmap`` but for the lam_0 rows.  Raises ValueError naming
+    forms ``forms`` hold: its element matrices and its element loads, kept
+    as element rows and summed by ``dofmap``.  Raises ValueError naming
     the level's first edge where g is not finite, after every block's
     coefficients were sampled, as with the tables of a whole level.
 
@@ -507,12 +507,11 @@ def assemble(mesh: Mesh, dofmap: DofMap, forms: LevelForms) -> SaddleSystem:
     _require_level(forms, mesh)
     if forms.spec.j != dofmap.j:
         raise ValueError(f"element tables of degree j={forms.spec.j} do not match the dofmap of degree j={dofmap.j}")
-    d0, load = dofmap.dim_lam0, forms.load
     # Boundary edges are numbered in element order, each a local edge of
     # one element, so the first non-finite trace row names the first edge.
-    _require_finite("g", load[:, d0:-1].reshape(-1, dofmap.dim_lamb), "edge", mesh.element_edges.ravel())
-    rhs0, rhs = load[:, :d0].copy(), dofmap.add(load[:, d0:])
-    return SaddleSystem(rhs=rhs, rhs0=rhs0, dofmap=dofmap, element_matrix=forms.element_matrix)
+    traces = forms.load[:, dofmap.dim_lam0 : -1].reshape(-1, dofmap.dim_lamb)
+    _require_finite("g", traces, "edge", mesh.element_edges.ravel())
+    return SaddleSystem(load=forms.load, dofmap=dofmap, element_matrix=forms.element_matrix)
 
 
 # A system is refused when A applied to x = (lam = 0, u = 1) is at most
@@ -535,7 +534,7 @@ def check_regular(system: SaddleSystem) -> None:
     # [B 1; 0]; the scale is max|B_T| over them, outflow traces included.
     B = np.abs(E[:, :-1, -1])
     bmax = B.max()
-    axmax = max(B[:, :d0].max(), np.abs(dm.add(E[:, d0:, -1])).max())
+    axmax = max(B[:, :d0].max(), np.abs(dm.add(E[:, d0:-1, -1])).max())
     if axmax <= KERNEL_RATIO * bmax:
         raise ValueError(
             f"the constant u is in the kernel: no inflow edge and no reaction "
@@ -543,7 +542,7 @@ def check_regular(system: SaddleSystem) -> None:
         )
     # An element's column of B is its u_T column without outflow traces,
     # its magnitudes summed by a product: numpy reduces short rows slowly.
-    B[:, d0:] *= dm.gather(np.ones(dm.n_condensed))[:, :-1]
+    B[:, d0:] *= dm.gather(np.ones(dm.n_condensed))
     zero = B @ np.ones(B.shape[1]) <= KERNEL_RATIO * bmax
     if zero.any():
         raise ValueError(f"u_T of element {np.argmax(zero)} is in the kernel: beta and c vanish on it")

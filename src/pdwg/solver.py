@@ -1,42 +1,43 @@
 """Sparse solution of the symmetric indefinite saddle-point system.
 
-The interior multiplier lam_0 couples only within its element: its block
-of s(.,.) is a d0 x d0 symmetric positive definite block per element (a
-P_j polynomial that vanishes on all of dT is zero, so this holds for
-tau = 0 too), and its rows of b(.,.) touch only that element's u_T.
-``solve`` therefore eliminates lam_0 element by element (static
-condensation).  The interior block has d0 = 1 (j = 0) or d0 = 3 (j = 1)
-unknowns; it is inverted in closed form (d0 = 1) or by an L D L^T
-factorization written out over the element axis (d0 = 3), where a pivot
-that is not positive and finite raises :class:`SolverError` naming its
-element.
-
-u_T belongs to one element too.  Its condensed element matrix over
-[free traces; u_T] is [[K_tt, k], [k^T, kappa]], with kappa = -B_0^T
-S_00^{-1} B_0 <= 0, exactly 0 where c = 0, so u_T is eliminated in its
-element against the shifted pivot p = kappa - delta max|k|^2 / max|K_tt|,
-delta = ``_SHIFT``: the regularization that makes a saddle-point system
-quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995; Friedlander and Orban,
-Math. Program. Comput. 4, 2012).  The trace matrix, summed from
-K_tt - k k^T / p, is the Schur complement of the semidefinite stabilizer
-plus k k^T / |p|, so it is symmetric positive definite on a regular
-system, and SuperLU factors it in double precision with no row
-interchanges (``diag_pivot_thresh=0``) in the numbering of
+The interior multiplier lam_0 and the primal u_T belong to one element
+each, so ``solve`` eliminates them in their element and factors only the
+traces.  :func:`eliminate` runs one right-looking L D L^T factorization,
+batched over the elements, on each element matrix ordered [lam_0; u_T;
+traces]: first the d0 lam_0 pivots, d0 = 1 (j = 0) or 3 (j = 1), of a
+block that is symmetric positive definite (a P_j polynomial that vanishes
+on all of dT is zero, so this holds for tau = 0 too), where a pivot that
+is not positive and finite raises :class:`SolverError` naming its
+element; then u_T's pivot kappa = -B_0^T S_00^{-1} B_0 <= 0, exactly 0
+where c = 0, shifted to p = kappa - delta max|k|^2 / max|K_tt| (k u_T's
+column over the free traces, K_tt their block, delta = ``_SHIFT``): the
+regularization that makes a saddle-point system quasi-definite
+(Vanderbei, SIAM J. Optim. 5, 1995; Friedlander and Orban, Math.
+Program. Comput. 4, 2012).  What is left of each element matrix is its
+trace block K_tt - k k^T / p, the Schur complement of the semidefinite
+stabilizer plus k k^T / |p|, so their sum is symmetric positive definite
+on a regular system, and SuperLU factors it in double precision with no
+row interchanges (``diag_pivot_thresh=0``) in the numbering of
 ``DofMap.element_indices``, the fill-reducing order read off the
 refinement tree (:class:`pdwg.weakspace.DofMap`): this module orders
-nothing.  No global matrix is kept beside the factor.  A solve of a
-condensed right-hand side (r_t, r_u) solves the traces for
-r_t - sum k r_u / p and recovers u_T = (r_u - k^T y_t) / p.
+nothing.  No global matrix is kept beside the factor, and only each
+pivot and its multiplier column stay of the element matrices.
 
-The shift changes the factor, not the system solved.  Every solution is
-recovered as element rows [lam_0; traces of edges 0, 1, 2; u_T], 0 on
-outflow traces, so both elements of an interior edge read its traces
-from one entry of y, bit for bit (:attr:`Solution.local`).  Iterative
-refinement (Carson and Higham, SIAM J. Sci. Comput. 40, 2018) forms the
-residual of the full, unshifted system from them, applied element by
-element by :meth:`SaddleSystem.matvec`, and adds a solve of its
-condensed part r until max|r| <= eps max|K| max|y| (K the unshifted
-condensed element matrices), or r stops halving, or ``_REFINE_STEPS``
+A solve takes element rows [lam_0; traces of edges 0, 1, 2; u_T] of a
+right-hand side, the trace rows being each element's share, and returns
+element rows: forward substitution in each element, one SuperLU solve
+of the summed trace rows, and back substitution in each element.  The
+traces come from one entry of the trace solution, 0 on outflow edges, so
+both elements of an interior edge hold them bit for bit
+(:attr:`Solution.local`).
+
+The shift changes the factor, not the system solved.  Iterative
+refinement (Carson and Higham, SIAM J. Sci. Comput. 40, 2018) adds the
+solve of the element-wise residual of the full, unshifted system
+(:meth:`SaddleSystem.residual`) to the element rows until the residual's
+summed trace rows and u_T rows are at double round-off, max|r| <= eps
+max|K| max|x| (K the unshifted element matrices with lam_0 eliminated,
+x the traces and u_T), or they stop halving, or ``_REFINE_STEPS``
 corrections have run; this removes the shift's error.  Stopping at tol
 would not do: with |f| up to 1e4 (fig8-fig10_f10000) a residual just
 under 1e-11 leaves flux jumps of up to 5.8e-8.  The last residual is the
@@ -65,13 +66,13 @@ from scipy.sparse.linalg import splu
 from .assembly import SaddleSystem, check_regular, scatter
 
 DEFAULT_TOL = 1e-11
-# Correction solves after the first, at most.  Catalog levels 0-5 take at
-# most 4 steps, most of them 1 or 2.
+# Correction solves after the first, at most.  Of the 528 catalog systems
+# of levels 0-5, 4 take 0 steps, 380 one, 127 two and 17 three.
 _REFINE_STEPS = 20
 _EPS = np.finfo(float).eps
 # delta of u_T's shifted pivot, relative to its element's scale.  Each of
 # 1e-12, 1e-10, 1e-8 and 1e-6 keeps all 528 catalog systems of levels 0-5
-# in contract, refined in at most 9, 4, 3 and 4 steps; at 1e-13 fig4_tau1
+# in contract, refined in at most 8, 3, 3 and 4 steps; at 1e-13 fig4_tau1
 # and fig5_tau1 j = 1 level 5 miss it.  1e-10 is mid-window.
 _SHIFT = 1e-10
 
@@ -91,110 +92,70 @@ class Solution:
     info: dict
 
 
-def schur_complement(E: np.ndarray, d0: int):
-    """Eliminate the interior block of every element.
+def eliminate(A: np.ndarray, d0: int):
+    """Eliminate each element's own unknowns, in place.
 
-    ``E`` (T, n, n) holds the element matrices over [lam_0 (d0); y], with
-    y = [lam_b; u_T] the unknowns kept.  With C = E_0y the coupling of
-    lam_0 to y, Z = E_00^{-1} [C, I], shape (T, d0, m + d0), and with
-    X = E_00^{-1} C = Z[..., :m] the condensed element matrices are
+    ``A`` (n, n, T) holds the element matrices with the element axis last,
+    so each row operation runs over contiguous memory, over [lam_0 (d0);
+    u_T; traces], outflow traces zeroed.  A right-looking L D L^T step on
+    pivot i divides its column below the diagonal into the multipliers and
+    subtracts col col^T / d_i from the block below, which stays exactly
+    symmetric.  The first d0 pivots are lam_0's; a pivot that is not
+    positive and finite raises :class:`SolverError` naming the first such
+    element.  Pivot d0 is u_T's, shifted to kappa - delta max|k|^2 /
+    max|K_tt| (k its column, K_tt the trace block, delta = ``_SHIFT``).
 
-        K = E_yy - C^T X,   shape (T, m, m),
-
-    m = n - d0.  Then lam_0 = Z[..., m:] r_0 - X y.
-
-    d0 is 1 (j = 0) or 3 (j = 1); any other d0 raises ValueError.  With
-    d0 = 1 the blocks are scalars a and Z = [C, 1] * (1 / a), which is
-    bitwise what LAPACK's 1 x 1 solve returns (it multiplies by the
-    inverted pivot).  With d0 = 3, :func:`_ldl_solve` factors every block
-    as L D L^T, written out over the element axis.  Either way no LAPACK
-    call is made per element.
+    Returns the pivots (d0 + 1, T) and max|K|, K the element matrices
+    after the lam_0 pivots; each multiplier column is left in A[i + 1:, i]
+    and the trace blocks in A[d0 + 1:, d0 + 1:].
     """
-    if d0 not in (1, 3):
-        raise ValueError(f"the interior block must be 1 x 1 or 3 x 3, got d0={d0}")
-    n = E.shape[1]
-    C = E[:, :d0, d0:]
-    if d0 == 1:
-        inv = 1.0 / E[:, :1, :1]
-        Z = np.concatenate([C * inv, inv], axis=2)
-    else:
-        Z = _ldl_solve(E)
-    K = E[:, d0:, d0:] - np.swapaxes(C, 1, 2) @ Z[..., : n - d0]
-    return Z, K
-
-
-def _ldl_solve(E: np.ndarray) -> np.ndarray:
-    """Z = E_00^{-1} [C, I] for the 3 x 3 interior blocks E_00 of ``E``.
-
-    Each symmetric positive definite block is factored as L D L^T, the
-    Cholesky factorization without square roots, read from its lower
-    triangle; forward substitution, the division by D and back
-    substitution then run on the rows of [C, I].  Like LAPACK's solve,
-    and unlike an explicit adjugate inverse, this is backward stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    chs. 10 and 14).  A pivot of D that is not positive and finite raises
-    :class:`SolverError` naming the first such element.
-    """
-    T, n = E.shape[:2]
-    a00, a10, a20 = E[:, 0, 0], E[:, 1, 0], E[:, 2, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l10, l20 = a10 / a00, a20 / a00
-        d1 = E[:, 1, 1] - l10 * a10
-        v = E[:, 2, 1] - l20 * a10
-        l21 = v / d1
-        d2 = E[:, 2, 2] - l20 * a20 - l21 * v
-    pivots = np.stack([a00, d1, d2], axis=1)
-    bad = ~((pivots > 0) & (pivots < np.inf)).all(axis=1)
-    if bad.any():
-        t = int(np.flatnonzero(bad)[0])
-        raise SolverError(f"interior block of element {t} is not positive definite: LDL^T pivots {pivots[t]}")
-    # [C, I] with the element axis last, so each row operation runs over
-    # contiguous memory.
-    R = np.zeros((3, n, T))
-    R[:, : n - 3] = E[:, :3, 3:].transpose(1, 2, 0)
-    R[0, n - 3] = R[1, n - 2] = R[2, n - 1] = 1.0
-    y0, y1, y2 = R
-    y1 -= l10 * y0
-    y2 -= l20 * y0
-    y2 -= l21 * y1
-    y0 /= a00
-    y1 /= d1
-    y2 /= d2
-    y1 -= l21 * y2
-    y0 -= l10 * y1
-    y0 -= l20 * y2
-    return R.transpose(2, 0, 1)
+    pivots = np.empty((d0 + 1, A.shape[-1]))
+    for i in range(d0 + 1):
+        col = A[i + 1 :, i]
+        if i < d0:
+            pivots[i] = A[i, i]
+            bad = ~((pivots[i] > 0) & (pivots[i] < np.inf))
+            if bad.any():
+                t = int(np.flatnonzero(bad)[0])
+                raise SolverError(
+                    f"interior block of element {t} is not positive definite: LDL^T pivot {i} is {pivots[i, t]}"
+                )
+        else:
+            kmax = np.abs(A[d0:, d0:]).max()
+            shift = _SHIFT * np.abs(col).max(axis=0) ** 2 / np.abs(A[d0 + 1 :, d0 + 1 :]).max(axis=(0, 1))
+            pivots[i] = A[i, i] - shift
+        # One (m, m, T) temporary at a time, the largest array here.
+        update = col[:, None] * col
+        update /= pivots[i]
+        A[i + 1 :, i + 1 :] -= update
+        del update
+        col /= pivots[i]
+    return pivots, kmax
 
 
 class _CondensedLU:
-    """LU factor of the trace system, u_T eliminated in its element
-    against the shifted pivot ``p``, with the element data that maps a
-    condensed right-hand side in and element rows out: u_T's column ``k``
-    over the free traces, and S_00^{-1} b_0 of the lam_0 loads b_0.
-    ``kmax`` is the largest magnitude of the unshifted condensed element
-    matrices; neither they nor the trace matrix are kept."""
+    """The element pivots and multiplier columns of :func:`eliminate` and
+    the LU factor of the trace system that they leave.  ``kmax`` is the
+    largest magnitude of the unshifted element matrices with lam_0
+    eliminated; neither they nor the trace matrix are kept."""
 
     def __init__(self, system: SaddleSystem):
         dm = self.dofmap = system.dofmap
-        Z, K = schur_complement(system.element_matrix, dm.dim_lam0)
-        m = K.shape[-1]
-        self.X = Z[..., :m]
-        self.lam0_load = np.einsum("tij,tj->ti", Z[..., m:], system.rhs0)
-        self.order = dm.n_free_edges * dm.dim_lamb
+        d0, n = dm.dim_lam0, system.element_matrix.shape[-1]
+        # [lam_0; u_T; traces] of [lam_0; traces; u_T], and back.
+        self.own_first = np.r_[:d0, n - 1, d0 : n - 1]
+        self.back = np.r_[:d0, d0 + 1 : n, d0]
+        A = system.element_matrix.transpose(1, 2, 0)[np.ix_(self.own_first, self.own_first)]
         # Outflow traces are not unknowns: zero their rows and columns.
-        free = dm.gather(np.ones(dm.n_condensed))
-        K *= free[:, :, None] * free[:, None, :]
-        # The stopping rule's scale is that of the unshifted matrices.
-        self.kmax = np.abs(K).max()
-        # u_T's column over the free traces, 0 in its own row, and its
-        # shifted pivot.
-        Kt, self.k = K[:, :-1, :-1], K[:, :, -1].copy()
-        self.k[:, -1] = 0.0
-        self.p = K[:, -1, -1] - _SHIFT * np.abs(self.k).max(axis=1) ** 2 / np.abs(Kt).max(axis=(1, 2))
-        Kt -= self.k[:, :-1, None] * self.k[:, None, :-1] / self.p[:, None, None]
-        Kc = scatter(Kt, dm.element_indices[:, :-1], self.order)
-        # The element matrices are in Kc now; free them before the factor.
-        del K, Kt
+        free = np.ones(A.shape[1:])
+        free[d0 + 1 :] = dm.gather(np.ones(dm.n_condensed)).T
+        A *= free
+        A *= free[:, None]
+        self.pivots, self.kmax = eliminate(A, d0)
+        self.cols = [A[i + 1 :, i].copy() for i in range(d0 + 1)]
+        Kc = scatter(A[d0 + 1 :, d0 + 1 :].transpose(2, 0, 1), dm.element_indices, dm.n_condensed)
+        # The trace blocks are in Kc now; free the elimination buffer before the factor.
+        del A, free
         self.nnz = Kc.nnz
         start = time.perf_counter()
         try:
@@ -203,31 +164,23 @@ class _CondensedLU:
         except RuntimeError as err:
             raise SolverError(
                 f"factorization failed ({err}): full order {dm.n_total}, nnz {system.nnz}; "
-                f"condensed order {self.order}, nnz {self.nnz}"
+                f"condensed order {dm.n_condensed}, nnz {self.nnz}"
             ) from err
         self.factor_s = time.perf_counter() - start
 
-    def condense(self, r0: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The condensed right-hand side for lam_0 rows ``r0`` and the
-        rest ``r``."""
-        return r - self.dofmap.add(np.einsum("tim,ti->tm", self.X, r0))
-
-    def solve(self, rc: np.ndarray) -> np.ndarray:
-        """One solve of the condensed system with u_T's shifted pivots for
-        the right-hand side ``rc``: the traces first, u_T from them."""
-        dm, n = self.dofmap, self.order
-        w = rc[n:] / self.p
-        y = np.append(self.lu.solve((rc - dm.add(self.k * w[:, None]))[:n]), w)
-        y[n:] -= np.einsum("ti,ti->t", self.k, dm.gather(y)) / self.p
-        return y
-
-    def rows(self, y: np.ndarray) -> np.ndarray:
-        """Element rows for the condensed solution ``y`` of the system's
-        lam_0 loads: lam_0 recovered in each element, 0 on outflow
-        traces."""
-        y_loc = self.dofmap.gather(y)
-        lam0 = self.lam0_load - np.einsum("tim,tm->ti", self.X, y_loc)
-        return np.concatenate([lam0, y_loc], axis=1)
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """One solve with u_T's shifted pivots of the element rows ``r``
+        (T, n_loc + 1), whose trace rows are summed, returning element
+        rows, 0 on outflow traces."""
+        dm, cols = self.dofmap, self.cols
+        d0 = len(cols) - 1
+        x = r.T[self.own_first]
+        for i, col in enumerate(cols):
+            x[i + 1 :] -= col * x[i]
+        x[d0 + 1 :] = dm.gather(self.lu.solve(dm.add(x[d0 + 1 :].T))).T
+        for i in reversed(range(d0 + 1)):
+            x[i] = x[i] / self.pivots[i] - np.einsum("it,it->t", cols[i], x[i + 1 :])
+        return np.take(x.T, self.back, axis=1)
 
 
 def check_tol(tol: float) -> None:
@@ -240,62 +193,64 @@ def solve(system: SaddleSystem, tol: float = DEFAULT_TOL) -> Solution:
     """Solve the assembled system to relative residual <= tol.
 
     Refuses a singular system with ``check_regular`` (ValueError naming
-    the kernel or the element), then factors the trace system once, with
-    u_T eliminated against its shifted pivots, and refines its solution.
-    Every iterate is recovered as element rows and its residual formed on
-    the full system, applied element by element; the condensed residual
-    gives the next correction until it is at double round-off, max|r| <=
-    eps max|K| max|y|, or stops halving, or ``_REFINE_STEPS`` corrections
-    have run.  The last residual is checked against tol.  Raises
-    :class:`SolverError` if an interior block is not positive definite,
-    the first solve is not finite or the residual contract is missed
-    (relevant for tau=0 with j=k on very coarse meshes, where uniqueness
-    needs a small enough mesh size).
+    the kernel or the element), then eliminates lam_0 and u_T in their
+    elements, u_T against its shifted pivot, factors the traces once, and
+    refines the element rows: each step adds the solve of the element-wise
+    residual of the full system until its summed trace rows and its u_T
+    rows are at double round-off, max|r| <= eps max|K| max|x|, or stop
+    halving, or ``_REFINE_STEPS`` corrections have run.  The last residual
+    is checked against tol.  Raises :class:`SolverError` if an interior
+    block is not positive definite, the first solve is not finite or the
+    residual contract is missed (relevant for tau=0 with j=k on very
+    coarse meshes, where uniqueness needs a small enough mesh size).
     """
     check_tol(tol)
     check_regular(system)
-    b0, b = system.rhs0, system.rhs
+    dm = system.dofmap
+    d0, n = dm.dim_lam0, dm.n_condensed
     factor = _CondensedLU(system)
-    # The full vector is the lam_0 rows, element by element, then the rest.
-    bnorm = float(np.linalg.norm(np.concatenate([b0.ravel(), b])))
+
+    def full(rows):
+        """The full vector of element rows: lam_0, the summed traces, u_T."""
+        return np.concatenate([rows[:, :d0].ravel(), dm.add(rows[:, d0:-1]), rows[:, -1]])
+
+    bnorm = float(np.linalg.norm(full(system.load)))
     bnorm = bnorm if bnorm > 0 else 1.0
 
-    y = factor.solve(factor.condense(b0, b))
-    if not np.isfinite(y).all():
+    local = factor.solve(system.load)
+    if not np.isfinite(local).all():
         raise SolverError(
             f"singular factor: the first solve is not finite "
-            f"(full order {system.dofmap.n_total}, condensed order {factor.order})"
+            f"(full order {dm.n_total}, condensed order {n})"
         )
     residuals, last, steps = [], np.inf, 0
     while True:
-        local = factor.rows(y)
-        y0, yc = system.matvec(local)
-        r0, r = b0 - y0, b - yc
-        residuals.append(float(np.linalg.norm(np.concatenate([r0.ravel(), r]))) / bnorm)
-        res = factor.condense(r0, r)
-        rmax = np.abs(res).max()
-        if rmax <= _EPS * factor.kmax * np.abs(y).max() or rmax > last / 2 or steps == _REFINE_STEPS:
+        r = system.residual(local)
+        rfull = full(r)
+        residuals.append(float(np.linalg.norm(rfull)) / bnorm)
+        rmax = np.abs(rfull[r[:, :d0].size :]).max()
+        if rmax <= _EPS * factor.kmax * np.abs(local[:, d0:]).max() or rmax > last / 2 or steps == _REFINE_STEPS:
             break
-        y, last, steps = y + factor.solve(res), rmax, steps + 1
+        local, last, steps = local + factor.solve(r), rmax, steps + 1
     residual = residuals[-1]
     if not np.isfinite(residual) or residual > tol:
         raise SolverError(
             f"residual contract missed: {residual:.3e} > {tol:.3e} after {steps} refinement steps "
-            f"(order={system.dofmap.n_total}, condensed order={factor.order})"
+            f"(order={dm.n_total}, condensed order={n})"
         )
 
     info = {
         "method": "splu",
-        "order": system.dofmap.n_total,
+        "order": dm.n_total,
         "nnz": system.nnz,
-        "condensed_order": factor.order,
+        "condensed_order": n,
         "condensed_nnz": factor.nnz,
         "factor_s": factor.factor_s,
-        "separator_edges": system.dofmap.separator_edges,
+        "separator_edges": dm.separator_edges,
         "fill": int(factor.lu.nnz),
         # n log2 n vanishes at n = 1, where n stands in for it.
-        "fill_per_nlogn": float(factor.lu.nnz / (factor.order * max(np.log2(factor.order), 1.0))),
-        "row_interchanges": int(np.count_nonzero(factor.lu.perm_r != np.arange(factor.order))),
+        "fill_per_nlogn": float(factor.lu.nnz / (n * max(np.log2(n), 1.0))),
+        "row_interchanges": int(np.count_nonzero(factor.lu.perm_r != np.arange(n))),
         "refine_steps": steps,
         "initial_residual": residuals[0],
         "tol": tol,

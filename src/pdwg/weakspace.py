@@ -9,10 +9,9 @@ constant per element.  Every layer from assembly to analysis holds an
 element's unknowns as element rows [lam_0; traces of edges 0, 1, 2; u_T],
 and a weak function as the rows without u_T, 0 on outflow traces.  lam_0
 and u_T couple only within their element, so only the traces lam_b, the
-unknowns the sparse LU factors, are numbered in the refinement-tree
+unknowns the sparse LU factors, are numbered, in the refinement-tree
 order the factor runs in, once, by the rows of
-``DofMap.element_indices``, with u_T after them; the solver renumbers
-nothing.
+``DofMap.element_indices``; the solver renumbers nothing.
 
 The discrete weak gradient of a weak function v = {v0, vb} on a triangle T
 is the vector polynomial of degree r = k-1 defined by
@@ -35,8 +34,8 @@ from .poly import dim_poly2d
 
 
 class DofMap:
-    """Numbering of the condensed unknowns [lam_b; u]: the traces in the
-    fill-reducing order of the factor, then u.
+    """Numbering of the free traces lam_b, the unknowns the sparse LU
+    factors, in the fill-reducing order of the factor.
 
     ``refine_uniform`` numbers the four children of element p as rows
     4p..4p+3, so on a mesh refined L times from C coarse elements the
@@ -55,18 +54,16 @@ class DofMap:
     factor's fill depends on the refinement numbering.
 
     Each free edge takes dim P_j(e) consecutive indices from
-    ``lamb_start`` (-1 on outflow edges), F db in all, and the u_T of
-    element t takes index F db + t after them, ``n_condensed`` in all; the
-    solver eliminates u_T in its element and factors the first F db only.
-    ``element_indices`` (T, 3 db + 1), int32 (the index type SuperLU
-    takes) and read-only, holds each element's indices of [traces of
-    edges 0, 1, 2; u_T], -1 on outflow traces; :meth:`gather` and
-    :meth:`add` move such rows from and to the condensed vector.
-    ``separator_edges`` is the size of the root separator, the free edges
-    whose elements lie in different coarse elements (the 2^L edges of the
-    diagonal x + y = 1 on the unit square at level L).  lam_0 is not
-    numbered, but ``n_lambda`` and ``n_total`` count it, as the full
-    order.
+    ``lamb_start`` (-1 on outflow edges), ``n_condensed`` = F db in all,
+    the order of the factor.  ``element_indices`` (T, 3 db), int32 (the
+    index type SuperLU takes) and read-only, holds each element's indices
+    of the traces of its edges 0, 1, 2, -1 on outflow traces;
+    :meth:`gather` and :meth:`add` move such rows from and to the trace
+    vector.  ``separator_edges`` is the size of the root separator, the
+    free edges whose elements lie in different coarse elements (the 2^L
+    edges of the diagonal x + y = 1 on the unit square at level L).
+    lam_0 and u_T belong to one element each and are not numbered, but
+    ``n_lambda``, ``n_u`` and ``n_total`` count them, the full order.
     """
 
     def __init__(self, mesh: Mesh, j: int, classification: BoundaryClassification):
@@ -83,7 +80,7 @@ class DofMap:
         F = self.n_free_edges = int(free.sum())
         self.n_lambda = T * self.dim_lam0 + F * db
         self.n_u = T
-        self.n_condensed = F * db + T
+        self.n_condensed = F * db
 
         L = refinement_depth(mesh)
         a, b = mesh.edge_elems[free].T
@@ -102,9 +99,7 @@ class DofMap:
         self.lamb_start = np.full(mesh.num_edges, -1, dtype=np.int64)
         self.lamb_start[free] = start
         starts = self.lamb_start[mesh.element_edges][..., None]
-        traces = np.where(starts < 0, -1, starts + np.arange(db)).reshape(T, -1)
-        u = F * db + np.arange(T)
-        self.element_indices = np.concatenate([traces, u[:, None]], axis=1).astype(np.int32)
+        self.element_indices = np.where(starts < 0, -1, starts + np.arange(db)).reshape(T, -1).astype(np.int32)
         self.element_indices.setflags(write=False)
         # The rows' indices with outflow traces sent to one extra bin,
         # n_condensed, which gather reads as +0.0 and add drops.
@@ -115,14 +110,14 @@ class DofMap:
         return self.n_lambda + self.n_u
 
     def gather(self, y: np.ndarray) -> np.ndarray:
-        """The condensed vector ``y`` as element rows over [traces of edges
-        0, 1, 2; u_T], (T, 3 db + 1), +0.0 on outflow traces."""
+        """The trace vector ``y`` as element rows over the traces of edges
+        0, 1, 2, (T, 3 db), +0.0 on outflow traces."""
         return np.append(y, 0.0)[self._sink]
 
     def add(self, rows: np.ndarray) -> np.ndarray:
-        """Element rows (T, 3 db + 1) over [traces of edges 0, 1, 2; u_T]
-        summed into the condensed vector, in element order; the rows'
-        outflow entries are dropped."""
+        """Element rows (T, 3 db) over the traces of edges 0, 1, 2 summed
+        into the trace vector, in element order; the rows' outflow entries
+        are dropped."""
         return np.bincount(self._sink.ravel(), rows.ravel(), self.n_condensed + 1)[:-1]
 
 

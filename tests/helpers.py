@@ -54,45 +54,49 @@ def build_level(mesh, spec):
     return tables, dofmap, assemble(mesh, dofmap, forms)
 
 
-def full_of_condensed(dofmap):
-    """The index in the full system of each unknown of
-    ``dofmap.element_indices``: the traces in their order there from
-    T d0 on, then u_T in element order from ``dofmap.n_lambda`` on."""
-    T, n = dofmap.mesh.num_elements, dofmap.n_condensed
-    u = dofmap.element_indices[:, -1]
-    full, trace = np.empty(n, dtype=np.int64), np.ones(n, dtype=bool)
-    trace[u] = False
-    full[trace] = T * dofmap.dim_lam0 + np.arange(n - T)
-    full[u] = dofmap.n_lambda + np.arange(T)
-    return full
-
-
 def full_indices(dofmap):
     """(T, n_loc + 1) indices of every element's unknowns
     [lam_0; traces of edges 0, 1, 2; u_T] in the full system, -1 on
     outflow traces: lam_0 first, d0 per element in element order, then
-    the traces and last u_T, one per element in element order, so the
-    first ``dofmap.n_lambda`` unknowns are the multiplier's."""
+    the traces in their order in ``dofmap.element_indices``, so the first
+    ``dofmap.n_lambda`` unknowns are the multiplier's, and last the u_T of
+    element t at ``dofmap.n_lambda`` + t."""
     T, d0 = dofmap.mesh.num_elements, dofmap.dim_lam0
     idx = dofmap.element_indices
     lam0 = np.arange(T * d0).reshape(T, d0)
-    return np.concatenate([lam0, np.where(idx >= 0, full_of_condensed(dofmap)[idx], -1)], axis=1)
+    u = dofmap.n_lambda + np.arange(T)[:, None]
+    return np.concatenate([lam0, np.where(idx >= 0, idx + T * d0, -1), u], axis=1)
 
 
-def full_rows(r0, r, dofmap):
-    """The vector in the numbering of :func:`full_indices` of lam_0 rows
-    ``r0`` and the rest ``r`` numbered by ``dofmap.element_indices``, as
-    ``SaddleSystem`` holds its right-hand side and ``matvec`` returns."""
-    x = np.empty(dofmap.n_total)
-    x[: r0.size] = r0.ravel()
-    x[full_of_condensed(dofmap)] = r
-    return x
+def full_rows(rows, dofmap):
+    """The vector in the numbering of :func:`full_indices` of element rows
+    ``rows`` whose trace rows are summed, as ``SaddleSystem`` holds its
+    loads and ``residual`` returns."""
+    idx = full_indices(dofmap)
+    free = idx >= 0
+    return np.bincount(idx[free], rows[free], minlength=dofmap.n_total)
+
+
+def assert_u_follows_the_traces(system):
+    """``SaddleSystem.matrix`` numbers the u_T of element t n_lambda + t,
+    after every trace, and its column holds B_T: on the lam_0 and free
+    traces of element t only, and on itself, the zero diagonal."""
+    dm, A = system.dofmap, system.matrix.tocoo()
+    T, d0 = dm.mesh.num_elements, dm.dim_lam0
+    assert dm.n_lambda == T * d0 + dm.n_condensed and A.shape == (dm.n_total,) * 2
+    col = A.col >= dm.n_lambda
+    row, t = A.row[col], A.col[col] - dm.n_lambda
+    lam0 = (row < T * d0) & (row // d0 == t)
+    trace = (dm.element_indices[t] == (row - T * d0)[:, None]).any(axis=1)
+    diagonal = row == A.col[col]
+    assert np.all(lam0 ^ trace ^ diagonal) and np.all(A.data[col][diagonal] == 0.0)
+    assert np.array_equal(np.unique(t), np.arange(T))
 
 
 def full_rhs(system):
     """The right-hand side of ``system`` in the numbering of
     :func:`full_indices`."""
-    return full_rows(system.rhs0, system.rhs, system.dofmap)
+    return full_rows(system.load, system.dofmap)
 
 
 def full_vector(local, dofmap):

@@ -277,30 +277,22 @@ class TestAssemble:
     @pytest.mark.parametrize("entry", ["table5", "table19"])
     def test_matrix_property_is_the_assembled_matrix(self, entry, j):
         # perfbench's assembly counters read SaddleSystem.matrix, which
-        # numbers lam_0 itself, first, then the unknowns of element_indices:
-        # it is the full-order matrix, bit for bit, in that numbering, on
-        # the unit square (table5) and the cracked square (table19).
+        # numbers lam_0 itself, first, then the traces of element_indices,
+        # then u_T: it is the full-order matrix of full_indices, bit for
+        # bit, on the unit square (table5) and the cracked square (table19).
         spec = dataclasses.replace(get_experiment(entry).spec, j=j)
         _, dm, system = self.build(spec, level=2)
-        A, ref = system.matrix.tocoo(), assembled_matrix(system).tocoo()
+        A, ref = system.matrix, assembled_matrix(system)
         assert A.shape == (dm.n_total, dm.n_total)
-        n0, idx = system.rhs0.size, dm.element_indices
-        own = np.concatenate([np.arange(n0).reshape(system.rhs0.shape), np.where(idx >= 0, idx + n0, -1)], axis=1)
-        full, free = full_indices(dm), own >= 0
-        renumber = np.empty(dm.n_total, dtype=np.int64)
-        renumber[full[free]] = own[free]
-        rows, cols = renumber[ref.row], renumber[ref.col]
-        order = np.lexsort((cols, rows))
-        assert np.array_equal(A.row, rows[order]) and np.array_equal(A.col, cols[order])
-        assert same_bits(A.data, ref.data[order])
+        assert all(same_bits(getattr(A, part), getattr(ref, part)) for part in ("indptr", "indices", "data"))
         assert A.nnz == system.nnz
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("scale", [1.0, -0.0])
     def test_inflow_loads_equal_their_sum_from_zero(self, j, scale):
-        # Each inflow trace is written once, and equals the element-row
-        # sum from 0 over [traces; u_T]: scale -0.0 turns loads into -0.0,
-        # which that sum makes +0.0.
+        # Each inflow trace is written once, and its load rows summed by
+        # the DOF map equal the sum from 0 over the traces: scale -0.0
+        # turns loads into -0.0, which that sum makes +0.0.
         mesh = refined("l_shape", 2)
         forms = build_forms(build_contexts(mesh, dataclasses.replace(get_experiment("table7").spec, j=j)))
         cls = classify_boundary(mesh, forms)
@@ -313,7 +305,7 @@ class TestAssemble:
         assert ((F == 0) & np.signbit(F)).any() == np.signbit(scale)
         free = idx >= 0
         expected = np.bincount(idx[free], F[free], minlength=dm.n_condensed)
-        assert same_bits(assemble(mesh, dm, forms).rhs, expected)
+        assert same_bits(dm.add(assemble(mesh, dm, forms).load[:, dm.dim_lam0 : -1]), expected)
 
     def test_unit_solution_satisfies_system(self):
         # beta=[1,-1], c=1, f=c, g=1: (u=1, lam=0) solves the discrete

@@ -55,7 +55,7 @@ def test_blocked_level_equals_the_whole_level(entry, j, monkeypatch):
     for part in ("inflow_edges", "outflow_edges"):
         assert same_bits(getattr(classified[0], part), getattr(whole, part))
     assert same_bits(run.dofmap.element_indices, dofmap.element_indices)
-    for part in ("element_matrix", "rhs0", "rhs"):
+    for part in ("element_matrix", "load"):
         assert same_bits(getattr(run.system, part), getattr(system, part))
     for field in dataclasses.fields(checks):
         got, want = getattr(run.checks, field.name), getattr(checks, field.name)
@@ -204,5 +204,5 @@ def test_g_is_never_evaluated_off_the_inflow_boundary(level):
     off = Piecewise("g_nan_off_inflow", pieces=((HalfPlane(-1.0, 1.0, -0.5), nan),), otherwise=spec.g)
     mesh = refined(spec.domain_tag, level)
     run, want = run_level(mesh, dataclasses.replace(spec, g=off)), run_level(mesh, spec)
-    assert same_bits(run.system.rhs, want.system.rhs)
+    assert same_bits(run.system.load, want.system.load)
     assert same_bits(run.solution.local, want.solution.local)

@@ -616,7 +616,7 @@ class TestConfigFile:
         monkeypatch.setattr(pdwg.solver, "check_regular", lambda system: None)
         sol = solve(system)
         assert np.abs(sol.local[:, -1]).max() > 1e10 and sol.residual < 1e-14
-        monkeypatch.setattr(_CondensedLU, "solve", lambda factor, rc: np.full(len(rc), np.nan))
+        monkeypatch.setattr(_CondensedLU, "solve", lambda factor, r: np.full(r.shape, np.nan))
         with pytest.raises(SolverError) as err:
             solve(system)
         assert str(err.value) == "singular factor: the first solve is not finite (full order 10, condensed order 2)"

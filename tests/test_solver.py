@@ -9,6 +9,7 @@ from helpers import (
     assembled_matrix,
     build_level,
     forms_for,
+    assert_u_follows_the_traces,
     full_rhs,
     full_rows,
     full_vector,
@@ -25,7 +26,7 @@ from pdwg.solver import (
     _REFINE_STEPS,
     SolverError,
     _CondensedLU,
-    schur_complement,
+    eliminate,
     solve,
 )
 
@@ -68,33 +69,87 @@ def assert_interior_traces_agree(sol, dm):
     assert same_bits(sides[:, 0], sides[:, 1])
 
 
+def own_first(system):
+    """The element matrices of ``system`` as ``eliminate`` orders them,
+    (T, n, n) over [lam_0; u_T; traces], outflow traces zeroed."""
+    dm, E = system.dofmap, system.element_matrix
+    d0, n = dm.dim_lam0, E.shape[-1]
+    free = np.ones(E.shape[:2])
+    free[:, d0:-1] = dm.gather(np.ones(dm.n_condensed))
+    order = np.r_[:d0, n - 1, d0 : n - 1]
+    return (E * free[:, :, None] * free[:, None, :])[:, order][:, :, order]
+
+
+def dense_elimination(M, d0):
+    """The float64 oracle of ``eliminate`` for element matrices M (T, n, n)
+    over [lam_0 (d0); u_T; traces], by LAPACK: lam_0's block is R R^T
+    (Cholesky), so its L D L^T has D = diag(R)^2 and the lam_0 multiplier
+    columns are those of M_{:0} R^{-T} diag(R)^{-1}; K = M_yy - W^T W with
+    W = R^{-1} M_{0y} is the Schur complement, and u_T's shifted pivot p,
+    its multipliers k / p and the trace block K_tt - k k^T / p follow.
+    Returns the pivots (T, d0 + 1), the lam_0 columns (T, n, d0), u_T's
+    multipliers (T, m) and the trace blocks (T, m, m)."""
+    R = np.linalg.cholesky(M[:, :d0, :d0])
+    r = np.diagonal(R, axis1=1, axis2=2)
+    W = np.linalg.solve(R, M[:, :d0])
+    K = M[:, d0:, d0:] - np.swapaxes(W[:, :, d0:], 1, 2) @ W[:, :, d0:]
+    k, Ktt = K[:, 1:, 0], K[:, 1:, 1:]
+    p = K[:, 0, 0] - pdwg.solver._SHIFT * np.abs(k).max(axis=1) ** 2 / np.abs(Ktt).max(axis=(1, 2))
+    S = Ktt - k[:, :, None] * k[:, None, :] / p[:, None, None]
+    return np.column_stack([r**2, p]), np.swapaxes(W, 1, 2) / r[:, None, :], k / p[:, None], S
+
+
+def eliminated(M, d0):
+    """``eliminate`` run on element matrices M (T, n, n) ordered as
+    :func:`own_first` returns them: the pivots (T, d0 + 1), each pivot's
+    multiplier column, element axis first, and the trace blocks."""
+    A = M.transpose(1, 2, 0).copy()
+    pivots, _ = eliminate(A, d0)
+    cols = [A[i + 1 :, i].T for i in range(d0 + 1)]
+    return pivots.T, cols, A[d0 + 1 :, d0 + 1 :].transpose(2, 0, 1)
+
+
+def condensed(system):
+    """The condensed element matrices of ``system``, lam_0 eliminated by
+    the LAPACK solve, over [traces; u_T] with outflow traces zeroed, and
+    their indices with each u_T after every trace, u_T of element t at
+    F db + t: the condensed matrix over [traces; u] they scatter into
+    has order F db + T."""
+    dm = system.dofmap
+    K = lapack_schur(system.element_matrix, dm.dim_lam0)[1]
+    u = dm.n_condensed + np.arange(len(K))[:, None]
+    idx = np.concatenate([dm.element_indices, u], axis=1)
+    free = idx >= 0
+    return K * free[:, :, None] * free[:, None, :], idx
+
+
 class TestKernels:
     def test_hand_inverted_3x3(self):
-        # S_00 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]] has inverse
-        # [[3, 2, 1], [2, 4, 2], [1, 2, 3]] / 4.  With C = [[1, 0], [0, 3],
-        # [1, 0]], X = S_00^{-1} C = [[1, 1.5], [1, 3], [1, 1.5]] and
-        # C^T X = [[2, 3], [3, 9]].  The element matrix is [[S, B], [B^T, 0]]
-        # with S_bb = 5 and B = [0, 3, 0, 1].
-        E = np.array(
+        # Over [lam_0 (3); u_T; one trace] the element matrix has S_00 =
+        # [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], couplings B_0 = [0, 3, 0]
+        # to u_T and [1, 0, 1] to the trace, S_bb = 5 and B_b = 1.  L D L^T
+        # by hand: the lam_0 pivots are 2, 3/2 and 4/3, with multiplier
+        # columns [-1/2, 0, 0, 1/2], [-2/3, 2, 1/3] and [3/2, 1]; they leave
+        # [[-9, -2], [-2, 3]] over [u_T; trace], so k = -2, K_tt = 3, the
+        # shifted pivot is p = -9 - 4 delta / 3, its multiplier -2 / p and
+        # the trace block 3 - 4 / p.
+        M = np.array(
             [
                 [
-                    [2.0, -1.0, 0.0, 1.0, 0.0],
-                    [-1.0, 2.0, -1.0, 0.0, 3.0],
-                    [0.0, -1.0, 2.0, 1.0, 0.0],
-                    [1.0, 0.0, 1.0, 5.0, 1.0],
-                    [0.0, 3.0, 0.0, 1.0, 0.0],
+                    [2.0, -1.0, 0.0, 0.0, 1.0],
+                    [-1.0, 2.0, -1.0, 3.0, 0.0],
+                    [0.0, -1.0, 2.0, 0.0, 1.0],
+                    [0.0, 3.0, 0.0, 0.0, 1.0],
+                    [1.0, 0.0, 1.0, 1.0, 5.0],
                 ]
             ]
         )
-        Z, K = schur_complement(E, 3)
-        S00_inv = np.array([[3.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 3.0]]) / 4.0
-        assert np.allclose(Z[0], np.hstack([[[1.0, 1.5], [1.0, 3.0], [1.0, 1.5]], S00_inv]), atol=1e-15)
-        assert np.allclose(K[0], [[3.0, -2.0], [-2.0, -9.0]], atol=1e-14)
-
-    @pytest.mark.parametrize("d0", [0, 2, 4])
-    def test_other_interior_sizes_rejected(self, d0):
-        with pytest.raises(ValueError, match=f"d0={d0}"):
-            schur_complement(np.eye(6)[None], d0)
+        pivots, cols, S = eliminated(M, 3)
+        p = -9.0 - 4.0 * pdwg.solver._SHIFT / 3.0
+        assert np.allclose(pivots[0], [2.0, 1.5, 4.0 / 3.0, p], rtol=1e-15, atol=0)
+        for col, want in zip(cols, [[-0.5, 0.0, 0.0, 0.5], [-2.0 / 3.0, 2.0, 1.0 / 3.0], [1.5, 1.0], [-2.0 / p]]):
+            assert np.allclose(col[0], want, rtol=1e-15, atol=1e-15)
+        assert np.allclose(S[0], [[3.0 - 4.0 / p]], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize(
         "block",
@@ -105,67 +160,65 @@ class TestKernels:
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]],  # negative
             [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]],  # infinite
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]],
+            # d0 = 1 (j = 0): the one pivot is checked too.
+            [[0.0]],
+            [[-2.0]],
+            [[np.inf]],
+            [[np.nan]],
         ],
     )
     def test_pivot_not_positive_and_finite_names_the_element(self, block):
         # Element 2 of four; the others are the identity.
-        E = np.broadcast_to(np.eye(6), (4, 6, 6)).copy()
-        E[2, :3, :3] = block
+        d0 = len(block)
+        E = np.broadcast_to(np.eye(d0 + 3), (4, d0 + 3, d0 + 3)).copy()
+        E[2, :d0, :d0] = block
         with pytest.raises(SolverError, match="element 2 is not positive definite"):
-            schur_complement(E, 3)
+            eliminate(E.transpose(1, 2, 0).copy(), d0)
 
     def test_ldlt_matches_the_lapack_solve_on_the_catalog(self):
-        # Every catalog interior block at L0-3, tau = 1000 and 10000
-        # included: per element, the largest error of Z relative to its
-        # largest entry is 6.6e-14 (table16 j=1 L3), and of K 8.9e-15.  The
-        # adjugate inverse reaches 4.4e-13 and 2.7e-13 and fails here.
+        # Every catalog element matrix at L0-3, tau = 1000 and 10000
+        # included, against the LAPACK oracle.  Per element, the largest
+        # error relative to the pivot is 6.8e-14 (table12 j=1 L3), of a
+        # multiplier column relative to its largest entry 1.5e-13
+        # (fig1_tau10000 j=1 L0), and of the shifted trace block relative
+        # to its largest entry 1.2e-14 (table12 j=1 L0).
         taus = set()
         for name, j, level, system in catalog_systems((0, 1, 2, 3)):
-            E, d0 = system.element_matrix, system.dofmap.dim_lam0
-            Z, K = schur_complement(E, d0)
-            Z_ref, K_ref = lapack_schur(E, d0)
-            z_err = np.abs(Z - Z_ref).max(axis=(1, 2)) / np.abs(Z_ref).max(axis=(1, 2))
-            k_err = np.abs(K - K_ref).max(axis=(1, 2)) / np.abs(K_ref).max(axis=(1, 2))
-            assert z_err.max() <= 2e-13 and k_err.max() <= 5e-14, (name, j, level)
+            d0 = system.dofmap.dim_lam0
+            M = own_first(system)
+            pivots, cols, S = eliminated(M, d0)
+            want_pivots, lam0_cols, u_col, want_S = dense_elimination(M, d0)
+            assert (np.abs(pivots - want_pivots) / np.abs(want_pivots)).max() <= 3e-13, (name, j, level)
+            for i, col in enumerate(cols):
+                ref = lam0_cols[:, i + 1 :, i] if i < d0 else u_col
+                scale = np.maximum(np.abs(ref).max(axis=1), np.finfo(float).tiny)
+                assert (np.abs(col - ref).max(axis=1) / scale).max() <= 5e-13, (name, j, level, i)
+            s_err = np.abs(S - want_S).max(axis=(1, 2)) / np.abs(want_S).max(axis=(1, 2))
+            assert s_err.max() <= 5e-14, (name, j, level)
             taus.add(get_experiment(name).spec.tau)
         assert {1000.0, 10000.0} <= taus
 
     def test_random_bordered_saddle_against_dense(self):
+        # Random symmetric positive definite S and couplings B over
+        # [lam_0; u_T; traces]: the pivots, multipliers and trace blocks
+        # against the LAPACK oracle, to 1e-12 of each element's largest.
         rng = np.random.default_rng(3)
         for d0, db in ((1, 1), (3, 2)):
             T, n = 7, d0 + 3 * db
             Q = rng.standard_normal((T, n, n))
             S = Q @ np.swapaxes(Q, 1, 2) + n * np.eye(n)
             B = rng.standard_normal((T, n))
-            E = np.zeros((T, n + 1, n + 1))
-            E[:, :n, :n] = S
-            E[:, :n, n] = E[:, n, :n] = B
-            Z, K = schur_complement(E, d0)
-            for t in range(T):
-                # Dense elimination of the first d0 unknowns of [[S, B], [B^T, 0]].
-                M = E[t]
-                M00_inv = np.linalg.inv(M[:d0, :d0])
-                ref = M[d0:, d0:] - M[d0:, :d0] @ M00_inv @ M[:d0, d0:]
-                assert np.allclose(K[t], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-                ref_Z = np.hstack([M00_inv @ M[:d0, d0:], M00_inv])
-                assert np.allclose(Z[t], ref_Z, rtol=0, atol=1e-12 * np.abs(ref_Z).max())
-
-    def test_d0_1_closed_form_equals_the_lapack_solve(self):
-        # With one interior unknown a, Z = [C, 1] * (1 / a) is what LAPACK's
-        # 1 x 1 solve returns, bit for bit, and so is K built from it.
-        rng = np.random.default_rng(11)
-        T, n = 20000, 5
-        E = rng.standard_normal((T, n, n)) * 10.0 ** rng.integers(-80, 80, (T, n, n))
-        Z, K = schur_complement(E, 1)
-        Z_ref, K_ref = lapack_schur(E, 1)
-        assert same_bits(Z, Z_ref) and same_bits(K, K_ref)
-        # Pivots at the ends of the double range, subnormal ones included.
-        a = np.array([5e-324, 1e-310, 2.2e-308, 1e-200, 1e200, 1e308, -1e-320, -3.0])
-        E = np.zeros((len(a), n, n))
-        E[:, 0, 0] = a
-        E[:, 0, 1:] = E[:, 1:, 0] = [1.0, 1e-10, 1e300, -0.0]
-        with np.errstate(all="ignore"):
-            assert same_bits(schur_complement(E, 1)[0], lapack_schur(E, 1)[0])
+            order = np.r_[:d0, n, d0:n]
+            M = np.zeros((T, n + 1, n + 1))
+            M[:, :n, :n] = S
+            M[:, :n, n] = M[:, n, :n] = B
+            M = M[:, order][:, :, order]
+            got, want = eliminated(M, d0), dense_elimination(M, d0)
+            assert np.allclose(got[0], want[0], rtol=1e-12, atol=0)
+            for i, col in enumerate(got[1]):
+                ref = want[1][:, i + 1 :, i] if i < d0 else want[2]
+                assert np.abs(col - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(got[2] - want[3]).max() <= 1e-12 * np.abs(want[3]).max()
 
     def test_singular_matrix_raises(self):
         # No convection and no reaction: u does not enter the equations, and
@@ -197,7 +250,7 @@ class TestSolve:
         outflow = dm.element_indices < 0
         cls = classify_boundary(mesh, forms_for(mesh, constant_vector(1.0, -1.0)))
         assert outflow.sum() == dm.dim_lamb * len(cls.outflow_edges) > 0
-        assert np.all(sol.local[:, dm.dim_lam0 :][outflow] == 0.0)
+        assert np.all(sol.local[:, dm.dim_lam0 : -1][outflow] == 0.0)
 
     @pytest.mark.parametrize(
         "entry, j, level",
@@ -244,17 +297,16 @@ class TestSolve:
         # factor moves: none, or those a pivoting factor of it moves.
         spec = dataclasses.replace(get_experiment(entry).spec, j=1)
         _, dm, system = build_level(refined(spec.domain_tag, 3), spec)
-        K = schur_complement(system.element_matrix, dm.dim_lam0)[1]
-        free = dm.gather(np.ones(dm.n_condensed))
-        Kc = scatter(K * free[:, :, None] * free[:, None, :], dm.element_indices, dm.n_condensed)
-        n, last = dm.n_free_edges * dm.dim_lamb, dm.element_indices[:, :-1].max(axis=1)
-        key = 2 * (np.arange(dm.n_condensed) // dm.dim_lamb)
+        K, idx = condensed(system)
+        n, last = dm.n_condensed, dm.element_indices.max(axis=1)
+        Kc = scatter(K, idx, n + dm.n_u)
+        key = 2 * (np.arange(n + dm.n_u) // dm.dim_lamb)
         key[n:] = np.where(last < 0, -1, 2 * (last // dm.dim_lamb) + 1)
         order = np.argsort(key, kind="stable")
         splu = pdwg.solver.splu
         A = Kc[order][:, order].tocsc().astype(np.float32)
         lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
-        assert np.count_nonzero(lu.perm_r != np.arange(dm.n_condensed)) == moved
+        assert np.count_nonzero(lu.perm_r != np.arange(n + dm.n_u)) == moved
         assert solve(system).info["row_interchanges"] == 0
         factors = []
 
@@ -269,9 +321,9 @@ class TestSolve:
     def test_condensed_diagnostics(self):
         _, dm, system = unit_problem(level=1)
         info = solve(system).info
-        # The factor's order is the free traces': lam_0 and u_T are
-        # eliminated in their elements.
-        assert info["condensed_order"] == dm.n_free_edges * dm.dim_lamb == dm.n_condensed - dm.n_u
+        # The factor's order is the free traces', the unknowns DofMap
+        # numbers: lam_0 and u_T are eliminated in their elements.
+        assert info["condensed_order"] == dm.n_condensed == dm.n_free_edges * dm.dim_lamb
         assert 0 < info["condensed_nnz"] <= info["fill"]
         assert "factor_dtype" not in info and info["row_interchanges"] == 0
         assert info["refine_steps"] in range(1, _REFINE_STEPS + 1)
@@ -302,9 +354,9 @@ class TestSolve:
         # column, K_tt its element's free trace block), and the matrix is
         # symmetric positive definite.
         _, dm, system = unit_problem(**case)
-        K = schur_complement(system.element_matrix, dm.dim_lam0)[1]
-        n = dm.n_free_edges * dm.dim_lamb
-        expected = scatter(K[:, :-1, :-1], dm.element_indices[:, :-1], n)
+        K, idx = condensed(system)
+        n = dm.n_condensed
+        expected = scatter(K[:, :-1, :-1], dm.element_indices, n)
         factored, splu = [], pdwg.solver.splu
 
         def capture(A, **kwargs):
@@ -318,36 +370,34 @@ class TestSolve:
         assert A.dtype == np.float64
         # u_T lies in one element, so the u block of the condensed matrix is
         # diagonal, kappa.
-        full = scatter(K, dm.element_indices, dm.n_condensed).toarray()
-        free = dm.gather(np.ones(dm.n_condensed))[:, :-1, None]
-        k, Ktt = np.abs(K[:, :-1, -1:] * free), np.abs(K[:, :-1, :-1] * free * np.swapaxes(free, 1, 2))
-        p = np.diag(full)[n:] - pdwg.solver._SHIFT * k.max(axis=(1, 2)) ** 2 / Ktt.max(axis=(1, 2))
+        full = scatter(K, idx, n + dm.n_u).toarray()
+        k, Ktt = np.abs(K[:, :-1, -1]), np.abs(K[:, :-1, :-1])
+        p = np.diag(full)[n:] - pdwg.solver._SHIFT * k.max(axis=1) ** 2 / Ktt.max(axis=(1, 2))
         oracle = full[:n, :n] - full[:n, n:] @ (full[n:, :n] / p[:, None])
         dense = A.toarray()
         assert np.abs(dense - oracle).max() <= 1e-13 * np.abs(oracle).max()
         assert np.linalg.eigvalsh(dense).min() > 0
 
     def test_no_global_matrix_outlives_the_factor(self, monkeypatch):
-        # The condensed element matrices are gone before SuperLU runs,
-        # which gets their scattered trace blocks in double precision, and
-        # the matrix it got is gone once the factor is built: SuperLU
-        # keeps no reference to it, and every later product with A runs
-        # on the element matrices.
+        # The elimination buffer of the element matrices is gone before
+        # SuperLU runs, which gets their scattered trace blocks in double
+        # precision, and the matrix it got is gone once the factor is
+        # built: SuperLU keeps no reference to it, and every later product
+        # with A runs on the element matrices.
         _, _, system = unit_problem(level=3)
-        condensed, received = [], []
-        schur, splu = pdwg.solver.schur_complement, pdwg.solver.splu
+        buffers, received = [], []
+        splu = pdwg.solver.splu
 
-        def schur_spy(*args):
-            Z, K = schur(*args)
-            condensed.append(weakref.ref(K))
-            return Z, K
+        def eliminate_spy(A, d0):
+            buffers.append(weakref.ref(A))
+            return eliminate(A, d0)
 
         def splu_spy(A, **kwargs):
-            assert condensed[0]() is None and A.data.dtype == np.float64
+            assert buffers[0]() is None and A.data.dtype == np.float64
             received.extend(weakref.ref(a) for a in (A, A.data, A.indices, A.indptr))
             return splu(A, **kwargs)
 
-        monkeypatch.setattr(pdwg.solver, "schur_complement", schur_spy)
+        monkeypatch.setattr(pdwg.solver, "eliminate", eliminate_spy)
         monkeypatch.setattr(pdwg.solver, "splu", splu_spy)
         factor = _CondensedLU(system)
         assert factor.lu.nnz > 0 and len(received) == 4
@@ -419,8 +469,8 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_u_after_the_traces_of_its_element(self, case):
-        _, dm, _ = unit_problem(**case)
-        assert np.all(dm.element_indices[:, -1] > dm.element_indices[:, :-1].max(axis=1))
+        _, _, system = unit_problem(**case)
+        assert_u_follows_the_traces(system)
 
     @pytest.mark.parametrize("case", ORDERING_CASES)
     def test_no_element_couples_the_two_children_of_a_node(self, case):
@@ -478,8 +528,8 @@ class TestOrderedFactor:
             # and fig9_f10000).
             assert sol.info["nnz"] == A.nnz, (name, j, level)
             scale = np.linalg.norm(abs(A) @ abs(x))
-            y0, y = system.matvec(sol.local)
-            assert np.linalg.norm(full_rows(y0, y, dm) - A @ x) <= 1e-14 * scale, (name, j, level)
+            r = full_rows(system.residual(sol.local), dm)
+            assert np.linalg.norm(r - (full_rhs(system) - A @ x)) <= 1e-14 * scale, (name, j, level)
 
     def test_refinement_residual_matches_the_assembled_product(self):
         # The shifted pivots leave an error, so this system is refined, and
@@ -495,7 +545,7 @@ class TestOrderedFactor:
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_forced_refinement_keeps_the_contract(self, monkeypatch, j):
-        # The first condensed solve is made 1e-3 too large, so refinement
+        # The first solve is made 1e-3 too large, so refinement
         # has to start far above tol.  The residuals reported, first and
         # last, match the assembled product of the element rows they stand
         # for, lam_0 rows included, and the refined rows keep both sides
@@ -505,12 +555,12 @@ class TestOrderedFactor:
         A, b = assembled_matrix(system), full_rhs(system)
         condensed_solve, rows = _CondensedLU.solve, []
 
-        def spoiled_first(factor, rc):
-            y = condensed_solve(factor, rc)
+        def spoiled_first(factor, r):
+            x = condensed_solve(factor, r)
             if not rows:
-                y = y * (1 + 1e-3)
-                rows.append(factor.rows(y))
-            return y
+                x = x * (1 + 1e-3)
+                rows.append(x)
+            return x
 
         monkeypatch.setattr(_CondensedLU, "solve", spoiled_first)
 
@@ -574,9 +624,9 @@ class TestOrderedFactor:
         # so refinement runs to the cap.  Both end far above tol and raise.
         condensed_solve, calls = _CondensedLU.solve, []
 
-        def damped(factor, rc):
+        def damped(factor, r):
             calls.append(1)
-            return damping * condensed_solve(factor, rc)
+            return damping * condensed_solve(factor, r)
 
         monkeypatch.setattr(_CondensedLU, "solve", damped)
         _, _, system = unit_problem(level=2)

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import forms_for, map_to_edge, project_edge, project_element, refined, same_bits, tables_for
+from helpers import (
+    assert_u_follows_the_traces,
+    forms_for,
+    map_to_edge,
+    project_edge,
+    project_element,
+    refined,
+    same_bits,
+    tables_for,
+)
 from pdwg.fields import constant_vector
-from pdwg.assembly import classify_boundary
+from pdwg.assembly import assemble, build_forms, classify_boundary
 from pdwg.catalog import catalog
 from pdwg.mesh import build_coarse_mesh, refine_uniform
 from pdwg.poly import EdgeBasis, TriBasis, quad_edge
@@ -66,49 +75,48 @@ class TestDofMap:
         for e in cls.outflow_edges:
             assert dm.lamb_start[e] == -1
         outflow = np.isin(mesh.element_edges, cls.outflow_edges)
-        traces = dm.element_indices[:, :-1].reshape(mesh.num_elements, 3, 2)
+        traces = dm.element_indices.reshape(mesh.num_elements, 3, 2)
         assert np.all(traces[outflow] == -1) and np.all(traces[~outflow] >= 0)
         # Each free edge's traces are its db consecutive indices from
-        # lamb_start, and no trace shares an index with a u_T.
+        # lamb_start.
         starts = dm.lamb_start[mesh.element_edges][..., None]
         assert np.array_equal(traces, np.where(starts < 0, -1, starts + np.arange(2)))
-        assert not np.isin(traces, dm.element_indices[:, -1]).any()
         for t in range(mesh.num_elements):
-            idx = dm.element_indices[t, :-1]
+            idx = dm.element_indices[t]
             free = idx[idx >= 0]
             assert len(np.unique(free)) == len(free)
 
     def test_indices_form_bijection(self):
-        # Only the traces and u_T are numbered; lam_0 stays in its element.
+        # Only the traces are numbered; lam_0 and u_T stay in their element.
         mesh = refined("l_shape", 1)
         dm = make_dofmap(mesh)
         T, db = mesh.num_elements, dm.dim_lamb
-        assert dm.element_indices.shape == (T, 3 * db + 1)
+        assert dm.element_indices.shape == (T, 3 * db)
         seen = set()
         for t in range(T):
             seen.update(int(i) for i in dm.element_indices[t] if i >= 0)
         assert seen == set(range(dm.n_condensed))
-        assert dm.n_condensed == dm.n_free_edges * db + T == dm.n_total - T * dm.dim_lam0
+        assert dm.n_condensed == dm.n_free_edges * db == dm.n_total - T * (dm.dim_lam0 + 1)
         # int32, SuperLU's index type, and read-only.
         assert dm.element_indices.dtype == np.int32 and not dm.element_indices.flags.writeable
 
     @pytest.mark.parametrize("tag", ["unit_square", "l_shape", "cracked_square"])
     @pytest.mark.parametrize("j", [0, 1])
     def test_u_follows_the_last_trace_of_its_element(self, tag, j):
-        # The free traces take the first F db indices, and the u_T of
-        # element t takes F db + t, after every trace: the solver eliminates
-        # u_T in its element and factors the traces only.
+        # DofMap numbers the F db free traces only, and the full matrix
+        # places the u_T of element t at n_lambda + t, after every trace:
+        # the solver eliminates u_T in its element and factors the traces.
         mesh = refined(tag, 2)
-        dm = make_dofmap(mesh, j=j)
-        n = dm.n_free_edges * dm.dim_lamb
-        assert dm.element_indices[:, :-1].max() == n - 1
-        assert np.array_equal(dm.element_indices[:, -1], n + np.arange(mesh.num_elements))
+        forms = build_forms(tables_for(mesh, j=j))
+        dm = DofMap(mesh, j, classify_boundary(mesh, forms))
+        assert dm.element_indices.max() == dm.n_condensed - 1 == dm.n_free_edges * dm.dim_lamb - 1
+        assert_u_follows_the_traces(assemble(mesh, dm, forms))
 
     def test_gather_and_add_equal_the_masked_expressions(self):
         # Every catalog entry at levels 0-2 with j = 0 and 1, on values
         # with signed zeros: gather reads +0.0 on outflow traces, add sums
         # the free entries in element order, bit for bit as the masked
-        # expressions the solver and matvec used did.
+        # expressions the solver used did.
         rng = np.random.default_rng(5)
         for exp in catalog().values():
             for j in (0, 1):

@@ -11,8 +11,8 @@ alternate within every run, so two checkouts are measured back to back.
 Stages, in seconds: mesh (the coarse mesh and every refinement), then
 the stages of ``run_level``: tables, checks, classify, dofmap, assemble
 (tables, checks and assemble summed over the element blocks, assemble
-holding the element matrices and loads, and the loads' sum), solve
-(condensation, factor, refinement and the residual check) with
+holding the element matrices and loads), solve (the element
+elimination, factor, refinement and the residual check) with
 its part factor (the SuperLU call), errors and conservation.  The
 fill-reducing order is the DOF map's numbering, so it is timed in
 dofmap.  Beside them each point records the peak RSS after assembly,
